@@ -31,7 +31,12 @@
 //!   and the partial sums pay one inverse pair per giant **group** instead of per diagonal
 //!   ([`bsgs_stage_eval`] vs the PR 4 [`bsgs_stage`]);
 //! * fused ModDown+rescale (`multiply_rescale`): identical transform count to `multiply` —
-//!   basis conversions are NTT-free, so the fusion saves conversion work, not transforms.
+//!   basis conversions are NTT-free, so the fusion saves conversion work, not transforms;
+//! * real constants (`multiply_const`, `accumulate_const`, `add_scalar`, and through them
+//!   `multiply_scalar`, `match_scale` and the Chebyshev leaf): **zero** transforms in either
+//!   domain — a constant is a per-limb scalar, never a transformed plaintext polynomial —
+//!   so only their traffic has a formula ([`multiply_const_bytes`],
+//!   [`accumulate_const_bytes`]).
 //!
 //! Use [`NttMeter`] to measure a region and surface the observed count as a
 //! [`fab_trace::HeOp::Ntt`] op in a recorded trace.
@@ -315,6 +320,20 @@ pub fn multiply_rescale_bytes(
         + kskip_bytes(degree, limbs, special, alpha, false)
         + bytes::ntt_inverse(degree).times(2 * raised)
         + bytes::mod_down(degree, limbs - 1, special + 1).times(2)
+}
+
+/// Bytes moved by a real-constant multiplication (`Evaluator::multiply_const`, in either
+/// domain): one per-limb scalar pass over each part.
+pub fn multiply_const_bytes(degree: usize, limbs: usize) -> ByteCounts {
+    bytes::pointwise_unary(degree, limbs).times(2)
+}
+
+/// Bytes moved by one fused `acc += c·term` (`Evaluator::accumulate_const`, `limbs` being
+/// the accumulator's): one scalar multiply-add pass over each part. A `k`-term Chebyshev
+/// leaf therefore moves [`multiply_const_bytes`] for its seed plus `k − 1` of these before
+/// its rescale.
+pub fn accumulate_const_bytes(degree: usize, limbs: usize) -> ByteCounts {
+    bytes::scalar_multiply_add(degree, limbs).times(2)
 }
 
 /// Bytes moved by one key-switched rotation (or conjugation): both parts' automorphism

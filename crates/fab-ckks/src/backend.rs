@@ -63,8 +63,20 @@ pub trait EvalBackend {
     /// Ciphertext–ciphertext multiplication with relinearisation and rescale.
     fn multiply_rescale(&self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct>;
 
-    /// Multiplies by a constant plaintext encoded at `pt_scale` (no rescale).
+    /// Multiplies by a constant encoded at `pt_scale` (no rescale).
     fn multiply_const(&self, a: &Self::Ct, value: Complex64, pt_scale: f64) -> Result<Self::Ct>;
+
+    /// Fused `acc += value·term` for a real constant encoded at `pt_scale`, in place at
+    /// `acc`'s level (`term` may sit higher); emits the `MultiplyPlain` + `Add` pair of the
+    /// unfused sequence. `acc` keeps its scale, which `term.scale·pt_scale` must match
+    /// within the addition tolerance.
+    fn accumulate_const(
+        &self,
+        acc: &mut Self::Ct,
+        term: &Self::Ct,
+        value: f64,
+        pt_scale: f64,
+    ) -> Result<()>;
 
     /// Multiplies by a slot-vector plaintext encoded at `pt_scale` (no rescale).
     fn multiply_slots(&self, a: &Self::Ct, values: &[Complex64], pt_scale: f64)
@@ -147,19 +159,6 @@ pub trait EvalBackend {
 
     /// Multiplication by the monomial `X^power` (free on FAB; no trace op).
     fn multiply_by_monomial(&self, a: &Self::Ct, power: usize) -> Result<Self::Ct>;
-
-    /// Promotes a ciphertext to the backend's **evaluation-resident** form, after which
-    /// plaintext-multiply/add chains perform no per-step transforms. Emits no trace op —
-    /// domain moves are representation bookkeeping, not semantic operations. The default is
-    /// the identity (shadows carry no representation); [`ExecBackend`] overrides it with
-    /// [`Evaluator::to_evaluation_form`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates level errors.
-    fn to_eval_resident(&self, a: &Self::Ct) -> Result<Self::Ct> {
-        Ok(a.clone())
-    }
 
     /// Applies a planned BSGS linear transform. The default runs the backend-generic
     /// coefficient-resident control flow (one plaintext multiplication round-trip per
@@ -268,11 +267,17 @@ impl EvalBackend for ExecBackend<'_> {
         value: Complex64,
         pt_scale: f64,
     ) -> Result<Ciphertext> {
-        let pt = self
-            .evaluator
-            .encoder()
-            .encode_constant(value, pt_scale, a.level())?;
-        self.evaluator.multiply_plain(a, &pt)
+        self.evaluator.multiply_const(a, value, pt_scale)
+    }
+
+    fn accumulate_const(
+        &self,
+        acc: &mut Ciphertext,
+        term: &Ciphertext,
+        value: f64,
+        pt_scale: f64,
+    ) -> Result<()> {
+        self.evaluator.accumulate_const(acc, term, value, pt_scale)
     }
 
     fn multiply_slots(
@@ -339,10 +344,6 @@ impl EvalBackend for ExecBackend<'_> {
 
     fn multiply_by_monomial(&self, a: &Ciphertext, power: usize) -> Result<Ciphertext> {
         self.evaluator.multiply_by_monomial(a, power)
-    }
-
-    fn to_eval_resident(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        self.evaluator.to_evaluation_form(a)
     }
 
     fn apply_bsgs_planned(
@@ -463,7 +464,7 @@ impl EvalBackend for PlanBackend {
     }
 
     fn add_scalar(&self, a: &PlanCiphertext, _scalar: Complex64) -> Result<PlanCiphertext> {
-        // encode_constant at (a.scale, a.level) then add_plain.
+        // The constant is added at the ciphertext's own scale and level.
         self.record(HeOp::Add { level: a.level });
         Ok(*a)
     }
@@ -494,6 +495,25 @@ impl EvalBackend for PlanBackend {
     ) -> Result<PlanCiphertext> {
         self.record(HeOp::MultiplyPlain { level: a.level });
         Ok(PlanCiphertext::new(a.level, a.scale * pt_scale))
+    }
+
+    fn accumulate_const(
+        &self,
+        acc: &mut PlanCiphertext,
+        term: &PlanCiphertext,
+        _value: f64,
+        pt_scale: f64,
+    ) -> Result<()> {
+        if term.level < acc.level {
+            return Err(CkksError::LevelMismatch {
+                left: acc.level,
+                right: term.level,
+            });
+        }
+        self.check_scales(acc.scale, term.scale * pt_scale)?;
+        self.record(HeOp::MultiplyPlain { level: acc.level });
+        self.record(HeOp::Add { level: acc.level });
+        Ok(())
     }
 
     fn multiply_slots(

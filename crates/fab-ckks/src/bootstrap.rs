@@ -15,8 +15,9 @@
 //! eval-resident BSGS execution warms each stage's **NTT-cached diagonal plaintexts** once
 //! (on the first bootstrap, per level) and then performs zero plaintext forward transforms
 //! on every further iteration — the cache is exactly the "reused across every apply and
-//! every bootstrap iteration" term of `fab_ckks::accounting::bsgs_stage_eval`; EvalMod's
-//! Chebyshev leaf accumulations likewise run eval-resident through the backend seam.
+//! every bootstrap iteration" term of `fab_ckks::accounting::bsgs_stage_eval`. EvalMod's
+//! constants (Chebyshev coefficients, scale matching) are per-limb scalars and pay no
+//! transforms at all.
 //!
 //! ## Sparse-slot bootstrapping
 //!

@@ -7,6 +7,7 @@
 use fab_math::Complex64;
 
 use crate::backend::{EvalBackend, ExecBackend};
+use crate::evaluator::SCALE_TOLERANCE;
 use crate::{Ciphertext, CkksError, Evaluator, RelinearizationKey, Result};
 
 /// A Chebyshev series `Σ c_k T_k(t)` on a domain `[a, b]` (mapped affinely onto `[-1, 1]`).
@@ -266,14 +267,16 @@ impl ChebyshevSeries {
         backend.add(&x, &y)
     }
 
-    /// Leaf evaluation `Σ_{j<m} c_j·T_j` using plaintext multiplications only.
+    /// Leaf evaluation `Σ_{j<m} c_j·T_j`: constant multiplications only.
     ///
-    /// The accumulation runs **eval-resident**: every basis term is promoted to the
-    /// backend's evaluation form once, so each constant product and each add is
-    /// transform-free on real ciphertexts (the constant plaintext pays its own forwards;
-    /// the terms never round-trip). The single crossing back to coefficient form happens
-    /// inside the trailing rescale. Bitwise identical to the coefficient-resident order —
-    /// the inverse NTT canonicalises — and the emitted op stream is unchanged.
+    /// The coefficients are per-limb scalars at the rescaling prime, so the whole sum is
+    /// transform-free: the first live term seeds the accumulator
+    /// ([`EvalBackend::multiply_const`]) and every further term is one in-place
+    /// multiply-accumulate pass over the basis ciphertext where it already sits
+    /// ([`EvalBackend::accumulate_const`]), coefficient-resident so the trailing rescale
+    /// needs no inverse. A term whose scaled coefficient rounds to zero (the even terms of an
+    /// odd function are ~1e-17, not `0.0`) contributes no bit and is skipped once the
+    /// accumulator exists; the seed always goes in, which fixes the leaf's level and scale.
     fn evaluate_leaf<B: EvalBackend>(
         &self,
         backend: &B,
@@ -302,16 +305,24 @@ impl ChebyshevSeries {
         }
         let prime = backend.ctx().rescale_prime(level) as f64;
         let mut acc: Option<B::Ct> = None;
-        for (j, c) in coeffs.iter().enumerate().skip(1) {
-            if c.abs() == 0.0 {
+        for (j, &c) in coeffs.iter().enumerate().skip(1) {
+            if c.abs() == 0.0 || (acc.is_some() && (c * prime).round() == 0.0) {
                 continue;
             }
             let t = basis[j].as_ref().ok_or(CkksError::InvalidInput {
                 reason: format!("chebyshev basis T_{j} missing"),
             })?;
+            if let Some(sum) = acc.as_mut() {
+                let drift = backend.scale(sum) / (backend.scale(t) * prime) - 1.0;
+                if backend.level(sum) == level && drift.abs() < SCALE_TOLERANCE {
+                    backend.accumulate_const(sum, t, c, prime)?;
+                    continue;
+                }
+            }
+            // The seed, or a term whose scale drifted from the running sum's: scale
+            // management may spend a level, so it goes through the general route.
             let t = backend.mod_drop_to_level(t, level)?;
-            let t = backend.to_eval_resident(&t)?;
-            let term = backend.multiply_const(&t, Complex64::new(*c, 0.0), prime)?;
+            let term = backend.multiply_const(&t, Complex64::new(c, 0.0), prime)?;
             acc = Some(match acc {
                 None => term,
                 Some(prev) => {

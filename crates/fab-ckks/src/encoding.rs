@@ -3,13 +3,42 @@
 use std::sync::Arc;
 
 use fab_math::Complex64;
-use fab_rns::{Representation, RnsPolynomial};
+use fab_rns::{Representation, RnsBasis, RnsPolynomial};
 
 use crate::{CkksContext, CkksError, Plaintext, Result};
 
 /// Largest coefficient magnitude the encoder accepts (must stay well inside an `i64` and below
 /// the first limb for decodability).
 const MAX_COEFF_MAGNITUDE: f64 = 4.611_686_018_427_388e18; // 2^62
+
+/// `round(value · scale)` of one real constant, under the checks of every constant encoding:
+/// a positive finite scale and a result inside the 62-bit range.
+fn scaled_constant(value: f64, scale: f64) -> Result<i64> {
+    if scale <= 0.0 || !scale.is_finite() {
+        return Err(CkksError::InvalidInput {
+            reason: format!("scale {scale} must be positive and finite"),
+        });
+    }
+    let scaled = (value * scale).round();
+    if scaled.abs() > MAX_COEFF_MAGNITUDE {
+        return Err(CkksError::InvalidInput {
+            reason: "scaled constant exceeds the supported 62-bit range".into(),
+        });
+    }
+    Ok(scaled as i64)
+}
+
+/// The per-limb residues over `basis` of the real constant `value` encoded at `scale`: what
+/// [`Encoder::encode_constant`] puts in coefficient 0, without the polynomial around it. Same
+/// validation, same errors.
+pub(crate) fn constant_residues(value: f64, scale: f64, basis: &RnsBasis) -> Result<Vec<u64>> {
+    let scaled = scaled_constant(value, scale)?;
+    Ok(basis
+        .moduli()
+        .iter()
+        .map(|m| m.reduce_i64(scaled))
+        .collect())
+}
 
 /// Encoder/decoder between complex slot vectors and scaled integer polynomials.
 ///
@@ -107,22 +136,12 @@ impl Encoder {
     ///
     /// Returns [`CkksError::InvalidInput`] on coefficient overflow or a non-positive scale.
     pub fn encode_constant(&self, value: Complex64, scale: f64, level: usize) -> Result<Plaintext> {
-        if scale <= 0.0 || !scale.is_finite() {
-            return Err(CkksError::InvalidInput {
-                reason: format!("scale {scale} must be positive and finite"),
-            });
-        }
-        let re = (value.re * scale).round();
-        let im = (value.im * scale).round();
-        if re.abs() > MAX_COEFF_MAGNITUDE || im.abs() > MAX_COEFF_MAGNITUDE {
-            return Err(CkksError::InvalidInput {
-                reason: "scaled constant exceeds the supported 62-bit range".into(),
-            });
-        }
+        let re = scaled_constant(value.re, scale)?;
+        let im = scaled_constant(value.im, scale)?;
         let degree = self.ctx.degree();
         let mut coeffs = vec![0i64; degree];
-        coeffs[0] = re as i64;
-        coeffs[degree / 2] = im as i64;
+        coeffs[0] = re;
+        coeffs[degree / 2] = im;
         let basis = self.ctx.basis_at_level(level)?;
         let poly = RnsPolynomial::from_signed_coeffs(&coeffs, &basis, Representation::Coefficient);
         Ok(Plaintext::from_parts(poly, scale, level))
@@ -134,7 +153,6 @@ impl Encoder {
     /// the scaled message (plus noise) stays below `q_0 / 2` — the standard CKKS correctness
     /// regime. Decode after rescaling products back to the base scale.
     pub fn decode(&self, plaintext: &Plaintext) -> Vec<Complex64> {
-        let degree = self.ctx.degree();
         let slots = self.ctx.slot_count();
         let q0 = self.ctx.q_basis().modulus(0);
         let limb = plaintext.poly().limb(0);
@@ -144,7 +162,6 @@ impl Encoder {
             let im = q0.to_signed(limb[i + slots]) as f64 / plaintext.scale;
             w[i] = Complex64::new(re, im);
         }
-        let _ = degree;
         self.ctx.fft().forward(&mut w);
         w
     }

@@ -16,12 +16,14 @@
 //! recomputation. Only the polynomials that escape into the returned [`Ciphertext`] keep
 //! their buffers.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use fab_math::{galois_element_for_conjugation, galois_element_for_rotation, Complex64};
 use fab_rns::{ops, Domain, Representation, RnsBasis, RnsPolynomial};
 use fab_trace::{noop_sink, HeOp, TraceSink};
 
+use crate::encoding::constant_residues;
 use crate::{
     Ciphertext, CkksContext, CkksError, Encoder, GaloisKeys, Plaintext, RelinearizationKey, Result,
     SwitchingKey,
@@ -297,21 +299,25 @@ impl Evaluator {
     /// Borrows `a` when it is already coefficient-form, otherwise converts a copy — the entry
     /// guard of the operations that genuinely need coefficient data (rescale, automorphisms,
     /// the raise of `c1`).
-    fn coefficient_input<'t>(&self, a: &'t Ciphertext) -> Result<std::borrow::Cow<'t, Ciphertext>> {
+    fn coefficient_input<'t>(&self, a: &'t Ciphertext) -> Result<Cow<'t, Ciphertext>> {
         if a.c0.is_coefficient() {
-            Ok(std::borrow::Cow::Borrowed(a))
+            Ok(Cow::Borrowed(a))
         } else {
-            Ok(std::borrow::Cow::Owned(self.to_coefficient_form(a)?))
+            Ok(Cow::Owned(self.to_coefficient_form(a)?))
         }
     }
 
     /// Converts `b` to `a`'s domain when the two disagree (mixed-form addition operands).
-    fn match_form(&self, a: &Ciphertext, b: Ciphertext) -> Result<Ciphertext> {
-        match (a.c0.domain(), b.c0.domain()) {
-            (x, y) if x == y => Ok(b),
-            (Domain::Evaluation, _) => self.to_evaluation_form(&b),
-            (Domain::Coefficient, _) => self.to_coefficient_form(&b),
-        }
+    fn match_form<'t>(
+        &self,
+        a: &Ciphertext,
+        b: Cow<'t, Ciphertext>,
+    ) -> Result<Cow<'t, Ciphertext>> {
+        Ok(match (a.c0.domain(), b.c0.domain()) {
+            (x, y) if x == y => b,
+            (Domain::Evaluation, _) => Cow::Owned(self.to_evaluation_form(&b)?),
+            (Domain::Coefficient, _) => Cow::Owned(self.to_coefficient_form(&b)?),
+        })
     }
 
     // ---------------------------------------------------------------- additive operations
@@ -425,14 +431,24 @@ impl Evaluator {
         ))
     }
 
-    /// Adds the same complex constant to every slot.
+    /// Adds the same complex constant to every slot. A real constant is added as its per-limb
+    /// residue directly (coefficient 0 in coefficient form, every element in evaluation
+    /// form): no plaintext polynomial, no transforms in either domain.
     ///
     /// # Errors
     ///
     /// Propagates encoding errors.
     pub fn add_scalar(&self, a: &Ciphertext, scalar: Complex64) -> Result<Ciphertext> {
-        let pt = self.encoder.encode_constant(scalar, a.scale, a.level)?;
-        self.add_plain(a, &pt)
+        if scalar.im != 0.0 {
+            let pt = self.encoder.encode_constant(scalar, a.scale, a.level)?;
+            return self.add_plain(a, &pt);
+        }
+        let basis = self.ctx.basis_at_level(a.level)?;
+        let residues = constant_residues(scalar.re, a.scale, &basis)?;
+        self.record(HeOp::Add { level: a.level });
+        let mut c0 = a.c0.clone();
+        c0.add_scalar_per_limb(&residues, &basis);
+        Ok(Ciphertext::from_parts(c0, a.c1.clone(), a.scale, a.level))
     }
 
     // ------------------------------------------------------------ multiplicative operations
@@ -522,6 +538,78 @@ impl Evaluator {
         Ok(Ciphertext::from_parts(r0, r1, a.scale * pt_scale, a.level))
     }
 
+    /// Multiplies every slot by the constant `value` encoded at `pt_scale` (no rescale). The
+    /// result scale is the product of scales, the recorded op a [`HeOp::MultiplyPlain`].
+    ///
+    /// A **real** constant is a per-limb scalar: both parts are multiplied by
+    /// `round(value·pt_scale) mod q_i` in whatever domain `a` is in (constant × polynomial is
+    /// coefficient-wise in either form), so the operation performs no transforms and builds
+    /// no plaintext polynomial. Bit-for-bit what [`Encoder::encode_constant`] +
+    /// [`Self::multiply_plain`] produce, which is the route a constant with a non-zero
+    /// imaginary part still takes.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Encoder::encode_constant`]: [`CkksError::InvalidInput`] for a scale
+    /// that is not positive and finite or a scaled constant beyond the 62-bit range.
+    pub fn multiply_const(
+        &self,
+        a: &Ciphertext,
+        value: Complex64,
+        pt_scale: f64,
+    ) -> Result<Ciphertext> {
+        if value.im != 0.0 {
+            let pt = self.encoder.encode_constant(value, pt_scale, a.level)?;
+            return self.multiply_plain(a, &pt);
+        }
+        let basis = self.ctx.basis_at_level(a.level)?;
+        let residues = constant_residues(value.re, pt_scale, &basis)?;
+        self.record(HeOp::MultiplyPlain { level: a.level });
+        Ok(Ciphertext::from_parts(
+            a.c0.mul_scalar_per_limb(&residues, &basis),
+            a.c1.mul_scalar_per_limb(&residues, &basis),
+            a.scale * pt_scale,
+            a.level,
+        ))
+    }
+
+    /// Fused `acc += value·term` for a real constant encoded at `pt_scale`: one in-place
+    /// multiply-accumulate pass per part at `acc`'s level and in `acc`'s domain, reading the
+    /// matching limb prefix of a `term` held at that level or above. Records the
+    /// [`HeOp::MultiplyPlain`] and [`HeOp::Add`] the unfused pair would; `acc` keeps its
+    /// scale, as the left operand of [`Self::add`] does.
+    ///
+    /// # Errors
+    ///
+    /// The validation errors of [`Self::multiply_const`]; [`CkksError::LevelMismatch`] if
+    /// `term` is below `acc`'s level; [`CkksError::ScaleMismatch`] unless
+    /// `term.scale·pt_scale` matches `acc`'s scale within the addition tolerance.
+    pub fn accumulate_const(
+        &self,
+        acc: &mut Ciphertext,
+        term: &Ciphertext,
+        value: f64,
+        pt_scale: f64,
+    ) -> Result<()> {
+        if term.level < acc.level {
+            return Err(CkksError::LevelMismatch {
+                left: acc.level,
+                right: term.level,
+            });
+        }
+        let basis = self.ctx.basis_at_level(acc.level)?;
+        let residues = constant_residues(value, pt_scale, &basis)?;
+        self.check_scales(acc.scale, term.scale * pt_scale)?;
+        let term = self.match_form(acc, Cow::Borrowed(term))?;
+        self.record(HeOp::MultiplyPlain { level: acc.level });
+        self.record(HeOp::Add { level: acc.level });
+        acc.c0
+            .add_mul_scalar_per_limb(&term.c0, &residues, &basis)?;
+        acc.c1
+            .add_mul_scalar_per_limb(&term.c1, &residues, &basis)?;
+        Ok(())
+    }
+
     /// Multiplies every slot by a complex scalar encoded at the current level's rescaling
     /// prime, then rescales — the scale is preserved while one level is consumed.
     ///
@@ -535,8 +623,7 @@ impl Evaluator {
             });
         }
         let prime = self.ctx.rescale_prime(a.level) as f64;
-        let pt = self.encoder.encode_constant(scalar, prime, a.level)?;
-        let product = self.multiply_plain(a, &pt)?;
+        let product = self.multiply_const(a, scalar, prime)?;
         self.rescale(&product)
     }
 
@@ -811,10 +898,7 @@ impl Evaluator {
                 ),
             });
         }
-        let pt = self
-            .encoder
-            .encode_constant(Complex64::one(), enc_scale, a.level)?;
-        let product = self.multiply_plain(a, &pt)?;
+        let product = self.multiply_const(a, Complex64::one(), enc_scale)?;
         let mut rescaled = self.rescale(&product)?;
         // The achieved scale differs from the target only by the rounding of enc_scale;
         // declare the exact target to keep downstream additions well-typed. The relative error
@@ -833,7 +917,8 @@ impl Evaluator {
         a: &Ciphertext,
         b: &Ciphertext,
     ) -> Result<(Ciphertext, Ciphertext)> {
-        let (mut a, mut b) = self.align_levels(a, b)?;
+        let (a, b) = self.align_levels(a, b)?;
+        let (mut a, mut b) = (a.into_owned(), b.into_owned());
         if (a.scale / b.scale - 1.0).abs() >= SCALE_TOLERANCE {
             if a.scale > b.scale {
                 a = self.match_scale(&a, b.scale)?;
@@ -1574,12 +1659,21 @@ impl Evaluator {
 
     // ------------------------------------------------------------------------- internals
 
-    fn align_levels(&self, a: &Ciphertext, b: &Ciphertext) -> Result<(Ciphertext, Ciphertext)> {
+    /// Both operands at the lower of their levels, borrowed when no limb has to be dropped.
+    fn align_levels<'t>(
+        &self,
+        a: &'t Ciphertext,
+        b: &'t Ciphertext,
+    ) -> Result<(Cow<'t, Ciphertext>, Cow<'t, Ciphertext>)> {
         let level = a.level.min(b.level);
-        Ok((
-            self.mod_drop_to_level(a, level)?,
-            self.mod_drop_to_level(b, level)?,
-        ))
+        let at_level = |ct: &'t Ciphertext| -> Result<Cow<'t, Ciphertext>> {
+            Ok(if ct.level == level {
+                Cow::Borrowed(ct)
+            } else {
+                Cow::Owned(self.mod_drop_to_level(ct, level)?)
+            })
+        };
+        Ok((at_level(a)?, at_level(b)?))
     }
 
     fn check_scales(&self, a: f64, b: f64) -> Result<()> {

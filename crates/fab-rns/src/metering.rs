@@ -227,6 +227,12 @@ pub mod bytes {
         bc(3 * W64 * n as u64, W64 * n as u64).times(rows as u64)
     }
 
+    /// `rows` scalar multiply-add passes (`dst[i] += s·src[i]`, the scalar held in a
+    /// register): two rows read, one written.
+    pub fn scalar_multiply_add(n: usize, rows: usize) -> ByteCounts {
+        pointwise_binary(n, rows)
+    }
+
     /// `rows` automorphism gathers (`dst[i] = ±src[map[i]]`): the source row and the
     /// `n`-entry index map read, one row written.
     pub fn automorphism(n: usize, rows: usize) -> ByteCounts {

@@ -633,6 +633,88 @@ impl RnsPolynomial {
         out
     }
 
+    /// Fused in-place accumulation `self += src · scalars` with one scalar per limb (Shoup
+    /// multiply-accumulate). Only the first `self.limb_count()` limbs of `src` are read, so a
+    /// source held at a higher level needs no truncated copy. A per-limb constant times a
+    /// polynomial is coefficient-wise in either representation; the two operands only have
+    /// to agree on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RnsError::Mismatch`] if the degrees or representations differ, `src` has
+    /// fewer limbs than `self`, or `scalars.len()` is not the limb count.
+    pub fn add_mul_scalar_per_limb(
+        &mut self,
+        src: &Self,
+        scalars: &[u64],
+        basis: &RnsBasis,
+    ) -> Result<()> {
+        if self.degree != src.degree
+            || self.representation != src.representation
+            || src.limb_count < self.limb_count
+            || scalars.len() != self.limb_count
+        {
+            return Err(RnsError::Mismatch {
+                reason: format!(
+                    "cannot accumulate {} scalars × {} {} limbs of degree {} into {} {} limbs of degree {}",
+                    scalars.len(),
+                    src.limb_count,
+                    src.representation,
+                    src.degree,
+                    self.limb_count,
+                    self.representation,
+                    self.degree
+                ),
+            });
+        }
+        let degree = self.degree;
+        crate::metering::add_bytes(crate::metering::bytes::scalar_multiply_add(
+            degree,
+            self.limb_count,
+        ));
+        fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
+            let m = basis.modulus(i);
+            let s = m.reduce(scalars[i]);
+            let s_shoup = m.shoup_precompute(s);
+            for (x, &y) in row.iter_mut().zip(src.limb(i)) {
+                *x = m.add(*x, m.mul_shoup(y, s, s_shoup));
+            }
+        });
+        Ok(())
+    }
+
+    /// Adds the constant polynomial whose value in limb `i` is `scalars[i]`, in place: in
+    /// coefficient form only coefficient 0 of each limb changes, in evaluation form every
+    /// element of the row does (the NTT of a constant polynomial is that constant in every
+    /// position).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scalars.len()` differs from the limb count.
+    pub fn add_scalar_per_limb(&mut self, scalars: &[u64], basis: &RnsBasis) {
+        assert_eq!(scalars.len(), self.limb_count);
+        let degree = self.degree;
+        if self.representation == Representation::Coefficient {
+            // One word per limb: below the row-pass granularity the byte meter counts at.
+            for (i, row) in self.data.chunks_exact_mut(degree).enumerate() {
+                let m = basis.modulus(i);
+                row[0] = m.add(row[0], m.reduce(scalars[i]));
+            }
+            return;
+        }
+        crate::metering::add_bytes(crate::metering::bytes::pointwise_unary(
+            degree,
+            self.limb_count,
+        ));
+        fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
+            let m = basis.modulus(i);
+            let s = m.reduce(scalars[i]);
+            for x in row.iter_mut() {
+                *x = m.add(*x, s);
+            }
+        });
+    }
+
     /// Applies the Galois automorphism `x → x^element`. The polynomial must be in coefficient
     /// representation (the FAB automorph unit also permutes coefficient/slot indices directly).
     ///
@@ -872,6 +954,66 @@ mod tests {
         // Out-of-range map entries are rejected.
         assert!(acc.add_mul_limb_mapped(&a, &key, &[0, 4], &b2).is_err());
         assert!(acc.add_mul_limb_mapped(&a, &key, &[0], &b2).is_err());
+    }
+
+    #[test]
+    fn add_mul_scalar_per_limb_matches_scale_then_add_on_a_limb_prefix() {
+        let b2 = basis(2);
+        let b3 = basis(3);
+        let acc0 = random_poly(&b2, 36);
+        let src = random_poly(&b3, 37);
+        let scalars = [b2.modulus(0).value() - 1, 12345];
+        for eval in [false, true] {
+            let (mut acc, mut src) = (acc0.clone(), src.clone());
+            if eval {
+                acc.to_evaluation(&b2);
+                src.to_evaluation(&b3);
+            }
+            let expected = acc
+                .add(
+                    &src.prefix(2).unwrap().mul_scalar_per_limb(&scalars, &b2),
+                    &b2,
+                )
+                .unwrap();
+            let before = crate::metering::byte_counts();
+            acc.add_mul_scalar_per_limb(&src, &scalars, &b2).unwrap();
+            assert_eq!(
+                crate::metering::byte_counts().since(&before),
+                crate::metering::bytes::scalar_multiply_add(b2.degree(), 2)
+            );
+            assert_eq!(acc, expected);
+        }
+        // Shape disagreements are typed errors, not panics.
+        let mut acc = acc0.clone();
+        let mut src_eval = src.clone();
+        src_eval.to_evaluation(&b3);
+        assert!(acc
+            .add_mul_scalar_per_limb(&src_eval, &scalars, &b2)
+            .is_err());
+        assert!(acc.add_mul_scalar_per_limb(&src, &[1], &b2).is_err());
+        let mut wide = src.clone();
+        assert!(wide
+            .add_mul_scalar_per_limb(&acc0, &[1, 2, 3], &b3)
+            .is_err());
+    }
+
+    #[test]
+    fn add_scalar_per_limb_adds_the_constant_polynomial_in_either_form() {
+        let b = basis(3);
+        let x = random_poly(&b, 38);
+        let scalars = [7u64, b.modulus(1).value() - 1, 0];
+        let mut constant = RnsPolynomial::zero(b.degree(), 3, Representation::Coefficient);
+        for (i, &s) in scalars.iter().enumerate() {
+            constant.limb_mut(i)[0] = s;
+        }
+        let mut coeff = x.clone();
+        coeff.add_scalar_per_limb(&scalars, &b);
+        assert_eq!(coeff, x.add(&constant, &b).unwrap());
+        let mut eval = x.clone();
+        eval.to_evaluation(&b);
+        eval.add_scalar_per_limb(&scalars, &b);
+        eval.to_coefficient(&b);
+        assert_eq!(eval, coeff);
     }
 
     #[test]

@@ -127,6 +127,72 @@ fn multiply_and_fused_rescale_bytes_match_their_formulas() {
 }
 
 #[test]
+fn constant_op_and_leaf_bytes_match_their_formulas() {
+    let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+    let mut rng = ChaCha20Rng::seed_from_u64(4343);
+    let sk = SecretKey::generate(&ctx, &mut rng);
+    let pk = KeyGenerator::new(ctx.clone(), sk).public_key(&mut rng);
+    let encoder = Encoder::new(ctx.clone());
+    let evaluator = Evaluator::new(ctx.clone());
+    let scale = ctx.params().default_scale();
+    let values: Vec<f64> = (0..16).map(|i| (i as f64 * 0.2).cos()).collect();
+    let fresh = Encryptor::new(ctx.clone(), pk)
+        .encrypt(&encoder.encode_real(&values, scale, 5).unwrap(), &mut rng)
+        .unwrap();
+    let level = 3;
+    let limbs = level + 1;
+    let degree = ctx.degree();
+    let prime = ctx.rescale_prime(level) as f64;
+    let coeff = evaluator.mod_drop_to_level(&fresh, level).unwrap();
+    let eval = evaluator.to_evaluation_form(&coeff).unwrap();
+    let fresh_eval = evaluator.to_evaluation_form(&fresh).unwrap();
+
+    for (ct, term) in [(&coeff, &fresh), (&eval, &fresh_eval)] {
+        // The seed of a leaf: one scalar pass per part, whatever the domain.
+        let before = metering::byte_counts();
+        let mut acc = evaluator
+            .multiply_const(ct, Complex64::new(0.5, 0.0), prime)
+            .unwrap();
+        assert_eq!(
+            metering::byte_counts().since(&before),
+            accounting::multiply_const_bytes(degree, limbs),
+            "multiply_const recorded bytes drifted"
+        );
+
+        // Fourteen more terms, read in place from two levels up: a 15-term leaf moves the
+        // seed plus fourteen accumulate passes before its rescale, and not a byte more
+        // (in particular no transform traffic).
+        let before = metering::byte_counts();
+        for j in 2..=15 {
+            evaluator
+                .accumulate_const(&mut acc, term, 1.0 / j as f64, prime)
+                .unwrap();
+        }
+        assert_eq!(
+            metering::byte_counts().since(&before),
+            accounting::accumulate_const_bytes(degree, limbs).times(14),
+            "accumulate_const recorded bytes drifted"
+        );
+    }
+
+    // add_scalar: one word per limb in coefficient form (below the meter's row-pass
+    // granularity), one unary pass over c0 in evaluation form.
+    let before = metering::byte_counts();
+    evaluator
+        .add_scalar(&coeff, Complex64::new(1.5, 0.0))
+        .unwrap();
+    assert_eq!(metering::byte_counts().since(&before).total(), 0);
+    let before = metering::byte_counts();
+    evaluator
+        .add_scalar(&eval, Complex64::new(1.5, 0.0))
+        .unwrap();
+    assert_eq!(
+        metering::byte_counts().since(&before),
+        metering::bytes::pointwise_unary(degree, limbs)
+    );
+}
+
+#[test]
 fn rotation_and_hoisted_batch_bytes_match_their_formulas() {
     let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
     let mut rng = ChaCha20Rng::seed_from_u64(1213);
@@ -254,6 +320,8 @@ fn recorded_bytes_and_results_are_invariant_under_thread_count() {
     let basis = ctx.basis_at_level(level).unwrap();
     let d = fab::ckks::sampling::sample_uniform(&mut rng, &basis);
 
+    let term = Ciphertext::from_parts(d.clone(), d.clone(), 1.0, level);
+
     let mut outputs = Vec::new();
     let mut tallies = Vec::new();
     let previous = fab_par::threads();
@@ -261,8 +329,12 @@ fn recorded_bytes_and_results_are_invariant_under_thread_count() {
         fab_par::set_threads(workers);
         let before = metering::byte_counts();
         let out = evaluator.key_switch(&d, &rlk.key, level).unwrap();
+        let mut acc = term.clone();
+        evaluator
+            .accumulate_const(&mut acc, &term, -3.0, 1.0)
+            .unwrap();
         tallies.push(metering::byte_counts().since(&before));
-        outputs.push(out);
+        outputs.push((out, acc));
     }
     fab_par::set_threads(previous);
     assert!(
@@ -271,7 +343,7 @@ fn recorded_bytes_and_results_are_invariant_under_thread_count() {
     );
     assert!(
         outputs.windows(2).all(|w| w[0] == w[1]),
-        "key_switch output varied with FAB_THREADS"
+        "key_switch / accumulate_const output varied with FAB_THREADS"
     );
 }
 

@@ -184,6 +184,82 @@ fn multiply_plain_matches_its_formula_in_both_domains() {
     assert_eq!(back.c1(), coeff_product.c1());
 }
 
+/// Runs `run` and returns its result with the transforms it performed on this thread.
+fn metered<T>(run: impl FnOnce() -> T) -> (T, accounting::TransformCounts) {
+    let before = metering::counts();
+    let out = run();
+    (out, metering::counts().since(&before))
+}
+
+#[test]
+fn real_constant_ops_and_the_chebyshev_leaf_are_transform_free() {
+    // A real constant is a per-limb scalar: multiply_const, accumulate_const and add_scalar
+    // perform no transform in either domain, so multiply_scalar and match_scale pay only
+    // what their rescale pays (nothing on coefficient input, the 2·(ℓ+1) inverses of the
+    // coefficient boundary on evaluation input), and a 15-term leaf reaches its rescale
+    // without one.
+    let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+    let mut rng = ChaCha20Rng::seed_from_u64(606);
+    let sk = SecretKey::generate(&ctx, &mut rng);
+    let pk = KeyGenerator::new(ctx.clone(), sk).public_key(&mut rng);
+    let encoder = Encoder::new(ctx.clone());
+    let evaluator = Evaluator::new(ctx.clone());
+    let scale = ctx.params().default_scale();
+    let values: Vec<f64> = (0..16).map(|i| (i as f64 * 0.4).sin()).collect();
+    let fresh = Encryptor::new(ctx.clone(), pk)
+        .encrypt(&encoder.encode_real(&values, scale, 5).unwrap(), &mut rng)
+        .unwrap();
+    let level = 3;
+    let limbs = level as u64 + 1;
+    let prime = ctx.rescale_prime(level) as f64;
+    let none = accounting::TransformCounts::default();
+
+    let coeff = evaluator.mod_drop_to_level(&fresh, level).unwrap();
+    let eval = evaluator.to_evaluation_form(&coeff).unwrap();
+    let fresh_eval = evaluator.to_evaluation_form(&fresh).unwrap();
+    for (ct, term, rescale_cost) in [
+        (&coeff, &fresh, none),
+        (
+            &eval,
+            &fresh_eval,
+            accounting::TransformCounts {
+                forward: 0,
+                inverse: 2 * limbs,
+            },
+        ),
+    ] {
+        let c = Complex64::new(-0.37, 0.0);
+        assert_eq!(
+            metered(|| evaluator.multiply_const(ct, c, prime).unwrap()).1,
+            none
+        );
+        assert_eq!(metered(|| evaluator.add_scalar(ct, c).unwrap()).1, none);
+        assert_eq!(
+            metered(|| evaluator.multiply_scalar(ct, c).unwrap()).1,
+            rescale_cost
+        );
+        assert_eq!(
+            metered(|| evaluator.match_scale(ct, scale * 0.75).unwrap()).1,
+            rescale_cost
+        );
+
+        // The leaf: a seed and fourteen accumulations off terms held two levels higher.
+        let (acc, leaf) = metered(|| {
+            let mut sum = evaluator
+                .multiply_const(ct, Complex64::new(0.5, 0.0), prime)
+                .unwrap();
+            for j in 2..=15 {
+                evaluator
+                    .accumulate_const(&mut sum, term, 1.0 / j as f64, prime)
+                    .unwrap();
+            }
+            sum
+        });
+        assert_eq!(leaf, none, "the Chebyshev leaf performed transforms");
+        assert_eq!(metered(|| evaluator.rescale(&acc).unwrap()).1, rescale_cost);
+    }
+}
+
 #[test]
 fn hoisted_rotation_batch_shares_one_forward_sweep() {
     let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
