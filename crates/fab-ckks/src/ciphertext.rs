@@ -3,7 +3,8 @@
 //! Snapshots exist for durability, not transport: the serving layer's request journal and
 //! fab-lr's training checkpoints persist ciphertexts across a process crash and must reject
 //! anything a torn write or bit rot could have left behind. Both snapshot kinds ride the
-//! shared [`wire`] codec (magic/version word, FNV-1a checksum, checked-math geometry) and
+//! shared [`wire`] codec (magic/version word, word-parallel [`wire::checksum`] that always
+//! catches damage confined to one aligned 8-byte word, checked-math geometry) and
 //! embed the opening context's [`wire::param_fingerprint`], so a blob written under one
 //! parameter set fails typed ([`CkksError::CorruptSnapshot`]) under another instead of
 //! decoding into garbage polynomials.
@@ -13,17 +14,19 @@ use fab_rns::{Representation, RnsPolynomial};
 use crate::wire::{self, BlobReader, BlobSpec, BlobWriter};
 use crate::{CkksContext, CkksError, CkksParams, Result};
 
-/// Ciphertext snapshot identity: ASCII `FABCTX` in the top 48 bits, version 1.
+/// Ciphertext snapshot identity: ASCII `FABCTX` in the top 48 bits; version 2 is the
+/// [`wire::checksum`] format.
 const CT_SPEC: BlobSpec = BlobSpec {
     magic: 0x4641_4243_5458_0000,
-    version: 1,
+    version: 2,
     kind: "ciphertext snapshot",
 };
 
-/// Plaintext snapshot identity: ASCII `FABPTX` in the top 48 bits, version 1.
+/// Plaintext snapshot identity: ASCII `FABPTX` in the top 48 bits; version 2 is the
+/// [`wire::checksum`] format.
 const PT_SPEC: BlobSpec = BlobSpec {
     magic: 0x4641_4250_5458_0000,
-    version: 1,
+    version: 2,
     kind: "plaintext snapshot",
 };
 

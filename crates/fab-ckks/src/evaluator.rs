@@ -1634,8 +1634,9 @@ impl Evaluator {
     /// where `multiply`/`multiply_rescale` drop `2·(ℓ+1)` inverses against the PR 4 pipeline.
     ///
     /// The accumulator rows arrive in the lazy `[0, 2q)` domain; absorbed rows are
-    /// canonicalised on the way (`reduce_2q` + canonical add), preserving the inverse NTT's
-    /// `[0, 2q)` input invariant and the bitwise equality with the coefficient-domain path.
+    /// canonicalised on the way (lazy sum, two conditional subtractions), preserving the
+    /// inverse NTT's `[0, 2q)` input invariant and the bitwise equality with the
+    /// coefficient-domain path.
     fn absorb_p_times(
         &self,
         acc: &mut RnsPolynomial,
@@ -1651,8 +1652,15 @@ impl Evaluator {
         fab_par::par_chunks_mut(&mut acc.data_mut()[..limbs * degree], degree, |i, row| {
             let qi = basis.modulus(i);
             let (p, p_shoup) = p_mod_q[i];
+            let q = qi.value();
+            // Lazy sum in `[0, 4q)`, then two branch-free conditional subtractions (`min`
+            // against the wrapped difference): the branching form mispredicts on random
+            // residues.
             for (x, &dv) in row.iter_mut().zip(d.limb(i)) {
-                *x = qi.add(qi.reduce_2q(*x), qi.mul_shoup(dv, p, p_shoup));
+                debug_assert!(*x < 2 * q);
+                let sum = *x + qi.mul_shoup_lazy(dv, p, p_shoup);
+                let sum = sum.min(sum.wrapping_sub(2 * q));
+                *x = sum.min(sum.wrapping_sub(q));
             }
         });
     }

@@ -22,13 +22,12 @@ use crate::{CkksContext, CkksError, CkksParams, Result};
 /// degree, limb count, `α` and `dnum` as `u64` LE words.
 const KEY_HEADER_BYTES: usize = wire::HEADER_BYTES + 4 * 8;
 
-/// The switching-key blob identity on the shared [`wire`] codec. The magic (ASCII `FABKEY`
-/// in the top 48 bits — the exact value only has to be improbable in noise) and version-1
-/// layout predate the codec; the refactor onto [`BlobWriter`]/[`BlobReader`] is
-/// byte-identical, so version stays 1.
+/// The switching-key blob identity on the shared [`wire`] codec: ASCII `FABKEY` in the top
+/// 48 bits (the exact value only has to be improbable in noise). Version 2 has version 1's
+/// layout with [`wire::checksum`] in the checksum word where version 1 had a byte-serial hash.
 const KEY_SPEC: BlobSpec = BlobSpec {
     magic: 0x4641_424B_4559_0000,
-    version: 1,
+    version: 2,
     kind: "switching key",
 };
 
@@ -160,9 +159,11 @@ impl SwitchingKey {
 
     /// Serializes the key: a 6-word header (`magic|version`, checksum, degree, limb count,
     /// `α`, `dnum`, each `u64` LE) followed by each digit's `b_j` then `a_j` flat limb-major
-    /// `u64` LE words. The checksum is FNV-1a over everything after the checksum word, so the
-    /// geometry words are covered too. Keys are always held in evaluation form, so no
-    /// representation tag is needed.
+    /// `u64` LE words. The checksum is [`wire::checksum`] over everything after the checksum
+    /// word, so the geometry words are covered too: damage confined to one aligned 8-byte
+    /// word is always detected, wider damage with probability 1 − 2⁻⁶⁴ (an integrity check
+    /// against bit rot and torn writes, not an authenticator). Keys are always held in
+    /// evaluation form, so no representation tag is needed.
     pub fn to_bytes(&self) -> Vec<u8> {
         let (b0, _) = &self.components[0];
         debug_assert_eq!(b0.representation(), Representation::Evaluation);

@@ -1,17 +1,16 @@
 //! The shared validated-blob codec behind every serialized artifact in the workspace.
 //!
-//! PR 8 introduced a defensive wire format for evaluation keys: a fixed header carrying a
-//! magic/version word and an FNV-1a content checksum, followed by geometry words validated
-//! with checked arithmetic before any allocation. Ciphertext snapshots and the serving
-//! layer's request journal need exactly the same discipline, so the header logic lives here
-//! once and every blob kind ([`SwitchingKey`](crate::SwitchingKey) blobs, `FABCTX`/`FABPTX`
-//! snapshots, `FABJNL` journal records) is a [`BlobSpec`] over the same audited code path.
+//! Every blob kind — [`SwitchingKey`](crate::SwitchingKey) blobs, `FABCTX`/`FABPTX`
+//! snapshots, `FABJNL` journal records, `FABLRC` training checkpoints — is a [`BlobSpec`]
+//! over one audited code path: a fixed header carrying a magic/version word and a content
+//! checksum, followed by geometry words validated with checked arithmetic before any
+//! allocation.
 //!
 //! Layout shared by every blob:
 //!
 //! ```text
 //! word 0   magic (top 48 bits) | format version (low 16 bits)
-//! word 1   FNV-1a 64 checksum over every byte after this word
+//! word 1   checksum (see `checksum`) over every byte after this word
 //! word 2…  kind-specific geometry words, then the payload
 //! ```
 //!
@@ -19,6 +18,28 @@
 //! anywhere outside the magic word itself is detected before geometry is trusted; geometry
 //! that passes the checksum is *still* validated by the caller (zero dimensions, checked-math
 //! size recomputation) because a checksum authenticates accidental corruption, not intent.
+//!
+//! # The checksum (format version 2)
+//!
+//! Evaluation keys reach the compute through this codec on every cache miss, so the checksum
+//! has to run at the rate memory delivers bytes. [`checksum`] reads the covered bytes as
+//! little-endian `u64` words dealt round-robin onto four independent lanes; a lane absorbs a
+//! word as `state = rotl((state ^ word) · odd constant)`, which for a fixed word is a
+//! bijection of the state and for a fixed state a bijection of the word. The lanes, the
+//! zero-padded 0–7 byte tail and the byte length are then folded with the same step and a
+//! bijective finaliser. What that buys:
+//!
+//! * **Any change confined to one aligned 8-byte word** (so every single-bit flip, every
+//!   torn or zeroed word) changes the checksum *with certainty*: the altered lane state can
+//!   never re-converge, and the fold is injective in each lane.
+//! * **Wider damage** (several words, truncation, extension, a zero-filled hole) goes
+//!   undetected with probability about 2⁻⁶⁴.
+//! * **Nothing against an adversary**: every step is invertible, so collisions can be
+//!   constructed at will. The threat model is bit rot and torn writes.
+//!
+//! The checksum defines the format: version 1 of every blob kind kept a byte-at-a-time
+//! hash in the same header slot, so all kinds moved to version 2 together and a version-1 blob is
+//! refused by its version word ([`WireErrorKind::UnsupportedVersion`]) before any hashing.
 //!
 //! [`BlobWriter`]/[`BlobReader`] fail with [`WireError`]; callers map that onto their own
 //! typed rejection ([`CkksError::CorruptKey`](crate::CkksError::CorruptKey),
@@ -45,11 +66,35 @@ pub struct BlobSpec {
     pub kind: &'static str,
 }
 
+/// What a [`WireError`] means for the bytes it was raised on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireErrorKind {
+    /// The bytes are not a valid blob of this kind: wrong magic, checksum mismatch,
+    /// truncation, malformed fields. Damage, or not this kind of blob at all.
+    Corrupt,
+    /// The magic word matches the kind but the format version is not the one this build
+    /// reads. The blob was written by another build, not damaged: a configuration error
+    /// that recovery must surface rather than treat as a torn tail.
+    UnsupportedVersion,
+}
+
 /// A blob-level validation failure, before the caller maps it onto its typed error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
+    /// Damage versus a well-formed blob of another format version.
+    pub kind: WireErrorKind,
     /// Human-readable reason.
     pub reason: String,
+}
+
+impl WireError {
+    /// A [`WireErrorKind::Corrupt`] failure.
+    pub fn corrupt(reason: impl Into<String>) -> Self {
+        Self {
+            kind: WireErrorKind::Corrupt,
+            reason: reason.into(),
+        }
+    }
 }
 
 impl fmt::Display for WireError {
@@ -60,16 +105,70 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// FNV-1a 64-bit over `bytes` — the content checksum stored in header word 1. Deliberately a
-/// non-cryptographic integrity check: the threat model is bit rot and torn writes, not an
-/// adversary, and FNV keeps deserialization dependency-free and branch-predictable.
+/// Independent lanes of [`checksum`]: enough that the multiply latency of one lane's
+/// dependency chain is hidden behind the other lanes' steps.
+const LANES: usize = 4;
+
+/// Per-lane odd multipliers (odd, so multiplication is a bijection modulo 2⁶⁴).
+const LANE_MUL: [u64; LANES] = [
+    0x9E37_79B1_85EB_CA87,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0x27D4_EB2F_1656_67C5,
+];
+
+/// Per-lane initial states: non-zero and distinct, so runs of zero words still move every
+/// lane and lanes cannot be swapped for one another.
+const LANE_SEED: [u64; LANES] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// One absorb step: a bijection of `state` for a fixed `word` and of `word` for a fixed
+/// `state`. The rotation carries the multiply's high bits back down, so a word's low bits
+/// come to depend on every earlier word of its lane.
+fn absorb(state: u64, word: u64, mul: u64) -> u64 {
+    (state ^ word).wrapping_mul(mul).rotate_left(29)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+/// The content checksum stored in header word 1 — see the [module docs](self) for the
+/// construction and for what it does and does not guarantee. One function for every input
+/// size, in safe target-independent Rust (the bytes are read as little-endian words, so the
+/// value is the same on every host).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut lanes = LANE_SEED;
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for ((lane, word), mul) in lanes.iter_mut().zip(block.chunks_exact(8)).zip(LANE_MUL) {
+            *lane = absorb(*lane, le_word(word), mul);
+        }
     }
-    hash
+    // The last partial block: its whole words continue lanes 0, 1, 2 in order, and the
+    // final 0–7 bytes are zero-padded into one more word (the length disambiguates the
+    // padding).
+    let mut words = blocks.remainder().chunks_exact(8);
+    for ((lane, word), mul) in lanes.iter_mut().zip(&mut words).zip(LANE_MUL) {
+        *lane = absorb(*lane, le_word(word), mul);
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+
+    let mut hash = bytes.len() as u64;
+    for (lane, mul) in lanes.into_iter().zip(LANE_MUL) {
+        hash = absorb(hash, lane, mul);
+    }
+    hash = absorb(hash, u64::from_le_bytes(tail), LANE_MUL[0]);
+    // Bijective avalanche, so a difference confined to the last-folded word still reaches
+    // the low bits.
+    hash ^= hash >> 32;
+    hash = hash.wrapping_mul(LANE_MUL[1]);
+    hash ^ (hash >> 29)
 }
 
 /// A 64-bit fingerprint of every parameter that affects ciphertext geometry or semantics.
@@ -130,11 +229,11 @@ impl BlobWriter {
         self.push_word(value.to_bits());
     }
 
-    /// Appends a slice of `u64` LE words.
+    /// Appends a slice of `u64` LE words in one bulk extend; on a little-endian host this
+    /// compiles to a copy into the buffer [`Self::new`] reserved.
     pub fn push_words(&mut self, words: &[u64]) {
-        for &word in words {
-            self.bytes.extend_from_slice(&word.to_le_bytes());
-        }
+        self.bytes
+            .extend(words.iter().flat_map(|word| word.to_le_bytes()));
     }
 
     /// Appends raw bytes verbatim (no length prefix).
@@ -185,36 +284,33 @@ impl<'a> BlobReader<'a> {
     pub fn open(spec: BlobSpec, bytes: &'a [u8]) -> Result<Self, WireError> {
         let kind = spec.kind;
         if bytes.len() < HEADER_BYTES {
-            return Err(WireError {
-                reason: format!(
-                    "{kind} blob of {} bytes is shorter than the {HEADER_BYTES}-byte header",
-                    bytes.len()
-                ),
-            });
+            return Err(WireError::corrupt(format!(
+                "{kind} blob of {} bytes is shorter than the {HEADER_BYTES}-byte header",
+                bytes.len()
+            )));
         }
-        let tag = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
+        let tag = le_word(&bytes[0..8]);
         if tag & !0xFFFF != spec.magic {
-            return Err(WireError {
-                reason: format!("bad magic word {tag:#018x} for {kind} blob"),
-            });
+            return Err(WireError::corrupt(format!(
+                "bad magic word {tag:#018x} for {kind} blob"
+            )));
         }
         let version = tag & 0xFFFF;
         if version != spec.version {
             return Err(WireError {
+                kind: WireErrorKind::UnsupportedVersion,
                 reason: format!(
                     "unsupported {kind} format version {version} (expected {})",
                     spec.version
                 ),
             });
         }
-        let stored = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+        let stored = le_word(&bytes[8..16]);
         let computed = checksum(&bytes[HEADER_BYTES..]);
         if computed != stored {
-            return Err(WireError {
-                reason: format!(
-                    "{kind} checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-                ),
-            });
+            return Err(WireError::corrupt(format!(
+                "{kind} checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            )));
         }
         Ok(Self {
             spec,
@@ -234,8 +330,7 @@ impl<'a> BlobReader<'a> {
     ///
     /// Returns [`WireError`] when fewer than 8 bytes remain.
     pub fn read_word(&mut self) -> Result<u64, WireError> {
-        let bytes = self.read_bytes(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        self.read_bytes(8).map(le_word)
     }
 
     /// Reads one `f64` stored as its LE bit pattern.
@@ -255,10 +350,7 @@ impl<'a> BlobReader<'a> {
     pub fn read_words(&mut self, count: usize) -> Result<Vec<u64>, WireError> {
         let byte_len = count.checked_mul(8).ok_or_else(|| self.truncated(count))?;
         let bytes = self.read_bytes(byte_len)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        Ok(bytes.chunks_exact(8).map(le_word).collect())
     }
 
     /// Reads `count` raw bytes.
@@ -268,13 +360,11 @@ impl<'a> BlobReader<'a> {
     /// Returns [`WireError`] when fewer than `count` bytes remain.
     pub fn read_bytes(&mut self, count: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < count {
-            return Err(WireError {
-                reason: format!(
-                    "truncated {} blob: wanted {count} more bytes, {} remain",
-                    self.spec.kind,
-                    self.remaining()
-                ),
-            });
+            return Err(WireError::corrupt(format!(
+                "truncated {} blob: wanted {count} more bytes, {} remain",
+                self.spec.kind,
+                self.remaining()
+            )));
         }
         let slice = &self.bytes[self.cursor..self.cursor + count];
         self.cursor += count;
@@ -288,11 +378,11 @@ impl<'a> BlobReader<'a> {
     /// Returns [`WireError`] when the length word is missing or overruns the blob.
     pub fn read_blob(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.read_word()?;
-        let len = usize::try_from(len).map_err(|_| WireError {
-            reason: format!(
+        let len = usize::try_from(len).map_err(|_| {
+            WireError::corrupt(format!(
                 "nested blob length {len} in {} blob overflows usize",
                 self.spec.kind
-            ),
+            ))
         })?;
         self.read_bytes(len)
     }
@@ -305,8 +395,8 @@ impl<'a> BlobReader<'a> {
     /// Returns [`WireError`] when `words * 8` overflows or the remaining length differs
     /// ("truncated"/"oversized", matching the key codec's historical wording).
     pub fn expect_payload_words(&self, words: usize) -> Result<(), WireError> {
-        let expected = words.checked_mul(8).ok_or_else(|| WireError {
-            reason: format!("{} header geometry overflows", self.spec.kind),
+        let expected = words.checked_mul(8).ok_or_else(|| {
+            WireError::corrupt(format!("{} header geometry overflows", self.spec.kind))
         })?;
         if self.remaining() != expected {
             let kind = if self.remaining() < expected {
@@ -314,13 +404,11 @@ impl<'a> BlobReader<'a> {
             } else {
                 "oversized"
             };
-            return Err(WireError {
-                reason: format!(
-                    "{kind} {} blob: {} payload bytes, header implies {expected}",
-                    self.spec.kind,
-                    self.remaining()
-                ),
-            });
+            return Err(WireError::corrupt(format!(
+                "{kind} {} blob: {} payload bytes, header implies {expected}",
+                self.spec.kind,
+                self.remaining()
+            )));
         }
         Ok(())
     }
@@ -332,24 +420,20 @@ impl<'a> BlobReader<'a> {
     /// Returns [`WireError`] when unconsumed bytes remain.
     pub fn finish(self) -> Result<(), WireError> {
         if self.remaining() != 0 {
-            return Err(WireError {
-                reason: format!(
-                    "oversized {} blob: {} trailing bytes",
-                    self.spec.kind,
-                    self.remaining()
-                ),
-            });
+            return Err(WireError::corrupt(format!(
+                "oversized {} blob: {} trailing bytes",
+                self.spec.kind,
+                self.remaining()
+            )));
         }
         Ok(())
     }
 
     fn truncated(&self, words: usize) -> WireError {
-        WireError {
-            reason: format!(
-                "truncated {} blob: wanted {words} more words",
-                self.spec.kind
-            ),
-        }
+        WireError::corrupt(format!(
+            "truncated {} blob: wanted {words} more words",
+            self.spec.kind
+        ))
     }
 }
 
@@ -395,10 +479,15 @@ mod tests {
         let mut bad = blob.clone();
         bad[7] ^= 0x01;
         assert!(BlobReader::open(SPEC, &bad).is_err());
-        // Wrong version.
+        // Wrong version: the one failure that is not damage, and says so in its kind.
         let mut bad = blob.clone();
         bad[0] = bad[0].wrapping_add(1);
-        assert!(BlobReader::open(SPEC, &bad).is_err());
+        let err = BlobReader::open(SPEC, &bad).unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::UnsupportedVersion);
+        assert_eq!(
+            BlobReader::open(SPEC, &blob[..8]).unwrap_err().kind,
+            WireErrorKind::Corrupt
+        );
         // Any payload bit flip trips the checksum.
         for i in HEADER_BYTES..blob.len() {
             let mut bad = blob.clone();

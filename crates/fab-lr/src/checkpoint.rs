@@ -2,11 +2,11 @@
 //! through the shared `fab_ckks::wire` codec and written atomically so a crash can never
 //! leave a half-written checkpoint where a valid one used to be.
 //!
-//! The blob is `FABLRC` (version 1): one word for the iteration boundary the checkpoint
-//! represents, then the weight ciphertext as a length-prefixed validated snapshot
-//! ([`fab_ckks::Ciphertext::to_bytes`]). The embedded snapshot carries the parameter
-//! fingerprint, so a checkpoint from a different parameter set is rejected typed, not
-//! resumed into garbage.
+//! The blob is `FABLRC` (version 2, the `wire::checksum` format): one word for the iteration
+//! boundary the checkpoint represents, then the weight ciphertext as a length-prefixed
+//! validated snapshot ([`fab_ckks::Ciphertext::to_bytes`]). The embedded snapshot carries
+//! the parameter fingerprint, so a checkpoint from a different parameter set is rejected
+//! typed, not resumed into garbage.
 //!
 //! # Atomicity and durability
 //!
@@ -32,10 +32,10 @@ use fab_ckks::wire::{self, BlobReader, BlobSpec, BlobWriter};
 use fab_ckks::{Ciphertext, CkksContext, CkksError};
 use fab_store::{write_atomic, StorageBackend, StorageError};
 
-/// `FABLRC` in the magic word's top 48 bits; version 1 in the low 16.
+/// `FABLRC` in the magic word's top 48 bits; version 2 in the low 16.
 const CHECKPOINT_SPEC: BlobSpec = BlobSpec {
     magic: 0x4641_424C_5243_0000,
-    version: 1,
+    version: 2,
     kind: "training checkpoint",
 };
 

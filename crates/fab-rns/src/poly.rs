@@ -676,8 +676,15 @@ impl RnsPolynomial {
             let m = basis.modulus(i);
             let s = m.reduce(scalars[i]);
             let s_shoup = m.shoup_precompute(s);
+            let q = m.value();
+            // `min` against the wrapped difference is a conditional subtraction without a
+            // branch: on random residues the two branches of `add(x, mul_shoup(..))`
+            // mispredict half the time.
             for (x, &y) in row.iter_mut().zip(src.limb(i)) {
-                *x = m.add(*x, m.mul_shoup(y, s, s_shoup));
+                debug_assert!(*x < q);
+                let product = m.mul_shoup_lazy(y, s, s_shoup);
+                let sum = *x + product.min(product.wrapping_sub(q));
+                *x = sum.min(sum.wrapping_sub(q));
             }
         });
         Ok(())

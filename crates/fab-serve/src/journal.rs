@@ -2,8 +2,10 @@
 //!
 //! A process crash must not lose the serving queue. The journal is an append-only sequence
 //! of length-prefixed records, each an independently validated blob on the shared
-//! [`fab_ckks::wire`] codec (magic/version word, FNV-1a checksum), so every record a crash
-//! could leave behind is either provably intact or typed-rejected — never trusted half-read:
+//! [`fab_ckks::wire`] codec (magic/version word, word-parallel checksum: any damage confined
+//! to one aligned 8-byte word is always caught, wider damage with probability 1 − 2⁻⁶⁴), so
+//! every record a crash could leave behind is either provably intact or typed-rejected —
+//! never trusted half-read:
 //!
 //! ```text
 //! [u64 LE record length][FABJNL record blob] [u64 LE record length][FABJNL record blob] …
@@ -29,6 +31,12 @@
 //!   kind, or embeds an invalid snapshot. That is not a crash artifact but bit rot (or a
 //!   bug), and it surfaces as a typed [`CorruptJournal`] with the failing byte offset —
 //!   never a panic, never a fabricated record.
+//!
+//! A third case is neither: a complete, well-framed record whose magic is `FABJNL` but whose
+//! **format version** is not this build's (version 1 carried a byte-serial checksum; version 2
+//! is the current one). No crash produces that — the log was written by another build — so
+//! it fails typed in both [`RequestJournal::open`] and [`RequestJournal::open_lenient`]
+//! instead of being "recovered" as an empty journal with everything counted as torn.
 
 use std::fmt;
 use std::sync::Arc;
@@ -41,10 +49,11 @@ use crate::error::{FaultClass, RequestId};
 use crate::request::{Program, ServeOp};
 use crate::tenant::TenantId;
 
-/// Journal-record blob identity: ASCII `FABJNL` in the top 48 bits, version 1.
+/// Journal-record blob identity: ASCII `FABJNL` in the top 48 bits. Version 2 is the
+/// [`wire::checksum`] format; segments and compaction bases are streams of these records.
 const JOURNAL_SPEC: BlobSpec = BlobSpec {
     magic: 0x4641_424A_4E4C_0000,
-    version: 1,
+    version: 2,
     kind: "journal record",
 };
 
@@ -181,30 +190,31 @@ fn decode_program(reader: &mut BlobReader<'_>) -> Result<Program, wire::WireErro
     let len = reader.read_word()? as usize;
     // Each op is two words; reject a length the remaining payload cannot hold before
     // allocating (checked math — a rotten length word must not drive a huge reservation).
-    let needed = wire::checked_product(&[len, 16]).ok_or_else(|| wire::WireError {
-        reason: format!("program length {len} overflows"),
-    })?;
+    let needed = wire::checked_product(&[len, 16])
+        .ok_or_else(|| wire::WireError::corrupt(format!("program length {len} overflows")))?;
     if reader.remaining() < needed {
-        return Err(wire::WireError {
-            reason: format!(
-                "program of {len} ops needs {needed} bytes, {} remain",
-                reader.remaining()
-            ),
-        });
+        return Err(wire::WireError::corrupt(format!(
+            "program of {len} ops needs {needed} bytes, {} remain",
+            reader.remaining()
+        )));
     }
     let mut ops = Vec::with_capacity(len);
     for _ in 0..len {
         let tag = reader.read_word()?;
         let operand = reader.read_word()?;
-        ops.push(match tag {
-            op_tag::SQUARE => ServeOp::Square,
-            op_tag::ROTATE => ServeOp::Rotate(operand as usize),
-            op_tag::CONJUGATE => ServeOp::Conjugate,
-            op_tag::ADD_SELF => ServeOp::AddSelf,
-            other => {
-                return Err(wire::WireError {
-                    reason: format!("unknown program op tag {other}"),
-                })
+        // Exactly what `encode_program` writes and nothing else, so that a decoded program
+        // re-encodes to the bytes it was read from: operand-less ops carry a zero operand.
+        ops.push(match (tag, operand) {
+            (op_tag::SQUARE, 0) => ServeOp::Square,
+            (op_tag::ROTATE, steps) => ServeOp::Rotate(usize::try_from(steps).map_err(|_| {
+                wire::WireError::corrupt(format!("rotation by {steps} overflows usize"))
+            })?),
+            (op_tag::CONJUGATE, 0) => ServeOp::Conjugate,
+            (op_tag::ADD_SELF, 0) => ServeOp::AddSelf,
+            (tag, operand) => {
+                return Err(wire::WireError::corrupt(format!(
+                    "unknown program op: tag {tag}, operand {operand}"
+                )))
             }
         });
     }
@@ -222,9 +232,9 @@ fn decode_class(word: u64) -> Result<FaultClass, wire::WireError> {
     match word {
         0 => Ok(FaultClass::Transient),
         1 => Ok(FaultClass::Permanent),
-        other => Err(wire::WireError {
-            reason: format!("unknown fault class {other}"),
-        }),
+        other => Err(wire::WireError::corrupt(format!(
+            "unknown fault class {other}"
+        ))),
     }
 }
 
@@ -350,7 +360,10 @@ impl JournalRecord {
                 let request = RequestId(reader.read_word()?);
                 let tenant = decode_tenant(reader.read_word()?)?;
                 let class = decode_class(reader.read_word()?)?;
-                let description = String::from_utf8_lossy(reader.read_blob()?).into_owned();
+                // Strict, not lossy: a replacement character would decode to a record that
+                // re-encodes to different bytes than were read.
+                let description = String::from_utf8(reader.read_blob()?.to_vec())
+                    .map_err(|e| wire::WireError::corrupt(format!("fault description: {e}")))?;
                 JournalRecord::Failed {
                     request,
                     tenant,
@@ -362,9 +375,9 @@ impl JournalRecord {
                 retained: reader.read_word()?,
             },
             other => {
-                return Err(wire::WireError {
-                    reason: format!("unknown record kind {other}"),
-                })
+                return Err(wire::WireError::corrupt(format!(
+                    "unknown record kind {other}"
+                )))
             }
         };
         reader.finish()?;
@@ -397,15 +410,11 @@ impl JournalRecord {
 fn decode_tenant(word: u64) -> Result<TenantId, wire::WireError> {
     u32::try_from(word)
         .map(TenantId)
-        .map_err(|_| wire::WireError {
-            reason: format!("tenant id {word} overflows u32"),
-        })
+        .map_err(|_| wire::WireError::corrupt(format!("tenant id {word} overflows u32")))
 }
 
 fn snapshot_err(e: fab_ckks::CkksError) -> wire::WireError {
-    wire::WireError {
-        reason: format!("embedded snapshot rejected: {e}"),
-    }
+    wire::WireError::corrupt(format!("embedded snapshot rejected: {e}"))
 }
 
 /// The write-ahead journal: an in-memory byte log (the stand-in for an `O_APPEND` file —
@@ -481,8 +490,9 @@ impl RequestJournal {
     ///
     /// # Errors
     ///
-    /// Only a *valid* header whose parameter fingerprint does not match `ctx` — that is a
-    /// configuration error, not crash damage, in both modes.
+    /// Only configuration errors, which no crash can cause and which fail in both modes: a
+    /// *valid* header whose parameter fingerprint does not match `ctx`, or a complete record
+    /// of another format version ([`wire::WireErrorKind::UnsupportedVersion`]).
     pub fn open_lenient(
         bytes: &[u8],
         ctx: Arc<CkksContext>,
@@ -526,7 +536,9 @@ impl RequestJournal {
             let record = match JournalRecord::decode(blob, &ctx) {
                 Ok(record) => record,
                 Err(e) => {
-                    if lenient {
+                    // Another build's record is not crash damage: dropping it as a torn
+                    // tail would silently discard the whole log.
+                    if lenient && e.kind != wire::WireErrorKind::UnsupportedVersion {
                         break;
                     }
                     return Err(CorruptJournal {

@@ -50,7 +50,9 @@
 //! tenant's fault. A failing request rolls back its cache admissions (so its residue cannot
 //! perturb a later request's hit pattern) and charges a `serve_failed` phase mark so
 //! recorded traces still balance. Key blobs carry a magic/version word and a content
-//! checksum ([`fab_ckks::SwitchingKey::to_bytes`]); a corrupt blob is rejected with a typed
+//! checksum ([`fab_ckks::SwitchingKey::to_bytes`]; word-parallel, so a cache miss hashes at
+//! memory speed, and certain to catch any damage confined to one aligned 8-byte word — an
+//! integrity check against bit rot, not an authenticator); a corrupt blob is rejected with a typed
 //! error, quarantined in the cache, and re-probed once per access with bounded, *counted*
 //! backoff — no wall-clock sleeps anywhere in the retry path. Deadlines and backpressure
 //! degrade before they fail: over the pressure threshold the server first skips prefetch,

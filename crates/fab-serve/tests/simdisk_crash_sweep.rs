@@ -392,6 +392,73 @@ fn disk_from_files(files: &[(String, Vec<u8>)]) -> SimDisk {
     disk
 }
 
+/// Rewrites the format-version word of every framed record of a journal byte log after
+/// the first `skip`; returns the byte offset of the first record rewritten.
+fn set_record_versions(log: &mut [u8], skip: usize, version: u8) -> usize {
+    let mut starts = Vec::new();
+    let mut offset = 0usize;
+    while log.len() - offset >= 8 {
+        starts.push(offset);
+        offset += 8 + u64::from_le_bytes(log[offset..offset + 8].try_into().unwrap()) as usize;
+    }
+    for &start in &starts[skip..] {
+        log[start + 8] = version;
+    }
+    starts[skip]
+}
+
+#[test]
+fn an_active_segment_of_another_format_version_fails_typed_not_empty() {
+    // A log written by a build with another record format is not crash damage. The lenient
+    // open of the active segment used to end the log at its first undecodable record — the
+    // header — and "recover" an empty journal, counting every byte as a torn tail.
+    let ctx = make_ctx();
+    let tenants: Vec<Tenant> = (0..TENANTS)
+        .map(|t| make_tenant(&ctx, 1300 + t as u64))
+        .collect();
+    let config = make_config(&ctx);
+    let policy = SyncPolicy::Always;
+    let disk = SharedDisk::new();
+    let mut server = run_workload(&ctx, &tenants, config, &disk, policy).expect("healthy");
+    server.sync_journal();
+
+    let mut snapshot = disk.snapshot();
+    let mut names = snapshot.list("seg-");
+    names.sort();
+    // One segment alone on the disk is the active one: exactly the lenient path, with no
+    // sealed segment to fail strictly first. The first segment of the run holds records.
+    let name = names.first().expect("a segment").clone();
+    let pristine = snapshot.read(&name).unwrap();
+    assert!(
+        pristine.len() > 1000,
+        "the segment holds admitted ciphertexts"
+    );
+
+    // The whole log is old-format, or only the records behind a current header are.
+    for skip in [0, 1] {
+        let mut active = pristine.clone();
+        let first_old = set_record_versions(&mut active, skip, 1);
+        let mut recovered = make_server(&ctx, &tenants, config);
+        let err = recovered
+            .recover_from_store(
+                Box::new(disk_from_files(&[(name.clone(), active)])),
+                policy,
+                ROTATE_AFTER,
+            )
+            .expect_err("an old-format journal must not be recovered as empty");
+        match err {
+            StoreError::Corrupt(e) => {
+                assert_eq!(e.offset, first_old, "{e}");
+                assert!(
+                    e.reason.contains("unsupported") && e.reason.contains("version 1"),
+                    "{e}"
+                );
+            }
+            StoreError::Storage(e) => panic!("storage error on a healthy disk: {e}"),
+        }
+    }
+}
+
 // Satellite gate: arbitrary truncation plus a single-bit flip at a random offset —
 // landing in a sealed segment, the active segment, or the compacted base, across
 // segment boundaries — yields clean-prefix recovery or a typed corruption error.
