@@ -1,37 +1,13 @@
 //! # fab-bench
 //!
-//! Benchmark harness for the FAB reproduction: the [`tables`] module regenerates every table
-//! and figure of the paper's evaluation section from the accelerator model, the software CKKS
-//! implementation and the published baseline constants; the [`summary`] module folds the
-//! committed `BENCH_pr*.json` files into the README's perf-trajectory table; the Criterion
-//! benches under `benches/` measure the software kernels that act as the CPU baseline.
+//! Paper-table regeneration for the FAB reproduction: the [`tables`] module regenerates every
+//! table and figure of the paper's evaluation section from the accelerator model, the CKKS
+//! parameter sets and the published baseline constants. Measurement lives in the stand-alone
+//! `benchmark/` package (the ladder), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod summary;
 pub mod tables;
 
 pub use tables::{render_all, render_experiment, Experiment};
-
-/// Number of cores the container actually exposes (1 when detection fails).
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |c| c.get())
-}
-
-/// Whether timing-derived *scaling or latency* conclusions recorded on this machine are
-/// untrustworthy — i.e. the container reports a single core, so thread sweeps measure
-/// oversubscription and concurrent-latency numbers carry scheduler noise. Prints **one**
-/// stderr warning (mentioning `what`) when that is the case; benches record the returned
-/// flag once at the top level of their JSON instead of repeating it per row.
-pub fn warn_untrusted_scaling(what: &str) -> bool {
-    let cores = available_cores();
-    if cores == 1 {
-        eprintln!(
-            "WARNING: this container reports 1 available core. {what} are flagged \
-             \"untrusted_scaling\": true in the output JSON — rerun on a multi-core machine \
-             for trustworthy numbers."
-        );
-    }
-    cores == 1
-}

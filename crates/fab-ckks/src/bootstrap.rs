@@ -395,20 +395,6 @@ impl Bootstrapper {
         Ok((real, imag))
     }
 
-    /// EvalMod: removes the `q_0·I` multiples from the slot values using the scaled-sine
-    /// Chebyshev approximation.
-    ///
-    /// The CoeffToSlot matrices already folded in the factor `Δ/(q_0·(K+1))`, so the logical
-    /// slot values arrive in `[-1, 1]`; the inverse factor lives in the SlotToCoeff matrices.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn eval_mod(&self, ct: &Ciphertext, rlk: &RelinearizationKey) -> Result<Ciphertext> {
-        // Evaluate (1/2π)·sin(2π(K+1)·t); the result's logical value is ≈ Δ·z/q0 = m/q0.
-        self.sine.evaluate_homomorphic(&self.evaluator, ct, rlk)
-    }
-
     /// SlotToCoeff: recombines the real/imaginary halves and homomorphically applies the
     /// factored forward encoding FFT, returning the refreshed ciphertext in coefficient form.
     ///
@@ -492,6 +478,9 @@ impl Bootstrapper {
         };
         backend.begin_phase(phase::COEFF_TO_SLOT);
         let (real, imag) = self.coeff_to_slot_with(backend, &raised)?;
+        // EvalMod: (1/2π)·sin(2π(K+1)·t) removes the q_0·I multiples from the slot values. The
+        // CoeffToSlot matrices already folded in Δ/(q_0·(K+1)), so the slots arrive in [-1, 1];
+        // the inverse factor lives in the SlotToCoeff matrices.
         backend.begin_phase(phase::EVAL_MOD);
         let real_reduced = self.sine.evaluate_with(backend, &real)?;
         let imag_reduced = self.sine.evaluate_with(backend, &imag)?;

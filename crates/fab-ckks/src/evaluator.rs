@@ -681,11 +681,10 @@ impl Evaluator {
 
     /// The PR 4 coefficient-resident multiplication — tensor inverses all three products,
     /// the key switch re-forwards `d2`'s rows, and `d0`/`d1` are added to the ModDown
-    /// outputs in coefficient form — kept verbatim as the timed and **bitwise** baseline for
-    /// the dual-form pipeline, exactly like [`Evaluator::key_switch_reference`] is kept for
-    /// the lazy key switch. `fab-bench` reports `multiply` speedups against this path, and
-    /// the NTT-accounting suite pins its transform count to the PR 4 closed form
-    /// (`accounting::multiply_pr4`).
+    /// outputs in coefficient form — kept verbatim as the **bitwise** baseline for the
+    /// dual-form pipeline, exactly like [`Evaluator::key_switch_reference`] is kept for the
+    /// lazy key switch. The NTT-accounting suite pins [`Evaluator::multiply`] to it bit for
+    /// bit and its transform count to the PR 4 closed form (`accounting::multiply_pr4`).
     ///
     /// # Errors
     ///
@@ -1240,10 +1239,8 @@ impl Evaluator {
 
     /// The PR 3 key-switch algorithm — per-digit sequential ModUp → NTT → **eager** KSKIP
     /// (one Barrett reduction per digit per coefficient) → ModDown — kept verbatim as the
-    /// timed and bitwise baseline for the lazy pipeline, exactly like
-    /// `NttTable::forward_reference` is kept for the lazy NTT. `fab-bench` reports
-    /// `key_switch` speedups against this path, and property tests pin
-    /// [`Evaluator::key_switch`] to it bit for bit.
+    /// bitwise baseline for the lazy pipeline, exactly like `NttTable::forward_reference` is
+    /// kept for the lazy NTT: property tests pin [`Evaluator::key_switch`] to it bit for bit.
     ///
     /// # Errors
     ///

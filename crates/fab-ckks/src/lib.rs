@@ -56,7 +56,7 @@
 //! operation, asserted against the `fab_rns::metering` tallies by regression tests; the
 //! PR 3 eager key switch survives as [`Evaluator::key_switch_reference`] and the PR 4
 //! coefficient-resident pipelines as [`Evaluator::multiply_reference`] /
-//! [`LinearTransform::apply_bsgs_reference`] — the timed and bitwise baselines.
+//! [`LinearTransform::apply_bsgs_reference`] — the bitwise baselines the tests compare against.
 //!
 //! ```
 //! use fab_ckks::{CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator,

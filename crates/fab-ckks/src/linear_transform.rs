@@ -495,9 +495,9 @@ impl LinearTransform {
 
     /// Applies the BSGS schedule through the **PR 4 coefficient-resident path** (one full
     /// plaintext multiplication round-trip per diagonal, one inverse pair per diagonal),
-    /// regardless of the backend's override. Kept as the timed and **bitwise** baseline for
-    /// the eval-resident execution, exactly like `Evaluator::key_switch_reference` — the
-    /// bench bin reports `linear_transform_bsgs` speedups against this path.
+    /// regardless of the backend's override. Kept as the **bitwise** baseline for the
+    /// eval-resident execution, exactly like `Evaluator::key_switch_reference` — the
+    /// NTT-accounting suite pins [`Self::apply_homomorphic`] to this path bit for bit.
     ///
     /// # Errors
     ///

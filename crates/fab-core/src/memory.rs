@@ -11,8 +11,8 @@
 //!   *after*: the hardware figures are kept (they are what the paper's Table 3 / Section
 //!   4.6 numbers are pinned to) and the **software** layout gets its own calibrated
 //!   constant, [`SoftwareTrafficModel::WORD_BYTES`] = 8 (the meter measures 64-bit words:
-//!   `8N` = 524 288 B per row at `N = 2^16`, a fixed 64/54 ratio the roofline must divide
-//!   out when comparing against FAB's HBM numbers).
+//!   `8N` = 524 288 B per row at `N = 2^16`, a fixed 64/54 ratio to divide out when
+//!   comparing software traffic against FAB's HBM numbers).
 //! * **Accumulator width** — *before*: unmodelled; *after*:
 //!   [`SoftwareTrafficModel::MAC_BYTES`] = 16 — the KSKIP inner product accumulates in
 //!   u128 rows (the software analog of FAB's double-width MAC registers), measured as

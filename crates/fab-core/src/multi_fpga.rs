@@ -71,11 +71,6 @@ impl MultiFpgaSystem {
         }
     }
 
-    /// Number of FPGAs in the pool.
-    pub fn num_fpgas(&self) -> usize {
-        self.num_fpgas
-    }
-
     /// The per-board configuration.
     pub fn config(&self) -> &FabConfig {
         &self.config

@@ -17,7 +17,7 @@
 //! * [`NttTable::forward`] keeps butterfly operands in `[0, 4q)` and corrects once at the
 //!   end; [`NttTable::inverse`] works in `[0, 2q)` and fuses the `N⁻¹` scaling into its last
 //!   stage. Both are pinned bit-for-bit to the eager
-//!   [`NttTable::forward_reference`] / [`NttTable::inverse_reference`] baselines.
+//!   [`NttTable::forward_reference`] / [`NttTable::inverse_reference`] oracles.
 //! * `q < 2^62` ([`MAX_MODULUS_BITS`]) guarantees `4q` fits in a `u64`, which is what makes
 //!   the whole scheme branch-free.
 //!
@@ -59,7 +59,7 @@ pub use error::MathError;
 pub use fft::SpecialFft;
 pub use modulus::{Modulus, MAX_MODULUS_BITS};
 pub use multiword::{MultiWord54, WORD18_BITS, WORD27_BITS};
-pub use ntt::{ntt_block_len, NttTable, DEFAULT_NTT_BLOCK, NTT_BLOCK_LINEAR};
+pub use ntt::NttTable;
 pub use prime::{generate_ntt_prime, generate_ntt_primes, is_prime};
 pub use reduction::{ShiftAddReducer, DEFAULT_SHIFTS};
 

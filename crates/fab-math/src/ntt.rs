@@ -15,113 +15,9 @@
 //! scaling into its last butterfly stage, so the separate scaling sweep of the textbook
 //! algorithm disappears. The pre-refactor eager transforms are kept verbatim as
 //! [`NttTable::forward_reference`] / [`NttTable::inverse_reference`]; property tests pin the
-//! lazy transforms to them bit for bit, and `fab-bench` measures the speedup between the two.
-//!
-//! ## Cache blocking (four-step decomposition)
-//!
-//! At the paper's ring degree (`N = 2^16`, a 512 KiB row) the linear stage-by-stage traversal
-//! streams the whole row from memory once per butterfly stage — 17 passes over a row that does
-//! not fit in L1/L2, which is exactly the memory-bound regime FAB's Table 5–6 analysis
-//! predicts. The default [`NttTable::forward`] / [`NttTable::forward_lazy`] /
-//! [`NttTable::inverse`] paths therefore use the classic four-step (cache-blocked)
-//! decomposition: a power-of-two block length `M` splits the stages into the *strided* half
-//! (butterfly span `≥ M`; every butterfly connects two elements with the same index mod `M`,
-//! so the row is walked in narrow column panels whose working set fits in cache across **all**
-//! strided stages) and the *contiguous* half (span `< M`; each aligned `M`-block completes all
-//! remaining stages while resident). Every butterfly executes with the same twiddle and the
-//! same per-element stage order as the linear traversal, so the blocked transforms are
-//! **bitwise identical** to the retained [`NttTable::forward_lazy_linear`] /
-//! [`NttTable::inverse_linear`] references — pinned by property tests over random degrees,
-//! moduli and block lengths. The block length comes from [`ntt_block_len`]: a one-shot runtime
-//! probe (overridable via `FAB_NTT_BLOCK`, with a fixed deterministic fallback).
+//! lazy transforms to them bit for bit.
 
 use crate::{MathError, Modulus, Result};
-use std::sync::OnceLock;
-
-/// Column-panel width (elements) for the strided phase of the blocked transforms: wide
-/// enough to amortise the twiddle loads across full cache lines, narrow enough that a
-/// panel's working set (`(N/M)·PANEL_WIDTH` elements) stays L1-resident.
-const PANEL_WIDTH: usize = 64;
-
-/// Deterministic fallback block length (64 KiB of `u64`s — comfortably inside any
-/// contemporary L2) used when the runtime probe is unavailable or `FAB_NTT_BLOCK` is unset.
-pub const DEFAULT_NTT_BLOCK: usize = 1 << 13;
-
-static NTT_BLOCK: OnceLock<usize> = OnceLock::new();
-
-/// The sentinel block length meaning "the probe found the linear traversal fastest" — large
-/// enough that every realistic degree degenerates to the linear path (the right answer on
-/// machines whose last-level cache already holds a full row, where tiling can only add
-/// overhead).
-pub const NTT_BLOCK_LINEAR: usize = 1 << 62;
-
-/// The process-wide NTT block length used by the default transform entry points.
-///
-/// Resolution order, decided once per process: the `FAB_NTT_BLOCK` environment variable (a
-/// power of two ≥ 2) if set; otherwise a small runtime probe that times the blocked
-/// forward+inverse pair at `N = 2^15` over candidate blocks `2^11..=2^14` **and the linear
-/// traversal** and keeps the fastest (returning [`NTT_BLOCK_LINEAR`] when linear wins — on
-/// a machine whose caches hold a full row, tiling has nothing to recover); otherwise the
-/// deterministic [`DEFAULT_NTT_BLOCK`]. The choice only affects traversal order — results
-/// are bitwise identical for every block length — so a machine-dependent probe outcome
-/// never changes a computed value.
-pub fn ntt_block_len() -> usize {
-    *NTT_BLOCK.get_or_init(|| {
-        if let Ok(raw) = std::env::var("FAB_NTT_BLOCK") {
-            if let Ok(block) = raw.trim().parse::<usize>() {
-                if block >= 2 && block.is_power_of_two() {
-                    return block;
-                }
-            }
-        }
-        probe_block_len().unwrap_or(DEFAULT_NTT_BLOCK)
-    })
-}
-
-/// Times the blocked forward+inverse pair over the candidate block lengths (plus the linear
-/// traversal) and returns the fastest, or `None` if a probe table cannot be built.
-fn probe_block_len() -> Option<usize> {
-    let n = 1usize << 15;
-    let q = crate::generate_ntt_prime(50, n, 0).ok()?;
-    let table = NttTable::new(n, Modulus::new(q).ok()?).ok()?;
-    // Deterministic pseudo-random residues (SplitMix64) — the probe must not perturb any
-    // seeded RNG state elsewhere in the process.
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let data: Vec<u64> = (0..n)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            (z ^ (z >> 31)) % q
-        })
-        .collect();
-    let candidates = [1usize << 11, 1 << 12, 1 << 13, 1 << 14, NTT_BLOCK_LINEAR];
-    let mut best: Option<(std::time::Duration, usize)> = None;
-    for &block in &candidates {
-        let mut values = data.clone();
-        // Warm-up round, then time a few forward+inverse pairs (block ≥ n runs linear).
-        // The canonical forward, not the lazy one: `inverse` requires its input in
-        // `[0, 2q)`, which the lazy forward's `[0, 4q)` residues would violate.
-        table.forward_with_block(&mut values, block);
-        table.inverse_with_block(&mut values, block);
-        let start = std::time::Instant::now();
-        for _ in 0..3 {
-            table.forward_with_block(&mut values, block);
-            table.inverse_with_block(&mut values, block);
-        }
-        let elapsed = start.elapsed();
-        if best.map_or(true, |(t, _)| elapsed < t) {
-            best = Some((elapsed, block));
-        }
-    }
-    best.map(|(_, block)| block)
-}
-
-/// Rounds a requested block length up to a power of two and clamps it to `[2, n]`.
-fn clamp_block(block: usize, n: usize) -> usize {
-    block.max(2).next_power_of_two().min(n)
-}
 
 /// Precomputed NTT tables for one `(N, q)` pair.
 ///
@@ -244,27 +140,13 @@ impl NttTable {
     /// Lazy-reduction Harvey butterflies: operands stay in `[0, 4q)` across the whole
     /// butterfly network (each butterfly only conditionally subtracts `2q` from its upper
     /// input) and a single correction pass at the end restores the canonical `[0, q)` range.
-    /// Traversal is cache-blocked at [`ntt_block_len`]; output is bit-for-bit identical to
-    /// [`NttTable::forward_reference`].
+    /// Output is bit-for-bit identical to [`NttTable::forward_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `values.len() != N`.
     pub fn forward(&self, values: &mut [u64]) {
         self.forward_lazy(values);
-        let q = &self.modulus;
-        for v in values.iter_mut() {
-            *v = q.reduce_4q(*v);
-        }
-    }
-
-    /// [`NttTable::forward`] with an explicit block length (testing/benchmarking entry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn forward_with_block(&self, values: &mut [u64], block: usize) {
-        self.forward_lazy_with_block(values, block);
         let q = &self.modulus;
         for v in values.iter_mut() {
             *v = q.reduce_4q(*v);
@@ -279,25 +161,12 @@ impl NttTable {
     /// `[0, 2q)` rows directly (skipping its own correction pass), and the u128 KSKIP inner
     /// product consumes the `[0, 4q)` evaluations as-is — its single end-of-accumulation
     /// Barrett reduction absorbs the laziness, so the two correction sweeps between ModUp and
-    /// KSKIP disappear entirely. Traversal is cache-blocked at [`ntt_block_len`]; output is
-    /// bit-for-bit identical to [`NttTable::forward_lazy_linear`].
+    /// KSKIP disappear entirely.
     ///
     /// # Panics
     ///
     /// Panics if `values.len() != N`.
     pub fn forward_lazy(&self, values: &mut [u64]) {
-        self.forward_lazy_with_block(values, ntt_block_len());
-    }
-
-    /// The linear stage-by-stage lazy forward traversal, kept verbatim as the retained
-    /// reference for the blocked path (property tests pin
-    /// [`NttTable::forward_lazy_with_block`] to it bit for bit at every block length, and
-    /// `fab-bench`'s roofline measures the locality speedup between the two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn forward_lazy_linear(&self, values: &mut [u64]) {
         assert_eq!(values.len(), self.degree, "input length must equal N");
         let q = &self.modulus;
         let two_q = q.two_q();
@@ -326,105 +195,17 @@ impl NttTable {
         }
     }
 
-    /// Cache-blocked lazy forward transform: the four-step decomposition described in the
-    /// module docs, with `block` rounded up to a power of two and clamped to `[2, N]`
-    /// (`block ≥ N` degenerates to the linear traversal). Performs exactly the butterflies
-    /// of [`NttTable::forward_lazy_linear`] with the same twiddles and the same per-element
-    /// stage order — only the iteration order across *independent* butterflies changes — so
-    /// the output is bitwise identical for every block length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn forward_lazy_with_block(&self, values: &mut [u64], block: usize) {
-        assert_eq!(values.len(), self.degree, "input length must equal N");
-        let n = self.degree;
-        let mb = clamp_block(block, n);
-        if mb >= n {
-            return self.forward_lazy_linear(values);
-        }
-        let q = &self.modulus;
-        let two_q = q.two_q();
-        let stages = n.trailing_zeros() as usize;
-        // Stages 1..=strided have butterfly span t = n >> s ≥ mb: both butterfly ends share
-        // their index mod mb, so column panels are closed under all of them.
-        let strided = (n / mb).trailing_zeros() as usize;
-        let w = mb.min(PANEL_WIDTH);
-        // Phase 1: strided stages, one column panel at a time (panel working set:
-        // (n/mb)·w elements across all strided stages).
-        for c0 in (0..mb).step_by(w) {
-            for s in 1..=strided {
-                let t = n >> s;
-                let m = 1usize << (s - 1);
-                for (i, group) in values.chunks_exact_mut(2 * t).enumerate() {
-                    let tw = self.psi_rev[m + i];
-                    let tw_shoup = self.psi_rev_shoup[m + i];
-                    let (lo, hi) = group.split_at_mut(t);
-                    let mut u = 0;
-                    while u < t {
-                        for (x, y) in lo[u + c0..u + c0 + w]
-                            .iter_mut()
-                            .zip(hi[u + c0..u + c0 + w].iter_mut())
-                        {
-                            let mut a = *x;
-                            if a >= two_q {
-                                a -= two_q;
-                            }
-                            let v = q.mul_shoup_lazy(*y, tw, tw_shoup);
-                            *x = a + v;
-                            *y = a + two_q - v;
-                        }
-                        u += mb;
-                    }
-                }
-            }
-        }
-        // Phase 2: contiguous stages (span < mb), each aligned mb-block completing all
-        // remaining stages while cache-resident.
-        for (b, blk) in values.chunks_exact_mut(mb).enumerate() {
-            for s in (strided + 1)..=stages {
-                let t = n >> s;
-                let m = 1usize << (s - 1);
-                let i0 = (b * mb) / (2 * t);
-                for (j, group) in blk.chunks_exact_mut(2 * t).enumerate() {
-                    let tw = self.psi_rev[m + i0 + j];
-                    let tw_shoup = self.psi_rev_shoup[m + i0 + j];
-                    let (lo, hi) = group.split_at_mut(t);
-                    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let mut a = *x;
-                        if a >= two_q {
-                            a -= two_q;
-                        }
-                        let v = q.mul_shoup_lazy(*y, tw, tw_shoup);
-                        *x = a + v;
-                        *y = a + two_q - v;
-                    }
-                }
-            }
-        }
-    }
-
     /// In-place inverse negacyclic NTT (evaluation → coefficient representation).
     ///
     /// Lazy-reduction Gentleman–Sande butterflies over the `[0, 2q)` domain, with the `N⁻¹`
     /// scaling fused into the final stage's twiddles (no separate scaling sweep) and one
-    /// correction pass at the end. Traversal is cache-blocked at [`ntt_block_len`]; output
-    /// is bit-for-bit identical to [`NttTable::inverse_reference`].
+    /// correction pass at the end. Output is bit-for-bit identical to
+    /// [`NttTable::inverse_reference`].
     ///
     /// # Panics
     ///
     /// Panics if `values.len() != N`.
     pub fn inverse(&self, values: &mut [u64]) {
-        self.inverse_with_block(values, ntt_block_len());
-    }
-
-    /// The linear stage-by-stage lazy inverse traversal, kept verbatim as the retained
-    /// reference for the blocked path (see [`NttTable::forward_lazy_linear`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn inverse_linear(&self, values: &mut [u64]) {
         assert_eq!(values.len(), self.degree, "input length must equal N");
         let q = &self.modulus;
         let two_q = q.two_q();
@@ -467,101 +248,8 @@ impl NttTable {
         }
     }
 
-    /// Cache-blocked inverse transform: the mirror of
-    /// [`NttTable::forward_lazy_with_block`] — contiguous stages (span ≤ `block`) complete
-    /// per aligned block first, then the strided stages (including the fused `N⁻¹` last
-    /// stage) walk column panels, then the single correction pass. Bitwise identical to
-    /// [`NttTable::inverse_linear`] for every block length; `block ≥ N` degenerates to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn inverse_with_block(&self, values: &mut [u64], block: usize) {
-        assert_eq!(values.len(), self.degree, "input length must equal N");
-        let n = self.degree;
-        let mb = clamp_block(block, n);
-        if mb >= n {
-            return self.inverse_linear(values);
-        }
-        let q = &self.modulus;
-        let two_q = q.two_q();
-        // Phase 1: contiguous stages (group span 2t ≤ mb), each aligned mb-block running
-        // them all while cache-resident. mb < n keeps every such stage strictly before the
-        // fused last stage (2t ≤ mb ≤ n/2 ⇒ t ≤ n/4).
-        for (b, blk) in values.chunks_exact_mut(mb).enumerate() {
-            let mut t = 1usize;
-            while 2 * t <= mb {
-                let h = n / (2 * t);
-                let i0 = (b * mb) / (2 * t);
-                for (j, group) in blk.chunks_exact_mut(2 * t).enumerate() {
-                    let s = self.psi_inv_rev[h + i0 + j];
-                    let s_shoup = self.psi_inv_rev_shoup[h + i0 + j];
-                    let (lo, hi) = group.split_at_mut(t);
-                    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let u = *x;
-                        let v = *y;
-                        *x = q.add_lazy(u, v);
-                        *y = q.mul_shoup_lazy(u + two_q - v, s, s_shoup);
-                    }
-                }
-                t <<= 1;
-            }
-        }
-        // Phase 2: strided stages (span t ≥ mb) per column panel, the fused N⁻¹ last stage
-        // included.
-        let w = mb.min(PANEL_WIDTH);
-        for c0 in (0..mb).step_by(w) {
-            let mut t = mb;
-            while t < n / 2 {
-                let h = n / (2 * t);
-                for (i, group) in values.chunks_exact_mut(2 * t).enumerate() {
-                    let s = self.psi_inv_rev[h + i];
-                    let s_shoup = self.psi_inv_rev_shoup[h + i];
-                    let (lo, hi) = group.split_at_mut(t);
-                    let mut u = 0;
-                    while u < t {
-                        for (x, y) in lo[u + c0..u + c0 + w]
-                            .iter_mut()
-                            .zip(hi[u + c0..u + c0 + w].iter_mut())
-                        {
-                            let a = *x;
-                            let v = *y;
-                            *x = q.add_lazy(a, v);
-                            *y = q.mul_shoup_lazy(a + two_q - v, s, s_shoup);
-                        }
-                        u += mb;
-                    }
-                }
-                t <<= 1;
-            }
-            // Fused last stage (t = n/2) for this panel.
-            let t = n / 2;
-            let (lo, hi) = values.split_at_mut(t);
-            let mut u = 0;
-            while u < t {
-                for (x, y) in lo[u + c0..u + c0 + w]
-                    .iter_mut()
-                    .zip(hi[u + c0..u + c0 + w].iter_mut())
-                {
-                    let a = *x;
-                    let v = *y;
-                    *x = q.mul_shoup_lazy(q.add_lazy(a, v), self.degree_inv, self.degree_inv_shoup);
-                    *y = q.mul_shoup_lazy(
-                        a + two_q - v,
-                        self.psi_inv_last_fused,
-                        self.psi_inv_last_fused_shoup,
-                    );
-                }
-                u += mb;
-            }
-        }
-        for v in values.iter_mut() {
-            *v = q.reduce_2q(*v);
-        }
-    }
-
     /// The pre-refactor eager forward transform (fully reduced after every butterfly), kept
-    /// as the scalar correctness and performance baseline for the lazy [`NttTable::forward`].
+    /// as the scalar correctness oracle for the lazy [`NttTable::forward`].
     ///
     /// # Panics
     ///
@@ -591,8 +279,8 @@ impl NttTable {
     }
 
     /// The pre-refactor eager inverse transform (fully reduced after every butterfly, with a
-    /// separate `N⁻¹` scaling sweep), kept as the scalar correctness and performance baseline
-    /// for the lazy [`NttTable::inverse`].
+    /// separate `N⁻¹` scaling sweep), kept as the scalar correctness oracle for the lazy
+    /// [`NttTable::inverse`].
     ///
     /// # Panics
     ///
@@ -787,8 +475,13 @@ mod tests {
         let q = t.modulus().value();
         let original = random_poly(1 << 16, q, 99);
         let mut values = original.clone();
+        let mut eager = original.clone();
         t.forward(&mut values);
+        t.forward_reference(&mut eager);
+        assert_eq!(values, eager, "lazy forward diverged from the eager oracle");
         t.inverse(&mut values);
+        t.inverse_reference(&mut eager);
+        assert_eq!(values, eager, "lazy inverse diverged from the eager oracle");
         assert_eq!(values, original);
     }
 
@@ -858,112 +551,6 @@ mod tests {
             t.inverse_reference(&mut eager);
             assert_eq!(lazy, eager);
             assert_eq!(lazy, poly);
-        }
-    }
-
-    #[test]
-    fn default_block_length_is_a_clamped_power_of_two() {
-        let block = ntt_block_len();
-        assert!(block.is_power_of_two());
-        assert!(block >= 2);
-        // Repeated calls return the cached decision.
-        assert_eq!(block, ntt_block_len());
-    }
-
-    #[test]
-    fn blocked_transforms_match_linear_at_forced_tiny_blocks() {
-        // block = 2 forces the finest possible tiling (one stage group per phase-2 block,
-        // maximal strided phase); block ≥ N (and beyond) must degenerate to the linear
-        // traversal; non-power-of-two requests are rounded up.
-        for log_n in 1usize..=10 {
-            let n = 1usize << log_n;
-            let t = table(log_n, 50);
-            let q = t.modulus().value();
-            let poly = random_poly(n, q, 4200 + log_n as u64);
-            for block in [2usize, 3, 4, n / 2, n, 2 * n, usize::MAX / 2] {
-                if block == 0 {
-                    continue;
-                }
-                let mut blocked = poly.clone();
-                let mut linear = poly.clone();
-                t.forward_lazy_with_block(&mut blocked, block);
-                t.forward_lazy_linear(&mut linear);
-                assert_eq!(
-                    blocked, linear,
-                    "forward_lazy mismatch log_n={log_n} block={block}"
-                );
-                let mut blocked_f = poly.clone();
-                let mut linear_f = poly.clone();
-                t.forward_with_block(&mut blocked_f, block);
-                t.forward_reference(&mut linear_f);
-                assert_eq!(
-                    blocked_f, linear_f,
-                    "forward mismatch log_n={log_n} block={block}"
-                );
-                t.inverse_with_block(&mut blocked_f, block);
-                let mut linear_inv = linear_f.clone();
-                t.inverse_linear(&mut linear_inv);
-                t.inverse_reference(&mut linear_f);
-                assert_eq!(
-                    blocked_f, linear_inv,
-                    "inverse mismatch log_n={log_n} block={block}"
-                );
-                assert_eq!(linear_inv, linear_f, "linear inverse diverged from eager");
-                assert_eq!(blocked_f, poly, "roundtrip mismatch log_n={log_n}");
-            }
-        }
-    }
-
-    #[test]
-    fn default_paths_match_the_linear_references() {
-        // The default forward/forward_lazy/inverse entries route through the probed block
-        // length — whatever the probe picked, results must equal the linear traversal.
-        for log_n in [1usize, 5, 11] {
-            let t = table(log_n, 48);
-            let q = t.modulus().value();
-            let poly = random_poly(1 << log_n, q, 31 + log_n as u64);
-            let mut blocked = poly.clone();
-            let mut linear = poly.clone();
-            t.forward(&mut blocked);
-            t.forward_reference(&mut linear);
-            assert_eq!(blocked, linear);
-            t.inverse(&mut blocked);
-            t.inverse_linear(&mut linear);
-            assert_eq!(blocked, linear);
-            assert_eq!(blocked, poly);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_blocked_matches_linear_bit_for_bit(
-            seed in any::<u64>(),
-            log_n in 1usize..13,
-            block_shift in 1usize..14,
-            bits in 40u32..55,
-            prime_index in 0usize..3,
-        ) {
-            // Random degree × random modulus × random block length: the blocked forward
-            // (lazy and canonical) and inverse must be bitwise identical to the retained
-            // linear references.
-            let n = 1usize << log_n;
-            let q = crate::generate_ntt_prime(bits, n, prime_index).unwrap();
-            let t = NttTable::new(n, Modulus::new(q).unwrap()).unwrap();
-            let poly = random_poly(n, q, seed);
-            let block = 1usize << block_shift;
-            let mut blocked = poly.clone();
-            let mut linear = poly.clone();
-            t.forward_lazy_with_block(&mut blocked, block);
-            t.forward_lazy_linear(&mut linear);
-            prop_assert_eq!(&blocked, &linear);
-            // Canonicalise both (same pass), then the blocked inverse against the linear.
-            for v in blocked.iter_mut() { *v = t.modulus().reduce_4q(*v); }
-            for v in linear.iter_mut() { *v = t.modulus().reduce_4q(*v); }
-            t.inverse_with_block(&mut blocked, block);
-            t.inverse_linear(&mut linear);
-            prop_assert_eq!(&blocked, &linear);
-            prop_assert_eq!(blocked, poly);
         }
     }
 

@@ -6,8 +6,8 @@
 //! single-limb forward/inverse NTT transforms **and of bytes read/written by the hot
 //! kernels over the flat limb-major layout**, so tests can pin `recorded == closed-form
 //! formula` for every hot operation (and fail loudly if a future change silently adds
-//! transforms or traffic). The byte tallies are what the `fab-bench` roofline divides wall
-//! time into, and what calibrates `fab-core`'s memory model against *measured* traffic.
+//! transforms or traffic). The byte tallies are what the ladder benchmark reports per unit
+//! of work, and what calibrates `fab-core`'s memory model against *measured* traffic.
 //!
 //! ## Counting discipline
 //!
@@ -39,9 +39,8 @@
 //! precomputed *constant* tables (twiddles, Shoup companions, conversion weights — the
 //! software analogue of FAB's on-chip ROMs) are excluded, as are pure `memcpy`s and
 //! zero-fills (allocation traffic, not kernel traffic). The algorithmic count is
-//! deliberately cache-oblivious: the cache-blocked NTT charges exactly the same bytes as the
-//! linear traversal, which is what lets the roofline surface locality wins as measured GB/s
-//! rising *above* the streaming baseline.
+//! deliberately cache-oblivious — it charges row passes, not misses — so a kernel whose
+//! measured GB/s rises *above* the streaming baseline is showing cache residency.
 
 use std::cell::Cell;
 

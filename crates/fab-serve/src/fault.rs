@@ -297,8 +297,7 @@ pub enum CrashPoint {
 
 impl CrashPoint {
     /// Every append/execute kill site for a run known to perform `appends` journal appends
-    /// and `executes` executions — the sweep the crash-recovery suite and the recovery
-    /// benchmark iterate.
+    /// and `executes` executions — the sweep the crash-recovery suite iterates.
     pub fn sweep(appends: u64, executes: u64) -> Vec<CrashPoint> {
         let mut points = Vec::new();
         for n in 0..appends {

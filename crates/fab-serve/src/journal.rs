@@ -43,7 +43,6 @@ use std::sync::Arc;
 
 use fab_ckks::wire::{self, BlobReader, BlobSpec, BlobWriter};
 use fab_ckks::{Ciphertext, CkksContext};
-use fab_store::{FileBackend, StorageBackend};
 
 use crate::error::{FaultClass, RequestId};
 use crate::request::{Program, ServeOp};
@@ -590,67 +589,6 @@ impl RequestJournal {
             torn_bytes,
         })
     }
-
-    /// Writes the journal to `path` atomically *and durably*, routed through
-    /// [`fab_store::FileBackend`]: temporary sibling, fsync, rename, parent-directory
-    /// fsync. There is deliberately no way to write journal bytes to disk without the full
-    /// fsync discipline — for incremental appends with a [`fab_store::SyncPolicy`], use
-    /// [`crate::store::DurableJournal`] instead of whole-file snapshots.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let (dir, name) = split_path(path)?;
-        let mut backend = FileBackend::open(dir).map_err(storage_io)?;
-        fab_store::write_atomic(&mut backend, name, &self.bytes).map_err(storage_io)
-    }
-
-    /// Reads journal bytes from `path` through [`fab_store::FileBackend`] and opens them
-    /// via [`Self::open`].
-    ///
-    /// # Errors
-    ///
-    /// Maps filesystem errors onto [`CorruptJournal`] at offset 0; validation errors as in
-    /// [`Self::open`].
-    pub fn load(
-        path: &std::path::Path,
-        ctx: Arc<CkksContext>,
-    ) -> Result<RecoveredJournal, CorruptJournal> {
-        let unreadable = |e: &dyn fmt::Display| CorruptJournal {
-            offset: 0,
-            reason: format!("journal unreadable: {e}"),
-        };
-        let (dir, name) = split_path(path).map_err(|e| unreadable(&e))?;
-        let mut backend = FileBackend::open(dir).map_err(|e| unreadable(&e))?;
-        let bytes = backend.read(name).map_err(|e| unreadable(&e))?;
-        Self::open(&bytes, ctx)
-    }
-}
-
-/// Splits a journal path into its parent directory (the backend root, whose fsync makes
-/// the rename durable) and flat file name.
-fn split_path(path: &std::path::Path) -> std::io::Result<(&std::path::Path, &str)> {
-    let bad = |what: &str| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("journal path {} has no {what}", path.display()),
-        )
-    };
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| bad("UTF-8 file name"))?;
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    Ok((dir.unwrap_or_else(|| std::path::Path::new(".")), name))
-}
-
-fn storage_io(e: fab_store::StorageError) -> std::io::Error {
-    let kind = match e {
-        fab_store::StorageError::NotFound { .. } => std::io::ErrorKind::NotFound,
-        _ => std::io::ErrorKind::Other,
-    };
-    std::io::Error::new(kind, e.to_string())
 }
 
 /// The result of opening journal bytes: the clean-prefix journal (ready to append), its

@@ -281,12 +281,6 @@ impl FabServer {
         }
     }
 
-    /// Substitutes the clock (the fault harness installs a deterministic
-    /// [`crate::fault::FakeClock`] here so deadline pressure is reproducible).
-    pub fn set_clock(&mut self, clock: Arc<dyn ServeClock>) {
-        self.clock = clock;
-    }
-
     /// Installs a deterministic [`FakeClock`] as both the serving clock and the sink for
     /// injected fetch latency — with this in place, deadline outcomes are exact functions
     /// of the fault schedule.
@@ -295,15 +289,10 @@ impl FabServer {
         self.clock = clock;
     }
 
-    /// Attaches a write-ahead [`RequestJournal`]: from here on every admit/shed/start/
-    /// complete/fail transition is journaled *before* its in-memory effect, so
-    /// [`Self::recover`] can rebuild the queue of a crashed process from
+    /// Creates and attaches a fresh write-ahead [`RequestJournal`] for this server's context:
+    /// from here on every admit/shed/start/complete/fail transition is journaled *before* its
+    /// in-memory effect, so [`Self::recover`] can rebuild the queue of a crashed process from
     /// [`Self::journal_bytes`] alone.
-    pub fn attach_journal(&mut self, journal: RequestJournal) {
-        self.journal = Some(journal);
-    }
-
-    /// Creates and attaches a fresh journal for this server's context.
     pub fn attach_fresh_journal(&mut self) {
         self.journal = Some(RequestJournal::new(self.evaluator.context().clone()));
     }
@@ -332,13 +321,13 @@ impl FabServer {
         self.durable.as_ref()
     }
 
-    /// Mutable access to the attached durable journal (benchmarks read sizes and syscall
-    /// counters through this).
+    /// Mutable access to the attached durable journal (the ladder benchmark and the
+    /// durability tests read journal sizes through this).
     pub fn durable_journal_mut(&mut self) -> Option<&mut DurableJournal> {
         self.durable.as_mut()
     }
 
-    /// Detaches and returns the durable journal (e.g. to reclaim its backend).
+    /// Detaches and returns the durable journal (dropping it releases its backend).
     pub fn take_durable_journal(&mut self) -> Option<DurableJournal> {
         self.durable.take()
     }

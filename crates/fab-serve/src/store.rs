@@ -172,11 +172,6 @@ impl DurableJournal {
         seg_name(self.seq)
     }
 
-    /// The sync policy this writer runs under.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     /// Journal files currently on the backend (base + segments), sorted.
     pub fn files(&self) -> Vec<String> {
         let mut files = self.backend.list(CPT_PREFIX);
@@ -196,16 +191,6 @@ impl DurableJournal {
             total += self.backend.read(&name)?.len() as u64;
         }
         Ok(total)
-    }
-
-    /// Borrows the backend (the bench reads its syscall counters through this).
-    pub fn backend(&self) -> &(dyn StorageBackend + Send) {
-        self.backend.as_ref()
-    }
-
-    /// Consumes the journal, returning its backend.
-    pub fn into_backend(self) -> Box<dyn StorageBackend + Send> {
-        self.backend
     }
 
     /// Creates, headers, fsyncs and pins segment `seq`, making it the active segment.

@@ -177,6 +177,10 @@ fn check_point(
         panic!("{label}: a cleanly-killed journal must open: {e}");
     });
     assert_eq!(report.torn_bytes, 0, "{label}: simulated kills never tear");
+    assert_eq!(
+        report.duplicate_starts, 0,
+        "{label}: one process starts a request at most once"
+    );
     let settled_completed = report
         .settled
         .iter()

@@ -145,6 +145,7 @@ fn serving_is_bitwise_identical_across_cache_configs_and_prefetch_lifts_hit_rate
     let warm = server_warm.cache_stats();
     let cold = server_cold.cache_stats();
     assert!(warm.hit_rate() > 0.8, "warm hit rate {}", warm.hit_rate());
+    assert_eq!(warm.uncached_fetches, 0, "a full budget admits every key");
     assert_eq!(cold.hit_rate(), 0.0);
     assert!(
         warm.prefetch_hits > 0,

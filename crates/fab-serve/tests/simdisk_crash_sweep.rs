@@ -7,7 +7,9 @@
 //!
 //! This extends `tests/crash_recovery.rs` (process-level kill sites on an in-memory
 //! journal) down through the storage layer: the journal now lives on a [`SimDisk`] behind
-//! the [`fab_store::StorageBackend`] seam, written under a real [`SyncPolicy`].
+//! the [`fab_store::StorageBackend`] seam, written under a real [`SyncPolicy`]. One test
+//! runs the same workload over a real [`FileBackend`] directory beside its simulated twin,
+//! so the seam is also exercised against the filesystem it stands in for.
 
 use std::sync::Arc;
 
@@ -23,7 +25,7 @@ use fab_serve::{
     DurableJournal, FabServer, FakeClock, Program, Request, RequestOutcome, ServeFault, ServeOp,
     ServerConfig, StoreError, TenantId,
 };
-use fab_store::{SharedDisk, SimDisk, StorageBackend, SyncPolicy};
+use fab_store::{FileBackend, SharedDisk, SimDisk, StorageBackend, SyncPolicy};
 
 const ROTATIONS: [usize; 2] = [1, 3];
 const TENANTS: usize = 2;
@@ -142,9 +144,19 @@ fn run_workload(
     disk: &SharedDisk,
     policy: SyncPolicy,
 ) -> Option<FabServer> {
+    run_workload_on(ctx, tenants, config, Box::new(disk.clone()), policy)
+}
+
+/// [`run_workload`] over any backend — the simulated disk or a real directory.
+fn run_workload_on(
+    ctx: &Arc<CkksContext>,
+    tenants: &[Tenant],
+    config: ServerConfig,
+    backend: Box<dyn StorageBackend + Send>,
+    policy: SyncPolicy,
+) -> Option<FabServer> {
     let mut server = make_server(ctx, tenants, config);
-    let journal =
-        DurableJournal::create(Box::new(disk.clone()), ctx.clone(), policy, ROTATE_AFTER).ok()?;
+    let journal = DurableJournal::create(backend, ctx.clone(), policy, ROTATE_AFTER).ok()?;
     server.attach_durable_journal(journal);
     submit_stream(&mut server, tenants, 2, 17);
     let _outcomes = server.run();
@@ -377,6 +389,75 @@ fn every_crash_during_compaction_preserves_the_journal_state() {
             }
         }
     }
+}
+
+#[test]
+fn a_file_backend_journal_matches_its_simdisk_twin_and_recovers_from_the_real_directory() {
+    // Every other test in this file runs the journal over the simulated disk. The same
+    // workload over a real directory must lay out the same files with the same bytes, and
+    // recovering that directory must settle exactly what recovering the twin settles.
+    let ctx = make_ctx();
+    let tenants: Vec<Tenant> = (0..TENANTS)
+        .map(|t| make_tenant(&ctx, 1400 + t as u64))
+        .collect();
+    let config = make_config(&ctx);
+    let policy = SyncPolicy::Always;
+    // Process-unique, so concurrent runs of this suite never share a directory.
+    let dir = std::env::temp_dir().join(format!("fab-serve-file-twin-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let twin = SharedDisk::new();
+    let mut on_twin = run_workload(&ctx, &tenants, config, &twin, policy).expect("healthy");
+    let files = Box::new(FileBackend::open(&dir).expect("file backend"));
+    let mut on_files = run_workload_on(&ctx, &tenants, config, files, policy).expect("healthy");
+    let twin_journal = on_twin.durable_journal_mut().expect("attached");
+    let file_journal = on_files.durable_journal_mut().expect("attached");
+    assert_eq!(file_journal.files(), twin_journal.files());
+    assert!(
+        file_journal.files().len() > 1,
+        "the workload rotates segments"
+    );
+    let mut to_read = file_journal.bytes_on_disk().expect("readable");
+    assert_eq!(to_read, twin_journal.bytes_on_disk().expect("readable"));
+    drop(on_files);
+
+    let mut from_twin = make_server(&ctx, &tenants, config);
+    let want = from_twin
+        .recover_from_store(Box::new(twin.snapshot()), policy, ROTATE_AFTER)
+        .expect("healthy twin recovers");
+    assert_eq!(want.settled.len(), 2 * TENANTS);
+
+    // Recovery leaves the store compacted, so the second pass reads the compacted shape.
+    let mut bytes_read = Vec::new();
+    for label in ["uncompacted directory", "compacted directory"] {
+        bytes_read.push(to_read);
+        let backend = FileBackend::open(&dir).expect("file backend");
+        let mut recovered = make_server(&ctx, &tenants, config);
+        let report = recovered
+            .recover_from_store(Box::new(backend), policy, ROTATE_AFTER)
+            .unwrap_or_else(|e| panic!("{label}: a healthy directory recovers: {e}"));
+        assert_eq!(
+            report.torn_bytes, 0,
+            "{label}: clean shutdown tears nothing"
+        );
+        assert!(report.readmitted.is_empty(), "{label}: everything settled");
+        assert_eq!(
+            report.settled.len(),
+            want.settled.len(),
+            "{label}: lost state"
+        );
+        for (got, want) in report.settled.iter().zip(&want.settled) {
+            assert_equivalent(label, got, want);
+        }
+        assert_eq!(recovered.executions(), 0, "{label}: nothing re-executes");
+        let journal = recovered.durable_journal_mut().expect("reattached");
+        to_read = journal.bytes_on_disk().expect("readable");
+    }
+    assert!(
+        bytes_read[1] < bytes_read[0],
+        "compaction reclaims the settled requests' inputs: {bytes_read:?}"
+    );
+    std::fs::remove_dir_all(&dir).expect("journal directory removed");
 }
 
 /// Rebuilds a healthy, fully-synced [`SimDisk`] holding exactly `files`.

@@ -1,6 +1,6 @@
 //! The real filesystem backend: buffered appends, explicit `fsync`, parent-directory
-//! fsync for durable metadata, and syscall counters so the durability bench can price
-//! each [`SyncPolicy`](crate::SyncPolicy).
+//! fsync for durable metadata, and syscall counters that show what a
+//! [`SyncPolicy`](crate::SyncPolicy) costs.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};

@@ -11,8 +11,7 @@
 //!   is written once against the trait.
 //! * [`FileBackend`] is the real thing: buffered appends, explicit `fsync` (`sync_data`) on
 //!   [`StorageBackend::sync`], and parent-directory fsync on [`StorageBackend::sync_dir`]
-//!   so renames and creations are durable — with syscall counters the durability bench
-//!   prices.
+//!   so renames and creations are durable — with syscall counters.
 //! * [`SimDisk`] is a deterministic disk model with the **true crash surface**: data that
 //!   was appended but never synced can be lost wholesale, torn mid-write (partial-sector),
 //!   or survive *out of order* (a later unsynced write persists while an earlier one does
@@ -39,7 +38,7 @@ mod sim;
 use std::fmt;
 
 pub use file::{FileBackend, FileStats};
-pub use sim::{CrashSurface, MemBackend, SharedDisk, SimDisk, SimStats};
+pub use sim::{CrashSurface, MemBackend, SharedDisk, SimDisk};
 
 /// A storage-layer failure, typed by what it means for the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,15 +219,6 @@ impl SyncPolicy {
             SyncPolicy::IntervalUs(us) => now_us.saturating_sub(last_sync_us) >= us,
         }
     }
-
-    /// A short stable name for bench rows and logs.
-    pub fn label(self) -> String {
-        match self {
-            SyncPolicy::Always => "always".to_string(),
-            SyncPolicy::EveryN(n) => format!("every_{n}"),
-            SyncPolicy::IntervalUs(us) => format!("interval_{us}us"),
-        }
-    }
 }
 
 /// Writes `bytes` to `path` atomically *and durably* through a backend: create a temporary
@@ -267,8 +257,6 @@ mod tests {
         assert!(SyncPolicy::EveryN(0).should_sync(1, 0, 0), "0 clamps to 1");
         assert!(!SyncPolicy::IntervalUs(100).should_sync(9, 50, 149));
         assert!(SyncPolicy::IntervalUs(100).should_sync(1, 50, 150));
-        assert_eq!(SyncPolicy::EveryN(8).label(), "every_8");
-        assert_eq!(SyncPolicy::IntervalUs(500).label(), "interval_500us");
     }
 
     #[test]

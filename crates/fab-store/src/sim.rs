@@ -61,26 +61,6 @@ impl FileData {
     }
 }
 
-/// Syscall counters for the simulated disk (the durability bench reports the same shape
-/// for [`FileBackend`](crate::FileBackend)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Files created.
-    pub creates: u64,
-    /// Append calls.
-    pub appends: u64,
-    /// Flush calls.
-    pub flushes: u64,
-    /// File fsyncs.
-    pub syncs: u64,
-    /// Renames.
-    pub renames: u64,
-    /// Removals.
-    pub removes: u64,
-    /// Directory fsyncs.
-    pub dir_syncs: u64,
-}
-
 /// What a seeded crash draw did to the unsynced state — tests assert these to prove the
 /// model actually exercises loss, tearing and reordering rather than quietly keeping
 /// everything.
@@ -108,7 +88,6 @@ pub struct SimDisk {
     ops: u64,
     crash_at: Option<u64>,
     crashed: bool,
-    stats: SimStats,
 }
 
 impl SimDisk {
@@ -127,11 +106,6 @@ impl SimDisk {
     /// Whether the armed crash has fired.
     pub fn has_crashed(&self) -> bool {
         self.crashed
-    }
-
-    /// Syscall counters so far.
-    pub fn stats(&self) -> SimStats {
-        self.stats
     }
 
     /// The syscall gate: refuses everything once crashed, fires an armed crash point, and
@@ -252,7 +226,6 @@ impl SimDisk {
 impl StorageBackend for SimDisk {
     fn create(&mut self, path: &str) -> Result<(), StorageError> {
         self.syscall("create", path)?;
-        self.stats.creates += 1;
         let id = self.files.len();
         self.files.push(FileData::default());
         self.live.insert(path.to_string(), id);
@@ -261,7 +234,6 @@ impl StorageBackend for SimDisk {
 
     fn append(&mut self, path: &str, bytes: &[u8]) -> Result<(), StorageError> {
         self.syscall("append", path)?;
-        self.stats.appends += 1;
         let file = self.file_mut("append", path)?;
         file.buffer.extend_from_slice(bytes);
         Ok(())
@@ -269,7 +241,6 @@ impl StorageBackend for SimDisk {
 
     fn flush(&mut self, path: &str) -> Result<(), StorageError> {
         self.syscall("flush", path)?;
-        self.stats.flushes += 1;
         let file = self.file_mut("flush", path)?;
         if !file.buffer.is_empty() {
             let unit = WriteUnit {
@@ -284,7 +255,6 @@ impl StorageBackend for SimDisk {
 
     fn sync(&mut self, path: &str) -> Result<(), StorageError> {
         self.syscall("sync", path)?;
-        self.stats.syncs += 1;
         let file = self.file_mut("sync", path)?;
         // fsync implies flushing the application buffer first.
         if !file.buffer.is_empty() {
@@ -317,7 +287,6 @@ impl StorageBackend for SimDisk {
 
     fn remove(&mut self, path: &str) -> Result<(), StorageError> {
         self.syscall("remove", path)?;
-        self.stats.removes += 1;
         if self.live.remove(path).is_none() {
             return Err(StorageError::NotFound {
                 path: path.to_string(),
@@ -328,7 +297,6 @@ impl StorageBackend for SimDisk {
 
     fn rename(&mut self, src: &str, dst: &str) -> Result<(), StorageError> {
         self.syscall("rename", src)?;
-        self.stats.renames += 1;
         let Some(id) = self.live.remove(src) else {
             return Err(StorageError::NotFound {
                 path: src.to_string(),
@@ -340,7 +308,6 @@ impl StorageBackend for SimDisk {
 
     fn sync_dir(&mut self) -> Result<(), StorageError> {
         self.syscall("sync_dir", "<dir>")?;
-        self.stats.dir_syncs += 1;
         self.durable = self.live.clone();
         Ok(())
     }
@@ -393,11 +360,6 @@ impl SharedDisk {
     /// See [`SimDisk::has_crashed`].
     pub fn has_crashed(&self) -> bool {
         self.lock().has_crashed()
-    }
-
-    /// See [`SimDisk::stats`].
-    pub fn stats(&self) -> SimStats {
-        self.lock().stats()
     }
 
     /// A deep copy of the disk's current state.

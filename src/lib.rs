@@ -78,14 +78,14 @@
 //!   `multiply_rescale` divides by `P·q_ℓ` in one fused ModDown+rescale conversion. NTT
 //!   counts per operation are *verified*, not assumed: [`ckks::accounting`] holds the
 //!   closed-form minimums and tests pin the [`rns::metering`] tallies to them. The PR 3
-//!   eager algorithm survives as `Evaluator::key_switch_reference`, the timed baseline.
+//!   eager algorithm survives as `Evaluator::key_switch_reference`, the bitwise baseline.
 //!
-//! The measured trajectory lives in the `BENCH_pr*.json` records at the repo root
-//! (regenerate the kernel record with `cargo run --release -p fab-bench --bin kernels` and
-//! the bytes-metered roofline with `--bin roofline`; `--bin summary` folds every record
-//! into one table). Since PR 7 the same `rns::metering` counters also meter **bytes
-//! moved** per kernel, pinned to closed-form `*_bytes` formulas in [`ckks::accounting`]
-//! and calibrated against the accelerator memory model.
+//! The measured trajectory lives in the `BENCH_pr*.json` records at the repo root: up to
+//! `BENCH_pr10.json` frozen history of bench bins since deleted, from PR 11 on the ladder
+//! benchmark's one schema (`benchmark/`, `BENCHMARK.json`). Since PR 7 the same
+//! `rns::metering` counters also meter **bytes moved** per kernel, pinned to closed-form
+//! `*_bytes` formulas in [`ckks::accounting`] and calibrated against the accelerator memory
+//! model.
 //!
 //! ```
 //! use fab::prelude::*;
