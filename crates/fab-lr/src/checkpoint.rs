@@ -10,22 +10,22 @@
 //!
 //! # Atomicity and durability
 //!
-//! [`TrainingCheckpoint::save_atomic`] writes a temporary sibling (`<path>.tmp`), **fsyncs
-//! it**, renames it over `path`, and **fsyncs the parent directory**. The rename alone
-//! gives process-crash atomicity; the two fsyncs are what make it survive power loss —
-//! without the file sync, the rename can reach disk before the data and a power loss
-//! surfaces the new name pointing at torn or zero bytes, and without the directory sync
-//! the rename itself can evaporate. A crash before the rename leaves the previous
-//! checkpoint intact and at worst a torn `.tmp` that the loader never reads; a crash after
-//! leaves the new checkpoint complete. There is no interleaving that loses both — swept
-//! byte-by-byte in `tests/checkpoint_resume.rs` and syscall-by-syscall against the
-//! simulated-disk crash surface in `tests/checkpoint_durability.rs`.
+//! A checkpoint becomes durable one way: [`TrainingCheckpoint::save_to`], which hands the
+//! blob to [`fab_store::write_atomic`] over a [`fab_store::StorageBackend`] — write a
+//! temporary sibling (`<name>.tmp`), **fsync it**, rename it over `name`, **fsync the
+//! directory**. The rename alone gives process-crash atomicity; the two fsyncs are what make
+//! it survive power loss — without the file sync, the rename can reach disk before the data
+//! and a power loss surfaces the new name pointing at torn or zero bytes, and without the
+//! directory sync the rename itself can evaporate. A crash before the rename leaves the
+//! previous checkpoint intact and at worst a torn `.tmp` that the loader never reads; a
+//! crash after leaves the new checkpoint complete. There is no interleaving that loses both.
 //!
-//! [`TrainingCheckpoint::save_to`] / [`TrainingCheckpoint::load_from`] run the same
-//! discipline through a [`fab_store::StorageBackend`], which is how the `SimDisk` sweeps
-//! cover checkpoints with the exact code path production uses.
+//! Training ([`crate::CheckpointPolicy`]) writes through `save_to` and resumes through
+//! [`TrainingCheckpoint::load_from`], nothing else — a real directory is a
+//! [`fab_store::FileBackend`] — so the simulated-disk sweeps exercise the code that runs: `tests/checkpoint_durability.rs` kills `save_to` at
+//! every syscall boundary and draws seeded power-loss surfaces, and
+//! `tests/checkpoint_resume.rs` does the same to a real training run mid-checkpoint.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use fab_ckks::wire::{self, BlobReader, BlobSpec, BlobWriter};
@@ -84,48 +84,14 @@ impl TrainingCheckpoint {
         Ok(Self { iteration, weights })
     }
 
-    /// Writes the checkpoint to `path` atomically *and durably*: serialize, write
-    /// `<path>.tmp`, fsync the temp file, rename it over `path`, fsync the parent
-    /// directory. Either step of fsync omitted would leave a power-loss window — see the
-    /// module docs.
+    /// Writes the checkpoint to `name` on a storage backend atomically *and durably*:
+    /// serialize, then [`write_atomic`] (temp sibling, fsync, rename, directory fsync — see
+    /// the module docs).
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; on error `path` still holds its previous contents.
-    pub fn save_atomic(&self, path: &Path, ctx: &CkksContext) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut file, &self.to_bytes(ctx))?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Directory fsync: without it the rename itself may not survive a power loss.
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        std::fs::File::open(dir.unwrap_or_else(|| Path::new(".")))?.sync_all()
-    }
-
-    /// Reads and validates a checkpoint from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`CkksError::Io`] when the file cannot be read (missing, permissions);
-    /// [`CkksError::CorruptSnapshot`] when its bytes fail validation.
-    pub fn load(path: &Path, ctx: &Arc<CkksContext>) -> Result<Self, CkksError> {
-        let bytes = std::fs::read(path).map_err(|e| CkksError::Io {
-            operation: "read",
-            reason: format!("checkpoint {} unreadable: {e}", path.display()),
-        })?;
-        Self::from_bytes(&bytes, ctx)
-    }
-
-    /// Writes the checkpoint durably through a storage backend (same atomic-rename +
-    /// double-fsync discipline as [`Self::save_atomic`], but over the [`StorageBackend`]
-    /// seam so the simulated-disk crash sweep can exercise it).
-    ///
-    /// # Errors
-    ///
-    /// [`CkksError::Io`] on any storage failure (including a simulated crash).
+    /// [`CkksError::Io`] on any storage failure (including a simulated crash); `name` then
+    /// still holds its previous contents, or already the new ones, never torn bytes.
     pub fn save_to(
         &self,
         backend: &mut dyn StorageBackend,
@@ -255,10 +221,6 @@ mod tests {
     #[test]
     fn a_missing_file_is_a_typed_io_error_not_corruption() {
         let (ctx, _) = fixture();
-        let err = TrainingCheckpoint::load(Path::new("/nonexistent/fab-lr-ckpt"), &ctx)
-            .expect_err("missing file");
-        assert!(matches!(err, CkksError::Io { .. }), "{err:?}");
-
         let mut disk = fab_store::SimDisk::new();
         let err = TrainingCheckpoint::load_from(&mut disk, "absent.ckpt", &ctx)
             .expect_err("missing backend file");
@@ -277,18 +239,28 @@ mod tests {
     }
 
     #[test]
-    fn save_atomic_replaces_and_load_round_trips() {
+    fn save_to_a_real_directory_replaces_and_load_from_round_trips() {
         let (ctx, checkpoint) = fixture();
-        let dir = std::env::temp_dir().join("fab-lr-checkpoint-unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("weights.ckpt");
-        checkpoint.save_atomic(&path, &ctx).unwrap();
+        // Process-unique, so concurrent runs of this suite never share a directory.
+        let dir =
+            std::env::temp_dir().join(format!("fab-lr-checkpoint-unit-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut files = fab_store::FileBackend::open(&dir).unwrap();
+        let err = TrainingCheckpoint::load_from(&mut files, "weights.ckpt", &ctx)
+            .expect_err("no checkpoint yet");
+        assert!(matches!(err, CkksError::Io { .. }), "{err:?}");
+        checkpoint
+            .save_to(&mut files, "weights.ckpt", &ctx)
+            .unwrap();
         let mut second = checkpoint.clone();
         second.iteration = 8;
-        second.save_atomic(&path, &ctx).unwrap();
-        let restored = TrainingCheckpoint::load(&path, &ctx).unwrap();
+        second.save_to(&mut files, "weights.ckpt", &ctx).unwrap();
+        // A fresh backend (a new process) reads what the first one made durable.
+        let mut reopened = fab_store::FileBackend::open(&dir).unwrap();
+        let restored = TrainingCheckpoint::load_from(&mut reopened, "weights.ckpt", &ctx).unwrap();
         assert_eq!(restored.iteration, 8);
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(restored.weights.c0(), checkpoint.weights.c0());
+        assert!(!reopened.exists("weights.ckpt.tmp"), "tmp renamed away");
+        std::fs::remove_dir_all(&dir).expect("checkpoint directory removed");
     }
 }

@@ -7,7 +7,6 @@
 //! scaled down so an iteration runs in seconds in software; the full-size workload is costed by
 //! the accelerator model in [`crate::helr_iteration_workload`].
 
-use std::path::Path;
 use std::sync::Arc;
 
 use fab_ckks::backend::{EvalBackend, ExecBackend, PlanBackend, PlanCiphertext};
@@ -17,6 +16,7 @@ use fab_ckks::{
     GaloisKeys, KeyGenerator, RelinearizationKey, SecretKey,
 };
 use fab_math::Complex64;
+use fab_store::StorageBackend;
 use fab_trace::{noop_sink, phase, OpTrace, TraceSink};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -25,14 +25,19 @@ use crate::checkpoint::TrainingCheckpoint;
 use crate::{polynomial_sigmoid, Dataset};
 
 /// Periodic checkpointing policy for a training run: every `every_iterations` completed
-/// iterations (and always at the final boundary) the weight state is written atomically to
-/// `path` via [`TrainingCheckpoint::save_atomic`].
-#[derive(Debug, Clone)]
+/// iterations (and always at the final boundary) the weight state is written atomically and
+/// durably to `name` on `backend` via [`TrainingCheckpoint::save_to`]; a resumed run reads
+/// it back with [`TrainingCheckpoint::load_from`].
+#[derive(Debug)]
 pub struct CheckpointPolicy<'a> {
     /// Checkpoint cadence in iterations (≥ 1; 1 checkpoints every boundary).
     pub every_iterations: usize,
-    /// Destination file; its `.tmp` sibling is used as the atomic-write staging area.
-    pub path: &'a Path,
+    /// Where checkpoints become durable. A real directory is
+    /// [`fab_store::FileBackend::open`]`(dir)`.
+    pub backend: &'a mut dyn StorageBackend,
+    /// The checkpoint's file name on `backend`; `<name>.tmp` is the atomic-write staging
+    /// area.
+    pub name: &'a str,
 }
 
 /// Report of one encrypted training run.
@@ -243,8 +248,9 @@ impl EncryptedLogisticRegression {
 
     /// [`Self::train_with_refresh`] with periodic durable checkpoints: after every
     /// `policy.every_iterations` completed iterations (and at the final boundary) the
-    /// post-update weight ciphertext is written atomically to `policy.path`, so a killed
-    /// process loses at most `every_iterations − 1` iterations of work.
+    /// post-update weight ciphertext is written atomically to `policy.name` on
+    /// `policy.backend`, so a killed process loses at most `every_iterations − 1` iterations
+    /// of work.
     ///
     /// # Errors
     ///
@@ -276,8 +282,8 @@ impl EncryptedLogisticRegression {
     }
 
     /// Resumes an interrupted [`Self::train_with_refresh_checkpointed`] run from the
-    /// checkpoint at `path` and trains through iteration `iterations`, continuing to
-    /// checkpoint under `policy`. A trainer built with the same seed, context and features
+    /// checkpoint `policy.name` on `policy.backend` and trains through iteration
+    /// `iterations`, continuing to checkpoint under `policy`. A trainer built with the same seed, context and features
     /// reproduces the interrupted run's key material exactly, so the resumed run's final
     /// weights decrypt **bitwise identical** to an uninterrupted run — the property
     /// `tests/checkpoint_resume.rs` pins at every kill boundary.
@@ -300,7 +306,7 @@ impl EncryptedLogisticRegression {
                 reason: "trainer was built without a bootstrapper (use with_bootstrapping)".into(),
             });
         }
-        let checkpoint = TrainingCheckpoint::load(policy.path, &self.ctx)?;
+        let checkpoint = TrainingCheckpoint::load_from(policy.backend, policy.name, &self.ctx)?;
         if checkpoint.iteration > iterations {
             return Err(CkksError::InvalidInput {
                 reason: format!(
@@ -329,7 +335,7 @@ impl EncryptedLogisticRegression {
         learning_rate: f64,
         refresh: bool,
         resume_from: Option<TrainingCheckpoint>,
-        checkpoint: Option<CheckpointPolicy<'_>>,
+        mut checkpoint: Option<CheckpointPolicy<'_>>,
     ) -> Result<EncryptedTrainingReport, CkksError> {
         let scale = self.ctx.params().default_scale();
         let top_level = self.ctx.params().max_level;
@@ -374,21 +380,14 @@ impl EncryptedLogisticRegression {
         for iter in start_iter..iterations {
             let (rows, labels) = &batches[iter % batches.len()];
             ct_weights = train_iteration_with(&backend, &ct_weights, rows, labels, learning_rate)?;
-            if let Some(policy) = &checkpoint {
+            if let Some(policy) = &mut checkpoint {
                 let done = iter + 1;
                 if done % policy.every_iterations.max(1) == 0 || done == iterations {
                     TrainingCheckpoint {
                         iteration: done,
                         weights: ct_weights.clone(),
                     }
-                    .save_atomic(policy.path, &self.ctx)
-                    .map_err(|e| CkksError::Io {
-                        operation: "checkpoint write",
-                        reason: format!(
-                            "checkpoint write to {} failed: {e}",
-                            policy.path.display()
-                        ),
-                    })?;
+                    .save_to(policy.backend, policy.name, &self.ctx)?;
                 }
             }
             if refresh && iter + 1 < iterations {

@@ -1,12 +1,13 @@
 //! Simulated-disk crash sweep for training checkpoints: at **every** syscall boundary of
-//! [`TrainingCheckpoint::save_to`]'s atomic-rename + double-fsync discipline, and for
-//! multiple seeded power-loss surfaces (torn writes, dropped page-cache units, reverted
-//! directory entries), the checkpoint name must resolve to a *valid* checkpoint — the one
-//! being written or its predecessor — or be cleanly absent. Never torn bytes.
+//! [`TrainingCheckpoint::save_to`] — the writer training itself checkpoints through — with
+//! its atomic-rename + double-fsync discipline, and for multiple seeded power-loss surfaces
+//! (torn writes, dropped page-cache units, reverted directory entries), the checkpoint name
+//! must resolve to a *valid* checkpoint — the one being written or its predecessor — or be
+//! cleanly absent. Never torn bytes.
 //!
 //! The second test drops the fsyncs and shows the simulated disk catching the resulting
 //! power-loss window: an acknowledged checkpoint that loads as garbage. That window is
-//! exactly what `save_to` / `save_atomic` close.
+//! exactly what `save_to` closes.
 
 use std::sync::Arc;
 

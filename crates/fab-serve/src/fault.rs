@@ -20,12 +20,12 @@
 //! which evicts the LRU entry at chosen demand-access indices — those are survivable by
 //! construction (the cache refetches), and the harness verifies outputs stay bitwise
 //! identical when they happen.
-
-//! Crash simulation rides the same philosophy: [`CrashPoint`] names one deterministic kill
-//! site in the durability path (around a journal append, after an execution, mid-checkpoint
-//! write), the server stops cold when it fires, and the harness recovers a fresh server from
-//! the surviving journal bytes — so every recovery claim is exercised at every kill site,
-//! not just the convenient ones.
+//!
+//! Crashes are not injected here. A serving process dies when its journal device does, so
+//! every kill site is a disk-operation index: arm [`fab_store::SimDisk::arm_crash`] on the
+//! journal's backend and recover a fresh server from
+//! [`fab_store::SimDisk::crash_surface`] (`tests/simdisk_crash_sweep.rs` does so at every
+//! index of a run).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -264,65 +264,9 @@ impl FaultPlan {
     }
 }
 
-/// One deterministic kill site in the durability path. Counters are 0-based and count only
-/// the instrumented events of the process being killed: journal appends for the `*Append`
-/// points, successful program executions for [`CrashPoint::MidExecute`], bytes of a
-/// checkpoint temp file for [`CrashPoint::MidCheckpoint`].
-///
-/// A crash is simulated, not performed: the server sets its crashed flag and refuses all
-/// further journal writes, queue draining and submissions, so the only state that "survives"
-/// is what the journal already holds ([`crate::RequestJournal::bytes`]) — exactly the
-/// contract of a process that died at that instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Die immediately *before* the `n`-th journal append: the transition is lost. For an
-    /// admission this loses the request entirely (write-ahead discipline: the queue entry
-    /// was never made); for a completion it forces recovery to re-execute.
-    BeforeAppend(u64),
-    /// Die immediately *after* the `n`-th journal append: the record is durable but nothing
-    /// that would have followed it happened.
-    AfterAppend(u64),
-    /// Die after the `n`-th successful program execution, before its completion record is
-    /// appended — the classic "work done, receipt lost" window. Recovery must re-execute,
-    /// and determinism makes the replay bitwise identical.
-    MidExecute(u64),
-    /// Die after `bytes_written` bytes of a checkpoint temp file, before the atomic rename.
-    /// Consumed by the fab-lr checkpoint harness (the serving journal has no rename step);
-    /// the server ignores this point.
-    MidCheckpoint {
-        /// Temp-file bytes flushed before the kill.
-        bytes_written: u64,
-    },
-}
-
-impl CrashPoint {
-    /// Every append/execute kill site for a run known to perform `appends` journal appends
-    /// and `executes` executions — the sweep the crash-recovery suite iterates.
-    pub fn sweep(appends: u64, executes: u64) -> Vec<CrashPoint> {
-        let mut points = Vec::new();
-        for n in 0..appends {
-            points.push(CrashPoint::BeforeAppend(n));
-            points.push(CrashPoint::AfterAppend(n));
-        }
-        for n in 0..executes {
-            points.push(CrashPoint::MidExecute(n));
-        }
-        points
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crash_point_sweep_covers_every_site() {
-        let points = CrashPoint::sweep(3, 2);
-        assert_eq!(points.len(), 3 * 2 + 2);
-        assert!(points.contains(&CrashPoint::BeforeAppend(0)));
-        assert!(points.contains(&CrashPoint::AfterAppend(2)));
-        assert!(points.contains(&CrashPoint::MidExecute(1)));
-    }
 
     #[test]
     fn fake_clock_is_deterministic() {

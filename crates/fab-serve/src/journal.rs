@@ -20,7 +20,14 @@
 //! replay possible; [`JournalRecord::Completed`] embeds the output, which is what makes
 //! *not* replaying possible.
 //!
-//! [`RequestJournal::open`] distinguishes the two corruption regimes a crash model cares
+//! This module is the journal's *format*: the record codec ([`JournalRecord`], whose
+//! [`JournalRecord::to_framed_bytes`] is the one place a record is framed), the log decoder
+//! ([`RecoveredJournal::open`] / [`RecoveredJournal::open_lenient`]) and the per-request
+//! lifecycle fold ([`fold_requests`]) that recovery and compaction both read a record stream
+//! through. It appends nothing: the only writer is [`crate::DurableJournal`], over a
+//! [`fab_store::StorageBackend`].
+//!
+//! [`RecoveredJournal::open`] distinguishes the two corruption regimes a crash model cares
 //! about:
 //!
 //! * **Torn tail** — the write was cut mid-record (short length prefix, or a declared length
@@ -35,11 +42,11 @@
 //! A third case is neither: a complete, well-framed record whose magic is `FABJNL` but whose
 //! **format version** is not this build's (version 1 carried a byte-serial checksum; version 2
 //! is the current one). No crash produces that — the log was written by another build — so
-//! it fails typed in both [`RequestJournal::open`] and [`RequestJournal::open_lenient`]
+//! it fails typed in both [`RecoveredJournal::open`] and [`RecoveredJournal::open_lenient`]
 //! instead of being "recovered" as an empty journal with everything counted as torn.
 
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use fab_ckks::wire::{self, BlobReader, BlobSpec, BlobWriter};
 use fab_ckks::{Ciphertext, CkksContext};
@@ -383,9 +390,9 @@ impl JournalRecord {
         Ok(record)
     }
 
-    /// Length-prefixed wire framing of this record — the unit the durable store appends
-    /// (identical to what [`RequestJournal::append`] writes into its byte log).
-    pub(crate) fn to_framed_bytes(&self, ctx: &CkksContext) -> Vec<u8> {
+    /// Length-prefixed wire framing of this record: its `u64` LE byte length, then its
+    /// validated blob. The unit [`crate::DurableJournal`] appends, and the only framing site.
+    pub fn to_framed_bytes(&self, ctx: &CkksContext) -> Vec<u8> {
         let blob = self.encode(ctx);
         let mut out = Vec::with_capacity(8 + blob.len());
         out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
@@ -416,73 +423,38 @@ fn snapshot_err(e: fab_ckks::CkksError) -> wire::WireError {
     wire::WireError::corrupt(format!("embedded snapshot rejected: {e}"))
 }
 
-/// The write-ahead journal: an in-memory byte log (the stand-in for an `O_APPEND` file —
-/// tests and the crash harness snapshot [`RequestJournal::bytes`] as "what was on disk")
-/// plus the context every embedded ciphertext serializes under.
-#[derive(Debug, Clone)]
-pub struct RequestJournal {
-    ctx: Arc<CkksContext>,
-    bytes: Vec<u8>,
-    records: u64,
+/// The result of decoding journal bytes: the records of the clean prefix, where that prefix
+/// ends, and how many torn tail bytes follow it. The kept bytes are `&bytes[..clean_len]`.
+#[derive(Debug)]
+pub struct RecoveredJournal {
+    /// Every decoded record after the header, in write order.
+    pub records: Vec<JournalRecord>,
+    /// Length of the clean prefix (header included); 0 when even the header was torn.
+    pub clean_len: usize,
+    /// Bytes dropped from the torn tail (0 for a cleanly closed journal).
+    pub torn_bytes: usize,
 }
 
-impl RequestJournal {
-    /// A fresh journal for a context; writes the [`JournalRecord::Header`] record.
-    pub fn new(ctx: Arc<CkksContext>) -> Self {
-        let mut journal = Self {
-            ctx,
-            bytes: Vec::new(),
-            records: 0,
-        };
-        journal.append(&JournalRecord::Header {
-            fingerprint: wire::param_fingerprint(journal.ctx.params()),
-        });
-        journal
-    }
-
-    /// Appends one record: its `u64` LE byte length, then its validated blob.
-    pub fn append(&mut self, record: &JournalRecord) {
-        let blob = record.encode(&self.ctx);
-        self.bytes
-            .extend_from_slice(&(blob.len() as u64).to_le_bytes());
-        self.bytes.extend_from_slice(&blob);
-        self.records += 1;
-    }
-
-    /// The full journal bytes (what a crash leaves on disk).
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Bytes written so far.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Records written so far (header included).
-    pub fn record_count(&self) -> u64 {
-        self.records
-    }
-
-    /// Opens journal bytes written by a (possibly crashed) process: truncates a torn tail,
-    /// decodes and validates every complete record, and returns the journal ready for
-    /// further appends plus the decoded records (header excluded).
+impl RecoveredJournal {
+    /// Decodes journal bytes written by a (possibly crashed) process: drops a torn tail and
+    /// decodes and validates every complete record before it (header excluded from
+    /// [`Self::records`]).
     ///
     /// # Errors
     ///
     /// Returns [`CorruptJournal`] when a *complete* record fails validation — checksum or
     /// magic mismatch, unknown kind, an embedded snapshot rejection, or a first record that
     /// is not a matching [`JournalRecord::Header`]. Pure tail truncation is never an error.
-    pub fn open(bytes: &[u8], ctx: Arc<CkksContext>) -> Result<RecoveredJournal, CorruptJournal> {
+    pub fn open(bytes: &[u8], ctx: &CkksContext) -> Result<Self, CorruptJournal> {
         Self::open_mode(bytes, ctx, false)
     }
 
-    /// Opens journal bytes whose unsynced tail may have been damaged by a *power loss*, not
+    /// Decodes journal bytes whose unsynced tail may have been damaged by a *power loss*, not
     /// just truncated: torn mid-sector writes and reordered write-back can leave an invalid
     /// record (even a zero-filled hole) in front of bytes that did reach the disk. The
     /// first invalid record therefore ends the log — everything from it on is dropped and
-    /// counted in [`RecoveredJournal::torn_bytes`] — because under an fsync-disciplined
-    /// writer such damage can only live in the unsynced crash tail.
+    /// counted in [`Self::torn_bytes`] — because under an fsync-disciplined writer such
+    /// damage can only live in the unsynced crash tail.
     ///
     /// Use [`Self::open`] for sealed segments (fully fsynced before the next segment was
     /// created): there, any invalid record is bit rot and must surface typed.
@@ -492,18 +464,11 @@ impl RequestJournal {
     /// Only configuration errors, which no crash can cause and which fail in both modes: a
     /// *valid* header whose parameter fingerprint does not match `ctx`, or a complete record
     /// of another format version ([`wire::WireErrorKind::UnsupportedVersion`]).
-    pub fn open_lenient(
-        bytes: &[u8],
-        ctx: Arc<CkksContext>,
-    ) -> Result<RecoveredJournal, CorruptJournal> {
+    pub fn open_lenient(bytes: &[u8], ctx: &CkksContext) -> Result<Self, CorruptJournal> {
         Self::open_mode(bytes, ctx, true)
     }
 
-    fn open_mode(
-        bytes: &[u8],
-        ctx: Arc<CkksContext>,
-        lenient: bool,
-    ) -> Result<RecoveredJournal, CorruptJournal> {
+    fn open_mode(bytes: &[u8], ctx: &CkksContext, lenient: bool) -> Result<Self, CorruptJournal> {
         let mut offset = 0usize;
         let mut records = Vec::new();
         let mut clean_len = 0usize;
@@ -532,7 +497,7 @@ impl RequestJournal {
                 });
             }
             let blob = &bytes[offset + 8..offset + 8 + len];
-            let record = match JournalRecord::decode(blob, &ctx) {
+            let record = match JournalRecord::decode(blob, ctx) {
                 Ok(record) => record,
                 Err(e) => {
                     // Another build's record is not crash damage: dropping it as a torn
@@ -572,33 +537,62 @@ impl RequestJournal {
             offset += 8 + len;
             clean_len = offset;
         }
-        let torn_bytes = bytes.len() - clean_len;
-        let journal = if clean_len == 0 {
-            // Even the header record was torn: recover as a fresh, empty journal.
-            RequestJournal::new(ctx)
-        } else {
-            RequestJournal {
-                ctx,
-                bytes: bytes[..clean_len].to_vec(),
-                records: records.len() as u64 + 1,
-            }
-        };
-        Ok(RecoveredJournal {
-            journal,
+        Ok(Self {
             records,
-            torn_bytes,
+            clean_len,
+            torn_bytes: bytes.len() - clean_len,
         })
     }
 }
 
-/// The result of opening journal bytes: the clean-prefix journal (ready to append), its
-/// decoded records, and how many torn tail bytes were dropped.
-#[derive(Debug)]
-pub struct RecoveredJournal {
-    /// The journal truncated to its clean prefix, open for further appends.
-    pub journal: RequestJournal,
-    /// Every decoded record after the header, in write order.
-    pub records: Vec<JournalRecord>,
-    /// Bytes dropped from the torn tail (0 for a cleanly closed journal).
-    pub torn_bytes: usize,
+/// What a record stream says about one request — the lifecycle state machine
+/// `Admitted → Started → (Completed | Failed)`, or `Shed` at submission, folded to the three
+/// facts everything downstream needs. Recovery (settle or re-admit) and compaction (what to
+/// retain) are both read off this, so they cannot disagree about a stream.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RequestState {
+    /// The request's [`JournalRecord::Admitted`] record (the last one, should a stream
+    /// hold several).
+    pub admitted: Option<JournalRecord>,
+    /// [`JournalRecord::Started`] records seen. Each one beyond the first is an execution
+    /// attempt a previous process abandoned mid-flight.
+    pub starts: u64,
+    /// The request's outcome record — [`JournalRecord::Shed`], [`JournalRecord::Completed`]
+    /// or [`JournalRecord::Failed`] (the last one, should a stream hold several).
+    pub outcome: Option<JournalRecord>,
+}
+
+impl RequestState {
+    /// The record that decides the request's fate: its outcome if it settled, else its
+    /// admission if it was in flight. `None` for a request known only by `Started` records,
+    /// which can neither be replayed (no program, no input) nor settled.
+    pub fn deciding_record(&self) -> Option<&JournalRecord> {
+        self.outcome.as_ref().or(self.admitted.as_ref())
+    }
+
+    /// [`Self::deciding_record`], by value.
+    pub fn into_deciding_record(self) -> Option<JournalRecord> {
+        self.outcome.or(self.admitted)
+    }
+}
+
+/// Folds a record stream (in write order) into per-request lifecycle state, keyed and so
+/// ordered by request id. Headers and compaction markers carry no request state.
+pub fn fold_requests(records: Vec<JournalRecord>) -> BTreeMap<RequestId, RequestState> {
+    let mut requests: BTreeMap<RequestId, RequestState> = BTreeMap::new();
+    for record in records {
+        let Some(request) = record.request() else {
+            continue;
+        };
+        let state = requests.entry(request).or_default();
+        match record {
+            JournalRecord::Admitted { .. } => state.admitted = Some(record),
+            JournalRecord::Started { .. } => state.starts += 1,
+            JournalRecord::Shed { .. }
+            | JournalRecord::Completed { .. }
+            | JournalRecord::Failed { .. } => state.outcome = Some(record),
+            JournalRecord::Header { .. } | JournalRecord::Checkpoint { .. } => {}
+        }
+    }
+    requests
 }

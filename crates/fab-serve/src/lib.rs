@@ -75,9 +75,9 @@ mod tenant;
 
 pub use cache::{CacheStats, CachedKeyProvider, EvalKeyCache, KeyMaterial, KeyRef, RetryPolicy};
 pub use error::{FaultClass, RequestId, ServeError, ServeFault};
-pub use fault::{CrashPoint, FakeClock, FaultPlan, FaultSpec, FaultyKeySource, TenantFault};
+pub use fault::{FakeClock, FaultPlan, FaultSpec, FaultyKeySource, TenantFault};
 pub use histogram::LatencyHistogram;
-pub use journal::{CorruptJournal, JournalRecord, RecoveredJournal, RequestJournal};
+pub use journal::{CorruptJournal, JournalRecord, RecoveredJournal, RequestState};
 pub use prefetch::Prefetcher;
 pub use request::{Program, Request, ServeOp};
 pub use server::{

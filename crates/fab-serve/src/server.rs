@@ -10,11 +10,11 @@ use fab_trace::phase;
 
 use crate::cache::{CacheStats, CachedKeyProvider, EvalKeyCache, RetryPolicy};
 use crate::error::{RequestId, ServeError, ServeFault};
-use crate::fault::{CrashPoint, FakeClock, FaultSpec, FaultyKeySource, TenantFault};
+use crate::fault::{FakeClock, FaultSpec, FaultyKeySource, TenantFault};
 use crate::histogram::LatencyHistogram;
-use crate::journal::{CorruptJournal, JournalRecord, RequestJournal};
+use crate::journal::JournalRecord;
 use crate::prefetch::Prefetcher;
-use crate::request::{Program, Request};
+use crate::request::Request;
 use crate::store::{DurableJournal, StoreError};
 use crate::tenant::{KeySource, TenantId, TenantKeyStore, TenantRegistry};
 
@@ -183,7 +183,8 @@ pub struct ServeCounters {
     pub pressure_skips: u64,
 }
 
-/// What [`FabServer::recover`] rebuilt from a crashed process's journal bytes.
+/// What [`FabServer::recover_from_store`] rebuilt from the journal backend a crashed
+/// process left behind.
 #[derive(Debug)]
 pub struct RecoveryReport {
     /// Outcomes settled directly from the journal without re-execution: completed requests
@@ -195,7 +196,7 @@ pub struct RecoveryReport {
     /// In-flight or never-started requests re-admitted to the queue with their original
     /// identities, in submission order.
     pub readmitted: Vec<RequestId>,
-    /// Torn tail bytes dropped when opening the journal.
+    /// Bytes dropped from the active segment's damaged unsynced tail.
     pub torn_bytes: usize,
     /// `Started` records beyond the first per request (each one is an execution attempt a
     /// previous process abandoned mid-flight).
@@ -240,11 +241,8 @@ pub struct FabServer {
     counters: ServeCounters,
     faults: BTreeMap<TenantId, TenantFault>,
     fault_clock: Option<Arc<FakeClock>>,
-    journal: Option<RequestJournal>,
     durable: Option<DurableJournal>,
-    crash_point: Option<CrashPoint>,
     crashed: bool,
-    appends_seen: u64,
     executes_seen: u64,
 }
 
@@ -272,11 +270,8 @@ impl FabServer {
             counters: ServeCounters::default(),
             faults: BTreeMap::new(),
             fault_clock: None,
-            journal: None,
             durable: None,
-            crash_point: None,
             crashed: false,
-            appends_seen: 0,
             executes_seen: 0,
         }
     }
@@ -289,29 +284,12 @@ impl FabServer {
         self.clock = clock;
     }
 
-    /// Creates and attaches a fresh write-ahead [`RequestJournal`] for this server's context:
-    /// from here on every admit/shed/start/complete/fail transition is journaled *before* its
-    /// in-memory effect, so [`Self::recover`] can rebuild the queue of a crashed process from
-    /// [`Self::journal_bytes`] alone.
-    pub fn attach_fresh_journal(&mut self) {
-        self.journal = Some(RequestJournal::new(self.evaluator.context().clone()));
-    }
-
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<&RequestJournal> {
-        self.journal.as_ref()
-    }
-
-    /// The attached journal's bytes — the crash harness snapshots this as "what was on
-    /// disk" at the moment of death.
-    pub fn journal_bytes(&self) -> Option<&[u8]> {
-        self.journal.as_ref().map(RequestJournal::bytes)
-    }
-
-    /// Attaches a [`DurableJournal`]: every transition is appended to it (under its sync
-    /// policy) *before* its in-memory effect, in addition to any in-memory journal. A
-    /// durable append failure — including a simulated-disk crash — latches the crashed
-    /// flag: a server whose journal device died must stop acknowledging work.
+    /// Attaches the write-ahead [`DurableJournal`]: from here on every
+    /// admit/shed/start/complete/fail transition is appended to it (under its sync policy)
+    /// *before* its in-memory effect, so [`Self::recover_from_store`] can rebuild the queue
+    /// of a dead process from the journal's backend alone. An append failure — including a
+    /// simulated-disk crash — latches the crashed flag: a server whose journal device died
+    /// must stop acknowledging work.
     pub fn attach_durable_journal(&mut self, journal: DurableJournal) {
         self.durable = Some(journal);
     }
@@ -370,14 +348,9 @@ impl FabServer {
         Ok(())
     }
 
-    /// Arms one deterministic [`CrashPoint`]. When it fires the server "dies": the crashed
-    /// flag latches, and every subsequent submit, journal append and queue drain is refused
-    /// — the journal bytes freeze exactly as a killed process would leave them.
-    pub fn set_crash_point(&mut self, point: CrashPoint) {
-        self.crash_point = Some(point);
-    }
-
-    /// Whether an armed [`CrashPoint`] has fired.
+    /// Whether the journal device has failed (a storage error, or a simulated disk's armed
+    /// crash firing). From then on the server is a dead process: every submit, journal
+    /// append and queue drain is refused, and only what the backend holds survives.
     pub fn has_crashed(&self) -> bool {
         self.crashed
     }
@@ -389,40 +362,23 @@ impl FabServer {
         self.executes_seen
     }
 
-    /// Journals one record under the armed crash point: dies before the append, appends
-    /// (to the in-memory journal and/or the durable one), then dies after it. A durable
-    /// append failure — the disk itself dying — also latches the crashed flag. No-op
-    /// without any journal (crash points need one) or once crashed.
+    /// Appends one record to the journal. A failure — the disk itself dying — latches the
+    /// crashed flag. No-op without a journal or once crashed.
     fn journal_append(&mut self, record: JournalRecord) {
-        if (self.journal.is_none() && self.durable.is_none()) || self.crashed {
+        if self.crashed {
             return;
         }
-        let n = self.appends_seen;
-        self.appends_seen += 1;
-        if self.crash_point == Some(CrashPoint::BeforeAppend(n)) {
-            self.crashed = true;
-            return;
-        }
-        if let Some(journal) = self.journal.as_mut() {
-            journal.append(&record);
-        }
-        if self.durable.is_some() {
-            let now_us = self.clock.now_us();
-            if let Some(durable) = self.durable.as_mut() {
-                if durable.append(&record, now_us).is_err() {
-                    self.crashed = true;
-                    return;
-                }
+        if let Some(durable) = self.durable.as_mut() {
+            if durable.append(&record, self.clock.now_us()).is_err() {
+                self.crashed = true;
             }
-        }
-        if self.crash_point == Some(CrashPoint::AfterAppend(n)) {
-            self.crashed = true;
         }
     }
 
-    /// Rebuilds serving state from a crashed process's journal bytes.
+    /// Rebuilds serving state from the journal backend a crash (real power loss or a
+    /// simulated-disk schedule) left behind — the one recovery entry point.
     ///
-    /// Semantics, per request, from its last journaled transition:
+    /// Semantics, per request, from its folded journal state ([`crate::journal::RequestState`]):
     ///
     /// * `Completed` / `Failed` / `Shed` — **settled**: the outcome is reconstructed from
     ///   the journal (output ciphertext restored bitwise; failures as
@@ -433,25 +389,11 @@ impl FabServer {
     ///   [`ServeFault::DeadlineExceeded`] and that settlement is journaled, so a second
     ///   recovery of this journal agrees.
     ///
-    /// The recovered journal (torn tail truncated) becomes this server's journal and
-    /// subsequent transitions append to it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CorruptJournal`] when a complete journal record fails validation — see
-    /// [`RequestJournal::open`]. Pure tail truncation is recovered, not an error.
-    pub fn recover(&mut self, bytes: &[u8]) -> std::result::Result<RecoveryReport, CorruptJournal> {
-        let recovered = RequestJournal::open(bytes, self.evaluator.context().clone())?;
-        self.journal = Some(recovered.journal);
-        Ok(self.fold_recovered(recovered.records, recovered.torn_bytes))
-    }
-
-    /// Rebuilds serving state from a durable-journal backend a crash (real power loss or
-    /// a simulated-disk schedule) left behind. Same per-request semantics as
-    /// [`Self::recover`]; the storage side — segment selection, lenient handling of the
-    /// active segment's damaged tail, checkpoint-base folding, stale-file cleanup — is
+    /// The storage side — segment selection, lenient handling of the active segment's
+    /// damaged tail, checkpoint-base folding, stale-file cleanup — is
     /// [`DurableJournal::recover`]'s. The recovered journal (already re-compacted onto a
-    /// fresh base) is attached as this server's durable journal.
+    /// fresh base) becomes this server's journal and subsequent transitions append to it;
+    /// request-id allocation resumes past the highest id it holds.
     ///
     /// # Errors
     ///
@@ -471,74 +413,38 @@ impl FabServer {
             rotate_after_records,
         )?;
         self.durable = Some(recovered.journal);
-        Ok(self.fold_recovered(recovered.records, recovered.discarded_bytes))
-    }
-
-    /// The recovery fold shared by [`Self::recover`] and [`Self::recover_from_store`]:
-    /// settles finished requests from their journaled outcomes, re-admits (or
-    /// deadline-settles) in-flight ones, and resumes request-id allocation past the
-    /// highest id seen.
-    fn fold_recovered(&mut self, records: Vec<JournalRecord>, torn_bytes: usize) -> RecoveryReport {
-        struct Pending {
-            tenant: TenantId,
-            submitted_us: u64,
-            program: Program,
-            input: fab_ckks::Ciphertext,
+        if let Some((max, _)) = recovered.requests.last_key_value() {
+            self.next_id = self.next_id.max(max.0 + 1);
         }
-        let mut pending: BTreeMap<u64, Pending> = BTreeMap::new();
-        let mut settled: Vec<RequestOutcome> = Vec::new();
-        let mut started: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut duplicate_starts = 0u64;
-        let mut max_id: Option<u64> = None;
-        for record in records {
-            if let Some(request) = record.request() {
-                max_id = Some(max_id.map_or(request.0, |m| m.max(request.0)));
-            }
-            match record {
-                JournalRecord::Header { .. } | JournalRecord::Checkpoint { .. } => {}
-                JournalRecord::Admitted {
-                    request,
-                    tenant,
-                    submitted_us,
-                    program,
-                    input,
-                } => {
-                    pending.insert(
-                        request.0,
-                        Pending {
-                            tenant,
-                            submitted_us,
-                            program,
-                            input,
-                        },
-                    );
-                }
-                JournalRecord::Shed {
-                    request,
+        let now_us = self.clock.now_us();
+        let mut report = RecoveryReport {
+            settled: Vec::new(),
+            readmitted: Vec::new(),
+            torn_bytes: recovered.discarded_bytes,
+            duplicate_starts: 0,
+        };
+        for (request, state) in recovered.requests {
+            report.duplicate_starts += state.starts.saturating_sub(1);
+            match state.into_deciding_record() {
+                Some(JournalRecord::Shed {
                     tenant,
                     queue_depth,
-                } => {
-                    settled.push(RequestOutcome::Shed {
-                        request,
-                        tenant,
-                        queue_depth: queue_depth as usize,
-                    });
-                }
-                JournalRecord::Started { request } => {
-                    if !started.insert(request.0) {
-                        duplicate_starts += 1;
-                    }
-                }
-                JournalRecord::Completed {
+                    ..
+                }) => report.settled.push(RequestOutcome::Shed {
                     request,
+                    tenant,
+                    queue_depth: queue_depth as usize,
+                }),
+                Some(JournalRecord::Completed {
                     tenant,
                     timings_us,
                     ops,
                     key_accesses,
                     output,
-                } => {
-                    pending.remove(&request.0);
-                    settled.push(RequestOutcome::Completed(ServedRequest {
+                    ..
+                }) => report
+                    .settled
+                    .push(RequestOutcome::Completed(ServedRequest {
                         output,
                         report: RequestReport {
                             request,
@@ -550,70 +456,63 @@ impl FabServer {
                             ops: ops as usize,
                             key_accesses,
                         },
-                    }));
-                }
-                JournalRecord::Failed {
-                    request,
+                    })),
+                Some(JournalRecord::Failed {
                     tenant,
                     class,
                     description,
-                } => {
-                    pending.remove(&request.0);
-                    settled.push(RequestOutcome::Failed(ServeError {
-                        request,
-                        tenant,
-                        fault: ServeFault::Replayed { class, description },
-                    }));
+                    ..
+                }) => report.settled.push(RequestOutcome::Failed(ServeError {
+                    request,
+                    tenant,
+                    fault: ServeFault::Replayed { class, description },
+                })),
+                Some(JournalRecord::Admitted {
+                    tenant,
+                    submitted_us,
+                    program,
+                    input,
+                    ..
+                }) => {
+                    let elapsed_us = now_us.saturating_sub(submitted_us);
+                    match self.config.deadline_us {
+                        Some(deadline_us) if elapsed_us > deadline_us => {
+                            let fault = ServeFault::DeadlineExceeded {
+                                deadline_us,
+                                elapsed_us,
+                            };
+                            self.journal_append(JournalRecord::Failed {
+                                request,
+                                tenant,
+                                class: fault.class(),
+                                description: fault.to_string(),
+                            });
+                            self.counters.failed += 1;
+                            report.settled.push(RequestOutcome::Failed(ServeError {
+                                request,
+                                tenant,
+                                fault,
+                            }));
+                        }
+                        _ => {
+                            report.readmitted.push(request);
+                            self.queue.push_back(QueuedRequest {
+                                id: request,
+                                request: Request {
+                                    tenant,
+                                    program,
+                                    input,
+                                },
+                                submitted_us,
+                            });
+                        }
+                    }
                 }
+                // Known only by `Started` records: nothing to replay, nothing to settle.
+                _ => {}
             }
         }
-        if let Some(max) = max_id {
-            self.next_id = self.next_id.max(max + 1);
-        }
-        let now_us = self.clock.now_us();
-        let mut readmitted = Vec::new();
-        for (id, p) in pending {
-            let request = RequestId(id);
-            let elapsed_us = now_us.saturating_sub(p.submitted_us);
-            if let Some(deadline_us) = self.config.deadline_us {
-                if elapsed_us > deadline_us {
-                    let fault = ServeFault::DeadlineExceeded {
-                        deadline_us,
-                        elapsed_us,
-                    };
-                    self.journal_append(JournalRecord::Failed {
-                        request,
-                        tenant: p.tenant,
-                        class: fault.class(),
-                        description: fault.to_string(),
-                    });
-                    self.counters.failed += 1;
-                    settled.push(RequestOutcome::Failed(ServeError {
-                        request,
-                        tenant: p.tenant,
-                        fault,
-                    }));
-                    continue;
-                }
-            }
-            readmitted.push(request);
-            self.queue.push_back(QueuedRequest {
-                id: request,
-                request: Request {
-                    tenant: p.tenant,
-                    program: p.program,
-                    input: p.input,
-                },
-                submitted_us: p.submitted_us,
-            });
-        }
-        settled.sort_by_key(RequestOutcome::request);
-        RecoveryReport {
-            settled,
-            readmitted,
-            torn_bytes,
-            duplicate_starts,
-        }
+        Ok(report)
     }
 
     /// Registers a tenant by serializing their key material into the registry.
@@ -753,9 +652,9 @@ impl FabServer {
         outcomes
     }
 
-    /// Serves one request inside its own failure domain. Returns `None` when an armed
-    /// [`CrashPoint`] killed the process mid-request — the outcome is lost with it, and
-    /// only the journal knows how far the request got.
+    /// Serves one request inside its own failure domain. Returns `None` when the journal
+    /// device died mid-request — the outcome is lost with the process, and only the journal
+    /// knows how far the request got.
     fn serve(&mut self, queued: QueuedRequest) -> Option<RequestOutcome> {
         let sink_enabled = self.evaluator.sink().is_enabled();
         if sink_enabled {
@@ -771,9 +670,6 @@ impl FabServer {
         self.cache.begin_request();
         match self.serve_inner(&queued, queue_us) {
             Ok(served) => {
-                if self.crashed {
-                    return None; // MidExecute: work done, receipt lost
-                }
                 self.journal_append(JournalRecord::Completed {
                     request: id,
                     tenant,
@@ -788,7 +684,7 @@ impl FabServer {
                     output: served.output.clone(),
                 });
                 if self.crashed {
-                    return None;
+                    return None; // work done, receipt lost: recovery re-executes
                 }
                 self.counters.completed += 1;
                 self.histogram.record(served.report.total_us);
@@ -902,12 +798,7 @@ impl FabServer {
                     .unwrap_or(ServeFault::Evaluation { source: e })
             })?;
         let execute_us = self.clock.now_us().saturating_sub(execute_start);
-        let executed = self.executes_seen;
         self.executes_seen += 1;
-        if self.crash_point == Some(CrashPoint::MidExecute(executed)) {
-            // Die in the window between finishing the work and journaling its receipt.
-            self.crashed = true;
-        }
 
         let total_us = queue_us + prefetch_us + execute_us;
         Ok(ServedRequest {

@@ -11,8 +11,8 @@
 //! seg-00000009.wal     active segment: appends go here, tail governed by the SyncPolicy
 //! ```
 //!
-//! Each file is an ordinary [`RequestJournal`] byte log (length-prefixed validated
-//! records, first record a fingerprinted header). Sequence numbers are global and strictly
+//! Each file is a journal byte log as [`crate::journal`] defines it (length-prefixed
+//! validated records, first record a fingerprinted header). Sequence numbers are global and strictly
 //! increasing across both name families; the journal's record stream is the base `cpt`
 //! file (if any) followed by every `seg` file with a higher sequence, in order.
 //!
@@ -24,12 +24,13 @@
 //! other than the last is durable in full**: recovery opens sealed segments strictly (any
 //! damage there is bit rot, a typed [`CorruptJournal`]) and only the active segment
 //! leniently (its unsynced tail is the one place a power loss can legally tear, hole, or
-//! reorder bytes — see [`RequestJournal::open_lenient`]).
+//! reorder bytes — see [`RecoveredJournal::open_lenient`]).
 //!
 //! # Compaction
 //!
 //! The journal grows without bound unless settled requests are folded away. Compaction
-//! reads the whole record stream, retains per request only what recovery needs — the
+//! reads the whole record stream, folds it per request ([`fold_requests`] — the same fold
+//! recovery settles and re-admits from) and retains only what recovery needs — the
 //! single outcome record for settled requests (dropping their `Admitted` records and the
 //! embedded input ciphertexts, which is where the space goes), `Admitted` (+ one
 //! `Started`) for in-flight ones — and writes it to a fresh `cpt` file whose **last**
@@ -44,6 +45,7 @@
 //! active segment and removes everything else, so damaged tails never linger into a
 //! second crash.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -51,7 +53,10 @@ use fab_ckks::wire;
 use fab_ckks::CkksContext;
 use fab_store::{StorageBackend, StorageError, SyncPolicy};
 
-use crate::journal::{CorruptJournal, JournalRecord, RequestJournal};
+use crate::error::RequestId;
+use crate::journal::{
+    fold_requests, CorruptJournal, JournalRecord, RecoveredJournal, RequestState,
+};
 
 /// A durable-journal failure: either the storage layer failed (or simulated-crashed), or
 /// fully durable bytes failed validation (bit rot).
@@ -112,15 +117,13 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
 pub struct RecoveredStore {
     /// The journal, already re-compacted onto a fresh base + active segment.
     pub journal: DurableJournal,
-    /// The surviving record stream in write order (compaction markers removed).
-    pub records: Vec<JournalRecord>,
+    /// The surviving record stream folded per request — what the fresh base was written
+    /// from, and what [`crate::FabServer::recover_from_store`] settles and re-admits from.
+    pub requests: BTreeMap<RequestId, RequestState>,
     /// Bytes dropped from the active segment's damaged unsynced tail.
     pub discarded_bytes: usize,
     /// Files (base + segments) that contributed records.
     pub files_folded: usize,
-    /// Stale files removed during recovery (interrupted compactions, superseded
-    /// segments, damaged tails folded into the fresh base).
-    pub files_removed: usize,
 }
 
 /// The fsync-disciplined, segmented, compactable journal writer. See the module docs for
@@ -271,21 +274,38 @@ impl DurableJournal {
     pub fn compact(&mut self, now_us: u64) -> Result<(), StoreError> {
         // Make the in-memory tail visible to the fold before reading it back.
         self.sync_now(now_us)?;
-        let stream = collect_stream(self.backend.as_mut(), &self.ctx, false)?;
-        let retained = retained_records(&stream.records);
-        let base_seq = stream.max_seq.map_or(0, |s| s + 1);
-        self.write_base(base_seq, &retained)?;
-        // start_segment's directory fsync pins the new base and segment together.
-        self.start_segment(base_seq + 1)?;
-        self.remove_all_but(&[cpt_name(base_seq), seg_name(base_seq + 1)])?;
+        self.rebase(false)?;
         self.last_sync_us = now_us;
         Ok(())
     }
 
-    /// Writes a compacted base file: header, retained records, fsync, then the
-    /// [`JournalRecord::Checkpoint`] marker, fsync again. The marker is durable only
+    /// The one way the journal's files are replaced: reads the record stream back, folds it
+    /// per request, writes what recovery needs of it to a fresh base, starts a fresh active
+    /// segment after it and removes every other file. `crashed` selects how damage in the
+    /// files read is judged (see [`collect_stream`]).
+    fn rebase(&mut self, crashed: bool) -> Result<Stream, StoreError> {
+        let stream = collect_stream(self.backend.as_mut(), &self.ctx, crashed)?;
+        let base_seq = stream.max_seq.map_or(0, |s| s + 1);
+        self.write_base(base_seq, &stream.requests)?;
+        // start_segment's directory fsync pins the new base and segment together.
+        self.start_segment(base_seq + 1)?;
+        self.remove_all_but(&[cpt_name(base_seq), seg_name(base_seq + 1)])?;
+        Ok(stream)
+    }
+
+    /// Writes a compacted base file: header, the records retained of `requests`, fsync, then
+    /// the [`JournalRecord::Checkpoint`] marker, fsync again. The marker is durable only
     /// after everything it vouches for is.
-    fn write_base(&mut self, seq: u64, retained: &[JournalRecord]) -> Result<(), StorageError> {
+    ///
+    /// Retention, per request in id order (recovery is insensitive to the order): a settled
+    /// request keeps only its outcome record — its `Admitted` record, and the input
+    /// ciphertext inside it, is the space compaction reclaims; an in-flight request keeps
+    /// `Admitted` and, if execution had begun, one `Started`.
+    fn write_base(
+        &mut self,
+        seq: u64,
+        requests: &BTreeMap<RequestId, RequestState>,
+    ) -> Result<(), StorageError> {
         let name = cpt_name(seq);
         self.backend.create(&name)?;
         let header = JournalRecord::Header {
@@ -293,15 +313,24 @@ impl DurableJournal {
         };
         self.backend
             .append(&name, &header.to_framed_bytes(&self.ctx))?;
-        for record in retained {
+        let mut retained = 0u64;
+        for (&request, state) in requests {
+            let Some(record) = state.deciding_record() else {
+                continue;
+            };
             self.backend
                 .append(&name, &record.to_framed_bytes(&self.ctx))?;
+            retained += 1;
+            if state.outcome.is_none() && state.starts > 0 {
+                let started = JournalRecord::Started { request };
+                self.backend
+                    .append(&name, &started.to_framed_bytes(&self.ctx))?;
+                retained += 1;
+            }
         }
         self.backend.flush(&name)?;
         self.backend.sync(&name)?;
-        let marker = JournalRecord::Checkpoint {
-            retained: retained.len() as u64,
-        };
+        let marker = JournalRecord::Checkpoint { retained };
         self.backend
             .append(&name, &marker.to_framed_bytes(&self.ctx))?;
         self.backend.flush(&name)?;
@@ -336,14 +365,11 @@ impl DurableJournal {
     /// Legal crash damage — torn/held-back tails in the active segment, interrupted
     /// compactions or rotations — is never an error.
     pub fn recover(
-        mut backend: Box<dyn StorageBackend + Send>,
+        backend: Box<dyn StorageBackend + Send>,
         ctx: Arc<CkksContext>,
         policy: SyncPolicy,
         rotate_after_records: u64,
     ) -> Result<RecoveredStore, StoreError> {
-        let stream = collect_stream(backend.as_mut(), &ctx, true)?;
-        let retained = retained_records(&stream.records);
-        let files_before: usize = backend.list(CPT_PREFIX).len() + backend.list(SEG_PREFIX).len();
         let mut journal = Self {
             ctx,
             backend,
@@ -354,24 +380,20 @@ impl DurableJournal {
             appends_since_sync: 0,
             last_sync_us: 0,
         };
-        let base_seq = stream.max_seq.map_or(0, |s| s + 1);
-        journal.write_base(base_seq, &retained)?;
-        journal.start_segment(base_seq + 1)?;
-        journal.remove_all_but(&[cpt_name(base_seq), seg_name(base_seq + 1)])?;
+        let stream = journal.rebase(true)?;
         Ok(RecoveredStore {
             journal,
-            records: stream.records,
+            requests: stream.requests,
             discarded_bytes: stream.discarded_bytes,
             files_folded: stream.files_folded,
-            files_removed: files_before.saturating_sub(stream.files_folded),
         })
     }
 }
 
-/// The folded journal stream read back off a backend.
+/// The journal stream read back off a backend, folded per request.
 struct Stream {
-    /// Records in write order, compaction markers stripped.
-    records: Vec<JournalRecord>,
+    /// Per-request lifecycle state of every record read.
+    requests: BTreeMap<RequestId, RequestState>,
     /// Bytes dropped from damaged unsynced tails (crashed surfaces only).
     discarded_bytes: usize,
     /// Files that contributed records.
@@ -380,13 +402,13 @@ struct Stream {
     max_seq: Option<u64>,
 }
 
-/// Reads the record stream: newest marker-complete base, then each later segment in
-/// order. `crashed` selects the crash-surface rules (lenient final segment, interrupted
+/// Reads the record stream — newest marker-complete base, then each later segment in
+/// order — and folds it per request. `crashed` selects the crash-surface rules (lenient final segment, interrupted
 /// compactions tolerated); a live writer's own read-back (`crashed == false`) expects
 /// every file clean and surfaces any damage as corruption.
 fn collect_stream(
     backend: &mut (dyn StorageBackend + Send),
-    ctx: &Arc<CkksContext>,
+    ctx: &CkksContext,
     crashed: bool,
 ) -> Result<Stream, StoreError> {
     let mut cpt_seqs: Vec<u64> = backend
@@ -410,7 +432,7 @@ fn collect_stream(
     let mut base: Option<(u64, Vec<JournalRecord>)> = None;
     for &seq in cpt_seqs.iter().rev() {
         let bytes = backend.read(&cpt_name(seq))?;
-        let opened = RequestJournal::open(&bytes, ctx.clone());
+        let opened = RecoveredJournal::open(&bytes, ctx);
         let complete = match &opened {
             Ok(rec) => {
                 rec.torn_bytes == 0
@@ -465,11 +487,11 @@ fn collect_stream(
         let opened = if crashed && is_last {
             // The active segment: its unsynced tail is the one place legal crash damage
             // (tears, holes, reordering) can live. First invalid record ends the log.
-            RequestJournal::open_lenient(&bytes, ctx.clone())?
+            RecoveredJournal::open_lenient(&bytes, ctx)?
         } else {
             // Sealed (or live-writer) segment: fully fsynced before its successor was
             // created, so every byte is durable and any damage is bit rot.
-            let opened = RequestJournal::open(&bytes, ctx.clone())?;
+            let opened = RecoveredJournal::open(&bytes, ctx)?;
             if opened.torn_bytes > 0 {
                 return Err(StoreError::Corrupt(CorruptJournal {
                     offset: bytes.len() - opened.torn_bytes,
@@ -482,54 +504,10 @@ fn collect_stream(
         records.extend(opened.records);
         files_folded += 1;
     }
-    records.retain(|r| !matches!(r, JournalRecord::Checkpoint { .. }));
     Ok(Stream {
-        records,
+        requests: fold_requests(records),
         discarded_bytes,
         files_folded,
         max_seq,
     })
-}
-
-/// Per-request retention fold: settled requests keep only their outcome record (their
-/// `Admitted` record — and the input ciphertext inside it — is the space compaction
-/// reclaims); in-flight requests keep `Admitted` and, if execution had begun, one
-/// `Started`. Output is ordered by request id, which the recovery fold is insensitive to.
-fn retained_records(records: &[JournalRecord]) -> Vec<JournalRecord> {
-    use std::collections::BTreeMap;
-    #[derive(Default)]
-    struct PerRequest {
-        admitted: Option<JournalRecord>,
-        started: bool,
-        outcome: Option<JournalRecord>,
-    }
-    let mut per_request: BTreeMap<u64, PerRequest> = BTreeMap::new();
-    for record in records {
-        let Some(id) = record.request() else { continue };
-        let entry = per_request.entry(id.0).or_default();
-        match record {
-            JournalRecord::Admitted { .. } => entry.admitted = Some(record.clone()),
-            JournalRecord::Started { .. } => entry.started = true,
-            JournalRecord::Shed { .. }
-            | JournalRecord::Completed { .. }
-            | JournalRecord::Failed { .. } => entry.outcome = Some(record.clone()),
-            JournalRecord::Header { .. } | JournalRecord::Checkpoint { .. } => {}
-        }
-    }
-    let mut retained = Vec::new();
-    for (id, entry) in per_request {
-        if let Some(outcome) = entry.outcome {
-            retained.push(outcome);
-        } else if let Some(admitted) = entry.admitted {
-            retained.push(admitted);
-            if entry.started {
-                retained.push(JournalRecord::Started {
-                    request: crate::error::RequestId(id),
-                });
-            }
-        }
-        // A Started with neither admission nor outcome is unactionable: the request
-        // cannot be replayed (no program/input) and has nothing to settle. Dropped.
-    }
-    retained
 }

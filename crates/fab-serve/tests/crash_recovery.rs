@@ -1,274 +1,75 @@
-//! The crash-recovery gate: for **every** deterministic [`CrashPoint`] in a run's kill-site
-//! sweep, recovering from the journal bytes the dead process left behind and replaying the
-//! unfinished work yields outcomes bitwise identical to an uninterrupted run — and journaled
-//! completions are never executed a second time.
-//!
-//! The crash model is the one [`fab_serve::fault`] documents: an armed crash point latches
-//! the server's crashed flag, after which every submit, journal append and queue drain is
-//! refused. The crashed process's in-memory outcomes are considered lost; the only state
-//! that survives is [`FabServer::journal_bytes`], exactly as for a killed process.
+//! The crash-recovery gate beyond the plain sweep: the crash → recover → replay cycle of
+//! `tests/simdisk_crash_sweep.rs` — kill the journal's disk at an op index, draw what
+//! survived, recover a fresh server from it — over streams that interleave failed requests,
+//! over random programs, across an outage that outlives a deadline, and across a restart
+//! that keeps serving. Every journal here is a [`DurableJournal`] over a [`SharedDisk`]
+//! under [`SyncPolicy::Always`]; recovered outcomes must be bitwise identical to a prefix of
+//! the uninterrupted run, and journaled completions are never executed a second time.
+
+mod common;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha20Rng;
 
-use fab_ckks::{
-    key_set_bytes, Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, GaloisKeys,
-    KeyGenerator, RelinearizationKey, SecretKey,
-};
+use fab_ckks::CkksContext;
 use fab_serve::{
-    CrashPoint, FabServer, FakeClock, FaultClass, FaultSpec, Program, Request, RequestOutcome,
-    ServeFault, ServeOp, ServerConfig, TenantId,
+    DurableJournal, FabServer, FakeClock, FaultClass, FaultSpec, JournalRecord, RecoveredJournal,
+    Request, RequestId, RequestOutcome, ServeFault, ServerConfig, TenantId,
+};
+use fab_store::{SharedDisk, StorageBackend, SyncPolicy};
+
+use common::{
+    check_surface, keyed_program, make_config, make_ctx, make_server, make_tenant, run_journaled,
+    submit_stream, Tenant, ROTATE_AFTER,
 };
 
-const ROTATIONS: [usize; 2] = [1, 3];
 const TENANTS: usize = 2;
+const POLICY: SyncPolicy = SyncPolicy::Always;
 
-struct Tenant {
-    rlk: RelinearizationKey,
-    keys: GaloisKeys,
-    input: Ciphertext,
-}
-
-fn make_ctx() -> Arc<CkksContext> {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters");
-    CkksContext::new_arc(params).expect("context")
-}
-
-fn make_tenant(ctx: &Arc<CkksContext>, seed: u64) -> Tenant {
-    let mut rng = ChaCha20Rng::seed_from_u64(seed);
-    let sk = SecretKey::generate(ctx, &mut rng);
-    let keygen = KeyGenerator::new(ctx.clone(), sk);
-    let pk = keygen.public_key(&mut rng);
-    let rlk = keygen.relinearization_key(&mut rng);
-    let keys = keygen
-        .galois_keys(&ROTATIONS, true, &mut rng)
-        .expect("galois keys");
-    let encoder = Encoder::new(ctx.clone());
-    let encryptor = Encryptor::new(ctx.clone(), pk);
-    let scale = ctx.params().default_scale();
-    let values: Vec<f64> = (0..ctx.slot_count())
-        .map(|i| ((i as f64 + seed as f64) * 0.13).sin())
-        .collect();
-    let pt = encoder
-        .encode_real(&values, scale, ctx.params().max_level)
-        .expect("encode");
-    let input = encryptor.encrypt(&pt, &mut rng).expect("encrypt");
-    Tenant { rlk, keys, input }
-}
-
-fn make_config(ctx: &Arc<CkksContext>) -> ServerConfig {
-    ServerConfig {
-        cache_budget_bytes: TENANTS * key_set_bytes(ctx.params(), ROTATIONS.len() + 1),
-        prefetch: true,
-        lookahead: 8,
-        ..ServerConfig::default()
-    }
-}
-
-fn make_server(ctx: &Arc<CkksContext>, tenants: &[Tenant], config: ServerConfig) -> FabServer {
-    let mut server = FabServer::new(Evaluator::new(ctx.clone()), config);
-    server.use_fake_clock(Arc::new(FakeClock::with_step(1)));
-    for (t, tenant) in tenants.iter().enumerate() {
-        server.register_tenant(TenantId(t as u32), &tenant.rlk, &tenant.keys);
-    }
-    server
-}
-
-/// A program that is guaranteed to demand at least one switching key.
-fn keyed_program(seed: u64, len: usize) -> Program {
-    let mut ops = vec![ServeOp::Rotate(1)];
-    ops.extend(Program::random(seed, len, &ROTATIONS).ops().iter().copied());
-    Program::new(ops)
-}
-
-fn submit_stream(
-    server: &mut FabServer,
-    tenants: &[Tenant],
-    rounds: u64,
-    prog_seed: u64,
-    len: usize,
-) {
-    for round in 0..rounds {
-        for (t, tenant) in tenants.iter().enumerate() {
-            server.submit(Request {
-                tenant: TenantId(t as u32),
-                program: keyed_program(prog_seed + round, len),
-                input: tenant.input.clone(),
-            });
-        }
-    }
-}
-
-/// Outcome equivalence across a crash boundary. Identity and result bits must match; a
-/// settled failure is the journaled [`ServeFault::Replayed`] carrying the original fault's
-/// classification and rendered description (the structured payload does not survive a
-/// crash), while a re-executed failure reproduces the original typed fault exactly.
-/// Timings are excluded: the recovered run measures its own clock.
-fn assert_equivalent(label: &str, got: &RequestOutcome, want: &RequestOutcome) {
-    assert_eq!(got.request(), want.request(), "id diverged: {label}");
-    assert_eq!(got.tenant(), want.tenant(), "tenant diverged: {label}");
-    match (got, want) {
-        (RequestOutcome::Completed(g), RequestOutcome::Completed(w)) => {
-            assert_eq!(g.output.c0(), w.output.c0(), "c0 diverged: {label}");
-            assert_eq!(g.output.c1(), w.output.c1(), "c1 diverged: {label}");
-            assert_eq!(g.report.ops, w.report.ops, "op count diverged: {label}");
-        }
-        (RequestOutcome::Failed(g), RequestOutcome::Failed(w)) => match &g.fault {
-            ServeFault::Replayed { class, description } => {
-                assert_eq!(*class, w.fault.class(), "class diverged: {label}");
-                assert_eq!(
-                    *description,
-                    w.fault.to_string(),
-                    "description diverged: {label}"
-                );
-            }
-            fault => assert_eq!(fault, &w.fault, "fault diverged: {label}"),
-        },
-        (
-            RequestOutcome::Shed { queue_depth: g, .. },
-            RequestOutcome::Shed { queue_depth: w, .. },
-        ) => {
-            assert_eq!(g, w, "shed depth diverged: {label}");
-        }
-        (g, w) => panic!("outcome shape diverged: {label}: {g:?} vs {w:?}"),
-    }
-}
-
-/// The full crash → recover → replay cycle at one kill site, checked against the
-/// uninterrupted reference run. `arm` injects the (identical) fault schedule into both the
-/// process that will crash and the process that recovers it.
-fn check_point(
-    ctx: &Arc<CkksContext>,
-    tenants: &[Tenant],
-    config: ServerConfig,
-    reference: &[RequestOutcome],
-    submit: &dyn Fn(&mut FabServer),
-    arm: &dyn Fn(&mut FabServer),
-    point: CrashPoint,
-) {
-    let label = format!("{point:?}");
-
-    // The process that dies: journaled, armed, killed somewhere between its first append
-    // and its last execution. Whatever run() returned is lost with the process.
-    let mut crashed = make_server(ctx, tenants, config);
-    crashed.attach_fresh_journal();
-    arm(&mut crashed);
-    crashed.set_crash_point(point);
-    submit(&mut crashed);
-    let _lost = crashed.run();
-    assert!(crashed.has_crashed(), "{label} never fired");
-    let disk = crashed.journal_bytes().expect("journal attached").to_vec();
-
-    // The process that recovers: same tenants, same faults, fresh everything else.
-    let mut recovered = make_server(ctx, tenants, config);
-    arm(&mut recovered);
-    let report = recovered.recover(&disk).unwrap_or_else(|e| {
-        panic!("{label}: a cleanly-killed journal must open: {e}");
-    });
-    assert_eq!(report.torn_bytes, 0, "{label}: simulated kills never tear");
-    assert_eq!(
-        report.duplicate_starts, 0,
-        "{label}: one process starts a request at most once"
-    );
-    let settled_completed = report
-        .settled
-        .iter()
-        .filter(|o| o.completed().is_some())
-        .count() as u64;
-    let mut outcomes = report.settled;
-    outcomes.extend(recovered.run());
-    outcomes.sort_by_key(RequestOutcome::request);
-
-    // A crash before an admission append loses that request (and under write-ahead
-    // discipline every one submitted after it): the journal never acknowledged them, so
-    // recovery legitimately knows nothing about them. Everything the journal *does* know
-    // about must replay bitwise identical to the uninterrupted run.
-    assert!(
-        outcomes.len() <= reference.len(),
-        "{label}: recovery fabricated requests: {} > {}",
-        outcomes.len(),
-        reference.len()
-    );
-    for (got, want) in outcomes.iter().zip(reference) {
-        assert_equivalent(&label, got, want);
-    }
-    // Surviving ids are a prefix of the submission order: losing request k but knowing
-    // about k+1 would mean an admission was acknowledged out of order.
-    for (i, outcome) in outcomes.iter().enumerate() {
-        assert_eq!(
-            outcome.request(),
-            reference[i].request(),
-            "{label}: surviving requests must be a prefix"
-        );
-    }
-
-    // Zero duplicate executions: the recovered process executes exactly the completions the
-    // journal had not yet made durable — never a request with a `Completed` record.
-    let completed_total = outcomes.iter().filter(|o| o.completed().is_some()).count() as u64;
-    assert_eq!(
-        recovered.executions(),
-        completed_total - settled_completed,
-        "{label}: a journaled completion was re-executed"
-    );
-}
-
-/// Deterministic splitter for the proptest's crash-point subsampling.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uninterrupted journaled run → (outcomes, append count, execution count).
+/// The uninterrupted journaled run: its live outcomes (typed faults intact) and the number
+/// of disk ops it crossed — the kill-site axis.
 fn reference_run(
     ctx: &Arc<CkksContext>,
     tenants: &[Tenant],
     config: ServerConfig,
-    submit: &dyn Fn(&mut FabServer),
     arm: &dyn Fn(&mut FabServer),
-) -> (Vec<RequestOutcome>, u64, u64) {
-    let mut server = make_server(ctx, tenants, config);
-    server.attach_fresh_journal();
-    arm(&mut server);
-    submit(&mut server);
-    let outcomes = server.run();
-    let appends = server.journal().expect("journal attached").record_count() - 1;
-    (outcomes, appends, server.executions())
+    submit: &dyn Fn(&mut FabServer),
+) -> (Vec<RequestOutcome>, u64) {
+    let disk = SharedDisk::new();
+    let backend = Box::new(disk.clone());
+    let (_server, outcomes) = run_journaled(ctx, tenants, config, backend, POLICY, arm, submit)
+        .expect("unarmed disk cannot crash");
+    (outcomes, disk.op_count())
 }
 
-#[test]
-fn every_crash_point_recovers_bitwise_identical_with_zero_duplicate_executions() {
-    let ctx = make_ctx();
-    let tenants: Vec<Tenant> = (0..TENANTS)
-        .map(|t| make_tenant(&ctx, 400 + t as u64))
-        .collect();
-    let config = make_config(&ctx);
-    let submit = |server: &mut FabServer| submit_stream(server, &tenants, 2, 17, 3);
-    let arm = |_: &mut FabServer| {};
-    let (reference, appends, executes) = reference_run(&ctx, &tenants, config, &submit, &arm);
-    assert_eq!(reference.len(), 2 * TENANTS);
-    assert!(reference.iter().all(|o| o.completed().is_some()));
-    // Three appends per completed request: Admitted, Started, Completed.
-    assert_eq!(appends, 3 * reference.len() as u64);
-    assert_eq!(executes, reference.len() as u64);
-
-    let sweep = CrashPoint::sweep(appends, executes);
-    assert_eq!(sweep.len() as u64, 2 * appends + executes);
-    for point in sweep {
-        check_point(&ctx, &tenants, config, &reference, &submit, &arm, point);
+/// Kills the journal's disk immediately before op `at` of the run, then recovers from the
+/// surface each of `seeds` draws and checks the replay against `reference`.
+#[allow(clippy::too_many_arguments)]
+fn check_kill_site(
+    ctx: &Arc<CkksContext>,
+    tenants: &[Tenant],
+    config: ServerConfig,
+    reference: &[RequestOutcome],
+    arm: &dyn Fn(&mut FabServer),
+    submit: &dyn Fn(&mut FabServer),
+    at: u64,
+    seeds: &[u64],
+) {
+    let disk = SharedDisk::new();
+    disk.arm_crash(at);
+    let backend = Box::new(disk.clone());
+    // Whatever run() returned is lost with the process.
+    if let Some((dead, _lost)) = run_journaled(ctx, tenants, config, backend, POLICY, arm, submit) {
+        assert!(dead.has_crashed(), "armed op {at} never fired");
+    }
+    assert!(disk.has_crashed());
+    for &seed in seeds {
+        let label = format!("crash at op {at}, seed {seed}");
+        let surface = disk.crash_surface(seed);
+        check_surface(
+            ctx, tenants, config, reference, POLICY, arm, surface, &label,
+        );
     }
 }
 
@@ -278,12 +79,12 @@ fn crashes_around_failed_records_replay_the_failure_without_reexecution() {
     let tenants: Vec<Tenant> = (0..TENANTS)
         .map(|t| make_tenant(&ctx, 500 + t as u64))
         .collect();
-    let config = make_config(&ctx);
+    let config = make_config(&ctx, TENANTS);
     let submit = |server: &mut FabServer| submit_stream(server, &tenants, 2, 23, 2);
     // Tenant 0's key blobs are (deterministically) corrupt: every keyed request of theirs
     // fails permanent, so the journal interleaves Failed and Completed records.
     let arm = |server: &mut FabServer| server.inject_fault(TenantId(0), FaultSpec::corrupt(777));
-    let (reference, appends, executes) = reference_run(&ctx, &tenants, config, &submit, &arm);
+    let (reference, total_ops) = reference_run(&ctx, &tenants, config, &arm, &submit);
     assert!(
         reference
             .iter()
@@ -294,9 +95,27 @@ fn crashes_around_failed_records_replay_the_failure_without_reexecution() {
         reference.iter().any(|o| o.completed().is_some()),
         "fixture must exercise the Completed path"
     );
-    for point in CrashPoint::sweep(appends, executes) {
-        check_point(&ctx, &tenants, config, &reference, &submit, &arm, point);
+    for at in 0..total_ops {
+        check_kill_site(
+            &ctx,
+            &tenants,
+            config,
+            &reference,
+            &arm,
+            &submit,
+            at,
+            &[3, 11],
+        );
     }
+}
+
+/// Deterministic splitter for the proptest's kill-site subsampling.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 proptest! {
@@ -314,16 +133,15 @@ proptest! {
         let tenants: Vec<Tenant> = (0..TENANTS)
             .map(|t| make_tenant(&ctx, key_seed ^ ((t as u64) << 8)))
             .collect();
-        let config = make_config(&ctx);
+        let config = make_config(&ctx, TENANTS);
         let submit = |server: &mut FabServer| submit_stream(server, &tenants, 2, prog_seed, len);
         let arm = |_: &mut FabServer| {};
-        let (reference, appends, executes) =
-            reference_run(&ctx, &tenants, config, &submit, &arm);
-        let sweep = CrashPoint::sweep(appends, executes);
+        let (reference, total_ops) = reference_run(&ctx, &tenants, config, &arm, &submit);
         let mut state = point_seed;
         for _ in 0..5 {
-            let point = sweep[(splitmix(&mut state) % sweep.len() as u64) as usize];
-            check_point(&ctx, &tenants, config, &reference, &submit, &arm, point);
+            let at = splitmix(&mut state) % total_ops;
+            let seed = splitmix(&mut state);
+            check_kill_site(&ctx, &tenants, config, &reference, &arm, &submit, at, &[seed]);
         }
     }
 }
@@ -334,16 +152,19 @@ fn in_flight_requests_past_their_deadline_settle_on_recovery_and_a_second_recove
     let tenants: Vec<Tenant> = (0..1).map(|t| make_tenant(&ctx, 600 + t as u64)).collect();
     let config = ServerConfig {
         deadline_us: Some(1_000),
-        ..make_config(&ctx)
+        ..make_config(&ctx, TENANTS)
     };
 
-    // Die right after the first admission is durable: request 0 is in flight forever.
-    let mut crashed = make_server(&ctx, &tenants, config);
-    crashed.attach_fresh_journal();
-    crashed.set_crash_point(CrashPoint::AfterAppend(0));
-    submit_stream(&mut crashed, &tenants, 1, 31, 2);
-    assert!(crashed.has_crashed());
-    let disk = crashed.journal_bytes().expect("journal").to_vec();
+    // The process dies right after the first admission is durable — before it ever drains
+    // its queue — so request 0 is in flight forever. The disk outlives it.
+    let disk = SharedDisk::new();
+    let mut dead = make_server(&ctx, &tenants, config);
+    dead.attach_durable_journal(
+        DurableJournal::create(Box::new(disk.clone()), ctx.clone(), POLICY, ROTATE_AFTER)
+            .expect("healthy disk"),
+    );
+    submit_stream(&mut dead, &tenants, 1, 31, 2);
+    drop(dead);
 
     // The outage outlives the deadline: recovery settles the request as DeadlineExceeded
     // instead of re-admitting it, and journals that settlement.
@@ -351,7 +172,9 @@ fn in_flight_requests_past_their_deadline_settle_on_recovery_and_a_second_recove
     let clock = Arc::new(FakeClock::with_step(1));
     clock.advance(10_000);
     recovered.use_fake_clock(clock);
-    let report = recovered.recover(&disk).expect("clean journal");
+    let report = recovered
+        .recover_from_store(Box::new(disk.clone()), POLICY, ROTATE_AFTER)
+        .expect("clean journal");
     assert!(report.readmitted.is_empty());
     assert_eq!(report.settled.len(), 1);
     match &report.settled[0] {
@@ -374,12 +197,14 @@ fn in_flight_requests_past_their_deadline_settle_on_recovery_and_a_second_recove
     assert!(recovered.run().is_empty());
     assert_eq!(recovered.executions(), 0);
     assert_eq!(recovered.counters().failed, 1);
+    drop(recovered);
 
-    // The settlement is durable: a second recovery of the *new* journal replays it as a
+    // The settlement is durable: a second recovery of the same disk replays it as a
     // settled failure (class preserved) and still re-admits nothing.
-    let disk2 = recovered.journal_bytes().expect("journal").to_vec();
     let mut second = make_server(&ctx, &tenants, config);
-    let report2 = second.recover(&disk2).expect("clean journal");
+    let report2 = second
+        .recover_from_store(Box::new(disk.clone()), POLICY, ROTATE_AFTER)
+        .expect("clean journal");
     assert!(report2.readmitted.is_empty());
     assert_eq!(report2.settled.len(), 1);
     match &report2.settled[0] {
@@ -398,26 +223,37 @@ fn in_flight_requests_past_their_deadline_settle_on_recovery_and_a_second_recove
 fn recovery_resumes_id_assignment_and_journaling_where_the_dead_process_stopped() {
     let ctx = make_ctx();
     let tenants: Vec<Tenant> = (0..1).map(|t| make_tenant(&ctx, 700 + t as u64)).collect();
-    let config = make_config(&ctx);
+    let config = make_config(&ctx, TENANTS);
 
-    let mut crashed = make_server(&ctx, &tenants, config);
-    crashed.attach_fresh_journal();
-    // Request 0 fully journaled; die after its Completed record (append 2) so recovery
-    // settles it and the process state at death is "idle with one finished request".
-    crashed.set_crash_point(CrashPoint::AfterAppend(2));
-    submit_stream(&mut crashed, &tenants, 1, 41, 2);
-    let _lost = crashed.run();
-    assert!(crashed.has_crashed());
-    let disk = crashed.journal_bytes().expect("journal").to_vec();
+    // Request 0 fully journaled, then the process dies: its state at death is "idle with
+    // one finished request".
+    let disk = SharedDisk::new();
+    let submit = |server: &mut FabServer| submit_stream(server, &tenants, 1, 41, 2);
+    let backend = Box::new(disk.clone());
+    let (dead, _lost) = run_journaled(&ctx, &tenants, config, backend, POLICY, &|_| {}, &submit)
+        .expect("healthy disk");
+    drop(dead);
 
     let mut recovered = make_server(&ctx, &tenants, config);
-    let report = recovered.recover(&disk).expect("clean journal");
+    let report = recovered
+        .recover_from_store(Box::new(disk.clone()), POLICY, ROTATE_AFTER)
+        .expect("clean journal");
     assert_eq!(report.settled.len(), 1);
     assert!(report.settled[0].completed().is_some());
 
     // New work after recovery continues the id sequence — ids never collide with journaled
-    // ones — and lands in the recovered journal.
-    let records_before = recovered.journal().expect("journal").record_count();
+    // ones — and lands in the recovered journal's active segment.
+    let active = recovered
+        .durable_journal()
+        .expect("reattached")
+        .active_segment();
+    let active_records = |disk: &SharedDisk| {
+        let bytes = disk.snapshot().read(&active).expect("active segment");
+        let log = RecoveredJournal::open(&bytes, &ctx).expect("clean segment");
+        assert_eq!(log.torn_bytes, 0);
+        log.records
+    };
+    assert!(active_records(&disk).is_empty(), "recovery starts it fresh");
     let id = recovered.submit(Request {
         tenant: TenantId(0),
         program: keyed_program(42, 2),
@@ -427,10 +263,24 @@ fn recovery_resumes_id_assignment_and_journaling_where_the_dead_process_stopped(
     let outcomes = recovered.run();
     assert_eq!(outcomes.len(), 1);
     assert!(outcomes[0].completed().is_some());
-    let records_after = recovered.journal().expect("journal").record_count();
-    assert_eq!(
-        records_after - records_before,
-        3,
-        "Admitted+Started+Completed"
+    let appended = active_records(&disk);
+    assert!(
+        matches!(
+            appended[..],
+            [
+                JournalRecord::Admitted {
+                    request: RequestId(1),
+                    ..
+                },
+                JournalRecord::Started {
+                    request: RequestId(1)
+                },
+                JournalRecord::Completed {
+                    request: RequestId(1),
+                    ..
+                },
+            ]
+        ),
+        "Admitted+Started+Completed, got {appended:?}"
     );
 }

@@ -7,100 +7,22 @@
 //! mid-stream chaos evictions, deadline pressure and queue overflow — all seeded, so every
 //! schedule here replays bit-for-bit.
 
+mod common;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha20Rng;
 
-use fab_ckks::{
-    key_set_bytes, Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, GaloisKeys,
-    KeyGenerator, RelinearizationKey, SecretKey,
-};
+use fab_ckks::{key_set_bytes, Ciphertext, Evaluator};
 use fab_serve::{
     FabServer, FakeClock, FaultPlan, FaultSpec, Program, Request, RequestOutcome, ServeFault,
     ServeOp, ServerConfig, TenantId,
 };
 use fab_trace::{phase, RecordingSink};
 
-const ROTATIONS: [usize; 2] = [1, 3];
+use common::{keyed_program, make_ctx, make_server, make_tenant, submit_stream, Tenant, ROTATIONS};
+
 const TENANTS: usize = 3;
-
-struct Tenant {
-    rlk: RelinearizationKey,
-    keys: GaloisKeys,
-    input: Ciphertext,
-}
-
-fn make_ctx() -> Arc<CkksContext> {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters");
-    CkksContext::new_arc(params).expect("context")
-}
-
-fn make_tenant(ctx: &Arc<CkksContext>, seed: u64) -> Tenant {
-    let mut rng = ChaCha20Rng::seed_from_u64(seed);
-    let sk = SecretKey::generate(ctx, &mut rng);
-    let keygen = KeyGenerator::new(ctx.clone(), sk);
-    let pk = keygen.public_key(&mut rng);
-    let rlk = keygen.relinearization_key(&mut rng);
-    let keys = keygen
-        .galois_keys(&ROTATIONS, true, &mut rng)
-        .expect("galois keys");
-    let encoder = Encoder::new(ctx.clone());
-    let encryptor = Encryptor::new(ctx.clone(), pk);
-    let scale = ctx.params().default_scale();
-    let values: Vec<f64> = (0..ctx.slot_count())
-        .map(|i| ((i as f64 + seed as f64) * 0.13).sin())
-        .collect();
-    let pt = encoder
-        .encode_real(&values, scale, ctx.params().max_level)
-        .expect("encode");
-    let input = encryptor.encrypt(&pt, &mut rng).expect("encrypt");
-    Tenant { rlk, keys, input }
-}
-
-fn make_server(ctx: &Arc<CkksContext>, tenants: &[Tenant], config: ServerConfig) -> FabServer {
-    let mut server = FabServer::new(Evaluator::new(ctx.clone()), config);
-    server.use_fake_clock(Arc::new(FakeClock::with_step(1)));
-    for (t, tenant) in tenants.iter().enumerate() {
-        server.register_tenant(TenantId(t as u32), &tenant.rlk, &tenant.keys);
-    }
-    server
-}
-
-/// A per-round program that is guaranteed to demand at least one switching key (the leading
-/// rotation), so fetch-path faults always actually trigger.
-fn keyed_program(seed: u64, len: usize) -> Program {
-    let mut ops = vec![ServeOp::Rotate(1)];
-    ops.extend(Program::random(seed, len, &ROTATIONS).ops().iter().copied());
-    Program::new(ops)
-}
-
-fn submit_stream(
-    server: &mut FabServer,
-    tenants: &[Tenant],
-    rounds: u64,
-    prog_seed: u64,
-    len: usize,
-) {
-    for round in 0..rounds {
-        for (t, tenant) in tenants.iter().enumerate() {
-            server.submit(Request {
-                tenant: TenantId(t as u32),
-                program: keyed_program(prog_seed + round, len),
-                input: tenant.input.clone(),
-            });
-        }
-    }
-}
 
 fn assert_bitwise_equal(label: &str, got: &Ciphertext, want: &Ciphertext) {
     assert_eq!(got.c0(), want.c0(), "c0 diverged: {label}");

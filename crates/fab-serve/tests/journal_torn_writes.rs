@@ -2,42 +2,33 @@
 //! prefix (an append-only writer can only tear the tail), while corruption *inside* a
 //! complete record is a typed [`CorruptJournal`] — never a panic, never a fabricated record.
 
+mod common;
+
 use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha20Rng;
 
-use fab_ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator, SecretKey};
+use fab_ckks::CkksContext;
 use fab_serve::{
-    CorruptJournal, FabServer, FakeClock, FaultSpec, JournalRecord, Program, Request,
-    RequestJournal, ServeOp, ServerConfig, TenantId,
+    CorruptJournal, DurableJournal, FaultSpec, JournalRecord, RecoveredJournal, ServerConfig,
+    TenantId,
 };
+use fab_store::{SharedDisk, StorageBackend, SyncPolicy};
 
-const ROTATIONS: [usize; 2] = [1, 3];
+use common::{make_ctx_with_scale, make_server, make_tenant, submit_stream, Tenant};
 
-fn make_ctx_with_scale(scale_bits: u32) -> Arc<CkksContext> {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(scale_bits)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters");
-    CkksContext::new_arc(params).expect("context")
-}
-
-/// A journal exercising every record kind: `Header`, two `Admitted`, two `Shed` (bounded
-/// queue, reject-newest), one `Started`+`Failed` (tenant 0's blobs corrupt) and one
-/// `Started`+`Completed` (tenant 1 healthy). Built once; every test slices it read-only.
+/// A journal segment exercising every record kind: `Header`, two `Admitted`, two `Shed`
+/// (bounded queue, reject-newest), one `Started`+`Failed` (tenant 0's blobs corrupt) and one
+/// `Started`+`Completed` (tenant 1 healthy) — the bytes a [`DurableJournal`] that never
+/// rotates left on its disk. Built once; every test slices it read-only.
 fn fixture() -> &'static (Arc<CkksContext>, Vec<u8>) {
     static FIXTURE: OnceLock<(Arc<CkksContext>, Vec<u8>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let ctx = make_ctx_with_scale(40);
-        let mut server = FabServer::new(
-            Evaluator::new(ctx.clone()),
+        let tenants: Vec<Tenant> = (0..2).map(|t| make_tenant(&ctx, 900 + t)).collect();
+        let mut server = make_server(
+            &ctx,
+            &tenants,
             ServerConfig {
                 cache_budget_bytes: 1 << 20,
                 prefetch: true,
@@ -46,50 +37,20 @@ fn fixture() -> &'static (Arc<CkksContext>, Vec<u8>) {
                 ..ServerConfig::default()
             },
         );
-        server.use_fake_clock(Arc::new(FakeClock::with_step(1)));
-        let mut inputs = Vec::new();
-        for t in 0..2u32 {
-            let mut rng = ChaCha20Rng::seed_from_u64(900 + t as u64);
-            let sk = SecretKey::generate(&ctx, &mut rng);
-            let keygen = KeyGenerator::new(ctx.clone(), sk);
-            let pk = keygen.public_key(&mut rng);
-            let rlk = keygen.relinearization_key(&mut rng);
-            let keys = keygen
-                .galois_keys(&ROTATIONS, true, &mut rng)
-                .expect("galois keys");
-            server.register_tenant(TenantId(t), &rlk, &keys);
-            let encoder = Encoder::new(ctx.clone());
-            let values: Vec<f64> = (0..ctx.slot_count())
-                .map(|i| (i as f64 * 0.11).sin())
-                .collect();
-            let pt = encoder
-                .encode_real(
-                    &values,
-                    ctx.params().default_scale(),
-                    ctx.params().max_level,
-                )
-                .expect("encode");
-            inputs.push(
-                Encryptor::new(ctx.clone(), pk)
-                    .encrypt(&pt, &mut rng)
-                    .expect("encrypt"),
-            );
-        }
-        server.attach_fresh_journal();
+        let disk = SharedDisk::new();
+        let journal = DurableJournal::create(
+            Box::new(disk.clone()),
+            ctx.clone(),
+            SyncPolicy::Always,
+            u64::MAX,
+        )
+        .expect("healthy disk");
+        let segment = journal.active_segment();
+        server.attach_durable_journal(journal);
         server.inject_fault(TenantId(0), FaultSpec::corrupt(999));
-        for round in 0..2u64 {
-            for t in 0..2u32 {
-                let mut ops = vec![ServeOp::Rotate(1)];
-                ops.extend(Program::random(round, 2, &ROTATIONS).ops().iter().copied());
-                server.submit(Request {
-                    tenant: TenantId(t),
-                    program: Program::new(ops),
-                    input: inputs[t as usize].clone(),
-                });
-            }
-        }
+        submit_stream(&mut server, &tenants, 2, 0, 2);
         let _ = server.run();
-        let bytes = server.journal_bytes().expect("journal attached").to_vec();
+        let bytes = disk.snapshot().read(&segment).expect("the one segment");
         (ctx, bytes)
     })
 }
@@ -111,7 +72,7 @@ fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
 }
 
 fn full_records(ctx: &Arc<CkksContext>, bytes: &[u8]) -> Vec<JournalRecord> {
-    RequestJournal::open(bytes, ctx.clone())
+    RecoveredJournal::open(bytes, ctx)
         .expect("untouched journal is clean")
         .records
 }
@@ -144,14 +105,14 @@ fn truncation_at_every_byte_offset_recovers_a_clean_prefix() {
     let records = full_records(ctx, bytes);
     assert_eq!(boundaries.len(), records.len() + 1, "header plus records");
     for cut in 0..=bytes.len() {
-        let recovered = RequestJournal::open(&bytes[..cut], ctx.clone())
+        let recovered = RecoveredJournal::open(&bytes[..cut], ctx)
             .unwrap_or_else(|e| panic!("truncation at {cut} must recover, got: {e}"));
         let complete = boundaries.iter().filter(|&&b| b <= cut).count();
         if complete == 0 {
-            // Even the header was torn: a fresh journal, everything counted as torn.
+            // Even the header was torn: nothing is kept, everything counted as torn.
             assert_eq!(recovered.torn_bytes, cut);
             assert!(recovered.records.is_empty());
-            assert_eq!(recovered.journal.record_count(), 1, "fresh header only");
+            assert_eq!(recovered.clean_len, 0, "not even a header");
         } else {
             let clean_len = boundaries[complete - 1];
             assert_eq!(recovered.torn_bytes, cut - clean_len, "cut at {cut}");
@@ -162,36 +123,10 @@ fn truncation_at_every_byte_offset_recovers_a_clean_prefix() {
                 &records[..complete - 1],
                 "cut at {cut}"
             );
-            // The reopened journal is byte-for-byte the clean prefix.
-            assert_eq!(
-                recovered.journal.bytes(),
-                &bytes[..clean_len],
-                "cut at {cut}"
-            );
+            // What is kept is byte-for-byte the clean prefix.
+            assert_eq!(recovered.clean_len, clean_len, "cut at {cut}");
         }
     }
-}
-
-#[test]
-fn a_recovered_journal_accepts_appends_and_reopens_cleanly() {
-    let (ctx, bytes) = fixture();
-    // Tear mid-way through the last record, recover, then keep journaling.
-    let cut = bytes.len() - 3;
-    let recovered = RequestJournal::open(&bytes[..cut], ctx.clone()).expect("torn tail recovers");
-    let mut journal = recovered.journal;
-    let before = journal.record_count();
-    journal.append(&JournalRecord::Started {
-        request: fab_serve::RequestId(99),
-    });
-    let reopened = RequestJournal::open(journal.bytes(), ctx.clone()).expect("clean");
-    assert_eq!(reopened.torn_bytes, 0);
-    assert_eq!(reopened.journal.record_count(), before + 1);
-    assert_eq!(
-        reopened.records.last(),
-        Some(&JournalRecord::Started {
-            request: fab_serve::RequestId(99)
-        })
-    );
 }
 
 #[test]
@@ -204,8 +139,8 @@ fn corruption_inside_a_complete_record_is_typed_with_the_record_offset() {
         // tear — the checksum must catch it and attribute the record's start offset.
         let mut mutated = bytes.clone();
         mutated[end - 1] ^= 0x80;
-        let err = RequestJournal::open(&mutated, ctx.clone())
-            .expect_err("payload corruption must be typed");
+        let err =
+            RecoveredJournal::open(&mutated, ctx).expect_err("payload corruption must be typed");
         assert_eq!(err.offset, start);
         assert!(!err.reason.is_empty());
         assert!(
@@ -221,7 +156,7 @@ fn corruption_inside_a_complete_record_is_typed_with_the_record_offset() {
 fn a_journal_from_different_parameters_is_rejected_by_fingerprint() {
     let (_, bytes) = fixture();
     let other = make_ctx_with_scale(39);
-    let err = RequestJournal::open(bytes, other).expect_err("fingerprint mismatch");
+    let err = RecoveredJournal::open(bytes, &other).expect_err("fingerprint mismatch");
     assert_eq!(err.offset, 0);
     assert!(err.reason.contains("fingerprint"), "{err}");
 }
@@ -232,9 +167,9 @@ fn trailing_garbage_claiming_more_bytes_than_exist_is_a_torn_tail() {
     let mut grown = bytes.clone();
     grown.extend_from_slice(&u64::MAX.to_le_bytes());
     grown.extend_from_slice(&[0xAB; 21]);
-    let recovered = RequestJournal::open(&grown, ctx.clone()).expect("tail is torn, not corrupt");
+    let recovered = RecoveredJournal::open(&grown, ctx).expect("tail is torn, not corrupt");
     assert_eq!(recovered.torn_bytes, 8 + 21);
-    assert_eq!(recovered.journal.bytes(), bytes.as_slice());
+    assert_eq!(&grown[..recovered.clean_len], bytes.as_slice());
 }
 
 proptest! {
@@ -250,15 +185,14 @@ proptest! {
         let pos = (bit_seed % (bytes.len() as u64 * 8)) as usize;
         let mut mutated = bytes.clone();
         mutated[pos / 8] ^= 1 << (pos % 8);
-        match RequestJournal::open(&mutated, ctx.clone()) {
+        match RecoveredJournal::open(&mutated, ctx) {
             Ok(recovered) => {
                 // The kept bytes are a prefix of the *original*: a flip inside anything
                 // recovery kept would have failed its checksum, so a surviving flip can
-                // only be in the torn tail — or the header itself tore, in which case the
-                // fresh journal's header encodes byte-identically to the original's.
-                let clean = recovered.journal.byte_len();
+                // only be in the torn tail (all of it, if the header itself tore).
+                let clean = recovered.clean_len;
                 prop_assert!(
-                    recovered.journal.bytes() == &bytes[..clean],
+                    mutated[..clean] == bytes[..clean],
                     "flip at bit {pos}: recovered bytes are not a prefix of the original"
                 );
                 prop_assert!(recovered.records.len() <= records.len());
@@ -289,15 +223,15 @@ proptest! {
             let pos = (bit_seed % (mutated.len() as u64 * 8)) as usize;
             mutated[pos / 8] ^= 1 << (pos % 8);
         }
-        match RequestJournal::open(&mutated, ctx.clone()) {
+        match RecoveredJournal::open(&mutated, ctx) {
             Ok(recovered) => {
                 // Same prefix property as the single-flip case: whatever recovery kept is
                 // byte-for-byte a prefix of the original journal, and the decoded records
                 // are a prefix of the original's — never fabricated, never altered.
-                let clean = recovered.journal.byte_len();
-                prop_assert!(recovered.torn_bytes <= mutated.len());
+                let clean = recovered.clean_len;
+                prop_assert_eq!(clean + recovered.torn_bytes, mutated.len());
                 prop_assert!(
-                    recovered.journal.bytes() == &bytes[..clean],
+                    mutated[..clean] == bytes[..clean],
                     "recovered bytes are not a prefix of the original"
                 );
                 let records = full_records(ctx, bytes);

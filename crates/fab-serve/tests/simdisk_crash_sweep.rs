@@ -1,142 +1,40 @@
-//! The simulated-disk crash-consistency gate: for **every** disk-syscall boundary a
-//! journaled run crosses, and for multiple seeded draws of the post-crash surface (torn
-//! unsynced writes, reordered write-back, dropped directory ops), recovering from what
-//! survived replays bitwise identically to an uninterrupted run with zero duplicate
-//! executions — and a compacted journal recovers to exactly the same state as the
-//! uncompacted one, including when the crash lands *inside* the compaction itself.
+//! The crash-consistency gate: for **every** disk-syscall boundary a journaled run crosses,
+//! and for multiple seeded draws of the post-crash surface (torn unsynced writes, reordered
+//! write-back, dropped directory ops), recovering from what survived replays bitwise
+//! identically to an uninterrupted run with zero duplicate executions — and a compacted
+//! journal recovers to exactly the same state as the uncompacted one, including when the
+//! crash lands *inside* the compaction itself.
 //!
-//! This extends `tests/crash_recovery.rs` (process-level kill sites on an in-memory
-//! journal) down through the storage layer: the journal now lives on a [`SimDisk`] behind
-//! the [`fab_store::StorageBackend`] seam, written under a real [`SyncPolicy`]. One test
-//! runs the same workload over a real [`FileBackend`] directory beside its simulated twin,
-//! so the seam is also exercised against the filesystem it stands in for.
+//! A serving process dies when its journal device does, so a disk-op index is the only
+//! kill-site vocabulary there is: dying before record *n* is written is `arm_crash` at its
+//! `append` op, dying right after it is durable is the op after its `sync`, and dying with
+//! the work done but its receipt lost is the `append` op of a `Completed` record. The
+//! journal lives on a [`SimDisk`] behind the [`fab_store::StorageBackend`] seam, written
+//! under a real [`SyncPolicy`]. One test runs the same workload over a real [`FileBackend`]
+//! directory beside its simulated twin, so the seam is also exercised against the
+//! filesystem it stands in for. `tests/crash_recovery.rs` runs the same cycle over failing
+//! requests, random programs, deadlines and a restart.
+
+mod common;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha20Rng;
 
-use fab_ckks::{
-    key_set_bytes, Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, GaloisKeys,
-    KeyGenerator, RelinearizationKey, SecretKey,
-};
-use fab_serve::{
-    DurableJournal, FabServer, FakeClock, Program, Request, RequestOutcome, ServeFault, ServeOp,
-    ServerConfig, StoreError, TenantId,
-};
+use fab_ckks::CkksContext;
+use fab_serve::{FabServer, RecoveredJournal, RequestId, RequestOutcome, ServerConfig, StoreError};
 use fab_store::{FileBackend, SharedDisk, SimDisk, StorageBackend, SyncPolicy};
 
-const ROTATIONS: [usize; 2] = [1, 3];
+use common::{
+    assert_equivalent, check_surface, make_config, make_ctx, make_server, make_tenant,
+    run_journaled, submit_stream, Tenant, ROTATE_AFTER,
+};
+
 const TENANTS: usize = 2;
-/// Small on purpose: a 4-request workload crosses several segment boundaries.
-const ROTATE_AFTER: u64 = 4;
 
-struct Tenant {
-    rlk: RelinearizationKey,
-    keys: GaloisKeys,
-    input: Ciphertext,
-}
-
-fn make_ctx() -> Arc<CkksContext> {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters");
-    CkksContext::new_arc(params).expect("context")
-}
-
-fn make_tenant(ctx: &Arc<CkksContext>, seed: u64) -> Tenant {
-    let mut rng = ChaCha20Rng::seed_from_u64(seed);
-    let sk = SecretKey::generate(ctx, &mut rng);
-    let keygen = KeyGenerator::new(ctx.clone(), sk);
-    let pk = keygen.public_key(&mut rng);
-    let rlk = keygen.relinearization_key(&mut rng);
-    let keys = keygen
-        .galois_keys(&ROTATIONS, true, &mut rng)
-        .expect("galois keys");
-    let encoder = Encoder::new(ctx.clone());
-    let encryptor = Encryptor::new(ctx.clone(), pk);
-    let scale = ctx.params().default_scale();
-    let values: Vec<f64> = (0..ctx.slot_count())
-        .map(|i| ((i as f64 + seed as f64) * 0.13).sin())
-        .collect();
-    let pt = encoder
-        .encode_real(&values, scale, ctx.params().max_level)
-        .expect("encode");
-    let input = encryptor.encrypt(&pt, &mut rng).expect("encrypt");
-    Tenant { rlk, keys, input }
-}
-
-fn make_config(ctx: &Arc<CkksContext>) -> ServerConfig {
-    ServerConfig {
-        cache_budget_bytes: TENANTS * key_set_bytes(ctx.params(), ROTATIONS.len() + 1),
-        prefetch: true,
-        lookahead: 8,
-        ..ServerConfig::default()
-    }
-}
-
-fn make_server(ctx: &Arc<CkksContext>, tenants: &[Tenant], config: ServerConfig) -> FabServer {
-    let mut server = FabServer::new(Evaluator::new(ctx.clone()), config);
-    server.use_fake_clock(Arc::new(FakeClock::with_step(1)));
-    for (t, tenant) in tenants.iter().enumerate() {
-        server.register_tenant(TenantId(t as u32), &tenant.rlk, &tenant.keys);
-    }
-    server
-}
-
-fn keyed_program(seed: u64, len: usize) -> Program {
-    let mut ops = vec![ServeOp::Rotate(1)];
-    ops.extend(Program::random(seed, len, &ROTATIONS).ops().iter().copied());
-    Program::new(ops)
-}
-
-fn submit_stream(server: &mut FabServer, tenants: &[Tenant], rounds: u64, prog_seed: u64) {
-    for round in 0..rounds {
-        for (t, tenant) in tenants.iter().enumerate() {
-            server.submit(Request {
-                tenant: TenantId(t as u32),
-                program: keyed_program(prog_seed + round, 2),
-                input: tenant.input.clone(),
-            });
-        }
-    }
-}
-
-/// Outcome equivalence across the crash boundary (timings excluded; settled failures are
-/// the journaled replay of the original fault).
-fn assert_equivalent(label: &str, got: &RequestOutcome, want: &RequestOutcome) {
-    assert_eq!(got.request(), want.request(), "id diverged: {label}");
-    assert_eq!(got.tenant(), want.tenant(), "tenant diverged: {label}");
-    match (got, want) {
-        (RequestOutcome::Completed(g), RequestOutcome::Completed(w)) => {
-            assert_eq!(g.output.c0(), w.output.c0(), "c0 diverged: {label}");
-            assert_eq!(g.output.c1(), w.output.c1(), "c1 diverged: {label}");
-        }
-        (RequestOutcome::Failed(g), RequestOutcome::Failed(w)) => match &g.fault {
-            ServeFault::Replayed { class, description } => {
-                assert_eq!(*class, w.fault.class(), "class diverged: {label}");
-                assert_eq!(*description, w.fault.to_string(), "description: {label}");
-            }
-            fault => assert_eq!(fault, &w.fault, "fault diverged: {label}"),
-        },
-        (
-            RequestOutcome::Shed { queue_depth: g, .. },
-            RequestOutcome::Shed { queue_depth: w, .. },
-        ) => assert_eq!(g, w, "shed depth diverged: {label}"),
-        (g, w) => panic!("outcome shape diverged: {label}: {g:?} vs {w:?}"),
-    }
-}
-
-/// Runs the reference workload against a durable journal on `disk`. Returns the server
-/// post-run (the journal stays attached). `None` if the disk crashed during journal
-/// creation — possible only when a crash is armed.
+/// Runs the reference workload — two rounds, no faults — against a durable journal on
+/// `disk`. Returns the server post-run (the journal stays attached). `None` if the disk
+/// crashed during journal creation — possible only when a crash is armed.
 fn run_workload(
     ctx: &Arc<CkksContext>,
     tenants: &[Tenant],
@@ -155,58 +53,9 @@ fn run_workload_on(
     backend: Box<dyn StorageBackend + Send>,
     policy: SyncPolicy,
 ) -> Option<FabServer> {
-    let mut server = make_server(ctx, tenants, config);
-    let journal = DurableJournal::create(backend, ctx.clone(), policy, ROTATE_AFTER).ok()?;
-    server.attach_durable_journal(journal);
-    submit_stream(&mut server, tenants, 2, 17);
-    let _outcomes = server.run();
-    Some(server)
-}
-
-/// Recovers a crash surface and replays: asserts the combined outcomes are a
-/// bitwise-identical prefix of the reference and that no journaled completion was
-/// re-executed. Returns the recovered server for further inspection.
-fn check_surface(
-    ctx: &Arc<CkksContext>,
-    tenants: &[Tenant],
-    config: ServerConfig,
-    reference: &[RequestOutcome],
-    policy: SyncPolicy,
-    surface: SimDisk,
-    label: &str,
-) -> FabServer {
-    let mut recovered = make_server(ctx, tenants, config);
-    let report = recovered
-        .recover_from_store(Box::new(surface), policy, ROTATE_AFTER)
-        .unwrap_or_else(|e| panic!("{label}: legal crash damage must never be corruption: {e}"));
-    let settled_completed = report
-        .settled
-        .iter()
-        .filter(|o| o.completed().is_some())
-        .count() as u64;
-    let mut outcomes = report.settled;
-    outcomes.extend(recovered.run());
-    outcomes.sort_by_key(RequestOutcome::request);
-
-    assert!(
-        outcomes.len() <= reference.len(),
-        "{label}: recovery fabricated requests"
-    );
-    for (i, (got, want)) in outcomes.iter().zip(reference).enumerate() {
-        assert_eq!(
-            got.request(),
-            want.request(),
-            "{label}: surviving requests must be a prefix (position {i})"
-        );
-        assert_equivalent(label, got, want);
-    }
-    let completed_total = outcomes.iter().filter(|o| o.completed().is_some()).count() as u64;
-    assert_eq!(
-        recovered.executions(),
-        completed_total - settled_completed,
-        "{label}: a journaled completion was re-executed"
-    );
-    recovered
+    let submit = |server: &mut FabServer| submit_stream(server, tenants, 2, 17, 2);
+    run_journaled(ctx, tenants, config, backend, policy, &|_| {}, &submit)
+        .map(|(server, _outcomes)| server)
 }
 
 #[test]
@@ -215,7 +64,7 @@ fn every_simdisk_crash_schedule_recovers_bitwise_identically_with_zero_duplicate
     let tenants: Vec<Tenant> = (0..TENANTS)
         .map(|t| make_tenant(&ctx, 900 + t as u64))
         .collect();
-    let config = make_config(&ctx);
+    let config = make_config(&ctx, TENANTS);
 
     for policy in [SyncPolicy::Always, SyncPolicy::EveryN(4)] {
         // Uninterrupted reference: outcomes, plus the syscall count that bounds the sweep.
@@ -241,31 +90,73 @@ fn every_simdisk_crash_schedule_recovers_bitwise_identically_with_zero_duplicate
         };
         assert_eq!(reference.len(), 2 * TENANTS);
         assert!(reference.iter().all(|o| o.completed().is_some()));
+        assert_eq!(ref_server.executions(), reference.len() as u64);
 
         let total_ops = ref_disk.op_count();
         assert!(
             total_ops > 20,
             "the workload must cross many syscall boundaries, got {total_ops}"
         );
-        let multi_segment = ref_disk.snapshot().list("seg-").len() > 1;
-        assert!(multi_segment, "the workload must rotate segments");
+        let mut ref_files = ref_disk.snapshot();
+        let segments = ref_files.list("seg-");
+        assert!(segments.len() > 1, "the workload must rotate segments");
+        // Three appends per completed request: Admitted, Started, Completed.
+        let journaled: usize = segments
+            .iter()
+            .map(|name| {
+                let bytes = ref_files.read(name).expect("segment");
+                let log = RecoveredJournal::open(&bytes, &ctx).expect("clean segment");
+                log.records.len()
+            })
+            .sum();
+        assert_eq!(journaled, 3 * reference.len());
 
+        // Per execution k: did some kill site leave the work done and its receipt lost —
+        // the dead process had executed request k, and recovery executes it again?
+        let mut receipt_lost = vec![false; reference.len()];
+        let mut tail_dropped = false;
         for at in 0..total_ops {
             let disk = SharedDisk::new();
             disk.arm_crash(at);
-            if let Some(server) = run_workload(&ctx, &tenants, config, &disk, policy) {
+            let dead = run_workload(&ctx, &tenants, config, &disk, policy);
+            if let Some(server) = &dead {
                 assert!(
                     server.has_crashed(),
                     "policy {policy:?}: armed op {at} of {total_ops} never fired"
                 );
             }
             assert!(disk.has_crashed());
-            for seed in [3u64, 11] {
-                let (surface, _) = disk.crash_surface(seed);
+            let executed = dead.map_or(0, |server| server.executions());
+            // Two fixed seeds and one that moves with the site: a lone unsynced write meets
+            // the same first draws under a fixed seed, so fixed seeds alone never tear it.
+            for seed in [3u64, 11, 100 + at] {
                 let label = format!("policy {policy:?}, crash at op {at}, seed {seed}");
-                check_surface(&ctx, &tenants, config, &reference, policy, surface, &label);
+                let (readmitted, torn_bytes) = check_surface(
+                    &ctx,
+                    &tenants,
+                    config,
+                    &reference,
+                    policy,
+                    &|_| {},
+                    disk.crash_surface(seed),
+                    &label,
+                );
+                tail_dropped |= torn_bytes > 0;
+                // Requests execute in id order, so execution k is request k.
+                for k in 0..executed {
+                    receipt_lost[k as usize] |= readmitted.contains(&RequestId(k));
+                }
             }
         }
+        assert!(
+            receipt_lost.iter().all(|&lost| lost),
+            "policy {policy:?}: no kill site lost the receipt of a finished execution: \
+             {receipt_lost:?}"
+        );
+        assert!(
+            tail_dropped,
+            "policy {policy:?}: no surface made recovery drop a damaged tail"
+        );
     }
 }
 
@@ -275,14 +166,14 @@ fn compacted_journal_recovers_to_the_same_state_as_the_uncompacted_one() {
     let tenants: Vec<Tenant> = (0..TENANTS)
         .map(|t| make_tenant(&ctx, 1000 + t as u64))
         .collect();
-    let config = make_config(&ctx);
+    let config = make_config(&ctx, TENANTS);
     let policy = SyncPolicy::Always;
 
     let disk = SharedDisk::new();
     let mut server = run_workload(&ctx, &tenants, config, &disk, policy).expect("healthy");
     // Leave two requests in flight (admitted, never started) so compaction must retain
     // their Admitted records, not just settled outcomes.
-    submit_stream(&mut server, &tenants, 1, 99);
+    submit_stream(&mut server, &tenants, 1, 99, 2);
     server.sync_journal();
 
     let uncompacted = disk.snapshot();
@@ -338,13 +229,13 @@ fn every_crash_during_compaction_preserves_the_journal_state() {
     let tenants: Vec<Tenant> = (0..TENANTS)
         .map(|t| make_tenant(&ctx, 1100 + t as u64))
         .collect();
-    let config = make_config(&ctx);
+    let config = make_config(&ctx, TENANTS);
     let policy = SyncPolicy::Always;
 
     // Reference: workload + clean compaction; remember the op window compaction spans.
     let ref_disk = SharedDisk::new();
     let mut ref_server = run_workload(&ctx, &tenants, config, &ref_disk, policy).expect("healthy");
-    submit_stream(&mut ref_server, &tenants, 1, 99);
+    submit_stream(&mut ref_server, &tenants, 1, 99, 2);
     ref_server.sync_journal();
     let ops_before_compaction = ref_disk.op_count();
     ref_server.compact_journal().expect("clean compaction");
@@ -365,7 +256,7 @@ fn every_crash_during_compaction_preserves_the_journal_state() {
     for at in ops_before_compaction..ops_after_compaction {
         let disk = SharedDisk::new();
         let mut server = run_workload(&ctx, &tenants, config, &disk, policy).expect("healthy");
-        submit_stream(&mut server, &tenants, 1, 99);
+        submit_stream(&mut server, &tenants, 1, 99, 2);
         server.sync_journal();
         disk.arm_crash(at);
         let result = server.compact_journal();
@@ -400,7 +291,7 @@ fn a_file_backend_journal_matches_its_simdisk_twin_and_recovers_from_the_real_di
     let tenants: Vec<Tenant> = (0..TENANTS)
         .map(|t| make_tenant(&ctx, 1400 + t as u64))
         .collect();
-    let config = make_config(&ctx);
+    let config = make_config(&ctx, TENANTS);
     let policy = SyncPolicy::Always;
     // Process-unique, so concurrent runs of this suite never share a directory.
     let dir = std::env::temp_dir().join(format!("fab-serve-file-twin-{}", std::process::id()));
@@ -497,7 +388,7 @@ fn an_active_segment_of_another_format_version_fails_typed_not_empty() {
     let tenants: Vec<Tenant> = (0..TENANTS)
         .map(|t| make_tenant(&ctx, 1300 + t as u64))
         .collect();
-    let config = make_config(&ctx);
+    let config = make_config(&ctx, TENANTS);
     let policy = SyncPolicy::Always;
     let disk = SharedDisk::new();
     let mut server = run_workload(&ctx, &tenants, config, &disk, policy).expect("healthy");
@@ -557,7 +448,7 @@ proptest! {
         let tenants: Vec<Tenant> = (0..TENANTS)
             .map(|t| make_tenant(&ctx, 1200 + t as u64))
             .collect();
-        let config = make_config(&ctx);
+        let config = make_config(&ctx, TENANTS);
         let policy = SyncPolicy::Always;
 
         let disk = SharedDisk::new();

@@ -1,15 +1,16 @@
 //! Durable storage backends for the serving journal and training checkpoints.
 //!
-//! PR 9 made the *formats* crash-safe byte-for-byte: journal records and checkpoint blobs
-//! are validated blobs that recover a clean prefix or fail typed. What remained open (see
-//! ROADMAP) is the layer underneath — `std::fs::write` + `rename` with no fsync is not
-//! durable, so a power loss could still lose everything the format protects. This crate
-//! closes that gap and, just as importantly, makes the claim *testable*:
+//! The *formats* are crash-safe byte-for-byte: journal records and checkpoint blobs are
+//! validated blobs that recover a clean prefix or fail typed. The layer underneath is this
+//! crate's — a plain write followed by a rename, with no fsync, is not durable, so a power
+//! loss could still lose everything the format protects. This crate holds that contract
+//! and, just as importantly, makes the claim *testable*:
 //!
 //! * [`StorageBackend`] is the seam: append / flush / sync / rename / directory-sync over a
 //!   flat file namespace. Everything above it (the segmented journal, checkpoint writes)
-//!   is written once against the trait.
-//! * [`FileBackend`] is the real thing: buffered appends, explicit `fsync` (`sync_data`) on
+//!   is written once against the trait, and nothing above it touches a file any other way
+//!   (CI greps for that).
+//! * [`FileBackend`] is the real thing: buffered appends, explicit `fsync` on
 //!   [`StorageBackend::sync`], and parent-directory fsync on [`StorageBackend::sync_dir`]
 //!   so renames and creations are durable — with syscall counters.
 //! * [`SimDisk`] is a deterministic disk model with the **true crash surface**: data that
@@ -38,7 +39,7 @@ mod sim;
 use std::fmt;
 
 pub use file::{FileBackend, FileStats};
-pub use sim::{CrashSurface, MemBackend, SharedDisk, SimDisk};
+pub use sim::{CrashSurface, SharedDisk, SimDisk};
 
 /// A storage-layer failure, typed by what it means for the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -79,7 +79,8 @@ pub struct CrashSurface {
     pub reverted_names: u64,
 }
 
-/// The deterministic simulated disk. See the module docs for the crash model.
+/// The deterministic simulated disk. See the module docs for the crash model. Never armed,
+/// it is the in-memory backend: there is no other.
 #[derive(Debug, Clone, Default)]
 pub struct SimDisk {
     files: Vec<FileData>,
@@ -325,10 +326,6 @@ impl StorageBackend for SimDisk {
     }
 }
 
-/// Backwards-compatible alias: an unarmed [`SimDisk`] is exactly a deterministic
-/// in-memory backend.
-pub type MemBackend = SimDisk;
-
 /// A cloneable handle to one [`SimDisk`]: the harness hands one clone (boxed as a
 /// [`StorageBackend`]) to the component under test and keeps another to arm crash points
 /// and draw the crash surface after the component "dies". All clones see the same disk.
@@ -339,11 +336,6 @@ impl SharedDisk {
     /// A handle to a fresh, healthy disk.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Wraps an existing disk (e.g. a previously drawn crash surface).
-    pub fn from_disk(disk: SimDisk) -> Self {
-        Self(std::sync::Arc::new(std::sync::Mutex::new(disk)))
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SimDisk> {

@@ -25,8 +25,9 @@ use fab_ckks::{
     SecretKey, SwitchingKey,
 };
 use fab_lr::TrainingCheckpoint;
+use fab_serve::journal::fold_requests;
 use fab_serve::{
-    DurableJournal, FaultClass, JournalRecord, Program, RequestId, RequestJournal, ServeOp,
+    DurableJournal, FaultClass, JournalRecord, Program, RecoveredJournal, RequestId, ServeOp,
     StoreError, TenantId,
 };
 use fab_store::{write_atomic, SimDisk, SyncPolicy};
@@ -111,15 +112,11 @@ fn fixture() -> &'static Fixture {
                 description: "fetch of Relin failed after 3 attempts: flaky".into(),
             },
         ];
-        let mut journal = RequestJournal::new(ctx.clone());
-        for record in &records {
-            journal.append(record);
-        }
-        let segment = journal.bytes().to_vec();
-        journal.append(&JournalRecord::Checkpoint {
+        let segment = encode_stream(&records, &ctx);
+        let marker = JournalRecord::Checkpoint {
             retained: records.len() as u64,
-        });
-        let base = journal.bytes().to_vec();
+        };
+        let base = [segment.clone(), marker.to_framed_bytes(&ctx)].concat();
         let checkpoint = TrainingCheckpoint {
             iteration: 5,
             weights: ct.clone(),
@@ -241,30 +238,34 @@ fn arbitrary_input(valid: &[u8], seed: u64, reseal: fn(&mut [u8])) -> Vec<u8> {
     bytes
 }
 
-/// The re-encoding of a recovered record stream: what `RequestJournal` would have written
-/// had it been handed exactly these records.
-fn reencode_stream(records: &[JournalRecord], ctx: &Arc<CkksContext>) -> Vec<u8> {
-    let mut journal = RequestJournal::new(ctx.clone());
-    for record in records {
-        journal.append(record);
-    }
-    journal.bytes().to_vec()
+/// A journal byte log of exactly these records: the header the writer puts first, then each
+/// record framed — what a segment holding them is, byte for byte.
+fn encode_stream(records: &[JournalRecord], ctx: &CkksContext) -> Vec<u8> {
+    let header = JournalRecord::Header {
+        fingerprint: wire::param_fingerprint(ctx.params()),
+    };
+    std::iter::once(&header)
+        .chain(records)
+        .flat_map(|record| record.to_framed_bytes(ctx))
+        .collect()
 }
 
 /// `open` and `open_lenient` over one input: `Ok` must hand back a clean prefix of the input
 /// whose decoded records re-encode to exactly those bytes.
 fn check_journal_stream(input: &[u8], ctx: &Arc<CkksContext>) {
-    let opens = [RequestJournal::open, RequestJournal::open_lenient];
+    let opens = [RecoveredJournal::open, RecoveredJournal::open_lenient];
     for open in opens {
-        match open(input, ctx.clone()) {
+        match open(input, ctx) {
             Ok(recovered) => {
-                let kept = recovered.journal.bytes();
-                // Either a clean prefix of the input was kept, or nothing survived and the
-                // journal is a fresh header.
-                if recovered.torn_bytes < input.len() {
-                    assert_eq!(kept, &input[..input.len() - recovered.torn_bytes]);
+                assert_eq!(recovered.clean_len + recovered.torn_bytes, input.len());
+                let kept = &input[..recovered.clean_len];
+                // Either a clean prefix of the input was kept, or nothing survived — not
+                // even a header, so no record either.
+                if kept.is_empty() {
+                    assert!(recovered.records.is_empty());
+                    continue;
                 }
-                let reencoded = reencode_stream(&recovered.records, ctx);
+                let reencoded = encode_stream(&recovered.records, ctx);
                 assert!(
                     reencoded == kept,
                     "decoded records re-encode to {} bytes, were read from {}; first \
@@ -348,12 +349,13 @@ proptest! {
         write_atomic(&mut disk, "cpt-00000003.wal", &input).unwrap();
         match DurableJournal::recover(Box::new(disk), f.ctx.clone(), SyncPolicy::Always, 64) {
             Ok(recovered) => {
-                // Accepted: then it decoded as a marker-complete stream, and what recovery
-                // re-compacted it onto decodes to the same retained set.
-                let opened = RequestJournal::open(&input, f.ctx.clone()).expect("accepted base");
+                // Accepted: then it decoded as a marker-complete stream, and recovery folded
+                // exactly the records in front of the marker.
+                let mut opened = RecoveredJournal::open(&input, &f.ctx).expect("accepted base");
                 prop_assert_eq!(opened.torn_bytes, 0);
                 prop_assert_eq!(recovered.files_folded, 1);
-                prop_assert_eq!(&recovered.records[..], &opened.records[..opened.records.len() - 1]);
+                opened.records.pop();
+                prop_assert_eq!(recovered.requests, fold_requests(opened.records));
             }
             Err(StoreError::Corrupt(e)) => prop_assert!(!e.reason.is_empty()),
             Err(StoreError::Storage(e)) => panic!("storage error on a healthy disk: {e}"),
@@ -401,8 +403,8 @@ fn version_1_blobs_of_every_kind_are_refused_by_version() {
     let mut v1_log = f.segment.clone();
     assert_eq!(v1_log[8..10], [2, 0], "first record's version word");
     v1_log[8] = 1;
-    for open in [RequestJournal::open, RequestJournal::open_lenient] {
-        let err = open(&v1_log, f.ctx.clone()).expect_err("v1 journal");
+    for open in [RecoveredJournal::open, RecoveredJournal::open_lenient] {
+        let err = open(&v1_log, &f.ctx).expect_err("v1 journal");
         assert_eq!(err.offset, 0);
         unsupported(&err.reason);
     }
