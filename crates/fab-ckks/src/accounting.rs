@@ -20,8 +20,7 @@
 //!   inverses feeding the coefficient-domain ModUp conversions;
 //! * multiply: the tensor products never round-trip — `d2` enters the key switch dual-form
 //!   and `d0`/`d1` are absorbed as `P·d` into the KSKIP accumulators **before** the
-//!   accumulator inverse, exactly `limbs` fewer forwards and `2·limbs` fewer inverses than
-//!   the PR 4 pipeline ([`multiply_pr4`]);
+//!   accumulator inverse, so none of the three pays an inverse of its own;
 //! * hoisted rotation batch: the `β·raised` forward sweep is paid **once** for the whole
 //!   batch — each rotation permutes the transformed digits in evaluation domain instead of
 //!   re-transforming them (the audited-redundant per-rotation forwards the pipeline
@@ -29,7 +28,7 @@
 //! * eval-resident BSGS stage: plaintext diagonals are NTT-cached in the plan (zero
 //!   plaintext forwards after warm-up), babies are promoted to evaluation form once each,
 //!   and the partial sums pay one inverse pair per giant **group** instead of per diagonal
-//!   ([`bsgs_stage_eval`] vs the PR 4 [`bsgs_stage`]);
+//!   ([`bsgs_stage_eval`]);
 //! * fused ModDown+rescale (`multiply_rescale`): identical transform count to `multiply` —
 //!   basis conversions are NTT-free, so the fusion saves conversion work, not transforms;
 //! * real constants (`multiply_const`, `accumulate_const`, `add_scalar`, and through them
@@ -101,27 +100,13 @@ pub fn key_switch_dual(limbs: usize, special: usize, alpha: usize) -> TransformC
 /// inverses — `d0`/`d1` stay in evaluation form and are absorbed as `P·d` into the KSKIP
 /// accumulators before the accumulator inverse, so ModDown emits `d_i + k_i` directly.
 ///
-/// Against the PR 4 formula ([`multiply_pr4`]) this is exactly `limbs` fewer forwards (the
-/// dual-form seam) and `2·limbs` fewer inverses (the evaluation-domain `P·d` absorption) —
-/// the ROADMAP "multiply dual-form" lever, overdelivered on the inverse side. A
-/// `multiply_rescale` costs exactly the same — the fused ModDown+rescale changes conversion
+/// A `multiply_rescale` costs exactly the same — the fused ModDown+rescale changes conversion
 /// work, not transforms. Evaluation-form operands save a further `2·limbs` forwards each
 /// (their `to_evaluation` no-ops).
 pub fn multiply(limbs: usize, special: usize, alpha: usize) -> TransformCounts {
     add(
         counts(4 * limbs as u64, 0),
         key_switch_dual(limbs, special, alpha),
-    )
-}
-
-/// The PR 4 coefficient-resident multiplication formula — four operand forwards, three
-/// tensor-output inverses, a coefficient-form key switch, coefficient-domain adds — kept as
-/// the regression baseline for [`multiply`] (and executed verbatim by
-/// `Evaluator::multiply_reference`, the bitwise oracle).
-pub fn multiply_pr4(limbs: usize, special: usize, alpha: usize) -> TransformCounts {
-    add(
-        counts(4 * limbs as u64, 3 * limbs as u64),
-        key_switch(limbs, special, alpha),
     )
 }
 
@@ -160,26 +145,6 @@ pub fn hoisted_rotation_batch(
     let beta = limbs.div_ceil(alpha) as u64;
     let raised = (limbs + special) as u64;
     counts(beta * raised, rotations as u64 * 2 * raised)
-}
-
-/// Expected transforms of one **coefficient-resident** BSGS linear-transform stage (the PR 4
-/// path, still executed by `LinearTransform::apply_bsgs_reference`): the hoisted baby batch,
-/// one full plaintext multiplication per diagonal, and one full rotation per nonzero giant
-/// step. The trailing rescale is transform-free.
-pub fn bsgs_stage(
-    limbs: usize,
-    special: usize,
-    alpha: usize,
-    plan: &BsgsPlan,
-    diagonals: usize,
-) -> TransformCounts {
-    let babies = hoisted_rotation_batch(limbs, special, alpha, plan.baby_rotation_count());
-    let products = times(multiply_plain(limbs), diagonals as u64);
-    let giants = times(
-        rotation(limbs, special, alpha),
-        plan.giant_rotation_count() as u64,
-    );
-    add(add(babies, products), giants)
 }
 
 /// Expected transforms of one **eval-resident** BSGS stage (the shipped
@@ -468,17 +433,6 @@ mod tests {
                 inverse: 27
             }
         );
-        // Exactly `limbs` fewer forwards and `2·limbs` fewer inverses than the PR 4 formula.
-        let pr4 = multiply_pr4(7, 3, 3);
-        assert_eq!(
-            pr4,
-            TransformCounts {
-                forward: 58,
-                inverse: 41
-            }
-        );
-        assert_eq!(pr4.forward - mul.forward, 7);
-        assert_eq!(pr4.inverse - mul.inverse, 14);
         assert_eq!(
             multiply_plain(7),
             TransformCounts {
@@ -512,33 +466,20 @@ mod tests {
     }
 
     #[test]
-    fn eval_resident_bsgs_formula_beats_the_pr4_formula() {
+    fn eval_resident_bsgs_formula_charges_the_cache_fill_only_when_warm() {
         // 12 diagonals, baby step 4 → babies {0,1,2,3}, groups {0,4,8}.
         let offsets: Vec<usize> = (0..12).collect();
         let plan = BsgsPlan::with_baby_step(64, &offsets, 4);
-        let coeff = bsgs_stage(4, 2, 2, &plan, 12);
         let warm = bsgs_stage_eval(4, 2, 2, &plan, 12, true);
         let steady = bsgs_stage_eval(4, 2, 2, &plan, 12, false);
         // Warm-up charges exactly the one-time diagonal cache fill; nothing else differs.
         assert_eq!(warm.forward - steady.forward, 12 * 4);
         assert_eq!(warm.inverse, steady.inverse);
-        // After warm-up the eval-resident stage strictly beats the PR 4 coefficient path:
-        // babies promoted once each vs one round-trip per diagonal, one inverse pair per
-        // giant group vs per diagonal.
-        assert!(steady.forward < coeff.forward, "{steady:?} vs {coeff:?}");
-        assert!(steady.inverse < coeff.inverse, "{steady:?} vs {coeff:?}");
         assert_eq!(
             steady,
             TransformCounts {
                 forward: 68,
                 inverse: 84
-            }
-        );
-        assert_eq!(
-            coeff,
-            TransformCounts {
-                forward: 180,
-                inverse: 156
             }
         );
     }

@@ -21,10 +21,10 @@ use std::sync::Arc;
 use fab_math::Complex64;
 use fab_trace::{HeOp, OpTrace};
 
-use crate::evaluator::SCALE_TOLERANCE;
+use crate::evaluator::scales_match;
 use crate::{
-    BsgsPlan, Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, LinearTransform,
-    RelinearizationKey, Result,
+    Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, LinearTransform, RelinearizationKey,
+    Result,
 };
 
 /// The operations a backend must interpret; mirrors the semantic surface of [`Evaluator`].
@@ -123,36 +123,19 @@ pub trait EvalBackend {
     /// Rotation with its own key-switch decomposition.
     fn rotate(&self, a: &Self::Ct, steps: usize) -> Result<Self::Ct>;
 
-    /// Rotation sharing a decomposition with a previous rotation of the same ciphertext.
-    fn rotate_hoisted(&self, a: &Self::Ct, steps: usize) -> Result<Self::Ct>;
-
     /// Rotates one ciphertext by every step in `steps`, sharing a single key-switch
     /// decomposition across the batch (hoisting, Bossuat et al.): the first nonzero step is a
-    /// full rotation, every further nonzero step a hoisted one, and steps that are multiples
-    /// of the slot count are free clones. The default implementation defers to
-    /// [`Self::rotate`]/[`Self::rotate_hoisted`]; [`ExecBackend`] overrides it with the
-    /// evaluator's genuinely-shared Decomp→ModUp, emitting the *identical* op stream — which
-    /// is what keeps recorded executions and planned traces in op-for-op agreement.
+    /// full rotation ([`HeOp::Rotate`]), every further nonzero step a hoisted one
+    /// ([`HeOp::RotateHoisted`]), and steps that are multiples of the slot count are free
+    /// clones. Hoisting exists only here, where a decomposition is really shared:
+    /// [`ExecBackend`] runs the evaluator's shared Decomp→ModUp, [`PlanBackend`] emits the
+    /// *identical* op stream — which is what keeps recorded executions and planned traces in
+    /// op-for-op agreement.
     ///
     /// # Errors
     ///
     /// Same as [`Self::rotate`].
-    fn rotate_batch_hoisted(&self, a: &Self::Ct, steps: &[usize]) -> Result<Vec<Self::Ct>> {
-        let slots = self.ctx().slot_count();
-        let mut out = Vec::with_capacity(steps.len());
-        let mut first = true;
-        for &s in steps {
-            if s % slots == 0 {
-                out.push(a.clone());
-            } else if first {
-                first = false;
-                out.push(self.rotate(a, s)?);
-            } else {
-                out.push(self.rotate_hoisted(a, s)?);
-            }
-        }
-        Ok(out)
-    }
+    fn rotate_batch_hoisted(&self, a: &Self::Ct, steps: &[usize]) -> Result<Vec<Self::Ct>>;
 
     /// Conjugation.
     fn conjugate(&self, a: &Self::Ct) -> Result<Self::Ct>;
@@ -160,7 +143,7 @@ pub trait EvalBackend {
     /// Multiplication by the monomial `X^power` (free on FAB; no trace op).
     fn multiply_by_monomial(&self, a: &Self::Ct, power: usize) -> Result<Self::Ct>;
 
-    /// Applies a planned BSGS linear transform. The default runs the backend-generic
+    /// Applies a linear transform through its BSGS plan. The default runs the backend-generic
     /// coefficient-resident control flow (one plaintext multiplication round-trip per
     /// diagonal); [`ExecBackend`] overrides it with the eval-resident, NTT-cached execution
     /// — emitting the **identical** semantic op stream, which is what keeps recorded
@@ -169,16 +152,11 @@ pub trait EvalBackend {
     /// # Errors
     ///
     /// Same as [`LinearTransform::apply_with`].
-    fn apply_bsgs_planned(
-        &self,
-        lt: &LinearTransform,
-        ct: &Self::Ct,
-        plan: &BsgsPlan,
-    ) -> Result<Self::Ct>
+    fn apply_bsgs_planned(&self, lt: &LinearTransform, ct: &Self::Ct) -> Result<Self::Ct>
     where
         Self: Sized,
     {
-        crate::linear_transform::apply_planned_generic(lt, self, ct, plan)
+        crate::linear_transform::apply_planned_generic(lt, self, ct)
     }
 }
 
@@ -330,10 +308,6 @@ impl EvalBackend for ExecBackend<'_> {
         self.evaluator.rotate(a, steps, self.keys()?)
     }
 
-    fn rotate_hoisted(&self, a: &Ciphertext, steps: usize) -> Result<Ciphertext> {
-        self.evaluator.rotate_hoisted(a, steps, self.keys()?)
-    }
-
     fn rotate_batch_hoisted(&self, a: &Ciphertext, steps: &[usize]) -> Result<Vec<Ciphertext>> {
         self.evaluator.rotate_hoisted_batch(a, steps, self.keys()?)
     }
@@ -346,13 +320,8 @@ impl EvalBackend for ExecBackend<'_> {
         self.evaluator.multiply_by_monomial(a, power)
     }
 
-    fn apply_bsgs_planned(
-        &self,
-        lt: &LinearTransform,
-        ct: &Ciphertext,
-        plan: &BsgsPlan,
-    ) -> Result<Ciphertext> {
-        lt.apply_planned_exec(self.evaluator, self.keys()?, ct, plan)
+    fn apply_bsgs_planned(&self, lt: &LinearTransform, ct: &Ciphertext) -> Result<Ciphertext> {
+        lt.apply_planned_exec(self.evaluator, self.keys()?, ct)
     }
 }
 
@@ -411,7 +380,7 @@ impl PlanBackend {
     }
 
     fn check_scales(&self, a: f64, b: f64) -> Result<()> {
-        if (a / b - 1.0).abs() >= SCALE_TOLERANCE {
+        if !scales_match(a, b) {
             return Err(CkksError::ScaleMismatch { left: a, right: b });
         }
         Ok(())
@@ -567,7 +536,7 @@ impl EvalBackend for PlanBackend {
     }
 
     fn match_scale(&self, a: &PlanCiphertext, target_scale: f64) -> Result<PlanCiphertext> {
-        if (a.scale / target_scale - 1.0).abs() < SCALE_TOLERANCE {
+        if scales_match(a.scale, target_scale) {
             return Ok(PlanCiphertext::new(a.level, target_scale));
         }
         if a.level == 0 {
@@ -597,7 +566,7 @@ impl EvalBackend for PlanBackend {
         b: &PlanCiphertext,
     ) -> Result<(PlanCiphertext, PlanCiphertext)> {
         let (mut a, mut b) = self.align_levels(a, b);
-        if (a.scale / b.scale - 1.0).abs() >= SCALE_TOLERANCE {
+        if !scales_match(a.scale, b.scale) {
             if a.scale > b.scale {
                 a = self.match_scale(&a, b.scale)?;
                 let level = a.level.min(b.level);
@@ -621,12 +590,22 @@ impl EvalBackend for PlanBackend {
         Ok(*a)
     }
 
-    fn rotate_hoisted(&self, a: &PlanCiphertext, steps: usize) -> Result<PlanCiphertext> {
-        if steps % self.ctx.slot_count() == 0 {
-            return Ok(*a);
+    fn rotate_batch_hoisted(
+        &self,
+        a: &PlanCiphertext,
+        steps: &[usize],
+    ) -> Result<Vec<PlanCiphertext>> {
+        let slots = self.ctx.slot_count();
+        let mut first = true;
+        for _ in steps.iter().filter(|&&s| s % slots != 0) {
+            self.record(if first {
+                HeOp::Rotate { level: a.level }
+            } else {
+                HeOp::RotateHoisted { level: a.level }
+            });
+            first = false;
         }
-        self.record(HeOp::RotateHoisted { level: a.level });
-        Ok(*a)
+        Ok(vec![*a; steps.len()])
     }
 
     fn conjugate(&self, a: &PlanCiphertext) -> Result<PlanCiphertext> {
@@ -661,6 +640,51 @@ mod tests {
             trace.ops,
             vec![HeOp::Multiply { level: 3 }, HeOp::Rescale { level: 3 }]
         );
+    }
+
+    #[test]
+    fn exec_and_plan_emit_the_same_hoisted_batch_op_stream() {
+        // No trait default ties the two interpreters' batches together, so it is stated:
+        // free clones for multiples of the slot count, `Rotate` once, `RotateHoisted` after.
+        use crate::{Encoder, Encryptor, KeyGenerator, SecretKey};
+        use rand::SeedableRng;
+        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(17);
+        let keygen = KeyGenerator::new(ctx.clone(), SecretKey::generate(&ctx, &mut rng));
+        let pk = keygen.public_key(&mut rng);
+        let keys = keygen.galois_keys(&[1, 2], false, &mut rng).unwrap();
+        let level = 3;
+        let scale = ctx.params().default_scale();
+        let pt = Encoder::new(ctx.clone())
+            .encode_real(&[0.5, -0.25], scale, level)
+            .unwrap();
+        let ct = Encryptor::new(ctx.clone(), pk)
+            .encrypt(&pt, &mut rng)
+            .unwrap();
+        let steps = [0, 1, ctx.slot_count(), 2, 1];
+
+        let sink = fab_trace::RecordingSink::shared("exec");
+        let evaluator = Evaluator::with_sink(ctx.clone(), sink.clone());
+        let exec = ExecBackend::new(&evaluator, None, Some(&keys));
+        let rotated = exec.rotate_batch_hoisted(&ct, &steps).unwrap();
+        let plan = PlanBackend::new(ctx.clone(), "plan");
+        let shadow = PlanCiphertext::new(level, scale);
+        let shadows = plan.rotate_batch_hoisted(&shadow, &steps).unwrap();
+
+        assert_eq!(rotated.len(), steps.len());
+        assert_eq!(shadows, vec![shadow; steps.len()]);
+        for free in [0, 2] {
+            assert_eq!(rotated[free].c0(), ct.c0());
+            assert_eq!(rotated[free].c1(), ct.c1());
+        }
+        assert_eq!(rotated[1].c0(), rotated[4].c0());
+        let expected = vec![
+            HeOp::Rotate { level },
+            HeOp::RotateHoisted { level },
+            HeOp::RotateHoisted { level },
+        ];
+        assert_eq!(sink.take().ops, expected);
+        assert_eq!(plan.into_trace().ops, expected);
     }
 
     #[test]

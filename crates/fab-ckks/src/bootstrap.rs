@@ -40,7 +40,7 @@ use crate::backend::{EvalBackend, ExecBackend, PlanBackend, PlanCiphertext};
 use crate::linear_transform::{coeff_to_slot_stages, slot_to_coeff_stages};
 use crate::{
     ChebyshevSeries, Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, LinearTransform,
-    Plaintext, RelinearizationKey, Result,
+    RelinearizationKey, Result,
 };
 use fab_rns::{Representation, RnsPolynomial};
 
@@ -248,16 +248,6 @@ impl Bootstrapper {
                 ),
             });
         }
-        // Every stage executes (and is costed) through its baby-step/giant-step plan: the
-        // software pipeline runs the FAB rotation schedule, not one key switch per diagonal.
-        let cts_stages = cts_stages
-            .into_iter()
-            .map(LinearTransform::with_bsgs_plan)
-            .collect();
-        let stc_stages = stc_stages
-            .into_iter()
-            .map(LinearTransform::with_bsgs_plan)
-            .collect();
         let bootstrapper = Self {
             ctx,
             evaluator,
@@ -309,7 +299,7 @@ impl Bootstrapper {
     pub fn coeff_to_slot_plans(&self) -> Vec<&crate::BsgsPlan> {
         self.cts_stages
             .iter()
-            .filter_map(LinearTransform::bsgs_plan)
+            .map(LinearTransform::bsgs_plan)
             .collect()
     }
 
@@ -317,7 +307,7 @@ impl Bootstrapper {
     pub fn slot_to_coeff_plans(&self) -> Vec<&crate::BsgsPlan> {
         self.stc_stages
             .iter()
-            .filter_map(LinearTransform::bsgs_plan)
+            .map(LinearTransform::bsgs_plan)
             .collect()
     }
 
@@ -514,18 +504,6 @@ impl Bootstrapper {
         self.pipeline_with(&plan, &raised, scale)?;
         Ok(plan.into_trace())
     }
-
-    /// Convenience: measures the slot-wise error between two plaintext decodings (used by
-    /// tests and the precision experiments).
-    pub fn max_slot_error(&self, a: &Plaintext, b: &Plaintext) -> f64 {
-        let encoder = self.evaluator.encoder();
-        let da = encoder.decode(a);
-        let db = encoder.decode(b);
-        da.iter()
-            .zip(db.iter())
-            .map(|(x, y)| (*x - *y).norm())
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -680,6 +658,9 @@ mod tests {
         let (cts, stc) = f.bootstrapper.stage_counts();
         assert_eq!(cts, 3);
         assert_eq!(stc, 3);
+        // One plan per stage, in both directions.
+        assert_eq!(f.bootstrapper.coeff_to_slot_plans().len(), cts);
+        assert_eq!(f.bootstrapper.slot_to_coeff_plans().len(), stc);
         assert!(!f.bootstrapper.required_rotations().is_empty());
         // Every required rotation is below the slot count.
         assert!(f

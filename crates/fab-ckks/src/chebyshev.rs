@@ -7,7 +7,7 @@
 use fab_math::Complex64;
 
 use crate::backend::{EvalBackend, ExecBackend};
-use crate::evaluator::SCALE_TOLERANCE;
+use crate::evaluator::scales_match;
 use crate::{Ciphertext, CkksError, Evaluator, RelinearizationKey, Result};
 
 /// A Chebyshev series `Σ c_k T_k(t)` on a domain `[a, b]` (mapped affinely onto `[-1, 1]`).
@@ -53,20 +53,6 @@ impl ChebyshevSeries {
             let factor = if k == 0 { 1.0 } else { 2.0 };
             coeffs.push(factor * acc / n as f64);
         }
-        Self {
-            coeffs,
-            domain: (a, b),
-        }
-    }
-
-    /// Builds a series from explicit coefficients on the given domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a >= b` or the coefficient list is empty.
-    pub fn from_coefficients(coeffs: Vec<f64>, a: f64, b: f64) -> Self {
-        assert!(a < b, "domain must be non-degenerate");
-        assert!(!coeffs.is_empty(), "at least one coefficient is required");
         Self {
             coeffs,
             domain: (a, b),
@@ -313,8 +299,9 @@ impl ChebyshevSeries {
                 reason: format!("chebyshev basis T_{j} missing"),
             })?;
             if let Some(sum) = acc.as_mut() {
-                let drift = backend.scale(sum) / (backend.scale(t) * prime) - 1.0;
-                if backend.level(sum) == level && drift.abs() < SCALE_TOLERANCE {
+                if backend.level(sum) == level
+                    && scales_match(backend.scale(sum), backend.scale(t) * prime)
+                {
                     backend.accumulate_const(sum, t, c, prime)?;
                     continue;
                 }

@@ -212,11 +212,6 @@ impl CkksContext {
         self.q_basis.modulus(level).value()
     }
 
-    /// `log2` of the product of the `P` limbs (used for noise bookkeeping).
-    pub fn log_p(&self) -> f64 {
-        self.p_basis.product_bits()
-    }
-
     /// The cached ModUp plan for the digit `[digit_offset .. digit_offset + digit_len)` at
     /// `level` (built on first use, shared afterwards).
     ///

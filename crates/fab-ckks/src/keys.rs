@@ -280,11 +280,6 @@ impl GaloisKeys {
         self.keys.insert(element, Arc::new(key));
     }
 
-    /// Inserts an already-shared key for the given Galois element.
-    pub fn insert_arc(&mut self, element: u64, key: Arc<SwitchingKey>) {
-        self.keys.insert(element, key);
-    }
-
     /// The key for an explicit Galois element, if present.
     pub fn get(&self, element: u64) -> Option<&SwitchingKey> {
         self.keys.get(&element).map(|k| k.as_ref())

@@ -35,8 +35,8 @@
 //! keeps its tensor products in evaluation form — `d2` enters the key switch through the
 //! **dual-form seam** ([`Evaluator::key_switch`] accepts either domain; an evaluation
 //! operand's rows are reused verbatim as the digits' own raised rows), and `P·d0`/`P·d1`
-//! are absorbed into the KSKIP accumulators before the accumulator inverse, so the PR 4
-//! tensor round-trips disappear. Ciphertexts can be kept **eval-resident**
+//! are absorbed into the KSKIP accumulators before the accumulator inverse, so no tensor
+//! product round-trips through coefficient form. Ciphertexts can be kept **eval-resident**
 //! ([`Evaluator::to_evaluation_form`]): `multiply_plain`/`add`/`sub` chains are then
 //! transform-free per step, and BSGS applies run against the plan's **NTT-cached** diagonal
 //! plaintexts with one inverse pair per giant group
@@ -53,10 +53,11 @@
 //! ([`Encoder::encode_constant`]).
 //!
 //! The [`accounting`] module carries the closed-form expected NTT counts for every hot
-//! operation, asserted against the `fab_rns::metering` tallies by regression tests; the
-//! PR 3 eager key switch survives as [`Evaluator::key_switch_reference`] and the PR 4
-//! coefficient-resident pipelines as [`Evaluator::multiply_reference`] /
-//! [`LinearTransform::apply_bsgs_reference`] — the bitwise baselines the tests compare against.
+//! operation, asserted against the `fab_rns::metering` tallies by regression tests. Each
+//! operation has exactly one executing implementation here; what it computes is pinned
+//! bitwise by from-the-definition oracles that live with the tests (`tests/support/`:
+//! schoolbook negacyclic product, textbook per-digit key switch and multiplication, the
+//! long-way Chebyshev evaluation).
 //!
 //! ```
 //! use fab_ckks::{CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator,

@@ -18,8 +18,9 @@
 //! Bossuat et al.), the per-giant partial sums are formed with plaintext multiplications whose
 //! diagonals are pre-rotated by `-g·n1`, and each partial sum is rotated once by its giant
 //! step. The rotation count drops from `d` to roughly `2·√d` while the result (and the
-//! level/scale bookkeeping) is unchanged. [`LinearTransform::apply_with`] routes through the
-//! plan automatically when one is attached ([`LinearTransform::with_bsgs_plan`]).
+//! level/scale bookkeeping) is unchanged. The plan is a property of the transform, derived
+//! from its offsets when it is built, and [`LinearTransform::apply_with`] has no other way to
+//! run.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -31,14 +32,11 @@ use crate::backend::{EvalBackend, ExecBackend};
 use crate::{Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, Result};
 
 /// Per-transform cache of encoded, pre-rotated, **NTT-form** diagonal plaintexts, keyed by
-/// `(level, baby_step)` and holding, per entry, the exact [`BsgsPlan`] it was filled for plus
-/// one polynomial per `(giant group, baby)` pair in plan iteration order. The stored plan is
-/// compared on every hit — a *different* plan that happens to share the baby step (possible
-/// through the public `apply_bsgs_planned` seam) rebuilds the entry instead of silently
-/// multiplying against the wrong diagonals. Filled on the first application of the transform
-/// at a level; every later application (and every bootstrap iteration reusing the same stage
-/// object) performs zero plaintext forward transforms. Shared across clones of the transform.
-type NttDiagonalCache = Arc<Mutex<HashMap<(usize, usize), Arc<(BsgsPlan, Vec<RnsPolynomial>)>>>>;
+/// level and holding one polynomial per `(giant group, baby)` pair of the transform's plan,
+/// in plan iteration order. Filled on the first application of the transform at a level;
+/// every later application (and every bootstrap iteration reusing the same stage object)
+/// performs zero plaintext forward transforms. Shared across clones of the transform.
+type NttDiagonalCache = Arc<Mutex<HashMap<usize, Arc<Vec<RnsPolynomial>>>>>;
 
 /// One giant-step group of a [`BsgsPlan`]: the diagonals `{giant + b : b ∈ babies}` are
 /// accumulated (with pre-rotated plaintexts) and then rotated once by `giant`.
@@ -179,7 +177,8 @@ impl BsgsPlan {
 pub struct LinearTransform {
     slots: usize,
     diagonals: BTreeMap<usize, Vec<Complex64>>,
-    plan: Option<BsgsPlan>,
+    /// The rotation-minimising schedule for `diagonals`' offsets.
+    plan: BsgsPlan,
     /// NTT-form plaintext diagonals, filled per level on first application.
     ntt_diagonals: NttDiagonalCache,
 }
@@ -209,10 +208,17 @@ impl LinearTransform {
                 diagonals.insert(d, diag);
             }
         }
+        Self::planned(n, diagonals)
+    }
+
+    /// The transform over `diagonals` with the rotation-minimising BSGS plan for their
+    /// offsets and an empty NTT-diagonal cache: what every constructor ends in.
+    fn planned(slots: usize, diagonals: BTreeMap<usize, Vec<Complex64>>) -> Self {
+        let offsets: Vec<usize> = diagonals.keys().copied().collect();
         Self {
-            slots: n,
+            slots,
             diagonals,
-            plan: None,
+            plan: BsgsPlan::for_offsets(slots, &offsets),
             ntt_diagonals: NttDiagonalCache::default(),
         }
     }
@@ -228,60 +234,27 @@ impl LinearTransform {
             assert!(*d < slots, "diagonal offset out of range");
             assert_eq!(diag.len(), slots, "diagonal length must equal slot count");
         }
-        Self {
-            slots,
-            diagonals,
-            plan: None,
-            ntt_diagonals: NttDiagonalCache::default(),
-        }
+        Self::planned(slots, diagonals)
     }
 
     /// The identity transform.
     pub fn identity(slots: usize) -> Self {
         let mut diagonals = BTreeMap::new();
         diagonals.insert(0, vec![Complex64::one(); slots]);
-        Self {
-            slots,
-            diagonals,
-            plan: None,
-            ntt_diagonals: NttDiagonalCache::default(),
-        }
+        Self::planned(slots, diagonals)
     }
 
-    /// Attaches the rotation-minimising BSGS plan for this transform's diagonals;
-    /// [`Self::apply_with`] then executes the baby-step/giant-step schedule and
-    /// [`Self::required_rotations`] returns the decomposed key set.
-    #[must_use]
-    pub fn with_bsgs_plan(mut self) -> Self {
-        self.plan = Some(BsgsPlan::for_offsets(self.slots, &self.diagonal_offsets()));
-        self
-    }
-
-    /// Attaches a BSGS plan with an explicit baby-step modulus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baby_step` is zero or exceeds the slot count.
-    #[must_use]
-    pub fn with_bsgs_baby_step(mut self, baby_step: usize) -> Self {
-        self.plan = Some(BsgsPlan::with_baby_step(
-            self.slots,
-            &self.diagonal_offsets(),
-            baby_step,
-        ));
-        self
-    }
-
-    /// The attached BSGS plan, if any.
-    pub fn bsgs_plan(&self) -> Option<&BsgsPlan> {
-        self.plan.as_ref()
+    /// The transform's BSGS plan: [`Self::apply_with`] executes its baby-step/giant-step
+    /// schedule and [`Self::required_rotations`] is its decomposed key set.
+    pub fn bsgs_plan(&self) -> &BsgsPlan {
+        &self.plan
     }
 
     /// Replicates a transform over `s` slots to a larger power-of-two slot count by tiling
     /// every diagonal `slots/s` times (offsets are unchanged). For ciphertexts whose slot
     /// vector is `s`-periodic — sparse packing — the tiled transform applies the original
-    /// transform block-wise, which is what the sparse-slot bootstrap builds on. Any attached
-    /// plan is re-derived for the new slot count.
+    /// transform block-wise, which is what the sparse-slot bootstrap builds on. The plan is
+    /// re-derived for the new slot count.
     ///
     /// # Panics
     ///
@@ -301,17 +274,7 @@ impl LinearTransform {
                 (d, tiled)
             })
             .collect();
-        let mut out = Self {
-            slots,
-            diagonals,
-            plan: None,
-            // Tiled diagonals differ from the source transform's: a fresh cache.
-            ntt_diagonals: NttDiagonalCache::default(),
-        };
-        if self.plan.is_some() {
-            out = out.with_bsgs_plan();
-        }
-        out
+        Self::planned(slots, diagonals)
     }
 
     /// Number of slots.
@@ -330,19 +293,17 @@ impl LinearTransform {
     }
 
     /// The rotation steps (excluding 0, deduplicated) whose Galois keys are needed to apply
-    /// this transform homomorphically. With a BSGS plan attached this is the *decomposed*
-    /// baby/giant set — typically ~`2√d` keys instead of one per diagonal, which is what keeps
-    /// `Bootstrapper` setup from over-generating Galois keys.
+    /// this transform homomorphically: the plan's *decomposed* baby/giant set — typically
+    /// ~`2√d` keys instead of one per diagonal, which is what keeps `Bootstrapper` setup from
+    /// over-generating Galois keys.
     pub fn required_rotations(&self) -> Vec<usize> {
-        match &self.plan {
-            Some(plan) => plan.required_rotations(),
-            None => self.diagonals.keys().copied().filter(|&d| d != 0).collect(),
-        }
+        self.plan.required_rotations()
     }
 
     /// Scales every diagonal entry by a complex constant (used to fold constants like `1/n` or
-    /// `1/2` into a stage instead of spending a ciphertext multiplication on them). Any cached
-    /// NTT-form diagonals are invalidated.
+    /// `1/2` into a stage instead of spending a ciphertext multiplication on them). The
+    /// offsets, and with them the plan, are unchanged; any cached NTT-form diagonals are
+    /// invalidated.
     pub fn scale_by(&mut self, factor: Complex64) {
         for diag in self.diagonals.values_mut() {
             for v in diag.iter_mut() {
@@ -371,7 +332,7 @@ impl LinearTransform {
 
     /// Composition `self ∘ other` (apply `other` first, then `self`), computed directly in the
     /// diagonal representation: `diag_d(A·B)[i] = Σ_{d1+d2=d} diag_{d1}(A)[i] · diag_{d2}(B)[(i+d1) mod n]`.
-    /// The result carries no BSGS plan (the offset set changes).
+    /// The result carries the plan of its own offset set.
     ///
     /// # Panics
     ///
@@ -393,12 +354,7 @@ impl LinearTransform {
         }
         // Drop diagonals that cancelled to zero.
         diagonals.retain(|_, diag| diag.iter().any(|v| v.norm() > 1e-300));
-        LinearTransform {
-            slots: n,
-            diagonals,
-            plan: None,
-            ntt_diagonals: NttDiagonalCache::default(),
-        }
+        Self::planned(n, diagonals)
     }
 
     /// Homomorphic application: `Σ_d encode(diag_d) ⊙ rotate(ct, d)`, followed by one rescale.
@@ -420,96 +376,20 @@ impl LinearTransform {
     }
 
     /// Backend-generic application (see [`crate::backend`]): the single control flow behind
-    /// real execution and analytic planning. Routes through [`Self::apply_bsgs_with`] when a
-    /// plan is attached, otherwise performs one (hoisted) rotation per nonzero diagonal.
+    /// real execution and analytic planning, the transform's baby-step/giant-step schedule.
+    /// The distinct baby rotations run as one hoisted batch on the input, every giant group
+    /// accumulates its pre-rotated diagonals with plaintext multiplications and pays one full
+    /// rotation, and the group sums are added before the single rescale: `babies + giants ≈
+    /// 2·√d` rotations. Routed through the backend seam — [`ExecBackend`] overrides
+    /// [`EvalBackend::apply_bsgs_planned`] with the eval-resident NTT-cached execution, every
+    /// other interpreter uses the generic coefficient-resident control flow
+    /// (`apply_planned_generic`) — and both emit the identical semantic op stream.
     ///
     /// # Errors
     ///
     /// Same as [`Self::apply_homomorphic`].
     pub fn apply_with<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<B::Ct> {
-        if let Some(plan) = &self.plan {
-            return self.apply_planned(backend, ct, plan);
-        }
-        self.check_applicable(backend, ct)?;
-        let level = backend.level(ct);
-        let prime = backend.ctx().rescale_prime(level) as f64;
-        let mut acc: Option<B::Ct> = None;
-        let mut first_rotation = true;
-        for (&d, diag) in &self.diagonals {
-            let rotated = if d == 0 {
-                ct.clone()
-            } else if first_rotation {
-                first_rotation = false;
-                backend.rotate(ct, d)?
-            } else {
-                backend.rotate_hoisted(ct, d)?
-            };
-            let term = backend.multiply_slots(&rotated, diag, prime)?;
-            acc = Some(match acc {
-                None => term,
-                Some(prev) => backend.add(&prev, &term)?,
-            });
-        }
-        let summed = acc.ok_or(CkksError::InvalidInput {
-            reason: "linear transform has no nonzero diagonals".into(),
-        })?;
-        backend.rescale(&summed)
-    }
-
-    /// Baby-step/giant-step application against the attached plan (or a freshly derived one):
-    /// the distinct baby rotations run as one hoisted batch on the input, every giant group
-    /// accumulates its pre-rotated diagonals with plaintext multiplications, pays one full
-    /// rotation, and the group sums are added before the single rescale. Numerically
-    /// equivalent to the naive path; the rotation count is `babies + giants ≈ 2·√d`.
-    ///
-    /// Without an attached plan one is derived on the fly — note that the Galois keys it
-    /// needs are the *decomposed* baby/giant set, which [`Self::required_rotations`] only
-    /// reports once a plan is attached ([`Self::with_bsgs_plan`]); generate keys from a
-    /// planned transform when using this path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::apply_homomorphic`].
-    pub fn apply_bsgs_with<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<B::Ct> {
-        match &self.plan {
-            Some(plan) => self.apply_planned(backend, ct, plan),
-            None => {
-                let plan = BsgsPlan::for_offsets(self.slots, &self.diagonal_offsets());
-                self.apply_planned(backend, ct, &plan)
-            }
-        }
-    }
-
-    /// Routes the planned application through the backend seam: [`ExecBackend`] overrides
-    /// [`EvalBackend::apply_bsgs_planned`] with the eval-resident NTT-cached execution,
-    /// every other interpreter (and [`Self::apply_bsgs_reference`]) uses the generic
-    /// coefficient-resident control flow — both emit the identical semantic op stream.
-    fn apply_planned<B: EvalBackend>(
-        &self,
-        backend: &B,
-        ct: &B::Ct,
-        plan: &BsgsPlan,
-    ) -> Result<B::Ct> {
-        backend.apply_bsgs_planned(self, ct, plan)
-    }
-
-    /// Applies the BSGS schedule through the **PR 4 coefficient-resident path** (one full
-    /// plaintext multiplication round-trip per diagonal, one inverse pair per diagonal),
-    /// regardless of the backend's override. Kept as the **bitwise** baseline for the
-    /// eval-resident execution, exactly like `Evaluator::key_switch_reference` — the
-    /// NTT-accounting suite pins [`Self::apply_homomorphic`] to this path bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::apply_homomorphic`].
-    pub fn apply_bsgs_reference<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<B::Ct> {
-        match &self.plan {
-            Some(plan) => apply_planned_generic(self, backend, ct, plan),
-            None => {
-                let plan = BsgsPlan::for_offsets(self.slots, &self.diagonal_offsets());
-                apply_planned_generic(self, backend, ct, &plan)
-            }
-        }
+        backend.apply_bsgs_planned(self, ct)
     }
 
     /// The eval-resident BSGS execution on real ciphertexts (the [`ExecBackend`] override of
@@ -526,21 +406,21 @@ impl LinearTransform {
     ///
     /// The emitted op stream (Rotate/RotateHoisted, MultiplyPlain per diagonal, Adds,
     /// Rescale) is identical to the generic path's, and the result is bit-for-bit equal to
-    /// [`Self::apply_bsgs_reference`] — the inverse NTT canonicalises, so summing in the
+    /// [`apply_planned_generic`]'s — the inverse NTT canonicalises, so summing in the
     /// evaluation domain is invisible after the group inverse.
     pub(crate) fn apply_planned_exec(
         &self,
         evaluator: &Evaluator,
         keys: &GaloisKeys,
         ct: &Ciphertext,
-        plan: &BsgsPlan,
     ) -> Result<Ciphertext> {
         let ctx = evaluator.context();
         self.check_applicable_at(ctx, ct.level())?;
         self.check_has_diagonals()?;
+        let plan = &self.plan;
         let level = ct.level();
         let prime = ctx.rescale_prime(level) as f64;
-        let cache = self.ntt_diagonal_cache(evaluator, plan, level, prime)?;
+        let cache = self.ntt_diagonal_cache(evaluator, level, prime)?;
 
         // All baby rotations act on the input ciphertext and share one key-switch
         // decomposition (hoisting); each distinct baby is then promoted to evaluation form
@@ -554,7 +434,7 @@ impl LinearTransform {
         let by_baby: BTreeMap<usize, &Ciphertext> =
             baby_offsets.iter().copied().zip(&eval_babies).collect();
 
-        let mut cached = cache.1.iter();
+        let mut cached = cache.iter();
         let mut acc: Option<Ciphertext> = None;
         for group in plan.groups() {
             let mut inner: Option<Ciphertext> = None;
@@ -583,33 +463,33 @@ impl LinearTransform {
         evaluator.rescale(&acc.expect("plan has at least one group"))
     }
 
-    /// Gets (or fills, on first use at this `(level, baby_step)`) the NTT-form pre-rotated
-    /// diagonal plaintexts for `plan`, in plan iteration order. The fill encodes each
+    /// Gets (or fills, on first use at this level) the NTT-form pre-rotated diagonal
+    /// plaintexts of the transform's plan, in plan iteration order. The fill encodes each
     /// diagonal exactly as the generic path's `multiply_shifted_slots` would and forward
     /// transforms it once; the `diagonals·(ℓ+1)` forwards are the `warm` term of
     /// [`crate::accounting::bsgs_stage_eval`].
+    ///
+    /// A poisoned lock is recovered rather than propagated: entries are inserted fully
+    /// built, so a panic under the guard (a `fab_par` job panic re-raised inside the fill)
+    /// leaves the map valid, and must not turn every later apply of this transform — and of
+    /// every clone sharing the cache — into a panic.
     fn ntt_diagonal_cache(
         &self,
         evaluator: &Evaluator,
-        plan: &BsgsPlan,
         level: usize,
         prime: f64,
-    ) -> Result<Arc<(BsgsPlan, Vec<RnsPolynomial>)>> {
-        let key = (level, plan.baby_step());
+    ) -> Result<Arc<Vec<RnsPolynomial>>> {
         let mut guard = self
             .ntt_diagonals
             .lock()
-            .expect("NTT diagonal cache poisoned");
-        if let Some(hit) = guard.get(&key) {
-            // The entry is only valid for the exact plan it was filled for.
-            if hit.0 == *plan {
-                return Ok(Arc::clone(hit));
-            }
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(hit) = guard.get(&level) {
+            return Ok(Arc::clone(hit));
         }
         let n = self.slots;
         let basis = evaluator.context().basis_at_level(level)?;
         let mut polys = Vec::new();
-        for group in plan.groups() {
+        for group in self.plan.groups() {
             for &b in &group.babies {
                 let d = (group.giant + b) % n;
                 let diag = self
@@ -632,13 +512,9 @@ impl LinearTransform {
                 polys.push(poly);
             }
         }
-        let entry = Arc::new((plan.clone(), polys));
-        guard.insert(key, Arc::clone(&entry));
+        let entry = Arc::new(polys);
+        guard.insert(level, Arc::clone(&entry));
         Ok(entry)
-    }
-
-    fn check_applicable<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<()> {
-        self.check_applicable_at(backend.ctx(), backend.level(ct))
     }
 
     /// The shared entry validation of every application path (generic, shadow and
@@ -674,19 +550,18 @@ impl LinearTransform {
 }
 
 /// The backend-generic (coefficient-resident) BSGS control flow — the default body of
-/// [`EvalBackend::apply_bsgs_planned`], shared by the shadow planner, the PR 4 reference
-/// entry ([`LinearTransform::apply_bsgs_reference`]) and any future interpreter. One
-/// plaintext multiplication per diagonal, partial sums accumulated in whatever form the
-/// backend's ops keep them (coefficient, for real ciphertexts), one rotation per nonzero
+/// [`EvalBackend::apply_bsgs_planned`], which the shadow planner and any future interpreter
+/// run. One plaintext multiplication per diagonal, partial sums accumulated in whatever form
+/// the backend's ops keep them (coefficient, for real ciphertexts), one rotation per nonzero
 /// giant step, one trailing rescale.
 pub(crate) fn apply_planned_generic<B: EvalBackend>(
     lt: &LinearTransform,
     backend: &B,
     ct: &B::Ct,
-    plan: &BsgsPlan,
 ) -> Result<B::Ct> {
-    lt.check_applicable(backend, ct)?;
+    lt.check_applicable_at(backend.ctx(), backend.level(ct))?;
     lt.check_has_diagonals()?;
+    let plan = &lt.plan;
     let n = lt.slots;
     let level = backend.level(ct);
     let prime = backend.ctx().rescale_prime(level) as f64;
@@ -957,6 +832,48 @@ mod tests {
             .collect()
     }
 
+    /// Keys, codec and RNG over `CkksParams::testing()` for the homomorphic tests below.
+    struct Fixture {
+        ctx: Arc<CkksContext>,
+        keygen: KeyGenerator,
+        encoder: Encoder,
+        encryptor: Encryptor,
+        decryptor: Decryptor,
+        rng: ChaCha20Rng,
+    }
+
+    fn fixture(seed: u64) -> Fixture {
+        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+        let mut rng = ChaCha20Rng::seed_from_u64(seed);
+        let sk = SecretKey::generate(&ctx, &mut rng);
+        let keygen = KeyGenerator::new(ctx.clone(), sk.clone());
+        let pk = keygen.public_key(&mut rng);
+        Fixture {
+            encoder: Encoder::new(ctx.clone()),
+            encryptor: Encryptor::new(ctx.clone(), pk),
+            decryptor: Decryptor::new(ctx.clone(), sk),
+            ctx,
+            keygen,
+            rng,
+        }
+    }
+
+    impl Fixture {
+        /// `input` encrypted at level 3 and the default scale.
+        fn encrypt(&mut self, input: &[Complex64]) -> Ciphertext {
+            let scale = self.ctx.params().default_scale();
+            let pt = self.encoder.encode(input, scale, 3).unwrap();
+            self.encryptor.encrypt(&pt, &mut self.rng).unwrap()
+        }
+
+        /// Galois keys for exactly the rotations `lt` needs.
+        fn keys_for(&mut self, lt: &LinearTransform) -> GaloisKeys {
+            self.keygen
+                .galois_keys(&lt.required_rotations(), false, &mut self.rng)
+                .unwrap()
+        }
+    }
+
     #[test]
     fn diagonal_extraction_matches_dense_application() {
         let n = 8;
@@ -1164,10 +1081,11 @@ mod tests {
         for d in 0..40usize {
             diagonals.insert(d, vec![Complex64::new(1.0 + d as f64, 0.0); n]);
         }
-        let naive = LinearTransform::from_diagonals(n, diagonals.clone());
-        assert_eq!(naive.required_rotations().len(), 39);
-        let planned = LinearTransform::from_diagonals(n, diagonals).with_bsgs_plan();
+        let planned = LinearTransform::from_diagonals(n, diagonals);
         let keys = planned.required_rotations();
+        // The key set is the plan's decomposed baby/giant set, not one key per diagonal.
+        assert_eq!(keys, planned.bsgs_plan().required_rotations());
+        assert!(keys.len() < planned.diagonal_count());
         assert!(keys.len() < 20, "BSGS key set still {} entries", keys.len());
         // Deduped, sorted, zero-free.
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
@@ -1195,34 +1113,23 @@ mod tests {
 
     #[test]
     fn homomorphic_application_matches_plain_application() {
-        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
-        let mut rng = ChaCha20Rng::seed_from_u64(31);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let keygen = KeyGenerator::new(ctx.clone(), sk.clone());
-        let pk = keygen.public_key(&mut rng);
-        let encoder = Encoder::new(ctx.clone());
-        let encryptor = Encryptor::new(ctx.clone(), pk);
-        let decryptor = Decryptor::new(ctx.clone(), sk);
-        let evaluator = crate::Evaluator::new(ctx.clone());
+        let mut f = fixture(31);
+        let evaluator = Evaluator::new(f.ctx.clone());
 
         // A small circulant-ish transform with three diagonals on the full slot count.
-        let n = ctx.slot_count();
+        let n = f.ctx.slot_count();
         let mut diagonals = BTreeMap::new();
         diagonals.insert(0usize, vec![Complex64::new(0.5, 0.0); n]);
         diagonals.insert(1usize, vec![Complex64::new(0.25, 0.1); n]);
         diagonals.insert(3usize, vec![Complex64::new(-0.75, 0.0); n]);
         let lt = LinearTransform::from_diagonals(n, diagonals);
 
-        let keys = keygen
-            .galois_keys(&lt.required_rotations(), false, &mut rng)
-            .unwrap();
+        let keys = f.keys_for(&lt);
         let input = random_slots(n, 23);
-        let scale = ctx.params().default_scale();
-        let pt = encoder.encode(&input, scale, 3).unwrap();
-        let ct = encryptor.encrypt(&pt, &mut rng).unwrap();
+        let ct = f.encrypt(&input);
         let out_ct = lt.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
         assert_eq!(out_ct.level(), 2);
-        let decoded = encoder.decode(&decryptor.decrypt(&out_ct).unwrap());
+        let decoded = f.encoder.decode(&f.decryptor.decrypt(&out_ct).unwrap());
         let expected = lt.apply_plain(&input);
         for i in 0..64 {
             assert!(
@@ -1232,72 +1139,67 @@ mod tests {
                 expected[i]
             );
         }
-        let _ = Arc::strong_count(&ctx);
     }
 
     #[test]
-    fn ntt_cache_is_rebuilt_for_a_different_plan_with_the_same_baby_step() {
-        // The diagonal cache is keyed by (level, baby_step) but validated against the exact
-        // plan: applying the same transform through the public apply_bsgs_planned seam with
-        // a *different* plan sharing the baby step must rebuild the entry, not reuse plan
-        // A's plaintexts for plan B's (group, baby) pairs.
-        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
-        let mut rng = ChaCha20Rng::seed_from_u64(61);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let keygen = KeyGenerator::new(ctx.clone(), sk.clone());
-        let pk = keygen.public_key(&mut rng);
-        let encoder = Encoder::new(ctx.clone());
-        let encryptor = Encryptor::new(ctx.clone(), pk);
-        let evaluator = crate::Evaluator::new(ctx.clone());
-        let keys = keygen.galois_keys(&[1, 2], false, &mut rng).unwrap();
+    fn eval_resident_execution_matches_the_generic_coefficient_path_bitwise() {
+        // The `ExecBackend` override (babies promoted once, NTT-cached diagonals, one inverse
+        // pair per giant group) against the backend-generic control flow `PlanBackend` runs,
+        // on a bootstrap CoeffToSlot stage — on the cache-filling apply and on a warm one.
+        let mut f = fixture(77);
+        let stage = coeff_to_slot_stages(f.ctx.fft(), f.ctx.params().fft_iter)
+            .into_iter()
+            .next()
+            .expect("at least one CoeffToSlot stage");
+        let keys = f.keys_for(&stage);
+        let ct = f.encrypt(&random_slots(f.ctx.slot_count(), 79));
+        let evaluator = Evaluator::new(f.ctx.clone());
+        let backend = ExecBackend::new(&evaluator, None, Some(&keys));
+        let generic = apply_planned_generic(&stage, &backend, &ct).unwrap();
+        for pass in ["cache-filling", "warm"] {
+            let exec = stage.apply_with(&backend, &ct).unwrap();
+            assert_eq!(exec.c0(), generic.c0(), "BSGS paths diverged ({pass}, c0)");
+            assert_eq!(exec.c1(), generic.c1(), "BSGS paths diverged ({pass}, c1)");
+        }
+    }
 
-        let n = ctx.slot_count();
+    #[test]
+    fn a_poisoned_diagonal_cache_lock_is_recovered() {
+        let mut f = fixture(83);
+        let n = f.ctx.slot_count();
         let mut diagonals = BTreeMap::new();
         for d in [0usize, 1, 3] {
             diagonals.insert(d, random_slots(n, 70 + d as u64));
         }
         let lt = LinearTransform::from_diagonals(n, diagonals);
-        // Plan A covers all three diagonals, plan B only two — same baby step of 2.
-        let plan_a = BsgsPlan::with_baby_step(n, &[0, 1, 3], 2);
-        let plan_b = BsgsPlan::with_baby_step(n, &[0, 1], 2);
-        assert_eq!(plan_a.baby_step(), plan_b.baby_step());
-        assert_ne!(plan_a, plan_b);
+        let keys = f.keys_for(&lt);
+        let ct = f.encrypt(&random_slots(n, 73));
+        let evaluator = Evaluator::new(f.ctx.clone());
+        let before = lt.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
 
-        let input = random_slots(n, 73);
-        let scale = ctx.params().default_scale();
-        let ct = encryptor
-            .encrypt(&encoder.encode(&input, scale, 3).unwrap(), &mut rng)
+        // A thread that panics while holding the guard poisons the lock ...
+        let cache = Arc::clone(&lt.ntt_diagonals);
+        let panicked = std::thread::spawn(move || {
+            let _guard = cache.lock().unwrap();
+            panic!("poisoning the diagonal cache on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && lt.ntt_diagonals.is_poisoned());
+        // ... and every later apply, of a clone sharing the cache too, still runs on the
+        // entries that were inserted fully built.
+        let after = lt
+            .clone()
+            .apply_homomorphic(&evaluator, &ct, &keys)
             .unwrap();
-        let backend = ExecBackend::new(&evaluator, None, Some(&keys));
-        // Fill the cache with plan A, then apply plan B through the same seam.
-        let _warm = backend.apply_bsgs_planned(&lt, &ct, &plan_a).unwrap();
-        let b_exec = backend.apply_bsgs_planned(&lt, &ct, &plan_b).unwrap();
-        let b_reference = apply_planned_generic(&lt, &backend, &ct, &plan_b).unwrap();
-        assert_eq!(
-            b_exec.c0(),
-            b_reference.c0(),
-            "stale cache reused for plan B"
-        );
-        assert_eq!(
-            b_exec.c1(),
-            b_reference.c1(),
-            "stale cache reused for plan B"
-        );
+        assert_eq!(after.c0(), before.c0());
+        assert_eq!(after.c1(), before.c1());
     }
 
     #[test]
     fn bsgs_application_matches_naive_application_and_cuts_keyswitches() {
-        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
-        let mut rng = ChaCha20Rng::seed_from_u64(41);
-        let sk = SecretKey::generate(&ctx, &mut rng);
-        let keygen = KeyGenerator::new(ctx.clone(), sk.clone());
-        let pk = keygen.public_key(&mut rng);
-        let encoder = Encoder::new(ctx.clone());
-        let encryptor = Encryptor::new(ctx.clone(), pk);
-        let decryptor = Decryptor::new(ctx.clone(), sk);
-
-        // A 12-diagonal band: naive needs 11 rotations, BSGS far fewer.
-        let n = ctx.slot_count();
+        let mut f = fixture(41);
+        // A 12-diagonal band: one rotation per nonzero diagonal would need 11, BSGS far fewer.
+        let n = f.ctx.slot_count();
         let mut diagonals = BTreeMap::new();
         for d in 0..12usize {
             let values: Vec<Complex64> = (0..n)
@@ -1305,56 +1207,39 @@ mod tests {
                 .collect();
             diagonals.insert(d, values);
         }
-        let naive = LinearTransform::from_diagonals(n, diagonals.clone());
-        let bsgs = LinearTransform::from_diagonals(n, diagonals).with_bsgs_plan();
-
-        let naive_keys = keygen
-            .galois_keys(&naive.required_rotations(), false, &mut rng)
-            .unwrap();
-        let bsgs_keys = keygen
-            .galois_keys(&bsgs.required_rotations(), false, &mut rng)
-            .unwrap();
-        assert!(bsgs_keys.len() < naive_keys.len());
+        let bsgs = LinearTransform::from_diagonals(n, diagonals);
+        let per_diagonal = bsgs.diagonal_offsets().iter().filter(|&&d| d != 0).count();
+        assert_eq!(per_diagonal, 11);
+        let keys = f.keys_for(&bsgs);
+        assert!(keys.len() < per_diagonal);
 
         let input = random_slots(n, 51);
-        let scale = ctx.params().default_scale();
-        let ct = encryptor
-            .encrypt(&encoder.encode(&input, scale, 3).unwrap(), &mut rng)
-            .unwrap();
+        let ct = f.encrypt(&input);
+        let sink = fab_trace::RecordingSink::shared("bsgs");
+        let evaluator = Evaluator::with_sink(f.ctx.clone(), sink.clone());
+        let out = bsgs.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
 
-        let naive_sink = fab_trace::RecordingSink::shared("naive");
-        let naive_eval = Evaluator::with_sink(ctx.clone(), naive_sink.clone());
-        let naive_out = naive
-            .apply_homomorphic(&naive_eval, &ct, &naive_keys)
-            .unwrap();
-
-        let bsgs_sink = fab_trace::RecordingSink::shared("bsgs");
-        let bsgs_eval = Evaluator::with_sink(ctx.clone(), bsgs_sink.clone());
-        let bsgs_out = bsgs.apply_homomorphic(&bsgs_eval, &ct, &bsgs_keys).unwrap();
-
-        // Same level/scale bookkeeping, same decrypted result within noise.
-        assert_eq!(naive_out.level(), bsgs_out.level());
-        assert!((naive_out.scale() / bsgs_out.scale() - 1.0).abs() < 1e-9);
-        let naive_dec = encoder.decode(&decryptor.decrypt(&naive_out).unwrap());
-        let bsgs_dec = encoder.decode(&decryptor.decrypt(&bsgs_out).unwrap());
-        let expected = naive.apply_plain(&input);
+        // The level/scale bookkeeping of the definition (every term one plaintext product,
+        // one rescale at the end) and its result — `Σ_d diag_d ⊙ rot_d(input)` — within noise.
+        assert_eq!(out.level(), ct.level() - 1);
+        assert!((out.scale() / ct.scale() - 1.0).abs() < 1e-9);
+        let decoded = f.encoder.decode(&f.decryptor.decrypt(&out).unwrap());
+        let expected = bsgs.apply_plain(&input);
         for i in 0..64 {
-            assert!((naive_dec[i] - expected[i]).norm() < 1e-2, "naive slot {i}");
-            assert!((bsgs_dec[i] - expected[i]).norm() < 1e-2, "bsgs slot {i}");
+            assert!((decoded[i] - expected[i]).norm() < 1e-2, "bsgs slot {i}");
         }
 
-        // Rotation-count regression: the BSGS trace performs at most ⌈d/bs⌉ + bs rotations.
-        let naive_counts = naive_sink.take().counts();
-        let bsgs_counts = bsgs_sink.take().counts();
-        let naive_rotations = naive_counts.rotate + naive_counts.rotate_hoisted;
-        let bsgs_rotations = bsgs_counts.rotate + bsgs_counts.rotate_hoisted;
-        assert_eq!(naive_rotations, 11);
-        let bs = bsgs.bsgs_plan().unwrap().baby_step();
-        assert!(bsgs_rotations as usize <= 12usize.div_ceil(bs) + bs);
-        assert!(bsgs_rotations < naive_rotations);
-        // The op mix outside rotations is unchanged: d plaintext products, d−1 adds, 1 rescale.
-        assert_eq!(naive_counts.multiply_plain, bsgs_counts.multiply_plain);
-        assert_eq!(naive_counts.add, bsgs_counts.add);
-        assert_eq!(naive_counts.rescale, bsgs_counts.rescale);
+        // Rotation-count regression: the BSGS trace performs at most ⌈d/bs⌉ + bs rotations,
+        // fewer than one per nonzero diagonal.
+        let counts = sink.take().counts();
+        let rotations = (counts.rotate + counts.rotate_hoisted) as usize;
+        let bs = bsgs.bsgs_plan().baby_step();
+        assert!(rotations <= 12usize.div_ceil(bs) + bs);
+        assert!(rotations < per_diagonal);
+        // The op mix outside rotations is the definition's: d plaintext products, d−1 adds,
+        // 1 rescale.
+        assert_eq!(counts.multiply_plain, 12);
+        assert_eq!(counts.add, 11);
+        assert_eq!(counts.rescale, 1);
     }
 }

@@ -1,11 +1,12 @@
 //! Pins the u128 lazy key-switch pipeline (`Evaluator::key_switch`) — through **both** its
-//! coefficient and its dual-form (evaluation-operand) entries — **bitwise** against the
-//! PR 3 per-digit eager reference (`Evaluator::key_switch_reference`) across random
-//! `(N, L, dnum)` configurations, and pins the digit-parallel fan-out's determinism across
-//! `FAB_THREADS` sweeps.
+//! coefficient and its dual-form (evaluation-operand) entries — and the multiplication built
+//! on it **bitwise** against from-the-definition oracles (`support/key_switch.rs`: schoolbook
+//! negacyclic products, textbook per-digit key switch) across random `(N, L, dnum)`
+//! configurations, and pins the digit-parallel fan-out's determinism across `FAB_THREADS`
+//! sweeps.
 //!
-//! These are the correctness gates behind the perf claims in `BENCH_pr4.json`: the lazy
-//! pipeline may only be *faster*, never different.
+//! These are the correctness gates behind every key-switch perf claim: the lazy pipeline may
+//! only be *faster*, never different.
 
 use std::sync::Arc;
 
@@ -13,7 +14,11 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 
-use fab_ckks::{CkksContext, CkksParams, Evaluator, KeyGenerator, SecretKey};
+use fab_ckks::{Ciphertext, CkksContext, CkksParams, Evaluator, KeyGenerator, SecretKey};
+
+#[path = "support/key_switch.rs"]
+mod oracle;
+use oracle::{oracle_key_switch, oracle_multiply};
 
 /// Builds a context + relinearisation key for one small configuration.
 fn setup(
@@ -46,12 +51,13 @@ fn setup(
 }
 
 proptest! {
-    // Context construction (prime search + NTT tables) dominates, so keep the case count
-    // modest; the (log_n, L, dnum) ranges still sweep digit shapes from 1 to L+1 limbs.
+    // The oracle's schoolbook products are O(N²) per row, so the ring stays small (the
+    // pipeline's control flow does not depend on N); the (L, dnum) ranges still sweep digit
+    // shapes from 1 to L+1 limbs.
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
     fn prop_lazy_key_switch_matches_eager_reference_bitwise(
-        log_n in 3usize..11,
+        log_n in 3usize..9,
         max_level in 1usize..7,
         dnum_seed in 1usize..7,
         seed in any::<u64>(),
@@ -63,9 +69,7 @@ proptest! {
             let basis = ctx.basis_at_level(level).expect("basis");
             let d = fab_ckks::sampling::sample_uniform(&mut rng, &basis);
             let lazy = evaluator.key_switch(&d, &rlk.key, level).expect("lazy");
-            let eager = evaluator
-                .key_switch_reference(&d, &rlk.key, level)
-                .expect("reference");
+            let eager = oracle_key_switch(&ctx, &d, &rlk.key, level);
             prop_assert_eq!(
                 &lazy.0, &eager.0,
                 "k0 diverged at log_n={} level={} dnum={}", log_n, level, dnum
@@ -96,31 +100,57 @@ proptest! {
 }
 
 #[test]
+fn multiply_matches_the_schoolbook_oracle_bitwise() {
+    // `multiply` (tensor in evaluation form, dual-form key switch of d2, P·d0 / P·d1
+    // absorbed before the accumulator inverse) against tensor-by-schoolbook → textbook key
+    // switch → add, on uniformly random ciphertext parts: one digit, even digits, and a
+    // short last digit below the top level.
+    for (max_level, dnum, level) in [(3usize, 1usize, 3usize), (4, 2, 4), (5, 3, 2)] {
+        let (ctx, evaluator, rlk, mut rng) = setup(6, max_level, dnum, 0x0A11 + dnum as u64);
+        let basis = ctx.basis_at_level(level).expect("basis");
+        let scale = ctx.params().default_scale();
+        let mut random_ct = || {
+            let c0 = fab_ckks::sampling::sample_uniform(&mut rng, &basis);
+            let c1 = fab_ckks::sampling::sample_uniform(&mut rng, &basis);
+            Ciphertext::from_parts(c0, c1, scale, level)
+        };
+        let (a, b) = (random_ct(), random_ct());
+        let product = evaluator.multiply(&a, &b, &rlk).expect("multiply");
+        let (c0, c1) = oracle_multiply(&ctx, &a, &b, &rlk);
+        assert_eq!(
+            product.c0(),
+            &c0,
+            "c0 diverged at L={max_level} dnum={dnum}"
+        );
+        assert_eq!(
+            product.c1(),
+            &c1,
+            "c1 diverged at L={max_level} dnum={dnum}"
+        );
+    }
+}
+
+#[test]
 fn dual_form_entry_accepts_evaluation_operands_and_malformed_shapes_still_fail() {
     // The domain tag selects the seam: an evaluation-form operand enters the dual-form
-    // pipeline (and must match the coefficient entry bitwise — its ℓ+1 rows skip the
-    // inverse+forward round-trip the PR 4 seam paid), while the PR 3 reference keeps
-    // rejecting it and shape errors keep failing loudly on every path.
+    // pipeline (and must match the coefficient entry bitwise — its ℓ+1 rows never
+    // round-trip through coefficient form), and shape errors keep failing loudly in both
+    // forms.
     let (ctx, evaluator, rlk, mut rng) = setup(8, 4, 2, 7);
     let level = ctx.params().max_level;
     let basis = ctx.basis_at_level(level).expect("basis");
     let mut d = fab_ckks::sampling::sample_uniform(&mut rng, &basis);
     let from_coeff = evaluator.key_switch(&d, &rlk.key, level).expect("coeff");
 
-    // Evaluation representation: dual-form entry, bitwise equal; the eager reference is
-    // coefficient-only by construction and still rejects it.
+    // Evaluation representation: dual-form entry, bitwise equal.
     d.to_evaluation(&basis);
     let from_eval = evaluator.key_switch(&d, &rlk.key, level).expect("dual");
     assert_eq!(from_eval, from_coeff, "dual-form seam diverged");
-    assert!(evaluator.key_switch_reference(&d, &rlk.key, level).is_err());
     d.to_coefficient(&basis);
 
-    // Too few limbs for the requested level is rejected by both paths and both forms.
+    // Too few limbs for the requested level is rejected in both forms.
     let short = d.prefix(level).expect("prefix");
     assert!(evaluator.key_switch(&short, &rlk.key, level).is_err());
-    assert!(evaluator
-        .key_switch_reference(&short, &rlk.key, level)
-        .is_err());
     let mut short_eval = short.clone();
     short_eval.to_evaluation(&basis);
     assert!(evaluator.key_switch(&short_eval, &rlk.key, level).is_err());
@@ -142,10 +172,8 @@ fn digit_parallel_key_switch_is_thread_deterministic() {
     let serial = evaluator.key_switch(&d, &rlk.key, level).expect("serial");
     assert_eq!(
         serial,
-        evaluator
-            .key_switch_reference(&d, &rlk.key, level)
-            .expect("reference"),
-        "lazy pipeline diverged from the eager reference"
+        oracle_key_switch(&ctx, &d, &rlk.key, level),
+        "lazy pipeline diverged from the textbook oracle"
     );
     for workers in [2usize, 4] {
         fab_par::set_threads(workers);

@@ -151,11 +151,6 @@ impl ResourceEstimator {
         }
     }
 
-    /// Creates an estimator against an explicit resource budget.
-    pub fn with_available(available: AvailableResources) -> Self {
-        Self { available }
-    }
-
     /// Estimates the utilization of a configuration.
     pub fn estimate(&self, config: &FabConfig) -> ResourceUtilization {
         let fu = config.functional_units as f64;

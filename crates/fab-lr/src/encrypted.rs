@@ -230,11 +230,7 @@ impl EncryptedLogisticRegression {
         batch_size: usize,
         learning_rate: f64,
     ) -> Result<EncryptedTrainingReport, CkksError> {
-        if self.bootstrapper.is_none() {
-            return Err(CkksError::InvalidInput {
-                reason: "trainer was built without a bootstrapper (use with_bootstrapping)".into(),
-            });
-        }
+        self.require_bootstrapper()?;
         self.train_inner(
             data,
             iterations,
@@ -265,11 +261,7 @@ impl EncryptedLogisticRegression {
         learning_rate: f64,
         policy: CheckpointPolicy<'_>,
     ) -> Result<EncryptedTrainingReport, CkksError> {
-        if self.bootstrapper.is_none() {
-            return Err(CkksError::InvalidInput {
-                reason: "trainer was built without a bootstrapper (use with_bootstrapping)".into(),
-            });
-        }
+        self.require_bootstrapper()?;
         self.train_inner(
             data,
             iterations,
@@ -301,11 +293,7 @@ impl EncryptedLogisticRegression {
         learning_rate: f64,
         policy: CheckpointPolicy<'_>,
     ) -> Result<EncryptedTrainingReport, CkksError> {
-        if self.bootstrapper.is_none() {
-            return Err(CkksError::InvalidInput {
-                reason: "trainer was built without a bootstrapper (use with_bootstrapping)".into(),
-            });
-        }
+        self.require_bootstrapper()?;
         let checkpoint = TrainingCheckpoint::load_from(policy.backend, policy.name, &self.ctx)?;
         if checkpoint.iteration > iterations {
             return Err(CkksError::InvalidInput {
@@ -324,6 +312,16 @@ impl EncryptedLogisticRegression {
             Some(checkpoint),
             Some(policy),
         )
+    }
+
+    /// The entry guard of every refreshing trainer: one built by [`Self::with_bootstrapping`].
+    fn require_bootstrapper(&self) -> Result<(), CkksError> {
+        if self.bootstrapper.is_none() {
+            return Err(CkksError::InvalidInput {
+                reason: "trainer was built without a bootstrapper (use with_bootstrapping)".into(),
+            });
+        }
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -16,8 +16,8 @@
 //!   `[0, 2q)`; [`Modulus::add_lazy`] closes `[0, 2q)` under addition.
 //! * [`NttTable::forward`] keeps butterfly operands in `[0, 4q)` and corrects once at the
 //!   end; [`NttTable::inverse`] works in `[0, 2q)` and fuses the `N⁻¹` scaling into its last
-//!   stage. Both are pinned bit-for-bit to the eager
-//!   [`NttTable::forward_reference`] / [`NttTable::inverse_reference`] oracles.
+//!   stage. The forward transform is pinned bit-for-bit to direct evaluation of its
+//!   definition, the inverse to the round trip on top of it (the `ntt` unit tests).
 //! * `q < 2^62` ([`MAX_MODULUS_BITS`]) guarantees `4q` fits in a `u64`, which is what makes
 //!   the whole scheme branch-free.
 //!

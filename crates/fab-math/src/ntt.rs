@@ -13,9 +13,9 @@
 //! butterfly performs a full canonical reduction, and a single correction pass at the end maps
 //! every coefficient back into `[0, q)`. The inverse transform additionally fuses the `N⁻¹`
 //! scaling into its last butterfly stage, so the separate scaling sweep of the textbook
-//! algorithm disappears. The pre-refactor eager transforms are kept verbatim as
-//! [`NttTable::forward_reference`] / [`NttTable::inverse_reference`]; property tests pin the
-//! lazy transforms to them bit for bit.
+//! algorithm disappears. The unit tests pin the forward transform to the definition —
+//! direct evaluation `X[i] = Σ_j x_j·ψ^{(2·brv(i)+1)·j}`, no butterflies — and the inverse to
+//! the round trip on top of it.
 
 use crate::{MathError, Modulus, Result};
 
@@ -140,7 +140,6 @@ impl NttTable {
     /// Lazy-reduction Harvey butterflies: operands stay in `[0, 4q)` across the whole
     /// butterfly network (each butterfly only conditionally subtracts `2q` from its upper
     /// input) and a single correction pass at the end restores the canonical `[0, q)` range.
-    /// Output is bit-for-bit identical to [`NttTable::forward_reference`].
     ///
     /// # Panics
     ///
@@ -199,8 +198,7 @@ impl NttTable {
     ///
     /// Lazy-reduction Gentleman–Sande butterflies over the `[0, 2q)` domain, with the `N⁻¹`
     /// scaling fused into the final stage's twiddles (no separate scaling sweep) and one
-    /// correction pass at the end. Output is bit-for-bit identical to
-    /// [`NttTable::inverse_reference`].
+    /// correction pass at the end.
     ///
     /// # Panics
     ///
@@ -245,72 +243,6 @@ impl NttTable {
         }
         for v in values.iter_mut() {
             *v = q.reduce_2q(*v);
-        }
-    }
-
-    /// The pre-refactor eager forward transform (fully reduced after every butterfly), kept
-    /// as the scalar correctness oracle for the lazy [`NttTable::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn forward_reference(&self, values: &mut [u64]) {
-        assert_eq!(values.len(), self.degree, "input length must equal N");
-        let q = &self.modulus;
-        let n = self.degree;
-        let mut t = n;
-        let mut m = 1usize;
-        while m < n {
-            t >>= 1;
-            for i in 0..m {
-                let j1 = 2 * i * t;
-                let j2 = j1 + t;
-                let s = self.psi_rev[m + i];
-                let s_shoup = self.psi_rev_shoup[m + i];
-                for j in j1..j2 {
-                    let u = values[j];
-                    let v = q.mul_shoup(values[j + t], s, s_shoup);
-                    values[j] = q.add(u, v);
-                    values[j + t] = q.sub(u, v);
-                }
-            }
-            m <<= 1;
-        }
-    }
-
-    /// The pre-refactor eager inverse transform (fully reduced after every butterfly, with a
-    /// separate `N⁻¹` scaling sweep), kept as the scalar correctness oracle for the lazy
-    /// [`NttTable::inverse`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != N`.
-    pub fn inverse_reference(&self, values: &mut [u64]) {
-        assert_eq!(values.len(), self.degree, "input length must equal N");
-        let q = &self.modulus;
-        let n = self.degree;
-        let mut t = 1usize;
-        let mut m = n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let j2 = j1 + t;
-                let s = self.psi_inv_rev[h + i];
-                let s_shoup = self.psi_inv_rev_shoup[h + i];
-                for j in j1..j2 {
-                    let u = values[j];
-                    let v = values[j + t];
-                    values[j] = q.add(u, v);
-                    values[j + t] = q.mul_shoup(q.sub(u, v), s, s_shoup);
-                }
-                j1 += 2 * t;
-            }
-            t <<= 1;
-            m = h;
-        }
-        for v in values.iter_mut() {
-            *v = q.mul_shoup(*v, self.degree_inv, self.degree_inv_shoup);
         }
     }
 
@@ -366,6 +298,69 @@ mod tests {
     fn random_poly(n: usize, q: u64, seed: u64) -> Vec<u64> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(0..q)).collect()
+    }
+
+    /// The forward transform from its definition, `X[i] = Σ_j x_j·ψ^{(2·brv(i)+1)·j} mod q`,
+    /// at each of `indices`: Horner's rule in `u128` — no butterflies, no lazy domains, no
+    /// Shoup or Barrett constants. ψ is the table's own root (`psi_rev[brv(1)]`), checked
+    /// first to be a primitive `2N`-th root of unity (`ψ^N ≡ −1`).
+    fn direct_forward(t: &NttTable, x: &[u64], indices: &[usize]) -> Vec<u64> {
+        let n = t.degree();
+        let q = t.modulus().value() as u128;
+        let mul = |a: u64, b: u64| (a as u128 * b as u128 % q) as u64;
+        let pow = |base: u64, exponent: usize| {
+            let (mut acc, mut square, mut e) = (1u64, base, exponent);
+            while e > 0 {
+                if e & 1 == 1 {
+                    acc = mul(acc, square);
+                }
+                square = mul(square, square);
+                e >>= 1;
+            }
+            acc
+        };
+        let psi = t.psi_rev[n / 2];
+        assert_eq!(
+            pow(psi, n) as u128,
+            q - 1,
+            "ψ is not a primitive 2N-th root"
+        );
+        let log_n = n.trailing_zeros();
+        indices
+            .iter()
+            .map(|&i| {
+                let point = pow(psi, 2 * (i.reverse_bits() >> (usize::BITS - log_n)) + 1);
+                x.iter().rev().fold(0u64, |acc, &xj| {
+                    ((acc as u128 * point as u128 + xj as u128) % q) as u64
+                })
+            })
+            .collect()
+    }
+
+    /// Every index while `N²` is affordable in the debug profile, 64 sampled ones above that.
+    fn checked_indices(n: usize, seed: u64) -> Vec<usize> {
+        if n <= 1 << 12 {
+            return (0..n).collect();
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..64)
+            .map(|_| rng.gen_range(0..n as u64) as usize)
+            .collect()
+    }
+
+    /// Pins `forward` to the definition on the checked indices, and `inverse` to the round
+    /// trip on top of it (direct evaluation is a bijection, so undoing it is the inverse).
+    fn assert_matches_definition(t: &NttTable, poly: &[u64], seed: u64) {
+        let n = t.degree();
+        let indices = checked_indices(n, seed);
+        let expected = direct_forward(t, poly, &indices);
+        let mut values = poly.to_vec();
+        t.forward(&mut values);
+        for (&i, &e) in indices.iter().zip(&expected) {
+            assert_eq!(values[i], e, "forward ≠ direct evaluation at {i}, N = {n}");
+        }
+        t.inverse(&mut values);
+        assert_eq!(values, poly, "inverse did not undo forward at N = {n}");
     }
 
     /// Schoolbook negacyclic multiplication used as the correctness oracle.
@@ -473,16 +468,7 @@ mod tests {
         // N = 2^16, log q = 54: the paper's parameter set (kept small in iteration count).
         let t = table(16, 54);
         let q = t.modulus().value();
-        let original = random_poly(1 << 16, q, 99);
-        let mut values = original.clone();
-        let mut eager = original.clone();
-        t.forward(&mut values);
-        t.forward_reference(&mut eager);
-        assert_eq!(values, eager, "lazy forward diverged from the eager oracle");
-        t.inverse(&mut values);
-        t.inverse_reference(&mut eager);
-        assert_eq!(values, eager, "lazy inverse diverged from the eager oracle");
-        assert_eq!(values, original);
+        assert_matches_definition(&t, &random_poly(1 << 16, q, 99), 99);
     }
 
     #[test]
@@ -490,28 +476,19 @@ mod tests {
         for log_n in 3usize..=12 {
             let t = table(log_n, 50);
             let q = t.modulus().value();
-            let poly = random_poly(1 << log_n, q, 1000 + log_n as u64);
-            let mut lazy = poly.clone();
-            let mut eager = poly.clone();
-            t.forward(&mut lazy);
-            t.forward_reference(&mut eager);
-            assert_eq!(lazy, eager, "forward mismatch at log_n = {log_n}");
-            t.inverse(&mut lazy);
-            t.inverse_reference(&mut eager);
-            assert_eq!(lazy, eager, "inverse mismatch at log_n = {log_n}");
-            assert_eq!(lazy, poly, "roundtrip mismatch at log_n = {log_n}");
+            let seed = 1000 + log_n as u64;
+            assert_matches_definition(&t, &random_poly(1 << log_n, q, seed), seed);
         }
     }
 
     #[test]
     fn forward_lazy_is_congruent_for_lazy_inputs() {
         // forward_lazy accepts inputs anywhere in [0, 4q) and its outputs, corrected, must
-        // match the canonical transform of the canonical input.
+        // match the transform of the canonical input — taken from the definition.
         let t = table(8, 50);
         let q = t.modulus();
         let canonical = random_poly(t.degree(), q.value(), 77);
-        let mut reference = canonical.clone();
-        t.forward(&mut reference);
+        let reference = direct_forward(&t, &canonical, &checked_indices(t.degree(), 77));
         for shift in [0u64, 1, 2, 3] {
             // Shift each coefficient by a multiple of q (staying below 4q).
             let mut lazy: Vec<u64> = canonical
@@ -541,16 +518,7 @@ mod tests {
         let t = table(1, 40);
         let q = t.modulus().value();
         for seed in 0..8 {
-            let poly = random_poly(2, q, seed);
-            let mut lazy = poly.clone();
-            let mut eager = poly.clone();
-            t.forward(&mut lazy);
-            t.forward_reference(&mut eager);
-            assert_eq!(lazy, eager);
-            t.inverse(&mut lazy);
-            t.inverse_reference(&mut eager);
-            assert_eq!(lazy, eager);
-            assert_eq!(lazy, poly);
+            assert_matches_definition(&t, &random_poly(2, q, seed), seed);
         }
     }
 
@@ -560,16 +528,7 @@ mod tests {
         fn prop_lazy_matches_eager_bit_for_bit(seed in any::<u64>(), log_n in 3usize..13) {
             let t = table(log_n, 45);
             let q = t.modulus().value();
-            let poly = random_poly(1 << log_n, q, seed);
-            let mut lazy = poly.clone();
-            let mut eager = poly.clone();
-            t.forward(&mut lazy);
-            t.forward_reference(&mut eager);
-            prop_assert_eq!(&lazy, &eager);
-            t.inverse(&mut lazy);
-            t.inverse_reference(&mut eager);
-            prop_assert_eq!(&lazy, &eager);
-            prop_assert_eq!(lazy, poly);
+            assert_matches_definition(&t, &random_poly(1 << log_n, q, seed), seed);
         }
     }
 

@@ -41,8 +41,6 @@ pub struct BasisConverter {
     /// `q_hat_mod_p[j][i] = (Q/q_i) mod p_j` (+ Shoup constants).
     q_hat_mod_p: Vec<Vec<u64>>,
     q_hat_mod_p_shoup: Vec<Vec<u64>>,
-    /// `Q mod p_j`, used by callers that apply the exact-flooring correction.
-    q_mod_p: Vec<u64>,
 }
 
 impl BasisConverter {
@@ -99,10 +97,9 @@ impl BasisConverter {
             q_hat_inv_mod_q_shoup.push(qi.shoup_precompute(inv));
         }
 
-        // (Q/q_i) mod p_j and Q mod p_j.
+        // (Q/q_i) mod p_j.
         let mut q_hat_mod_p = Vec::with_capacity(target_moduli.len());
         let mut q_hat_mod_p_shoup = Vec::with_capacity(target_moduli.len());
-        let mut q_mod_p = Vec::with_capacity(target_moduli.len());
         for pj in &target_moduli {
             let mut row = Vec::with_capacity(k);
             let mut row_shoup = Vec::with_capacity(k);
@@ -116,13 +113,8 @@ impl BasisConverter {
                 row_shoup.push(pj.shoup_precompute(prod));
                 row.push(prod);
             }
-            let mut q_full = 1u64;
-            for qj in &source_moduli {
-                q_full = pj.mul(q_full, pj.reduce(qj.value()));
-            }
             q_hat_mod_p.push(row);
             q_hat_mod_p_shoup.push(row_shoup);
-            q_mod_p.push(q_full);
         }
 
         Ok(Self {
@@ -132,7 +124,6 @@ impl BasisConverter {
             q_hat_inv_mod_q_shoup,
             q_hat_mod_p,
             q_hat_mod_p_shoup,
-            q_mod_p,
         })
     }
 
@@ -144,11 +135,6 @@ impl BasisConverter {
     /// Number of target limbs.
     pub fn target_len(&self) -> usize {
         self.target_moduli.len()
-    }
-
-    /// `Q mod p_j` for each target limb.
-    pub fn source_product_mod_target(&self) -> &[u64] {
-        &self.q_mod_p
     }
 
     /// Phase 1 of the conversion over flat limb-major data: writes the hoisted products

@@ -207,11 +207,6 @@ impl RnsPolynomial {
         self.data.chunks_exact(self.degree)
     }
 
-    /// Iterates mutably over the limbs as disjoint `N`-length rows.
-    pub fn limbs_iter_mut(&mut self) -> std::slice::ChunksExactMut<'_, u64> {
-        self.data.chunks_exact_mut(self.degree)
-    }
-
     /// The whole flat limb-major buffer (limb `i` at `data[i·N .. (i+1)·N]`).
     pub fn data(&self) -> &[u64] {
         &self.data
@@ -525,59 +520,13 @@ impl RnsPolynomial {
         Ok(())
     }
 
-    /// Fused accumulation `self += a · b` (pointwise, all three in evaluation form) with the
-    /// limbs of `b` selected through `b_limb_map`: limb `i` of the accumulation multiplies
-    /// limb `i` of `a` with limb `b_limb_map[i]` of `b`.
-    ///
-    /// This is the KSKIP inner-product kernel: key polynomials are stored over the *full*
-    /// basis `[q_0 … q_L, p_0 … p_{k-1}]` while a level-`ℓ` accumulator only holds
-    /// `[q_0 … q_ℓ, p_0 … p_{k-1}]`, so the map picks each live limb out of the key without
-    /// materialising a restricted copy.
+    /// Fused accumulation `self += a · b` (pointwise, all three in evaluation form, aligned
+    /// limbs); allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`RnsError::WrongRepresentation`] unless all operands are in evaluation form,
-    /// and [`RnsError::Mismatch`] on shape disagreement (including a map of the wrong length
-    /// or out-of-range entries).
-    pub fn add_mul_limb_mapped(
-        &mut self,
-        a: &Self,
-        b: &Self,
-        b_limb_map: &[usize],
-        basis: &RnsBasis,
-    ) -> Result<()> {
-        if self.representation != Representation::Evaluation
-            || a.representation != Representation::Evaluation
-            || b.representation != Representation::Evaluation
-        {
-            return Err(RnsError::WrongRepresentation {
-                expected: "evaluation",
-            });
-        }
-        self.check_compatible(a)?;
-        if b_limb_map.len() != self.limb_count
-            || b_limb_map.iter().any(|&j| j >= b.limb_count)
-            || b.degree != self.degree
-        {
-            return Err(RnsError::Mismatch {
-                reason: format!(
-                    "limb map of length {} over {} source limbs incompatible with {} target limbs",
-                    b_limb_map.len(),
-                    b.limb_count,
-                    self.limb_count
-                ),
-            });
-        }
-        self.add_mul_inner(a, b, Some(b_limb_map), basis);
-        Ok(())
-    }
-
-    /// Fused accumulation `self += a · b` (pointwise, evaluation form, aligned limbs). Unlike
-    /// the mapped variant this allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RnsPolynomial::add_mul_limb_mapped`] with the identity map.
+    /// and [`RnsError::Mismatch`] on shape disagreement.
     pub fn add_mul_assign(&mut self, a: &Self, b: &Self, basis: &RnsBasis) -> Result<()> {
         if self.representation != Representation::Evaluation
             || a.representation != Representation::Evaluation
@@ -589,12 +538,6 @@ impl RnsPolynomial {
         }
         self.check_compatible(a)?;
         self.check_compatible(b)?;
-        self.add_mul_inner(a, b, None, basis);
-        Ok(())
-    }
-
-    /// Shared fused-accumulate loop: `map == None` means identity limb selection.
-    fn add_mul_inner(&mut self, a: &Self, b: &Self, map: Option<&[usize]>, basis: &RnsBasis) {
         let degree = self.degree;
         crate::metering::add_bytes(crate::metering::bytes::fused_multiply_add(
             degree,
@@ -602,11 +545,11 @@ impl RnsPolynomial {
         ));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
-            let b_row = b.limb(map.map_or(i, |map| map[i]));
-            for ((x, &ai), &bi) in row.iter_mut().zip(a.limb(i)).zip(b_row) {
+            for ((x, &ai), &bi) in row.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
                 *x = m.add(*x, m.reduce_u128(ai as u128 * bi as u128));
             }
         });
+        Ok(())
     }
 
     /// Multiplies every limb by a per-limb scalar.
@@ -938,29 +881,6 @@ mod tests {
         let product = x.mul(&y, &b).unwrap();
         let twice = product.add(&product, &b).unwrap();
         assert_eq!(acc, twice);
-    }
-
-    #[test]
-    fn add_mul_limb_mapped_selects_source_limbs() {
-        let b2 = basis(2);
-        let b4 = basis(4);
-        let mut a = random_poly(&b2, 34);
-        let mut key = random_poly(&b4, 35);
-        a.to_evaluation(&b2);
-        key.to_evaluation(&b4);
-        let mut acc = RnsPolynomial::zero(b2.degree(), 2, Representation::Evaluation);
-        // Limb 0 multiplies key limb 0, limb 1 multiplies key limb 3.
-        acc.add_mul_limb_mapped(&a, &key, &[0, 3], &b2).unwrap();
-        for (i, &key_limb) in [0usize, 3].iter().enumerate() {
-            let m = b2.modulus(i);
-            for j in 0..b2.degree() {
-                let expected = m.reduce_u128(a.limb(i)[j] as u128 * key.limb(key_limb)[j] as u128);
-                assert_eq!(acc.limb(i)[j], expected);
-            }
-        }
-        // Out-of-range map entries are rejected.
-        assert!(acc.add_mul_limb_mapped(&a, &key, &[0, 4], &b2).is_err());
-        assert!(acc.add_mul_limb_mapped(&a, &key, &[0], &b2).is_err());
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl EvalKeyCache {
         self.budget_bytes
     }
 
-    /// The configured retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
         self.resident_bytes
@@ -215,11 +210,6 @@ impl EvalKeyCache {
     /// Whether a key is currently resident (no counter is touched).
     pub fn contains(&self, tenant: TenantId, key: KeyRef) -> bool {
         self.entries.contains_key(&(tenant, key))
-    }
-
-    /// Whether a key is quarantined (its last fetch returned corrupt bytes).
-    pub fn is_quarantined(&self, tenant: TenantId, key: KeyRef) -> bool {
-        self.quarantine.contains(&(tenant, key))
     }
 
     /// Number of `(tenant, key)` pairs currently quarantined.

@@ -60,8 +60,9 @@
 //!   cache-line-contiguous rows and a polynomial is a single allocation.
 //! * **Lazy-reduction NTT** — [`math::NttTable::forward`]/[`math::NttTable::inverse`] keep
 //!   butterflies in the extended `[0, 2q)`/`[0, 4q)` domains with one correction pass at the
-//!   end and the `N⁻¹` scaling fused into the last inverse stage; the eager seed transforms
-//!   survive as `*_reference` baselines, pinned bit-for-bit by property tests.
+//!   end and the `N⁻¹` scaling fused into the last inverse stage; the unit tests pin the
+//!   forward transform to direct evaluation of its definition and the inverse to the round
+//!   trip.
 //! * **Limb parallelism** — per-limb work (NTTs, basis-conversion targets, key-switch digit
 //!   products) fans out over the dependency-free `fab-par` worker pool, gated by
 //!   `FAB_THREADS` (default 1, so every run is deterministic; results are bitwise identical
@@ -77,8 +78,9 @@
 //!   evaluation domain ([`math::EvalAutomorphismMap`]) instead of re-transforming them; and
 //!   `multiply_rescale` divides by `P·q_ℓ` in one fused ModDown+rescale conversion. NTT
 //!   counts per operation are *verified*, not assumed: [`ckks::accounting`] holds the
-//!   closed-form minimums and tests pin the [`rns::metering`] tallies to them. The PR 3
-//!   eager algorithm survives as `Evaluator::key_switch_reference`, the bitwise baseline.
+//!   closed-form minimums and tests pin the [`rns::metering`] tallies to them. The
+//!   bitwise baseline is a textbook per-digit key switch over schoolbook products that
+//!   lives with the tests (`crates/fab-ckks/tests/support/`), not a second path here.
 //!
 //! The measured trajectory lives in the `BENCH_pr*.json` records at the repo root: up to
 //! `BENCH_pr10.json` frozen history of bench bins since deleted, from PR 11 on the ladder

@@ -256,9 +256,8 @@ fn bootstrap_coeff_to_slot_stage_bytes_match_the_bsgs_formula() {
     let stage = coeff_to_slot_stages(ctx.fft(), ctx.params().fft_iter)
         .into_iter()
         .next()
-        .expect("at least one CoeffToSlot stage")
-        .with_bsgs_plan();
-    let plan = stage.bsgs_plan().expect("plan attached").clone();
+        .expect("at least one CoeffToSlot stage");
+    let plan = stage.bsgs_plan();
     let keys = keygen
         .galois_keys(&stage.required_rotations(), false, &mut rng)
         .unwrap();
@@ -284,7 +283,7 @@ fn bootstrap_coeff_to_slot_stage_bytes_match_the_bsgs_formula() {
     let warm = metering::byte_counts().since(&before);
     assert_eq!(
         warm,
-        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, &plan, diagonals, true),
+        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, plan, diagonals, true),
         "warm CoeffToSlot stage recorded bytes drifted (babies={}, giants={}, diagonals={})",
         plan.baby_rotation_count(),
         plan.giant_rotation_count(),
@@ -296,14 +295,14 @@ fn bootstrap_coeff_to_slot_stage_bytes_match_the_bsgs_formula() {
     let steady = metering::byte_counts().since(&before);
     assert_eq!(
         steady,
-        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, &plan, diagonals, false),
+        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, plan, diagonals, false),
         "steady CoeffToSlot stage recorded bytes drifted"
     );
     // The warm/steady gap is exactly the plaintext cache fill, on the read and write side.
     let fill =
-        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, &plan, diagonals, true)
+        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, plan, diagonals, true)
             .since(&accounting::bsgs_stage_eval_bytes(
-                degree, limbs, special, alpha, &plan, diagonals, false,
+                degree, limbs, special, alpha, plan, diagonals, false,
             ));
     assert_eq!(warm.since(&steady), fill);
 }
