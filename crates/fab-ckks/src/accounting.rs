@@ -47,9 +47,8 @@
 //! (row-pass granularity over the flat limb-major layout — see that module's convention).
 //! The kernels charge the *same helpers* at their call sites, so `recorded == formula`
 //! bytes tests can only fail on a genuine structural change, exactly like the transform
-//! counts. One deliberate asymmetry: the formulas assume the fold-free KSKIP schedule
-//! (`bytes::fold_count` is 0 at every supported modulus width × digit count), while the
-//! charge sites compute the schedule exactly per modulus.
+//! counts. The KSKIP's overflow folds and the conversion's running sums happen in registers
+//! and move no bytes, so neither appears in a formula.
 
 use fab_rns::metering;
 use fab_rns::metering::bytes;
@@ -215,7 +214,7 @@ fn raise_bytes(
 }
 
 /// Traffic of the u128 KSKIP accumulation: one [`bytes::kskip_row`] per raised limb over
-/// the `β` digits (fold-free — see the module docs).
+/// the `β` digits.
 fn kskip_bytes(
     degree: usize,
     limbs: usize,
@@ -225,7 +224,7 @@ fn kskip_bytes(
 ) -> ByteCounts {
     let beta = limbs.div_ceil(alpha);
     let raised = (limbs + special) as u64;
-    bytes::kskip_row(degree, beta, 0, permuted).times(raised)
+    bytes::kskip_row(degree, beta, permuted).times(raised)
 }
 
 /// Bytes moved by one hybrid key switch of a **coefficient-form** operand: the digit

@@ -583,7 +583,7 @@ impl EvalBackend for PlanBackend {
     }
 
     fn rotate(&self, a: &PlanCiphertext, steps: usize) -> Result<PlanCiphertext> {
-        if steps % self.ctx.slot_count() == 0 {
+        if steps.is_multiple_of(self.ctx.slot_count()) {
             return Ok(*a);
         }
         self.record(HeOp::Rotate { level: a.level });

@@ -141,8 +141,8 @@ impl Evaluator {
         }
         self.invert_accumulators(&mut acc0, &mut acc1, &raised.basis);
         let degree = acc0.degree();
-        let mut k0 = sc.lease_zero(degree, 0, Representation::Coefficient);
-        let mut k1 = sc.lease_zero(degree, 0, Representation::Coefficient);
+        let mut k0 = sc.lease_zero(degree, down.output_limbs(), Representation::Coefficient);
+        let mut k1 = sc.lease_zero(degree, down.output_limbs(), Representation::Coefficient);
         down.apply_into(&acc0, &mut sc.convert, &mut k0)?;
         down.apply_into(&acc1, &mut sc.convert, &mut k1)?;
         sc.recycle(acc0);
@@ -155,11 +155,11 @@ impl Evaluator {
     /// it **once** for the whole batch).
     ///
     /// Work is flattened into row-level job lists so one `fab_par` fan-out covers all β
-    /// digits at once — the digit-parallel schedule of the ROADMAP item: hoisted products
-    /// per digit row, then every converted/copied output row, each forward-transformed lazily
-    /// in the same job. Outputs stay in the lazy `[0, 4q)` evaluation domain; the u128 KSKIP
-    /// absorbs the laziness in its single end reduction, so the correction sweeps between
-    /// ModUp and KSKIP are eliminated (the audited-redundant passes of the eager path).
+    /// digits at once: hoisted products per digit row, then every converted/copied output
+    /// row, each converted coefficient-major and forward-transformed lazily in the same job
+    /// while it is hot. Outputs stay in the lazy `[0, 4q)` evaluation domain; the u128 KSKIP
+    /// absorbs the laziness in its single end reduction, so no correction sweep runs between
+    /// ModUp and KSKIP.
     pub(super) fn raise_digits(
         &self,
         sc: &mut Scratch,
@@ -175,9 +175,9 @@ impl Evaluator {
         //   (`limbs` of the `β·raised` forwards are spent re-transforming rows a tensor may
         //   just have inverse-transformed);
         // * **evaluation** (dual-form): the rows are reused *verbatim* as the digits' own
-        //   raised rows (zero forwards — the ROADMAP "multiply dual-form" lever), and one
-        //   batched inverse of the `limbs` rows feeds the ModUp conversions, which are
-        //   coefficient-domain by nature (CRT lifting sums residues across moduli).
+        //   raised rows (zero forwards), and one batched inverse of the `limbs` rows feeds
+        //   the ModUp conversions, which are coefficient-domain by nature (CRT lifting sums
+        //   residues across moduli).
         if d.limb_count() < limbs {
             return Err(fab_rns::RnsError::LimbOutOfRange {
                 requested: limbs,
@@ -214,8 +214,7 @@ impl Evaluator {
         // original rows skip the Lift forwards entirely.
         let dual = d.representation() == Representation::Evaluation;
         let d_coeff_lease: Option<RnsPolynomial> = if dual {
-            let mut c = sc.lease_zero(degree, 0, Representation::Coefficient);
-            c.copy_limbs_from(d, 0..limbs)?;
+            let mut c = sc.lease_prefix(d, limbs)?;
             c.to_coefficient(&basis);
             Some(c)
         } else {
@@ -355,10 +354,10 @@ impl Evaluator {
         })
     }
 
-    /// The u128 lazy KSKIP accumulation: `Σ_j ext_j · ksk_j` over all β digits into
-    /// per-coefficient u128 accumulators (fold-guarded against overflow), reduced once per
-    /// coefficient into the lazy `[0, 2q)` domain. The returned pair is still in
-    /// **evaluation** representation over `Q_level ∪ P`; the back half
+    /// The u128 lazy KSKIP accumulation: `Σ_j ext_j · ksk_j` over all β digits in
+    /// per-coefficient u128 sums that never leave registers (fold-guarded against overflow),
+    /// reduced once per coefficient into the lazy `[0, 2q)` domain. The returned pair is still
+    /// in **evaluation** representation over `Q_level ∪ P`; the back half
     /// ([`Evaluator::switch_raised`]) either inverts it straight away or first absorbs
     /// evaluation-domain addends ([`Evaluator::absorb_p_times`] — the multiply seam) so the
     /// addends ride the accumulator inverse for free instead of paying their own.
@@ -383,38 +382,23 @@ impl Evaluator {
 
         let mut acc0 = sc.lease_zero(degree, raised_limbs, Representation::Evaluation);
         let mut acc1 = sc.lease_zero(degree, raised_limbs, Representation::Evaluation);
-        sc.acc_b.clear();
-        sc.acc_b.resize(raised_limbs * degree, 0);
-        sc.acc_a.clear();
-        sc.acc_a.resize(raised_limbs * degree, 0);
-        {
-            use fab_rns::metering::bytes;
-            let beta = raised.ranges.len();
-            let mut cost = fab_rns::metering::ByteCounts::default();
-            for r in 0..raised_limbs {
-                let capacity = raised.basis.modulus(r).u128_mac_capacity();
-                cost += bytes::kskip_row(
-                    degree,
-                    beta,
-                    bytes::fold_count(beta, capacity),
-                    perm.is_some(),
-                );
-            }
-            fab_rns::metering::add_bytes(cost);
-        }
-        {
-            let jobs: Vec<_> = sc
-                .acc_b
-                .chunks_mut(degree)
-                .zip(sc.acc_a.chunks_mut(degree))
-                .zip(acc0.data_mut().chunks_mut(degree))
-                .zip(acc1.data_mut().chunks_mut(degree))
+        fab_rns::metering::add_bytes(
+            fab_rns::metering::bytes::kskip_row(degree, raised.ranges.len(), perm.is_some())
+                .times(raised_limbs as u64),
+        );
+        let jobs: Vec<_> = acc0
+            .data_mut()
+            .chunks_mut(degree)
+            .zip(acc1.data_mut().chunks_mut(degree))
+            .enumerate()
+            .collect();
+        fab_par::par_jobs(jobs, |(r, (out_b, out_a))| {
+            let modulus = raised.basis.modulus(r);
+            let digit_rows: Vec<_> = raised
+                .ranges
+                .iter()
                 .enumerate()
-                .map(|(r, (((ub, ua), ob), oa))| (r, ub, ua, ob, oa))
-                .collect();
-            fab_par::par_jobs(jobs, |(r, acc_b, acc_a, out_b, out_a)| {
-                let modulus = raised.basis.modulus(r);
-                let digit_rows = raised.ranges.iter().enumerate().map(|(j, &(start, end))| {
+                .map(|(j, &(start, end))| {
                     let x = if r >= start && r < end {
                         raised.d_eval.limb(r)
                     } else {
@@ -428,23 +412,19 @@ impl Evaluator {
                         key_b: b_full.limb(key_map[r]),
                         key_a: a_full.limb(key_map[r]),
                     }
-                });
-                // All digits accumulate under the shared fold schedule; the single [0, 2q)
-                // reduction per coefficient feeds the inverse NTT.
-                fab_rns::kskip::accumulate_digits(
-                    modulus,
-                    modulus.u128_mac_capacity(),
-                    digit_rows,
-                    perm,
-                    fab_rns::kskip::RowBuffers {
-                        acc_b,
-                        acc_a,
-                        out_b,
-                        out_a,
-                    },
-                );
-            });
-        }
+                })
+                .collect();
+            // All digits of a coefficient are summed in registers under the shared fold
+            // schedule; the single [0, 2q) reduction per coefficient feeds the inverse NTT.
+            fab_rns::kskip::accumulate_digits(
+                modulus,
+                modulus.u128_mac_capacity(),
+                &digit_rows,
+                perm,
+                out_b,
+                out_a,
+            );
+        });
         Ok((acc0, acc1))
     }
 
@@ -483,7 +463,7 @@ impl Evaluator {
     /// why neither pays an inverse of its own in `multiply`/`multiply_rescale`.
     ///
     /// The accumulator rows arrive in the lazy `[0, 2q)` domain; absorbed rows are
-    /// canonicalised on the way (lazy sum, two conditional subtractions), preserving the
+    /// canonicalised on the way (`fab_math::Modulus::add_mul_shoup_row`), preserving the
     /// inverse NTT's `[0, 2q)` input invariant and the bitwise equality with the
     /// coefficient-domain path.
     fn absorb_p_times(
@@ -499,18 +479,10 @@ impl Evaluator {
         let degree = d.degree();
         fab_rns::metering::add_bytes(fab_rns::metering::bytes::absorb(degree, limbs));
         fab_par::par_chunks_mut(&mut acc.data_mut()[..limbs * degree], degree, |i, row| {
-            let qi = basis.modulus(i);
             let (p, p_shoup) = p_mod_q[i];
-            let q = qi.value();
-            // Lazy sum in `[0, 4q)`, then two branch-free conditional subtractions (`min`
-            // against the wrapped difference): the branching form mispredicts on random
-            // residues.
-            for (x, &dv) in row.iter_mut().zip(d.limb(i)) {
-                debug_assert!(*x < 2 * q);
-                let sum = *x + qi.mul_shoup_lazy(dv, p, p_shoup);
-                let sum = sum.min(sum.wrapping_sub(2 * q));
-                *x = sum.min(sum.wrapping_sub(q));
-            }
+            basis
+                .modulus(i)
+                .add_mul_shoup_row(row, d.limb(i), p, p_shoup);
         });
     }
 }

@@ -4,7 +4,7 @@
 use std::borrow::Cow;
 
 use fab_math::Complex64;
-use fab_rns::{Representation, RnsPolynomial};
+use fab_rns::RnsPolynomial;
 use fab_trace::HeOp;
 
 use super::Evaluator;
@@ -110,8 +110,7 @@ impl Evaluator {
         let eval_resident = a.c0.is_evaluation();
         let mut scratch = self.scratch();
         let sc = &mut *scratch;
-        let mut p = sc.lease_zero(a.c0.degree(), 0, Representation::Coefficient);
-        p.copy_limbs_from(&pt.poly, 0..a.level + 1)?;
+        let mut p = sc.lease_prefix(&pt.poly, a.level + 1)?;
         p.to_evaluation(&basis);
         // r0/r1 escape into the returned ciphertext; everything else is recycled.
         let mut r0 = sc.lease_copy(&a.c0);

@@ -261,7 +261,7 @@ impl LinearTransform {
     /// Panics if `slots` is not a power-of-two multiple of the current slot count.
     #[must_use]
     pub fn tiled(&self, slots: usize) -> Self {
-        assert!(slots.is_power_of_two() && slots % self.slots == 0);
+        assert!(slots.is_power_of_two() && slots.is_multiple_of(self.slots));
         let reps = slots / self.slots;
         let diagonals: BTreeMap<usize, Vec<Complex64>> = self
             .diagonals

@@ -110,7 +110,7 @@ fn truncated_and_oversized_blobs_are_typed_rejections() {
     // Extensions: trailing garbage must not be silently ignored.
     for extra in [1usize, 8, 4096] {
         let mut mutated = blob.clone();
-        mutated.extend(std::iter::repeat(0xABu8).take(extra));
+        mutated.extend(std::iter::repeat_n(0xABu8, extra));
         expect_corrupt(format!("extended by {extra}"), &mutated);
     }
 }

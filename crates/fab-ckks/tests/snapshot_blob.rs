@@ -130,7 +130,7 @@ fn sampled_body_flips_truncations_and_extensions_are_rejected() {
     }
     for extra in [1usize, 8, 4096] {
         let mut mutated = blob.clone();
-        mutated.extend(std::iter::repeat(0xCDu8).take(extra));
+        mutated.extend(std::iter::repeat_n(0xCDu8, extra));
         expect_corrupt_ct(format!("extended by {extra}"), &mutated, &f.ctx);
     }
 }

@@ -13,10 +13,10 @@
 //!   constant, [`SoftwareTrafficModel::WORD_BYTES`] = 8 (the meter measures 64-bit words:
 //!   `8N` = 524 288 B per row at `N = 2^16`, a fixed 64/54 ratio to divide out when
 //!   comparing software traffic against FAB's HBM numbers).
-//! * **Accumulator width** — *before*: unmodelled; *after*:
-//!   [`SoftwareTrafficModel::MAC_BYTES`] = 16 — the KSKIP inner product accumulates in
-//!   u128 rows (the software analog of FAB's double-width MAC registers), measured as
-//!   twice a `u64` row per accumulator pass.
+//! * **Accumulators** — the KSKIP inner product and the basis-conversion sums accumulate in
+//!   registers across their whole inner loop (the software analog of FAB's double-width MAC
+//!   registers), so they move no bytes: each operand row is read once and each output row
+//!   written once.
 //! * **Per-op bytes** — *before*: only per-limb transfer cycles existed
 //!   ([`HbmModel::limb_cycles`]); *after*: [`SoftwareTrafficModel::key_switch_bytes`]
 //!   prices the full key-switch datapath analytically and is pinned within
@@ -174,14 +174,13 @@ impl HbmModel {
 /// PR 7 byte meter.
 ///
 /// The model prices each datapath stage of Section 4.6 in *row passes* over the software
-/// layout (a row = `N` 64-bit words; the KSKIP accumulators = `N` u128 words) and is
-/// deliberately simpler than the exact [`fab_ckks::accounting`] closed forms: every NTT is
-/// priced at `log2 N + 1` sweeps (butterfly stages + one canonicalisation) even though the
-/// lazy forwards skip the last sweep, and each `k`-term basis-conversion row is priced at
-/// the measured in-place accumulation (`2k-1` reads, `k` writes — the first source writes
-/// without a read-back, the rest read-modify-write) without ModDown's extra
-/// canonicalisation sweep. Those simplifications are the model's entire deviation from
-/// measurement, and [`SoftwareTrafficModel::TOLERANCE`] bounds it.
+/// layout (a row = `N` 64-bit words) and is deliberately simpler than the exact
+/// [`fab_ckks::accounting`] closed forms: every NTT is priced at `log2 N + 1` sweeps
+/// (butterfly stages + one canonicalisation) even though the lazy forwards skip the last
+/// sweep, and each `k`-term basis-conversion row is priced at its coefficient-major
+/// accumulation (`k` reads, one write) without the canonicalisation sweep ModDown adds.
+/// Those simplifications are the model's entire deviation from measurement, and
+/// [`SoftwareTrafficModel::TOLERANCE`] bounds it.
 #[derive(Debug, Clone)]
 pub struct SoftwareTrafficModel {
     degree: usize,
@@ -191,8 +190,6 @@ impl SoftwareTrafficModel {
     /// Calibrated software word size: the meter measures 64-bit words (the hardware packs
     /// 54-bit words — divide by 64/54 when comparing against FAB's HBM figures).
     pub const WORD_BYTES: u64 = 8;
-    /// Calibrated KSKIP accumulator width: u128 rows, twice a `u64` row per pass.
-    pub const MAC_BYTES: u64 = 16;
     /// Relative tolerance on modelled vs metered bytes per op, bounding the documented
     /// simplifications above.
     pub const TOLERANCE: f64 = 0.05;
@@ -209,11 +206,6 @@ impl SoftwareTrafficModel {
         self.degree as u64 * Self::WORD_BYTES
     }
 
-    /// Bytes of one KSKIP accumulator row (`N` u128 words).
-    pub fn mac_row_bytes(&self) -> u64 {
-        self.degree as u64 * Self::MAC_BYTES
-    }
-
     /// One NTT of one row: `log2 N` butterfly sweeps plus one canonicalisation sweep, each
     /// reading and writing the row.
     pub fn transform_bytes(&self) -> u64 {
@@ -226,14 +218,12 @@ impl SoftwareTrafficModel {
     /// inner product over the β digits, the accumulator inverses, and both ModDowns.
     pub fn key_switch_bytes(&self, limbs: usize, special: usize, alpha: usize) -> u64 {
         let row = self.row_bytes();
-        let mac = self.mac_row_bytes();
         let transform = self.transform_bytes();
         let beta = limbs.div_ceil(alpha);
         let raised = (limbs + special) as u64;
 
-        // One k-term conversion row at the measured in-place accumulation: 2k-1 row reads
-        // plus k row writes.
-        let conversion = |k: u64| (3 * k - 1) * row;
+        // One k-term conversion row, coefficient-major: k row reads plus one row write.
+        let conversion = |k: u64| (k + 1) * row;
 
         // Digit raise: hoisted products (read + write per source row), one lift NTT per
         // digit row, and per digit one k-term conversion + NTT for each extension row.
@@ -243,10 +233,9 @@ impl SoftwareTrafficModel {
             raise += (raised - len) * (conversion(len) + transform);
         }
 
-        // KSKIP: per raised row and digit, read the operand row and both key rows and
-        // read-modify-write both double-width accumulators; one final reduction reads both
-        // accumulators and writes both output rows.
-        let kskip = raised * ((beta as u64) * (3 * row + 2 * 2 * mac) + 2 * mac + 2 * row);
+        // KSKIP: per raised row and digit, read the operand row and both key rows (the sums
+        // stay in registers); both output rows are written once.
+        let kskip = raised * (beta as u64 * 3 * row + 2 * row);
 
         // Both accumulators come back to coefficient form.
         let inverses = 2 * raised * transform;

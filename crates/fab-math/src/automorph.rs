@@ -75,7 +75,7 @@ impl AutomorphismMap {
             });
         }
         let m = 2 * degree as u64;
-        if element % 2 == 0 || element == 0 || element >= m {
+        if element.is_multiple_of(2) || element == 0 || element >= m {
             return Err(MathError::InvalidGaloisElement { element, degree });
         }
         let mut target = vec![0usize; degree];
@@ -172,7 +172,7 @@ impl EvalAutomorphismMap {
             });
         }
         let m = 2 * degree as u64;
-        if element % 2 == 0 || element == 0 || element >= m {
+        if element.is_multiple_of(2) || element == 0 || element >= m {
             return Err(MathError::InvalidGaloisElement { element, degree });
         }
         let log_n = degree.trailing_zeros();

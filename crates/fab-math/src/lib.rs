@@ -20,6 +20,12 @@
 //!   definition, the inverse to the round trip on top of it (the `ntt` unit tests).
 //! * `q < 2^62` ([`MAX_MODULUS_BITS`]) guarantees `4q` fits in a `u64`, which is what makes
 //!   the whole scheme branch-free.
+//! * Every such loop has two arms: the scalar one, compiled on every target, and an eight-lane
+//!   AVX-512F+DQ one (`simd.rs`) taken when the CPU reports both features at run time — nothing
+//!   else selects it. The vector arm computes the *same* lazy representative lane for lane and
+//!   is pinned to the scalar arm bit for bit ([`row_kernel_arm`] names the arm in use).
+//!   `simd.rs` is the only module of the workspace allowed `unsafe` (this crate denies it
+//!   elsewhere, every other crate forbids it): bounds-asserting loads / stores, detection-gated calls.
 //!
 //! ```
 //! use fab_math::{Modulus, NttTable};
@@ -36,7 +42,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod automorph;
@@ -48,6 +54,9 @@ mod multiword;
 mod ntt;
 mod prime;
 mod reduction;
+mod rows;
+#[allow(unsafe_code)]
+mod simd;
 
 pub use automorph::{
     apply_automorphism, bit_reverse_indices, bit_reverse_permute, fab_rotation_index,
@@ -62,6 +71,16 @@ pub use multiword::{MultiWord54, WORD18_BITS, WORD27_BITS};
 pub use ntt::NttTable;
 pub use prime::{generate_ntt_prime, generate_ntt_primes, is_prime};
 pub use reduction::{ShiftAddReducer, DEFAULT_SHIFTS};
+
+/// Which arm of the row kernels and NTT sweeps this CPU takes: `"avx512f+dq"` (the eight-lane
+/// vector arm) or `"scalar"`. Decided by run-time feature detection alone.
+pub fn row_kernel_arm() -> &'static str {
+    if simd::detected() {
+        "avx512f+dq"
+    } else {
+        "scalar"
+    }
+}
 
 /// Result alias used throughout the math crate.
 pub type Result<T> = std::result::Result<T, MathError>;

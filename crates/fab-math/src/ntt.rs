@@ -17,6 +17,7 @@
 //! direct evaluation `X[i] = Σ_j x_j·ψ^{(2·brv(i)+1)·j}`, no butterflies — and the inverse to
 //! the round trip on top of it.
 
+use crate::simd::{self, Twiddles};
 use crate::{MathError, Modulus, Result};
 
 /// Precomputed NTT tables for one `(N, q)` pair.
@@ -76,7 +77,7 @@ impl NttTable {
         }
         let q = modulus.value();
         let two_n = 2 * degree as u64;
-        if (q - 1) % two_n != 0 {
+        if !(q - 1).is_multiple_of(two_n) {
             return Err(MathError::NoPrimitiveRoot {
                 modulus: q,
                 order: two_n,
@@ -146,10 +147,7 @@ impl NttTable {
     /// Panics if `values.len() != N`.
     pub fn forward(&self, values: &mut [u64]) {
         self.forward_lazy(values);
-        let q = &self.modulus;
-        for v in values.iter_mut() {
-            *v = q.reduce_4q(*v);
-        }
+        self.modulus.reduce_4q_row(values);
     }
 
     /// Forward negacyclic NTT **without the final canonicalisation pass**: inputs may be lazy
@@ -167,6 +165,20 @@ impl NttTable {
     /// Panics if `values.len() != N`.
     pub fn forward_lazy(&self, values: &mut [u64]) {
         assert_eq!(values.len(), self.degree, "input length must equal N");
+        if !simd::ntt_forward_lazy(values, &self.forward_twiddles(), self.modulus.value()) {
+            self.forward_lazy_scalar(values);
+        }
+    }
+
+    fn forward_twiddles(&self) -> Twiddles<'_> {
+        Twiddles {
+            w: &self.psi_rev,
+            w_shoup: &self.psi_rev_shoup,
+        }
+    }
+
+    /// The scalar butterfly network of [`NttTable::forward_lazy`].
+    fn forward_lazy_scalar(&self, values: &mut [u64]) {
         let q = &self.modulus;
         let two_q = q.two_q();
         let n = self.degree;
@@ -205,6 +217,32 @@ impl NttTable {
     /// Panics if `values.len() != N`.
     pub fn inverse(&self, values: &mut [u64]) {
         assert_eq!(values.len(), self.degree, "input length must equal N");
+        let (tw, last) = self.inverse_twiddles();
+        if !simd::ntt_inverse_lazy(values, &tw, last, self.modulus.value()) {
+            self.inverse_lazy_scalar(values);
+        }
+        self.modulus.reduce_2q_row(values);
+    }
+
+    /// The inverse stage twiddles and the last stage's two fused multipliers
+    /// `[N⁻¹, shoup, ψ⁻¹·N⁻¹, shoup]`.
+    fn inverse_twiddles(&self) -> (Twiddles<'_>, [u64; 4]) {
+        (
+            Twiddles {
+                w: &self.psi_inv_rev,
+                w_shoup: &self.psi_inv_rev_shoup,
+            },
+            [
+                self.degree_inv,
+                self.degree_inv_shoup,
+                self.psi_inv_last_fused,
+                self.psi_inv_last_fused_shoup,
+            ],
+        )
+    }
+
+    /// The scalar butterfly network of [`NttTable::inverse`]; outputs stay in `[0, 2q)`.
+    fn inverse_lazy_scalar(&self, values: &mut [u64]) {
         let q = &self.modulus;
         let two_q = q.two_q();
         let n = self.degree;
@@ -240,9 +278,6 @@ impl NttTable {
                 self.psi_inv_last_fused,
                 self.psi_inv_last_fused_shoup,
             );
-        }
-        for v in values.iter_mut() {
-            *v = q.reduce_2q(*v);
         }
     }
 
@@ -286,6 +321,7 @@ fn find_primitive_root(modulus: &Modulus, order: u64) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::tests::row as lazy_row;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -348,12 +384,88 @@ mod tests {
             .collect()
     }
 
+    /// The two arms of the butterfly networks, by name — no global switch.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Arm {
+        Scalar,
+        Vector,
+    }
+
+    /// `forward` on the named arm. `false`: the vector arm declined (no AVX-512F+DQ on this
+    /// CPU, or `N < 16`) and `values` is untouched.
+    fn forward_on(t: &NttTable, arm: Arm, values: &mut [u64]) -> bool {
+        let ran = match arm {
+            Arm::Scalar => {
+                t.forward_lazy_scalar(values);
+                true
+            }
+            Arm::Vector => simd::ntt_forward_lazy(values, &t.forward_twiddles(), t.modulus.value()),
+        };
+        if ran {
+            crate::rows::scalar::reduce_4q_row(&t.modulus, values);
+        }
+        ran
+    }
+
+    /// `inverse` on the named arm; see [`forward_on`].
+    fn inverse_on(t: &NttTable, arm: Arm, values: &mut [u64]) -> bool {
+        let ran = match arm {
+            Arm::Scalar => {
+                t.inverse_lazy_scalar(values);
+                true
+            }
+            Arm::Vector => {
+                let (tw, last) = t.inverse_twiddles();
+                simd::ntt_inverse_lazy(values, &tw, last, t.modulus.value())
+            }
+        };
+        if ran {
+            crate::rows::scalar::reduce_2q_row(&t.modulus, values);
+        }
+        ran
+    }
+
+    /// Says in words which arms a gate exercised (a host without AVX-512 must read as
+    /// "skipped", never as a silent pass).
+    fn report(gate: &str, n: usize, vector_ran: bool) {
+        let vector = if vector_ran {
+            format!("vector arm ({}) ran", crate::row_kernel_arm())
+        } else if n < 16 {
+            "vector arm declined (N < 16 is scalar by design)".to_string()
+        } else {
+            "vector arm SKIPPED (no AVX-512F+DQ on this CPU)".to_string()
+        };
+        println!("{gate}, N = {n}: scalar arm ran; {vector}");
+    }
+
     /// Pins `forward` to the definition on the checked indices, and `inverse` to the round
-    /// trip on top of it (direct evaluation is a bijection, so undoing it is the inverse).
+    /// trip on top of it (direct evaluation is a bijection, so undoing it is the inverse) —
+    /// on **both** arms, and on the dispatching public entry points.
     fn assert_matches_definition(t: &NttTable, poly: &[u64], seed: u64) {
         let n = t.degree();
         let indices = checked_indices(n, seed);
         let expected = direct_forward(t, poly, &indices);
+        let mut vector_ran = false;
+        for arm in [Arm::Scalar, Arm::Vector] {
+            let mut values = poly.to_vec();
+            if !forward_on(t, arm, &mut values) {
+                assert_eq!(values, poly, "a declining arm must not touch the row");
+                assert!(n < 16 || !simd::detected(), "vector arm declined N = {n}");
+                continue;
+            }
+            vector_ran |= arm == Arm::Vector;
+            for (&i, &e) in indices.iter().zip(&expected) {
+                assert_eq!(
+                    values[i], e,
+                    "{arm:?} forward ≠ direct evaluation at {i}, N = {n}"
+                );
+            }
+            assert!(inverse_on(t, arm, &mut values));
+            assert_eq!(
+                values, poly,
+                "{arm:?} inverse did not undo forward at N = {n}"
+            );
+        }
         let mut values = poly.to_vec();
         t.forward(&mut values);
         for (&i, &e) in indices.iter().zip(&expected) {
@@ -361,6 +473,7 @@ mod tests {
         }
         t.inverse(&mut values);
         assert_eq!(values, poly, "inverse did not undo forward at N = {n}");
+        report("direct evaluation", n, vector_ran);
     }
 
     /// Schoolbook negacyclic multiplication used as the correctness oracle.
@@ -458,7 +571,7 @@ mod tests {
         assert!(NttTable::new(3, Modulus::new(q).unwrap()).is_err());
         // A prime that is 1 mod 2*2^10 may not be 1 mod 2*2^16.
         let small = crate::generate_ntt_prime(40, 1 << 4, 0).unwrap();
-        if (small - 1) % (1 << 17) != 0 {
+        if !(small - 1).is_multiple_of(1 << 17) {
             assert!(NttTable::new(1 << 16, Modulus::new(small).unwrap()).is_err());
         }
     }
@@ -522,6 +635,66 @@ mod tests {
         }
     }
 
+    /// The vector butterfly networks against the scalar ones, **before** canonicalisation:
+    /// the same lazy representative in every position, not merely a congruent one.
+    fn assert_vector_networks_equal_scalar(log_n: usize, bits: u32, seed: u64) -> bool {
+        let t = table(log_n, bits);
+        let (n, q) = (t.degree(), t.modulus().value());
+        let input = lazy_row(t.modulus(), 4, n, seed);
+        let (mut by_scalar, mut by_vector) = (input.clone(), input.clone());
+        t.forward_lazy_scalar(&mut by_scalar);
+        if !simd::ntt_forward_lazy(&mut by_vector, &t.forward_twiddles(), q) {
+            assert_eq!(by_vector, input);
+            return false;
+        }
+        assert_eq!(by_vector, by_scalar, "forward, N = 2^{log_n}, {bits} bits");
+        let input = lazy_row(t.modulus(), 2, n, seed + 1);
+        let (mut by_scalar, mut by_vector) = (input.clone(), input);
+        t.inverse_lazy_scalar(&mut by_scalar);
+        let (tw, last) = t.inverse_twiddles();
+        assert!(simd::ntt_inverse_lazy(&mut by_vector, &tw, last, q));
+        assert_eq!(by_vector, by_scalar, "inverse, N = 2^{log_n}, {bits} bits");
+        true
+    }
+
+    #[test]
+    fn vector_networks_equal_scalar_networks_bit_for_bit() {
+        // 62 bits is the cap: 4q is within a factor 1.0001 of 2^64, so `u + 2q − v` and the
+        // lazy sums run at the wrap.
+        for bits in [30u32, 45, 54, 62] {
+            for log_n in 4usize..=16 {
+                let ran = assert_vector_networks_equal_scalar(log_n, bits, 7 * log_n as u64);
+                assert_eq!(ran, simd::detected(), "N = 2^{log_n}");
+                if log_n == 16 {
+                    report(
+                        &format!("lazy networks, {bits} bits, N = 16 … 2^16"),
+                        1 << 16,
+                        ran,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degrees_below_sixteen_stay_scalar() {
+        for log_n in 1usize..=3 {
+            let t = table(log_n, 40);
+            let q = t.modulus().value();
+            let poly = random_poly(1 << log_n, q, 5);
+            let mut values = poly.clone();
+            assert!(!simd::ntt_forward_lazy(
+                &mut values,
+                &t.forward_twiddles(),
+                q
+            ));
+            let (tw, last) = t.inverse_twiddles();
+            assert!(!simd::ntt_inverse_lazy(&mut values, &tw, last, q));
+            assert_eq!(values, poly);
+            assert_matches_definition(&t, &poly, 5);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
         #[test]
@@ -529,6 +702,11 @@ mod tests {
             let t = table(log_n, 45);
             let q = t.modulus().value();
             assert_matches_definition(&t, &random_poly(1 << log_n, q, seed), seed);
+        }
+
+        #[test]
+        fn prop_vector_networks_equal_scalar(seed in any::<u64>(), log_n in 4usize..14) {
+            assert_vector_networks_equal_scalar(log_n, 54, seed);
         }
     }
 

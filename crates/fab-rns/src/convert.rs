@@ -9,9 +9,10 @@
 //!
 //! The converter operates on the flat limb-major layout of [`crate::RnsPolynomial`]: phase 1
 //! writes the hoisted products into one contiguous `k·N` scratch row block, and phase 2
-//! accumulates each target limb with *lazy* `[0, 2p_j)` arithmetic (one Shoup multiply-high
-//! and one conditional subtraction of `2p_j` per term, a single canonical correction at the
-//! end). All Shoup constants are precomputed at construction.
+//! accumulates each target limb coefficient-major with *lazy* `[0, 2p_j)` arithmetic (per
+//! term one Shoup product and one conditional subtraction of `2p_j`, the running sum in a
+//! register, a single canonical correction at the end). All Shoup constants are precomputed
+//! at construction; the row loops themselves are `fab_math`'s row kernels.
 
 use fab_math::Modulus;
 
@@ -157,9 +158,7 @@ impl BasisConverter {
             let factor = self.q_hat_inv_mod_q[i];
             let factor_shoup = self.q_hat_inv_mod_q_shoup[i];
             let src = &source_flat[i * degree..(i + 1) * degree];
-            for (y, &x) in row.iter_mut().zip(src) {
-                *y = qi.mul_shoup(x, factor, factor_shoup);
-            }
+            qi.mul_shoup_row(src, factor, factor_shoup, row);
         });
     }
 
@@ -176,15 +175,13 @@ impl BasisConverter {
         let qi = &self.source_moduli[source_index];
         let factor = self.q_hat_inv_mod_q[source_index];
         let factor_shoup = self.q_hat_inv_mod_q_shoup[source_index];
-        for (y, &x) in out.iter_mut().zip(src) {
-            *y = qi.mul_shoup(x, factor, factor_shoup);
-        }
+        qi.mul_shoup_row(src, factor, factor_shoup, out);
     }
 
     /// Phase 2: accumulates the hoisted products into one target limb row, overwriting `out`.
     ///
-    /// The inner loop is lazy: per term one Shoup multiply into `[0, 2p_j)` and one lazy
-    /// addition; the canonical correction happens once per coefficient at the end.
+    /// The accumulation is lazy ([`BasisConverter::accumulate_target_limb_lazy_into`]); the
+    /// canonical correction is one pass over the row at the end.
     ///
     /// # Panics
     ///
@@ -197,16 +194,16 @@ impl BasisConverter {
         out: &mut [u64],
     ) {
         self.accumulate_target_limb_lazy_into(hoisted_flat, degree, target_index, out);
-        let pj = &self.target_moduli[target_index];
-        for o in out.iter_mut() {
-            *o = pj.reduce_2q(*o);
-        }
+        self.target_moduli[target_index].reduce_2q_row(out);
     }
 
     /// Phase 2 **without the final canonical correction**: the output row stays in the lazy
     /// `[0, 2p_j)` domain. Used when the row feeds straight into the lazy forward NTT
     /// ([`fab_math::NttTable::forward_lazy`] accepts inputs below `4q`), eliminating one full
     /// correction sweep per converted limb of the key-switch ModUp.
+    ///
+    /// Coefficient-major: each hoisted row is read once and `out` is written once, never
+    /// read — it may hold arbitrary recycled data.
     ///
     /// # Panics
     ///
@@ -220,25 +217,12 @@ impl BasisConverter {
     ) {
         assert_eq!(hoisted_flat.len(), self.source_moduli.len() * degree);
         assert_eq!(out.len(), degree);
-        let pj = &self.target_moduli[target_index];
-        let weights = &self.q_hat_mod_p[target_index];
-        let weights_shoup = &self.q_hat_mod_p_shoup[target_index];
-        // The first source limb *writes* the row (no zero-fill pass — `out` may hold
-        // arbitrary recycled data); the remaining limbs accumulate lazily.
-        let mut rows = hoisted_flat.chunks_exact(degree).enumerate();
-        let (i0, y0) = rows.next().expect("converter has at least one source limb");
-        let w0 = weights[i0];
-        let w0_shoup = weights_shoup[i0];
-        for (o, &yi) in out.iter_mut().zip(y0) {
-            *o = pj.mul_shoup_lazy(yi, w0, w0_shoup);
-        }
-        for (i, y_row) in rows {
-            let w = weights[i];
-            let w_shoup = weights_shoup[i];
-            for (o, &yi) in out.iter_mut().zip(y_row) {
-                *o = pj.add_lazy(*o, pj.mul_shoup_lazy(yi, w, w_shoup));
-            }
-        }
+        self.target_moduli[target_index].convert_accumulate_row(
+            hoisted_flat,
+            &self.q_hat_mod_p[target_index],
+            &self.q_hat_mod_p_shoup[target_index],
+            out,
+        );
     }
 
     /// Full approximate conversion of flat limb-major source data to every target limb

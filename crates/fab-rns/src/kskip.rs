@@ -1,10 +1,9 @@
-//! The u128 lazy key-switch inner product (KSKIP) row kernels.
+//! The u128 lazy key-switch inner product (KSKIP) row kernel.
 //!
 //! The hybrid key switch accumulates `Σ_j ext_j · ksk_j` over the `β` decomposition digits.
-//! The eager path (kept as the benchmarked reference) performs one Barrett reduction per
-//! digit per coefficient; the kernels here instead sum the raw 64×64→128-bit products of
-//! **all** digits into per-coefficient `u128` accumulators and reduce **once** per
-//! coefficient at the end — into the lazy `[0, 2q)` domain
+//! Instead of one Barrett reduction per digit per coefficient, the kernel sums the raw
+//! 64×64→128-bit products of **all** digits into two `u128` sums per coefficient (one per key
+//! component) and reduces **once** per coefficient at the end — into the lazy `[0, 2q)` domain
 //! ([`fab_math::Modulus::reduce_u128_lazy`]), which the `[0, 2q)` inverse NTT consumes
 //! directly.
 //!
@@ -12,72 +11,21 @@
 //!
 //! Operands may be *doubly-lazy* forward-NTT outputs `x < 4q` multiplied by canonical key
 //! residues `k < q`, so each term is below `(4q−1)(q−1) < 2^(2B+2)` for a `B`-bit limb. A
-//! `u128` accumulator therefore holds at least `⌊2^128 / 4q²⌋ ≥ 4` terms (the modulus is
-//! capped at 62 bits) — [`fab_math::Modulus::u128_mac_capacity`]. When the digit count
-//! exceeds that capacity the caller folds the accumulator ([`fold_row`]) back to canonical
-//! residues (each counting as one term) and keeps accumulating; since every coefficient sees
-//! the same fixed digit order and fold schedule, results are bitwise independent of the
-//! worker count.
+//! `u128` sum therefore holds at least `⌊2^128 / 4q²⌋ ≥ 4` terms (the modulus is capped at 62
+//! bits) — [`fab_math::Modulus::u128_mac_capacity`]. When the digit count exceeds that
+//! capacity the sums are folded back to canonical residues (each counting as one term) and
+//! keep accumulating; since every coefficient sees the same fixed digit order and fold
+//! schedule, results are bitwise independent of the worker count.
 //!
-//! Rows are processed limb-major: a key switch fans out one job per *raised limb*, each job
-//! streaming every digit's row through [`accumulate_row_pair`] while its two accumulator rows
-//! stay cache-hot — the digit loop costs two widening multiplies and two 128-bit adds per
-//! coefficient for both key components, against two full Barrett chains on the eager path.
+//! ## Loop order
+//!
+//! Coefficient-major: a key switch fans out one job per *raised limb*, and within a row
+//! [`accumulate_digits`] walks the coefficients in blocks of [`BLOCK`], running every digit
+//! over a block while its `2·BLOCK` sums stay in registers — two widening multiplies and two
+//! 128-bit adds per term, folds included, and no accumulator row in memory: each digit row
+//! is read once and the two `u64` output rows are written once.
 
 use fab_math::Modulus;
-
-/// Accumulates one digit's contribution into a pair of `u128` accumulator rows:
-/// `acc_b[c] += x[π(c)]·key_b[c]` and `acc_a[c] += x[π(c)]·key_a[c]`, where `π` is an
-/// optional evaluation-domain automorphism gather (`perm[c]` = source slot) applied on the
-/// fly — hoisted rotation batches permute here instead of materialising rotated digits.
-///
-/// `x` is read **once** for both key components (the fused-pair saving over two separate
-/// eager accumulations). The caller is responsible for the overflow-fold schedule; see the
-/// module docs.
-///
-/// # Panics
-///
-/// Panics if the row lengths disagree (or a permutation index is out of range).
-pub fn accumulate_row_pair(
-    acc_b: &mut [u128],
-    acc_a: &mut [u128],
-    x: &[u64],
-    key_b: &[u64],
-    key_a: &[u64],
-    perm: Option<&[usize]>,
-) {
-    let n = acc_b.len();
-    assert!(
-        acc_a.len() == n && x.len() == n && key_b.len() == n && key_a.len() == n,
-        "KSKIP row length mismatch"
-    );
-    match perm {
-        None => {
-            for c in 0..n {
-                let xv = x[c] as u128;
-                acc_b[c] += xv * key_b[c] as u128;
-                acc_a[c] += xv * key_a[c] as u128;
-            }
-        }
-        Some(perm) => {
-            assert_eq!(perm.len(), n, "permutation length mismatch");
-            for c in 0..n {
-                let xv = x[perm[c]] as u128;
-                acc_b[c] += xv * key_b[c] as u128;
-                acc_a[c] += xv * key_a[c] as u128;
-            }
-        }
-    }
-}
-
-/// Folds an accumulator row back to canonical residues (`acc[c] ← acc[c] mod q`), freeing
-/// headroom when the digit count exceeds [`fab_math::Modulus::u128_mac_capacity`]. The folded
-/// value counts as **one** accumulated term.
-pub fn fold_row(modulus: &Modulus, acc: &mut [u128]) {
-    for v in acc.iter_mut() {
-        *v = modulus.reduce_u128(*v) as u128;
-    }
-}
 
 /// One digit's row operands for [`accumulate_digits`].
 #[derive(Debug, Clone, Copy)]
@@ -90,77 +38,93 @@ pub struct DigitRows<'a> {
     pub key_a: &'a [u64],
 }
 
-/// One raised limb's working buffers for [`accumulate_digits`]: the u128 accumulator rows
-/// (must be zeroed by the caller) and the lazy `[0, 2q)` output rows.
-#[derive(Debug)]
-pub struct RowBuffers<'a> {
-    /// u128 accumulator for the `b` key component.
-    pub acc_b: &'a mut [u128],
-    /// u128 accumulator for the `a` key component.
-    pub acc_a: &'a mut [u128],
-    /// Lazy output row for the `b` component.
-    pub out_b: &'a mut [u64],
-    /// Lazy output row for the `a` component.
-    pub out_a: &'a mut [u64],
-}
+/// Coefficients whose sums are carried across the digit loop together.
+const BLOCK: usize = 8;
 
-/// The full per-row KSKIP: streams every digit through [`accumulate_row_pair`] under the
-/// overflow-fold schedule (`fold_every` = [`fab_math::Modulus::u128_mac_capacity`], or a
-/// smaller value in tests), then performs the single end-of-accumulation reduction into the
-/// lazy `[0, 2q)` outputs. This *is* the loop the evaluator ships — tests drive the same
-/// function at forced tiny fold intervals, so the fold path cannot drift untested.
+/// The full per-row KSKIP: `out_b[c] = Σ_j x_j[π(c)]·key_b_j[c]` and likewise `out_a`, as lazy
+/// `[0, 2q)` residues, where `π` is an optional evaluation-domain automorphism gather
+/// (`perm[c]` = source slot) applied on the fly — hoisted rotation batches permute here
+/// instead of materialising rotated digits. Each `x` is read **once** for both key components.
 ///
-/// `perm` optionally gathers the digit rows through an evaluation-domain automorphism.
+/// The digits of a coefficient are summed under the overflow-fold schedule (`fold_every` =
+/// [`fab_math::Modulus::u128_mac_capacity`], or a smaller value in tests): before a term that
+/// would be the `fold_every + 1`-th, both sums are reduced to canonical residues and count as
+/// one term. This *is* the loop the evaluator ships — tests drive the same function at forced
+/// tiny fold intervals, so the fold path cannot drift untested. Feed the outputs straight
+/// into the `[0, 2q)`-domain inverse NTT, whose final pass canonicalises them.
 ///
 /// # Panics
 ///
-/// Panics if `fold_every < 2` (the capacity of any supported modulus is at least 4) or if
-/// row lengths disagree.
-pub fn accumulate_digits<'a, I>(
+/// Panics if `fold_every < 2` (the capacity of any supported modulus is at least 4), if row
+/// lengths disagree, or if a permutation index is out of range.
+pub fn accumulate_digits(
     modulus: &Modulus,
     fold_every: usize,
-    digits: I,
+    digits: &[DigitRows<'_>],
     perm: Option<&[usize]>,
-    buffers: RowBuffers<'_>,
-) where
-    I: IntoIterator<Item = DigitRows<'a>>,
-{
+    out_b: &mut [u64],
+    out_a: &mut [u64],
+) {
     assert!(
         fold_every >= 2,
         "fold interval must leave accumulation room"
     );
-    let RowBuffers {
-        acc_b,
-        acc_a,
-        out_b,
-        out_a,
-    } = buffers;
-    let mut terms = 0usize;
-    for digit in digits {
-        if terms + 1 > fold_every {
-            fold_row(modulus, acc_b);
-            fold_row(modulus, acc_a);
-            // The folded residues are canonical (< q ≤ one term's bound): count them as one.
-            terms = 1;
+    let n = out_b.len();
+    assert!(
+        out_a.len() == n
+            && digits
+                .iter()
+                .all(|d| d.x.len() == n && d.key_b.len() == n && d.key_a.len() == n),
+        "KSKIP row length mismatch"
+    );
+    assert!(
+        perm.is_none_or(|p| p.len() == n),
+        "permutation length mismatch"
+    );
+    for (block, (out_b, out_a)) in out_b
+        .chunks_mut(BLOCK)
+        .zip(out_a.chunks_mut(BLOCK))
+        .enumerate()
+    {
+        let at = block * BLOCK;
+        let span = at..at + out_b.len();
+        let mut sum_b = [0u128; BLOCK];
+        let mut sum_a = [0u128; BLOCK];
+        let mut x = [0u64; BLOCK];
+        let mut terms = 0usize;
+        for digit in digits {
+            if terms + 1 > fold_every {
+                for sum in sum_b.iter_mut().chain(&mut sum_a) {
+                    *sum = modulus.reduce_u128(*sum) as u128;
+                }
+                // The folded residues are canonical (< q ≤ one term's bound): count them as one.
+                terms = 1;
+            }
+            match perm {
+                None => x[..span.len()].copy_from_slice(&digit.x[span.clone()]),
+                Some(perm) => {
+                    for (x, &source) in x.iter_mut().zip(&perm[span.clone()]) {
+                        *x = digit.x[source];
+                    }
+                }
+            }
+            let keys = digit.key_b[span.clone()]
+                .iter()
+                .zip(&digit.key_a[span.clone()]);
+            for (((sum_b, sum_a), &x), (&key_b, &key_a)) in
+                sum_b.iter_mut().zip(&mut sum_a).zip(&x).zip(keys)
+            {
+                *sum_b += x as u128 * key_b as u128;
+                *sum_a += x as u128 * key_a as u128;
+            }
+            terms += 1;
         }
-        accumulate_row_pair(acc_b, acc_a, digit.x, digit.key_b, digit.key_a, perm);
-        terms += 1;
-    }
-    reduce_row_lazy_into(modulus, acc_b, out_b);
-    reduce_row_lazy_into(modulus, acc_a, out_a);
-}
-
-/// The single end-of-accumulation reduction: writes each coefficient's lazy `[0, 2q)` residue
-/// (congruent to the accumulated sum mod `q`) into `out`. Feed the result straight into the
-/// `[0, 2q)`-domain inverse NTT, whose final pass canonicalises it.
-///
-/// # Panics
-///
-/// Panics if the lengths disagree.
-pub fn reduce_row_lazy_into(modulus: &Modulus, acc: &[u128], out: &mut [u64]) {
-    assert_eq!(acc.len(), out.len());
-    for (o, &v) in out.iter_mut().zip(acc.iter()) {
-        *o = modulus.reduce_u128_lazy(v);
+        for (out, &sum) in out_b.iter_mut().zip(&sum_b) {
+            *out = modulus.reduce_u128_lazy(sum);
+        }
+        for (out, &sum) in out_a.iter_mut().zip(&sum_a) {
+            *out = modulus.reduce_u128_lazy(sum);
+        }
     }
 }
 
@@ -205,26 +169,17 @@ mod tests {
         n: usize,
         fold_every: usize,
     ) -> (Vec<u64>, Vec<u64>) {
-        let mut acc_b = vec![0u128; n];
-        let mut acc_a = vec![0u128; n];
         let mut b = vec![0u64; n];
         let mut a = vec![0u64; n];
-        accumulate_digits(
-            m,
-            fold_every,
-            digits.iter().map(|(x, kb, ka)| DigitRows {
+        let rows: Vec<_> = digits
+            .iter()
+            .map(|(x, kb, ka)| DigitRows {
                 x,
                 key_b: kb,
                 key_a: ka,
-            }),
-            None,
-            RowBuffers {
-                acc_b: &mut acc_b,
-                acc_a: &mut acc_a,
-                out_b: &mut b,
-                out_a: &mut a,
-            },
-        );
+            })
+            .collect();
+        accumulate_digits(m, fold_every, &rows, None, &mut b, &mut a);
         for c in 0..n {
             assert!(
                 b[c] < m.two_q() && a[c] < m.two_q(),
@@ -324,18 +279,27 @@ mod tests {
     #[test]
     fn permutation_gathers_sources() {
         let m = modulus();
-        let n = 8usize;
-        let x = rows(n, m.value(), 7);
+        // Not a multiple of the block: the gather's tail block is exercised too.
+        let n = 13usize;
+        let x = rows(n, 4 * m.value() - 1, 7);
         let kb = rows(n, m.value(), 8);
         let ka = rows(n, m.value(), 9);
         // Reverse permutation.
         let perm: Vec<usize> = (0..n).rev().collect();
-        let mut acc_b = vec![0u128; n];
-        let mut acc_a = vec![0u128; n];
-        accumulate_row_pair(&mut acc_b, &mut acc_a, &x, &kb, &ka, Some(&perm));
+        let digit = DigitRows {
+            x: &x,
+            key_b: &kb,
+            key_a: &ka,
+        };
+        let mut out_b = vec![u64::MAX; n];
+        let mut out_a = vec![u64::MAX; n];
+        let capacity = m.u128_mac_capacity();
+        accumulate_digits(&m, capacity, &[digit], Some(&perm), &mut out_b, &mut out_a);
         for c in 0..n {
-            assert_eq!(acc_b[c], x[n - 1 - c] as u128 * kb[c] as u128);
-            assert_eq!(acc_a[c], x[n - 1 - c] as u128 * ka[c] as u128);
+            // One term, never folded: the output is the lazy reduction of that one product.
+            let source = x[n - 1 - c] as u128;
+            assert_eq!(out_b[c], m.reduce_u128_lazy(source * kb[c] as u128));
+            assert_eq!(out_a[c], m.reduce_u128_lazy(source * ka[c] as u128));
         }
     }
 }

@@ -19,9 +19,10 @@
 //!   with precomputed [`ops::ModUpPlan`] / [`ops::ModDownPlan`] objects and a reusable
 //!   [`ops::ConvertScratch`] so steady-state key switching allocates nothing,
 //! * [`kskip`] — the **u128 lazy key-switch inner product**: products of all β digits are
-//!   summed into per-coefficient `u128` accumulators and reduced *once* per coefficient
-//!   (into the lazy `[0, 2q)` domain the inverse NTT consumes), with an overflow-safe
-//!   periodic fold derived from the limb bit-width ([`fab_math::Modulus::u128_mac_capacity`]),
+//!   summed coefficient-major into per-coefficient `u128` sums that never leave registers
+//!   and reduced *once* per coefficient (into the lazy `[0, 2q)` domain the inverse NTT
+//!   consumes), with an overflow-safe periodic fold derived from the limb bit-width
+//!   ([`fab_math::Modulus::u128_mac_capacity`]),
 //! * [`metering`] — thread-local NTT transform counters, so tests can assert
 //!   `recorded transforms == closed-form formula` per operation instead of trusting timings.
 //!

@@ -34,7 +34,10 @@
 //!
 //! Traffic is counted at **row-pass granularity** over the flat limb-major layout: each
 //! sequential pass of a kernel over an `n`-coefficient row charges `8n` read and/or written
-//! per `u64` word touched (`16n` per `u128` accumulator word). Index/permutation tables of
+//! per `u64` word touched; sums a kernel carries across its inner loop in registers or a fixed
+//! few-hundred-byte block of its stack frame (the conversion's running `[0, 2p)` sums, the
+//! KSKIP's `u128` pairs) are not traffic.
+//! Index/permutation tables of
 //! length `n` (automorphism maps, the KSKIP evaluation-domain gather) count as reads;
 //! precomputed *constant* tables (twiddles, Shoup companions, conversion weights — the
 //! software analogue of FAB's on-chip ROMs) are excluded, as are pure `memcpy`s and
@@ -178,8 +181,6 @@ pub mod bytes {
 
     /// Bytes per `u64` word.
     const W64: u64 = 8;
-    /// Bytes per `u128` accumulator word.
-    const W128: u64 = 16;
 
     fn bc(read: u64, written: u64) -> ByteCounts {
         ByteCounts { read, written }
@@ -244,14 +245,11 @@ pub mod bytes {
         pointwise_unary(n, k)
     }
 
-    /// One **lazy** conversion output row accumulated from `k` hoisted source rows: the
-    /// first source writes the output without reading it back, the remaining `k-1` sources
-    /// read-modify-write it.
+    /// One **lazy** conversion output row accumulated from `k` hoisted source rows,
+    /// coefficient-major: each source row is read once, the running `[0, 2p)` sum stays in a
+    /// register, and the output row is written once.
     pub fn convert_row_lazy(n: usize, k: usize) -> ByteCounts {
-        bc(
-            (2 * k as u64 - 1) * W64 * n as u64,
-            k as u64 * W64 * n as u64,
-        )
+        bc(k as u64 * W64 * n as u64, W64 * n as u64)
     }
 
     /// One **canonical** conversion output row: the lazy accumulation plus a `[0, 2q)`
@@ -283,38 +281,20 @@ pub mod bytes {
         pointwise_binary(n, limbs - 1)
     }
 
-    /// One raised row of the u128 KSKIP inner product over `digits` digits: per digit the
-    /// operand row, both key rows (3 `u64` reads, plus the `n`-entry permutation gather
-    /// when `permuted`) and a read-modify-write of both `u128` accumulator rows; `folds`
-    /// overflow-guard foldings (read+write both accumulator rows); and the final lazy
-    /// reduction of both accumulator rows into the two `u64` output rows.
-    pub fn kskip_row(n: usize, digits: usize, folds: u64, permuted: bool) -> ByteCounts {
+    /// One raised row of the u128 KSKIP inner product over `digits` digits, coefficient-major:
+    /// per digit the operand row and both key rows (3 `u64` reads, plus the `n`-entry
+    /// permutation gather when `permuted`); the two `u128` sums of a coefficient live in
+    /// registers across all digits — overflow-guard folds included — so the only writes are
+    /// the two lazy `u64` output rows.
+    pub fn kskip_row(n: usize, digits: usize, permuted: bool) -> ByteCounts {
         let n = n as u64;
-        let per_digit = bc(
-            (3 + u64::from(permuted)) * W64 * n + 2 * W128 * n,
-            2 * W128 * n,
-        );
-        let fold = bc(2 * W128 * n, 2 * W128 * n);
-        let reduce_out = bc(2 * W128 * n, 2 * W64 * n);
-        per_digit.times(digits as u64) + fold.times(folds) + reduce_out
+        bc((3 + u64::from(permuted)) * W64 * n, 0).times(digits as u64) + bc(0, 2 * W64 * n)
     }
 
     /// The evaluation-domain `acc += P·d` absorption over `limbs` rows: accumulator row
     /// and operand row read, accumulator row written.
     pub fn absorb(n: usize, limbs: usize) -> ByteCounts {
         pointwise_binary(n, limbs)
-    }
-
-    /// Number of overflow-guard foldings the KSKIP accumulation performs for `digits`
-    /// digits at a `capacity`-term u128 MAC budget (0 at every supported modulus width ×
-    /// digit count in this workspace — the capacity at ≤ 54-bit moduli exceeds any
-    /// realistic β — but the charge sites compute it exactly).
-    pub fn fold_count(digits: usize, capacity: usize) -> u64 {
-        if digits <= capacity {
-            0
-        } else {
-            1 + ((digits - capacity - 1) / (capacity - 1)) as u64
-        }
     }
 }
 
@@ -390,31 +370,5 @@ mod tests {
             bytes::convert_row(n, 3),
             bytes::convert_row_lazy(n, 3) + bytes::ntt_pass(n)
         );
-    }
-
-    #[test]
-    fn fold_count_matches_the_fold_schedule() {
-        // Simulate kskip::accumulate_digits' guard: fold when terms+1 > capacity.
-        fn simulate(digits: usize, capacity: usize) -> u64 {
-            let mut folds = 0;
-            let mut terms = 0usize;
-            for _ in 0..digits {
-                if terms + 1 > capacity {
-                    folds += 1;
-                    terms = 1;
-                }
-                terms += 1;
-            }
-            folds
-        }
-        for capacity in 2..8 {
-            for digits in 0..40 {
-                assert_eq!(
-                    bytes::fold_count(digits, capacity),
-                    simulate(digits, capacity),
-                    "digits={digits} capacity={capacity}"
-                );
-            }
-        }
     }
 }

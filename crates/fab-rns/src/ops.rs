@@ -265,6 +265,11 @@ impl ModDownPlan {
         })
     }
 
+    /// Number of limbs the output holds (`|Q_ℓ|`), so callers can lease it at its final shape.
+    pub fn output_limbs(&self) -> usize {
+        self.q_len
+    }
+
     /// Applies the kernel, writing the `Q_ℓ` polynomial into `out` (reshaped in place). The
     /// input limb order must be `[q_0, …, q_{ℓ-1}, p_0, …, p_{k-1}]` in coefficient form.
     ///
@@ -310,12 +315,12 @@ impl ModDownPlan {
             self.converter
                 .accumulate_target_limb_into(hoisted, degree, i, row);
             // … then (x - row) · P^{-1} mod q_i.
-            let qi = &self.q_moduli[i];
-            let inv = self.p_inv[i];
-            let inv_shoup = self.p_inv_shoup[i];
-            for (o, &x) in row.iter_mut().zip(poly.limb(i)) {
-                *o = qi.mul_shoup(qi.sub(x, *o), inv, inv_shoup);
-            }
+            self.q_moduli[i].sub_mul_shoup_row(
+                row,
+                poly.limb(i),
+                self.p_inv[i],
+                self.p_inv_shoup[i],
+            );
         });
         Ok(())
     }
@@ -429,15 +434,10 @@ pub fn rescale(poly: &RnsPolynomial, q_basis: &RnsBasis) -> Result<RnsPolynomial
     let mut out = RnsPolynomial::zero(degree, l - 1, Representation::Coefficient);
     crate::metering::add_bytes(crate::metering::bytes::rescale(degree, l));
     fab_par::par_chunks_mut(out.data_mut(), degree, |i, row| {
-        let qi = q_basis.modulus(i);
-        let q_last_inv = inv[i];
-        let q_last_inv_shoup = inv_shoup[i];
-        for ((o, &x), &c_last) in row.iter_mut().zip(poly.limb(i)).zip(last_limb) {
-            // Centre the last-limb residue to keep the rounding error ≤ 1/2.
-            let centred = q_last.to_signed(c_last);
-            let c_mod_qi = qi.reduce_i64(centred);
-            *o = qi.mul_shoup(qi.sub(x, c_mod_qi), q_last_inv, q_last_inv_shoup);
-        }
+        // The last-limb residue is centred, keeping the rounding error ≤ 1/2.
+        q_basis
+            .modulus(i)
+            .rescale_row(q_last, poly.limb(i), last_limb, inv[i], inv_shoup[i], row);
     });
     Ok(out)
 }

@@ -559,7 +559,7 @@ impl RnsPolynomial {
     /// Panics if `scalars.len()` differs from the limb count.
     pub fn mul_scalar_per_limb(&self, scalars: &[u64], basis: &RnsBasis) -> Self {
         assert_eq!(scalars.len(), self.limb_count);
-        let mut out = self.clone();
+        let mut out = Self::zero(self.degree, self.limb_count, self.representation);
         let degree = out.degree;
         crate::metering::add_bytes(crate::metering::bytes::pointwise_unary(
             degree,
@@ -568,10 +568,7 @@ impl RnsPolynomial {
         fab_par::par_chunks_mut(&mut out.data, degree, |i, row| {
             let m = basis.modulus(i);
             let s = m.reduce(scalars[i]);
-            let s_shoup = m.shoup_precompute(s);
-            for x in row.iter_mut() {
-                *x = m.mul_shoup(*x, s, s_shoup);
-            }
+            m.mul_shoup_row(self.limb(i), s, m.shoup_precompute(s), row);
         });
         out
     }
@@ -618,17 +615,7 @@ impl RnsPolynomial {
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
             let s = m.reduce(scalars[i]);
-            let s_shoup = m.shoup_precompute(s);
-            let q = m.value();
-            // `min` against the wrapped difference is a conditional subtraction without a
-            // branch: on random residues the two branches of `add(x, mul_shoup(..))`
-            // mispredict half the time.
-            for (x, &y) in row.iter_mut().zip(src.limb(i)) {
-                debug_assert!(*x < q);
-                let product = m.mul_shoup_lazy(y, s, s_shoup);
-                let sum = *x + product.min(product.wrapping_sub(q));
-                *x = sum.min(sum.wrapping_sub(q));
-            }
+            m.add_mul_shoup_row(row, src.limb(i), s, m.shoup_precompute(s));
         });
         Ok(())
     }

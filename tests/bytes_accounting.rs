@@ -355,20 +355,20 @@ fn paper_scale_closed_forms_pin_the_readme_table() {
     let mib = |c: metering::ByteCounts| (c.total() as f64 / (1024.0 * 1024.0)).round() as u64;
     assert_eq!(
         mib(accounting::key_switch_bytes(degree, limbs, special, alpha)),
-        4788
+        3500
     );
     assert_eq!(
         mib(accounting::multiply_bytes(degree, limbs, special, alpha)),
-        6672
+        5384
     );
     assert_eq!(
         mib(accounting::multiply_rescale_bytes(
             degree, limbs, special, alpha
         )),
-        6715
+        5395
     );
     assert_eq!(
         mib(accounting::rotation_bytes(degree, limbs, special, alpha)),
-        4896
+        3608
     );
 }
