@@ -4,27 +4,32 @@
 //! training) are written once against [`EvalBackend`] and run under two interpreters:
 //!
 //! * [`ExecBackend`] executes on real [`Ciphertext`]s via the (sink-instrumented)
-//!   [`Evaluator`], so a `fab_trace::RecordingSink` observes the true operation stream;
+//!   [`Evaluator`], asking one [`KeyProvider`] for each switching key at the moment of use,
+//!   so a `fab_trace::RecordingSink` observes the true operation stream and the provider
+//!   the true key stream;
 //! * [`PlanBackend`] executes on *shadow* ciphertexts carrying only `(level, scale)` and
-//!   appends the operations it would have performed to an [`OpTrace`] — producing the
-//!   **analytic** trace of the same pipeline without any polynomial arithmetic.
+//!   appends the operations it would have performed to an [`OpTrace`], and the [`KeyRef`]
+//!   of every key switch to a key stream — producing the **analytic** trace and key sequence
+//!   of the same pipeline without any polynomial arithmetic.
 //!
 //! Because both interpreters implement the exact level/scale bookkeeping of the evaluator
 //! (including the data-independent branches of scale management), a recorded execution and a
-//! plan of the same pipeline must agree op-for-op; the equivalence tests in this crate and in
-//! the workspace integration suite enforce that, which is what keeps the accelerator model's
-//! analytic workloads from drifting away from what the scheme actually executes.
+//! plan of the same pipeline must agree op-for-op, and the keys a provider is asked for must
+//! equal the planned key stream element for element; the equivalence tests in this crate and
+//! in the workspace integration suite enforce both, which is what keeps the accelerator
+//! model's analytic workloads — and a prefetcher's schedule — from drifting away from what
+//! the scheme actually executes.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use fab_math::Complex64;
+use fab_math::{galois_element_for_conjugation, galois_element_for_rotation, Complex64};
 use fab_trace::{HeOp, OpTrace};
 
 use crate::evaluator::scales_match;
 use crate::{
-    Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, LinearTransform, RelinearizationKey,
-    Result,
+    Ciphertext, CkksContext, CkksError, Evaluator, KeyProvider, KeyRef, LinearTransform,
+    RelinearizationKey, Result,
 };
 
 /// The operations a backend must interpret; mirrors the semantic surface of [`Evaluator`].
@@ -163,38 +168,17 @@ pub trait EvalBackend {
 // --------------------------------------------------------------------------- exec interpreter
 
 /// Executes backend operations on real ciphertexts through an [`Evaluator`] (whose sink then
-/// observes the operation stream).
-#[derive(Debug, Clone, Copy)]
+/// observes the operation stream), asking `keys` for each switching key at the moment of use.
+#[derive(Clone, Copy)]
 pub struct ExecBackend<'a> {
     evaluator: &'a Evaluator,
-    rlk: Option<&'a RelinearizationKey>,
-    keys: Option<&'a GaloisKeys>,
+    keys: &'a dyn KeyProvider,
 }
 
 impl<'a> ExecBackend<'a> {
-    /// A backend with both key kinds available.
-    pub fn new(
-        evaluator: &'a Evaluator,
-        rlk: Option<&'a RelinearizationKey>,
-        keys: Option<&'a GaloisKeys>,
-    ) -> Self {
-        Self {
-            evaluator,
-            rlk,
-            keys,
-        }
-    }
-
-    fn rlk(&self) -> Result<&'a RelinearizationKey> {
-        self.rlk.ok_or_else(|| CkksError::MissingKey {
-            description: "relinearization key (not provided to backend)".into(),
-        })
-    }
-
-    fn keys(&self) -> Result<&'a GaloisKeys> {
-        self.keys.ok_or_else(|| CkksError::MissingKey {
-            description: "galois keys (not provided to backend)".into(),
-        })
+    /// A backend executing on `evaluator` with the keys `keys` can provide.
+    pub fn new(evaluator: &'a Evaluator, keys: &'a dyn KeyProvider) -> Self {
+        Self { evaluator, keys }
     }
 }
 
@@ -236,7 +220,10 @@ impl EvalBackend for ExecBackend<'_> {
     }
 
     fn multiply_rescale(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        self.evaluator.multiply_rescale(a, b, self.rlk()?)
+        let rlk = RelinearizationKey {
+            key: self.keys.key(KeyRef::Relin)?,
+        };
+        self.evaluator.multiply_rescale(a, b, &rlk)
     }
 
     fn multiply_const(
@@ -305,15 +292,15 @@ impl EvalBackend for ExecBackend<'_> {
     }
 
     fn rotate(&self, a: &Ciphertext, steps: usize) -> Result<Ciphertext> {
-        self.evaluator.rotate(a, steps, self.keys()?)
+        self.evaluator.rotate(a, steps, self.keys)
     }
 
     fn rotate_batch_hoisted(&self, a: &Ciphertext, steps: &[usize]) -> Result<Vec<Ciphertext>> {
-        self.evaluator.rotate_hoisted_batch(a, steps, self.keys()?)
+        self.evaluator.rotate_hoisted_batch(a, steps, self.keys)
     }
 
     fn conjugate(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        self.evaluator.conjugate(a, self.keys()?)
+        self.evaluator.conjugate(a, self.keys)
     }
 
     fn multiply_by_monomial(&self, a: &Ciphertext, power: usize) -> Result<Ciphertext> {
@@ -321,7 +308,7 @@ impl EvalBackend for ExecBackend<'_> {
     }
 
     fn apply_bsgs_planned(&self, lt: &LinearTransform, ct: &Ciphertext) -> Result<Ciphertext> {
-        lt.apply_planned_exec(self.evaluator, self.keys()?, ct)
+        lt.apply_planned_exec(self.evaluator, self.keys, ct)
     }
 }
 
@@ -344,11 +331,13 @@ impl PlanCiphertext {
 }
 
 /// Interprets backend operations on shadow ciphertexts, appending the ops that a real
-/// execution would perform to an [`OpTrace`].
+/// execution would perform to an [`OpTrace`] and the keys it would ask its
+/// [`KeyProvider`] for, in order, to a key stream.
 #[derive(Debug)]
 pub struct PlanBackend {
     ctx: Arc<CkksContext>,
     trace: RefCell<OpTrace>,
+    keys: RefCell<Vec<KeyRef>>,
 }
 
 impl PlanBackend {
@@ -357,6 +346,7 @@ impl PlanBackend {
         Self {
             ctx,
             trace: RefCell::new(OpTrace::new(name)),
+            keys: RefCell::default(),
         }
     }
 
@@ -371,8 +361,16 @@ impl PlanBackend {
         self.trace.into_inner()
     }
 
-    fn record(&self, op: HeOp) {
-        self.trace.borrow_mut().push(op);
+    /// Consumes the planner, returning the key stream: one [`KeyRef`] per key switch, with
+    /// repeats, in the order an [`ExecBackend`] running the same pipeline asks for them.
+    pub fn into_key_refs(self) -> Vec<KeyRef> {
+        self.keys.into_inner()
+    }
+
+    /// Records one key-switched Galois op and the key it asks for.
+    fn record_galois(&self, op: HeOp, element: u64) {
+        self.push(op);
+        self.keys.borrow_mut().push(KeyRef::Galois(element));
     }
 
     fn rescale_prime(&self, level: usize) -> f64 {
@@ -421,20 +419,20 @@ impl EvalBackend for PlanBackend {
     fn add(&self, a: &PlanCiphertext, b: &PlanCiphertext) -> Result<PlanCiphertext> {
         let (a, b) = self.align_levels(a, b);
         self.check_scales(a.scale, b.scale)?;
-        self.record(HeOp::Add { level: a.level });
+        self.push(HeOp::Add { level: a.level });
         Ok(a)
     }
 
     fn sub(&self, a: &PlanCiphertext, b: &PlanCiphertext) -> Result<PlanCiphertext> {
         let (a, b) = self.align_levels(a, b);
         self.check_scales(a.scale, b.scale)?;
-        self.record(HeOp::Add { level: a.level });
+        self.push(HeOp::Add { level: a.level });
         Ok(a)
     }
 
     fn add_scalar(&self, a: &PlanCiphertext, _scalar: Complex64) -> Result<PlanCiphertext> {
         // The constant is added at the ciphertext's own scale and level.
-        self.record(HeOp::Add { level: a.level });
+        self.push(HeOp::Add { level: a.level });
         Ok(*a)
     }
 
@@ -451,7 +449,8 @@ impl EvalBackend for PlanBackend {
 
     fn multiply_rescale(&self, a: &PlanCiphertext, b: &PlanCiphertext) -> Result<PlanCiphertext> {
         let (a, b) = self.align_levels(a, b);
-        self.record(HeOp::Multiply { level: a.level });
+        self.push(HeOp::Multiply { level: a.level });
+        self.keys.borrow_mut().push(KeyRef::Relin);
         let product = PlanCiphertext::new(a.level, a.scale * b.scale);
         self.rescale(&product)
     }
@@ -462,7 +461,7 @@ impl EvalBackend for PlanBackend {
         _value: Complex64,
         pt_scale: f64,
     ) -> Result<PlanCiphertext> {
-        self.record(HeOp::MultiplyPlain { level: a.level });
+        self.push(HeOp::MultiplyPlain { level: a.level });
         Ok(PlanCiphertext::new(a.level, a.scale * pt_scale))
     }
 
@@ -480,8 +479,8 @@ impl EvalBackend for PlanBackend {
             });
         }
         self.check_scales(acc.scale, term.scale * pt_scale)?;
-        self.record(HeOp::MultiplyPlain { level: acc.level });
-        self.record(HeOp::Add { level: acc.level });
+        self.push(HeOp::MultiplyPlain { level: acc.level });
+        self.push(HeOp::Add { level: acc.level });
         Ok(())
     }
 
@@ -520,7 +519,7 @@ impl EvalBackend for PlanBackend {
                 operation: "rescale",
             });
         }
-        self.record(HeOp::Rescale { level: a.level });
+        self.push(HeOp::Rescale { level: a.level });
         let prime = self.rescale_prime(a.level);
         Ok(PlanCiphertext::new(a.level - 1, a.scale / prime))
     }
@@ -583,10 +582,7 @@ impl EvalBackend for PlanBackend {
     }
 
     fn rotate(&self, a: &PlanCiphertext, steps: usize) -> Result<PlanCiphertext> {
-        if steps.is_multiple_of(self.ctx.slot_count()) {
-            return Ok(*a);
-        }
-        self.record(HeOp::Rotate { level: a.level });
+        self.rotate_batch_hoisted(a, &[steps])?;
         Ok(*a)
     }
 
@@ -597,19 +593,21 @@ impl EvalBackend for PlanBackend {
     ) -> Result<Vec<PlanCiphertext>> {
         let slots = self.ctx.slot_count();
         let mut first = true;
-        for _ in steps.iter().filter(|&&s| s % slots != 0) {
-            self.record(if first {
+        for st in steps.iter().map(|s| s % slots).filter(|&st| st != 0) {
+            let op = if first {
                 HeOp::Rotate { level: a.level }
             } else {
                 HeOp::RotateHoisted { level: a.level }
-            });
+            };
+            self.record_galois(op, galois_element_for_rotation(self.ctx.degree(), st));
             first = false;
         }
         Ok(vec![*a; steps.len()])
     }
 
     fn conjugate(&self, a: &PlanCiphertext) -> Result<PlanCiphertext> {
-        self.record(HeOp::Conjugate { level: a.level });
+        let element = galois_element_for_conjugation(self.ctx.degree());
+        self.record_galois(HeOp::Conjugate { level: a.level }, element);
         Ok(*a)
     }
 
@@ -665,7 +663,7 @@ mod tests {
 
         let sink = fab_trace::RecordingSink::shared("exec");
         let evaluator = Evaluator::with_sink(ctx.clone(), sink.clone());
-        let exec = ExecBackend::new(&evaluator, None, Some(&keys));
+        let exec = ExecBackend::new(&evaluator, &keys);
         let rotated = exec.rotate_batch_hoisted(&ct, &steps).unwrap();
         let plan = PlanBackend::new(ctx.clone(), "plan");
         let shadow = PlanCiphertext::new(level, scale);
@@ -684,6 +682,9 @@ mod tests {
             HeOp::RotateHoisted { level },
         ];
         assert_eq!(sink.take().ops, expected);
+        // One key per recorded op, by name: the free clones ask for none.
+        let element = |steps| KeyRef::Galois(galois_element_for_rotation(ctx.degree(), steps));
+        assert_eq!(*plan.keys.borrow(), [element(1), element(2), element(1)]);
         assert_eq!(plan.into_trace().ops, expected);
     }
 

@@ -39,8 +39,8 @@ use fab_trace::{noop_sink, phase, HeOp, OpTrace, TraceSink};
 use crate::backend::{EvalBackend, ExecBackend, PlanBackend, PlanCiphertext};
 use crate::linear_transform::{coeff_to_slot_stages, slot_to_coeff_stages};
 use crate::{
-    ChebyshevSeries, Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, LinearTransform,
-    RelinearizationKey, Result,
+    ChebyshevSeries, Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, KeyProvider,
+    KeyRef, LinearTransform, RelinearizationKey, Result,
 };
 use fab_rns::{Representation, RnsPolynomial};
 
@@ -358,15 +358,6 @@ impl Bootstrapper {
     /// # Errors
     ///
     /// Propagates missing-key and level errors.
-    pub fn coeff_to_slot(
-        &self,
-        ct: &Ciphertext,
-        keys: &GaloisKeys,
-    ) -> Result<(Ciphertext, Ciphertext)> {
-        let backend = ExecBackend::new(&self.evaluator, None, Some(keys));
-        self.coeff_to_slot_with(&backend, ct)
-    }
-
     fn coeff_to_slot_with<B: EvalBackend>(
         &self,
         backend: &B,
@@ -391,16 +382,6 @@ impl Bootstrapper {
     /// # Errors
     ///
     /// Propagates missing-key and level errors.
-    pub fn slot_to_coeff(
-        &self,
-        real: &Ciphertext,
-        imag: &Ciphertext,
-        keys: &GaloisKeys,
-    ) -> Result<Ciphertext> {
-        let backend = ExecBackend::new(&self.evaluator, None, Some(keys));
-        self.slot_to_coeff_with(&backend, real, imag)
-    }
-
     fn slot_to_coeff_with<B: EvalBackend>(
         &self,
         backend: &B,
@@ -425,12 +406,7 @@ impl Bootstrapper {
     /// # Errors
     ///
     /// Propagates errors from every stage.
-    pub fn bootstrap(
-        &self,
-        ct: &Ciphertext,
-        rlk: &RelinearizationKey,
-        keys: &GaloisKeys,
-    ) -> Result<Ciphertext> {
+    pub fn bootstrap_with(&self, ct: &Ciphertext, keys: &dyn KeyProvider) -> Result<Ciphertext> {
         let message_scale = ct.scale();
         let default_scale = self.ctx.params().default_scale();
         if (message_scale / default_scale - 1.0).abs() > 0.01 {
@@ -440,10 +416,24 @@ impl Bootstrapper {
                 ),
             });
         }
-        let backend = ExecBackend::new(&self.evaluator, Some(rlk), Some(keys));
+        let backend = ExecBackend::new(&self.evaluator, keys);
         backend.begin_phase(phase::MOD_RAISE);
         let raised = self.mod_raise(ct)?;
         self.pipeline_with(&backend, &raised, message_scale)
+    }
+
+    /// [`Self::bootstrap_with`] on a borrowed resident key set.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::bootstrap_with`].
+    pub fn bootstrap(
+        &self,
+        ct: &Ciphertext,
+        rlk: &RelinearizationKey,
+        keys: &GaloisKeys,
+    ) -> Result<Ciphertext> {
+        self.bootstrap_with(ct, &(rlk, keys))
     }
 
     /// The phase structure after ModRaise, shared between real execution and planning.
@@ -491,6 +481,23 @@ impl Bootstrapper {
     /// Propagates (shadow) level-exhaustion errors if the parameter set cannot carry the
     /// pipeline.
     pub fn predicted_trace(&self) -> Result<OpTrace> {
+        Ok(self.plan()?.into_trace())
+    }
+
+    /// The *analytic* key stream of one bootstrap: the [`KeyRef`] of every key switch, with
+    /// repeats, in the order [`Self::bootstrap_with`] asks its provider for them — known
+    /// before the bootstrap runs, which is what a prefetching provider schedules against.
+    /// Pinned to what a recording provider is really asked for by the crate's tests.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::predicted_trace`].
+    pub fn predicted_key_refs(&self) -> Result<Vec<KeyRef>> {
+        Ok(self.plan()?.into_key_refs())
+    }
+
+    /// One bootstrap, planned: the pipeline run on a [`PlanBackend`].
+    fn plan(&self) -> Result<PlanBackend> {
         let plan = PlanBackend::new(
             self.ctx.clone(),
             format!("bootstrap predicted(fftIter={})", self.params.fft_iter),
@@ -502,13 +509,14 @@ impl Bootstrapper {
         let scale = self.ctx.params().default_scale();
         let raised = PlanCiphertext::new(self.ctx.params().max_level, scale);
         self.pipeline_with(&plan, &raised, scale)?;
-        Ok(plan.into_trace())
+        Ok(plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recording_keys::RecordingKeys;
     use crate::{CkksParams, Decryptor, Encoder, Encryptor, KeyGenerator, SecretKey};
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
@@ -587,7 +595,11 @@ mod tests {
         let pt = f.encoder.encode_real(&values, scale, 0).unwrap();
         let ct = f.encryptor.encrypt(&pt, &mut f.rng).unwrap();
         let raised = f.bootstrapper.mod_raise(&ct).unwrap();
-        let (real, imag) = f.bootstrapper.coeff_to_slot(&raised, &f.keys).unwrap();
+        let backend = ExecBackend::new(&f.evaluator, &f.keys);
+        let (real, imag) = f
+            .bootstrapper
+            .coeff_to_slot_with(&backend, &raised)
+            .unwrap();
         let real = f
             .evaluator
             .multiply_scalar(&real, Complex64::new(k1, 0.0))
@@ -596,7 +608,10 @@ mod tests {
             .evaluator
             .multiply_scalar(&imag, Complex64::new(k1, 0.0))
             .unwrap();
-        let back = f.bootstrapper.slot_to_coeff(&real, &imag, &f.keys).unwrap();
+        let back = f
+            .bootstrapper
+            .slot_to_coeff_with(&backend, &real, &imag)
+            .unwrap();
         let decoded = f.encoder.decode_real(&f.decryptor.decrypt(&back).unwrap());
         for i in 0..64 {
             assert!(
@@ -731,7 +746,12 @@ mod tests {
         let ct = encryptor
             .encrypt(&encoder.encode_real(&values, scale, 0).unwrap(), &mut rng)
             .unwrap();
-        let _refreshed = bootstrapper.bootstrap(&ct, &rlk, &keys).unwrap();
+        let resident = (&rlk, &keys);
+        let demanded = RecordingKeys::new(&resident);
+        let _refreshed = bootstrapper.bootstrap_with(&ct, &demanded).unwrap();
+
+        // Demanded == planned: the provider was asked for exactly the predicted key stream.
+        assert_eq!(demanded.take(), bootstrapper.predicted_key_refs().unwrap());
 
         let recorded = sink.take();
         let predicted = bootstrapper.predicted_trace().unwrap();
@@ -830,8 +850,18 @@ mod tests {
             .encrypt(&encoder.encode_real(&values, scale, 0).unwrap(), &mut rng)
             .unwrap();
 
-        let refreshed = bootstrapper.bootstrap(&ct, &rlk, &keys).unwrap();
+        let resident = (&rlk, &keys);
+        let demanded = RecordingKeys::new(&resident);
+        let refreshed = bootstrapper.bootstrap_with(&ct, &demanded).unwrap();
         assert!(refreshed.level() >= 2);
+        // Demanded == planned, SubSum ladder included.
+        let planned = bootstrapper.predicted_key_refs().unwrap();
+        assert_eq!(demanded.take(), planned);
+        let counts = bootstrapper.predicted_trace().unwrap().counts();
+        assert_eq!(
+            planned.len() as u64,
+            counts.multiply + counts.rotate + counts.rotate_hoisted + counts.conjugate
+        );
         let decoded = encoder.decode_real(&decryptor.decrypt(&refreshed).unwrap());
         for i in 0..s {
             assert!(

@@ -6,9 +6,9 @@
 
 use fab_math::Complex64;
 
-use crate::backend::{EvalBackend, ExecBackend};
+use crate::backend::EvalBackend;
 use crate::evaluator::scales_match;
-use crate::{Ciphertext, CkksError, Evaluator, RelinearizationKey, Result};
+use crate::{CkksError, Result};
 
 /// A Chebyshev series `Σ c_k T_k(t)` on a domain `[a, b]` (mapped affinely onto `[-1, 1]`).
 ///
@@ -101,25 +101,11 @@ impl ChebyshevSeries {
     }
 
     /// Homomorphically evaluates the series on a ciphertext whose *logical slot values* lie in
-    /// the series' domain, using the baby-step/giant-step algorithm over the Chebyshev basis.
+    /// the series' domain, using the baby-step/giant-step algorithm over the Chebyshev basis
+    /// — backend-generic: the single control flow behind both the real execution
+    /// ([`crate::ExecBackend`]) and the analytic plan ([`crate::PlanBackend`]).
     ///
     /// The multiplicative depth is `O(log degree)` plus a few levels of scale management.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::LevelExhausted`] if the ciphertext does not carry enough levels.
-    pub fn evaluate_homomorphic(
-        &self,
-        evaluator: &Evaluator,
-        ct: &Ciphertext,
-        rlk: &RelinearizationKey,
-    ) -> Result<Ciphertext> {
-        let backend = ExecBackend::new(evaluator, Some(rlk), None);
-        self.evaluate_with(&backend, ct)
-    }
-
-    /// Backend-generic BSGS evaluation: the single control flow behind both the real
-    /// execution ([`ExecBackend`]) and the analytic plan ([`crate::backend::PlanBackend`]).
     ///
     /// # Errors
     ///
@@ -327,7 +313,10 @@ impl ChebyshevSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CkksContext, CkksParams, Decryptor, Encoder, Encryptor, KeyGenerator, SecretKey};
+    use crate::{
+        CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator, ExecBackend, GaloisKeys,
+        KeyGenerator, SecretKey,
+    };
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
 
@@ -403,7 +392,10 @@ mod tests {
             .unwrap();
         let ct = encryptor.encrypt(&pt, &mut rng).unwrap();
 
-        let result = series.evaluate_homomorphic(&evaluator, &ct, &rlk).unwrap();
+        let keys = (&rlk, &GaloisKeys::default());
+        let result = series
+            .evaluate_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
         let decoded = encoder.decode_real(&decryptor.decrypt(&result).unwrap());
         for (i, &x) in values.iter().enumerate() {
             let expected = series.evaluate(x);

@@ -1,77 +1,53 @@
 //! Galois operations: rotation, conjugation and the hoisted rotation batch (an automorphism
 //! followed by a key switch back to the original secret), and the key-free monomial shift.
 
+use std::sync::Arc;
+
 use fab_math::{galois_element_for_conjugation, galois_element_for_rotation};
 use fab_rns::{RnsBasis, RnsPolynomial};
 use fab_trace::HeOp;
 
 use super::Evaluator;
-use crate::{Ciphertext, CkksError, GaloisKeys, Result, SwitchingKey};
+use crate::{Ciphertext, CkksError, KeyProvider, KeyRef, Result, SwitchingKey};
 
 impl Evaluator {
-    /// Rotates the slots left by `steps` positions (`out[i] = in[i + steps mod n]`).
+    /// Rotates the slots left by `steps` positions (`out[i] = in[i + steps mod n]`). A
+    /// rotation by a multiple of the slot count is a free clone and asks for no key.
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::MissingKey`] if the Galois key for this rotation is absent.
-    pub fn rotate(&self, a: &Ciphertext, steps: usize, keys: &GaloisKeys) -> Result<Ciphertext> {
+    /// Returns [`CkksError::MissingKey`] if `keys` has no Galois key for this rotation.
+    pub fn rotate<K: KeyProvider + ?Sized>(
+        &self,
+        a: &Ciphertext,
+        steps: usize,
+        keys: &K,
+    ) -> Result<Ciphertext> {
         let steps = steps % self.ctx.slot_count();
         if steps == 0 {
             return Ok(a.clone());
         }
-        let (_, key) = self.rotation_key(keys, steps)?;
-        self.rotate_with_key(a, steps, key)
-    }
-
-    /// The Galois element of the rotation by `steps` and its key in `keys`.
-    fn rotation_key<'k>(
-        &self,
-        keys: &'k GaloisKeys,
-        steps: usize,
-    ) -> Result<(u64, &'k SwitchingKey)> {
-        let element = galois_element_for_rotation(self.ctx.degree(), steps);
-        let key = keys.get(element).ok_or_else(|| CkksError::MissingKey {
-            description: format!("rotation by {steps} (galois element {element})"),
-        })?;
-        Ok((element, key))
-    }
-
-    /// Rotates the slots left by `steps` with an explicitly supplied switching key — the
-    /// serving-side entry point where keys come from a [`crate::KeyProvider`] rather than a
-    /// resident [`GaloisKeys`] collection. Identical semantics (and identical recorded trace)
-    /// to [`Self::rotate`]; the caller is responsible for the key matching the rotation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates representation/level errors from the Galois application.
-    pub fn rotate_with_key(
-        &self,
-        a: &Ciphertext,
-        steps: usize,
-        key: &SwitchingKey,
-    ) -> Result<Ciphertext> {
-        let slots = self.ctx.slot_count();
-        let steps = steps % slots;
-        if steps == 0 {
-            return Ok(a.clone());
-        }
-        let element = galois_element_for_rotation(self.ctx.degree(), steps);
-        let rotated = self.apply_galois(a, element, key)?;
+        let (element, key) = self.rotation_key(keys, steps)?;
+        let rotated = self.apply_galois(a, element, &key)?;
         self.record(HeOp::Rotate { level: a.level });
         Ok(rotated)
     }
 
-    /// Conjugates every slot with an explicitly supplied switching key (the serving-side
-    /// counterpart of [`Self::conjugate`], same semantics and recorded trace).
-    ///
-    /// # Errors
-    ///
-    /// Propagates representation/level errors from the Galois application.
-    pub fn conjugate_with_key(&self, a: &Ciphertext, key: &SwitchingKey) -> Result<Ciphertext> {
-        let element = galois_element_for_conjugation(self.ctx.degree());
-        let conjugated = self.apply_galois(a, element, key)?;
-        self.record(HeOp::Conjugate { level: a.level });
-        Ok(conjugated)
+    /// The Galois element of the rotation by `steps` and its key, asked for by name. The
+    /// seam spells a missing key by its element; only this caller knows the step, and adds it.
+    fn rotation_key<K: KeyProvider + ?Sized>(
+        &self,
+        keys: &K,
+        steps: usize,
+    ) -> Result<(u64, Arc<SwitchingKey>)> {
+        let element = galois_element_for_rotation(self.ctx.degree(), steps);
+        match keys.key(KeyRef::Galois(element)) {
+            Ok(key) => Ok((element, key)),
+            Err(CkksError::MissingKey { description }) => Err(CkksError::MissingKey {
+                description: format!("{description} (rotation by {steps})"),
+            }),
+            Err(other) => Err(other),
+        }
     }
 
     /// Rotates one ciphertext by every step in `steps` while performing the key-switch
@@ -79,9 +55,8 @@ impl Evaluator {
     /// al.): the raised digits of `c1` are computed and transformed up front, and each
     /// rotation only pays an evaluation-domain permutation (applied on the fly inside the
     /// KSKIP gather — see [`fab_math::EvalAutomorphismMap`]), the u128 inner product with its
-    /// own key, and the inverse NTT + ModDown. The per-rotation forward transforms of the
-    /// coefficient-domain path were audited redundant and are eliminated: a batch of `M`
-    /// rotations now performs `β·(ℓ+1+k) + M·2·(ℓ+1+k)` transforms instead of
+    /// own key, and the inverse NTT + ModDown: a batch of `M` rotations performs
+    /// `β·(ℓ+1+k) + M·2·(ℓ+1+k)` transforms where `M` single rotations perform
     /// `M·β·(ℓ+1+k) + M·2·(ℓ+1+k)`.
     ///
     /// The first step is recorded as a full [`HeOp::Rotate`], every further nonzero step as
@@ -97,12 +72,13 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::MissingKey`] if any step's Galois key is absent.
-    pub fn rotate_hoisted_batch(
+    /// Returns [`CkksError::MissingKey`] (or the provider's transport error) if any step's
+    /// Galois key cannot be had; the shared raised digits go back to the arena either way.
+    pub fn rotate_hoisted_batch<K: KeyProvider + ?Sized>(
         &self,
         a: &Ciphertext,
         steps: &[usize],
-        keys: &GaloisKeys,
+        keys: &K,
     ) -> Result<Vec<Ciphertext>> {
         let slots = self.ctx.slot_count();
         if steps.iter().all(|s| s % slots == 0) {
@@ -128,9 +104,15 @@ impl Evaluator {
                 out.push(a.clone());
                 continue;
             }
-            let (element, key) = self.rotation_key(keys, st)?;
+            let (element, key) = match self.rotation_key(keys, st) {
+                Ok(found) => found,
+                Err(e) => {
+                    raised.recycle_into(sc);
+                    return Err(e);
+                }
+            };
             let eval_map = self.ctx.eval_automorphism_map(element)?;
-            let (k0, k1) = self.switch_raised(sc, &raised, key, Some(&eval_map), None, &down)?;
+            let (k0, k1) = self.switch_raised(sc, &raised, &key, Some(&eval_map), None, &down)?;
             let map = self.ctx.automorphism_map(element)?;
             let mut c0 = a.c0.automorphism_with_map(&map, &q_basis)?;
             c0.add_assign(&k0, &q_basis)?;
@@ -152,13 +134,17 @@ impl Evaluator {
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::MissingKey`] if the conjugation key is absent.
-    pub fn conjugate(&self, a: &Ciphertext, keys: &GaloisKeys) -> Result<Ciphertext> {
+    /// Returns [`CkksError::MissingKey`] if `keys` has no conjugation key.
+    pub fn conjugate<K: KeyProvider + ?Sized>(
+        &self,
+        a: &Ciphertext,
+        keys: &K,
+    ) -> Result<Ciphertext> {
         let element = galois_element_for_conjugation(self.ctx.degree());
-        let key = keys.get(element).ok_or_else(|| CkksError::MissingKey {
-            description: "conjugation".into(),
-        })?;
-        self.conjugate_with_key(a, key)
+        let key = keys.key(KeyRef::Galois(element))?;
+        let conjugated = self.apply_galois(a, element, &key)?;
+        self.record(HeOp::Conjugate { level: a.level });
+        Ok(conjugated)
     }
 
     /// Applies the Galois automorphism `x → x^element` followed by the key switch back to the

@@ -8,6 +8,7 @@
 //! accounting in `CkksParams::switching_key_bytes`.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 use fab_math::{galois_element_for_conjugation, galois_element_for_rotation};
@@ -240,11 +241,12 @@ pub fn key_set_bytes(params: &CkksParams, galois_key_count: usize) -> usize {
     (1 + galois_key_count) * switching_key_serialized_bytes(params)
 }
 
-/// The relinearisation key (a switching key for `s² → s`).
+/// The relinearisation key (a switching key for `s² → s`), behind the same [`Arc`] every
+/// [`GaloisKeys`] entry sits behind.
 #[derive(Debug, Clone)]
 pub struct RelinearizationKey {
     /// The underlying switching key.
-    pub key: SwitchingKey,
+    pub key: Arc<SwitchingKey>,
 }
 
 /// A collection of Galois keys: rotation keys indexed by Galois element plus the conjugation
@@ -285,11 +287,6 @@ impl GaloisKeys {
         self.keys.get(&element).map(|k| k.as_ref())
     }
 
-    /// The shared handle for an explicit Galois element, if present.
-    pub fn get_arc(&self, element: u64) -> Option<Arc<SwitchingKey>> {
-        self.keys.get(&element).cloned()
-    }
-
     /// The key for a left rotation by `steps` slots, if present.
     pub fn rotation_key(&self, steps: usize) -> Option<&SwitchingKey> {
         self.get(galois_element_for_rotation(self.degree, steps))
@@ -308,59 +305,89 @@ impl GaloisKeys {
     }
 }
 
-/// Where the evaluator's switching keys come from.
-///
-/// The evaluator historically borrowed `&RelinearizationKey` / `&GaloisKeys` that the caller
-/// owned outright. A serving front-end instead keeps key material in a bounded cache whose
-/// contents change between (and during) requests, so ops fetch each key *through* this seam at
-/// the moment of use: a provider may return a long-lived resident key, a cache hit, or a key
-/// freshly deserialized on a cold miss — the returned [`Arc`] keeps the material alive for the
-/// duration of the op even if the cache evicts it mid-flight.
-pub trait KeyProvider {
-    /// The relinearisation key for `s² → s` switches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::MissingKey`] (or a transport error) when the key is unavailable.
-    fn relinearization_key(&self) -> Result<Arc<RelinearizationKey>>;
-
-    /// The Galois key for `x → x^element`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::MissingKey`] (or a transport error) when the key is unavailable.
-    fn galois_key(&self, element: u64) -> Result<Arc<SwitchingKey>>;
+/// Names one evaluation key of a key set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum KeyRef {
+    /// The relinearisation key (`s² → s`).
+    Relin,
+    /// The Galois key for `x → x^element` (rotations and conjugation).
+    Galois(u64),
 }
 
-/// The trivial [`KeyProvider`]: every key is resident in memory for the provider's lifetime
-/// (the behaviour of the pre-serving API, adapted to the seam).
+impl KeyRef {
+    /// The error every provider answers when it holds no such key.
+    pub fn missing(self) -> CkksError {
+        CkksError::MissingKey {
+            description: self.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for KeyRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            KeyRef::Relin => write!(f, "relinearization key"),
+            KeyRef::Galois(element) => write!(f, "galois element {element}"),
+        }
+    }
+}
+
+/// Where an operation gets its switching key: every key switch of every pipeline asks one
+/// provider for one [`KeyRef`] at the moment of use.
+///
+/// A provider may answer with a long-lived resident key, a cache hit, or a key freshly
+/// deserialized on a cold miss; the returned [`Arc`] keeps the material alive for the
+/// duration of the op even if a cache evicts it mid-flight. The sequence of keys a pipeline
+/// asks for is known before it runs — [`crate::PlanBackend`] records it — which is what lets
+/// a provider prefetch.
+pub trait KeyProvider {
+    /// The switching key `key` names.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CkksError::MissingKey`] ([`KeyRef::missing`]) when the provider holds no
+    /// such key, or a transport error when it could not be fetched.
+    fn key(&self, key: KeyRef) -> Result<Arc<SwitchingKey>>;
+}
+
+/// Galois keys alone: asked for the relinearisation key they answer `MissingKey`.
+impl KeyProvider for GaloisKeys {
+    fn key(&self, key: KeyRef) -> Result<Arc<SwitchingKey>> {
+        match key {
+            KeyRef::Galois(element) => self.keys.get(&element).cloned(),
+            KeyRef::Relin => None,
+        }
+        .ok_or_else(|| key.missing())
+    }
+}
+
+/// A borrowed resident key set.
+impl KeyProvider for (&RelinearizationKey, &GaloisKeys) {
+    fn key(&self, key: KeyRef) -> Result<Arc<SwitchingKey>> {
+        match key {
+            KeyRef::Relin => Ok(self.0.key.clone()),
+            KeyRef::Galois(_) => self.1.key(key),
+        }
+    }
+}
+
+/// An owned resident key set: every key stays in memory for the provider's lifetime.
 #[derive(Debug, Clone)]
 pub struct ResidentKeyProvider {
-    rlk: Arc<RelinearizationKey>,
+    rlk: RelinearizationKey,
     galois: GaloisKeys,
 }
 
 impl ResidentKeyProvider {
     /// Wraps fully-resident key material.
     pub fn new(rlk: RelinearizationKey, galois: GaloisKeys) -> Self {
-        Self {
-            rlk: Arc::new(rlk),
-            galois,
-        }
+        Self { rlk, galois }
     }
 }
 
 impl KeyProvider for ResidentKeyProvider {
-    fn relinearization_key(&self) -> Result<Arc<RelinearizationKey>> {
-        Ok(self.rlk.clone())
-    }
-
-    fn galois_key(&self, element: u64) -> Result<Arc<SwitchingKey>> {
-        self.galois
-            .get_arc(element)
-            .ok_or_else(|| CkksError::MissingKey {
-                description: format!("galois element {element}"),
-            })
+    fn key(&self, key: KeyRef) -> Result<Arc<SwitchingKey>> {
+        (&self.rlk, &self.galois).key(key)
     }
 }
 
@@ -405,7 +432,7 @@ impl KeyGenerator {
         let s = self.secret.full_eval();
         let s_squared = s.mul(s, full).expect("evaluation form");
         RelinearizationKey {
-            key: self.switching_key_for(&s_squared, rng),
+            key: Arc::new(self.switching_key_for(&s_squared, rng)),
         }
     }
 
@@ -690,12 +717,34 @@ mod tests {
         let keys = kg.galois_keys(&[1, 2], true, &mut rng).unwrap();
         let elements = keys.elements();
         let provider = ResidentKeyProvider::new(rlk, keys);
-        assert!(provider.relinearization_key().is_ok());
+        assert!(provider.key(KeyRef::Relin).is_ok());
         for element in elements {
-            assert!(provider.galois_key(element).is_ok());
+            assert!(provider.key(KeyRef::Galois(element)).is_ok());
         }
         let absent = fab_math::galois_element_for_rotation(ctx.degree(), 3);
-        assert!(provider.galois_key(absent).is_err());
+        assert!(provider.key(KeyRef::Galois(absent)).is_err());
+    }
+
+    #[test]
+    fn galois_keys_alone_answer_missing_key_for_relin() {
+        // What a Galois-only pipeline is handed: the shared handle of every key it holds, and
+        // `MissingKey` in the seam's one spelling for the relinearisation key.
+        let (ctx, kg, mut rng) = setup();
+        let keys = kg.galois_keys(&[1], false, &mut rng).unwrap();
+        let held = KeyRef::Galois(fab_math::galois_element_for_rotation(ctx.degree(), 1));
+        assert!(Arc::ptr_eq(
+            &keys.key(held).unwrap(),
+            &keys.key(held).unwrap()
+        ));
+        let absent = KeyRef::Galois(fab_math::galois_element_for_rotation(ctx.degree(), 2));
+        for (key, text) in [
+            (KeyRef::Relin, "relinearization key"),
+            (absent, "galois element 25"),
+        ] {
+            assert!(
+                matches!(keys.key(key), Err(CkksError::MissingKey { description }) if description == text)
+            );
+        }
     }
 
     #[test]

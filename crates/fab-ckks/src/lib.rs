@@ -105,6 +105,14 @@ mod params;
 pub mod sampling;
 pub mod wire;
 
+// The recording provider of the demanded == planned gates is one file shared with the
+// `fab-lr` and `fab-serve` tests, so it names this crate from outside.
+#[cfg(test)]
+extern crate self as fab_ckks;
+#[cfg(test)]
+#[path = "../tests/support/recording_keys.rs"]
+mod recording_keys;
+
 pub use backend::{EvalBackend, ExecBackend, PlanBackend, PlanCiphertext};
 pub use bootstrap::{BootstrapParams, Bootstrapper};
 pub use chebyshev::ChebyshevSeries;
@@ -115,7 +123,7 @@ pub use encryption::{Decryptor, Encryptor};
 pub use error::CkksError;
 pub use evaluator::Evaluator;
 pub use keys::{
-    key_set_bytes, switching_key_serialized_bytes, GaloisKeys, KeyGenerator, KeyProvider,
+    key_set_bytes, switching_key_serialized_bytes, GaloisKeys, KeyGenerator, KeyProvider, KeyRef,
     PublicKey, RelinearizationKey, ResidentKeyProvider, SecretKey, SwitchingKey,
 };
 pub use linear_transform::{BsgsGroup, BsgsPlan, LinearTransform};

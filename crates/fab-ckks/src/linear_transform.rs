@@ -28,8 +28,8 @@ use std::sync::{Arc, Mutex};
 use fab_math::{Complex64, SpecialFft};
 use fab_rns::RnsPolynomial;
 
-use crate::backend::{EvalBackend, ExecBackend};
-use crate::{Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, Result};
+use crate::backend::EvalBackend;
+use crate::{Ciphertext, CkksContext, CkksError, Evaluator, KeyProvider, Result};
 
 /// Per-transform cache of encoded, pre-rotated, **NTT-form** diagonal plaintexts, keyed by
 /// level and holding one polynomial per `(giant group, baby)` pair of the transform's plan,
@@ -357,42 +357,28 @@ impl LinearTransform {
         Self::planned(n, diagonals)
     }
 
-    /// Homomorphic application: `Σ_d encode(diag_d) ⊙ rotate(ct, d)`, followed by one rescale.
-    /// The diagonal plaintexts are encoded at the current rescaling prime so the ciphertext
-    /// scale is preserved; one level is consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::MissingKey`] if a required rotation key is missing and
-    /// [`CkksError::LevelExhausted`] if the ciphertext has no level to spend.
-    pub fn apply_homomorphic(
-        &self,
-        evaluator: &Evaluator,
-        ct: &Ciphertext,
-        keys: &GaloisKeys,
-    ) -> Result<Ciphertext> {
-        let backend = ExecBackend::new(evaluator, None, Some(keys));
-        self.apply_with(&backend, ct)
-    }
-
-    /// Backend-generic application (see [`crate::backend`]): the single control flow behind
-    /// real execution and analytic planning, the transform's baby-step/giant-step schedule.
+    /// Homomorphic application `Σ_d encode(diag_d) ⊙ rotate(ct, d)` followed by one rescale,
+    /// backend-generic (see [`crate::backend`]): the single control flow behind real
+    /// execution and analytic planning, the transform's baby-step/giant-step schedule. The
+    /// diagonal plaintexts are encoded at the current rescaling prime so the ciphertext scale
+    /// is preserved; one level is consumed.
     /// The distinct baby rotations run as one hoisted batch on the input, every giant group
     /// accumulates its pre-rotated diagonals with plaintext multiplications and pays one full
     /// rotation, and the group sums are added before the single rescale: `babies + giants ≈
-    /// 2·√d` rotations. Routed through the backend seam — [`ExecBackend`] overrides
+    /// 2·√d` rotations. Routed through the backend seam — [`crate::ExecBackend`] overrides
     /// [`EvalBackend::apply_bsgs_planned`] with the eval-resident NTT-cached execution, every
     /// other interpreter uses the generic coefficient-resident control flow
     /// (`apply_planned_generic`) — and both emit the identical semantic op stream.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::apply_homomorphic`].
+    /// Returns [`CkksError::MissingKey`] if a required rotation key is missing and
+    /// [`CkksError::LevelExhausted`] if the ciphertext has no level to spend.
     pub fn apply_with<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<B::Ct> {
         backend.apply_bsgs_planned(self, ct)
     }
 
-    /// The eval-resident BSGS execution on real ciphertexts (the [`ExecBackend`] override of
+    /// The eval-resident BSGS execution on real ciphertexts (the [`crate::ExecBackend`] override of
     /// [`EvalBackend::apply_bsgs_planned`]):
     ///
     /// * the distinct baby rotations run as one hoisted batch, then each baby ciphertext is
@@ -408,10 +394,10 @@ impl LinearTransform {
     /// Rescale) is identical to the generic path's, and the result is bit-for-bit equal to
     /// [`apply_planned_generic`]'s — the inverse NTT canonicalises, so summing in the
     /// evaluation domain is invisible after the group inverse.
-    pub(crate) fn apply_planned_exec(
+    pub(crate) fn apply_planned_exec<K: KeyProvider + ?Sized>(
         &self,
         evaluator: &Evaluator,
-        keys: &GaloisKeys,
+        keys: &K,
         ct: &Ciphertext,
     ) -> Result<Ciphertext> {
         let ctx = evaluator.context();
@@ -817,7 +803,9 @@ fn group_stages(stages: Vec<LinearTransform>, groups: usize) -> Vec<LinearTransf
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CkksContext, CkksParams, Decryptor, Encoder, Encryptor, KeyGenerator, SecretKey};
+    use crate::{
+        CkksParams, Decryptor, Encoder, Encryptor, ExecBackend, GaloisKeys, KeyGenerator, SecretKey,
+    };
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use std::sync::Arc;
@@ -1127,7 +1115,9 @@ mod tests {
         let keys = f.keys_for(&lt);
         let input = random_slots(n, 23);
         let ct = f.encrypt(&input);
-        let out_ct = lt.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
+        let out_ct = lt
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
         assert_eq!(out_ct.level(), 2);
         let decoded = f.encoder.decode(&f.decryptor.decrypt(&out_ct).unwrap());
         let expected = lt.apply_plain(&input);
@@ -1154,7 +1144,7 @@ mod tests {
         let keys = f.keys_for(&stage);
         let ct = f.encrypt(&random_slots(f.ctx.slot_count(), 79));
         let evaluator = Evaluator::new(f.ctx.clone());
-        let backend = ExecBackend::new(&evaluator, None, Some(&keys));
+        let backend = ExecBackend::new(&evaluator, &keys);
         let generic = apply_planned_generic(&stage, &backend, &ct).unwrap();
         for pass in ["cache-filling", "warm"] {
             let exec = stage.apply_with(&backend, &ct).unwrap();
@@ -1175,7 +1165,9 @@ mod tests {
         let keys = f.keys_for(&lt);
         let ct = f.encrypt(&random_slots(n, 73));
         let evaluator = Evaluator::new(f.ctx.clone());
-        let before = lt.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
+        let before = lt
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
 
         // A thread that panics while holding the guard poisons the lock ...
         let cache = Arc::clone(&lt.ntt_diagonals);
@@ -1189,7 +1181,7 @@ mod tests {
         // entries that were inserted fully built.
         let after = lt
             .clone()
-            .apply_homomorphic(&evaluator, &ct, &keys)
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
             .unwrap();
         assert_eq!(after.c0(), before.c0());
         assert_eq!(after.c1(), before.c1());
@@ -1217,7 +1209,9 @@ mod tests {
         let ct = f.encrypt(&input);
         let sink = fab_trace::RecordingSink::shared("bsgs");
         let evaluator = Evaluator::with_sink(f.ctx.clone(), sink.clone());
-        let out = bsgs.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
+        let out = bsgs
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
 
         // The level/scale bookkeeping of the definition (every term one plaintext product,
         // one rescale at the end) and its result — `Σ_d diag_d ⊙ rot_d(input)` — within noise.

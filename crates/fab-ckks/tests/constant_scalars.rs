@@ -15,7 +15,7 @@ use rand_chacha::ChaCha20Rng;
 
 use fab_ckks::{
     ChebyshevSeries, Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator,
-    KeyGenerator, RelinearizationKey, Result, SecretKey,
+    ExecBackend, GaloisKeys, KeyGenerator, RelinearizationKey, Result, SecretKey,
 };
 use fab_math::Complex64;
 use fab_trace::{HeOp, RecordingSink};
@@ -198,8 +198,9 @@ fn assert_matches_oracle(f: &Fixture, series: &ChebyshevSeries) {
         rlk: &f.rlk,
     };
     let want = oracle.evaluate(series, &f.fresh);
+    let keys = (&f.rlk, &GaloisKeys::default());
     let got = series
-        .evaluate_homomorphic(&f.evaluator, &f.fresh, &f.rlk)
+        .evaluate_with(&ExecBackend::new(&f.evaluator, &keys), &f.fresh)
         .unwrap();
     assert_eq!(got.level(), want.level());
     assert_eq!(got.scale(), want.scale());

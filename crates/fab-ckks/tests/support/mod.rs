@@ -1,5 +1,5 @@
 //! Test-support oracle for the Chebyshev evaluation: the same baby-step/giant-step schedule
-//! as `ChebyshevSeries::evaluate_homomorphic`, but every constant goes the long way round —
+//! as `ChebyshevSeries::evaluate_with`, but every constant goes the long way round —
 //! encoded as an `N`-coefficient plaintext and multiplied through `multiply_plain`, each leaf
 //! term materialised on its own and folded in with `align_for_addition` + `add`, and no term
 //! skipped however small its coefficient. It shares no constant arithmetic with the

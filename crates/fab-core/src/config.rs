@@ -2,7 +2,6 @@
 
 /// Which KeySwitch datapath the scheduler uses (Section 4.6 / Figure 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KeySwitchDatapath {
     /// The naïve datapath: all ModUp outputs are written to HBM and read back before KSKIP.
     Original,
@@ -13,7 +12,6 @@ pub enum KeySwitchDatapath {
 
 /// High Bandwidth Memory (HBM2) configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HbmConfig {
     /// Total sustained bandwidth in GB/s (the U280 offers up to 460 GB/s).
     pub bandwidth_gbps: f64,
@@ -29,7 +27,6 @@ pub struct HbmConfig {
 
 /// On-chip memory configuration (URAM + BRAM banks, Figure 4, plus the register file).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OnChipMemoryConfig {
     /// Number of URAM blocks used (out of 962 on the U280).
     pub uram_blocks: usize,
@@ -56,7 +53,6 @@ impl OnChipMemoryConfig {
 
 /// 100G Ethernet (CMAC) configuration for multi-FPGA communication (Section 3).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CmacConfig {
     /// Link rate in Gb/s.
     pub link_gbps: f64,
@@ -79,7 +75,6 @@ impl CmacConfig {
 
 /// Full accelerator configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FabConfig {
     /// Number of functional units (modular add/sub/mult + automorph), 256 in FAB.
     pub functional_units: usize,
@@ -261,15 +256,5 @@ mod tests {
         assert!(config.hoisting);
         assert_eq!(config.hbm.axi_ports, 32);
         assert!((config.hbm.bandwidth_gbps - 460.0).abs() < 1e-9);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_round_trip_preserves_every_field() {
-        for config in [FabConfig::alveo_u280(), FabConfig::bts_class_scaling()] {
-            let text = serde::json::to_string(&config);
-            let back: FabConfig = serde::json::from_str(&text).expect("config parses back");
-            assert_eq!(back, config);
-        }
     }
 }

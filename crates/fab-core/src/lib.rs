@@ -17,7 +17,7 @@
 //! * the **published baseline numbers** (CPU/GPU/ASIC/HEAX) that the paper compares against.
 //!
 //! Every table and figure of the evaluation section is regenerated from these pieces by the
-//! `fab-bench` crate.
+//! facade's `tables` bin (`cargo run --release --bin tables`).
 //!
 //! ```
 //! use fab_ckks::CkksParams;

@@ -20,7 +20,6 @@ const FF_BASE: f64 = 1_100_200.0;
 
 /// Resources available on the Xilinx Alveo U280 (16 nm UltraScale+).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AvailableResources {
     /// Lookup tables.
     pub luts: u64,
@@ -49,7 +48,6 @@ impl AvailableResources {
 
 /// Estimated utilization of each resource class, mirroring Table 3.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResourceUtilization {
     /// Utilized LUTs.
     pub luts: u64,
@@ -220,15 +218,5 @@ mod tests {
             !estimate.fits(),
             "a BTS-class design cannot fit a single U280"
         );
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_round_trip_preserves_utilization_report() {
-        let estimate = ResourceEstimator::new().estimate(&FabConfig::alveo_u280());
-        let text = serde::json::to_string(&estimate);
-        let back: ResourceUtilization =
-            serde::json::from_str(&text).expect("utilization parses back");
-        assert_eq!(back, estimate);
     }
 }

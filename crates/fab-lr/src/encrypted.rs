@@ -13,7 +13,7 @@ use fab_ckks::backend::{EvalBackend, ExecBackend, PlanBackend, PlanCiphertext};
 use fab_ckks::bootstrap::BootstrapParams;
 use fab_ckks::{
     Bootstrapper, Ciphertext, CkksContext, CkksError, Decryptor, Encoder, Encryptor, Evaluator,
-    GaloisKeys, KeyGenerator, RelinearizationKey, SecretKey,
+    GaloisKeys, KeyGenerator, KeyProvider, RelinearizationKey, SecretKey,
 };
 use fab_math::Complex64;
 use fab_store::StorageBackend;
@@ -355,7 +355,7 @@ impl EncryptedLogisticRegression {
             Some(cp) => {
                 let mut weights = cp.weights;
                 if refresh && cp.iteration > 0 && cp.iteration < iterations {
-                    weights = self.refresh_weights(&weights)?;
+                    weights = self.refresh_weights(&weights, &(&self.rlk, &self.gks))?;
                 }
                 (cp.iteration, weights)
             }
@@ -374,7 +374,8 @@ impl EncryptedLogisticRegression {
             .batches(batch_size)
             .map(|(rows, labels)| (rows.iter().map(|r| r.to_vec()).collect(), labels))
             .collect();
-        let backend = ExecBackend::new(&self.evaluator, Some(&self.rlk), Some(&self.gks));
+        let keys = (&self.rlk, &self.gks);
+        let backend = ExecBackend::new(&self.evaluator, &keys);
         for iter in start_iter..iterations {
             let (rows, labels) = &batches[iter % batches.len()];
             ct_weights = train_iteration_with(&backend, &ct_weights, rows, labels, learning_rate)?;
@@ -389,7 +390,7 @@ impl EncryptedLogisticRegression {
                 }
             }
             if refresh && iter + 1 < iterations {
-                ct_weights = self.refresh_weights(&ct_weights)?;
+                ct_weights = self.refresh_weights(&ct_weights, &keys)?;
             }
         }
 
@@ -411,7 +412,11 @@ impl EncryptedLogisticRegression {
     /// Masks the weight ciphertext down to the feature window (the sparse bootstrap requires
     /// zeros outside its `s`-slot window, and a previous refresh leaves stale replicas
     /// there), exhausts its remaining levels, and runs the real sparse-slot bootstrap.
-    fn refresh_weights(&self, ct: &Ciphertext) -> Result<Ciphertext, CkksError> {
+    fn refresh_weights(
+        &self,
+        ct: &Ciphertext,
+        keys: &dyn KeyProvider,
+    ) -> Result<Ciphertext, CkksError> {
         let bootstrapper = self
             .bootstrapper
             .as_ref()
@@ -430,7 +435,7 @@ impl EncryptedLogisticRegression {
             .evaluator
             .match_scale(&masked, self.ctx.params().default_scale())?;
         let exhausted = self.evaluator.mod_drop_to_level(&aligned, 0)?;
-        bootstrapper.bootstrap(&exhausted, &self.rlk, &self.gks)
+        bootstrapper.bootstrap_with(&exhausted, keys)
     }
 }
 
@@ -715,6 +720,45 @@ mod tests {
             .phase_ops(fab_trace::phase::SLOT_TO_COEFF)
             .unwrap();
         assert_eq!(&recorded_stc[..predicted_stc.len()], predicted_stc);
+    }
+
+    #[test]
+    fn one_iteration_with_refresh_demands_the_planned_keys() {
+        // Demanded == planned for the HELR pipeline: one iteration on fresh weights, then the
+        // refresh, through a recording provider — the keys it was asked for are the planned
+        // iteration's key stream followed by the bootstrapper's, element for element.
+        use crate::recording_keys::RecordingKeys;
+        let (features, batch) = (16, 2);
+        let data = synthetic_mnist_like(batch, features, 17);
+        let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        let mut trainer = EncryptedLogisticRegression::with_bootstrapping(
+            ctx.clone(),
+            features,
+            64,
+            3,
+            noop_sink(),
+        )
+        .unwrap();
+        let (scale, top) = (ctx.params().default_scale(), ctx.params().max_level);
+        let zero = trainer.encoder.encode_real(&[0.0; 16], scale, top).unwrap();
+        let weights = trainer.encryptor.encrypt(&zero, &mut trainer.rng).unwrap();
+        let (rows, labels) = data.batches(batch).next().unwrap();
+        let rows: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();
+
+        let resident = (&trainer.rlk, &trainer.gks);
+        let demanded = RecordingKeys::new(&resident);
+        let backend = ExecBackend::new(&trainer.evaluator, &demanded);
+        let updated = train_iteration_with(&backend, &weights, &rows, &labels, 1.0).unwrap();
+        let plan = PlanBackend::new(ctx.clone(), "planned iteration");
+        let shadow = PlanCiphertext::new(weights.level(), weights.scale());
+        train_iteration_with(&plan, &shadow, &rows, &labels, 1.0).unwrap();
+        let planned = plan.into_key_refs();
+        assert!(planned.contains(&fab_ckks::KeyRef::Relin));
+        assert_eq!(demanded.take(), planned);
+
+        trainer.refresh_weights(&updated, &demanded).unwrap();
+        let bootstrapper = trainer.bootstrapper().unwrap();
+        assert_eq!(demanded.take(), bootstrapper.predicted_key_refs().unwrap());
     }
 
     #[test]

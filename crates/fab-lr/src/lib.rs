@@ -22,6 +22,10 @@ mod encrypted;
 mod plaintext;
 mod trace;
 
+#[cfg(test)]
+#[path = "../../fab-ckks/tests/support/recording_keys.rs"]
+mod recording_keys;
+
 pub use checkpoint::TrainingCheckpoint;
 pub use data::{synthetic_mnist_like, Dataset};
 pub use encrypted::{

@@ -4,55 +4,10 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use fab_ckks::{CkksError, KeyProvider, RelinearizationKey, Result, SwitchingKey};
+use fab_ckks::{CkksError, KeyProvider, KeyRef, Result, SwitchingKey};
 
 use crate::error::ServeFault;
 use crate::tenant::{FetchError, KeySource, TenantId};
-
-/// Names one evaluation key of a tenant's set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum KeyRef {
-    /// The relinearisation key (`s² → s`).
-    Relin,
-    /// The Galois key for `x → x^element` (rotations and conjugation).
-    Galois(u64),
-}
-
-/// Deserialized key material handed out by the cache. The [`Arc`] keeps the polynomials alive
-/// for the duration of the op using them even if the cache evicts the entry mid-flight.
-#[derive(Debug, Clone)]
-pub enum KeyMaterial {
-    /// A relinearisation key.
-    Relin(Arc<RelinearizationKey>),
-    /// A Galois switching key.
-    Galois(Arc<SwitchingKey>),
-}
-
-impl KeyMaterial {
-    /// Wraps a deserialized switching key as the material `key` refers to.
-    pub fn from_switching(key: KeyRef, switching: SwitchingKey) -> Self {
-        match key {
-            KeyRef::Relin => KeyMaterial::Relin(Arc::new(RelinearizationKey { key: switching })),
-            KeyRef::Galois(_) => KeyMaterial::Galois(Arc::new(switching)),
-        }
-    }
-
-    /// The relinearisation key, if that is what this material holds.
-    pub fn relin(&self) -> Option<Arc<RelinearizationKey>> {
-        match self {
-            KeyMaterial::Relin(key) => Some(key.clone()),
-            KeyMaterial::Galois(_) => None,
-        }
-    }
-
-    /// The Galois switching key, if that is what this material holds.
-    pub fn galois(&self) -> Option<Arc<SwitchingKey>> {
-        match self {
-            KeyMaterial::Galois(key) => Some(key.clone()),
-            KeyMaterial::Relin(_) => None,
-        }
-    }
-}
 
 /// Hardware-monitor-style cache counters. Every latency/hit-rate claim the serving layer
 /// makes is backed by these, the same way `tests/ntt_accounting.rs` pins NTT counts.
@@ -131,7 +86,9 @@ struct Admission {
 
 #[derive(Debug)]
 struct CacheEntry {
-    material: KeyMaterial,
+    /// The [`Arc`] keeps the polynomials alive for the duration of the op using them even if
+    /// the entry is evicted mid-flight.
+    material: Arc<SwitchingKey>,
     bytes: usize,
     last_use: u64,
     prefetched: bool,
@@ -275,7 +232,7 @@ impl EvalKeyCache {
         tenant: TenantId,
         key: KeyRef,
         source: &dyn KeySource,
-    ) -> std::result::Result<KeyMaterial, ServeFault> {
+    ) -> std::result::Result<Arc<SwitchingKey>, ServeFault> {
         self.clock += 1;
         let clock = self.clock;
         if let Some(entry) = self.entries.get_mut(&(tenant, key)) {
@@ -386,7 +343,7 @@ impl EvalKeyCache {
         tenant: TenantId,
         key: KeyRef,
         source: &dyn KeySource,
-    ) -> std::result::Result<(usize, KeyMaterial), ServeFault> {
+    ) -> std::result::Result<(usize, Arc<SwitchingKey>), ServeFault> {
         // A quarantined pair gets a single probe per access: it is known-bad, so the retry
         // budget is not spent re-validating the same corrupt bytes, but one attempt keeps
         // recovery possible once the underlying source heals.
@@ -516,33 +473,15 @@ impl<'a> CachedKeyProvider<'a> {
     pub fn take_fault(&self) -> Option<ServeFault> {
         self.last_fault.borrow_mut().take()
     }
-
-    fn get_material(&self, key: KeyRef) -> Result<KeyMaterial> {
-        match self.cache.borrow_mut().get(self.tenant, key, self.source) {
-            Ok(material) => Ok(material),
-            Err(fault) => {
-                let lowered = fault.to_ckks();
-                *self.last_fault.borrow_mut() = Some(fault);
-                Err(lowered)
-            }
-        }
-    }
 }
 
 impl KeyProvider for CachedKeyProvider<'_> {
-    fn relinearization_key(&self) -> Result<Arc<RelinearizationKey>> {
-        self.get_material(KeyRef::Relin)?
-            .relin()
-            .ok_or_else(|| CkksError::InvalidInput {
-                reason: "relin slot held galois material".into(),
-            })
-    }
-
-    fn galois_key(&self, element: u64) -> Result<Arc<SwitchingKey>> {
-        self.get_material(KeyRef::Galois(element))?
-            .galois()
-            .ok_or_else(|| CkksError::InvalidInput {
-                reason: format!("galois slot {element} held relin material"),
-            })
+    fn key(&self, key: KeyRef) -> Result<Arc<SwitchingKey>> {
+        let found = self.cache.borrow_mut().get(self.tenant, key, self.source);
+        found.map_err(|fault| {
+            let lowered = fault.to_ckks();
+            *self.last_fault.borrow_mut() = Some(fault);
+            lowered
+        })
     }
 }

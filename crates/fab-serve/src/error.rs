@@ -11,9 +11,8 @@
 
 use std::fmt;
 
-use fab_ckks::CkksError;
+use fab_ckks::{CkksError, KeyRef};
 
-use crate::cache::KeyRef;
 use crate::tenant::TenantId;
 
 /// Monotonic per-server request identifier, assigned by [`crate::FabServer::submit`].
@@ -130,7 +129,7 @@ impl ServeFault {
                 attempts,
                 reason,
             } => CkksError::MissingKey {
-                description: format!("{key:?} after {attempts} fetch attempts: {reason}"),
+                description: format!("{key} after {attempts} fetch attempts: {reason}"),
             },
             ServeFault::DeadlineExceeded {
                 deadline_us,

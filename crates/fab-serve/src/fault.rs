@@ -29,13 +29,13 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
-use fab_ckks::SwitchingKey;
+use fab_ckks::{KeyRef, SwitchingKey};
 
-use crate::cache::{KeyMaterial, KeyRef};
 use crate::server::ServeClock;
 use crate::tenant::{FetchError, KeySource, TenantId, TenantKeyStore};
 
@@ -153,7 +153,7 @@ impl KeySource for FaultyKeySource<'_> {
         KeySource::key_size(self.inner, key)
     }
 
-    fn fetch(&self, key: KeyRef) -> std::result::Result<KeyMaterial, FetchError> {
+    fn fetch(&self, key: KeyRef) -> std::result::Result<Arc<SwitchingKey>, FetchError> {
         let state = self.state;
         state.injected_fetches.set(state.injected_fetches.get() + 1);
         let spec = state.spec;
@@ -177,8 +177,9 @@ impl KeySource for FaultyKeySource<'_> {
             // The checksum makes any single-bit flip detectable, so this is Err for every
             // bit position; route the rejection through the same typed channel a genuinely
             // rotten store would produce.
-            let switching = SwitchingKey::from_bytes(&corrupted).map_err(FetchError::Permanent)?;
-            return Ok(KeyMaterial::from_switching(key, switching));
+            return SwitchingKey::from_bytes(&corrupted)
+                .map(Arc::new)
+                .map_err(FetchError::Permanent);
         }
         KeySource::fetch(self.inner, key)
     }

@@ -14,7 +14,7 @@
 //!   cost-aware tiebreak (equal recency evicts the cheaper-to-refetch, smaller entry first),
 //!   and hardware-monitor-style counters ([`CacheStats`]) that tests assert exactly.
 //! * [`Prefetcher`] is the software analogue of FAB's key-prefetch-overlap: before a request
-//!   executes, its op stream is walked ([`Program::key_refs`]) and the upcoming switching
+//!   executes, its key stream is planned ([`Program::key_refs`]) and the upcoming switching
 //!   keys are warmed into the cache, so execution finds them resident.
 //! * [`FabServer`] ties it together: a FIFO request queue, per-request phase labels
 //!   (`serve_queue` / `serve_prefetch` / `serve_execute` in [`fab_trace::phase`]) on the
@@ -22,25 +22,28 @@
 //!
 //! # The `KeyProvider` seam
 //!
-//! The evaluator historically borrowed `&RelinearizationKey` / `&GaloisKeys` owned by the
-//! caller for the whole computation. Serving breaks that assumption: which keys are resident
-//! changes over time. [`fab_ckks::KeyProvider`] is the seam — each op fetches the key it
-//! needs at the moment of use, and [`CachedKeyProvider`] implements the seam over
-//! [`EvalKeyCache`], so the very same [`Program::execute`] control flow runs against fully
-//! resident keys ([`fab_ckks::ResidentKeyProvider`]), a generous cache, or a cache so small
-//! every access is a cold miss that deserializes from the tenant's stored bytes. The crate's
-//! property tests prove the resulting ciphertexts are **bitwise identical** across all of
-//! those configurations — cache state must never change a single output bit.
+//! Which keys are resident changes over time, so nothing that executes holds a key:
+//! [`fab_ckks::KeyProvider`] is the one way any pipeline is handed one — each key switch
+//! asks for the [`KeyRef`] it needs at the moment of use. [`CachedKeyProvider`] implements
+//! the seam over [`EvalKeyCache`], so the very same [`Program::execute`] control flow (an
+//! [`fab_ckks::ExecBackend`] over the caller's provider) runs against fully resident keys
+//! ([`fab_ckks::ResidentKeyProvider`]), a generous cache, or a cache so small every access
+//! is a cold miss that deserializes from the tenant's stored bytes. The crate's property
+//! tests prove the resulting ciphertexts are **bitwise identical** across all of those
+//! configurations — cache state must never change a single output bit.
 //!
 //! # Prefetch scheduling
 //!
-//! A request's key-switch DAG is known before execution: [`Program::key_refs`] replays the
-//! exact level bookkeeping of the evaluator (a square at level 0 is skipped, a rotation by a
-//! multiple of the slot count needs no key) to produce the ordered list of upcoming
-//! [`KeyRef`]s. [`Prefetcher::warm`] deduplicates that list, keeps the first `lookahead`
-//! distinct keys, and loads them with prefetch-tagged cache entries; a later demand access
-//! that finds a prefetched entry counts as a `prefetch_hit`. Prefetch never bypasses the
-//! byte budget — an oversized key is simply not warmed and is served uncached at use time.
+//! A request's key-switch DAG is known before execution, and it is *planned*, not replayed:
+//! a [`Program`] has one walk over its ops, written against [`fab_ckks::EvalBackend`], and
+//! [`Program::key_refs`] is the key stream a [`fab_ckks::PlanBackend`] records while it
+//! runs that walk on a shadow ciphertext — the skip rules (a square at level 0, a rotation
+//! by a multiple of the slot count) exist once, and `cache_equivalence` pins the stream to
+//! the keys a recording provider is really asked for. [`Prefetcher::warm`] deduplicates that
+//! list, keeps the first `lookahead` distinct keys, and loads them with prefetch-tagged
+//! cache entries; a later demand access that finds a prefetched entry counts as a
+//! `prefetch_hit`. Prefetch never bypasses the byte budget — an oversized key is simply not
+//! warmed and is served uncached at use time.
 //!
 //! # Failure domains
 //!
@@ -73,8 +76,9 @@ mod server;
 pub mod store;
 mod tenant;
 
-pub use cache::{CacheStats, CachedKeyProvider, EvalKeyCache, KeyMaterial, KeyRef, RetryPolicy};
+pub use cache::{CacheStats, CachedKeyProvider, EvalKeyCache, RetryPolicy};
 pub use error::{FaultClass, RequestId, ServeError, ServeFault};
+pub use fab_ckks::KeyRef;
 pub use fault::{FakeClock, FaultPlan, FaultSpec, FaultyKeySource, TenantFault};
 pub use histogram::LatencyHistogram;
 pub use journal::{CorruptJournal, JournalRecord, RecoveredJournal, RequestState};

@@ -1,6 +1,8 @@
 //! Trace-driven key prefetch — the software analogue of FAB's key-prefetch-overlap.
 
-use crate::cache::{EvalKeyCache, KeyRef};
+use fab_ckks::KeyRef;
+
+use crate::cache::EvalKeyCache;
 use crate::error::ServeFault;
 use crate::tenant::{KeySource, TenantId};
 

@@ -3,13 +3,11 @@
 use std::sync::Arc;
 
 use fab_ckks::{
-    Ciphertext, CkksContext, EvalBackend, Evaluator, KeyProvider, PlanBackend, PlanCiphertext,
-    Result,
+    Ciphertext, CkksContext, EvalBackend, Evaluator, ExecBackend, KeyProvider, KeyRef, PlanBackend,
+    PlanCiphertext, Result,
 };
-use fab_math::{galois_element_for_conjugation, galois_element_for_rotation};
 use fab_trace::OpTrace;
 
-use crate::cache::KeyRef;
 use crate::tenant::TenantId;
 
 /// One operation of a serving program. The surface is deliberately small: every op either
@@ -86,41 +84,42 @@ impl Program {
         Self { ops }
     }
 
-    /// The switching keys this program will demand, in execution order (with repeats). The
-    /// walk replays the evaluator's exact skip rules — a square at level 0 is a no-op, a
-    /// rotation by a multiple of the slot count needs no key — so the prefetcher's view of
-    /// the upcoming key-switch DAG matches execution one-for-one.
-    pub fn key_refs(&self, ctx: &CkksContext, start_level: usize) -> Vec<KeyRef> {
-        let slots = ctx.slot_count();
-        let degree = ctx.degree();
-        let mut level = start_level;
-        let mut refs = Vec::new();
+    /// The one walk over the op list, written against the execute/plan seam: every skip rule
+    /// lives here (a square at level 0 is a no-op like every depth-spending op of a
+    /// level-exhausted pipeline; the free rotations are the backend's), so execution, the
+    /// planned trace and the planned key stream cannot disagree about them.
+    fn run<B: EvalBackend>(&self, backend: &B, input: &B::Ct) -> Result<B::Ct> {
+        let mut ct = input.clone();
         for op in &self.ops {
-            match *op {
-                ServeOp::Square => {
-                    if level > 0 {
-                        refs.push(KeyRef::Relin);
-                        level -= 1;
-                    }
-                }
-                ServeOp::Rotate(steps) => {
-                    if steps % slots != 0 {
-                        refs.push(KeyRef::Galois(galois_element_for_rotation(degree, steps)));
-                    }
-                }
-                ServeOp::Conjugate => {
-                    refs.push(KeyRef::Galois(galois_element_for_conjugation(degree)));
-                }
-                ServeOp::AddSelf => {}
-            }
+            ct = match *op {
+                ServeOp::Square if backend.level(&ct) == 0 => ct,
+                ServeOp::Square => backend.multiply_rescale(&ct, &ct)?,
+                ServeOp::Rotate(steps) => backend.rotate(&ct, steps)?,
+                ServeOp::Conjugate => backend.conjugate(&ct)?,
+                ServeOp::AddSelf => backend.add(&ct, &ct)?,
+            };
         }
-        refs
+        Ok(ct)
+    }
+
+    /// The switching keys this program will demand, in execution order (with repeats):
+    /// the key stream a [`PlanBackend`] records while it runs the program on a shadow
+    /// ciphertext, so the prefetcher's view of the upcoming key-switch DAG is the planner's,
+    /// not a second description of the evaluator.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::plan`].
+    pub fn key_refs(&self, ctx: &Arc<CkksContext>, start_level: usize) -> Result<Vec<KeyRef>> {
+        let backend = PlanBackend::new(ctx.clone(), "key stream");
+        let shadow = PlanCiphertext::new(start_level, ctx.params().default_scale());
+        self.run(&backend, &shadow)?;
+        Ok(backend.into_key_refs())
     }
 
     /// Plans the program on shadow ciphertexts via [`PlanBackend`], producing the analytic
-    /// [`OpTrace`] used for FAB cost-model pricing. Level/scale bookkeeping (and the skip
-    /// rules) are identical to [`Self::execute`], so recorded and planned traces agree
-    /// op-for-op.
+    /// [`OpTrace`] used for FAB cost-model pricing — the same walk as [`Self::execute`], so
+    /// recorded and planned traces agree op-for-op.
     ///
     /// # Errors
     ///
@@ -133,70 +132,24 @@ impl Program {
         name: &str,
     ) -> Result<OpTrace> {
         let backend = PlanBackend::new(ctx.clone(), name);
-        let mut shadow = PlanCiphertext::new(start_level, scale);
-        for op in &self.ops {
-            match *op {
-                ServeOp::Square => {
-                    if shadow.level > 0 {
-                        shadow = backend.multiply_rescale(&shadow, &shadow)?;
-                    }
-                }
-                ServeOp::Rotate(steps) => {
-                    shadow = backend.rotate(&shadow, steps)?;
-                }
-                ServeOp::Conjugate => {
-                    shadow = backend.conjugate(&shadow)?;
-                }
-                ServeOp::AddSelf => {
-                    shadow = backend.add(&shadow, &shadow)?;
-                }
-            }
-        }
+        self.run(&backend, &PlanCiphertext::new(start_level, scale))?;
         Ok(backend.into_trace())
     }
 
-    /// Executes the program on a real ciphertext, fetching every switching key through the
-    /// [`KeyProvider`] seam at the moment of use. The output is bitwise independent of
-    /// *where* the provider found each key (resident, cache hit, prefetch, cold miss).
+    /// Executes the program on a real ciphertext, asking `provider` for every switching key
+    /// at the moment of use. The output is bitwise independent of *where* the provider found
+    /// each key (resident, cache hit, prefetch, cold miss).
     ///
     /// # Errors
     ///
     /// Propagates provider errors (missing/corrupt keys) and evaluator errors.
-    pub fn execute<P: KeyProvider + ?Sized>(
+    pub fn execute(
         &self,
         evaluator: &Evaluator,
-        provider: &P,
+        provider: &dyn KeyProvider,
         input: &Ciphertext,
     ) -> Result<Ciphertext> {
-        let ctx = evaluator.context();
-        let slots = ctx.slot_count();
-        let degree = ctx.degree();
-        let mut ct = input.clone();
-        for op in &self.ops {
-            match *op {
-                ServeOp::Square => {
-                    if ct.level() > 0 {
-                        let rlk = provider.relinearization_key()?;
-                        ct = evaluator.multiply_rescale(&ct, &ct, &rlk)?;
-                    }
-                }
-                ServeOp::Rotate(steps) => {
-                    if steps % slots != 0 {
-                        let key =
-                            provider.galois_key(galois_element_for_rotation(degree, steps))?;
-                        ct = evaluator.rotate_with_key(&ct, steps, &key)?;
-                    }
-                }
-                ServeOp::Conjugate => {
-                    let key = provider.galois_key(galois_element_for_conjugation(degree))?;
-                    ct = evaluator.conjugate_with_key(&ct, &key)?;
-                }
-                ServeOp::AddSelf => {
-                    ct = evaluator.add(&ct, &ct)?;
-                }
-            }
-        }
-        Ok(ct)
+        self.run(&ExecBackend::new(evaluator, provider), input)
     }
 }
 

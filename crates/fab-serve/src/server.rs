@@ -762,7 +762,8 @@ impl FabServer {
             let upcoming = queued
                 .request
                 .program
-                .key_refs(self.evaluator.context(), queued.request.input.level());
+                .key_refs(self.evaluator.context(), queued.request.input.level())
+                .map_err(|source| ServeFault::Evaluation { source })?;
             // Prefetch is opportunistic: a warm failure degrades to demand fetching (which
             // retries); it does not fail the request.
             if prefetcher

@@ -4,9 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use fab_ckks::{CkksError, GaloisKeys, RelinearizationKey, Result, SwitchingKey};
-
-use crate::cache::{KeyMaterial, KeyRef};
+use fab_ckks::{CkksError, GaloisKeys, KeyRef, RelinearizationKey, Result, SwitchingKey};
 
 /// One fetch attempt's failure against a [`KeySource`], classified for the cache's bounded
 /// retry loop: transient failures are retried with counted backoff, permanent ones are not
@@ -40,7 +38,7 @@ pub trait KeySource: fmt::Debug {
     ///
     /// [`FetchError::Transient`] for failures worth retrying, [`FetchError::Permanent`] for
     /// missing keys and blobs rejected by [`SwitchingKey::from_bytes`].
-    fn fetch(&self, key: KeyRef) -> std::result::Result<KeyMaterial, FetchError>;
+    fn fetch(&self, key: KeyRef) -> std::result::Result<Arc<SwitchingKey>, FetchError>;
 }
 
 impl KeySource for TenantKeyStore {
@@ -48,7 +46,7 @@ impl KeySource for TenantKeyStore {
         TenantKeyStore::key_size(self, key).map_err(FetchError::Permanent)
     }
 
-    fn fetch(&self, key: KeyRef) -> std::result::Result<KeyMaterial, FetchError> {
+    fn fetch(&self, key: KeyRef) -> std::result::Result<Arc<SwitchingKey>, FetchError> {
         TenantKeyStore::fetch(self, key).map_err(FetchError::Permanent)
     }
 }
@@ -112,9 +110,7 @@ impl TenantKeyStore {
                 .galois_bytes
                 .get(&element)
                 .map(Vec::as_slice)
-                .ok_or_else(|| CkksError::MissingKey {
-                    description: format!("galois element {element} in tenant store"),
-                }),
+                .ok_or_else(|| key.missing()),
         }
     }
 
@@ -138,12 +134,8 @@ impl TenantKeyStore {
     ///
     /// Returns [`CkksError::MissingKey`] for an absent key and
     /// [`CkksError::CorruptKey`] for bytes rejected by validation.
-    pub fn fetch(&self, key: KeyRef) -> Result<KeyMaterial> {
-        let switching = SwitchingKey::from_bytes(self.key_bytes(key)?)?;
-        Ok(match key {
-            KeyRef::Relin => KeyMaterial::Relin(Arc::new(RelinearizationKey { key: switching })),
-            KeyRef::Galois(_) => KeyMaterial::Galois(Arc::new(switching)),
-        })
+    pub fn fetch(&self, key: KeyRef) -> Result<Arc<SwitchingKey>> {
+        SwitchingKey::from_bytes(self.key_bytes(key)?).map(Arc::new)
     }
 }
 

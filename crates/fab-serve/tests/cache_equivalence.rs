@@ -9,7 +9,8 @@
 //! `(N, L, dnum)` configurations, programs and eviction interleavings.
 //!
 //! The recorded trace of the execution is also pinned op-for-op against [`Program::plan`],
-//! the analytic trace the prefetcher and the FAB cost model consume.
+//! the analytic trace the FAB cost model consumes, and the keys the resident provider was
+//! asked for against [`Program::key_refs`], the planned key stream the prefetcher consumes.
 
 use std::sync::Arc;
 
@@ -25,6 +26,10 @@ use fab_serve::{
     CachedKeyProvider, EvalKeyCache, KeyRef, Prefetcher, Program, TenantId, TenantKeyStore,
 };
 use fab_trace::RecordingSink;
+
+#[path = "../../fab-ckks/tests/support/recording_keys.rs"]
+mod recording_keys;
+use recording_keys::RecordingKeys;
 
 const ROTATIONS: [usize; 2] = [1, 3];
 
@@ -145,14 +150,22 @@ proptest! {
         let other_store = fixture(log_n, max_level, dnum, seed ^ 0xA5A5_A5A5).store;
         let program = Program::random(prog_seed, len, &ROTATIONS);
         let start_level = f.ctx.params().max_level;
-        let refs = program.key_refs(&f.ctx, start_level);
+        let refs = program
+            .key_refs(&f.ctx, start_level)
+            .expect("planned key stream");
 
-        // (a) Reference: every key resident, recorded through a sink.
+        // (a) Reference: every key resident, recorded through a sink, every key asked for
+        // logged.
         let sink = RecordingSink::shared("serve");
         let evaluator = Evaluator::with_sink(f.ctx.clone(), sink.clone());
+        let demanded = RecordingKeys::new(&f.resident);
         let reference = program
-            .execute(&evaluator, &f.resident, &f.start)
+            .execute(&evaluator, &demanded, &f.start)
             .expect("resident execution");
+
+        // Demanded == planned: the provider was asked for exactly the planner's key stream —
+        // every count below that is stated in `refs` is stated in what execution demands.
+        prop_assert_eq!(&demanded.take(), &refs, "demanded keys diverged from the plan");
 
         // The recorded trace matches the planned trace op-for-op — the prefetcher and the
         // FAB cost model price exactly what execution performs.

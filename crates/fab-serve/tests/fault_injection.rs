@@ -507,7 +507,7 @@ fn rollback_of_a_failed_request_keeps_its_prefetch_admissions_resident() {
     // prefetch pass already admitted the (valid) key for step 1 and then degraded on the
     // missing one.
     let failing = Program::new(vec![ServeOp::Rotate(1), ServeOp::Rotate(9)]);
-    let key_1 = failing.key_refs(&ctx, ctx.params().max_level)[0];
+    let key_1 = failing.key_refs(&ctx, ctx.params().max_level).unwrap()[0];
     server.submit(Request {
         tenant: TenantId(0),
         program: failing,
@@ -564,7 +564,7 @@ fn rollback_of_a_failed_request_undoes_its_demand_admissions() {
     // admission in a request that then fails on the missing step-9 key.
     server.inject_fault(TenantId(0), FaultSpec::fail_then_recover(1));
     let failing = Program::new(vec![ServeOp::Rotate(1), ServeOp::Rotate(9)]);
-    let key_1 = failing.key_refs(&ctx, ctx.params().max_level)[0];
+    let key_1 = failing.key_refs(&ctx, ctx.params().max_level).unwrap()[0];
     server.submit(Request {
         tenant: TenantId(0),
         program: failing,

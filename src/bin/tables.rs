@@ -3,11 +3,11 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p fab-bench --bin tables --release            # everything
-//! cargo run -p fab-bench --bin tables --release -- table7  # a single experiment
+//! cargo run --release --bin tables            # everything
+//! cargo run --release --bin tables -- table7  # a single experiment
 //! ```
 
-use fab_bench::{render_all, render_experiment, Experiment};
+use fab::tables::{render_all, render_experiment, Experiment};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

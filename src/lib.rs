@@ -136,6 +136,8 @@ pub use fab_serve as serve;
 /// Shared op vocabulary ([`trace::HeOp`], [`trace::OpTrace`]) and trace sinks.
 pub use fab_trace as trace;
 
+pub mod tables;
+
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use fab_ckks::{

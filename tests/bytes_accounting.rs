@@ -279,7 +279,9 @@ fn bootstrap_coeff_to_slot_stage_bytes_match_the_bsgs_formula() {
 
     // Warm-up pays the one-time diagonal cache fill on top of the steady-state traffic.
     let before = metering::byte_counts();
-    stage.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
+    stage
+        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+        .unwrap();
     let warm = metering::byte_counts().since(&before);
     assert_eq!(
         warm,
@@ -291,7 +293,9 @@ fn bootstrap_coeff_to_slot_stage_bytes_match_the_bsgs_formula() {
     );
 
     let before = metering::byte_counts();
-    stage.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
+    stage
+        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+        .unwrap();
     let steady = metering::byte_counts().since(&before);
     assert_eq!(
         steady,

@@ -133,6 +133,23 @@ fn bootstrap_then_continue_computing() {
 
     let refreshed = bootstrapper.bootstrap(&exhausted, &rlk, &gks).unwrap();
     assert!(refreshed.level() >= 2);
+    // The three-argument form is `bootstrap_with` on the same keys, bit for bit.
+    let provider = fab::ckks::ResidentKeyProvider::new(rlk.clone(), gks.clone());
+    let provided = bootstrapper.bootstrap_with(&exhausted, &provider).unwrap();
+    assert_eq!(
+        (
+            provided.c0(),
+            provided.c1(),
+            provided.level(),
+            provided.scale()
+        ),
+        (
+            refreshed.c0(),
+            refreshed.c1(),
+            refreshed.level(),
+            refreshed.scale()
+        )
+    );
 
     let squared = evaluator
         .multiply_rescale(&refreshed, &refreshed, &rlk)

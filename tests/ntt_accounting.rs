@@ -333,7 +333,9 @@ fn bootstrap_coeff_to_slot_stage_matches_its_bsgs_formula() {
 
     // Warm-up application: eval-resident counts plus the one-time cache fill.
     let before = metering::counts();
-    let warm_out = stage.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
+    let warm_out = stage
+        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+        .unwrap();
     let warm = metering::counts().since(&before);
     assert_eq!(
         warm,
@@ -347,7 +349,9 @@ fn bootstrap_coeff_to_slot_stage_matches_its_bsgs_formula() {
     // Steady-state application: zero plaintext forwards — the warm/steady difference is
     // exactly the diagonal cache fill, and nothing else.
     let before = metering::counts();
-    let steady_out = stage.apply_homomorphic(&evaluator, &ct, &keys).unwrap();
+    let steady_out = stage
+        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+        .unwrap();
     let steady = metering::counts().since(&before);
     assert_eq!(
         steady,
