@@ -30,7 +30,17 @@
 //! rotations. The integer multiples folded together by SubSum grow like `√(n/s)`, which is why
 //! the sine range of [`BootstrapParams::sparse_for_scheme`] widens accordingly. The refreshed
 //! ciphertext carries the message replicated every `s` slots.
+//!
+//! Because `2s ≤ n`, one slot vector has room for both coefficient halves, so a sparse
+//! bootstrap evaluates the sine **once** (Cheon et al., EUROCRYPT 2018; Bossuat et al.,
+//! EUROCRYPT 2021): the last CoeffToSlot stage is row-scaled by `(1 | −i)` on (even | odd)
+//! `s`-blocks, so the conjugation split yields one real vector holding `Re w` on the even
+//! blocks and `Im w` on the odd ones, and the first SlotToCoeff stage is composed with the
+//! two-diagonal unpack that turns that vector back into the `s`-periodic `w`. Both are folded
+//! into existing stages at construction, so the packing costs no level. A fully-packed
+//! bootstrap has no spare room and evaluates the sine on each half.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fab_math::{Complex64, SpecialFft};
@@ -94,9 +104,12 @@ impl BootstrapParams {
     ///
     /// The degree is capped at 511: production bootstrappers keep the sine degree near the
     /// dense-key baseline at large packing ratios with the double-angle range reduction
-    /// (Bossuat et al.), which this software pipeline does not implement yet — at the
-    /// benchmark ratios the pipeline is only *planned* (for the accelerator model), while
-    /// every ratio the tests execute stays under the cap and is value-correct.
+    /// (Bossuat et al.), which this software pipeline does not implement yet. The capped
+    /// series is executed: at `bootstrap_testing()` with 64 of 512 slots (the `helr_refresh`
+    /// shape, degree 511) the folded integers now and then leave the range: a two-iteration
+    /// refresh returns weights above 8 in magnitude for 6 of the seeds 0..80, about one in
+    /// thirteen (`fab-lr`'s ignored `refresh_failure_sweep_over_eighty_seeds` lists them), so
+    /// callers at large ratios must check the refreshed values.
     ///
     /// # Panics
     ///
@@ -184,19 +197,7 @@ impl Bootstrapper {
         }
         let (mut cts_stages, mut stc_stages, subsum_steps) = match params.sparse_slots {
             Some(s) if s < slots => {
-                // Factor the sub-FFT over the s used slots and tile its diagonals block-wise
-                // over the full slot vector; SubSum makes the input s-periodic first.
-                let sub_fft = SpecialFft::new(2 * s).map_err(|e| CkksError::InvalidParameters {
-                    reason: format!("sparse sub-FFT: {e}"),
-                })?;
-                let cts: Vec<LinearTransform> = coeff_to_slot_stages(&sub_fft, params.fft_iter)
-                    .into_iter()
-                    .map(|stage| stage.tiled(slots))
-                    .collect();
-                let stc: Vec<LinearTransform> = slot_to_coeff_stages(&sub_fft, params.fft_iter)
-                    .into_iter()
-                    .map(|stage| stage.tiled(slots))
-                    .collect();
+                let (cts, stc) = packed_sub_fft_stages(s, slots, params.fft_iter)?;
                 let steps: Vec<usize> =
                     std::iter::successors(Some(s), |&step| (step * 2 < slots).then(|| step * 2))
                         .collect();
@@ -351,54 +352,81 @@ impl Bootstrapper {
         ))
     }
 
-    /// CoeffToSlot: homomorphically applies the factored inverse encoding FFT and splits the
-    /// result into its real part (the lower coefficients) and imaginary part (the upper
-    /// coefficients) using one conjugation.
+    /// SubSum (sparse packing): `Σ_j rotate(ct, j·s)` by doubling — projects the raised
+    /// polynomial onto the `s`-periodic subring so the tiled sub-FFT stages apply. A
+    /// fully-packed bootstrap has no ladder and passes the ciphertext through unrecorded.
+    ///
+    /// # Errors
+    ///
+    /// Propagates missing-key errors.
+    fn sub_sum_with<B: EvalBackend>(&self, backend: &B, raised: &B::Ct) -> Result<B::Ct> {
+        if !self.subsum_steps.is_empty() {
+            backend.begin_phase(phase::SUB_SUM);
+        }
+        let mut acc = raised.clone();
+        for &step in &self.subsum_steps {
+            let rotated = backend.rotate(&acc, step)?;
+            acc = backend.add(&acc, &rotated)?;
+        }
+        Ok(acc)
+    }
+
+    /// CoeffToSlot: homomorphically applies the factored inverse encoding FFT to get the slot
+    /// vector `w` and returns the real vectors EvalMod reduces. A sparse bootstrap returns
+    /// one, `Re(c ⊙ w)` with `c = (1 | −i)` on (even | odd) `s`-blocks — `Re w` on the even
+    /// blocks, `Im w` on the odd ones; a fully-packed one returns two, its real part (the
+    /// lower coefficients) and its imaginary part (the upper). Either way one conjugation
+    /// does the split.
     ///
     /// # Errors
     ///
     /// Propagates missing-key and level errors.
-    fn coeff_to_slot_with<B: EvalBackend>(
-        &self,
-        backend: &B,
-        ct: &B::Ct,
-    ) -> Result<(B::Ct, B::Ct)> {
+    fn coeff_to_slot_with<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<Vec<B::Ct>> {
         let mut current = ct.clone();
         for stage in &self.cts_stages {
             current = stage.apply_with(backend, &current)?;
         }
-        // current holds w/2 (the 1/2 was folded into the last stage).
+        // current holds w/2 (the 1/2 was folded into the last stage), row-scaled by c when
+        // sparse.
         let conjugated = backend.conjugate(&current)?;
         let real = backend.add(&current, &conjugated)?;
+        if !self.subsum_steps.is_empty() {
+            // Sparse (the bootstrap has a SubSum ladder): Re(c ⊙ w) is the whole packed vector.
+            return Ok(vec![real]);
+        }
         let imag_times_i = backend.sub(&current, &conjugated)?;
         // Multiply by -i = X^{3N/2} to turn i·Im(w) into Im(w).
         let imag = backend.multiply_by_monomial(&imag_times_i, 3 * self.ctx.degree() / 2)?;
-        Ok((real, imag))
+        Ok(vec![real, imag])
     }
 
-    /// SlotToCoeff: recombines the real/imaginary halves and homomorphically applies the
+    /// SlotToCoeff: recombines the reduced halves into `w` and homomorphically applies the
     /// factored forward encoding FFT, returning the refreshed ciphertext in coefficient form.
+    /// A packed sparse vector needs no recombination: the first stage's composed unpack
+    /// does it.
     ///
     /// # Errors
     ///
     /// Propagates missing-key and level errors.
-    fn slot_to_coeff_with<B: EvalBackend>(
-        &self,
-        backend: &B,
-        real: &B::Ct,
-        imag: &B::Ct,
-    ) -> Result<B::Ct> {
-        let imag_i = backend.multiply_by_monomial(imag, self.ctx.degree() / 2)?;
-        let (a, b) = backend.align_for_addition(real, &imag_i)?;
-        let mut current = backend.add(&a, &b)?;
+    fn slot_to_coeff_with<B: EvalBackend>(&self, backend: &B, reduced: &[B::Ct]) -> Result<B::Ct> {
+        let mut current = match reduced {
+            [packed] => packed.clone(),
+            [real, imag] => {
+                let imag_i = backend.multiply_by_monomial(imag, self.ctx.degree() / 2)?;
+                let (a, b) = backend.align_for_addition(real, &imag_i)?;
+                backend.add(&a, &b)?
+            }
+            _ => unreachable!("CoeffToSlot yields one packed or two split halves"),
+        };
         for stage in &self.stc_stages {
             current = stage.apply_with(backend, &current)?;
         }
         Ok(current)
     }
 
-    /// Full bootstrapping: ModRaise → CoeffToSlot → EvalMod (twice, for the real and imaginary
-    /// coefficient halves) → SlotToCoeff, then a final scale alignment.
+    /// Full bootstrapping: ModRaise → (SubSum) → CoeffToSlot → EvalMod (once on the packed
+    /// halves of a sparse bootstrap, once per half of a fully-packed one) → SlotToCoeff, then
+    /// a final scale alignment.
     ///
     /// The returned ciphertext encrypts (approximately) the same message at the same scale, but
     /// at a much higher level, so computation can continue.
@@ -443,29 +471,19 @@ impl Bootstrapper {
         raised: &B::Ct,
         message_scale: f64,
     ) -> Result<B::Ct> {
-        let raised = if self.subsum_steps.is_empty() {
-            raised.clone()
-        } else {
-            // SubSum (sparse packing): Σ_j rotate(ct, j·s) by doubling — projects the raised
-            // polynomial onto the s-periodic subring so the tiled sub-FFT stages apply.
-            backend.begin_phase(phase::SUB_SUM);
-            let mut acc = raised.clone();
-            for &step in &self.subsum_steps {
-                let rotated = backend.rotate(&acc, step)?;
-                acc = backend.add(&acc, &rotated)?;
-            }
-            acc
-        };
+        let raised = self.sub_sum_with(backend, raised)?;
         backend.begin_phase(phase::COEFF_TO_SLOT);
-        let (real, imag) = self.coeff_to_slot_with(backend, &raised)?;
+        let halves = self.coeff_to_slot_with(backend, &raised)?;
         // EvalMod: (1/2π)·sin(2π(K+1)·t) removes the q_0·I multiples from the slot values. The
         // CoeffToSlot matrices already folded in Δ/(q_0·(K+1)), so the slots arrive in [-1, 1];
         // the inverse factor lives in the SlotToCoeff matrices.
         backend.begin_phase(phase::EVAL_MOD);
-        let real_reduced = self.sine.evaluate_with(backend, &real)?;
-        let imag_reduced = self.sine.evaluate_with(backend, &imag)?;
+        let reduced = halves
+            .iter()
+            .map(|half| self.sine.evaluate_with(backend, half))
+            .collect::<Result<Vec<_>>>()?;
         backend.begin_phase(phase::SLOT_TO_COEFF);
-        let recombined = self.slot_to_coeff_with(backend, &real_reduced, &imag_reduced)?;
+        let recombined = self.slot_to_coeff_with(backend, &reduced)?;
         backend.match_scale(&recombined, message_scale)
     }
 
@@ -513,6 +531,55 @@ impl Bootstrapper {
     }
 }
 
+/// The CoeffToSlot and SlotToCoeff stages of a sparse bootstrap over `s < slots` used slots,
+/// before scale management: the sub-FFT over `s` slots factored into `fft_iter` groups and
+/// tiled block-wise over the full slot vector (SubSum makes the input `s`-periodic first),
+/// with the packing of [`packing_transforms`] folded in so EvalMod runs once — the row scale
+/// on the last CoeffToSlot stage (offset 0, so its offsets and plan are unchanged), the
+/// unpack on the first SlotToCoeff stage.
+fn packed_sub_fft_stages(
+    s: usize,
+    slots: usize,
+    fft_iter: usize,
+) -> Result<(Vec<LinearTransform>, Vec<LinearTransform>)> {
+    let sub_fft = SpecialFft::new(2 * s).map_err(|e| CkksError::InvalidParameters {
+        reason: format!("sparse sub-FFT: {e}"),
+    })?;
+    let tiled = |stages: Vec<LinearTransform>| -> Vec<LinearTransform> {
+        stages.iter().map(|stage| stage.tiled(slots)).collect()
+    };
+    let mut cts = tiled(coeff_to_slot_stages(&sub_fft, fft_iter));
+    let mut stc = tiled(slot_to_coeff_stages(&sub_fft, fft_iter));
+    let (row_scale, unpack) = packing_transforms(s, slots);
+    if let (Some(last), Some(first)) = (cts.last_mut(), stc.first_mut()) {
+        *last = row_scale.compose(last);
+        *first = first.compose(&unpack);
+    }
+    Ok((cts, stc))
+}
+
+/// The two transforms that pack an `s`-periodic complex slot vector `w` into one real vector
+/// over `slots ≥ 2s` slots and back. The row scale `c = (1 | −i)` on (even | odd) `s`-blocks
+/// makes `p = Re(c ⊙ w)` hold `Re w` on the even blocks and `Im w` on the odd ones. The unpack
+/// `U` has diagonals `d₀ = (1 | i)` and `d_s = (i | 1)`, so `U(p) = p + i·p(·+s)` on even blocks
+/// and `i·p + p(·+s)` on odd ones, which is `w` everywhere: `p` is `2s`-periodic, so offset `s`
+/// also stands for offset `slots − s`.
+fn packing_transforms(s: usize, slots: usize) -> (LinearTransform, LinearTransform) {
+    let (one, i) = (Complex64::one(), Complex64::i());
+    let by_block = |even: Complex64, odd: Complex64| -> Vec<Complex64> {
+        (0..slots)
+            .map(|j| if (j / s).is_multiple_of(2) { even } else { odd })
+            .collect()
+    };
+    (
+        LinearTransform::from_diagonals(slots, BTreeMap::from([(0, by_block(one, -i))])),
+        LinearTransform::from_diagonals(
+            slots,
+            BTreeMap::from([(0, by_block(one, i)), (s, by_block(i, one))]),
+        ),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,23 +600,37 @@ mod tests {
         rng: ChaCha20Rng,
     }
 
+    /// The fully-packed bootstrap the dense tests run: degree 159, `K` 16, three stages.
+    fn dense_params() -> BootstrapParams {
+        BootstrapParams {
+            eval_mod_degree: 159,
+            k_range: 16.0,
+            fft_iter: 3,
+            sparse_slots: None,
+        }
+    }
+
+    /// The sparse bootstrap over `s` used slots at `bootstrap_testing()`, grouped into three
+    /// stages per direction as `fab-lr` groups it.
+    fn sparse_params(s: usize) -> BootstrapParams {
+        BootstrapParams {
+            fft_iter: 3,
+            ..BootstrapParams::sparse_for_scheme(&CkksParams::bootstrap_testing(), s)
+        }
+    }
+
     fn fixture() -> Fixture {
+        fixture_with(dense_params())
+    }
+
+    fn fixture_with(params: BootstrapParams) -> Fixture {
         let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
         let mut rng = ChaCha20Rng::seed_from_u64(2024);
         let sk = SecretKey::generate(&ctx, &mut rng);
         let keygen = KeyGenerator::new(ctx.clone(), sk.clone());
         let pk = keygen.public_key(&mut rng);
         let rlk = keygen.relinearization_key(&mut rng);
-        let bootstrapper = Bootstrapper::new(
-            ctx.clone(),
-            BootstrapParams {
-                eval_mod_degree: 159,
-                k_range: 16.0,
-                fft_iter: 3,
-                sparse_slots: None,
-            },
-        )
-        .unwrap();
+        let bootstrapper = Bootstrapper::new(ctx.clone(), params).unwrap();
         let keys = keygen
             .galois_keys(&bootstrapper.required_rotations(), true, &mut rng)
             .unwrap();
@@ -581,38 +662,37 @@ mod tests {
         assert!(f.bootstrapper.mod_raise(&ct_high).is_err());
     }
 
+    /// The bootstrap with EvalMod replaced by an exact multiplication with (K+1), decrypted:
+    /// encrypt `values` at level 0, ModRaise, SubSum (sparse only), CoeffToSlot, `×(K+1)` on
+    /// every half it returns (`halves` of them), SlotToCoeff. The CoeffToSlot matrices fold in
+    /// 1/(q0·(K+1)) and the SlotToCoeff matrices fold in q0, so with the extra (K+1) the round
+    /// trip reproduces the raised polynomial m + q0·I exactly, and the q0·I multiples vanish
+    /// modulo q0 at decode time. This isolates the linear transforms from the sine.
+    fn round_trip_times_k1(f: &mut Fixture, values: &[f64], halves: usize) -> Vec<f64> {
+        let scale = f.ctx.params().default_scale();
+        let pt = f.encoder.encode_real(values, scale, 0).unwrap();
+        let ct = f.encryptor.encrypt(&pt, &mut f.rng).unwrap();
+        let b = &f.bootstrapper;
+        let raised = b.mod_raise(&ct).unwrap();
+        let backend = ExecBackend::new(&f.evaluator, &f.keys);
+        let summed = b.sub_sum_with(&backend, &raised).unwrap();
+        let split = b.coeff_to_slot_with(&backend, &summed).unwrap();
+        assert_eq!(split.len(), halves);
+        let k1 = Complex64::new(b.params().k_range + 1.0, 0.0);
+        let scaled: Vec<Ciphertext> = split
+            .iter()
+            .map(|half| f.evaluator.multiply_scalar(half, k1).unwrap())
+            .collect();
+        let back = b.slot_to_coeff_with(&backend, &scaled).unwrap();
+        f.encoder.decode_real(&f.decryptor.decrypt(&back).unwrap())
+    }
+
     #[test]
     fn coeff_to_slot_then_slot_to_coeff_is_identity_without_eval_mod() {
-        // Replace EvalMod by an exact multiplication with (K+1): the CoeffToSlot matrices fold
-        // in 1/(q0·(K+1)) and the SlotToCoeff matrices fold in q0, so with the extra (K+1) the
-        // round trip reproduces the raised polynomial m + q0·I exactly, and the q0·I multiples
-        // vanish modulo q0 at decode time. This isolates the linear transforms from the sine.
         let mut f = fixture();
-        let scale = f.ctx.params().default_scale();
         let n = f.ctx.slot_count();
-        let k1 = f.bootstrapper.params().k_range + 1.0;
         let values: Vec<f64> = (0..n).map(|i| ((i % 37) as f64 - 18.0) / 40.0).collect();
-        let pt = f.encoder.encode_real(&values, scale, 0).unwrap();
-        let ct = f.encryptor.encrypt(&pt, &mut f.rng).unwrap();
-        let raised = f.bootstrapper.mod_raise(&ct).unwrap();
-        let backend = ExecBackend::new(&f.evaluator, &f.keys);
-        let (real, imag) = f
-            .bootstrapper
-            .coeff_to_slot_with(&backend, &raised)
-            .unwrap();
-        let real = f
-            .evaluator
-            .multiply_scalar(&real, Complex64::new(k1, 0.0))
-            .unwrap();
-        let imag = f
-            .evaluator
-            .multiply_scalar(&imag, Complex64::new(k1, 0.0))
-            .unwrap();
-        let back = f
-            .bootstrapper
-            .slot_to_coeff_with(&backend, &real, &imag)
-            .unwrap();
-        let decoded = f.encoder.decode_real(&f.decryptor.decrypt(&back).unwrap());
+        let decoded = round_trip_times_k1(&mut f, &values, 2);
         for i in 0..64 {
             assert!(
                 (decoded[i] - values[i]).abs() < 2e-2,
@@ -621,6 +701,111 @@ mod tests {
                 values[i]
             );
         }
+    }
+
+    #[test]
+    fn sparse_coeff_to_slot_then_slot_to_coeff_is_identity_without_eval_mod() {
+        // The sparse twin: one packed half through the `×(K+1)` stand-in, so a wrong packing or
+        // unpack shows here without the sine in the way. The message sits in the first s slots
+        // and comes back replicated into every s-block.
+        let s = 64;
+        let mut f = fixture_with(sparse_params(s));
+        let n = f.ctx.slot_count();
+        let values: Vec<f64> = (0..s).map(|i| ((i % 37) as f64 - 18.0) / 40.0).collect();
+        let decoded = round_trip_times_k1(&mut f, &values, 1);
+        for (i, got) in decoded.iter().enumerate().take(n) {
+            assert!(
+                (got - values[i % s]).abs() < 2e-2,
+                "slot {i}: {got} vs {}",
+                values[i % s]
+            );
+        }
+    }
+
+    #[test]
+    fn packing_matches_the_split_halves_from_the_definition() {
+        // Plaintext oracle of the packing for every power-of-two window s in [2, n/2]: the
+        // row-scaled last CoeffToSlot stage, then Re(·), lays out exactly Re w | Im w of the
+        // original stage's output w on the (even | odd) s-blocks; the composed first SlotToCoeff
+        // stage on that real vector equals the original first stage on w.
+        let params = CkksParams::bootstrap_testing();
+        let n = params.slot_count();
+        let mut s = 2;
+        while s <= n / 2 {
+            let sub_fft = SpecialFft::new(2 * s).unwrap();
+            let last = coeff_to_slot_stages(&sub_fft, 3).pop().unwrap().tiled(n);
+            let first = slot_to_coeff_stages(&sub_fft, 3).remove(0).tiled(n);
+            let (cts, stc) = packed_sub_fft_stages(s, n, 3).unwrap();
+            assert_eq!(
+                cts.last().unwrap().diagonal_offsets(),
+                last.diagonal_offsets()
+            );
+            let block: Vec<Complex64> = (0..s)
+                .map(|k| {
+                    let k = k as f64 + s as f64;
+                    Complex64::new((k * 0.73).sin(), (k * 1.37).cos())
+                })
+                .collect();
+            let input: Vec<Complex64> = (0..n).map(|j| block[j % s]).collect();
+            let w = last.apply_plain(&input);
+            let packed: Vec<Complex64> = cts
+                .last()
+                .unwrap()
+                .apply_plain(&input)
+                .iter()
+                .map(|v| Complex64::new(v.re, 0.0))
+                .collect();
+            for j in 0..n {
+                let want = if (j / s).is_multiple_of(2) {
+                    w[j].re
+                } else {
+                    w[j].im
+                };
+                assert_eq!(packed[j].re, want, "s = {s}, slot {j}");
+            }
+            let unpacked = stc[0].apply_plain(&packed);
+            let want = first.apply_plain(&w);
+            for j in 0..n {
+                assert!(
+                    (unpacked[j] - want[j]).norm() < 1e-9,
+                    "s = {s}, slot {j}: {} vs {}",
+                    unpacked[j],
+                    want[j]
+                );
+            }
+            s *= 2;
+        }
+    }
+
+    /// The Galois rotation steps of the sparse bootstrap at s = 64 (`sparse_params(64)`).
+    /// The unpack composed into the first SlotToCoeff stage adds one step, 124, to the
+    /// unpacked pipeline's set.
+    const SPARSE_64_ROTATIONS: &[usize] = &[1, 2, 3, 4, 8, 12, 16, 32, 48, 60, 64, 124, 128, 256];
+
+    #[test]
+    fn eval_mod_runs_the_sine_once_per_sparse_bootstrap_and_twice_per_dense() {
+        let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        let sparse = Bootstrapper::new(ctx.clone(), sparse_params(64)).unwrap();
+        let dense = Bootstrapper::new(ctx.clone(), dense_params()).unwrap();
+        for (b, evaluations, multiply, rescale) in [(&sparse, 1, 49, 72), (&dense, 2, 54, 78)] {
+            let one = PlanBackend::new(ctx.clone(), "one sine");
+            let input = PlanCiphertext::new(ctx.params().max_level, ctx.params().default_scale());
+            b.sine.evaluate_with(&one, &input).unwrap();
+            let one = one.into_trace().counts();
+            let (_, eval_mod) = b
+                .predicted_trace()
+                .unwrap()
+                .phase_counts()
+                .into_iter()
+                .find(|(label, _)| label == phase::EVAL_MOD)
+                .unwrap();
+            assert_eq!(eval_mod.multiply, evaluations * one.multiply);
+            assert_eq!(eval_mod.rescale, evaluations * one.rescale);
+            assert_eq!((eval_mod.multiply, eval_mod.rescale), (multiply, rescale));
+        }
+        // The key set at s = 64, pinned: a change that adds a Galois key (each one costs
+        // memory on every refreshing trainer) has to say so here.
+        assert_eq!(sparse.required_rotations(), SPARSE_64_ROTATIONS);
     }
 
     #[test]
@@ -818,25 +1003,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sparse_bootstrap_refreshes_message_and_matches_predicted_trace() {
-        // Real sparse-slot bootstrap, recorded end to end: the message lives in the first s
-        // slots (zeros elsewhere), SubSum projects onto the subring, the tiled sub-FFT stages
-        // and EvalMod refresh it, the output carries the message replicated every s slots, and
-        // the recorded op stream equals the planned trace of the same pipeline exactly.
+    /// Real sparse-slot bootstrap over `s` slots, recorded end to end: the message lives in the
+    /// first s slots (zeros elsewhere), SubSum projects onto the subring, the tiled sub-FFT
+    /// stages and the one packed EvalMod refresh it, the output carries the message replicated
+    /// every s slots, and the recorded op stream equals the planned trace of the same pipeline
+    /// exactly. Returns the bootstrapper for shape checks.
+    fn assert_sparse_refresh(s: usize) -> Bootstrapper {
         let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
         let mut rng = ChaCha20Rng::seed_from_u64(4242);
         let sk = SecretKey::generate(&ctx, &mut rng);
         let keygen = KeyGenerator::new(ctx.clone(), sk.clone());
         let pk = keygen.public_key(&mut rng);
         let rlk = keygen.relinearization_key(&mut rng);
-        let s = 64usize;
-        let mut params = BootstrapParams::sparse_for_scheme(ctx.params(), s);
-        params.fft_iter = 3;
         let sink = fab_trace::RecordingSink::shared("recorded sparse bootstrap");
-        let bootstrapper = Bootstrapper::with_sink(ctx.clone(), params, sink.clone()).unwrap();
-        assert_eq!(bootstrapper.subsum_steps(), &[64, 128, 256]);
-        assert_eq!(bootstrapper.stage_counts(), (3, 3));
+        let bootstrapper =
+            Bootstrapper::with_sink(ctx.clone(), sparse_params(s), sink.clone()).unwrap();
         let keys = keygen
             .galois_keys(&bootstrapper.required_rotations(), true, &mut rng)
             .unwrap();
@@ -894,6 +1075,23 @@ mod tests {
         );
         assert_eq!(recorded.phase_labels(), predicted.phase_labels());
         assert_eq!(recorded.ops, predicted.ops);
+        bootstrapper
+    }
+
+    #[test]
+    fn sparse_bootstrap_refreshes_message_and_matches_predicted_trace() {
+        let bootstrapper = assert_sparse_refresh(64);
+        assert_eq!(bootstrapper.subsum_steps(), &[64, 128, 256]);
+        assert_eq!(bootstrapper.stage_counts(), (3, 3));
+    }
+
+    #[test]
+    fn half_window_sparse_bootstrap_packs_two_blocks_into_the_whole_slot_vector() {
+        // s = n/2: the Re block and the Im block fill the slot vector between them, and the
+        // unpack's offset s is its own negation.
+        let s = CkksParams::bootstrap_testing().slot_count() / 2;
+        let bootstrapper = assert_sparse_refresh(s);
+        assert_eq!(bootstrapper.subsum_steps(), &[s]);
     }
 
     #[test]

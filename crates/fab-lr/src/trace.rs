@@ -200,8 +200,9 @@ impl MiniatureIteration {
 
 /// Bootstrapping trace for a sparsely-packed ciphertext: the *planned* trace of the real
 /// sparse-slot bootstrapper at the given parameters — SubSum onto the packing subring, tiled
-/// sub-FFT CoeffToSlot/SlotToCoeff under their exact BSGS plans, and the widened-range
-/// EvalMod. The same pipeline's recorded execution equals its plan op-for-op (fab-ckks
+/// sub-FFT CoeffToSlot/SlotToCoeff under their exact BSGS plans, and one widened-range
+/// EvalMod over the real and imaginary halves packed into one slot vector (a fully-packed
+/// bootstrap needs two). The same pipeline's recorded execution equals its plan op-for-op (fab-ckks
 /// `sparse_bootstrap_refreshes_message_and_matches_predicted_trace`), so the serial part of
 /// the HELR workload is no longer a hand-written approximation.
 ///

@@ -42,8 +42,9 @@
 //!
 //! Sparsely-packed ciphertexts (messages in the first `s` slots, as `fab-lr` packs them) get
 //! a real sparse-slot entry point: `BootstrapParams::sparse_for_scheme` inserts a SubSum
-//! projection onto the packing subring and factors the tiled sub-FFT over `s` slots, so the
-//! encrypted trainer's end-of-iteration refresh
+//! projection onto the packing subring, factors the tiled sub-FFT over `s` slots and packs the
+//! real and imaginary halves into one slot vector so EvalMod runs once; the encrypted
+//! trainer's end-of-iteration refresh
 //! ([`logistic_regression::EncryptedLogisticRegression::train_with_refresh`]) is recorded end
 //! to end instead of being hand-approximated.
 //!
