@@ -12,13 +12,15 @@
 //!   of every key switch to a key stream — producing the **analytic** trace and key sequence
 //!   of the same pipeline without any polynomial arithmetic.
 //!
-//! Because both interpreters implement the exact level/scale bookkeeping of the evaluator
-//! (including the data-independent branches of scale management), a recorded execution and a
-//! plan of the same pipeline must agree op-for-op, and the keys a provider is asked for must
-//! equal the planned key stream element for element; the equivalence tests in this crate and
-//! in the workspace integration suite enforce both, which is what keeps the accelerator
-//! model's analytic workloads — and a prefetcher's schedule — from drifting away from what
-//! the scheme actually executes.
+//! Both interpreters implement the *primitives* with the evaluator's exact level/scale
+//! bookkeeping and validation. The scale-management composites (`multiply_scalar`,
+//! `match_scale`, `align_for_addition`) hold the only data-dependent branches of that
+//! bookkeeping, where a scale mismatch spends an extra `MultiplyPlain` + `Rescale`; they are
+//! provided methods of [`EvalBackend`], written once over the primitives and never overridden.
+//! So a recorded execution and a plan of the same pipeline agree op-for-op, and the keys a
+//! provider is asked for equal the planned key stream. The tests here check that method by
+//! method, the pipelines' equivalence tests end to end; together they keep the accelerator
+//! model's workloads, and a prefetcher's schedule, true to what the scheme executes.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -26,7 +28,8 @@ use std::sync::Arc;
 use fab_math::{galois_element_for_conjugation, galois_element_for_rotation, Complex64};
 use fab_trace::{HeOp, OpTrace};
 
-use crate::evaluator::scales_match;
+use crate::encoding::{check_slot_values, scaled_constant};
+use crate::evaluator::{check_scales, scales_match};
 use crate::{
     Ciphertext, CkksContext, CkksError, Evaluator, KeyProvider, KeyRef, LinearTransform,
     RelinearizationKey, Result,
@@ -34,8 +37,10 @@ use crate::{
 
 /// The operations a backend must interpret; mirrors the semantic surface of [`Evaluator`].
 ///
-/// Implementations must keep the level/scale bookkeeping *identical* to the evaluator's, so
-/// that planned and executed traces agree op-for-op.
+/// Implementations keep the level/scale bookkeeping of the primitives *identical* to the
+/// evaluator's, so that planned and executed traces agree op-for-op. The scale-management
+/// composites (`multiply_scalar`, `match_scale`, `align_for_addition`) are written once
+/// here, over the primitives, and are not overridden.
 pub trait EvalBackend {
     /// The ciphertext representation this backend computes on.
     type Ct: Clone;
@@ -48,6 +53,10 @@ pub trait EvalBackend {
 
     /// Current scale of a ciphertext.
     fn scale(&self, ct: &Self::Ct) -> f64;
+
+    /// Declares `ct`'s scale as `scale` without touching its data or recording an op:
+    /// [`Self::match_scale`] states its exact target after the rounding of its constant.
+    fn set_scale(&self, ct: &mut Self::Ct, scale: f64);
 
     /// Marks the start of a named phase in the emitted trace.
     fn begin_phase(&self, label: &str);
@@ -62,8 +71,18 @@ pub trait EvalBackend {
     fn add_scalar(&self, a: &Self::Ct, scalar: Complex64) -> Result<Self::Ct>;
 
     /// Multiplies every slot by a constant encoded at the current rescaling prime, then
-    /// rescales (scale-preserving, one level).
-    fn multiply_scalar(&self, a: &Self::Ct, scalar: Complex64) -> Result<Self::Ct>;
+    /// rescales (scale-preserving, one level). Fails at level 0 and on a constant
+    /// [`Self::multiply_const`] refuses.
+    fn multiply_scalar(&self, a: &Self::Ct, scalar: Complex64) -> Result<Self::Ct> {
+        let level = self.level(a);
+        if level == 0 {
+            return Err(CkksError::LevelExhausted {
+                operation: "multiply_scalar",
+            });
+        }
+        let prime = self.ctx().rescale_prime(level) as f64;
+        self.rescale(&self.multiply_const(a, scalar, prime)?)
+    }
 
     /// Ciphertext–ciphertext multiplication with relinearisation and rescale.
     fn multiply_rescale(&self, a: &Self::Ct, b: &Self::Ct) -> Result<Self::Ct>;
@@ -119,11 +138,58 @@ pub trait EvalBackend {
     /// Drops to a lower level without rescaling.
     fn mod_drop_to_level(&self, a: &Self::Ct, level: usize) -> Result<Self::Ct>;
 
-    /// Brings a ciphertext exactly to `target_scale` (possibly spending a level).
-    fn match_scale(&self, a: &Self::Ct, target_scale: f64) -> Result<Self::Ct>;
+    /// Brings a ciphertext exactly to `target_scale`. Within the addition tolerance the scale
+    /// is only relabelled; otherwise the constant `1` is multiplied in at
+    /// `round(target·q_level / scale)` and rescaled away, spending one level; that fails at
+    /// level 0, when the constant rounds below 1, or when [`Self::multiply_const`] refuses it.
+    fn match_scale(&self, a: &Self::Ct, target_scale: f64) -> Result<Self::Ct> {
+        let (level, scale) = (self.level(a), self.scale(a));
+        let mut out = if scales_match(scale, target_scale) {
+            a.clone()
+        } else {
+            if level == 0 {
+                return Err(CkksError::LevelExhausted {
+                    operation: "match_scale",
+                });
+            }
+            let prime = self.ctx().rescale_prime(level) as f64;
+            let enc_scale = (target_scale * prime / scale).round();
+            if enc_scale < 1.0 {
+                return Err(CkksError::InvalidInput {
+                    reason: format!(
+                        "cannot match scale {target_scale:e} from {scale:e} at level {level}"
+                    ),
+                });
+            }
+            self.rescale(&self.multiply_const(a, Complex64::one(), enc_scale)?)?
+        };
+        // The achieved scale differs from the target only by the rounding of enc_scale (a
+        // relative error of at most 0.5/enc_scale); declaring the exact target keeps
+        // downstream additions well-typed.
+        self.set_scale(&mut out, target_scale);
+        Ok(out)
+    }
 
-    /// Brings two ciphertexts to a common level and scale.
-    fn align_for_addition(&self, a: &Self::Ct, b: &Self::Ct) -> Result<(Self::Ct, Self::Ct)>;
+    /// Brings two ciphertexts to a common level and scale: both drop to the lower level, and
+    /// when the scales differ the larger is matched down to the smaller with
+    /// [`Self::match_scale`] (one level on that side) and both drop to the common level again.
+    fn align_for_addition(&self, a: &Self::Ct, b: &Self::Ct) -> Result<(Self::Ct, Self::Ct)> {
+        let level = self.level(a).min(self.level(b));
+        let mut a = self.mod_drop_to_level(a, level)?;
+        let mut b = self.mod_drop_to_level(b, level)?;
+        let (scale_a, scale_b) = (self.scale(&a), self.scale(&b));
+        if !scales_match(scale_a, scale_b) {
+            if scale_a > scale_b {
+                a = self.match_scale(&a, scale_b)?;
+            } else {
+                b = self.match_scale(&b, scale_a)?;
+            }
+            let level = self.level(&a).min(self.level(&b));
+            a = self.mod_drop_to_level(&a, level)?;
+            b = self.mod_drop_to_level(&b, level)?;
+        }
+        Ok((a, b))
+    }
 
     /// Rotation with its own key-switch decomposition.
     fn rotate(&self, a: &Self::Ct, steps: usize) -> Result<Self::Ct>;
@@ -197,6 +263,10 @@ impl EvalBackend for ExecBackend<'_> {
         ct.scale()
     }
 
+    fn set_scale(&self, ct: &mut Ciphertext, scale: f64) {
+        ct.scale = scale;
+    }
+
     fn begin_phase(&self, label: &str) {
         if self.evaluator.sink().is_enabled() {
             self.evaluator.sink().begin_phase(label);
@@ -213,10 +283,6 @@ impl EvalBackend for ExecBackend<'_> {
 
     fn add_scalar(&self, a: &Ciphertext, scalar: Complex64) -> Result<Ciphertext> {
         self.evaluator.add_scalar(a, scalar)
-    }
-
-    fn multiply_scalar(&self, a: &Ciphertext, scalar: Complex64) -> Result<Ciphertext> {
-        self.evaluator.multiply_scalar(a, scalar)
     }
 
     fn multiply_rescale(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
@@ -279,18 +345,6 @@ impl EvalBackend for ExecBackend<'_> {
         self.evaluator.mod_drop_to_level(a, level)
     }
 
-    fn match_scale(&self, a: &Ciphertext, target_scale: f64) -> Result<Ciphertext> {
-        self.evaluator.match_scale(a, target_scale)
-    }
-
-    fn align_for_addition(
-        &self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-    ) -> Result<(Ciphertext, Ciphertext)> {
-        self.evaluator.align_for_addition(a, b)
-    }
-
     fn rotate(&self, a: &Ciphertext, steps: usize) -> Result<Ciphertext> {
         self.evaluator.rotate(a, steps, self.keys)
     }
@@ -333,6 +387,11 @@ impl PlanCiphertext {
 /// Interprets backend operations on shadow ciphertexts, appending the ops that a real
 /// execution would perform to an [`OpTrace`] and the keys it would ask its
 /// [`KeyProvider`] for, in order, to a key stream.
+///
+/// It refuses what [`ExecBackend`] refuses, with the same error: the level and scale checks
+/// of every operation, and the encoder's own validation of every constant and slot vector.
+/// The one check left to execution is the range of a slot vector's transformed
+/// coefficients, which needs the transform a shadow never runs.
 #[derive(Debug)]
 pub struct PlanBackend {
     ctx: Arc<CkksContext>,
@@ -373,28 +432,19 @@ impl PlanBackend {
         self.keys.borrow_mut().push(KeyRef::Galois(element));
     }
 
-    fn rescale_prime(&self, level: usize) -> f64 {
-        self.ctx.rescale_prime(level) as f64
+    /// A plaintext product at `pt_scale`, once its plaintext has been validated.
+    fn multiply_plain(&self, a: &PlanCiphertext, pt_scale: f64) -> PlanCiphertext {
+        self.push(HeOp::MultiplyPlain { level: a.level });
+        PlanCiphertext::new(a.level, a.scale * pt_scale)
     }
+}
 
-    fn check_scales(&self, a: f64, b: f64) -> Result<()> {
-        if !scales_match(a, b) {
-            return Err(CkksError::ScaleMismatch { left: a, right: b });
-        }
-        Ok(())
-    }
-
-    fn align_levels(
-        &self,
-        a: &PlanCiphertext,
-        b: &PlanCiphertext,
-    ) -> (PlanCiphertext, PlanCiphertext) {
-        let level = a.level.min(b.level);
-        (
-            PlanCiphertext::new(level, a.scale),
-            PlanCiphertext::new(level, b.scale),
-        )
-    }
+/// What the evaluator checks of a constant at `scale` (`multiply_const`, `add_scalar`): both
+/// parts scaled under the encoder's rules, as `Encoder::encode_constant` scales them.
+fn check_constant(value: Complex64, scale: f64) -> Result<()> {
+    scaled_constant(value.re, scale)?;
+    scaled_constant(value.im, scale)?;
+    Ok(())
 }
 
 impl EvalBackend for PlanBackend {
@@ -412,64 +462,54 @@ impl EvalBackend for PlanBackend {
         ct.scale
     }
 
+    fn set_scale(&self, ct: &mut PlanCiphertext, scale: f64) {
+        ct.scale = scale;
+    }
+
     fn begin_phase(&self, label: &str) {
         self.trace.borrow_mut().mark_phase(label);
     }
 
     fn add(&self, a: &PlanCiphertext, b: &PlanCiphertext) -> Result<PlanCiphertext> {
-        let (a, b) = self.align_levels(a, b);
-        self.check_scales(a.scale, b.scale)?;
-        self.push(HeOp::Add { level: a.level });
-        Ok(a)
+        let level = a.level.min(b.level);
+        check_scales(a.scale, b.scale)?;
+        self.push(HeOp::Add { level });
+        Ok(PlanCiphertext::new(level, a.scale))
     }
 
     fn sub(&self, a: &PlanCiphertext, b: &PlanCiphertext) -> Result<PlanCiphertext> {
-        let (a, b) = self.align_levels(a, b);
-        self.check_scales(a.scale, b.scale)?;
-        self.push(HeOp::Add { level: a.level });
-        Ok(a)
+        self.add(a, b)
     }
 
-    fn add_scalar(&self, a: &PlanCiphertext, _scalar: Complex64) -> Result<PlanCiphertext> {
+    fn add_scalar(&self, a: &PlanCiphertext, scalar: Complex64) -> Result<PlanCiphertext> {
         // The constant is added at the ciphertext's own scale and level.
+        check_constant(scalar, a.scale)?;
         self.push(HeOp::Add { level: a.level });
         Ok(*a)
     }
 
-    fn multiply_scalar(&self, a: &PlanCiphertext, _scalar: Complex64) -> Result<PlanCiphertext> {
-        if a.level == 0 {
-            return Err(CkksError::LevelExhausted {
-                operation: "multiply_scalar",
-            });
-        }
-        let prime = self.rescale_prime(a.level);
-        let product = self.multiply_const(a, Complex64::one(), prime)?;
-        self.rescale(&product)
-    }
-
     fn multiply_rescale(&self, a: &PlanCiphertext, b: &PlanCiphertext) -> Result<PlanCiphertext> {
-        let (a, b) = self.align_levels(a, b);
-        self.push(HeOp::Multiply { level: a.level });
+        let level = a.level.min(b.level);
+        self.push(HeOp::Multiply { level });
         self.keys.borrow_mut().push(KeyRef::Relin);
-        let product = PlanCiphertext::new(a.level, a.scale * b.scale);
-        self.rescale(&product)
+        self.rescale(&PlanCiphertext::new(level, a.scale * b.scale))
     }
 
     fn multiply_const(
         &self,
         a: &PlanCiphertext,
-        _value: Complex64,
+        value: Complex64,
         pt_scale: f64,
     ) -> Result<PlanCiphertext> {
-        self.push(HeOp::MultiplyPlain { level: a.level });
-        Ok(PlanCiphertext::new(a.level, a.scale * pt_scale))
+        check_constant(value, pt_scale)?;
+        Ok(self.multiply_plain(a, pt_scale))
     }
 
     fn accumulate_const(
         &self,
         acc: &mut PlanCiphertext,
         term: &PlanCiphertext,
-        _value: f64,
+        value: f64,
         pt_scale: f64,
     ) -> Result<()> {
         if term.level < acc.level {
@@ -478,7 +518,8 @@ impl EvalBackend for PlanBackend {
                 right: term.level,
             });
         }
-        self.check_scales(acc.scale, term.scale * pt_scale)?;
+        scaled_constant(value, pt_scale)?;
+        check_scales(acc.scale, term.scale * pt_scale)?;
         self.push(HeOp::MultiplyPlain { level: acc.level });
         self.push(HeOp::Add { level: acc.level });
         Ok(())
@@ -487,30 +528,32 @@ impl EvalBackend for PlanBackend {
     fn multiply_slots(
         &self,
         a: &PlanCiphertext,
-        _values: &[Complex64],
+        values: &[Complex64],
         pt_scale: f64,
     ) -> Result<PlanCiphertext> {
-        self.multiply_const(a, Complex64::one(), pt_scale)
+        check_slot_values(values.len(), self.ctx.slot_count(), pt_scale)?;
+        Ok(self.multiply_plain(a, pt_scale))
     }
 
     fn multiply_shifted_slots(
         &self,
         a: &PlanCiphertext,
-        _values: &[Complex64],
+        values: &[Complex64],
         _shift: usize,
         pt_scale: f64,
     ) -> Result<PlanCiphertext> {
         // Shadows never read the plaintext, so skip materialising the shifted diagonal.
-        self.multiply_const(a, Complex64::one(), pt_scale)
+        self.multiply_slots(a, values, pt_scale)
     }
 
     fn multiply_real_slots(
         &self,
         a: &PlanCiphertext,
-        _values: &[f64],
+        values: &[f64],
         pt_scale: f64,
     ) -> Result<PlanCiphertext> {
-        self.multiply_const(a, Complex64::one(), pt_scale)
+        check_slot_values(values.len(), self.ctx.slot_count(), pt_scale)?;
+        Ok(self.multiply_plain(a, pt_scale))
     }
 
     fn rescale(&self, a: &PlanCiphertext) -> Result<PlanCiphertext> {
@@ -520,7 +563,7 @@ impl EvalBackend for PlanBackend {
             });
         }
         self.push(HeOp::Rescale { level: a.level });
-        let prime = self.rescale_prime(a.level);
+        let prime = self.ctx.rescale_prime(a.level) as f64;
         Ok(PlanCiphertext::new(a.level - 1, a.scale / prime))
     }
 
@@ -532,53 +575,6 @@ impl EvalBackend for PlanBackend {
             });
         }
         Ok(PlanCiphertext::new(level, a.scale))
-    }
-
-    fn match_scale(&self, a: &PlanCiphertext, target_scale: f64) -> Result<PlanCiphertext> {
-        if scales_match(a.scale, target_scale) {
-            return Ok(PlanCiphertext::new(a.level, target_scale));
-        }
-        if a.level == 0 {
-            return Err(CkksError::LevelExhausted {
-                operation: "match_scale",
-            });
-        }
-        let prime = self.rescale_prime(a.level);
-        let enc_scale = (target_scale * prime / a.scale).round();
-        if enc_scale < 1.0 {
-            return Err(CkksError::InvalidInput {
-                reason: format!(
-                    "cannot match scale {target_scale:e} from {:e} at level {}",
-                    a.scale, a.level
-                ),
-            });
-        }
-        let product = self.multiply_const(a, Complex64::one(), enc_scale)?;
-        let mut rescaled = self.rescale(&product)?;
-        rescaled.scale = target_scale;
-        Ok(rescaled)
-    }
-
-    fn align_for_addition(
-        &self,
-        a: &PlanCiphertext,
-        b: &PlanCiphertext,
-    ) -> Result<(PlanCiphertext, PlanCiphertext)> {
-        let (mut a, mut b) = self.align_levels(a, b);
-        if !scales_match(a.scale, b.scale) {
-            if a.scale > b.scale {
-                a = self.match_scale(&a, b.scale)?;
-                let level = a.level.min(b.level);
-                a = self.mod_drop_to_level(&a, level)?;
-                b = self.mod_drop_to_level(&b, level)?;
-            } else {
-                b = self.match_scale(&b, a.scale)?;
-                let level = a.level.min(b.level);
-                a = self.mod_drop_to_level(&a, level)?;
-                b = self.mod_drop_to_level(&b, level)?;
-            }
-        }
-        Ok((a, b))
     }
 
     fn rotate(&self, a: &PlanCiphertext, steps: usize) -> Result<PlanCiphertext> {
@@ -618,8 +614,95 @@ impl EvalBackend for PlanBackend {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use crate::CkksParams;
+    use crate::recording_keys::RecordingKeys;
+    use crate::{CkksParams, Encoder, Encryptor, KeyGenerator, SecretKey};
+    use rand::SeedableRng;
+
+    /// One method call of the per-method gate, on operands `x` and `y`.
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Add,
+        Sub,
+        AddScalar(Complex64),
+        MultiplyScalar(Complex64),
+        MultiplyRescale,
+        MultiplyConst(Complex64, f64),
+        /// `acc = multiply_const(x, 0.75, pt_scale)`, then `acc += value·y`.
+        AccumulateConst(f64, f64),
+        MultiplySlots(usize),
+        MultiplyShiftedSlots(usize, usize),
+        MultiplyRealSlots(usize),
+        Rescale,
+        ModDrop(usize),
+        MatchScale(f64),
+        AlignForAddition,
+        Rotate(usize),
+        RotateBatch,
+        Conjugate,
+        Monomial(usize),
+        ApplyBsgs,
+        /// `begin_phase`, then `add`.
+        PhaseThenAdd,
+    }
+
+    /// Runs `call` on `backend` (the one control flow both interpreters go through) and
+    /// returns each result's `(level, scale bits)`.
+    fn run<B: EvalBackend>(
+        backend: &B,
+        call: Call,
+        x: &B::Ct,
+        y: &B::Ct,
+        lt: &LinearTransform,
+    ) -> Result<Vec<(usize, u64)>> {
+        let delta = backend.ctx().params().default_scale();
+        let slots = |count: usize| -> Vec<Complex64> {
+            (0..count)
+                .map(|i| Complex64::new((i as f64 * 0.3).sin(), 0.25))
+                .collect()
+        };
+        let one = |ct: Result<B::Ct>| ct.map(|ct| vec![ct]);
+        let out = match call {
+            Call::Add => one(backend.add(x, y)),
+            Call::Sub => one(backend.sub(x, y)),
+            Call::AddScalar(c) => one(backend.add_scalar(x, c)),
+            Call::MultiplyScalar(c) => one(backend.multiply_scalar(x, c)),
+            Call::MultiplyRescale => one(backend.multiply_rescale(x, y)),
+            Call::MultiplyConst(c, pt_scale) => one(backend.multiply_const(x, c, pt_scale)),
+            Call::AccumulateConst(value, pt_scale) => {
+                let mut acc = backend.multiply_const(x, Complex64::new(0.75, 0.0), pt_scale)?;
+                backend.accumulate_const(&mut acc, y, value, pt_scale)?;
+                Ok(vec![acc])
+            }
+            Call::MultiplySlots(count) => one(backend.multiply_slots(x, &slots(count), delta)),
+            Call::MultiplyShiftedSlots(count, shift) => {
+                one(backend.multiply_shifted_slots(x, &slots(count), shift, delta))
+            }
+            Call::MultiplyRealSlots(count) => {
+                let values: Vec<f64> = slots(count).iter().map(|v| v.re).collect();
+                one(backend.multiply_real_slots(x, &values, delta))
+            }
+            Call::Rescale => one(backend.rescale(x)),
+            Call::ModDrop(level) => one(backend.mod_drop_to_level(x, level)),
+            Call::MatchScale(target) => one(backend.match_scale(x, target)),
+            Call::AlignForAddition => backend.align_for_addition(x, y).map(|(a, b)| vec![a, b]),
+            Call::Rotate(steps) => one(backend.rotate(x, steps)),
+            Call::RotateBatch => backend.rotate_batch_hoisted(x, &[0, 1, 2]),
+            Call::Conjugate => one(backend.conjugate(x)),
+            Call::Monomial(power) => one(backend.multiply_by_monomial(x, power)),
+            Call::ApplyBsgs => one(backend.apply_bsgs_planned(lt, x)),
+            Call::PhaseThenAdd => {
+                backend.begin_phase("phase");
+                one(backend.add(x, y))
+            }
+        }?;
+        Ok(out
+            .iter()
+            .map(|ct| (backend.level(ct), backend.scale(ct).to_bits()))
+            .collect())
+    }
 
     #[test]
     fn plan_backend_tracks_levels_and_scales_like_the_scheme() {
@@ -638,6 +721,130 @@ mod tests {
             trace.ops,
             vec![HeOp::Multiply { level: 3 }, HeOp::Rescale { level: 3 }]
         );
+    }
+
+    #[test]
+    fn plan_backend_replicates_error_conditions() {
+        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+        let plan = PlanBackend::new(ctx.clone(), "plan");
+        let exhausted = PlanCiphertext::new(0, ctx.params().default_scale());
+        assert!(matches!(
+            plan.rescale(&exhausted),
+            Err(CkksError::LevelExhausted { .. })
+        ));
+        assert!(matches!(
+            plan.mod_drop_to_level(&exhausted, 2),
+            Err(CkksError::LevelMismatch { .. })
+        ));
+        let a = PlanCiphertext::new(2, 1.0e12);
+        let b = PlanCiphertext::new(2, 2.0e12);
+        assert!(matches!(
+            plan.add(&a, &b),
+            Err(CkksError::ScaleMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn exec_and_plan_agree_method_by_method() {
+        // Every `EvalBackend` method, through an `ExecBackend` on real ciphertexts and a
+        // `PlanBackend` on shadows at the same `(level, scale)`: the same result levels and
+        // scale bits, the same op stream and phases, the same key stream, the same error.
+        // `ops` is the number of ops the row records, which pins the branch it takes.
+        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+        let delta = ctx.params().default_scale();
+        let slots = ctx.slot_count();
+        let c = Complex64::new;
+        // name, x and y as (level, scale), call, ops recorded, fails.
+        type Row = (&'static str, (usize, f64), (usize, f64), Call, usize, bool);
+        #[rustfmt::skip]
+        let rows: &[Row] = &[
+            ("add aligns levels", (4, delta), (2, delta), Call::Add, 1, false),
+            ("sub", (3, delta), (3, delta), Call::Sub, 1, false),
+            ("add_scalar real", (3, delta), (3, delta), Call::AddScalar(c(2.5, 0.0)), 1, false),
+            ("add_scalar complex", (3, delta), (3, delta), Call::AddScalar(c(0.5, -1.0)), 1, false),
+            ("multiply_scalar real", (3, delta), (3, delta), Call::MultiplyScalar(c(0.5, 0.0)), 2, false),
+            ("multiply_scalar complex", (3, delta), (3, delta), Call::MultiplyScalar(c(0.5, -2.0)), 2, false),
+            ("multiply_rescale", (3, delta), (4, delta), Call::MultiplyRescale, 2, false),
+            ("multiply_const", (3, delta), (3, delta), Call::MultiplyConst(c(-0.37, 0.0), delta), 1, false),
+            ("accumulate_const", (3, delta), (5, delta), Call::AccumulateConst(0.5, delta), 3, false),
+            ("multiply_slots", (3, delta), (3, delta), Call::MultiplySlots(16), 1, false),
+            ("multiply_shifted_slots", (3, delta), (3, delta), Call::MultiplyShiftedSlots(16, 3), 1, false),
+            ("multiply_real_slots", (3, delta), (3, delta), Call::MultiplyRealSlots(16), 1, false),
+            ("rescale", (3, delta), (3, delta), Call::Rescale, 1, false),
+            ("mod_drop_to_level", (4, delta), (4, delta), Call::ModDrop(1), 0, false),
+            ("match_scale relabels", (3, delta), (3, delta), Call::MatchScale(delta * (1.0 + 1e-8)), 0, false),
+            ("match_scale spends a level", (3, delta), (3, delta), Call::MatchScale(delta * 0.75), 2, false),
+            ("align a > b", (3, delta * 1.5), (4, delta), Call::AlignForAddition, 2, false),
+            ("align a < b", (4, delta), (3, delta * 1.5), Call::AlignForAddition, 2, false),
+            ("align equal scales", (3, delta), (5, delta), Call::AlignForAddition, 0, false),
+            ("rotate", (3, delta), (3, delta), Call::Rotate(1), 1, false),
+            ("rotate_batch_hoisted", (3, delta), (3, delta), Call::RotateBatch, 2, false),
+            ("conjugate", (3, delta), (3, delta), Call::Conjugate, 1, false),
+            ("multiply_by_monomial", (3, delta), (3, delta), Call::Monomial(3), 0, false),
+            ("apply_bsgs_planned", (3, delta), (3, delta), Call::ApplyBsgs, 8, false),
+            ("begin_phase", (3, delta), (2, delta), Call::PhaseThenAdd, 1, false),
+            // Refusals: both interpreters fail the same way, after the same ops.
+            ("rescale at level 0", (0, delta), (0, delta), Call::Rescale, 0, true),
+            ("multiply_scalar at level 0", (0, delta), (0, delta), Call::MultiplyScalar(c(0.5, 0.0)), 0, true),
+            ("match_scale at level 0", (0, delta), (0, delta), Call::MatchScale(delta * 0.75), 0, true),
+            ("match_scale below 1", (3, delta), (3, delta), Call::MatchScale(delta * 2f64.powi(-50)), 0, true),
+            ("mod_drop_to_level upward", (2, delta), (2, delta), Call::ModDrop(4), 0, true),
+            ("add scale mismatch", (2, delta), (2, delta * 2.0), Call::Add, 0, true),
+            ("accumulate_const level mismatch", (3, delta), (2, delta), Call::AccumulateConst(0.5, delta), 1, true),
+            ("multiply_scalar out of range", (3, delta), (3, delta), Call::MultiplyScalar(c(1e10, 0.0)), 0, true),
+            ("match_scale out of range", (3, delta), (3, delta), Call::MatchScale(2f64.powi(64)), 0, true),
+            ("multiply_const bad scale", (3, delta), (3, delta), Call::MultiplyConst(c(1.0, 0.0), -1.0), 0, true),
+            ("add_scalar out of range", (3, delta), (3, delta), Call::AddScalar(c(0.5, 1e10)), 0, true),
+            ("accumulate_const out of range", (3, delta), (5, delta), Call::AccumulateConst(1e10, delta), 1, true),
+            ("multiply_slots too many", (3, delta), (3, delta), Call::MultiplySlots(slots + 1), 0, true),
+            ("multiply_shifted_slots too many", (3, delta), (3, delta), Call::MultiplyShiftedSlots(slots + 1, 3), 0, true),
+            ("multiply_real_slots too many", (3, delta), (3, delta), Call::MultiplyRealSlots(slots + 1), 0, true),
+        ];
+
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(26);
+        let keygen = KeyGenerator::new(ctx.clone(), SecretKey::generate(&ctx, &mut rng));
+        let encoder = Encoder::new(ctx.clone());
+        let encryptor = Encryptor::new(ctx.clone(), keygen.public_key(&mut rng));
+        let ones = || vec![Complex64::one(); slots];
+        let lt = LinearTransform::from_diagonals(
+            slots,
+            BTreeMap::from([(0, ones()), (1, ones()), (2, ones())]),
+        );
+        let mut steps = lt.required_rotations();
+        steps.extend([1, 2]);
+        let rlk = keygen.relinearization_key(&mut rng);
+        let gks = keygen.galois_keys(&steps, true, &mut rng).unwrap();
+        let resident = (&rlk, &gks);
+        let keys = RecordingKeys::new(&resident);
+        let sink = fab_trace::RecordingSink::shared("exec");
+        let evaluator = Evaluator::with_sink(ctx.clone(), sink.clone());
+        let exec = ExecBackend::new(&evaluator, &keys);
+        let values: Vec<f64> = (0..16).map(|i| (i as f64 * 0.2).cos()).collect();
+        let mut encrypt = |(level, scale): (usize, f64)| {
+            let pt = encoder.encode_real(&values, scale, level).unwrap();
+            encryptor.encrypt(&pt, &mut rng).unwrap()
+        };
+        let shadow = |(level, scale): (usize, f64)| PlanCiphertext::new(level, scale);
+
+        for &(name, x, y, call, ops, fails) in rows {
+            let (x_ct, y_ct) = (encrypt(x), encrypt(y));
+            let executed = run(&exec, call, &x_ct, &y_ct, &lt);
+            let recorded = sink.take();
+            let plan = PlanBackend::new(ctx.clone(), "plan");
+            let planned = run(&plan, call, &shadow(x), &shadow(y), &lt);
+            let planned_keys = plan.keys.borrow().clone();
+            let planned_trace = plan.into_trace();
+
+            assert_eq!(executed, planned, "{name}: result or error");
+            assert_eq!(executed.is_err(), fails, "{name}: {executed:?}");
+            assert_eq!(
+                recorded.phase_slices(),
+                planned_trace.phase_slices(),
+                "{name}: ops"
+            );
+            assert_eq!(recorded.len(), ops, "{name}: {:?}", recorded.ops);
+            assert_eq!(keys.take(), planned_keys, "{name}: keys");
+        }
     }
 
     #[test]
@@ -686,26 +893,5 @@ mod tests {
         let element = |steps| KeyRef::Galois(galois_element_for_rotation(ctx.degree(), steps));
         assert_eq!(*plan.keys.borrow(), [element(1), element(2), element(1)]);
         assert_eq!(plan.into_trace().ops, expected);
-    }
-
-    #[test]
-    fn plan_backend_replicates_error_conditions() {
-        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
-        let plan = PlanBackend::new(ctx.clone(), "plan");
-        let exhausted = PlanCiphertext::new(0, ctx.params().default_scale());
-        assert!(matches!(
-            plan.rescale(&exhausted),
-            Err(CkksError::LevelExhausted { .. })
-        ));
-        assert!(matches!(
-            plan.mod_drop_to_level(&exhausted, 2),
-            Err(CkksError::LevelMismatch { .. })
-        ));
-        let a = PlanCiphertext::new(2, 1.0e12);
-        let b = PlanCiphertext::new(2, 2.0e12);
-        assert!(matches!(
-            plan.add(&a, &b),
-            Err(CkksError::ScaleMismatch { .. })
-        ));
     }
 }

@@ -681,7 +681,7 @@ mod tests {
         let k1 = Complex64::new(b.params().k_range + 1.0, 0.0);
         let scaled: Vec<Ciphertext> = split
             .iter()
-            .map(|half| f.evaluator.multiply_scalar(half, k1).unwrap())
+            .map(|half| backend.multiply_scalar(half, k1).unwrap())
             .collect();
         let back = b.slot_to_coeff_with(&backend, &scaled).unwrap();
         f.encoder.decode_real(&f.decryptor.decrypt(&back).unwrap())

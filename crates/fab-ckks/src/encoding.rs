@@ -11,14 +11,30 @@ use crate::{CkksContext, CkksError, Plaintext, Result};
 /// the first limb for decodability).
 const MAX_COEFF_MAGNITUDE: f64 = 4.611_686_018_427_388e18; // 2^62
 
-/// `round(value · scale)` of one real constant, under the checks of every constant encoding:
-/// a positive finite scale and a result inside the 62-bit range.
-fn scaled_constant(value: f64, scale: f64) -> Result<i64> {
+fn check_scale(scale: f64) -> Result<()> {
     if scale <= 0.0 || !scale.is_finite() {
         return Err(CkksError::InvalidInput {
             reason: format!("scale {scale} must be positive and finite"),
         });
     }
+    Ok(())
+}
+
+/// The checks [`Encoder::encode`] makes before its transform: at most `slots` values and a
+/// positive finite scale. Only the range of the transformed coefficients is checked later.
+pub(crate) fn check_slot_values(count: usize, slots: usize, scale: f64) -> Result<()> {
+    if count > slots {
+        return Err(CkksError::InvalidInput {
+            reason: format!("{count} values exceed the {slots} available slots"),
+        });
+    }
+    check_scale(scale)
+}
+
+/// `round(value · scale)` of one real constant, under the checks of every constant encoding:
+/// a positive finite scale and a result inside the 62-bit range.
+pub(crate) fn scaled_constant(value: f64, scale: f64) -> Result<i64> {
+    check_scale(scale)?;
     let scaled = (value * scale).round();
     if scaled.abs() > MAX_COEFF_MAGNITUDE {
         return Err(CkksError::InvalidInput {
@@ -82,20 +98,7 @@ impl Encoder {
     /// coefficients overflow the supported range.
     pub fn encode(&self, values: &[Complex64], scale: f64, level: usize) -> Result<Plaintext> {
         let slots = self.ctx.slot_count();
-        if values.len() > slots {
-            return Err(CkksError::InvalidInput {
-                reason: format!(
-                    "{} values exceed the {} available slots",
-                    values.len(),
-                    slots
-                ),
-            });
-        }
-        if scale <= 0.0 || !scale.is_finite() {
-            return Err(CkksError::InvalidInput {
-                reason: format!("scale {scale} must be positive and finite"),
-            });
-        }
+        check_slot_values(values.len(), slots, scale)?;
         let mut padded = vec![Complex64::zero(); slots];
         padded[..values.len()].copy_from_slice(values);
         self.ctx.fft().inverse(&mut padded);

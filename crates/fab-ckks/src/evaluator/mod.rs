@@ -19,10 +19,12 @@
 //! ## Layout
 //!
 //! One `impl Evaluator`, split along its seams: this file holds the type, domain management,
-//! ciphertext addition and level/scale management; `scratch` the arena; `key_switch` the
-//! digit raise and the one key-switch back half; `multiply` the one multiplication pipeline;
+//! ciphertext addition, rescale and mod-drop; `scratch` the arena; `key_switch` the digit
+//! raise and the one key-switch back half; `multiply` the one multiplication pipeline;
 //! `plain` plaintext and constant arithmetic; `galois` rotations, conjugation and the hoisted
-//! batch.
+//! batch. The scale-management composites built on these (`multiply_scalar`, `match_scale`,
+//! `align_for_addition`) are not here: they are written once, as provided methods of
+//! [`crate::EvalBackend`], so the executor and the planner share them.
 
 mod galois;
 mod key_switch;
@@ -33,8 +35,7 @@ mod scratch;
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
-use fab_math::Complex64;
-use fab_rns::{ops, Domain};
+use fab_rns::{ops, Domain, RnsBasis, RnsPolynomial};
 use fab_trace::{noop_sink, HeOp, TraceSink};
 
 use crate::{Ciphertext, CkksContext, CkksError, Encoder, Result};
@@ -48,6 +49,14 @@ const SCALE_TOLERANCE: f64 = 1e-6;
 /// must mirror its bookkeeping, and of the Chebyshev leaf's fused accumulation.
 pub(crate) fn scales_match(a: f64, b: f64) -> bool {
     (a / b - 1.0).abs() < SCALE_TOLERANCE
+}
+
+/// [`scales_match`] as the [`CkksError::ScaleMismatch`] every addition reports.
+pub(crate) fn check_scales(a: f64, b: f64) -> Result<()> {
+    if !scales_match(a, b) {
+        return Err(CkksError::ScaleMismatch { left: a, right: b });
+    }
+    Ok(())
 }
 
 /// Executes homomorphic operations over ciphertexts.
@@ -218,17 +227,7 @@ impl Evaluator {
     ///
     /// Returns [`CkksError::ScaleMismatch`] if the scales differ by more than the tolerance.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
-        let (a, b) = self.align_levels(a, b)?;
-        let b = self.match_form(&a, b)?;
-        self.check_scales(a.scale, b.scale)?;
-        self.record(HeOp::Add { level: a.level });
-        let basis = self.ctx.basis_at_level(a.level)?;
-        Ok(Ciphertext::from_parts(
-            a.c0.add(&b.c0, &basis)?,
-            a.c1.add(&b.c1, &basis)?,
-            a.scale,
-            a.level,
-        ))
+        self.add_parts(a, b, RnsPolynomial::add)
     }
 
     /// Homomorphic subtraction (`a - b`). Domain handling as in [`Self::add`].
@@ -237,29 +236,24 @@ impl Evaluator {
     ///
     /// Same as [`Self::add`].
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext> {
+        self.add_parts(a, b, RnsPolynomial::sub)
+    }
+
+    /// The one body of [`Self::add`] and [`Self::sub`]: `part` combines each pair of parts.
+    fn add_parts(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        part: fn(&RnsPolynomial, &RnsPolynomial, &RnsBasis) -> fab_rns::Result<RnsPolynomial>,
+    ) -> Result<Ciphertext> {
         let (a, b) = self.align_levels(a, b)?;
         let b = self.match_form(&a, b)?;
-        self.check_scales(a.scale, b.scale)?;
+        check_scales(a.scale, b.scale)?;
         self.record(HeOp::Add { level: a.level });
         let basis = self.ctx.basis_at_level(a.level)?;
         Ok(Ciphertext::from_parts(
-            a.c0.sub(&b.c0, &basis)?,
-            a.c1.sub(&b.c1, &basis)?,
-            a.scale,
-            a.level,
-        ))
-    }
-
-    /// Homomorphic negation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates level errors.
-    pub fn negate(&self, a: &Ciphertext) -> Result<Ciphertext> {
-        let basis = self.ctx.basis_at_level(a.level)?;
-        Ok(Ciphertext::from_parts(
-            a.c0.neg(&basis),
-            a.c1.neg(&basis),
+            part(&a.c0, &b.c0, &basis)?,
+            part(&a.c1, &b.c1, &basis)?,
             a.scale,
             a.level,
         ))
@@ -311,71 +305,6 @@ impl Evaluator {
         ))
     }
 
-    /// Brings a ciphertext to the target scale exactly by multiplying with the constant `1`
-    /// encoded at the appropriate scale and rescaling (consumes one level).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::LevelExhausted`] at level 0 or encoding errors if the required
-    /// adjustment factor is out of range.
-    pub fn match_scale(&self, a: &Ciphertext, target_scale: f64) -> Result<Ciphertext> {
-        if scales_match(a.scale, target_scale) {
-            let mut out = a.clone();
-            out.scale = target_scale;
-            return Ok(out);
-        }
-        if a.level == 0 {
-            return Err(CkksError::LevelExhausted {
-                operation: "match_scale",
-            });
-        }
-        let prime = self.ctx.rescale_prime(a.level) as f64;
-        let enc_scale = (target_scale * prime / a.scale).round();
-        if enc_scale < 1.0 {
-            return Err(CkksError::InvalidInput {
-                reason: format!(
-                    "cannot match scale {target_scale:e} from {:e} at level {}",
-                    a.scale, a.level
-                ),
-            });
-        }
-        let product = self.multiply_const(a, Complex64::one(), enc_scale)?;
-        let mut rescaled = self.rescale(&product)?;
-        // The achieved scale differs from the target only by the rounding of enc_scale;
-        // declare the exact target to keep downstream additions well-typed. The relative error
-        // introduced is at most 0.5/enc_scale.
-        rescaled.scale = target_scale;
-        Ok(rescaled)
-    }
-
-    /// Brings two ciphertexts to a common level and scale so they can be added.
-    ///
-    /// # Errors
-    ///
-    /// Propagates level/scale adjustment errors.
-    pub fn align_for_addition(
-        &self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-    ) -> Result<(Ciphertext, Ciphertext)> {
-        let (a, b) = self.align_levels(a, b)?;
-        let (mut a, mut b) = (a.into_owned(), b.into_owned());
-        if !scales_match(a.scale, b.scale) {
-            if a.scale > b.scale {
-                a = self.match_scale(&a, b.scale)?;
-                let level = a.level.min(b.level);
-                a = self.mod_drop_to_level(&a, level)?;
-                b = self.mod_drop_to_level(&b, level)?;
-            } else {
-                b = self.match_scale(&b, a.scale)?;
-                let level = a.level.min(b.level);
-                a = self.mod_drop_to_level(&a, level)?;
-                b = self.mod_drop_to_level(&b, level)?;
-            }
-        }
-        Ok((a, b))
-    }
-
     /// Both operands at the lower of their levels, borrowed when no limb has to be dropped.
     fn align_levels<'t>(
         &self,
@@ -391,13 +320,6 @@ impl Evaluator {
             })
         };
         Ok((at_level(a)?, at_level(b)?))
-    }
-
-    fn check_scales(&self, a: f64, b: f64) -> Result<()> {
-        if !scales_match(a, b) {
-            return Err(CkksError::ScaleMismatch { left: a, right: b });
-        }
-        Ok(())
     }
 }
 

@@ -133,13 +133,4 @@ impl Evaluator {
         }
         self.multiply_aligned(&a, &b, rlk, true)
     }
-
-    /// Squares a ciphertext (with relinearisation, no rescale).
-    ///
-    /// # Errors
-    ///
-    /// Propagates multiplication errors.
-    pub fn square(&self, a: &Ciphertext, rlk: &RelinearizationKey) -> Result<Ciphertext> {
-        self.multiply(a, a, rlk)
-    }
 }

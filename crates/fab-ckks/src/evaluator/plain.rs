@@ -7,7 +7,7 @@ use fab_math::Complex64;
 use fab_rns::RnsPolynomial;
 use fab_trace::HeOp;
 
-use super::Evaluator;
+use super::{check_scales, Evaluator};
 use crate::encoding::constant_residues;
 use crate::{Ciphertext, CkksError, Plaintext, Result};
 
@@ -18,7 +18,7 @@ impl Evaluator {
     ///
     /// Returns [`CkksError::ScaleMismatch`] / [`CkksError::LevelMismatch`] on shape problems.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext> {
-        self.check_scales(a.scale, pt.scale)?;
+        check_scales(a.scale, pt.scale)?;
         if pt.level < a.level {
             return Err(CkksError::LevelMismatch {
                 left: a.level,
@@ -33,33 +33,6 @@ impl Evaluator {
         }
         Ok(Ciphertext::from_parts(
             a.c0.add(&pt_poly, &basis)?,
-            a.c1.clone(),
-            a.scale,
-            a.level,
-        ))
-    }
-
-    /// Subtracts an encoded plaintext from a ciphertext.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::add_plain`].
-    pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext> {
-        self.check_scales(a.scale, pt.scale)?;
-        if pt.level < a.level {
-            return Err(CkksError::LevelMismatch {
-                left: a.level,
-                right: pt.level,
-            });
-        }
-        self.record(HeOp::Add { level: a.level });
-        let basis = self.ctx.basis_at_level(a.level)?;
-        let mut pt_poly = pt.poly.prefix(a.level + 1)?;
-        if a.c0.is_evaluation() {
-            pt_poly.to_evaluation(&basis);
-        }
-        Ok(Ciphertext::from_parts(
-            a.c0.sub(&pt_poly, &basis)?,
             a.c1.clone(),
             a.scale,
             a.level,
@@ -231,7 +204,7 @@ impl Evaluator {
         }
         let basis = self.ctx.basis_at_level(acc.level)?;
         let residues = constant_residues(value, pt_scale, &basis)?;
-        self.check_scales(acc.scale, term.scale * pt_scale)?;
+        check_scales(acc.scale, term.scale * pt_scale)?;
         let term = self.match_form(acc, Cow::Borrowed(term))?;
         self.record(HeOp::MultiplyPlain { level: acc.level });
         self.record(HeOp::Add { level: acc.level });
@@ -240,22 +213,5 @@ impl Evaluator {
         acc.c1
             .add_mul_scalar_per_limb(&term.c1, &residues, &basis)?;
         Ok(())
-    }
-
-    /// Multiplies every slot by a complex scalar encoded at the current level's rescaling
-    /// prime, then rescales — the scale is preserved while one level is consumed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::LevelExhausted`] at level 0 and propagates encoding errors.
-    pub fn multiply_scalar(&self, a: &Ciphertext, scalar: Complex64) -> Result<Ciphertext> {
-        if a.level == 0 {
-            return Err(CkksError::LevelExhausted {
-                operation: "multiply_scalar",
-            });
-        }
-        let prime = self.ctx.rescale_prime(a.level) as f64;
-        let product = self.multiply_const(a, scalar, prime)?;
-        self.rescale(&product)
     }
 }

@@ -47,11 +47,12 @@
 //! **Real constants are per-limb scalars**, never plaintext polynomials:
 //! [`Evaluator::multiply_const`], [`Evaluator::accumulate_const`] and
 //! [`Evaluator::add_scalar`] work in whatever domain the ciphertext is in and perform no
-//! transform, and `multiply_scalar`, `match_scale` and the Chebyshev leaf
-//! ([`ChebyshevSeries::evaluate_with`]: a seed product, then one in-place
-//! multiply-accumulate pass per live term, coefficient-resident up to its rescale) are built
-//! on them. Only a constant with a non-zero imaginary part is still encoded
-//! ([`Encoder::encode_constant`]).
+//! transform. The scale-management composites [`EvalBackend::multiply_scalar`] and
+//! [`EvalBackend::match_scale`] (written once on the backend seam, for executor and planner
+//! alike) and the Chebyshev leaf ([`ChebyshevSeries::evaluate_with`]: a seed product, then
+//! one in-place multiply-accumulate pass per live term, coefficient-resident up to its
+//! rescale) are built on them. Only a constant with a non-zero imaginary part is still
+//! encoded ([`Encoder::encode_constant`]).
 //!
 //! The [`accounting`] module carries the closed-form expected NTT counts for every hot
 //! operation, asserted against the `fab_rns::metering` tallies by regression tests. Each

@@ -14,8 +14,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 
 use fab_ckks::{
-    ChebyshevSeries, Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator,
-    ExecBackend, GaloisKeys, KeyGenerator, RelinearizationKey, Result, SecretKey,
+    ChebyshevSeries, Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, EvalBackend,
+    Evaluator, ExecBackend, GaloisKeys, KeyGenerator, RelinearizationKey, Result, SecretKey,
 };
 use fab_math::Complex64;
 use fab_trace::{HeOp, RecordingSink};
@@ -168,6 +168,8 @@ proptest! {
 fn multiply_scalar_and_match_scale_equal_the_encoded_plaintext_route() {
     let f = fixture(CkksParams::testing(), 12);
     let e = &f.evaluator;
+    let no_keys = GaloisKeys::default();
+    let backend = ExecBackend::new(e, &no_keys);
     let ct = &f.fresh;
     let prime = f.ctx.rescale_prime(ct.level()) as f64;
     let via_plain = |constant: Complex64, pt_scale: f64| {
@@ -179,12 +181,12 @@ fn multiply_scalar_and_match_scale_equal_the_encoded_plaintext_route() {
     };
     for scalar in [Complex64::new(-0.3125, 0.0), Complex64::new(0.5, -2.0)] {
         assert_eq!(
-            e.multiply_scalar(ct, scalar).unwrap(),
+            backend.multiply_scalar(ct, scalar).unwrap(),
             via_plain(scalar, prime)
         );
     }
     let target = ct.scale() * 0.75;
-    let matched = e.match_scale(ct, target).unwrap();
+    let matched = backend.match_scale(ct, target).unwrap();
     let enc_scale = (target * prime / ct.scale()).round();
     let want = via_plain(Complex64::one(), enc_scale);
     assert_eq!((matched.c0(), matched.c1()), (want.c0(), want.c1()));

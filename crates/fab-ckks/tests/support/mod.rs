@@ -1,12 +1,16 @@
 //! Test-support oracle for the Chebyshev evaluation: the same baby-step/giant-step schedule
 //! as `ChebyshevSeries::evaluate_with`, but every constant goes the long way round —
 //! encoded as an `N`-coefficient plaintext and multiplied through `multiply_plain`, each leaf
-//! term materialised on its own and folded in with `align_for_addition` + `add`, and no term
-//! skipped however small its coefficient. It shares no constant arithmetic with the
-//! production leaf (`multiply_const`, `accumulate_const`, the zero-skip), which is the point:
-//! production must reproduce it bit for bit.
+//! term materialised on its own and folded in with `add` after the backend's one
+//! `align_for_addition` (on a key-less `ExecBackend`), and no term skipped however small its
+//! coefficient. It shares no constant arithmetic with the production leaf (`multiply_const`,
+//! `accumulate_const`, the zero-skip), which is the point: production must reproduce it bit
+//! for bit.
 
-use fab_ckks::{ChebyshevSeries, Ciphertext, Evaluator, RelinearizationKey};
+use fab_ckks::{
+    ChebyshevSeries, Ciphertext, EvalBackend, Evaluator, ExecBackend, GaloisKeys,
+    RelinearizationKey,
+};
 use fab_math::Complex64;
 
 /// The evaluator and relinearisation key every oracle step needs.
@@ -46,7 +50,10 @@ impl Oracle<'_> {
     /// `x ∘ y` after bringing both to a common level and scale.
     fn aligned(&self, x: &Ciphertext, y: &Ciphertext, subtract: bool) -> Ciphertext {
         let e = self.evaluator;
-        let (x, y) = e.align_for_addition(x, y).unwrap();
+        let no_keys = GaloisKeys::default();
+        let (x, y) = ExecBackend::new(e, &no_keys)
+            .align_for_addition(x, y)
+            .unwrap();
         if subtract {
             e.sub(&x, &y)
         } else {

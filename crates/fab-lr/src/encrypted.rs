@@ -421,20 +421,14 @@ impl EncryptedLogisticRegression {
             .bootstrapper
             .as_ref()
             .expect("refresh_weights requires a bootstrapper");
-        if self.evaluator.sink().is_enabled() {
-            self.evaluator.sink().begin_phase(phase::LR_REFRESH);
-        }
+        let backend = ExecBackend::new(&self.evaluator, keys);
+        backend.begin_phase(phase::LR_REFRESH);
         let mut mask = vec![0.0f64; self.ctx.slot_count()];
         mask[..self.features].fill(1.0);
         let prime = self.ctx.rescale_prime(ct.level()) as f64;
-        let pt = self.encoder.encode_real(&mask, prime, ct.level())?;
-        let masked = self
-            .evaluator
-            .rescale(&self.evaluator.multiply_plain(ct, &pt)?)?;
-        let aligned = self
-            .evaluator
-            .match_scale(&masked, self.ctx.params().default_scale())?;
-        let exhausted = self.evaluator.mod_drop_to_level(&aligned, 0)?;
+        let masked = backend.rescale(&backend.multiply_real_slots(ct, &mask, prime)?)?;
+        let aligned = backend.match_scale(&masked, self.ctx.params().default_scale())?;
+        let exhausted = backend.mod_drop_to_level(&aligned, 0)?;
         bootstrapper.bootstrap_with(&exhausted, keys)
     }
 }

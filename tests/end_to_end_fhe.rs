@@ -64,11 +64,12 @@ fn polynomial_evaluation_pipeline_end_to_end() {
         )
         .unwrap();
 
+    let backend = ExecBackend::new(&f.evaluator, &f.gks);
     let xy = f.evaluator.multiply_rescale(&ct_x, &ct_y, &f.rlk).unwrap();
-    let (xy_aligned, x_aligned) = f.evaluator.align_for_addition(&xy, &ct_x).unwrap();
+    let (xy_aligned, x_aligned) = backend.align_for_addition(&xy, &ct_x).unwrap();
     let sum = f.evaluator.add(&xy_aligned, &x_aligned).unwrap();
     let rot = f.evaluator.rotate(&ct_x, 1, &f.gks).unwrap();
-    let (sum_a, rot_a) = f.evaluator.align_for_addition(&sum, &rot).unwrap();
+    let (sum_a, rot_a) = backend.align_for_addition(&sum, &rot).unwrap();
     let level_min = sum_a.level().min(rot_a.level());
     let product = f
         .evaluator
