@@ -1,11 +1,15 @@
 //! Encrypted logistic-regression training on the `fab-ckks` evaluator.
 //!
-//! The packing follows the HELR idea in miniature: the weight vector lives in the first
-//! `features` slots of one ciphertext, each mini-batch sample is a plaintext row, and one
-//! iteration computes the inner products, the polynomial sigmoid and the gradient update
-//! entirely under encryption (the labels and data rows are also encrypted). The parameters are
-//! scaled down so an iteration runs in seconds in software; the full-size workload is costed by
-//! the accelerator model in [`crate::helr_iteration_workload`].
+//! The packing is HELR's (Han et al.): a whole mini-batch shares one ciphertext. With
+//! `f = features.next_power_of_two()`, the encrypted weight `w_j` sits at every slot
+//! `≡ j (mod f)`. The mini-batch is a plaintext: up to `slots / f` samples per chunk, sample
+//! `b`'s features at slots `b·f .. b·f + f`, the chunk repeated across the slot vector. Each
+//! row is signed by its label, `z_b = (2y_b − 1)·x_b`, so one iteration needs one sigmoid for
+//! the whole chunk and no encrypted label: with `p(−t) = 1 − p(t)` the gradient step is
+//! `w ← w + (lr/B)·Σ p(−w·z_b)·z_b`. Only the weights are encrypted; the rows and labels are
+//! plaintext. The parameters are scaled down so an iteration runs in seconds in software;
+//! the full-size workload is costed by the accelerator model in
+//! [`crate::helr_iteration_workload`].
 
 use std::sync::Arc;
 
@@ -22,6 +26,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 
 use crate::checkpoint::TrainingCheckpoint;
+use crate::plaintext::{SIGMOID_A1, SIGMOID_A3};
 use crate::{polynomial_sigmoid, Dataset};
 
 /// Periodic checkpointing policy for a training run: every `every_iterations` completed
@@ -45,7 +50,7 @@ pub struct CheckpointPolicy<'a> {
 pub struct EncryptedTrainingReport {
     /// Decrypted weights after training (bias last).
     pub weights: Vec<f64>,
-    /// Levels consumed per iteration.
+    /// Levels the first executed iteration consumed (0 when none ran).
     pub levels_per_iteration: usize,
     /// Training accuracy of the decrypted model on the provided dataset.
     pub training_accuracy: f64,
@@ -99,7 +104,10 @@ impl EncryptedLogisticRegression {
     /// every iteration", Section 5.5): the bootstrapper shares the trainer's trace sink, so
     /// [`Self::train_with_refresh`] records the serial part of the HELR iteration — sigmoid,
     /// update *and* bootstrap — end to end. `sparse_slots` must be a power of two at least
-    /// `features` (a larger window widens the sine range less).
+    /// `features` (a larger window widens the sine range less). The whole window is masked
+    /// and refreshed: it holds `sparse_slots / features.next_power_of_two()` copies of the
+    /// weights, which the refresh returns repeated across the slot vector, as an iteration
+    /// reads them.
     ///
     /// # Errors
     ///
@@ -188,14 +196,15 @@ impl EncryptedLogisticRegression {
 
     /// Trains for `iterations` mini-batch iterations of `batch_size` samples and returns the
     /// decrypted model. Each iteration consumes a fixed number of levels; the caller must
-    /// provide enough levels in the context (`iterations × 5 + 1` with the default packing) —
-    /// in the full system a bootstrapping operation would refresh the weights each iteration
-    /// instead (Section 5.5).
+    /// provide enough levels in the context (`iterations × 5 + 1`) — in the full system a
+    /// bootstrapping operation would refresh the weights each iteration instead
+    /// (Section 5.5).
     ///
     /// # Errors
     ///
-    /// Propagates scheme errors (including level exhaustion if too many iterations are
-    /// requested for the parameter set).
+    /// Returns [`CkksError::InvalidInput`] for an empty dataset or one whose feature count is
+    /// not the trainer's, and propagates scheme errors (including level exhaustion if too
+    /// many iterations are requested for the parameter set).
     pub fn train(
         &mut self,
         data: &Dataset,
@@ -221,8 +230,8 @@ impl EncryptedLogisticRegression {
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::InvalidInput`] if no bootstrapper is configured, and propagates
-    /// scheme errors.
+    /// Returns [`CkksError::InvalidInput`] if no bootstrapper is configured, and otherwise as
+    /// [`Self::train`].
     pub fn train_with_refresh(
         &mut self,
         data: &Dataset,
@@ -335,6 +344,11 @@ impl EncryptedLogisticRegression {
         resume_from: Option<TrainingCheckpoint>,
         mut checkpoint: Option<CheckpointPolicy<'_>>,
     ) -> Result<EncryptedTrainingReport, CkksError> {
+        if data.is_empty() {
+            return Err(CkksError::InvalidInput {
+                reason: "cannot train on an empty dataset".into(),
+            });
+        }
         let scale = self.ctx.params().default_scale();
         let top_level = self.ctx.params().max_level;
         let slots = self.ctx.slot_count();
@@ -343,6 +357,15 @@ impl EncryptedLogisticRegression {
                 reason: format!(
                     "{} features exceed the {} available slots",
                     self.features, slots
+                ),
+            });
+        }
+        if data.feature_count() != self.features {
+            return Err(CkksError::InvalidInput {
+                reason: format!(
+                    "the dataset has {} features, the trainer {}",
+                    data.feature_count(),
+                    self.features
                 ),
             });
         }
@@ -376,9 +399,21 @@ impl EncryptedLogisticRegression {
             .collect();
         let keys = (&self.rlk, &self.gks);
         let backend = ExecBackend::new(&self.evaluator, &keys);
+        let mut levels_per_iteration = 0;
         for iter in start_iter..iterations {
             let (rows, labels) = &batches[iter % batches.len()];
-            ct_weights = train_iteration_with(&backend, &ct_weights, rows, labels, learning_rate)?;
+            let level_before = ct_weights.level();
+            ct_weights = train_iteration_with(
+                &backend,
+                &ct_weights,
+                self.features,
+                rows,
+                labels,
+                learning_rate,
+            )?;
+            if iter == start_iter {
+                levels_per_iteration = level_before - ct_weights.level();
+            }
             if let Some(policy) = &mut checkpoint {
                 let done = iter + 1;
                 if done % policy.every_iterations.max(1) == 0 || done == iterations {
@@ -403,15 +438,17 @@ impl EncryptedLogisticRegression {
         let accuracy = plaintext_accuracy(&weights, data);
         Ok(EncryptedTrainingReport {
             weights,
-            levels_per_iteration: 5,
+            levels_per_iteration,
             training_accuracy: accuracy,
             iterations,
         })
     }
 
-    /// Masks the weight ciphertext down to the feature window (the sparse bootstrap requires
-    /// zeros outside its `s`-slot window, and a previous refresh leaves stale replicas
-    /// there), exhausts its remaining levels, and runs the real sparse-slot bootstrap.
+    /// Masks the weight ciphertext down to the bootstrap's `s`-slot window (the sparse
+    /// bootstrap requires zeros outside it; the weights repeat every
+    /// `features.next_power_of_two()` slots, which divides `s`, so the bootstrap returns them
+    /// repeated across the whole slot vector again), exhausts its remaining levels, and runs
+    /// the real sparse-slot bootstrap.
     fn refresh_weights(
         &self,
         ct: &Ciphertext,
@@ -423,8 +460,12 @@ impl EncryptedLogisticRegression {
             .expect("refresh_weights requires a bootstrapper");
         let backend = ExecBackend::new(&self.evaluator, keys);
         backend.begin_phase(phase::LR_REFRESH);
+        let window = bootstrapper
+            .params()
+            .sparse_slots
+            .unwrap_or(self.ctx.slot_count());
         let mut mask = vec![0.0f64; self.ctx.slot_count()];
-        mask[..self.features].fill(1.0);
+        mask[..window].fill(1.0);
         let prime = self.ctx.rescale_prime(ct.level()) as f64;
         let masked = backend.rescale(&backend.multiply_real_slots(ct, &mask, prime)?)?;
         let aligned = backend.match_scale(&masked, self.ctx.params().default_scale())?;
@@ -436,80 +477,148 @@ impl EncryptedLogisticRegression {
 /// One encrypted mini-batch iteration, written once against the execute/plan seam of
 /// `fab-ckks` (see `fab_ckks::backend`): under an [`ExecBackend`] it trains on real
 /// ciphertexts; under a [`PlanBackend`] it produces the analytic operation trace of the same
-/// control flow. Phase markers label each pipeline step per sample.
+/// control flow. Per chunk of samples (see [`BatchLayout`]) it runs the forward product, the
+/// aggregation, the sigmoid and the gradient product, each phase-marked; the chunks' gradients
+/// are summed over the batch and added to the weights. An iteration spends 5 levels however
+/// many samples share a chunk, and every rotation is a left rotation by a power of two below
+/// the slot count, so the power-of-two key set covers it.
 fn train_iteration_with<B: EvalBackend>(
     backend: &B,
     weights: &B::Ct,
+    features: usize,
     rows: &[Vec<f64>],
     labels: &[f64],
     learning_rate: f64,
 ) -> Result<B::Ct, CkksError> {
     let ctx = backend.ctx();
+    let layout = BatchLayout::new(features, rows.len(), ctx.slot_count());
+    let signed: Vec<Vec<f64>> = rows
+        .iter()
+        .zip(labels)
+        .map(|(row, &label)| row.iter().map(|x| (2.0 * label - 1.0) * x).collect())
+        .collect();
+    let step = learning_rate / rows.len() as f64;
+    let mask = layout.mask();
     let mut gradient: Option<B::Ct> = None;
-    for (row, &label) in rows.iter().zip(labels) {
-        // z = <w, x>: elementwise product with the plaintext row, then rotate-sum.
+    for chunk in signed.chunks(layout.chunk) {
+        // Slot b·f + j holds w_j·z_{b,j}.
         backend.begin_phase(phase::LR_FORWARD);
         let prime = ctx.rescale_prime(backend.level(weights)) as f64;
-        let prod = backend.multiply_real_slots(weights, row, prime)?;
+        let prod = backend.multiply_real_slots(weights, &layout.forward(chunk), prime)?;
         let prod = backend.rescale(&prod)?;
+        // Slot b·f now holds u_b = w·z_b.
         backend.begin_phase(phase::LR_AGGREGATE);
-        let z = rotate_sum_with(backend, &prod, ctx.slot_count())?;
-        // σ(z) - y, broadcast across the feature slots.
+        let u = rotate_sum_with(backend, &prod, 1, layout.width)?;
+        // m ⊙ (p(−u) − ½) = (m ⊙ u)·(−a₃u² − a₁), with the mask m (1 at multiples of f)
+        // applied at the depth of u² so it costs no level.
         backend.begin_phase(phase::LR_SIGMOID);
-        let sigma = encrypted_sigmoid_with(backend, &z)?;
-        let error = backend.add_scalar(&sigma, Complex64::new(-label, 0.0))?;
-        // Gradient contribution: (σ(z) - y) ⊙ x, scaled by the learning rate.
+        let u_sq = backend.multiply_rescale(&u, &u)?;
+        let prime = ctx.rescale_prime(backend.level(&u)) as f64;
+        let masked = backend.rescale(&backend.multiply_real_slots(&u, &mask, prime)?)?;
+        let inner = backend.multiply_scalar(&u_sq, Complex64::new(-SIGMOID_A3, 0.0))?;
+        let inner = backend.add_scalar(&inner, Complex64::new(-SIGMOID_A1, 0.0))?;
+        let masked = backend.mod_drop_to_level(&masked, backend.level(&inner))?;
+        let centred = backend.multiply_rescale(&masked, &inner)?;
+        // Spread p(−u_b) over the slots b·f − f + 1 ..= b·f and multiply by (lr/B)·z_b laid
+        // out to match (see `BatchLayout::gradient`), encoded so the rescaled product lands
+        // on the weights' scale and the update spends no level matching scales.
         backend.begin_phase(phase::LR_GRADIENT);
-        let lr_row: Vec<f64> = row
-            .iter()
-            .map(|x| x * learning_rate / rows.len() as f64)
-            .collect();
+        let spread = rotate_sum_with(backend, &centred, 1, layout.width)?;
+        let error = backend.add_scalar(&spread, Complex64::new(0.5, 0.0))?;
         let prime = ctx.rescale_prime(backend.level(&error)) as f64;
-        let contribution = backend.multiply_real_slots(&error, &lr_row, prime)?;
+        let pt_scale = backend.scale(weights) * prime / backend.scale(&error);
+        let contribution =
+            backend.multiply_real_slots(&error, &layout.gradient(chunk, step), pt_scale)?;
         let contribution = backend.rescale(&contribution)?;
         gradient = Some(match gradient {
             None => contribution,
-            Some(prev) => {
-                let (a, b) = backend.align_for_addition(&prev, &contribution)?;
-                backend.add(&a, &b)?
-            }
+            Some(prev) => backend.add(&prev, &contribution)?,
         });
     }
-    // w ← w − gradient.
-    backend.begin_phase(phase::LR_UPDATE);
+    // Sum the samples of a chunk: every slot ≡ j (mod f) then holds Δw_j.
     let gradient = gradient.expect("non-empty batch");
+    let gradient = rotate_sum_with(backend, &gradient, layout.width, layout.period)?;
+    // w ← w + (lr/B)·Σ p(−u_b)·z_b.
+    backend.begin_phase(phase::LR_UPDATE);
     let (w_aligned, g_aligned) = backend.align_for_addition(weights, &gradient)?;
-    backend.sub(&w_aligned, &g_aligned)
+    backend.add(&w_aligned, &g_aligned)
 }
 
-/// Sums the first `width` slots of a ciphertext into every slot of that window using a
-/// rotate-and-add tree (`log2 width` rotations). Each rotation acts on the freshly-updated
-/// accumulator, so no decomposition sharing is possible — these are full rotations.
+/// Where a packed mini-batch sits in the slot vector: sample `b` of a chunk occupies the
+/// `width` slots from `b·width`, a chunk holds `chunk` samples (the batch rounded up to a
+/// power of two, zero rows as padding, at most `slots / width`), and the chunk repeats with
+/// `period = width·chunk` across the slot vector.
+struct BatchLayout {
+    width: usize,
+    chunk: usize,
+    period: usize,
+    slots: usize,
+}
+
+impl BatchLayout {
+    fn new(features: usize, batch: usize, slots: usize) -> Self {
+        let width = features.next_power_of_two();
+        let chunk = batch.next_power_of_two().min(slots / width);
+        Self {
+            width,
+            chunk,
+            period: width * chunk,
+            slots,
+        }
+    }
+
+    /// The chunk's rows at the forward layout: slot `b·width + j` holds `rows[b][j]`.
+    fn forward(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+        self.place(rows, 1.0, |slot| slot / self.width)
+    }
+
+    /// `factor` times the chunk's rows at the gradient layout: the aggregation tree leaves
+    /// `u_b` at slot `b·width` alone, and a second tree copies it to the `width` slots ending
+    /// there, `b·width − width + 1 ..= b·width`. Each of those slots gets the feature of
+    /// `rows[b]` that matches its residue mod `width`, so the product is already aligned
+    /// with the weights and needs no rotation back.
+    fn gradient(&self, rows: &[Vec<f64>], factor: f64) -> Vec<f64> {
+        self.place(rows, factor, |slot| slot.div_ceil(self.width) % self.chunk)
+    }
+
+    /// 1 at every multiple of `width`, where the aggregation leaves a sample's inner product.
+    fn mask(&self) -> Vec<f64> {
+        (0..self.slots)
+            .map(|slot| if slot % self.width == 0 { 1.0 } else { 0.0 })
+            .collect()
+    }
+
+    /// `factor·rows[sample(slot mod period)][slot mod width]` in every slot, zero past a row's
+    /// end or the chunk's last row.
+    fn place(&self, rows: &[Vec<f64>], factor: f64, sample: impl Fn(usize) -> usize) -> Vec<f64> {
+        (0..self.slots)
+            .map(|slot| {
+                rows.get(sample(slot % self.period))
+                    .and_then(|row| row.get(slot % self.width))
+                    .map_or(0.0, |x| factor * x)
+            })
+            .collect()
+    }
+}
+
+/// Rotate-and-add tree over the steps `first, 2·first, …` below `end` (powers of two): slot
+/// `i` ends up holding `Σ_k ct[i + k·first]` for `k < end / first`. Each rotation acts on the
+/// freshly updated accumulator, so no decomposition sharing is possible — these are full
+/// rotations.
 fn rotate_sum_with<B: EvalBackend>(
     backend: &B,
     ct: &B::Ct,
-    width: usize,
+    first: usize,
+    end: usize,
 ) -> Result<B::Ct, CkksError> {
     let mut acc = ct.clone();
-    let mut step = 1usize;
-    let width = width.next_power_of_two();
-    while step < width {
+    let mut step = first;
+    while step < end {
         let rotated = backend.rotate(&acc, step)?;
         acc = backend.add(&acc, &rotated)?;
         step *= 2;
     }
     Ok(acc)
-}
-
-/// Degree-3 HELR sigmoid on a ciphertext: `0.5 + 0.15012·z − 0.001593·z³` (2 levels).
-fn encrypted_sigmoid_with<B: EvalBackend>(backend: &B, z: &B::Ct) -> Result<B::Ct, CkksError> {
-    let z_sq = backend.multiply_rescale(z, z)?;
-    // a1*z + a3*z*z² : compute z*(a1 + a3·z²).
-    let a3_z_sq = backend.multiply_scalar(&z_sq, Complex64::new(-0.001593, 0.0))?;
-    let inner = backend.add_scalar(&a3_z_sq, Complex64::new(0.15012, 0.0))?;
-    let z_aligned = backend.mod_drop_to_level(z, backend.level(&inner))?;
-    let product = backend.multiply_rescale(&z_aligned, &inner)?;
-    backend.add_scalar(&product, Complex64::new(0.5, 0.0))
 }
 
 /// The *analytic* operation trace of one encrypted LR iteration at the given context: the
@@ -534,7 +643,7 @@ pub fn planned_iteration_trace(
     // Row values are irrelevant to the plan; only the shapes drive the control flow.
     let rows = vec![vec![0.0f64; features]; batch_size];
     let labels = vec![0.0f64; batch_size];
-    train_iteration_with(&plan, &weights, &rows, &labels, learning_rate)?;
+    train_iteration_with(&plan, &weights, features, &rows, &labels, learning_rate)?;
     Ok(plan.into_trace())
 }
 
@@ -563,6 +672,7 @@ mod tests {
     use super::*;
     use crate::synthetic_mnist_like;
     use fab_ckks::CkksParams;
+    use fab_trace::HeOp;
 
     fn context() -> Arc<CkksContext> {
         // A few extra levels over the testing set so two encrypted iterations fit.
@@ -647,8 +757,8 @@ mod tests {
             assert_eq!(rc, pc, "per-phase op counts diverge in {rl}");
         }
         assert_eq!(recorded.ops, planned.ops);
-        // The per-sample phase structure repeats batch times, plus the final update.
-        assert_eq!(recorded.phase_labels().len(), 4 * batch + 1);
+        // The whole batch shares one chunk: four phases once, then the update.
+        assert_eq!(recorded.phase_labels().len(), 5);
     }
 
     #[test]
@@ -666,6 +776,7 @@ mod tests {
                 .unwrap();
         let report = trainer.train_with_refresh(&data, 2, 8, 1.0).unwrap();
         assert_eq!(report.iterations, 2);
+        assert_eq!(report.levels_per_iteration, 5);
         // The refreshed model still learned: better than chance on the training data.
         assert!(
             report.training_accuracy > 0.55,
@@ -742,10 +853,11 @@ mod tests {
         let resident = (&trainer.rlk, &trainer.gks);
         let demanded = RecordingKeys::new(&resident);
         let backend = ExecBackend::new(&trainer.evaluator, &demanded);
-        let updated = train_iteration_with(&backend, &weights, &rows, &labels, 1.0).unwrap();
+        let updated =
+            train_iteration_with(&backend, &weights, features, &rows, &labels, 1.0).unwrap();
         let plan = PlanBackend::new(ctx.clone(), "planned iteration");
         let shadow = PlanCiphertext::new(weights.level(), weights.scale());
-        train_iteration_with(&plan, &shadow, &rows, &labels, 1.0).unwrap();
+        train_iteration_with(&plan, &shadow, features, &rows, &labels, 1.0).unwrap();
         let planned = plan.into_key_refs();
         assert!(planned.contains(&fab_ckks::KeyRef::Relin));
         assert_eq!(demanded.take(), planned);
@@ -781,6 +893,105 @@ mod tests {
             .collect();
         println!("seeds whose refresh returns |w| > 8: {failing:?}");
         assert!(failing.len() <= 10, "{} of 80 seeds failed", failing.len());
+    }
+
+    /// Trains one packed iteration of `batch` samples on real ciphertexts at `ctx`, from
+    /// nonzero weights repeated every `f` slots, and returns the precision in bits of every
+    /// decrypted slot against the update computed from the definition, sample by sample:
+    /// `w − (lr/B)·Σ_b (p(w·x_b) − y_b)·x_b`. Also pins the recorded trace to the plan and
+    /// the plan to its exact counts: `2·log2 f + log2 C` rotations and two ciphertext
+    /// multiplies per chunk of `C = min(B', slots/f)` samples.
+    fn packed_iteration_precision_bits(
+        ctx: Arc<CkksContext>,
+        features: usize,
+        batch: usize,
+    ) -> f64 {
+        let (f, slots, lr) = (features.next_power_of_two(), ctx.slot_count(), 0.5);
+        let data = synthetic_mnist_like(batch, features, 23);
+        let (rows, labels) = data.batches(batch).next().unwrap();
+        let rows: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();
+        let mut w: Vec<f64> = (0..features)
+            .map(|j| 0.8 * (1.7 * j as f64).sin() / (features as f64).sqrt())
+            .collect();
+        w.resize(f, 0.0);
+
+        let sink = fab_trace::RecordingSink::shared("oracle iteration");
+        let mut trainer =
+            EncryptedLogisticRegression::with_sink(ctx.clone(), features, 5, sink.clone()).unwrap();
+        let (scale, top) = (ctx.params().default_scale(), ctx.params().max_level);
+        let repeated: Vec<f64> = (0..slots).map(|i| w[i % f]).collect();
+        let pt = trainer.encoder.encode_real(&repeated, scale, top).unwrap();
+        let ct = trainer.encryptor.encrypt(&pt, &mut trainer.rng).unwrap();
+        let keys = (&trainer.rlk, &trainer.gks);
+        let backend = ExecBackend::new(&trainer.evaluator, &keys);
+        let updated = train_iteration_with(&backend, &ct, features, &rows, &labels, lr).unwrap();
+        let decrypted = trainer
+            .encoder
+            .decode_real(&trainer.decryptor.decrypt(&updated).unwrap());
+
+        let mut want = w.clone();
+        for (row, &y) in rows.iter().zip(&labels) {
+            let margin: f64 = row.iter().zip(&w).map(|(x, w)| x * w).sum();
+            let error = polynomial_sigmoid(margin) - y;
+            for (wj, x) in want.iter_mut().zip(row) {
+                *wj -= lr / batch as f64 * error * x;
+            }
+        }
+        let worst = (0..slots)
+            .map(|i| (decrypted[i] - want[i % f]).abs())
+            .fold(0.0f64, f64::max);
+
+        let recorded = sink.take();
+        let planned = planned_iteration_trace(&ctx, features, batch, lr).unwrap();
+        assert_eq!(recorded.ops, planned.ops);
+        assert_eq!(recorded.phase_labels(), planned.phase_labels());
+        let chunk = batch.next_power_of_two().min(slots / f);
+        let chunks = batch.div_ceil(chunk);
+        let count = |want: fn(&HeOp) -> bool| planned.ops.iter().filter(|op| want(op)).count();
+        let log2 = |x: usize| x.trailing_zeros() as usize;
+        assert_eq!(
+            count(|op| matches!(op, HeOp::Rotate { .. })),
+            chunks * 2 * log2(f) + log2(chunk),
+            "rotations at f = {f}, B = {batch}"
+        );
+        assert_eq!(
+            count(|op| matches!(op, HeOp::Multiply { .. })),
+            2 * chunks,
+            "ciphertext multiplies at f = {f}, B = {batch}"
+        );
+        assert_eq!(ct.level() - updated.level(), 5);
+        -worst.log2()
+    }
+
+    #[test]
+    fn packed_iteration_matches_the_per_sample_update_in_every_slot() {
+        // The helr_refresh shape, a padded one (10 features in 16 slots, 5 samples in a
+        // chunk of 8) and a chunked one (64 · 12 > 512 slots: chunks of 8 and 4 samples).
+        // The shapes reach ≈ 31 bits at a 45-bit scale; the bound leaves 6 bits of margin.
+        let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        for (features, batch) in [(16, 8), (10, 5), (40, 12)] {
+            let bits = packed_iteration_precision_bits(ctx.clone(), features, batch);
+            assert!(
+                bits > 25.0,
+                "({features}, {batch}): {bits:.1} bits against the per-sample update"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_dataset_is_rejected_before_any_work() {
+        // No batch to index and no sample to score accuracy over, even for zero iterations.
+        let empty = Dataset::new(Vec::new(), Vec::new());
+        let mut trainer = EncryptedLogisticRegression::new(context(), 16, 3).unwrap();
+        for iterations in [2, 0] {
+            let result = trainer.train(&empty, iterations, 4, 1.0);
+            assert!(matches!(result, Err(CkksError::InvalidInput { .. })));
+        }
+        let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        let mut refreshing =
+            EncryptedLogisticRegression::with_bootstrapping(ctx, 16, 64, 3, noop_sink()).unwrap();
+        let result = refreshing.train_with_refresh(&empty, 2, 8, 1.0);
+        assert!(matches!(result, Err(CkksError::InvalidInput { .. })));
     }
 
     #[test]

@@ -5,10 +5,15 @@
 
 use crate::Dataset;
 
+/// Linear coefficient of [`polynomial_sigmoid`].
+pub(crate) const SIGMOID_A1: f64 = 0.15012;
+/// Cubic coefficient of [`polynomial_sigmoid`].
+pub(crate) const SIGMOID_A3: f64 = -0.001593;
+
 /// The degree-3 least-squares sigmoid approximation used by HELR:
 /// `σ(x) ≈ 0.5 + 0.15012·x − 0.001593·x³` on the interval `[-8, 8]`.
 pub fn polynomial_sigmoid(x: f64) -> f64 {
-    0.5 + 0.15012 * x - 0.001593 * x * x * x
+    0.5 + SIGMOID_A1 * x + SIGMOID_A3 * x * x * x
 }
 
 /// Training hyper-parameters.

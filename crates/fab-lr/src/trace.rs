@@ -4,6 +4,11 @@
 //! hand-written: one miniature iteration of the *real* encrypted trainer is planned through
 //! the execute/plan seam of `fab-ckks` (validated op-for-op against a recorded execution by
 //! this crate's tests), and its per-phase structure is scaled to the benchmark parameters.
+//! The miniature is the sample-packed iteration the trainer executes, planned for one sample:
+//! its sigmoid phase is the masked sigmoid (two ciphertext multiplies and the mask's
+//! plaintext product), and its data touches are the forward and gradient plaintext products.
+//! The aggregation rotations below are still structural rather than planned at the
+//! benchmark's shape.
 //!
 //! One iteration of encrypted LR training at the benchmark scale consists of
 //!
@@ -119,7 +124,7 @@ pub fn helr_iteration_workload(
 struct MiniatureIteration {
     /// Plaintext products per sample (forward + gradient passes).
     data_touches: usize,
-    /// The sigmoid ops of one sample (σ(z) and the error shift).
+    /// The sigmoid ops of one chunk (the masked `p(−u) − ½`).
     sigmoid_ops: Vec<HeOp>,
     /// The weight-update ops.
     update_ops: Vec<HeOp>,

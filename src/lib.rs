@@ -50,7 +50,10 @@
 //!
 //! Every software-faithful analytic trace has a *recorded counterpart test* asserting exact
 //! per-phase agreement — see [`ckks::Bootstrapper::predicted_trace`] and
-//! [`logistic_regression::planned_iteration_trace`].
+//! [`logistic_regression::planned_iteration_trace`]. The planned HELR iteration packs a whole
+//! mini-batch into one ciphertext; its test also checks a decrypted iteration in every slot
+//! against the per-sample cleartext update and pins the plan's rotation and multiply counts
+//! (`2·log2 f + log2 C` and 2 per chunk of `C` samples with `f` slots each).
 //!
 //! ## The numeric substrate: flat layout, lazy reduction, limb parallelism
 //!
