@@ -107,8 +107,8 @@ impl BootstrapParams {
     /// (Bossuat et al.), which this software pipeline does not implement yet. The capped
     /// series is executed: at `bootstrap_testing()` with 64 of 512 slots (the `helr_refresh`
     /// shape, degree 511) the folded integers now and then leave the range: a two-iteration
-    /// refresh returns weights above 8 in magnitude for 6 of the seeds 0..80, about one in
-    /// thirteen (`fab-lr`'s ignored `refresh_failure_sweep_over_eighty_seeds` lists them), so
+    /// refresh returns weights above 8 in magnitude for 7 of the seeds 0..80, about one in
+    /// eleven (`fab-lr`'s ignored `refresh_failure_sweep_over_eighty_seeds` lists them), so
     /// callers at large ratios must check the refreshed values.
     ///
     /// # Panics

@@ -223,7 +223,7 @@ pub struct HelrTask {
     pub batch_size: usize,
     /// Training iterations.
     pub iterations: usize,
-    /// Packed slots per ciphertext in the sparsely-packed configuration.
+    /// Slots of the sparse window the weights are bootstrapped in between iterations.
     pub slots: usize,
 }
 
@@ -235,6 +235,12 @@ pub const HELR_TASK: HelrTask = HelrTask {
     iterations: 30,
     slots: 256,
 };
+
+/// FPGAs in FAB-2, the multi-FPGA system of Table 8 (Section 5.5).
+pub const FAB2_NUM_FPGAS: usize = 8;
+
+/// FAB-2's inter-FPGA communication per HELR iteration, in seconds (≈ 12 ms, Section 5.5).
+pub const FAB2_COMMUNICATION_S: f64 = 0.012;
 
 #[cfg(test)]
 mod tests {

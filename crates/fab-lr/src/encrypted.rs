@@ -16,8 +16,8 @@ use std::sync::Arc;
 use fab_ckks::backend::{EvalBackend, ExecBackend, PlanBackend, PlanCiphertext};
 use fab_ckks::bootstrap::BootstrapParams;
 use fab_ckks::{
-    Bootstrapper, Ciphertext, CkksContext, CkksError, Decryptor, Encoder, Encryptor, Evaluator,
-    GaloisKeys, KeyGenerator, KeyProvider, RelinearizationKey, SecretKey,
+    Bootstrapper, Ciphertext, CkksContext, CkksError, CkksParams, Decryptor, Encoder, Encryptor,
+    Evaluator, GaloisKeys, KeyGenerator, KeyProvider, RelinearizationKey, SecretKey,
 };
 use fab_math::Complex64;
 use fab_store::StorageBackend;
@@ -141,12 +141,7 @@ impl EncryptedLogisticRegression {
                         reason: format!("sparse window {slots} cannot hold {features} features"),
                     });
                 }
-                let mut params = BootstrapParams::sparse_for_scheme(ctx.params(), slots);
-                if params.fft_iter == 0 {
-                    // One stage per butterfly level spends a level per butterfly; training
-                    // needs the budget back, so group the sub-FFT into at most three stages.
-                    params.fft_iter = 3.min(slots.trailing_zeros().max(1) as usize);
-                }
+                let params = refresh_params(ctx.params(), slots);
                 Some(Bootstrapper::with_sink(ctx.clone(), params, sink.clone())?)
             }
             None => None,
@@ -444,11 +439,8 @@ impl EncryptedLogisticRegression {
         })
     }
 
-    /// Masks the weight ciphertext down to the bootstrap's `s`-slot window (the sparse
-    /// bootstrap requires zeros outside it; the weights repeat every
-    /// `features.next_power_of_two()` slots, which divides `s`, so the bootstrap returns them
-    /// repeated across the whole slot vector again), exhausts its remaining levels, and runs
-    /// the real sparse-slot bootstrap.
+    /// Runs the refresh on the weight ciphertext: [`mask_for_refresh`] over the bootstrap's
+    /// window, then the real sparse-slot bootstrap.
     fn refresh_weights(
         &self,
         ct: &Ciphertext,
@@ -458,20 +450,46 @@ impl EncryptedLogisticRegression {
             .bootstrapper
             .as_ref()
             .expect("refresh_weights requires a bootstrapper");
-        let backend = ExecBackend::new(&self.evaluator, keys);
-        backend.begin_phase(phase::LR_REFRESH);
         let window = bootstrapper
             .params()
             .sparse_slots
             .unwrap_or(self.ctx.slot_count());
-        let mut mask = vec![0.0f64; self.ctx.slot_count()];
-        mask[..window].fill(1.0);
-        let prime = self.ctx.rescale_prime(ct.level()) as f64;
-        let masked = backend.rescale(&backend.multiply_real_slots(ct, &mask, prime)?)?;
-        let aligned = backend.match_scale(&masked, self.ctx.params().default_scale())?;
-        let exhausted = backend.mod_drop_to_level(&aligned, 0)?;
+        let backend = ExecBackend::new(&self.evaluator, keys);
+        let exhausted = mask_for_refresh(&backend, ct, window)?;
         bootstrapper.bootstrap_with(&exhausted, keys)
     }
+}
+
+/// The bootstrap parameters of a refresh over a `window`-slot sparse packing:
+/// [`BootstrapParams::sparse_for_scheme`], with the sub-FFT grouped into at most three stages
+/// when the scheme sets none (one stage per butterfly level would spend a level per
+/// butterfly, and training needs the budget back).
+pub(crate) fn refresh_params(params: &CkksParams, window: usize) -> BootstrapParams {
+    let mut bootstrap = BootstrapParams::sparse_for_scheme(params, window);
+    if bootstrap.fft_iter == 0 {
+        bootstrap.fft_iter = 3.min(window.trailing_zeros().max(1) as usize);
+    }
+    bootstrap
+}
+
+/// The refresh's step before the bootstrap: masks the weights down to the bootstrap's
+/// `window` slots (the sparse bootstrap requires zeros outside it; the weights repeat every
+/// `features.next_power_of_two()` slots, which divides `window`, so the bootstrap returns
+/// them repeated across the whole slot vector again), aligns the scale and exhausts the
+/// remaining levels.
+pub(crate) fn mask_for_refresh<B: EvalBackend>(
+    backend: &B,
+    weights: &B::Ct,
+    window: usize,
+) -> Result<B::Ct, CkksError> {
+    backend.begin_phase(phase::LR_REFRESH);
+    let ctx = backend.ctx();
+    let mut mask = vec![0.0f64; ctx.slot_count()];
+    mask[..window].fill(1.0);
+    let prime = ctx.rescale_prime(backend.level(weights)) as f64;
+    let masked = backend.rescale(&backend.multiply_real_slots(weights, &mask, prime)?)?;
+    let aligned = backend.match_scale(&masked, ctx.params().default_scale())?;
+    backend.mod_drop_to_level(&aligned, 0)
 }
 
 /// One encrypted mini-batch iteration, written once against the execute/plan seam of
@@ -535,11 +553,13 @@ fn train_iteration_with<B: EvalBackend>(
             Some(prev) => backend.add(&prev, &contribution)?,
         });
     }
-    // Sum the samples of a chunk: every slot ≡ j (mod f) then holds Δw_j.
+    // Sum the samples of a chunk: every slot ≡ j (mod f) then holds Δw_j. The sum and the
+    // update run once per batch, so they open `LR_UPDATE`, where the Table 8 model splits
+    // the per-chunk (data-parallel) part from the serial part.
+    backend.begin_phase(phase::LR_UPDATE);
     let gradient = gradient.expect("non-empty batch");
     let gradient = rotate_sum_with(backend, &gradient, layout.width, layout.period)?;
     // w ← w + (lr/B)·Σ p(−u_b)·z_b.
-    backend.begin_phase(phase::LR_UPDATE);
     let (w_aligned, g_aligned) = backend.align_for_addition(weights, &gradient)?;
     backend.add(&w_aligned, &g_aligned)
 }
@@ -639,12 +659,24 @@ pub fn planned_iteration_trace(
         ctx.clone(),
         format!("helr iteration predicted(features={features}, batch={batch_size})"),
     );
-    let weights = PlanCiphertext::new(ctx.params().max_level, ctx.params().default_scale());
+    let top = ctx.params().max_level;
+    plan_iteration(&plan, top, features, batch_size, learning_rate)?;
+    Ok(plan.into_trace())
+}
+
+/// Plans one iteration of `batch_size` samples from weights at `level` on `plan`.
+pub(crate) fn plan_iteration(
+    plan: &PlanBackend,
+    level: usize,
+    features: usize,
+    batch_size: usize,
+    learning_rate: f64,
+) -> Result<PlanCiphertext, CkksError> {
+    let weights = PlanCiphertext::new(level, plan.ctx().params().default_scale());
     // Row values are irrelevant to the plan; only the shapes drive the control flow.
     let rows = vec![vec![0.0f64; features]; batch_size];
     let labels = vec![0.0f64; batch_size];
-    train_iteration_with(&plan, &weights, features, &rows, &labels, learning_rate)?;
-    Ok(plan.into_trace())
+    train_iteration_with(plan, &weights, features, &rows, &labels, learning_rate)
 }
 
 fn plaintext_accuracy(weights: &[f64], data: &Dataset) -> f64 {
@@ -671,7 +703,6 @@ fn plaintext_accuracy(weights: &[f64], data: &Dataset) -> f64 {
 mod tests {
     use super::*;
     use crate::synthetic_mnist_like;
-    use fab_ckks::CkksParams;
     use fab_trace::HeOp;
 
     fn context() -> Arc<CkksContext> {
@@ -831,21 +862,30 @@ mod tests {
     fn one_iteration_with_refresh_demands_the_planned_keys() {
         // Demanded == planned for the HELR pipeline: one iteration on fresh weights, then the
         // refresh, through a recording provider — the keys it was asked for are the planned
-        // iteration's key stream followed by the bootstrapper's, element for element.
+        // iteration's key stream followed by the bootstrapper's, element for element. The
+        // weights start where a refresh leaves them, so the ops it records are the trace the
+        // Table 8 model prices at this shape.
         use crate::recording_keys::RecordingKeys;
-        let (features, batch) = (16, 2);
+        let (features, batch, window) = (16, 2, 64);
         let data = synthetic_mnist_like(batch, features, 17);
         let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        let sink = fab_trace::RecordingSink::shared("recorded iteration + refresh");
         let mut trainer = EncryptedLogisticRegression::with_bootstrapping(
             ctx.clone(),
             features,
-            64,
+            window,
             3,
-            noop_sink(),
+            sink.clone(),
         )
         .unwrap();
-        let (scale, top) = (ctx.params().default_scale(), ctx.params().max_level);
-        let zero = trainer.encoder.encode_real(&[0.0; 16], scale, top).unwrap();
+        let (scale, level) = (
+            ctx.params().default_scale(),
+            ctx.params().levels_after_bootstrap(),
+        );
+        let zero = trainer
+            .encoder
+            .encode_real(&[0.0; 16], scale, level)
+            .unwrap();
         let weights = trainer.encryptor.encrypt(&zero, &mut trainer.rng).unwrap();
         let (rows, labels) = data.batches(batch).next().unwrap();
         let rows: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();
@@ -865,6 +905,18 @@ mod tests {
         trainer.refresh_weights(&updated, &demanded).unwrap();
         let bootstrapper = trainer.bootstrapper().unwrap();
         assert_eq!(demanded.take(), bootstrapper.predicted_key_refs().unwrap());
+
+        let task = fab_core::baselines::HelrTask {
+            features,
+            batch_size: batch,
+            slots: window,
+            ..fab_core::baselines::HELR_TASK
+        };
+        let (mut modelled, serial) = crate::helr_iteration_workload(ctx.params(), &task);
+        modelled.extend(&serial);
+        let recorded = sink.take();
+        assert_eq!(recorded.phase_labels(), modelled.phase_labels());
+        assert_eq!(recorded.ops, modelled.ops);
     }
 
     #[test]

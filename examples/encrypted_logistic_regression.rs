@@ -46,11 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Table 8 projection ------------------------------------------------------------------
     let config = FabConfig::alveo_u280();
-    let breakdown = lr_training_time_s(&config, &CkksParams::fab_paper(), &HELR_TASK, 8, 0.012);
+    let breakdown = lr_training_time_s(&config, &CkksParams::fab_paper(), &HELR_TASK);
     println!("\nFAB model, HELR iteration at the benchmark scale (Table 8):");
     println!(
-        "  {} data ciphertexts, parallel {:.3} s, serial (incl. bootstrap) {:.3} s",
-        breakdown.data_ciphertexts, breakdown.parallel_s, breakdown.serial_s
+        "  {} chunks, parallel {:.3} s, serial (incl. bootstrap) {:.3} s",
+        breakdown.chunks, breakdown.parallel_s, breakdown.serial_s
     );
     println!(
         "  FAB-1 (1 FPGA)  : {:.3} s/iteration (paper reports 0.103 s)",

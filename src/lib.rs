@@ -53,7 +53,10 @@
 //! [`logistic_regression::planned_iteration_trace`]. The planned HELR iteration packs a whole
 //! mini-batch into one ciphertext; its test also checks a decrypted iteration in every slot
 //! against the per-sample cleartext update and pins the plan's rotation and multiply counts
-//! (`2·log2 f + log2 C` and 2 per chunk of `C` samples with `f` slots each).
+//! (`2·log2 f + log2 C` and 2 per chunk of `C` samples with `f` slots each). The Table 8
+//! model ([`logistic_regression::lr_training_time_s`]) prices one planned iteration and
+//! refresh at the HELR task's shape: the per-chunk phases are FAB-2's data-parallel part,
+//! the batch sum, update, mask and bootstrap its serial part.
 //!
 //! ## The numeric substrate: flat layout, lazy reduction, limb parallelism
 //!

@@ -438,7 +438,7 @@ fn table7() -> String {
 fn table8() -> String {
     let config = FabConfig::alveo_u280();
     let params = CkksParams::fab_paper();
-    let breakdown = lr_training_time_s(&config, &params, &HELR_TASK, 8, 0.012);
+    let breakdown = lr_training_time_s(&config, &params, &HELR_TASK);
     let mut out = String::new();
     writeln!(
         out,
@@ -447,10 +447,10 @@ fn table8() -> String {
     .unwrap();
     writeln!(
         out,
-        "modelled FAB-1 = {:.3} s, FAB-2 = {:.3} s ({} data ciphertexts, parallel {:.3} s, serial {:.3} s, comm {:.3} s)",
+        "modelled FAB-1 = {:.3} s, FAB-2 = {:.3} s ({} chunks, parallel {:.3} s, serial {:.3} s, comm {:.3} s)",
         breakdown.fab1_s,
         breakdown.fab2_s,
-        breakdown.data_ciphertexts,
+        breakdown.chunks,
         breakdown.parallel_s,
         breakdown.serial_s,
         breakdown.communication_s
@@ -480,7 +480,7 @@ fn table8() -> String {
 fn leveled() -> String {
     let config = FabConfig::alveo_u280();
     let params = CkksParams::fab_paper();
-    let breakdown = lr_training_time_s(&config, &params, &HELR_TASK, 8, 0.012);
+    let breakdown = lr_training_time_s(&config, &params, &HELR_TASK);
     let mut out = String::new();
     writeln!(
         out,

@@ -71,7 +71,7 @@ fn table7_shape_fab_between_gpu_and_asic() {
 #[test]
 fn table8_shape_fab2_beats_cpu_gpu_but_not_asic() {
     let config = FabConfig::alveo_u280();
-    let breakdown = lr_training_time_s(&config, &CkksParams::fab_paper(), &HELR_TASK, 8, 0.012);
+    let breakdown = lr_training_time_s(&config, &CkksParams::fab_paper(), &HELR_TASK);
     let rows = table8_lr_training();
     let lattigo = rows.iter().find(|r| r.name.contains("Lattigo")).unwrap();
     let gpu = rows.iter().find(|r| r.name.contains("GPU")).unwrap();
