@@ -16,7 +16,8 @@
 //! bookkeeping and validation. The scale-management composites (`multiply_scalar`,
 //! `match_scale`, `align_for_addition`) hold the only data-dependent branches of that
 //! bookkeeping, where a scale mismatch spends an extra `MultiplyPlain` + `Rescale`; they are
-//! provided methods of [`EvalBackend`], written once over the primitives and never overridden.
+//! the only provided methods of [`EvalBackend`], written once over the primitives, and neither
+//! interpreter overrides one.
 //! So a recorded execution and a plan of the same pipeline agree op-for-op, and the keys a
 //! provider is asked for equal the planned key stream. The tests here check that method by
 //! method, the pipelines' equivalence tests end to end; together they keep the accelerator
@@ -40,7 +41,7 @@ use crate::{
 /// Implementations keep the level/scale bookkeeping of the primitives *identical* to the
 /// evaluator's, so that planned and executed traces agree op-for-op. The scale-management
 /// composites (`multiply_scalar`, `match_scale`, `align_for_addition`) are written once
-/// here, over the primitives, and are not overridden.
+/// here, over the primitives; they are the only provided methods and are not overridden.
 pub trait EvalBackend {
     /// The ciphertext representation this backend computes on.
     type Ct: Clone;
@@ -106,28 +107,21 @@ pub trait EvalBackend {
     fn multiply_slots(&self, a: &Self::Ct, values: &[Complex64], pt_scale: f64)
         -> Result<Self::Ct>;
 
-    /// Multiplies by the plaintext `rot_{-shift}(values)` (i.e. `values` pre-rotated right by
-    /// `shift` slots) encoded at `pt_scale` — the BSGS giant-step diagonal shape. The default
-    /// materialises the shifted vector and defers to [`Self::multiply_slots`]; [`PlanBackend`]
-    /// overrides it to skip the O(n) copy, since shadows never read the values.
+    /// Multiplies by the diagonal at plan position `index` of `lt`'s BSGS plan, pre-rotated
+    /// by `-giant` and encoded at the level's rescale prime (no rescale): the inner step of
+    /// [`LinearTransform::apply_with`]. [`ExecBackend`] multiplies by the transform's
+    /// NTT-cached plaintext; [`PlanBackend`] records one `MultiplyPlain` and reads no value.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::multiply_slots`].
-    fn multiply_shifted_slots(
+    /// Fails at level 0, for a transform over another slot count, and for an `index` past
+    /// the plan.
+    fn multiply_diagonal(
         &self,
+        lt: &LinearTransform,
+        index: usize,
         a: &Self::Ct,
-        values: &[Complex64],
-        shift: usize,
-        pt_scale: f64,
-    ) -> Result<Self::Ct> {
-        if shift == 0 {
-            return self.multiply_slots(a, values, pt_scale);
-        }
-        let n = values.len();
-        let shifted: Vec<Complex64> = (0..n).map(|j| values[(j + n - shift) % n]).collect();
-        self.multiply_slots(a, &shifted, pt_scale)
-    }
+    ) -> Result<Self::Ct>;
 
     /// Multiplies by a real slot-vector plaintext encoded at `pt_scale` (no rescale).
     fn multiply_real_slots(&self, a: &Self::Ct, values: &[f64], pt_scale: f64) -> Result<Self::Ct>;
@@ -199,9 +193,10 @@ pub trait EvalBackend {
     /// full rotation ([`HeOp::Rotate`]), every further nonzero step a hoisted one
     /// ([`HeOp::RotateHoisted`]), and steps that are multiples of the slot count are free
     /// clones. Hoisting exists only here, where a decomposition is really shared:
-    /// [`ExecBackend`] runs the evaluator's shared Decomp→ModUp, [`PlanBackend`] emits the
-    /// *identical* op stream — which is what keeps recorded executions and planned traces in
-    /// op-for-op agreement.
+    /// [`ExecBackend`] runs the evaluator's shared Decomp→ModUp and returns the batch in
+    /// evaluation form, each output promoted once for the BSGS products that consume it;
+    /// [`PlanBackend`] emits the *identical* op stream — which is what keeps recorded
+    /// executions and planned traces in op-for-op agreement.
     ///
     /// # Errors
     ///
@@ -213,22 +208,6 @@ pub trait EvalBackend {
 
     /// Multiplication by the monomial `X^power` (free on FAB; no trace op).
     fn multiply_by_monomial(&self, a: &Self::Ct, power: usize) -> Result<Self::Ct>;
-
-    /// Applies a linear transform through its BSGS plan. The default runs the backend-generic
-    /// coefficient-resident control flow (one plaintext multiplication round-trip per
-    /// diagonal); [`ExecBackend`] overrides it with the eval-resident, NTT-cached execution
-    /// — emitting the **identical** semantic op stream, which is what keeps recorded
-    /// executions and planned traces in op-for-op agreement.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LinearTransform::apply_with`].
-    fn apply_bsgs_planned(&self, lt: &LinearTransform, ct: &Self::Ct) -> Result<Self::Ct>
-    where
-        Self: Sized,
-    {
-        crate::linear_transform::apply_planned_generic(lt, self, ct)
-    }
 }
 
 // --------------------------------------------------------------------------- exec interpreter
@@ -349,8 +328,23 @@ impl EvalBackend for ExecBackend<'_> {
         self.evaluator.rotate(a, steps, self.keys)
     }
 
+    fn multiply_diagonal(
+        &self,
+        lt: &LinearTransform,
+        index: usize,
+        a: &Ciphertext,
+    ) -> Result<Ciphertext> {
+        let prime = lt.diagonal_scale(self.ctx(), a.level(), index)?;
+        let cached = lt.ntt_diagonal_cache(self.evaluator, a.level(), prime)?;
+        self.evaluator.multiply_plain_ntt(a, &cached[index], prime)
+    }
+
     fn rotate_batch_hoisted(&self, a: &Ciphertext, steps: &[usize]) -> Result<Vec<Ciphertext>> {
-        self.evaluator.rotate_hoisted_batch(a, steps, self.keys)
+        self.evaluator
+            .rotate_hoisted_batch(a, steps, self.keys)?
+            .iter()
+            .map(|rotated| self.evaluator.to_evaluation_form(rotated))
+            .collect()
     }
 
     fn conjugate(&self, a: &Ciphertext) -> Result<Ciphertext> {
@@ -359,10 +353,6 @@ impl EvalBackend for ExecBackend<'_> {
 
     fn multiply_by_monomial(&self, a: &Ciphertext, power: usize) -> Result<Ciphertext> {
         self.evaluator.multiply_by_monomial(a, power)
-    }
-
-    fn apply_bsgs_planned(&self, lt: &LinearTransform, ct: &Ciphertext) -> Result<Ciphertext> {
-        lt.apply_planned_exec(self.evaluator, self.keys, ct)
     }
 }
 
@@ -535,15 +525,14 @@ impl EvalBackend for PlanBackend {
         Ok(self.multiply_plain(a, pt_scale))
     }
 
-    fn multiply_shifted_slots(
+    fn multiply_diagonal(
         &self,
+        lt: &LinearTransform,
+        index: usize,
         a: &PlanCiphertext,
-        values: &[Complex64],
-        _shift: usize,
-        pt_scale: f64,
     ) -> Result<PlanCiphertext> {
-        // Shadows never read the plaintext, so skip materialising the shifted diagonal.
-        self.multiply_slots(a, values, pt_scale)
+        let prime = lt.diagonal_scale(&self.ctx, a.level, index)?;
+        Ok(self.multiply_plain(a, prime))
     }
 
     fn multiply_real_slots(
@@ -633,7 +622,8 @@ mod tests {
         /// `acc = multiply_const(x, 0.75, pt_scale)`, then `acc += value·y`.
         AccumulateConst(f64, f64),
         MultiplySlots(usize),
-        MultiplyShiftedSlots(usize, usize),
+        /// `multiply_diagonal` of the full-slot [`stage`] at this plan position.
+        MultiplyDiagonal(usize),
         MultiplyRealSlots(usize),
         Rescale,
         ModDrop(usize),
@@ -643,9 +633,19 @@ mod tests {
         RotateBatch,
         Conjugate,
         Monomial(usize),
-        ApplyBsgs,
+        /// `apply_with` of the [`stage`] over this many slots.
+        ApplyWith(usize),
         /// `begin_phase`, then `add`.
         PhaseThenAdd,
+    }
+
+    /// The three-diagonal transform {0, 1, 2} over `slots` slots: one unrotated group.
+    fn stage(slots: usize) -> LinearTransform {
+        let ones = || vec![Complex64::one(); slots];
+        LinearTransform::from_diagonals(
+            slots,
+            BTreeMap::from([(0, ones()), (1, ones()), (2, ones())]),
+        )
     }
 
     /// Runs `call` on `backend` (the one control flow both interpreters go through) and
@@ -655,8 +655,8 @@ mod tests {
         call: Call,
         x: &B::Ct,
         y: &B::Ct,
-        lt: &LinearTransform,
     ) -> Result<Vec<(usize, u64)>> {
+        let full = backend.ctx().slot_count();
         let delta = backend.ctx().params().default_scale();
         let slots = |count: usize| -> Vec<Complex64> {
             (0..count)
@@ -677,9 +677,7 @@ mod tests {
                 Ok(vec![acc])
             }
             Call::MultiplySlots(count) => one(backend.multiply_slots(x, &slots(count), delta)),
-            Call::MultiplyShiftedSlots(count, shift) => {
-                one(backend.multiply_shifted_slots(x, &slots(count), shift, delta))
-            }
+            Call::MultiplyDiagonal(index) => one(backend.multiply_diagonal(&stage(full), index, x)),
             Call::MultiplyRealSlots(count) => {
                 let values: Vec<f64> = slots(count).iter().map(|v| v.re).collect();
                 one(backend.multiply_real_slots(x, &values, delta))
@@ -692,7 +690,7 @@ mod tests {
             Call::RotateBatch => backend.rotate_batch_hoisted(x, &[0, 1, 2]),
             Call::Conjugate => one(backend.conjugate(x)),
             Call::Monomial(power) => one(backend.multiply_by_monomial(x, power)),
-            Call::ApplyBsgs => one(backend.apply_bsgs_planned(lt, x)),
+            Call::ApplyWith(count) => one(stage(count).apply_with(backend, x)),
             Call::PhaseThenAdd => {
                 backend.begin_phase("phase");
                 one(backend.add(x, y))
@@ -768,7 +766,7 @@ mod tests {
             ("multiply_const", (3, delta), (3, delta), Call::MultiplyConst(c(-0.37, 0.0), delta), 1, false),
             ("accumulate_const", (3, delta), (5, delta), Call::AccumulateConst(0.5, delta), 3, false),
             ("multiply_slots", (3, delta), (3, delta), Call::MultiplySlots(16), 1, false),
-            ("multiply_shifted_slots", (3, delta), (3, delta), Call::MultiplyShiftedSlots(16, 3), 1, false),
+            ("multiply_diagonal", (3, delta), (3, delta), Call::MultiplyDiagonal(2), 1, false),
             ("multiply_real_slots", (3, delta), (3, delta), Call::MultiplyRealSlots(16), 1, false),
             ("rescale", (3, delta), (3, delta), Call::Rescale, 1, false),
             ("mod_drop_to_level", (4, delta), (4, delta), Call::ModDrop(1), 0, false),
@@ -781,7 +779,7 @@ mod tests {
             ("rotate_batch_hoisted", (3, delta), (3, delta), Call::RotateBatch, 2, false),
             ("conjugate", (3, delta), (3, delta), Call::Conjugate, 1, false),
             ("multiply_by_monomial", (3, delta), (3, delta), Call::Monomial(3), 0, false),
-            ("apply_bsgs_planned", (3, delta), (3, delta), Call::ApplyBsgs, 8, false),
+            ("apply_with", (3, delta), (3, delta), Call::ApplyWith(slots), 8, false),
             ("begin_phase", (3, delta), (2, delta), Call::PhaseThenAdd, 1, false),
             // Refusals: both interpreters fail the same way, after the same ops.
             ("rescale at level 0", (0, delta), (0, delta), Call::Rescale, 0, true),
@@ -797,20 +795,17 @@ mod tests {
             ("add_scalar out of range", (3, delta), (3, delta), Call::AddScalar(c(0.5, 1e10)), 0, true),
             ("accumulate_const out of range", (3, delta), (5, delta), Call::AccumulateConst(1e10, delta), 1, true),
             ("multiply_slots too many", (3, delta), (3, delta), Call::MultiplySlots(slots + 1), 0, true),
-            ("multiply_shifted_slots too many", (3, delta), (3, delta), Call::MultiplyShiftedSlots(slots + 1, 3), 0, true),
             ("multiply_real_slots too many", (3, delta), (3, delta), Call::MultiplyRealSlots(slots + 1), 0, true),
+            ("multiply_diagonal past the plan", (3, delta), (3, delta), Call::MultiplyDiagonal(3), 0, true),
+            ("apply_with at level 0", (0, delta), (0, delta), Call::ApplyWith(slots), 0, true),
+            ("apply_with over another slot count", (3, delta), (3, delta), Call::ApplyWith(slots / 2), 0, true),
         ];
 
         let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(26);
         let keygen = KeyGenerator::new(ctx.clone(), SecretKey::generate(&ctx, &mut rng));
         let encoder = Encoder::new(ctx.clone());
         let encryptor = Encryptor::new(ctx.clone(), keygen.public_key(&mut rng));
-        let ones = || vec![Complex64::one(); slots];
-        let lt = LinearTransform::from_diagonals(
-            slots,
-            BTreeMap::from([(0, ones()), (1, ones()), (2, ones())]),
-        );
-        let mut steps = lt.required_rotations();
+        let mut steps = stage(slots).required_rotations();
         steps.extend([1, 2]);
         let rlk = keygen.relinearization_key(&mut rng);
         let gks = keygen.galois_keys(&steps, true, &mut rng).unwrap();
@@ -828,10 +823,10 @@ mod tests {
 
         for &(name, x, y, call, ops, fails) in rows {
             let (x_ct, y_ct) = (encrypt(x), encrypt(y));
-            let executed = run(&exec, call, &x_ct, &y_ct, &lt);
+            let executed = run(&exec, call, &x_ct, &y_ct);
             let recorded = sink.take();
             let plan = PlanBackend::new(ctx.clone(), "plan");
-            let planned = run(&plan, call, &shadow(x), &shadow(y), &lt);
+            let planned = run(&plan, call, &shadow(x), &shadow(y));
             let planned_keys = plan.keys.borrow().clone();
             let planned_trace = plan.into_trace();
 
@@ -878,9 +873,14 @@ mod tests {
 
         assert_eq!(rotated.len(), steps.len());
         assert_eq!(shadows, vec![shadow; steps.len()]);
+        // The batch comes back in evaluation form, the free clones as the promoted input.
+        let promoted = evaluator.to_evaluation_form(&ct).unwrap();
+        assert!(rotated
+            .iter()
+            .all(|r| r.c0().is_evaluation() && r.c1().is_evaluation()));
         for free in [0, 2] {
-            assert_eq!(rotated[free].c0(), ct.c0());
-            assert_eq!(rotated[free].c1(), ct.c1());
+            assert_eq!(rotated[free].c0(), promoted.c0());
+            assert_eq!(rotated[free].c1(), promoted.c1());
         }
         assert_eq!(rotated[1].c0(), rotated[4].c0());
         let expected = vec![

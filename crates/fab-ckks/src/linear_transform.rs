@@ -20,7 +20,7 @@
 //! step. The rotation count drops from `d` to roughly `2·√d` while the result (and the
 //! level/scale bookkeeping) is unchanged. The plan is a property of the transform, derived
 //! from its offsets when it is built, and [`LinearTransform::apply_with`] has no other way to
-//! run.
+//! run. Both interpreters run it, so planning reads the plan and slot count, never a diagonal.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -29,7 +29,7 @@ use fab_math::{Complex64, SpecialFft};
 use fab_rns::RnsPolynomial;
 
 use crate::backend::EvalBackend;
-use crate::{Ciphertext, CkksContext, CkksError, Evaluator, KeyProvider, Result};
+use crate::{CkksContext, CkksError, Evaluator, Result};
 
 /// Per-transform cache of encoded, pre-rotated, **NTT-form** diagonal plaintexts, keyed by
 /// level and holding one polynomial per `(giant group, baby)` pair of the transform's plan,
@@ -358,108 +358,81 @@ impl LinearTransform {
     }
 
     /// Homomorphic application `Σ_d encode(diag_d) ⊙ rotate(ct, d)` followed by one rescale,
-    /// backend-generic (see [`crate::backend`]): the single control flow behind real
-    /// execution and analytic planning, the transform's baby-step/giant-step schedule. The
-    /// diagonal plaintexts are encoded at the current rescaling prime so the ciphertext scale
-    /// is preserved; one level is consumed.
+    /// backend-generic (see [`crate::backend`]): the one control flow behind real execution
+    /// and analytic planning. The diagonals are encoded at the current rescaling prime, so the
+    /// scale is preserved and one level is consumed.
+    ///
     /// The distinct baby rotations run as one hoisted batch on the input, every giant group
-    /// accumulates its pre-rotated diagonals with plaintext multiplications and pays one full
-    /// rotation, and the group sums are added before the single rescale: `babies + giants ≈
-    /// 2·√d` rotations. Routed through the backend seam — [`crate::ExecBackend`] overrides
-    /// [`EvalBackend::apply_bsgs_planned`] with the eval-resident NTT-cached execution, every
-    /// other interpreter uses the generic coefficient-resident control flow
-    /// (`apply_planned_generic`) — and both emit the identical semantic op stream.
+    /// sums the [`EvalBackend::multiply_diagonal`] products of its pre-rotated diagonals and
+    /// pays one rotation, and the group sums are added before the rescale: `babies + giants
+    /// ≈ 2·√d` rotations. On real ciphertexts the batch comes back in evaluation form and the
+    /// evaluator's domain-aware ops do the rest: products and inner sums stay eval-resident,
+    /// and each group returns to coefficient form once, at its giant rotation (an unrotated
+    /// group at the outer add, or at the rescale when it is alone) — exactly
+    /// [`crate::accounting::bsgs_stage_eval`].
     ///
     /// # Errors
     ///
-    /// Returns [`CkksError::MissingKey`] if a required rotation key is missing and
-    /// [`CkksError::LevelExhausted`] if the ciphertext has no level to spend.
+    /// Returns [`CkksError::MissingKey`] if a required rotation key is missing,
+    /// [`CkksError::LevelExhausted`] if the ciphertext has no level to spend, and
+    /// [`CkksError::InvalidInput`] for a transform over another slot count or with no
+    /// nonzero diagonal.
     pub fn apply_with<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<B::Ct> {
-        backend.apply_bsgs_planned(self, ct)
+        self.check_applicable_at(backend.ctx(), backend.level(ct))?;
+        let baby_offsets = self.plan.baby_offsets();
+        let rotated = backend.rotate_batch_hoisted(ct, &baby_offsets)?;
+        let mut index = 0;
+        let mut acc = None;
+        for group in self.plan.groups() {
+            let mut inner = None;
+            for b in &group.babies {
+                let baby = &rotated[baby_offsets.binary_search(b).expect("a planned baby")];
+                let term = backend.multiply_diagonal(self, index, baby)?;
+                index += 1;
+                inner = Some(add_onto(backend, term, inner)?);
+            }
+            // A rotation by 0 is free and records nothing.
+            let moved = backend.rotate(&inner.expect("plan groups are non-empty"), group.giant)?;
+            acc = Some(add_onto(backend, moved, acc)?);
+        }
+        let acc = acc.ok_or_else(|| CkksError::InvalidInput {
+            reason: "linear transform has no nonzero diagonals".into(),
+        })?;
+        backend.rescale(&acc)
     }
 
-    /// The eval-resident BSGS execution on real ciphertexts (the [`crate::ExecBackend`] override of
-    /// [`EvalBackend::apply_bsgs_planned`]):
-    ///
-    /// * the distinct baby rotations run as one hoisted batch, then each baby ciphertext is
-    ///   promoted to evaluation form **once** (instead of one round-trip per diagonal it
-    ///   appears in);
-    /// * the per-group inner accumulation multiplies against the plan's **NTT-cached**
-    ///   pre-rotated diagonal plaintexts ([`Evaluator::multiply_plain_ntt`] — zero transforms
-    ///   after the one-time per-level cache fill) and adds entirely in evaluation form;
-    /// * each giant group's partial sum pays **one** inverse pair at the giant-rotation
-    ///   boundary instead of one per diagonal.
-    ///
-    /// The emitted op stream (Rotate/RotateHoisted, MultiplyPlain per diagonal, Adds,
-    /// Rescale) is identical to the generic path's, and the result is bit-for-bit equal to
-    /// [`apply_planned_generic`]'s — the inverse NTT canonicalises, so summing in the
-    /// evaluation domain is invisible after the group inverse.
-    pub(crate) fn apply_planned_exec<K: KeyProvider + ?Sized>(
+    /// The plaintext scale of the diagonal at plan position `index` at `level` (the level's
+    /// rescale prime), once the stage may run there: the one operand check of
+    /// [`EvalBackend::multiply_diagonal`], shared by both interpreters.
+    pub(crate) fn diagonal_scale(
         &self,
-        evaluator: &Evaluator,
-        keys: &K,
-        ct: &Ciphertext,
-    ) -> Result<Ciphertext> {
-        let ctx = evaluator.context();
-        self.check_applicable_at(ctx, ct.level())?;
-        self.check_has_diagonals()?;
-        let plan = &self.plan;
-        let level = ct.level();
-        let prime = ctx.rescale_prime(level) as f64;
-        let cache = self.ntt_diagonal_cache(evaluator, level, prime)?;
-
-        // All baby rotations act on the input ciphertext and share one key-switch
-        // decomposition (hoisting); each distinct baby is then promoted to evaluation form
-        // exactly once for the whole apply.
-        let baby_offsets = plan.baby_offsets();
-        let rotated = evaluator.rotate_hoisted_batch(ct, &baby_offsets, keys)?;
-        let eval_babies: Vec<Ciphertext> = rotated
-            .iter()
-            .map(|c| evaluator.to_evaluation_form(c))
-            .collect::<Result<_>>()?;
-        let by_baby: BTreeMap<usize, &Ciphertext> =
-            baby_offsets.iter().copied().zip(&eval_babies).collect();
-
-        let mut cached = cache.iter();
-        let mut acc: Option<Ciphertext> = None;
-        for group in plan.groups() {
-            let mut inner: Option<Ciphertext> = None;
-            for &b in &group.babies {
-                let pt_poly = cached.next().expect("cache covers the plan");
-                let term = evaluator.multiply_plain_ntt(by_baby[&b], pt_poly, prime)?;
-                inner = Some(match inner {
-                    None => term,
-                    Some(prev) => evaluator.add(&prev, &term)?,
-                });
-            }
-            // One inverse pair per giant group: the eval-resident partial sum crosses back
-            // to coefficient form only at its rotation boundary.
-            let inner =
-                evaluator.to_coefficient_form(&inner.expect("plan groups are non-empty"))?;
-            let moved = if group.giant == 0 {
-                inner
-            } else {
-                evaluator.rotate(&inner, group.giant, keys)?
-            };
-            acc = Some(match acc {
-                None => moved,
-                Some(prev) => evaluator.add(&prev, &moved)?,
+        ctx: &CkksContext,
+        level: usize,
+        index: usize,
+    ) -> Result<f64> {
+        self.check_applicable_at(ctx, level)?;
+        if index >= self.diagonals.len() {
+            return Err(CkksError::InvalidInput {
+                reason: format!(
+                    "diagonal {index} is past the plan's {}",
+                    self.diagonals.len()
+                ),
             });
         }
-        evaluator.rescale(&acc.expect("plan has at least one group"))
+        Ok(ctx.rescale_prime(level) as f64)
     }
 
     /// Gets (or fills, on first use at this level) the NTT-form pre-rotated diagonal
-    /// plaintexts of the transform's plan, in plan iteration order. The fill encodes each
-    /// diagonal exactly as the generic path's `multiply_shifted_slots` would and forward
-    /// transforms it once; the `diagonals·(ℓ+1)` forwards are the `warm` term of
+    /// plaintexts of the transform's plan, in plan iteration order. The fill pre-rotates
+    /// each diagonal by `-giant`, encodes it at `prime` and forward transforms it once; the
+    /// `diagonals·(ℓ+1)` forwards are the `warm` term of
     /// [`crate::accounting::bsgs_stage_eval`].
     ///
     /// A poisoned lock is recovered rather than propagated: entries are inserted fully
     /// built, so a panic under the guard (a `fab_par` job panic re-raised inside the fill)
     /// leaves the map valid, and must not turn every later apply of this transform — and of
     /// every clone sharing the cache — into a panic.
-    fn ntt_diagonal_cache(
+    pub(crate) fn ntt_diagonal_cache(
         &self,
         evaluator: &Evaluator,
         level: usize,
@@ -477,21 +450,11 @@ impl LinearTransform {
         let mut polys = Vec::new();
         for group in self.plan.groups() {
             for &b in &group.babies {
-                let d = (group.giant + b) % n;
-                let diag = self
-                    .diagonals
-                    .get(&d)
-                    .ok_or_else(|| CkksError::InvalidInput {
-                        reason: format!("BSGS plan references missing diagonal {d}"),
-                    })?;
-                // Pre-rotate by -giant (identically to the generic multiply_shifted_slots),
-                // encode at the level's rescale prime, and transform once.
-                let shift = group.giant;
-                let shifted: Vec<Complex64> = if shift == 0 {
-                    diag.clone()
-                } else {
-                    (0..n).map(|j| diag[(j + n - shift) % n]).collect()
-                };
+                // Pre-rotated by -giant, so the group's one giant rotation lands the term on
+                // its slots.
+                let diag = &self.diagonals[&((group.giant + b) % n)];
+                let shifted: Vec<Complex64> =
+                    (0..n).map(|j| diag[(j + n - group.giant) % n]).collect();
                 let pt = evaluator.encoder().encode(&shifted, prime, level)?;
                 let mut poly = pt.poly().clone();
                 poly.to_evaluation(&basis);
@@ -503,9 +466,8 @@ impl LinearTransform {
         Ok(entry)
     }
 
-    /// The shared entry validation of every application path (generic, shadow and
-    /// eval-resident exec) — one copy, so a future rule cannot guard one interpreter and
-    /// silently skip another.
+    /// The entry validation of [`Self::apply_with`] and [`Self::diagonal_scale`]: a level to
+    /// spend and the context's slot count.
     fn check_applicable_at(&self, ctx: &CkksContext, level: usize) -> Result<()> {
         if level == 0 {
             return Err(CkksError::LevelExhausted {
@@ -523,72 +485,16 @@ impl LinearTransform {
         }
         Ok(())
     }
-
-    /// Shared emptiness check of the BSGS application paths.
-    fn check_has_diagonals(&self) -> Result<()> {
-        if self.diagonals.is_empty() {
-            return Err(CkksError::InvalidInput {
-                reason: "linear transform has no nonzero diagonals".into(),
-            });
-        }
-        Ok(())
-    }
 }
 
-/// The backend-generic (coefficient-resident) BSGS control flow — the default body of
-/// [`EvalBackend::apply_bsgs_planned`], which the shadow planner and any future interpreter
-/// run. One plaintext multiplication per diagonal, partial sums accumulated in whatever form
-/// the backend's ops keep them (coefficient, for real ciphertexts), one rotation per nonzero
-/// giant step, one trailing rescale.
-pub(crate) fn apply_planned_generic<B: EvalBackend>(
-    lt: &LinearTransform,
-    backend: &B,
-    ct: &B::Ct,
-) -> Result<B::Ct> {
-    lt.check_applicable_at(backend.ctx(), backend.level(ct))?;
-    lt.check_has_diagonals()?;
-    let plan = &lt.plan;
-    let n = lt.slots;
-    let level = backend.level(ct);
-    let prime = backend.ctx().rescale_prime(level) as f64;
-    // All baby rotations act on the input ciphertext and share one key-switch
-    // decomposition (hoisting).
-    let baby_offsets = plan.baby_offsets();
-    let rotated = backend.rotate_batch_hoisted(ct, &baby_offsets)?;
-    let by_baby: BTreeMap<usize, &B::Ct> = baby_offsets.iter().copied().zip(&rotated).collect();
-    let mut acc: Option<B::Ct> = None;
-    for group in plan.groups() {
-        let mut inner: Option<B::Ct> = None;
-        for &b in &group.babies {
-            let d = (group.giant + b) % n;
-            let diag = lt
-                .diagonals
-                .get(&d)
-                .ok_or_else(|| CkksError::InvalidInput {
-                    reason: format!("BSGS plan references missing diagonal {d}"),
-                })?;
-            let source = by_baby[&b];
-            // The diagonal is pre-rotated by -giant so the single giant rotation of the
-            // group sum lands every term on its proper slots; the backend decides whether
-            // the shifted vector needs materialising.
-            let term = backend.multiply_shifted_slots(source, diag, group.giant, prime)?;
-            inner = Some(match inner {
-                None => term,
-                Some(prev) => backend.add(&prev, &term)?,
-            });
-        }
-        let inner = inner.expect("plan groups are non-empty");
-        let moved = if group.giant == 0 {
-            inner
-        } else {
-            backend.rotate(&inner, group.giant)?
-        };
-        acc = Some(match acc {
-            None => moved,
-            Some(prev) => backend.add(&prev, &moved)?,
-        });
+/// `term + acc`, or `term` when nothing has been summed yet. The new term is on the left:
+/// `add` keeps its left operand's form, so a rotated (coefficient-form) group sum converts an
+/// eval-resident accumulator once instead of being promoted itself.
+fn add_onto<B: EvalBackend>(backend: &B, term: B::Ct, acc: Option<B::Ct>) -> Result<B::Ct> {
+    match acc {
+        None => Ok(term),
+        Some(acc) => backend.add(&term, &acc),
     }
-    backend.rescale(&acc.expect("plan has at least one group"))
 }
 
 /// Builds the butterfly-stage factors of the *forward* special FFT (used by SlotToCoeff),
@@ -804,7 +710,8 @@ fn group_stages(stages: Vec<LinearTransform>, groups: usize) -> Vec<LinearTransf
 mod tests {
     use super::*;
     use crate::{
-        CkksParams, Decryptor, Encoder, Encryptor, ExecBackend, GaloisKeys, KeyGenerator, SecretKey,
+        Ciphertext, CkksParams, Decryptor, Encoder, Encryptor, ExecBackend, GaloisKeys,
+        KeyGenerator, SecretKey,
     };
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
@@ -1131,10 +1038,51 @@ mod tests {
         }
     }
 
+    /// `acc + term`, or `term` when nothing has been summed yet.
+    fn sum(evaluator: &Evaluator, acc: Option<Ciphertext>, term: Ciphertext) -> Ciphertext {
+        match acc {
+            None => term,
+            Some(acc) => evaluator.add(&acc, &term).unwrap(),
+        }
+    }
+
+    /// The stage by its definition, coefficient-resident throughout: the hoisted baby batch,
+    /// one encoded `multiply_plain` per diagonal pre-rotated by `-giant`, one `rotate` per
+    /// group sum, one `rescale`.
+    fn apply_by_definition(
+        lt: &LinearTransform,
+        evaluator: &Evaluator,
+        keys: &GaloisKeys,
+        ct: &Ciphertext,
+    ) -> Ciphertext {
+        let (n, level) = (lt.slots, ct.level());
+        let prime = evaluator.context().rescale_prime(level) as f64;
+        let babies = lt.plan.baby_offsets();
+        let rotated = evaluator.rotate_hoisted_batch(ct, &babies, keys).unwrap();
+        let mut acc = None;
+        for group in lt.plan.groups() {
+            let mut inner = None;
+            for &b in &group.babies {
+                let diag = &lt.diagonals[&((group.giant + b) % n)];
+                let shifted: Vec<Complex64> =
+                    (0..n).map(|j| diag[(j + n - group.giant) % n]).collect();
+                let pt = evaluator.encoder().encode(&shifted, prime, level).unwrap();
+                let source = &rotated[babies.binary_search(&b).unwrap()];
+                let term = evaluator.multiply_plain(source, &pt).unwrap();
+                inner = Some(sum(evaluator, inner, term));
+            }
+            let moved = evaluator
+                .rotate(&inner.unwrap(), group.giant, keys)
+                .unwrap();
+            acc = Some(sum(evaluator, acc, moved));
+        }
+        evaluator.rescale(&acc.unwrap()).unwrap()
+    }
+
     #[test]
-    fn eval_resident_execution_matches_the_generic_coefficient_path_bitwise() {
-        // The `ExecBackend` override (babies promoted once, NTT-cached diagonals, one inverse
-        // pair per giant group) against the backend-generic control flow `PlanBackend` runs,
+    fn eval_resident_stage_matches_its_coefficient_definition_bitwise() {
+        // `apply_with` on real ciphertexts (babies promoted once, NTT-cached diagonals, one
+        // inverse pair per giant group) against the stage's coefficient-resident definition,
         // on a bootstrap CoeffToSlot stage — on the cache-filling apply and on a warm one.
         let mut f = fixture(77);
         let stage = coeff_to_slot_stages(f.ctx.fft(), f.ctx.params().fft_iter)
@@ -1145,11 +1093,19 @@ mod tests {
         let ct = f.encrypt(&random_slots(f.ctx.slot_count(), 79));
         let evaluator = Evaluator::new(f.ctx.clone());
         let backend = ExecBackend::new(&evaluator, &keys);
-        let generic = apply_planned_generic(&stage, &backend, &ct).unwrap();
+        let definition = apply_by_definition(&stage, &evaluator, &keys, &ct);
         for pass in ["cache-filling", "warm"] {
             let exec = stage.apply_with(&backend, &ct).unwrap();
-            assert_eq!(exec.c0(), generic.c0(), "BSGS paths diverged ({pass}, c0)");
-            assert_eq!(exec.c1(), generic.c1(), "BSGS paths diverged ({pass}, c1)");
+            assert_eq!(
+                exec.c0(),
+                definition.c0(),
+                "BSGS stage diverged ({pass}, c0)"
+            );
+            assert_eq!(
+                exec.c1(),
+                definition.c1(),
+                "BSGS stage diverged ({pass}, c1)"
+            );
         }
     }
 

@@ -47,7 +47,7 @@ pub use config::{CmacConfig, FabConfig, HbmConfig, KeySwitchDatapath, OnChipMemo
 pub use cost::{OpCost, OpCostModel};
 pub use design_space::{dnum_sweep, fft_iter_sweep, DnumPoint, FftIterPoint};
 pub use fab_trace::{HeOp, OpCounts, OpTrace};
-pub use memory::{HbmModel, OnChipMemoryModel, SoftwareTrafficModel, WorkingSetReport};
+pub use memory::{HbmModel, OnChipMemoryModel, WorkingSetReport};
 pub use metrics::{amortized_mult_time_us, speedup, SpeedupReport};
 pub use multi_fpga::{CommunicationModel, MultiFpgaSystem, ParallelWorkload};
 pub use resources::{ResourceEstimator, ResourceUtilization};

@@ -1,32 +1,4 @@
 //! On-chip memory and HBM models (Section 4.2 and the working-set accounting of Section 4.6).
-//!
-//! ## Calibration against measured traffic (PR 7)
-//!
-//! Until PR 7 every byte figure in this module was hand-derived from the paper and never
-//! checked against what the software stack actually moves. The PR 7 byte meter
-//! ([`fab_rns::metering`]) changed that; the audit's outcome per parameter:
-//!
-//! * **Word size** — *before*: all limb traffic priced at the hardware's packed 54-bit
-//!   words ([`OnChipMemoryModel::limb_bytes`] = `N·54/8` = 442 368 B at `N = 2^16`);
-//!   *after*: the hardware figures are kept (they are what the paper's Table 3 / Section
-//!   4.6 numbers are pinned to) and the **software** layout gets its own calibrated
-//!   constant, [`SoftwareTrafficModel::WORD_BYTES`] = 8 (the meter measures 64-bit words:
-//!   `8N` = 524 288 B per row at `N = 2^16`, a fixed 64/54 ratio to divide out when
-//!   comparing software traffic against FAB's HBM numbers).
-//! * **Accumulators** — the KSKIP inner product and the basis-conversion sums accumulate in
-//!   registers across their whole inner loop (the software analog of FAB's double-width MAC
-//!   registers), so they move no bytes: each operand row is read once and each output row
-//!   written once.
-//! * **Per-op bytes** — *before*: only per-limb transfer cycles existed
-//!   ([`HbmModel::limb_cycles`]); *after*: [`SoftwareTrafficModel::key_switch_bytes`]
-//!   prices the full key-switch datapath analytically and is pinned within
-//!   [`SoftwareTrafficModel::TOLERANCE`] of the metered traffic (see
-//!   `software_model_agrees_with_metered_traffic` below and the workspace-level
-//!   `bytes_accounting.rs` suite that asserts the meter equals the closed forms).
-//! * **Dead constants** — the audit found none to remove: every pre-existing constant in
-//!   this module and [`crate::config`] (URAM/BRAM geometry, 54-bit packing, HBM
-//!   bandwidth) is load-bearing for the paper-pinned tests; the drift was missing
-//!   software-side constants, not stale hardware ones.
 
 use fab_ckks::CkksParams;
 
@@ -170,85 +142,6 @@ impl HbmModel {
     }
 }
 
-/// Analytical software-traffic model of the key-switch datapath, calibrated against the
-/// PR 7 byte meter.
-///
-/// The model prices each datapath stage of Section 4.6 in *row passes* over the software
-/// layout (a row = `N` 64-bit words) and is deliberately simpler than the exact
-/// [`fab_ckks::accounting`] closed forms: every NTT is priced at `log2 N + 1` sweeps
-/// (butterfly stages + one canonicalisation) even though the lazy forwards skip the last
-/// sweep, and each `k`-term basis-conversion row is priced at its coefficient-major
-/// accumulation (`k` reads, one write) without the canonicalisation sweep ModDown adds.
-/// Those simplifications are the model's entire deviation from measurement, and
-/// [`SoftwareTrafficModel::TOLERANCE`] bounds it.
-#[derive(Debug, Clone)]
-pub struct SoftwareTrafficModel {
-    degree: usize,
-}
-
-impl SoftwareTrafficModel {
-    /// Calibrated software word size: the meter measures 64-bit words (the hardware packs
-    /// 54-bit words — divide by 64/54 when comparing against FAB's HBM figures).
-    pub const WORD_BYTES: u64 = 8;
-    /// Relative tolerance on modelled vs metered bytes per op, bounding the documented
-    /// simplifications above.
-    pub const TOLERANCE: f64 = 0.05;
-
-    /// Builds the model for a parameter set.
-    pub fn new(params: &CkksParams) -> Self {
-        Self {
-            degree: params.degree(),
-        }
-    }
-
-    /// Bytes of one software limb row (`N` 64-bit words).
-    pub fn row_bytes(&self) -> u64 {
-        self.degree as u64 * Self::WORD_BYTES
-    }
-
-    /// One NTT of one row: `log2 N` butterfly sweeps plus one canonicalisation sweep, each
-    /// reading and writing the row.
-    pub fn transform_bytes(&self) -> u64 {
-        2 * self.row_bytes() * (self.degree.trailing_zeros() as u64 + 1)
-    }
-
-    /// Modelled bytes of one hybrid key switch (coefficient entry) at `limbs = ℓ+1` with
-    /// `special = |P|` extension limbs and digit size `alpha`, summing the Section 4.6
-    /// datapath stages: digit raise (hoisted products, lifts, ModUp conversions), the KSKIP
-    /// inner product over the β digits, the accumulator inverses, and both ModDowns.
-    pub fn key_switch_bytes(&self, limbs: usize, special: usize, alpha: usize) -> u64 {
-        let row = self.row_bytes();
-        let transform = self.transform_bytes();
-        let beta = limbs.div_ceil(alpha);
-        let raised = (limbs + special) as u64;
-
-        // One k-term conversion row, coefficient-major: k row reads plus one row write.
-        let conversion = |k: u64| (k + 1) * row;
-
-        // Digit raise: hoisted products (read + write per source row), one lift NTT per
-        // digit row, and per digit one k-term conversion + NTT for each extension row.
-        let mut raise = 2 * limbs as u64 * row + limbs as u64 * transform;
-        for j in 0..beta {
-            let len = (((j + 1) * alpha).min(limbs) - j * alpha) as u64;
-            raise += (raised - len) * (conversion(len) + transform);
-        }
-
-        // KSKIP: per raised row and digit, read the operand row and both key rows (the sums
-        // stay in registers); both output rows are written once.
-        let kskip = raised * (beta as u64 * 3 * row + 2 * row);
-
-        // Both accumulators come back to coefficient form.
-        let inverses = 2 * raised * transform;
-
-        // ModDown ×2: hoisted products over the special rows, then per output row one
-        // k-term conversion plus the `(x - conv)·P⁻¹` combine (two reads, one write).
-        let special_u = special as u64;
-        let mod_down = 2 * (2 * special_u * row + limbs as u64 * (conversion(special_u) + 3 * row));
-
-        raise + kskip + inverses + mod_down
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,36 +193,6 @@ mod tests {
         let cycles = hbm.limb_cycles();
         assert!((250..350).contains(&cycles), "limb read cycles {cycles}");
         assert_eq!(hbm.limb_bytes(), 442_368);
-    }
-
-    #[test]
-    fn software_model_agrees_with_metered_traffic() {
-        // The workspace-level `bytes_accounting.rs` suite asserts the closed-form
-        // `accounting::key_switch_bytes` equals the traffic the meter actually records, so
-        // pinning the analytical model against the closed form pins it against measurement.
-        // Checked at the testing shape (every level) and the paper shape (spot levels).
-        for (params, levels) in [
-            (CkksParams::testing(), (1..=6).collect::<Vec<_>>()),
-            (CkksParams::fab_paper(), vec![3, 11, 23]),
-        ] {
-            let model = SoftwareTrafficModel::new(&params);
-            let special = params.special_limbs();
-            let alpha = params.alpha();
-            for level in levels {
-                let limbs = level + 1;
-                let modelled = model.key_switch_bytes(limbs, special, alpha) as f64;
-                let metered =
-                    fab_ckks::accounting::key_switch_bytes(params.degree(), limbs, special, alpha)
-                        .total() as f64;
-                let deviation = (modelled - metered).abs() / metered;
-                assert!(
-                    deviation <= SoftwareTrafficModel::TOLERANCE,
-                    "modelled {modelled} vs metered {metered} bytes: deviation {:.3} \
-                     exceeds tolerance at level {level}",
-                    deviation
-                );
-            }
-        }
     }
 
     #[test]

@@ -36,14 +36,11 @@ pub struct HelrWorkloadBreakdown {
     pub parallel_s: f64,
     /// Time of the serial part (batch sum, update, mask and bootstrapping), in seconds.
     pub serial_s: f64,
-    /// Inter-FPGA communication per iteration, in seconds (only paid by multi-FPGA systems).
-    pub communication_s: f64,
     /// Total time per iteration on a single FPGA (FAB-1), in seconds.
     pub fab1_s: f64,
-    /// Total time per iteration on `num_fpgas` FPGAs (FAB-2), in seconds.
+    /// Total time per iteration on [`FAB2_NUM_FPGAS`] FPGAs (FAB-2), with
+    /// [`FAB2_COMMUNICATION_S`] of inter-FPGA communication, in seconds.
     pub fab2_s: f64,
-    /// Number of FPGAs in the multi-FPGA configuration.
-    pub num_fpgas: usize,
 }
 
 /// The planned HELR iteration and refresh at `task`'s shape (`features` × `batch_size`,
@@ -117,10 +114,8 @@ pub fn lr_training_time_s(
         chunks,
         parallel_s: workload.parallel.time_ms(config) / 1e3,
         serial_s: workload.serial.time_ms(config) / 1e3,
-        communication_s: FAB2_COMMUNICATION_S,
         fab1_s: fab1.execute_ms(&workload, 0.0) / 1e3,
         fab2_s: fab2.execute_ms(&workload, FAB2_COMMUNICATION_S * 1e3) / 1e3,
-        num_fpgas: FAB2_NUM_FPGAS,
     }
 }
 
@@ -150,7 +145,7 @@ mod tests {
         // the batch fills B·f / slots = 1 024 · 256 / 2^15 = 8 chunks, one per FAB-2 board.
         let b = breakdown();
         assert_eq!(b.chunks, 8);
-        assert_eq!(b.num_fpgas, 8);
+        assert_eq!(FAB2_NUM_FPGAS, 8);
         let params = CkksParams::fab_paper();
         let (parallel, serial) = helr_iteration_workload(&params, &HELR_TASK);
         let rotate = |op: &HeOp| matches!(op, HeOp::Rotate { .. });

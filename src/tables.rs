@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use fab_ckks::linear_transform::coeff_to_slot_offset_sets;
 use fab_ckks::{BsgsPlan, CkksParams};
 use fab_core::baselines::{
-    table4_resources, table7_bootstrapping, table8_lr_training, HELR_TASK,
+    table4_resources, table7_bootstrapping, table8_lr_training, FAB2_COMMUNICATION_S, HELR_TASK,
     LEVELED_FHE_CLIENT_ENCRYPT_S, TABLE5_FAB_REPORTED, TABLE5_GPU, TABLE6_FAB_REPORTED,
     TABLE6_HEAX,
 };
@@ -453,7 +453,7 @@ fn table8() -> String {
         breakdown.chunks,
         breakdown.parallel_s,
         breakdown.serial_s,
-        breakdown.communication_s
+        FAB2_COMMUNICATION_S
     )
     .unwrap();
     writeln!(

@@ -11,11 +11,14 @@
 //! pins that explicitly at 1/2/4 workers.
 
 use fab::ckks::accounting;
-use fab::ckks::linear_transform::coeff_to_slot_stages;
 use fab::prelude::*;
 use fab::rns::metering;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
+
+#[path = "support/bsgs_stages.rs"]
+mod bsgs_stages;
+use bsgs_stages::bsgs_stages;
 
 fn shape(ctx: &CkksContext, level: usize) -> (usize, usize, usize) {
     (
@@ -48,17 +51,6 @@ fn key_switch_bytes_match_the_closed_form_in_both_entry_domains() {
         observed,
         accounting::key_switch_bytes(degree, limbs, special, alpha),
         "key_switch recorded bytes drifted from the closed-form formula"
-    );
-
-    // The fab-core analytical traffic model agrees with the *actually metered* bytes
-    // within its stated tolerance — the PR 7 calibration, closed against live measurement
-    // rather than only against the closed form.
-    let model = fab::accelerator::SoftwareTrafficModel::new(ctx.params());
-    let modelled = model.key_switch_bytes(limbs, special, alpha) as f64;
-    let metered = observed.total() as f64;
-    assert!(
-        (modelled - metered).abs() / metered <= fab::accelerator::SoftwareTrafficModel::TOLERANCE,
-        "fab-core software traffic model drifted from metered bytes: {modelled} vs {metered}"
     );
 
     // Dual-form entry: the operand rows are reused verbatim; one batched inverse feeds the
@@ -253,15 +245,6 @@ fn bootstrap_coeff_to_slot_stage_bytes_match_the_bsgs_formula() {
     let encryptor = Encryptor::new(ctx.clone(), pk);
     let evaluator = Evaluator::new(ctx.clone());
 
-    let stage = coeff_to_slot_stages(ctx.fft(), ctx.params().fft_iter)
-        .into_iter()
-        .next()
-        .expect("at least one CoeffToSlot stage");
-    let plan = stage.bsgs_plan();
-    let keys = keygen
-        .galois_keys(&stage.required_rotations(), false, &mut rng)
-        .unwrap();
-
     let scale = ctx.params().default_scale();
     let values: Vec<f64> = (0..ctx.slot_count())
         .map(|i| (i as f64 * 0.05).sin())
@@ -275,40 +258,46 @@ fn bootstrap_coeff_to_slot_stage_bytes_match_the_bsgs_formula() {
         .unwrap();
     let (limbs, special, alpha) = shape(&ctx, level);
     let degree = ctx.degree();
-    let diagonals = stage.diagonal_count();
 
-    // Warm-up pays the one-time diagonal cache fill on top of the steady-state traffic.
-    let before = metering::byte_counts();
-    stage
-        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
-        .unwrap();
-    let warm = metering::byte_counts().since(&before);
-    assert_eq!(
-        warm,
-        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, plan, diagonals, true),
-        "warm CoeffToSlot stage recorded bytes drifted (babies={}, giants={}, diagonals={})",
-        plan.baby_rotation_count(),
-        plan.giant_rotation_count(),
-        diagonals
-    );
+    for stage in bsgs_stages(&ctx) {
+        let plan = stage.bsgs_plan();
+        let keys = keygen
+            .galois_keys(&stage.required_rotations(), false, &mut rng)
+            .unwrap();
+        let diagonals = stage.diagonal_count();
+        let formula = |warm| {
+            accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, plan, diagonals, warm)
+        };
 
-    let before = metering::byte_counts();
-    stage
-        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
-        .unwrap();
-    let steady = metering::byte_counts().since(&before);
-    assert_eq!(
-        steady,
-        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, plan, diagonals, false),
-        "steady CoeffToSlot stage recorded bytes drifted"
-    );
-    // The warm/steady gap is exactly the plaintext cache fill, on the read and write side.
-    let fill =
-        accounting::bsgs_stage_eval_bytes(degree, limbs, special, alpha, plan, diagonals, true)
-            .since(&accounting::bsgs_stage_eval_bytes(
-                degree, limbs, special, alpha, plan, diagonals, false,
-            ));
-    assert_eq!(warm.since(&steady), fill);
+        // Warm-up pays the one-time diagonal cache fill on top of the steady-state traffic.
+        let before = metering::byte_counts();
+        stage
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
+        let warm = metering::byte_counts().since(&before);
+        assert_eq!(
+            warm,
+            formula(true),
+            "warm BSGS stage recorded bytes drifted (babies={}, giants={}, diagonals={})",
+            plan.baby_rotation_count(),
+            plan.giant_rotation_count(),
+            diagonals
+        );
+
+        let before = metering::byte_counts();
+        stage
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
+        let steady = metering::byte_counts().since(&before);
+        assert_eq!(
+            steady,
+            formula(false),
+            "steady BSGS stage recorded bytes drifted (giants={})",
+            plan.giant_rotation_count()
+        );
+        // The warm/steady gap is exactly the plaintext cache fill, on the read and write side.
+        assert_eq!(warm.since(&steady), formula(true).since(&formula(false)));
+    }
 }
 
 #[test]

@@ -16,14 +16,18 @@
 //!
 //! What the counted paths *compute* is pinned elsewhere, against from-the-definition
 //! oracles: `crates/fab-ckks/tests/key_switch_lazy.rs` (key switch and `multiply`, bitwise)
-//! and the `linear_transform.rs` unit tests (eval-resident == generic BSGS, bitwise).
+//! and the `linear_transform.rs` unit tests (the eval-resident BSGS stage == its
+//! coefficient-resident definition, bitwise).
 
 use fab::ckks::accounting::{self, NttMeter};
-use fab::ckks::linear_transform::coeff_to_slot_stages;
 use fab::prelude::*;
 use fab::rns::metering;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
+
+#[path = "support/bsgs_stages.rs"]
+mod bsgs_stages;
+use bsgs_stages::bsgs_stages;
 
 fn shape(ctx: &CkksContext, level: usize) -> (usize, usize, usize) {
     (
@@ -297,10 +301,10 @@ fn hoisted_rotation_batch_shares_one_forward_sweep() {
 
 #[test]
 fn bootstrap_coeff_to_slot_stage_matches_its_bsgs_formula() {
-    // One CoeffToSlot stage of the bootstrap pipeline (grouped inverse-FFT factor with its
-    // rotation-minimising BSGS plan), applied homomorphically through the eval-resident
-    // path: the first application pays the one-time NTT-diagonal cache fill (`warm`) and
-    // every later application performs zero plaintext forward transforms.
+    // BSGS stages (a grouped inverse-FFT factor of the bootstrap and the two domain edges of
+    // `bsgs_stages`) applied homomorphically through the eval-resident path: the first
+    // application pays the one-time NTT-diagonal cache fill (`warm`) and every later
+    // application performs zero plaintext forward transforms.
     let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
     let mut rng = ChaCha20Rng::seed_from_u64(77);
     let sk = SecretKey::generate(&ctx, &mut rng);
@@ -309,15 +313,6 @@ fn bootstrap_coeff_to_slot_stage_matches_its_bsgs_formula() {
     let encoder = Encoder::new(ctx.clone());
     let encryptor = Encryptor::new(ctx.clone(), pk);
     let evaluator = Evaluator::new(ctx.clone());
-
-    let stage = coeff_to_slot_stages(ctx.fft(), ctx.params().fft_iter)
-        .into_iter()
-        .next()
-        .expect("at least one CoeffToSlot stage");
-    let plan = stage.bsgs_plan();
-    let keys = keygen
-        .galois_keys(&stage.required_rotations(), false, &mut rng)
-        .unwrap();
 
     let scale = ctx.params().default_scale();
     let values: Vec<f64> = (0..ctx.slot_count())
@@ -331,40 +326,48 @@ fn bootstrap_coeff_to_slot_stage_matches_its_bsgs_formula() {
         )
         .unwrap();
     let (limbs, special, alpha) = shape(&ctx, level);
-    let diagonals = stage.diagonal_count();
 
-    // Warm-up application: eval-resident counts plus the one-time cache fill.
-    let before = metering::counts();
-    let warm_out = stage
-        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
-        .unwrap();
-    let warm = metering::counts().since(&before);
-    assert_eq!(
-        warm,
-        accounting::bsgs_stage_eval(limbs, special, alpha, plan, diagonals, true),
-        "warm CoeffToSlot stage transform count drifted (babies={}, giants={}, diagonals={})",
-        plan.baby_rotation_count(),
-        plan.giant_rotation_count(),
-        diagonals
-    );
+    for stage in bsgs_stages(&ctx) {
+        let plan = stage.bsgs_plan();
+        let keys = keygen
+            .galois_keys(&stage.required_rotations(), false, &mut rng)
+            .unwrap();
+        let diagonals = stage.diagonal_count();
 
-    // Steady-state application: zero plaintext forwards — the warm/steady difference is
-    // exactly the diagonal cache fill, and nothing else.
-    let before = metering::counts();
-    let steady_out = stage
-        .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
-        .unwrap();
-    let steady = metering::counts().since(&before);
-    assert_eq!(
-        steady,
-        accounting::bsgs_stage_eval(limbs, special, alpha, plan, diagonals, false),
-        "steady CoeffToSlot stage transform count drifted"
-    );
-    assert_eq!(
-        warm.forward - steady.forward,
-        (diagonals * limbs) as u64,
-        "warm-up must charge exactly the plaintext cache fill"
-    );
-    assert_eq!(warm.inverse, steady.inverse);
-    assert_eq!(warm_out.c0(), steady_out.c0(), "cache changed the result");
+        // Warm-up application: eval-resident counts plus the one-time cache fill.
+        let before = metering::counts();
+        let warm_out = stage
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
+        let warm = metering::counts().since(&before);
+        assert_eq!(
+            warm,
+            accounting::bsgs_stage_eval(limbs, special, alpha, plan, diagonals, true),
+            "warm BSGS stage transform count drifted (babies={}, giants={}, diagonals={})",
+            plan.baby_rotation_count(),
+            plan.giant_rotation_count(),
+            diagonals
+        );
+
+        // Steady-state application: zero plaintext forwards — the warm/steady difference is
+        // exactly the diagonal cache fill, and nothing else.
+        let before = metering::counts();
+        let steady_out = stage
+            .apply_with(&ExecBackend::new(&evaluator, &keys), &ct)
+            .unwrap();
+        let steady = metering::counts().since(&before);
+        assert_eq!(
+            steady,
+            accounting::bsgs_stage_eval(limbs, special, alpha, plan, diagonals, false),
+            "steady BSGS stage transform count drifted (giants={})",
+            plan.giant_rotation_count()
+        );
+        assert_eq!(
+            warm.forward - steady.forward,
+            (diagonals * limbs) as u64,
+            "warm-up must charge exactly the plaintext cache fill"
+        );
+        assert_eq!(warm.inverse, steady.inverse);
+        assert_eq!(warm_out.c0(), steady_out.c0(), "cache changed the result");
+    }
 }
