@@ -103,10 +103,6 @@ pub trait EvalBackend {
         pt_scale: f64,
     ) -> Result<()>;
 
-    /// Multiplies by a slot-vector plaintext encoded at `pt_scale` (no rescale).
-    fn multiply_slots(&self, a: &Self::Ct, values: &[Complex64], pt_scale: f64)
-        -> Result<Self::Ct>;
-
     /// Multiplies by the diagonal at plan position `index` of `lt`'s BSGS plan, pre-rotated
     /// by `-giant` and encoded at the level's rescale prime (no rescale): the inner step of
     /// [`LinearTransform::apply_with`]. [`ExecBackend`] multiplies by the transform's
@@ -288,19 +284,6 @@ impl EvalBackend for ExecBackend<'_> {
         pt_scale: f64,
     ) -> Result<()> {
         self.evaluator.accumulate_const(acc, term, value, pt_scale)
-    }
-
-    fn multiply_slots(
-        &self,
-        a: &Ciphertext,
-        values: &[Complex64],
-        pt_scale: f64,
-    ) -> Result<Ciphertext> {
-        let pt = self
-            .evaluator
-            .encoder()
-            .encode(values, pt_scale, a.level())?;
-        self.evaluator.multiply_plain(a, &pt)
     }
 
     fn multiply_real_slots(
@@ -515,16 +498,6 @@ impl EvalBackend for PlanBackend {
         Ok(())
     }
 
-    fn multiply_slots(
-        &self,
-        a: &PlanCiphertext,
-        values: &[Complex64],
-        pt_scale: f64,
-    ) -> Result<PlanCiphertext> {
-        check_slot_values(values.len(), self.ctx.slot_count(), pt_scale)?;
-        Ok(self.multiply_plain(a, pt_scale))
-    }
-
     fn multiply_diagonal(
         &self,
         lt: &LinearTransform,
@@ -621,7 +594,6 @@ mod tests {
         MultiplyConst(Complex64, f64),
         /// `acc = multiply_const(x, 0.75, pt_scale)`, then `acc += value·y`.
         AccumulateConst(f64, f64),
-        MultiplySlots(usize),
         /// `multiply_diagonal` of the full-slot [`stage`] at this plan position.
         MultiplyDiagonal(usize),
         MultiplyRealSlots(usize),
@@ -658,11 +630,8 @@ mod tests {
     ) -> Result<Vec<(usize, u64)>> {
         let full = backend.ctx().slot_count();
         let delta = backend.ctx().params().default_scale();
-        let slots = |count: usize| -> Vec<Complex64> {
-            (0..count)
-                .map(|i| Complex64::new((i as f64 * 0.3).sin(), 0.25))
-                .collect()
-        };
+        let slots =
+            |count: usize| -> Vec<f64> { (0..count).map(|i| (i as f64 * 0.3).sin()).collect() };
         let one = |ct: Result<B::Ct>| ct.map(|ct| vec![ct]);
         let out = match call {
             Call::Add => one(backend.add(x, y)),
@@ -676,11 +645,9 @@ mod tests {
                 backend.accumulate_const(&mut acc, y, value, pt_scale)?;
                 Ok(vec![acc])
             }
-            Call::MultiplySlots(count) => one(backend.multiply_slots(x, &slots(count), delta)),
             Call::MultiplyDiagonal(index) => one(backend.multiply_diagonal(&stage(full), index, x)),
             Call::MultiplyRealSlots(count) => {
-                let values: Vec<f64> = slots(count).iter().map(|v| v.re).collect();
-                one(backend.multiply_real_slots(x, &values, delta))
+                one(backend.multiply_real_slots(x, &slots(count), delta))
             }
             Call::Rescale => one(backend.rescale(x)),
             Call::ModDrop(level) => one(backend.mod_drop_to_level(x, level)),
@@ -765,7 +732,6 @@ mod tests {
             ("multiply_rescale", (3, delta), (4, delta), Call::MultiplyRescale, 2, false),
             ("multiply_const", (3, delta), (3, delta), Call::MultiplyConst(c(-0.37, 0.0), delta), 1, false),
             ("accumulate_const", (3, delta), (5, delta), Call::AccumulateConst(0.5, delta), 3, false),
-            ("multiply_slots", (3, delta), (3, delta), Call::MultiplySlots(16), 1, false),
             ("multiply_diagonal", (3, delta), (3, delta), Call::MultiplyDiagonal(2), 1, false),
             ("multiply_real_slots", (3, delta), (3, delta), Call::MultiplyRealSlots(16), 1, false),
             ("rescale", (3, delta), (3, delta), Call::Rescale, 1, false),
@@ -794,7 +760,6 @@ mod tests {
             ("multiply_const bad scale", (3, delta), (3, delta), Call::MultiplyConst(c(1.0, 0.0), -1.0), 0, true),
             ("add_scalar out of range", (3, delta), (3, delta), Call::AddScalar(c(0.5, 1e10)), 0, true),
             ("accumulate_const out of range", (3, delta), (5, delta), Call::AccumulateConst(1e10, delta), 1, true),
-            ("multiply_slots too many", (3, delta), (3, delta), Call::MultiplySlots(slots + 1), 0, true),
             ("multiply_real_slots too many", (3, delta), (3, delta), Call::MultiplyRealSlots(slots + 1), 0, true),
             ("multiply_diagonal past the plan", (3, delta), (3, delta), Call::MultiplyDiagonal(3), 0, true),
             ("apply_with at level 0", (0, delta), (0, delta), Call::ApplyWith(slots), 0, true),

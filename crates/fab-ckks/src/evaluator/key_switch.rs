@@ -1,6 +1,7 @@
 //! The hybrid key-switching core (Decomp → ModUp → KSKIP → ModDown, Figure 5 of the paper):
 //! the digit raise every key switch starts with and the one back half every key switch ends in.
 
+use fab_rns::metering::{self, kernel};
 use fab_rns::{ops, Representation, RnsBasis, RnsPolynomial};
 
 use super::scratch::Scratch;
@@ -90,8 +91,8 @@ impl Evaluator {
     /// **evaluation-form** operand — the tensor product `d2` of a multiplication — reuses its
     /// rows directly as the digits' own raised rows and pays one batched inverse for the
     /// ModUp conversions instead: `β·(ℓ+1+k) − (ℓ+1)` forwards and `ℓ+1` extra inverses
-    /// (`accounting::key_switch_dual`). Both entries are bit-for-bit identical to the textbook
-    /// per-digit key switch the integration tests keep as their oracle.
+    /// ([`crate::accounting::key_switch_dual`]). Both entries are bit-for-bit identical to
+    /// the textbook per-digit key switch the integration tests keep as their oracle.
     ///
     /// The KSKIP inner product sums the raw 64×64→128-bit products of *all* digits into
     /// per-coefficient u128 accumulators, reducing **once** per coefficient instead of once
@@ -239,7 +240,7 @@ impl Evaluator {
             }
             let plans = &plans;
             let ranges = &ranges;
-            fab_rns::metering::add_bytes(fab_rns::metering::bytes::hoisted_products(degree, limbs));
+            metering::charge(kernel::hoisted_products(degree, limbs));
             fab_par::par_jobs(jobs, |(j, i, row)| {
                 let converter = plans[j]
                     .converter()
@@ -307,21 +308,14 @@ impl Evaluator {
                     });
                 }
             }
-            fab_rns::metering::add_forward(jobs.len());
-            {
-                use fab_rns::metering::bytes;
-                let mut cost = fab_rns::metering::ByteCounts::default();
-                if !dual {
-                    cost += bytes::ntt_forward_lazy(degree).times(limbs as u64);
-                }
-                for (j, plan) in plans.iter().enumerate() {
-                    let len = ranges[j].1 - ranges[j].0;
-                    cost += (bytes::convert_row_lazy(degree, len)
-                        + bytes::ntt_forward_lazy(degree))
+            // One lazy forward per job; a Convert job also pays its conversion row.
+            let mut cost = kernel::ntt_forward_lazy(degree).times(jobs.len() as u64);
+            for (j, plan) in plans.iter().enumerate() {
+                let len = ranges[j].1 - ranges[j].0;
+                cost += kernel::convert_row_lazy(degree, len)
                     .times(plan.conversion_rows().len() as u64);
-                }
-                fab_rns::metering::add_bytes(cost);
             }
+            metering::charge(cost);
             fab_par::par_jobs(jobs, |job| match job {
                 RowJob::Lift { src, table, out } => {
                     out.copy_from_slice(src);
@@ -382,8 +376,8 @@ impl Evaluator {
 
         let mut acc0 = sc.lease_zero(degree, raised_limbs, Representation::Evaluation);
         let mut acc1 = sc.lease_zero(degree, raised_limbs, Representation::Evaluation);
-        fab_rns::metering::add_bytes(
-            fab_rns::metering::bytes::kskip_row(degree, raised.ranges.len(), perm.is_some())
+        metering::charge(
+            kernel::kskip_row(degree, raised.ranges.len(), perm.is_some())
                 .times(raised_limbs as u64),
         );
         let jobs: Vec<_> = acc0
@@ -445,10 +439,7 @@ impl Evaluator {
                 jobs.push((basis.table(r), row));
             }
         }
-        fab_rns::metering::add_inverse(jobs.len());
-        fab_rns::metering::add_bytes(
-            fab_rns::metering::bytes::ntt_inverse(degree).times(jobs.len() as u64),
-        );
+        metering::charge(kernel::ntt_inverse(degree).times(jobs.len() as u64));
         fab_par::par_jobs(jobs, |(table, row)| table.inverse(row));
         acc0.set_representation(Representation::Coefficient);
         acc1.set_representation(Representation::Coefficient);
@@ -477,7 +468,7 @@ impl Evaluator {
         debug_assert_eq!(d.representation(), Representation::Evaluation);
         let limbs = d.limb_count();
         let degree = d.degree();
-        fab_rns::metering::add_bytes(fab_rns::metering::bytes::absorb(degree, limbs));
+        metering::charge(kernel::absorb(degree, limbs));
         fab_par::par_chunks_mut(&mut acc.data_mut()[..limbs * degree], degree, |i, row| {
             let (p, p_shoup) = p_mod_q[i];
             basis

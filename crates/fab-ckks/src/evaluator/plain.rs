@@ -62,11 +62,12 @@ impl Evaluator {
     /// Plaintext multiplication (no rescale). The result scale is the product of scales.
     ///
     /// **Domain-preserving**: a coefficient-form ciphertext is transformed, multiplied and
-    /// transformed back; an **evaluation-form** ciphertext skips both
-    /// the forward and the final inverse round-trip — only the plaintext pays its `ℓ+1`
-    /// forwards — and the result stays in evaluation form for the caller's next eval-resident
-    /// step (`accounting::multiply_plain_eval`). Callers holding a pre-transformed plaintext
-    /// can drop even those forwards via [`Evaluator::multiply_plain_ntt`].
+    /// transformed back ([`crate::accounting::multiply_plain`]); an **evaluation-form**
+    /// ciphertext skips both the forward and the final inverse round-trip — only the
+    /// plaintext pays its `ℓ+1` forwards — and the result stays in evaluation form for the
+    /// caller's next eval-resident step ([`crate::accounting::multiply_plain_eval`]).
+    /// Callers holding a pre-transformed plaintext can drop even those forwards via
+    /// [`Evaluator::multiply_plain_ntt`].
     ///
     /// # Errors
     ///

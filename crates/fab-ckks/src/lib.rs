@@ -54,8 +54,9 @@
 //! rescale) are built on them. Only a constant with a non-zero imaginary part is still
 //! encoded ([`Encoder::encode_constant`]).
 //!
-//! The [`accounting`] module carries the closed-form expected NTT counts for every hot
-//! operation, asserted against the `fab_rns::metering` tallies by regression tests. Each
+//! The [`accounting`] module carries one closed-form cost per hot operation — its NTT
+//! transforms and bytes moved as one `fab_rns::metering::Tally` — asserted against the
+//! metered tally by the workspace's `tests/{op,ntt,bytes}_accounting.rs`. Each
 //! operation has exactly one executing implementation here; what it computes is pinned
 //! bitwise by from-the-definition oracles that live with the tests (`tests/support/`:
 //! schoolbook negacyclic product, textbook per-digit key switch and multiplication, the

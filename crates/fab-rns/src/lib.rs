@@ -23,8 +23,9 @@
 //!   and reduced *once* per coefficient (into the lazy `[0, 2q)` domain the inverse NTT
 //!   consumes), with an overflow-safe periodic fold derived from the limb bit-width
 //!   ([`fab_math::Modulus::u128_mac_capacity`]),
-//! * [`metering`] — thread-local NTT transform counters, so tests can assert
-//!   `recorded transforms == closed-form formula` per operation instead of trusting timings.
+//! * [`metering`] — the thread-local meter of NTT transforms and bytes moved (one
+//!   [`metering::Tally`]), so tests can assert `recorded == closed-form formula` per
+//!   operation instead of trusting timings.
 //!
 //! Per-limb work (NTTs, conversion targets, elementwise arithmetic) fans out over the
 //! `fab-par` worker pool; the default worker count is 1 (serial), so results are bitwise

@@ -15,6 +15,7 @@
 
 use fab_math::Modulus;
 
+use crate::metering::{self, kernel};
 use crate::{BasisConverter, Representation, Result, RnsBasis, RnsError, RnsPolynomial};
 
 /// Reusable scratch buffers for the basis-conversion kernels (the hoisted phase-1 products).
@@ -185,11 +186,7 @@ impl ModUpPlan {
         // Bytes charged on the calling thread (copied digit rows are free; the conversion
         // rows and the hoisted products are the traffic).
         if self.converter.is_some() {
-            crate::metering::add_bytes(crate::metering::bytes::mod_up(
-                degree,
-                self.digit_len,
-                self.output_limbs(),
-            ));
+            metering::charge(kernel::mod_up(degree, self.digit_len, self.output_limbs()));
         }
         if let Some(converter) = &self.converter {
             converter.hoisted_products_into(digit.data(), degree, &mut scratch.hoisted);
@@ -300,9 +297,7 @@ impl ModDownPlan {
             });
         }
         let degree = self.degree;
-        crate::metering::add_bytes(crate::metering::bytes::mod_down(
-            degree, self.q_len, self.p_len,
-        ));
+        metering::charge(kernel::mod_down(degree, self.q_len, self.p_len));
         // Hoist the P-part products once, shared across every Q limb.
         let p_part = &poly.data()[self.q_len * degree..];
         self.converter
@@ -432,7 +427,7 @@ pub fn rescale(poly: &RnsPolynomial, q_basis: &RnsBasis) -> Result<RnsPolynomial
     }
 
     let mut out = RnsPolynomial::zero(degree, l - 1, Representation::Coefficient);
-    crate::metering::add_bytes(crate::metering::bytes::rescale(degree, l));
+    metering::charge(kernel::rescale(degree, l));
     fab_par::par_chunks_mut(out.data_mut(), degree, |i, row| {
         // The last-limb residue is centred, keeping the rounding error ≤ 1/2.
         q_basis

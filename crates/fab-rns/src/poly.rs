@@ -2,6 +2,7 @@
 
 use fab_math::AutomorphismMap;
 
+use crate::metering::{self, kernel};
 use crate::{Result, RnsBasis, RnsError};
 
 /// Whether a polynomial is stored as coefficients or as NTT evaluations.
@@ -367,10 +368,7 @@ impl RnsPolynomial {
         assert!(basis.len() >= self.limb_count);
         // Counted on the calling thread (before the fan-out) so the tally is exact at any
         // FAB_THREADS setting; see `crate::metering`.
-        crate::metering::add_forward(self.limb_count);
-        crate::metering::add_bytes(
-            crate::metering::bytes::ntt_forward(self.degree).times(self.limb_count as u64),
-        );
+        metering::charge(kernel::ntt_forward(self.degree).times(self.limb_count as u64));
         fab_par::par_chunks_mut(&mut self.data, self.degree, |i, limb| {
             basis.table(i).forward(limb);
         });
@@ -388,10 +386,7 @@ impl RnsPolynomial {
             return;
         }
         assert!(basis.len() >= self.limb_count);
-        crate::metering::add_inverse(self.limb_count);
-        crate::metering::add_bytes(
-            crate::metering::bytes::ntt_inverse(self.degree).times(self.limb_count as u64),
-        );
+        metering::charge(kernel::ntt_inverse(self.degree).times(self.limb_count as u64));
         fab_par::par_chunks_mut(&mut self.data, self.degree, |i, limb| {
             basis.table(i).inverse(limb);
         });
@@ -417,10 +412,7 @@ impl RnsPolynomial {
     pub fn add_assign(&mut self, other: &Self, basis: &RnsBasis) -> Result<()> {
         self.check_compatible(other)?;
         let degree = self.degree;
-        crate::metering::add_bytes(crate::metering::bytes::pointwise_binary(
-            degree,
-            self.limb_count,
-        ));
+        metering::charge(kernel::pointwise_binary(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
             for (x, &y) in row.iter_mut().zip(other.limb(i)) {
@@ -449,10 +441,7 @@ impl RnsPolynomial {
     pub fn sub_assign(&mut self, other: &Self, basis: &RnsBasis) -> Result<()> {
         self.check_compatible(other)?;
         let degree = self.degree;
-        crate::metering::add_bytes(crate::metering::bytes::pointwise_binary(
-            degree,
-            self.limb_count,
-        ));
+        metering::charge(kernel::pointwise_binary(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
             for (x, &y) in row.iter_mut().zip(other.limb(i)) {
@@ -466,10 +455,7 @@ impl RnsPolynomial {
     pub fn neg(&self, basis: &RnsBasis) -> Self {
         let mut out = self.clone();
         let degree = out.degree;
-        crate::metering::add_bytes(crate::metering::bytes::pointwise_unary(
-            degree,
-            out.limb_count,
-        ));
+        metering::charge(kernel::pointwise_unary(degree, out.limb_count));
         fab_par::par_chunks_mut(&mut out.data, degree, |i, row| {
             let m = basis.modulus(i);
             for x in row.iter_mut() {
@@ -507,10 +493,7 @@ impl RnsPolynomial {
         }
         self.check_compatible(other)?;
         let degree = self.degree;
-        crate::metering::add_bytes(crate::metering::bytes::pointwise_binary(
-            degree,
-            self.limb_count,
-        ));
+        metering::charge(kernel::pointwise_binary(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
             for (x, &y) in row.iter_mut().zip(other.limb(i)) {
@@ -539,10 +522,7 @@ impl RnsPolynomial {
         self.check_compatible(a)?;
         self.check_compatible(b)?;
         let degree = self.degree;
-        crate::metering::add_bytes(crate::metering::bytes::fused_multiply_add(
-            degree,
-            self.limb_count,
-        ));
+        metering::charge(kernel::fused_multiply_add(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
             for ((x, &ai), &bi) in row.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
@@ -561,10 +541,7 @@ impl RnsPolynomial {
         assert_eq!(scalars.len(), self.limb_count);
         let mut out = Self::zero(self.degree, self.limb_count, self.representation);
         let degree = out.degree;
-        crate::metering::add_bytes(crate::metering::bytes::pointwise_unary(
-            degree,
-            out.limb_count,
-        ));
+        metering::charge(kernel::pointwise_unary(degree, out.limb_count));
         fab_par::par_chunks_mut(&mut out.data, degree, |i, row| {
             let m = basis.modulus(i);
             let s = m.reduce(scalars[i]);
@@ -608,10 +585,7 @@ impl RnsPolynomial {
             });
         }
         let degree = self.degree;
-        crate::metering::add_bytes(crate::metering::bytes::scalar_multiply_add(
-            degree,
-            self.limb_count,
-        ));
+        metering::charge(kernel::scalar_multiply_add(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
             let s = m.reduce(scalars[i]);
@@ -639,10 +613,7 @@ impl RnsPolynomial {
             }
             return;
         }
-        crate::metering::add_bytes(crate::metering::bytes::pointwise_unary(
-            degree,
-            self.limb_count,
-        ));
+        metering::charge(kernel::pointwise_unary(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
             let m = basis.modulus(i);
             let s = m.reduce(scalars[i]);
@@ -706,10 +677,7 @@ impl RnsPolynomial {
         // The permutation writes every output index, so the zeroing reset is skipped.
         out.reshape_unspecified(self.degree, self.limb_count, Representation::Coefficient);
         let degree = self.degree;
-        crate::metering::add_bytes(crate::metering::bytes::automorphism(
-            degree,
-            self.limb_count,
-        ));
+        metering::charge(kernel::automorphism(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut out.data, degree, |i, row| {
             map.apply_into(self.limb(i), basis.modulus(i), row);
         });
@@ -889,11 +857,11 @@ mod tests {
                     &b2,
                 )
                 .unwrap();
-            let before = crate::metering::byte_counts();
+            let before = metering::tally();
             acc.add_mul_scalar_per_limb(&src, &scalars, &b2).unwrap();
             assert_eq!(
-                crate::metering::byte_counts().since(&before),
-                crate::metering::bytes::scalar_multiply_add(b2.degree(), 2)
+                metering::tally().since(&before),
+                kernel::scalar_multiply_add(b2.degree(), 2)
             );
             assert_eq!(acc, expected);
         }

@@ -10,7 +10,7 @@ use crate::error::ServeFault;
 use crate::tenant::{FetchError, KeySource, TenantId};
 
 /// Hardware-monitor-style cache counters. Every latency/hit-rate claim the serving layer
-/// makes is backed by these, the same way `tests/ntt_accounting.rs` pins NTT counts.
+/// makes is backed by these, the same way `tests/op_accounting.rs` pins NTT and byte counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand accesses that found the key resident.

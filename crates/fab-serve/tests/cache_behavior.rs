@@ -1,5 +1,5 @@
 //! Deterministic counter and eviction behaviour of the evaluation-key cache, pinned the way
-//! `ntt_accounting` pins NTT counts: every hit/miss/eviction below is asserted exactly.
+//! `op_accounting` pins NTT and byte counts: every hit/miss/eviction below is asserted exactly.
 
 use std::sync::Arc;
 

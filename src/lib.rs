@@ -84,17 +84,15 @@
 //!   digit-parallel stage; hoisted rotation batches permute the once-transformed digits in
 //!   evaluation domain ([`math::EvalAutomorphismMap`]) instead of re-transforming them; and
 //!   `multiply_rescale` divides by `P·q_ℓ` in one fused ModDown+rescale conversion. NTT
-//!   counts per operation are *verified*, not assumed: [`ckks::accounting`] holds the
-//!   closed-form minimums and tests pin the [`rns::metering`] tallies to them. The
+//!   counts and bytes moved per operation are *verified*, not assumed: [`ckks::accounting`]
+//!   holds one closed form per operation, a [`rns::metering::Tally`] of both, and
+//!   `tests/{op,ntt,bytes}_accounting.rs` pin the metered tally to it. The
 //!   bitwise baseline is a textbook per-digit key switch over schoolbook products that
 //!   lives with the tests (`crates/fab-ckks/tests/support/`), not a second path here.
 //!
 //! The measured trajectory lives in the `BENCH_pr*.json` records at the repo root: up to
 //! `BENCH_pr10.json` frozen history of bench bins since deleted, from PR 11 on the ladder
-//! benchmark's one schema (`benchmark/`, `BENCHMARK.json`). Since PR 7 the same
-//! `rns::metering` counters also meter **bytes moved** per kernel, pinned to closed-form
-//! `*_bytes` formulas in [`ckks::accounting`] and calibrated against the accelerator memory
-//! model.
+//! benchmark's one schema (`benchmark/`, `BENCHMARK.json`).
 //!
 //! ```
 //! use fab::prelude::*;
