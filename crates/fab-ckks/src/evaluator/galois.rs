@@ -88,13 +88,12 @@ impl Evaluator {
         let a = a.as_ref();
         let level = a.level;
         let q_basis = self.ctx.basis_at_level(level)?;
-        let alpha = self.ctx.params().alpha();
 
         let mut scratch = self.scratch();
         let sc = &mut *scratch;
 
         // Decomp + ModUp + forward NTT of c1, shared by every rotation in the batch.
-        let raised = self.raise_digits(sc, &a.c1, alpha, level)?;
+        let raised = self.raise_digits(sc, &a.c1, level)?;
         let down = self.ctx.mod_down_plan(level)?;
         let mut out = Vec::with_capacity(steps.len());
         let mut first = true;

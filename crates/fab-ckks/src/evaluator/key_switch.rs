@@ -40,17 +40,18 @@ impl RaisedDigits {
 
 impl Evaluator {
     /// Rejects a provider-supplied switching key whose geometry does not match this context
-    /// and `level` *before* any indexed access can panic: digit count (`β = ⌈(level+1)/α⌉`),
-    /// ring degree, and raised limb count are all checked. Corrupt blobs are caught earlier
-    /// by the serialization checksum; this guards the structurally-valid-but-mismatched case
-    /// (a key generated under different parameters reaching the wrong evaluator).
+    /// and `level` *before* any indexed access can panic: digit width (the context's `α`, by
+    /// which every raise splits), digit count (`β = ⌈(level+1)/α⌉`), ring degree, and raised
+    /// limb count are all checked. Corrupt blobs are caught earlier by the serialization
+    /// checksum; this guards the structurally-valid-but-mismatched case (a key generated
+    /// under different parameters reaching the wrong evaluator).
     fn validate_switching_key(&self, key: &SwitchingKey, level: usize) -> Result<()> {
-        if key.digit_count() == 0 || key.alpha() == 0 {
-            return Err(CkksError::KeyMismatch {
-                reason: "switching key has no digits".into(),
-            });
+        let alpha = self.ctx.params().alpha();
+        if key.alpha() != alpha {
+            let reason = format!("key digits of {} limbs, context's of {alpha}", key.alpha());
+            return Err(CkksError::KeyMismatch { reason });
         }
-        let beta = (level + 1).div_ceil(key.alpha());
+        let beta = (level + 1).div_ceil(alpha);
         if key.digit_count() < beta {
             return Err(CkksError::KeyMismatch {
                 reason: format!(
@@ -109,7 +110,7 @@ impl Evaluator {
     ) -> Result<(RnsPolynomial, RnsPolynomial)> {
         let mut scratch = self.scratch();
         let sc = &mut *scratch;
-        let raised = self.raise_digits(sc, d, key.alpha(), level)?;
+        let raised = self.raise_digits(sc, d, level)?;
         let down = self.ctx.mod_down_plan(level)?;
         let switched = self.switch_raised(sc, &raised, key, None, None, &down)?;
         raised.recycle_into(sc);
@@ -153,7 +154,7 @@ impl Evaluator {
 
     /// Decomp + ModUp + batched forward NTT of every digit of `d`, the front half of the
     /// transform-minimal key switch (shared verbatim by hoisted rotation batches, which pay
-    /// it **once** for the whole batch).
+    /// it **once** for the whole batch). The digits are the context's, whatever the key.
     ///
     /// Work is flattened into row-level job lists so one `fab_par` fan-out covers all β
     /// digits at once: hoisted products per digit row, then every converted/copied output
@@ -165,10 +166,10 @@ impl Evaluator {
         &self,
         sc: &mut Scratch,
         d: &RnsPolynomial,
-        alpha: usize,
         level: usize,
     ) -> Result<RaisedDigits> {
         let limbs = level + 1;
+        let alpha = self.ctx.params().alpha();
         // `d` must carry (at least) the level's limbs at the ring degree. Both domains are
         // accepted — the tag selects the seam:
         //

@@ -63,7 +63,7 @@ impl Evaluator {
         let mut scratch = self.scratch();
         let sc = &mut *scratch;
         let (d0, d1, d2) = self.tensor_eval_with(sc, a, b, &basis)?;
-        let raised = self.raise_digits(sc, &d2, rlk.key.alpha(), level)?;
+        let raised = self.raise_digits(sc, &d2, level)?;
         // ModDown(acc + P·d) = d + ModDown(acc): the output parts come out in one pass.
         let (c0, c1) = self.switch_raised(sc, &raised, &rlk.key, None, Some((&d0, &d1)), &down)?;
         raised.recycle_into(sc);

@@ -271,6 +271,40 @@ fn rotation_without_key_fails() {
 }
 
 #[test]
+fn a_foreign_switching_key_is_a_key_mismatch() {
+    // The fixture's keys (7 q-limbs in digits of α = 3) in a context with 8 q-limbs in digits
+    // of α = 2 and the same 10 raised limbs. At its top level they pass every check of their
+    // own geometry (3 digits of 3 limbs cover 8): each key switch must refuse them for their
+    // digit width before it reads a digit, not compute a wrong result or panic.
+    let f = fixture();
+    let params = CkksParams {
+        max_level: 7,
+        dnum: 4,
+        ..CkksParams::testing()
+    };
+    let ctx = CkksContext::new_arc(params).unwrap();
+    assert_eq!((ctx.params().alpha(), f.ctx.params().alpha()), (2, 3));
+    let mut rng = ChaCha20Rng::seed_from_u64(33);
+    let keygen = KeyGenerator::new(ctx.clone(), SecretKey::generate(&ctx, &mut rng));
+    let encryptor = Encryptor::new(ctx.clone(), keygen.public_key(&mut rng));
+    let scale = ctx.params().default_scale();
+    let pt = Encoder::new(ctx.clone()).encode_real(&sample_values(64, 0.5), scale, 7);
+    let ct = encryptor.encrypt(&pt.unwrap(), &mut rng).unwrap();
+    let evaluator = Evaluator::new(ctx);
+    let (gks, rlk) = (&f.gks, &f.rlk);
+    let refused = |result: Result<()>| matches!(result, Err(CkksError::KeyMismatch { .. }));
+    assert!(refused(evaluator.rotate(&ct, 1, gks).map(drop)));
+    assert!(refused(
+        evaluator.rotate_hoisted_batch(&ct, &[1, 2], gks).map(drop)
+    ));
+    assert!(refused(evaluator.conjugate(&ct, gks).map(drop)));
+    assert!(refused(evaluator.multiply_rescale(&ct, &ct, rlk).map(drop)));
+    assert!(refused(
+        evaluator.key_switch(ct.c1(), &rlk.key, 7).map(drop)
+    ));
+}
+
+#[test]
 fn conjugation_flips_imaginary_parts() {
     let mut f = fixture();
     let scale = f.ctx.params().default_scale();

@@ -20,7 +20,8 @@
 //! step. The rotation count drops from `d` to roughly `2·√d` while the result (and the
 //! level/scale bookkeeping) is unchanged. The plan is a property of the transform, derived
 //! from its offsets when it is built, and [`LinearTransform::apply_with`] has no other way to
-//! run. Both interpreters run it, so planning reads the plan and slot count, never a diagonal.
+//! run. Both interpreters run it, so planning reads the plan and slot count, never a diagonal,
+//! and a transform known by its offsets alone ([`LinearTransform::from_offsets`]) plans too.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -50,9 +51,9 @@ pub struct BsgsGroup {
 
 /// A baby-step/giant-step rotation schedule for a set of diagonal offsets.
 ///
-/// The plan is pure structure (offsets only, no matrix data), so the exact same object drives
-/// the real execution in this crate *and* the analytic rotation accounting of the `fab-core`
-/// accelerator workload — which is what keeps the two in op-for-op agreement.
+/// The plan is pure structure (offsets only, no matrix data), so the same schedule drives the
+/// real execution in this crate *and*, through [`LinearTransform::from_offsets`], the stages
+/// of the `fab-core` accelerator workload — which keeps the two in op-for-op agreement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BsgsPlan {
     slots: usize,
@@ -176,6 +177,7 @@ impl BsgsPlan {
 #[derive(Debug, Clone)]
 pub struct LinearTransform {
     slots: usize,
+    /// Each offset's diagonal: `slots` values, or none for a [`Self::from_offsets`] transform.
     diagonals: BTreeMap<usize, Vec<Complex64>>,
     /// The rotation-minimising schedule for `diagonals`' offsets.
     plan: BsgsPlan,
@@ -235,6 +237,20 @@ impl LinearTransform {
             assert_eq!(diag.len(), slots, "diagonal length must equal slot count");
         }
         Self::planned(slots, diagonals)
+    }
+
+    /// A transform known by its diagonal offsets alone: the rotation-minimising plan and no
+    /// diagonal value. On a [`crate::PlanBackend`], [`Self::apply_with`] plans it op for op and
+    /// key for key like a valued transform over the same offsets; an [`crate::ExecBackend`]
+    /// refuses it with [`CkksError::InvalidInput`], and the value operations
+    /// ([`Self::apply_plain`], [`Self::compose`]) panic on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is not a power of two or an offset is out of range.
+    pub fn from_offsets(slots: usize, offsets: &[usize]) -> Self {
+        assert!(slots.is_power_of_two() && offsets.iter().all(|&d| d < slots));
+        Self::planned(slots, offsets.iter().map(|&d| (d, Vec::new())).collect())
     }
 
     /// The identity transform.
@@ -431,13 +447,19 @@ impl LinearTransform {
     /// A poisoned lock is recovered rather than propagated: entries are inserted fully
     /// built, so a panic under the guard (a `fab_par` job panic re-raised inside the fill)
     /// leaves the map valid, and must not turn every later apply of this transform — and of
-    /// every clone sharing the cache — into a panic.
+    /// every clone sharing the cache — into a panic. An offsets-only transform has no value to
+    /// encode and is refused with [`CkksError::InvalidInput`].
     pub(crate) fn ntt_diagonal_cache(
         &self,
         evaluator: &Evaluator,
         level: usize,
         prime: f64,
     ) -> Result<Arc<Vec<RnsPolynomial>>> {
+        if self.diagonals.values().any(Vec::is_empty) {
+            return Err(CkksError::InvalidInput {
+                reason: "an offsets-only transform has no diagonal values to execute".into(),
+            });
+        }
         let mut guard = self
             .ntt_diagonals
             .lock()
@@ -520,9 +542,9 @@ pub fn coeff_to_slot_stages(fft: &SpecialFft, groups: usize) -> Vec<LinearTransf
 
 /// The diagonal-offset sets of the grouped CoeffToSlot stages, computed *structurally* (no
 /// matrix data): each butterfly level contributes offsets `{0, ±lenh mod n}` and grouping
-/// composes the sets additively. `fab-core` prices the FPGA bootstrapping workload from these
-/// sets (via [`BsgsPlan::for_offsets`]) without materialising any diagonal, and the crate's
-/// tests pin them against the offsets of the actually-composed stage matrices.
+/// composes the sets additively. `fab-core` plans the FPGA bootstrapping workload's stages
+/// from these sets (via [`LinearTransform::from_offsets`]) without materialising any
+/// diagonal, and the crate's tests pin them against the offsets of the composed stages.
 pub fn coeff_to_slot_offset_sets(slots: usize, groups: usize) -> Vec<Vec<usize>> {
     let mut stages = Vec::new();
     let mut len = slots;
@@ -711,7 +733,7 @@ mod tests {
     use super::*;
     use crate::{
         Ciphertext, CkksParams, Decryptor, Encoder, Encryptor, ExecBackend, GaloisKeys,
-        KeyGenerator, SecretKey,
+        KeyGenerator, PlanBackend, PlanCiphertext, SecretKey,
     };
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
@@ -1141,6 +1163,35 @@ mod tests {
             .unwrap();
         assert_eq!(after.c0(), before.c0());
         assert_eq!(after.c1(), before.c1());
+    }
+
+    #[test]
+    fn an_offsets_only_transform_plans_like_the_valued_one_and_does_not_execute() {
+        let mut f = fixture(89);
+        let n = f.ctx.slot_count();
+        let valued = coeff_to_slot_stages(f.ctx.fft(), f.ctx.params().fft_iter).remove(0);
+        let bare = LinearTransform::from_offsets(n, &valued.diagonal_offsets());
+        assert!(valued.bsgs_plan().groups().len() > 1);
+        assert_eq!(bare.bsgs_plan(), valued.bsgs_plan());
+        // The same result, op stream and key stream from a PlanBackend.
+        let planned = |lt: &LinearTransform| {
+            let plan = || PlanBackend::new(f.ctx.clone(), "stage");
+            let input = PlanCiphertext::new(3, f.ctx.params().default_scale());
+            let (ops, keys) = (plan(), plan());
+            let out = lt.apply_with(&ops, &input).unwrap();
+            assert_eq!(lt.apply_with(&keys, &input).unwrap(), out);
+            (out, ops.into_trace().ops, keys.into_key_refs())
+        };
+        assert_eq!(planned(&bare), planned(&valued));
+        // Executing it needs the values it does not have: a typed refusal, not a panic.
+        let bare = LinearTransform::from_offsets(n, &[0, 1, 3]);
+        let keys = f.keys_for(&bare);
+        let ct = f.encrypt(&random_slots(n, 97));
+        let evaluator = Evaluator::new(f.ctx.clone());
+        assert!(matches!(
+            bare.apply_with(&ExecBackend::new(&evaluator, &keys), &ct),
+            Err(CkksError::InvalidInput { .. })
+        ));
     }
 
     #[test]

@@ -90,9 +90,6 @@ pub struct FabConfig {
     pub dsp_per_functional_unit: usize,
     /// Which KeySwitch datapath the scheduler uses.
     pub keyswitch_datapath: KeySwitchDatapath,
-    /// Whether rotations inside a BSGS group share one decomposition (hoisting), as the
-    /// Bossuat et al. algorithm FAB builds on does.
-    pub hoisting: bool,
     /// HBM configuration.
     pub hbm: HbmConfig,
     /// On-chip memory configuration.
@@ -112,7 +109,6 @@ impl FabConfig {
             mod_reduce_latency: 12,
             dsp_per_functional_unit: 20,
             keyswitch_datapath: KeySwitchDatapath::Modified,
-            hoisting: true,
             hbm: HbmConfig {
                 bandwidth_gbps: 460.0,
                 axi_ports: 32,
@@ -247,13 +243,12 @@ mod tests {
 
     #[test]
     fn alveo_u280_preset_matches_the_paper() {
-        // Pin the preset's load-bearing fields (Section 4: 256 FUs at 300 MHz, modified
-        // datapath with hoisting, 460 GB/s HBM over 32 AXI ports).
+        // Pin the preset's load-bearing fields (Section 4: 256 FUs at 300 MHz, the modified
+        // datapath, 460 GB/s HBM over 32 AXI ports).
         let config = FabConfig::alveo_u280();
         assert_eq!(config.functional_units, 256);
         assert!((config.frequency_mhz - 300.0).abs() < 1e-9);
         assert_eq!(config.keyswitch_datapath, KeySwitchDatapath::Modified);
-        assert!(config.hoisting);
         assert_eq!(config.hbm.axi_ports, 32);
         assert!((config.hbm.bandwidth_gbps - 460.0).abs() < 1e-9);
     }

@@ -275,12 +275,10 @@ impl OpCostModel {
     }
 
     /// A rotation that shares the decomposition of a previous rotation on the same ciphertext
-    /// (hoisting, as in the Bossuat et al. algorithm FAB adopts): only the automorph, the
-    /// KSKIP inner product and a share of the ModDown are charged.
+    /// (hoisting, as in the Bossuat et al. algorithm FAB adopts; FAB always hoists, as the
+    /// software's hoisted batch does): only the automorph, the KSKIP inner product and a share
+    /// of the ModDown are charged.
     pub fn rotate_hoisted(&self, level: usize) -> OpCost {
-        if !self.config.hoisting {
-            return self.rotate(level);
-        }
         let limbs = (level + 1) as u64;
         let alpha = self.params.alpha() as u64;
         let special = self.params.special_limbs() as u64;
@@ -445,14 +443,6 @@ mod tests {
         let m = model();
         let level = m.params().max_level;
         assert!(m.rotate_hoisted(level).total_cycles < m.rotate(level).total_cycles);
-        // Without hoisting support the cost degenerates to the full rotation.
-        let mut config = FabConfig::alveo_u280();
-        config.hoisting = false;
-        let no_hoist = OpCostModel::new(config, CkksParams::fab_paper());
-        assert_eq!(
-            no_hoist.rotate_hoisted(level).total_cycles,
-            no_hoist.rotate(level).total_cycles
-        );
     }
 
     #[test]

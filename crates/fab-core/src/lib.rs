@@ -51,4 +51,3 @@ pub use memory::{HbmModel, OnChipMemoryModel, WorkingSetReport};
 pub use metrics::{amortized_mult_time_us, speedup, SpeedupReport};
 pub use multi_fpga::{CommunicationModel, MultiFpgaSystem, ParallelWorkload};
 pub use resources::{ResourceEstimator, ResourceUtilization};
-pub use workload::TraceCost;

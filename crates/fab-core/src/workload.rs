@@ -3,189 +3,96 @@
 //!
 //! The op vocabulary itself ([`HeOp`], [`OpTrace`], [`OpCounts`]) lives in the `fab-trace`
 //! crate so that the executing scheme (`fab-ckks`) can *record* traces with the same types the
-//! model costs; this module re-exports it and adds the costing glue plus the paper's
-//! FPGA-scale bootstrapping workload. The linear-transform phases of [`bootstrap_trace`] are
-//! no longer hand-approximated: each stage's diagonal-offset set is derived structurally
-//! (`fab_ckks::linear_transform::coeff_to_slot_offset_sets`) and priced through the *same*
-//! [`fab_ckks::BsgsPlan`] the software pipeline executes, so the analytic workload, the
-//! planned trace (`fab_ckks::Bootstrapper::predicted_trace`) and a recorded real execution
-//! agree op for op on rotation counts — the workspace equivalence tests pin all three
-//! together. Only the EvalMod op mix remains a depth-9 summary (the Bossuat et al.
-//! polynomial), which contains no rotations.
+//! model costs; this module re-exports it and adds the paper's FPGA-scale bootstrapping
+//! workload. [`bootstrap_trace`] plans its CoeffToSlot and SlotToCoeff stages with the program
+//! the software runs: each is a transform known by its structural offsets
+//! ([`LinearTransform::from_offsets`]) run through [`LinearTransform::apply_with`] on a
+//! [`PlanBackend`], so no diagonal is encoded. EvalMod is the last hand-written part: a depth-9
+//! summary of the Bossuat et al. polynomial, which performs no rotation.
 
 use fab_ckks::linear_transform::{coeff_to_slot_offset_sets, slot_to_coeff_offset_sets};
-use fab_ckks::{BsgsPlan, CkksParams};
+use fab_ckks::{
+    CkksContext, CkksError, CkksParams, EvalBackend, LinearTransform, PlanBackend, PlanCiphertext,
+};
+use fab_trace::phase;
 
 pub use fab_trace::{HeOp, OpCounts, OpTrace};
 
 use crate::{FabConfig, OpCost, OpCostModel};
 
-/// Costing extension for [`OpTrace`], keeping the familiar `trace.cost(&model)` call-site
-/// shape now that the trace type lives in the model-agnostic `fab-trace` crate.
-pub trait TraceCost {
-    /// Total cost of the trace under a cost model.
-    fn cost(&self, model: &OpCostModel) -> OpCost;
-}
-
-impl TraceCost for OpTrace {
-    fn cost(&self, model: &OpCostModel) -> OpCost {
-        model.cost_trace(self)
-    }
-}
-
-/// Structural description of the bootstrapping circuit used to build its trace; all quantities
-/// derive from the parameter set and the `ﬀtIter` choice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BootstrapStructure {
-    /// Number of CoeffToSlot / SlotToCoeff stages (each is `ﬀtIter` deep in total).
-    pub fft_iter: usize,
-    /// Radix of a generic stage (`n^(1/ﬀtIter)` rounded to a power of two).
-    pub stage_radix: usize,
-    /// Non-zero diagonals of a generic (non-wrapping) stage matrix.
-    pub diagonals_per_stage: usize,
-    /// Key-switched rotations of a generic stage under its exact baby-step/giant-step plan.
-    pub rotations_per_stage: usize,
-    /// Multiplicative depth of the sine evaluation (9 in the paper).
-    pub eval_mod_depth: usize,
-    /// Ciphertext–ciphertext multiplications in the sine evaluation.
-    pub eval_mod_multiplications: usize,
-    /// Total bootstrapping depth `L_boot = 2·ﬀtIter + 9`.
-    pub total_depth: usize,
-}
-
-impl BootstrapStructure {
-    /// Derives the structure for a parameter set and an explicit `ﬀtIter`.
-    ///
-    /// This is the paper-facing *summary* (every stage modelled at the generic radix);
-    /// [`bootstrap_trace`] itself prices each stage from its exact offset set, which differs
-    /// for groups whose offsets wrap around the slot count or whose group is a remainder of
-    /// the stage chunking.
-    pub fn for_params(params: &CkksParams, fft_iter: usize) -> Self {
-        let fft_iter = fft_iter.max(1);
-        let log_slots = params.log_n - 1;
-        let slots = 1usize << log_slots;
-        let stage_log_radix = log_slots.div_ceil(fft_iter);
-        let stage_radix = 1usize << stage_log_radix;
-        // A radix-r merged butterfly stage has (2r - 1) generalized diagonals at contiguous
-        // multiples of its innermost butterfly stride.
-        let diagonals_per_stage = 2 * stage_radix - 1;
-        // Price the generic stage through the exact plan of its offset set (stride-1 band
-        // ±(r−1) around zero) — the same selection rule the executing pipeline uses.
-        let generic_offsets: Vec<usize> = (0..stage_radix)
-            .chain((1..stage_radix).map(|m| slots - m))
-            .map(|m| m % slots)
-            .collect();
-        let rotations_per_stage = BsgsPlan::for_offsets(slots, &generic_offsets).rotation_count();
-        // The Bossuat et al. polynomial evaluation has depth 9; its BSGS evaluation performs
-        // roughly 2^(depth/2) + depth ciphertext multiplications.
-        let eval_mod_depth = 9;
-        let eval_mod_multiplications = (1usize << (eval_mod_depth / 2)) + eval_mod_depth;
-        Self {
-            fft_iter,
-            stage_radix,
-            diagonals_per_stage,
-            rotations_per_stage,
-            eval_mod_depth,
-            eval_mod_multiplications,
-            total_depth: 2 * fft_iter + eval_mod_depth,
-        }
-    }
-}
-
-/// Phase label for ModRaise (shared by analytic and recorded bootstrap traces).
-pub const PHASE_MOD_RAISE: &str = fab_trace::phase::MOD_RAISE;
-/// Phase label for CoeffToSlot.
-pub const PHASE_COEFF_TO_SLOT: &str = fab_trace::phase::COEFF_TO_SLOT;
-/// Phase label for EvalMod.
-pub const PHASE_EVAL_MOD: &str = fab_trace::phase::EVAL_MOD;
-/// Phase label for SlotToCoeff.
-pub const PHASE_SLOT_TO_COEFF: &str = fab_trace::phase::SLOT_TO_COEFF;
-
-/// Appends one BSGS-scheduled linear-transform stage: the distinct baby rotations (first
-/// full, rest sharing its hoisted decomposition), then per giant group one plaintext
-/// multiplication per diagonal, the intra-group additions, the group's giant rotation, and
-/// the cross-group additions, closed by one rescale — exactly the op mix
-/// `LinearTransform::apply_with` executes for the same plan.
-fn push_bsgs_stage(trace: &mut OpTrace, plan: &BsgsPlan, level: usize) {
-    let babies = plan.baby_rotation_count();
-    if babies > 0 {
-        trace.push(HeOp::Rotate { level });
-        trace.push_many(HeOp::RotateHoisted { level }, babies - 1);
-    }
-    let mut first_group = true;
-    for group in plan.groups() {
-        trace.push_many(HeOp::MultiplyPlain { level }, group.babies.len());
-        trace.push_many(HeOp::Add { level }, group.babies.len().saturating_sub(1));
-        if group.giant != 0 {
-            trace.push(HeOp::Rotate { level });
-        }
-        if !first_group {
-            trace.push(HeOp::Add { level });
-        }
-        first_group = false;
-    }
-    trace.push(HeOp::Rescale { level });
-}
+/// Multiplicative depth of the modelled EvalMod (the paper's sine polynomial).
+const EVAL_MOD_DEPTH: usize = 9;
+/// Its ciphertext multiplications, `2^(depth/2) + depth`: roughly a BSGS evaluation's count.
+const EVAL_MOD_MULTIPLICATIONS: usize = 25;
 
 /// Builds the operation trace of one fully-packed bootstrapping at the given parameters and
-/// `ﬀtIter` (Section 2.1.3: linear transform → polynomial evaluation → linear transform).
+/// `ﬀtIter` (at least 1; Section 2.1.3: linear transform → polynomial evaluation → linear
+/// transform) as one [`PlanBackend`] run: the ModRaise NTT batch, the planned CoeffToSlot
+/// stages and the conjugation and two additions that split the halves (op for op the phase of
+/// `fab_ckks::Bootstrapper::predicted_trace`), the EvalMod summary on both halves, then the
+/// recombining addition and the planned SlotToCoeff stages.
 ///
-/// The CoeffToSlot/SlotToCoeff phases are priced stage by stage from the exact structural
-/// offset sets and their [`BsgsPlan`]s — the same plans the `fab-ckks` pipeline executes — so
-/// the rotation accounting here is identical, op for op, to a recorded software bootstrap at
-/// the same parameters. EvalMod remains the depth-9 paper summary (it performs no rotations).
+/// # Panics
+///
+/// Panics if the parameter set has no valid context or too few levels for the bootstrap.
 pub fn bootstrap_trace(params: &CkksParams, fft_iter: usize) -> OpTrace {
-    let structure = BootstrapStructure::for_params(params, fft_iter);
+    planned_bootstrap(params, fft_iter.max(1))
+        .unwrap_or_else(|e| panic!("cannot plan a bootstrap at these parameters: {e}"))
+}
+
+/// [`bootstrap_trace`]'s pipeline, with the planner's errors.
+fn planned_bootstrap(params: &CkksParams, fft_iter: usize) -> fab_ckks::Result<OpTrace> {
     let slots = params.slot_count();
-    let mut trace = OpTrace::new(format!("bootstrap(fftIter={})", structure.fft_iter));
-    let top = params.max_level;
+    let plan = PlanBackend::new(
+        CkksContext::new_arc(params.clone())?,
+        format!("bootstrap(fftIter={fft_iter})"),
+    );
+    let stages = |ct: PlanCiphertext, offset_sets: Vec<Vec<usize>>| {
+        offset_sets.iter().try_fold(ct, |ct, offsets| {
+            LinearTransform::from_offsets(slots, offsets).apply_with(&plan, &ct)
+        })
+    };
 
     // ModRaise: every limb of both ring elements is re-populated and transformed.
-    trace.mark_phase(PHASE_MOD_RAISE);
-    trace.push(HeOp::Ntt {
+    plan.begin_phase(phase::MOD_RAISE);
+    plan.push(HeOp::Ntt {
         count: 2 * params.total_q_limbs(),
     });
+    let raised = PlanCiphertext::new(params.max_level, params.default_scale());
 
-    let mut level = top;
-    // CoeffToSlot: one BSGS-planned stage per group; the real/imaginary split costs one
-    // conjugation and two additions.
-    trace.mark_phase(PHASE_COEFF_TO_SLOT);
-    for offsets in coeff_to_slot_offset_sets(slots, structure.fft_iter) {
-        push_bsgs_stage(&mut trace, &BsgsPlan::for_offsets(slots, &offsets), level);
-        level -= 1;
-    }
-    trace.push(HeOp::Conjugate { level });
-    trace.push_many(HeOp::Add { level }, 2);
+    plan.begin_phase(phase::COEFF_TO_SLOT);
+    let ct = stages(raised, coeff_to_slot_offset_sets(slots, fft_iter))?;
+    let conjugated = plan.conjugate(&ct)?;
+    plan.add(&ct, &conjugated)?;
+    plan.sub(&ct, &conjugated)?;
 
-    // EvalMod on both the real and imaginary halves.
-    trace.mark_phase(PHASE_EVAL_MOD);
+    // EvalMod on both halves, each spending EVAL_MOD_DEPTH levels.
+    plan.begin_phase(phase::EVAL_MOD);
+    let exhausted = CkksError::LevelExhausted {
+        operation: "EvalMod",
+    };
+    let exit = ct.level.checked_sub(EVAL_MOD_DEPTH).ok_or(exhausted)?;
     for _ in 0..2 {
-        let mut eval_level = level;
-        let mults_per_level = structure
-            .eval_mod_multiplications
-            .div_ceil(structure.eval_mod_depth);
-        for _ in 0..structure.eval_mod_depth {
-            trace.push_many(HeOp::Multiply { level: eval_level }, mults_per_level);
-            trace.push(HeOp::Rescale { level: eval_level });
-            eval_level -= 1;
+        for level in (exit + 1..=ct.level).rev() {
+            for _ in 0..EVAL_MOD_MULTIPLICATIONS.div_ceil(EVAL_MOD_DEPTH) {
+                plan.push(HeOp::Multiply { level });
+            }
+            plan.push(HeOp::Rescale { level });
         }
     }
-    level -= structure.eval_mod_depth;
 
-    // SlotToCoeff: the halves recombine with one addition, then the mirrored stages.
-    trace.mark_phase(PHASE_SLOT_TO_COEFF);
-    trace.push(HeOp::Add { level });
-    for offsets in slot_to_coeff_offset_sets(slots, structure.fft_iter) {
-        push_bsgs_stage(&mut trace, &BsgsPlan::for_offsets(slots, &offsets), level);
-        level -= 1;
-    }
-    trace
+    // SlotToCoeff: the reduced halves recombine with one addition, then the mirrored stages.
+    plan.begin_phase(phase::SLOT_TO_COEFF);
+    let half = PlanCiphertext::new(exit, ct.scale);
+    let recombined = plan.add(&half, &half)?;
+    stages(recombined, slot_to_coeff_offset_sets(slots, fft_iter))?;
+    Ok(plan.into_trace())
 }
 
 /// The cost of one fully-packed bootstrapping at the given parameters/configuration.
 pub fn bootstrap_cost(config: &FabConfig, params: &CkksParams, fft_iter: usize) -> OpCost {
     let model = OpCostModel::new(config.clone(), params.clone());
-    bootstrap_trace(params, fft_iter).cost(&model)
+    model.cost_trace(&bootstrap_trace(params, fft_iter))
 }
 
 #[cfg(test)]
@@ -212,36 +119,50 @@ mod tests {
         trace.push(HeOp::Add { level: 10 });
         trace.push(HeOp::Multiply { level: 10 });
         let expected = model.add(10).then(model.multiply(10));
-        assert_eq!(trace.cost(&model), expected);
         assert_eq!(model.cost_trace(&trace), expected);
     }
 
     #[test]
-    fn bootstrap_structure_matches_paper_depth() {
-        let params = CkksParams::fab_paper();
-        let s = BootstrapStructure::for_params(&params, 4);
-        assert_eq!(s.total_depth, 17); // L_boot = 2·4 + 9
-        assert_eq!(s.eval_mod_depth, 9);
-        assert_eq!(s.fft_iter, 4);
-        // log2(32768) / 4 = 3.75 → radix 16 stages.
-        assert_eq!(s.stage_radix, 16);
-        assert_eq!(s.diagonals_per_stage, 31);
-        assert!(s.rotations_per_stage >= 8 && s.rotations_per_stage <= 16);
-    }
-
-    #[test]
     fn bootstrap_fits_within_level_budget() {
+        // The planned bootstrap spends L_boot = 2·ﬀtIter + 9 levels (17 at ﬀtIter 4): its
+        // last stage rescales at the lowest level it touches, and leaves the paper's 6.
         let params = CkksParams::fab_paper();
-        assert!(BootstrapStructure::for_params(&params, 4).total_depth < params.max_level);
+        let trace = bootstrap_trace(&params, 4);
+        let lowest = trace.ops.iter().filter_map(HeOp::level).min();
+        let exit = lowest.expect("a bootstrap spends levels") - 1;
+        assert_eq!(params.max_level - exit, 17);
+        assert_eq!(params.max_level - exit, params.bootstrap_depth());
+        assert_eq!(exit, params.levels_after_bootstrap());
     }
 
     #[test]
     fn larger_fft_iter_reduces_rotations_per_stage() {
+        // The widest planned CoeffToSlot stage as (diagonals, key-switched rotations): a stage
+        // multiplies one plaintext per diagonal and ends in its one rescale.
         let params = CkksParams::fab_paper();
-        let s2 = BootstrapStructure::for_params(&params, 2);
-        let s5 = BootstrapStructure::for_params(&params, 5);
-        assert!(s2.rotations_per_stage > s5.rotations_per_stage);
-        assert!(s2.diagonals_per_stage > s5.diagonals_per_stage);
+        let widest = |fft_iter: usize| {
+            let trace = bootstrap_trace(&params, fft_iter);
+            let ops = trace
+                .phase_ops(phase::COEFF_TO_SLOT)
+                .expect("a CoeffToSlot phase");
+            let stages = ops.split_inclusive(|op| matches!(op, HeOp::Rescale { .. }));
+            let counts = stages.take(fft_iter).map(|stage| {
+                let mut c = OpCounts::default();
+                stage.iter().for_each(|&op| c.record(op));
+                (c.multiply_plain, c.rotate + c.rotate_hoisted)
+            });
+            counts.max().expect("at least one stage")
+        };
+        // log2(32768) / 4 = 3.75 → radix-16 stages: 2·16 − 1 = 31 diagonals, under ~2·√31
+        // key-switched rotations.
+        let (diagonals4, rotations4) = widest(4);
+        assert_eq!(diagonals4, 31);
+        assert!((8..=16).contains(&rotations4), "{rotations4} rotations");
+        // More, sparser stages: fewer diagonals and fewer rotations each.
+        let (diagonals2, rotations2) = widest(2);
+        let (diagonals5, rotations5) = widest(5);
+        assert!(rotations2 > rotations5, "{rotations2} vs {rotations5}");
+        assert!(diagonals2 > diagonals5, "{diagonals2} vs {diagonals5}");
     }
 
     #[test]
@@ -279,10 +200,10 @@ mod tests {
         assert_eq!(
             trace.phase_labels(),
             vec![
-                PHASE_MOD_RAISE,
-                PHASE_COEFF_TO_SLOT,
-                PHASE_EVAL_MOD,
-                PHASE_SLOT_TO_COEFF
+                phase::MOD_RAISE,
+                phase::COEFF_TO_SLOT,
+                phase::EVAL_MOD,
+                phase::SLOT_TO_COEFF
             ]
         );
         let phases = trace.phase_counts();

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use fab_ckks::backend::PlanBackend;
 use fab_ckks::{Bootstrapper, CkksContext, CkksParams};
 use fab_core::baselines::{HelrTask, FAB2_COMMUNICATION_S, FAB2_NUM_FPGAS};
-use fab_core::workload::{OpTrace, TraceCost};
+use fab_core::workload::OpTrace;
 use fab_core::{FabConfig, MultiFpgaSystem, OpCostModel, ParallelWorkload};
 use fab_trace::phase;
 
@@ -100,8 +100,8 @@ pub fn lr_training_time_s(
     let (parallel, serial) = helr_iteration_workload(params, task);
     let model = OpCostModel::new(config.clone(), params.clone());
     let workload = ParallelWorkload {
-        parallel: parallel.cost(&model),
-        serial: serial.cost(&model),
+        parallel: model.cost_trace(&parallel),
+        serial: model.cost_trace(&serial),
     };
     let fab1 = MultiFpgaSystem::new(config.clone(), 1);
     let fab2 = MultiFpgaSystem::new(config.clone(), FAB2_NUM_FPGAS);
@@ -243,7 +243,7 @@ mod tests {
             ..HELR_TASK
         };
         let model = OpCostModel::new(FabConfig::alveo_u280(), params.clone());
-        let cycles = |trace: &OpTrace| trace.cost(&model).total_cycles;
+        let cycles = |trace: &OpTrace| model.cost_trace(trace).total_cycles;
         let (small_parallel, small_serial) = helr_iteration_workload(&params, &small_task);
         let (full_parallel, full_serial) = helr_iteration_workload(&params, &HELR_TASK);
         assert!(cycles(&full_parallel) > 3 * cycles(&small_parallel));

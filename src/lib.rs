@@ -37,8 +37,10 @@
 //! * the **real execution** ([`ckks::Bootstrapper::bootstrap`]) on ciphertexts,
 //! * the **planned trace** ([`ckks::Bootstrapper::predicted_trace`]) on `(level, scale)`
 //!   shadows, and
-//! * the **accelerator workload** ([`accelerator::workload::bootstrap_trace`]), which prices
-//!   each stage from the structural offset sets without touching a polynomial.
+//! * the **accelerator workload** ([`accelerator::workload::bootstrap_trace`]), which runs
+//!   each stage through the same [`ckks::LinearTransform::apply_with`] on a planner, as a
+//!   transform known by its structural offsets alone
+//!   ([`ckks::LinearTransform::from_offsets`]), so no diagonal is encoded.
 //!
 //! Sparsely-packed ciphertexts (messages in the first `s` slots, as `fab-lr` packs them) get
 //! a real sparse-slot entry point: `BootstrapParams::sparse_for_scheme` inserts a SubSum
@@ -152,7 +154,6 @@ pub mod prelude {
     };
     pub use fab_core::{
         FabConfig, KeySwitchDatapath, MultiFpgaSystem, OpCost, OpCostModel, ResourceEstimator,
-        TraceCost,
     };
     pub use fab_lr::{
         synthetic_mnist_like, EncryptedLogisticRegression, LogisticRegressionTrainer,

@@ -4,7 +4,7 @@
 
 use fab::prelude::*;
 use fab_core::baselines::{table7_bootstrapping, table8_lr_training, HELR_TASK};
-use fab_core::workload::{bootstrap_cost, BootstrapStructure};
+use fab_core::workload::bootstrap_cost;
 use fab_core::{amortized_mult_time_us, dnum_sweep, fft_iter_sweep, WorkingSetReport};
 use fab_lr::lr_training_time_s;
 
@@ -18,10 +18,6 @@ fn paper_parameter_set_is_consistent_across_crates() {
     assert!(!report.fits_entirely);
     // The bootstrapping depth leaves usable levels.
     assert!(params.levels_after_bootstrap() >= 6);
-    assert_eq!(
-        BootstrapStructure::for_params(&params, params.fft_iter).total_depth,
-        params.bootstrap_depth()
-    );
 }
 
 #[test]
