@@ -14,10 +14,10 @@
 //!
 //! Both interpreters implement the *primitives* with the evaluator's exact level/scale
 //! bookkeeping and validation. The scale-management composites (`multiply_scalar`,
-//! `match_scale`, `align_for_addition`) hold the only data-dependent branches of that
-//! bookkeeping, where a scale mismatch spends an extra `MultiplyPlain` + `Rescale`; they are
-//! the only provided methods of [`EvalBackend`], written once over the primitives, and neither
-//! interpreter overrides one.
+//! `match_scale`, `align_for_addition`, `align_exact`) hold the only data-dependent branches
+//! of that bookkeeping, where a scale mismatch spends an extra `MultiplyPlain` + `Rescale`;
+//! they are the only provided methods of [`EvalBackend`], written once over the primitives,
+//! and neither interpreter overrides one.
 //! So a recorded execution and a plan of the same pipeline agree op-for-op, and the keys a
 //! provider is asked for equal the planned key stream. The tests here check that method by
 //! method, the pipelines' equivalence tests end to end; together they keep the accelerator
@@ -40,8 +40,9 @@ use crate::{
 ///
 /// Implementations keep the level/scale bookkeeping of the primitives *identical* to the
 /// evaluator's, so that planned and executed traces agree op-for-op. The scale-management
-/// composites (`multiply_scalar`, `match_scale`, `align_for_addition`) are written once
-/// here, over the primitives; they are the only provided methods and are not overridden.
+/// composites (`multiply_scalar`, `match_scale`, `align_for_addition`, `align_exact`) are
+/// written once here, over the primitives; they are the only provided methods and are not
+/// overridden.
 pub trait EvalBackend {
     /// The ciphertext representation this backend computes on.
     type Ct: Clone;
@@ -133,31 +134,17 @@ pub trait EvalBackend {
     /// `round(target·q_level / scale)` and rescaled away, spending one level; that fails at
     /// level 0, when the constant rounds below 1, or when [`Self::multiply_const`] refuses it.
     fn match_scale(&self, a: &Self::Ct, target_scale: f64) -> Result<Self::Ct> {
-        let (level, scale) = (self.level(a), self.scale(a));
-        let mut out = if scales_match(scale, target_scale) {
-            a.clone()
-        } else {
-            if level == 0 {
-                return Err(CkksError::LevelExhausted {
-                    operation: "match_scale",
-                });
-            }
-            let prime = self.ctx().rescale_prime(level) as f64;
-            let enc_scale = (target_scale * prime / scale).round();
-            if enc_scale < 1.0 {
-                return Err(CkksError::InvalidInput {
-                    reason: format!(
-                        "cannot match scale {target_scale:e} from {scale:e} at level {level}"
-                    ),
-                });
-            }
-            self.rescale(&self.multiply_const(a, Complex64::one(), enc_scale)?)?
-        };
-        // The achieved scale differs from the target only by the rounding of enc_scale (a
-        // relative error of at most 0.5/enc_scale); declaring the exact target keeps
-        // downstream additions well-typed.
-        self.set_scale(&mut out, target_scale);
-        Ok(out)
+        if scales_match(self.scale(a), target_scale) {
+            let mut out = a.clone();
+            self.set_scale(&mut out, target_scale);
+            return Ok(out);
+        }
+        if self.level(a) == 0 {
+            return Err(CkksError::LevelExhausted {
+                operation: "match_scale",
+            });
+        }
+        rescale_to(self, a, target_scale)
     }
 
     /// Brings two ciphertexts to a common level and scale: both drop to the lower level, and
@@ -179,6 +166,29 @@ pub trait EvalBackend {
             b = self.mod_drop_to_level(&b, level)?;
         }
         Ok((a, b))
+    }
+
+    /// Brings two ciphertexts to one level and bit-identical scales without relabelling a
+    /// scale that differs: the operand at the higher level is dropped to one level above the
+    /// other and brought to the other's scale exactly (the constant `1` multiplied in at
+    /// `round(target·q / scale)` and rescaled away), which spends a level it has to spare,
+    /// not one of the result. Operands whose scales are already equal are only dropped; at
+    /// equal levels this is [`Self::align_for_addition`].
+    fn align_exact(&self, a: &Self::Ct, b: &Self::Ct) -> Result<(Self::Ct, Self::Ct)> {
+        let (level_a, level_b) = (self.level(a), self.level(b));
+        let lower = level_a.min(level_b);
+        let to_lower = |high: &Self::Ct, low: &Self::Ct| -> Result<Self::Ct> {
+            let target = self.scale(low);
+            if self.scale(high) == target {
+                return self.mod_drop_to_level(high, lower);
+            }
+            rescale_to(self, &self.mod_drop_to_level(high, lower + 1)?, target)
+        };
+        match level_a.cmp(&level_b) {
+            std::cmp::Ordering::Equal => self.align_for_addition(a, b),
+            std::cmp::Ordering::Greater => Ok((to_lower(a, b)?, b.clone())),
+            std::cmp::Ordering::Less => Ok((a.clone(), to_lower(b, a)?)),
+        }
     }
 
     /// Rotation with its own key-switch decomposition.
@@ -204,6 +214,25 @@ pub trait EvalBackend {
 
     /// Multiplication by the monomial `X^power` (free on FAB; no trace op).
     fn multiply_by_monomial(&self, a: &Self::Ct, power: usize) -> Result<Self::Ct>;
+}
+
+/// The level-spending step of [`EvalBackend::match_scale`] and [`EvalBackend::align_exact`]:
+/// `a` times the constant `1` encoded at `round(target·q_level / scale)`, rescaled, then
+/// declared at `target`. The achieved scale differs from it only by the rounding of that
+/// constant (a relative error of at most `0.5 / enc_scale`). Fails when the constant rounds
+/// below 1 or [`EvalBackend::multiply_const`] refuses it; `a` must sit above level 0.
+fn rescale_to<B: EvalBackend + ?Sized>(backend: &B, a: &B::Ct, target: f64) -> Result<B::Ct> {
+    let (level, scale) = (backend.level(a), backend.scale(a));
+    let prime = backend.ctx().rescale_prime(level) as f64;
+    let enc_scale = (target * prime / scale).round();
+    if enc_scale < 1.0 {
+        return Err(CkksError::InvalidInput {
+            reason: format!("cannot match scale {target:e} from {scale:e} at level {level}"),
+        });
+    }
+    let mut out = backend.rescale(&backend.multiply_const(a, Complex64::one(), enc_scale)?)?;
+    backend.set_scale(&mut out, target);
+    Ok(out)
 }
 
 // --------------------------------------------------------------------------- exec interpreter
@@ -601,6 +630,7 @@ mod tests {
         ModDrop(usize),
         MatchScale(f64),
         AlignForAddition,
+        AlignExact,
         Rotate(usize),
         RotateBatch,
         Conjugate,
@@ -653,6 +683,7 @@ mod tests {
             Call::ModDrop(level) => one(backend.mod_drop_to_level(x, level)),
             Call::MatchScale(target) => one(backend.match_scale(x, target)),
             Call::AlignForAddition => backend.align_for_addition(x, y).map(|(a, b)| vec![a, b]),
+            Call::AlignExact => backend.align_exact(x, y).map(|(a, b)| vec![a, b]),
             Call::Rotate(steps) => one(backend.rotate(x, steps)),
             Call::RotateBatch => backend.rotate_batch_hoisted(x, &[0, 1, 2]),
             Call::Conjugate => one(backend.conjugate(x)),
@@ -686,6 +717,13 @@ mod tests {
             trace.ops,
             vec![HeOp::Multiply { level: 3 }, HeOp::Rescale { level: 3 }]
         );
+        // Where `align_for_addition` would relabel a scale within the tolerance,
+        // `align_exact` brings the higher operand to the other's scale bit for bit.
+        let plan = PlanBackend::new(ctx.clone(), "plan");
+        let high = PlanCiphertext::new(5, scale * (1.0 + 1e-8));
+        let (x, y) = plan.align_exact(&high, &sq).unwrap();
+        assert_eq!((x.level, x.scale.to_bits()), (y.level, sq.scale.to_bits()));
+        assert_eq!(plan.into_trace().counts().rescale, 1);
     }
 
     #[test]
@@ -741,6 +779,10 @@ mod tests {
             ("align a > b", (3, delta * 1.5), (4, delta), Call::AlignForAddition, 2, false),
             ("align a < b", (4, delta), (3, delta * 1.5), Call::AlignForAddition, 2, false),
             ("align equal scales", (3, delta), (5, delta), Call::AlignForAddition, 0, false),
+            ("align_exact a higher", (5, delta * 1.5), (3, delta), Call::AlignExact, 2, false),
+            ("align_exact b higher within tolerance", (3, delta), (5, delta * (1.0 + 1e-8)), Call::AlignExact, 2, false),
+            ("align_exact equal scales", (5, delta), (3, delta), Call::AlignExact, 0, false),
+            ("align_exact equal levels", (3, delta * 1.5), (3, delta), Call::AlignExact, 2, false),
             ("rotate", (3, delta), (3, delta), Call::Rotate(1), 1, false),
             ("rotate_batch_hoisted", (3, delta), (3, delta), Call::RotateBatch, 2, false),
             ("conjugate", (3, delta), (3, delta), Call::Conjugate, 1, false),
@@ -757,6 +799,7 @@ mod tests {
             ("accumulate_const level mismatch", (3, delta), (2, delta), Call::AccumulateConst(0.5, delta), 1, true),
             ("multiply_scalar out of range", (3, delta), (3, delta), Call::MultiplyScalar(c(1e10, 0.0)), 0, true),
             ("match_scale out of range", (3, delta), (3, delta), Call::MatchScale(2f64.powi(64)), 0, true),
+            ("align_exact below 1", (4, delta), (2, delta * 2f64.powi(-50)), Call::AlignExact, 0, true),
             ("multiply_const bad scale", (3, delta), (3, delta), Call::MultiplyConst(c(1.0, 0.0), -1.0), 0, true),
             ("add_scalar out of range", (3, delta), (3, delta), Call::AddScalar(c(0.5, 1e10)), 0, true),
             ("accumulate_const out of range", (3, delta), (5, delta), Call::AccumulateConst(1e10, delta), 1, true),

@@ -3,8 +3,8 @@
 //! This is the operation FAB accelerates (Section 2.1.3 of the paper). The pipeline here is the
 //! software-reference implementation: it raises an exhausted ciphertext back to the full
 //! modulus, homomorphically applies the inverse encoding FFT so the coefficients appear in the
-//! slots, removes the `q_0·I` multiples with a scaled-sine Chebyshev approximation, and applies
-//! the forward encoding FFT to return to coefficient form. The linear transforms are factored
+//! slots, removes the `q_0·I` multiples with EvalMod, and applies the forward encoding FFT to
+//! return to coefficient form. The linear transforms are factored
 //! into `ﬀtIter` groups exactly as the paper's design-space study (Figure 2) parameterises, and
 //! every stage carries a [`crate::BsgsPlan`]: the software pipeline executes the same
 //! baby-step/giant-step + hoisting rotation schedule the FAB FPGA runs, so the recorded
@@ -19,6 +19,20 @@
 //! constants (Chebyshev coefficients, scale matching) are per-limb scalars and pay no
 //! transforms at all.
 //!
+//! ## EvalMod
+//!
+//! EvalMod is the cosine with double-angle range reduction of Han–Ki (CT-RSA 2020) and
+//! Bossuat et al.: a Chebyshev series of `cos(2π((K+1)t − 1/4)/2^r)` on `[-1, 1]`, then `r`
+//! steps `c ← 2c² − 1`, which leave `cos(2π((K+1)t − 1/4)) = sin(2π(K+1)t)`. The series only
+//! has to follow `(K+1)/2^r` periods, so its degree follows the reduced range. The `1/(2π)`
+//! that turns the sine back into the message is folded into the SlotToCoeff matrices.
+//! [`Bootstrapper::new`] picks `(r, d)` with `r ≤ 4` and `d = 2^k − 1` at most
+//! [`BootstrapParams::eval_mod_degree`]: of the pairs whose fitted error, amplified by up to 4
+//! per double-angle step, stays within `2^-32`, the one whose evaluation plans the fewest
+//! ciphertext multiplies (the smaller `r` on a tie). Its series runs with exact scales
+//! ([`ChebyshevSeries::evaluate_with`]); without them the relabelled scale tolerance, grown by
+//! the double-angle steps, would cost more bits than the reduction saves.
+//!
 //! ## Sparse-slot bootstrapping
 //!
 //! When [`BootstrapParams::sparse_slots`] is set to `s < N/2`, the pipeline bootstraps a
@@ -28,17 +42,17 @@
 //! transforms then factor the *sub*-FFT over `s` slots (tiled block-wise across the full slot
 //! vector), so CoeffToSlot/SlotToCoeff span only `log2(s)` butterfly levels and need far fewer
 //! rotations. The integer multiples folded together by SubSum grow like `√(n/s)`, which is why
-//! the sine range of [`BootstrapParams::sparse_for_scheme`] widens accordingly. The refreshed
+//! the EvalMod range of [`BootstrapParams::sparse_for_scheme`] widens accordingly. The refreshed
 //! ciphertext carries the message replicated every `s` slots.
 //!
 //! Because `2s ≤ n`, one slot vector has room for both coefficient halves, so a sparse
-//! bootstrap evaluates the sine **once** (Cheon et al., EUROCRYPT 2018; Bossuat et al.,
+//! bootstrap evaluates EvalMod **once** (Cheon et al., EUROCRYPT 2018; Bossuat et al.,
 //! EUROCRYPT 2021): the last CoeffToSlot stage is row-scaled by `(1 | −i)` on (even | odd)
 //! `s`-blocks, so the conjugation split yields one real vector holding `Re w` on the even
 //! blocks and `Im w` on the odd ones, and the first SlotToCoeff stage is composed with the
 //! two-diagonal unpack that turns that vector back into the `s`-periodic `w`. Both are folded
 //! into existing stages at construction, so the packing costs no level. A fully-packed
-//! bootstrap has no spare room and evaluates the sine on each half.
+//! bootstrap has no spare room and evaluates EvalMod on each half.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -57,7 +71,9 @@ use fab_rns::{Representation, RnsPolynomial};
 /// Configuration of the bootstrapping pipeline.
 #[derive(Debug, Clone)]
 pub struct BootstrapParams {
-    /// Degree of the Chebyshev approximation of the scaled sine in EvalMod.
+    /// Cap on the degree of EvalMod's Chebyshev series: [`Bootstrapper::new`] picks the
+    /// degree `2^k − 1 ≤ eval_mod_degree` and the double-angle count together (see the module
+    /// doc), and refuses a range no such pair reaches.
     pub eval_mod_degree: usize,
     /// Bound `K` on the `q_0` multiples introduced by ModRaise (`|I| ≤ K`).
     pub k_range: f64,
@@ -83,7 +99,7 @@ impl Default for BootstrapParams {
 
 impl BootstrapParams {
     /// Derives bootstrapping parameters from the scheme parameters (uses the scheme's
-    /// `fft_iter` and scales the sine range with the secret key sparsity).
+    /// `fft_iter` and scales the EvalMod range with the secret key sparsity).
     pub fn for_scheme(params: &crate::CkksParams) -> Self {
         let k_range = match params.secret_hamming_weight {
             Some(h) => ((h as f64).sqrt() * 2.5).max(12.0),
@@ -99,17 +115,16 @@ impl BootstrapParams {
 
     /// Derives parameters for bootstrapping a sparsely-packed ciphertext with `slots` used
     /// slots. The SubSum projection folds `n/slots` of the ModRaise integers together, so the
-    /// sine range widens by `√(n/slots)` (their typical growth) and the approximation degree
-    /// follows.
+    /// EvalMod range widens by `√(n/slots)` (their typical growth) and the degree cap follows.
     ///
-    /// The degree is capped at 511: production bootstrappers keep the sine degree near the
-    /// dense-key baseline at large packing ratios with the double-angle range reduction
-    /// (Bossuat et al.), which this software pipeline does not implement yet. The capped
-    /// series is executed: at `bootstrap_testing()` with 64 of 512 slots (the `helr_refresh`
-    /// shape, degree 511) the folded integers now and then leave the range: a two-iteration
-    /// refresh returns weights above 8 in magnitude for 7 of the seeds 0..80, about one in
-    /// eleven (`fab-lr`'s ignored `refresh_failure_sweep_over_eighty_seeds` lists them), so
-    /// callers at large ratios must check the refreshed values.
+    /// The cap is at most 511; the double-angle steps keep the degree EvalMod picks below it
+    /// at large packing ratios (degree 63 with three steps at `bootstrap_testing()` with 64
+    /// of 512 slots, degree 255 with four at `fab_paper()` with 256). The widened range is a
+    /// typical growth, not a bound: at the `helr_refresh` shape the folded integers now and
+    /// then leave it, and a two-iteration refresh returns weights above 8 in magnitude for 7
+    /// of the seeds 0..80, about one in eleven (`fab-lr`'s ignored
+    /// `refresh_failure_sweep_over_eighty_seeds` lists them), so callers at large ratios must
+    /// check the refreshed values.
     ///
     /// # Panics
     ///
@@ -130,14 +145,101 @@ impl BootstrapParams {
         }
     }
 
-    /// Sine degree for a given range: grows roughly linearly with `2π(K+1)`.
+    /// Degree cap for a given range: grows roughly linearly with `2π(K+1)`.
     fn degree_for_range(k_range: f64) -> usize {
         let degree = ((2.0 * std::f64::consts::PI * (k_range + 1.0)) * 1.4).ceil() as usize + 16;
         degree.next_power_of_two().max(64) - 1
     }
 }
 
-/// The bootstrapping engine: precomputed linear-transform stages and the sine approximation.
+/// EvalMod: a Chebyshev series of `cos(2π((K+1)t − 1/4)/2^r)` on `[-1, 1]`, then `r`
+/// double-angle steps `c ← 2c² − 1`, which leave `sin(2π(K+1)t)` (see the module doc).
+#[derive(Debug, Clone)]
+struct EvalMod {
+    cosine: ChebyshevSeries,
+    doublings: u32,
+}
+
+impl EvalMod {
+    /// Most double-angle steps searched. Each step can grow the error it is handed up to
+    /// fourfold; allowing a fifth made the `helr_refresh` shape pick it and fall to 5.9 bits
+    /// (seed 1), against 13.6 at the three it picks now.
+    const MAX_DOUBLINGS: u32 = 4;
+
+    /// Bound on the fitted series' max error times `4^r`, the most `r` double-angle steps
+    /// can grow it by.
+    const ERROR_BOUND: f64 = 1.0 / (1u64 << 32) as f64;
+
+    /// Fits the degree-`degree` series of the cosine for range `K` reduced by `2^doublings`,
+    /// and returns it with its max error, amplified by `4^doublings`. The error is read on a
+    /// grid of 16 points per degree, dense enough to meet the extremes of the interpolant's
+    /// error, the two endpoints among them.
+    fn fit(k_range: f64, doublings: u32, degree: usize) -> (Self, f64) {
+        let tau = 2.0 * std::f64::consts::PI;
+        let reduction = f64::from(1u32 << doublings);
+        let cosine = move |t: f64| (tau * ((k_range + 1.0) * t - 0.25) / reduction).cos();
+        let series = ChebyshevSeries::fit(cosine, degree, -1.0, 1.0);
+        let error = series.max_error(cosine, 16 * (degree + 1)) * reduction * reduction;
+        (
+            Self {
+                cosine: series,
+                doublings,
+            },
+            error,
+        )
+    }
+
+    /// Picks `(r, d)` for range `k_range` under degree cap `cap`: per `r ≤ 4`, the smallest
+    /// `d = 2^k − 1 ≤ cap` whose amplified error is within [`Self::ERROR_BOUND`] (a larger
+    /// degree plans no fewer multiplies), then the candidate whose evaluation plans the
+    /// fewest ciphertext multiplies on `ctx`, the smaller `r` on a tie.
+    ///
+    /// # Errors
+    ///
+    /// [`CkksError::InvalidParameters`] if no pair within the cap meets the bound, or none
+    /// can be planned from `ctx`'s top level.
+    fn choose(ctx: &Arc<CkksContext>, k_range: f64, cap: usize) -> Result<Self> {
+        let mut best: Option<(u64, Self)> = None;
+        for doublings in 0..=Self::MAX_DOUBLINGS {
+            let passing = std::iter::successors(Some(1usize), |&d| Some(2 * d + 1))
+                .take_while(|&d| d <= cap)
+                .map(|d| Self::fit(k_range, doublings, d))
+                .find(|(_, error)| *error <= Self::ERROR_BOUND);
+            let Some((candidate, _)) = passing else {
+                continue;
+            };
+            let plan = PlanBackend::new(ctx.clone(), "EvalMod candidate");
+            let input = PlanCiphertext::new(ctx.params().max_level, ctx.params().default_scale());
+            if candidate.evaluate_with(&plan, &input).is_err() {
+                continue;
+            }
+            let multiplies = plan.into_trace().counts().multiply;
+            if best.as_ref().is_none_or(|(fewest, _)| multiplies < *fewest) {
+                best = Some((multiplies, candidate));
+            }
+        }
+        best.map(|(_, eval_mod)| eval_mod)
+            .ok_or_else(|| CkksError::InvalidParameters {
+                reason: format!(
+                    "no EvalMod of degree at most {cap} with at most {} double-angle steps \
+                     approximates the range K = {k_range} within 2^-32",
+                    Self::MAX_DOUBLINGS
+                ),
+            })
+    }
+
+    /// The series, then the double-angle steps.
+    fn evaluate_with<B: EvalBackend>(&self, backend: &B, ct: &B::Ct) -> Result<B::Ct> {
+        let mut c = self.cosine.evaluate_with(backend, ct)?;
+        for _ in 0..self.doublings {
+            let square = backend.multiply_rescale(&c, &c)?;
+            c = backend.add_scalar(&backend.add(&square, &square)?, Complex64::new(-1.0, 0.0))?;
+        }
+        Ok(c)
+    }
+}
+
+/// The bootstrapping engine: precomputed linear-transform stages and EvalMod.
 pub struct Bootstrapper {
     ctx: Arc<CkksContext>,
     evaluator: Evaluator,
@@ -146,7 +248,7 @@ pub struct Bootstrapper {
     stc_stages: Vec<LinearTransform>,
     /// Rotation steps of the SubSum doubling ladder (empty for fully-packed bootstraps).
     subsum_steps: Vec<usize>,
-    sine: ChebyshevSeries,
+    eval_mod: EvalMod,
 }
 
 impl std::fmt::Debug for Bootstrapper {
@@ -155,6 +257,8 @@ impl std::fmt::Debug for Bootstrapper {
             .field("fft_iter", &self.params.fft_iter)
             .field("eval_mod_degree", &self.params.eval_mod_degree)
             .field("k_range", &self.params.k_range)
+            .field("eval_mod_doublings", &self.eval_mod.doublings)
+            .field("eval_mod_series_degree", &self.eval_mod.cosine.degree())
             .field("cts_stages", &self.cts_stages.len())
             .field("stc_stages", &self.stc_stages.len())
             .finish()
@@ -162,12 +266,13 @@ impl std::fmt::Debug for Bootstrapper {
 }
 
 impl Bootstrapper {
-    /// Builds the bootstrapper: factors the encoding FFT into stages and fits the sine series.
+    /// Builds the bootstrapper: factors the encoding FFT into stages and picks and fits
+    /// EvalMod's series.
     ///
     /// # Errors
     ///
     /// Returns [`CkksError::InvalidParameters`] if the scheme does not carry enough levels for
-    /// the configured pipeline.
+    /// the configured pipeline, or if no EvalMod within the degree cap reaches the range.
     pub fn new(ctx: Arc<CkksContext>, params: BootstrapParams) -> Result<Self> {
         Self::with_sink(ctx, params, noop_sink())
     }
@@ -229,17 +334,13 @@ impl Bootstrapper {
         for stage in cts_stages.iter_mut() {
             stage.scale_by(Complex64::new(cts_factor, 0.0));
         }
-        let stc_factor = (q0 / delta).powf(1.0 / stc_stages.len() as f64);
+        // EvalMod returns sin(2π(K+1)t), so the 1/(2π) that makes it the message rides along.
+        let stc_factor =
+            (q0 / (2.0 * std::f64::consts::PI * delta)).powf(1.0 / stc_stages.len() as f64);
         for stage in stc_stages.iter_mut() {
             stage.scale_by(Complex64::new(stc_factor, 0.0));
         }
-        // EvalMod approximates g(t) = sin(2π(K+1)t)/(2π) on [-1, 1].
-        let sine = ChebyshevSeries::fit(
-            move |t| (2.0 * std::f64::consts::PI * k1 * t).sin() / (2.0 * std::f64::consts::PI),
-            params.eval_mod_degree,
-            -1.0,
-            1.0,
-        );
+        let eval_mod = EvalMod::choose(&ctx, params.k_range, params.eval_mod_degree)?;
         let minimum_levels = cts_stages.len() + stc_stages.len() + 8;
         if ctx.params().max_level < minimum_levels {
             return Err(CkksError::InvalidParameters {
@@ -256,9 +357,9 @@ impl Bootstrapper {
             cts_stages,
             stc_stages,
             subsum_steps,
-            sine,
+            eval_mod,
         };
-        // The `+ 8` slack above is only a fast pre-check; deep sine approximations consume
+        // The `+ 8` slack above is only a fast pre-check; a deep EvalMod consumes
         // more levels than it assumes. Planning the pipeline on shadow ciphertexts costs
         // milliseconds and validates the exact budget, so a bootstrapper that cannot run is
         // rejected here instead of failing mid-bootstrap.
@@ -474,13 +575,13 @@ impl Bootstrapper {
         let raised = self.sub_sum_with(backend, raised)?;
         backend.begin_phase(phase::COEFF_TO_SLOT);
         let halves = self.coeff_to_slot_with(backend, &raised)?;
-        // EvalMod: (1/2π)·sin(2π(K+1)·t) removes the q_0·I multiples from the slot values. The
+        // EvalMod: sin(2π(K+1)·t) removes the q_0·I multiples from the slot values. The
         // CoeffToSlot matrices already folded in Δ/(q_0·(K+1)), so the slots arrive in [-1, 1];
-        // the inverse factor lives in the SlotToCoeff matrices.
+        // the inverse factor and the 1/(2π) live in the SlotToCoeff matrices.
         backend.begin_phase(phase::EVAL_MOD);
         let reduced = halves
             .iter()
-            .map(|half| self.sine.evaluate_with(backend, half))
+            .map(|half| self.eval_mod.evaluate_with(backend, half))
             .collect::<Result<Vec<_>>>()?;
         backend.begin_phase(phase::SLOT_TO_COEFF);
         let recombined = self.slot_to_coeff_with(backend, &reduced)?;
@@ -662,13 +763,14 @@ mod tests {
         assert!(f.bootstrapper.mod_raise(&ct_high).is_err());
     }
 
-    /// The bootstrap with EvalMod replaced by an exact multiplication with (K+1), decrypted:
-    /// encrypt `values` at level 0, ModRaise, SubSum (sparse only), CoeffToSlot, `×(K+1)` on
+    /// The bootstrap with EvalMod replaced by an exact multiplication with 2π(K+1), decrypted:
+    /// encrypt `values` at level 0, ModRaise, SubSum (sparse only), CoeffToSlot, `×2π(K+1)` on
     /// every half it returns (`halves` of them), SlotToCoeff. The CoeffToSlot matrices fold in
-    /// 1/(q0·(K+1)) and the SlotToCoeff matrices fold in q0, so with the extra (K+1) the round
-    /// trip reproduces the raised polynomial m + q0·I exactly, and the q0·I multiples vanish
-    /// modulo q0 at decode time. This isolates the linear transforms from the sine.
-    fn round_trip_times_k1(f: &mut Fixture, values: &[f64], halves: usize) -> Vec<f64> {
+    /// 1/(q0·(K+1)) and the SlotToCoeff matrices fold in q0/(2π), so with the extra 2π(K+1)
+    /// the round trip reproduces the raised polynomial m + q0·I exactly, and the q0·I
+    /// multiples vanish modulo q0 at decode time. This isolates the linear transforms from
+    /// EvalMod.
+    fn round_trip_with_stand_in(f: &mut Fixture, values: &[f64], halves: usize) -> Vec<f64> {
         let scale = f.ctx.params().default_scale();
         let pt = f.encoder.encode_real(values, scale, 0).unwrap();
         let ct = f.encryptor.encrypt(&pt, &mut f.rng).unwrap();
@@ -678,10 +780,10 @@ mod tests {
         let summed = b.sub_sum_with(&backend, &raised).unwrap();
         let split = b.coeff_to_slot_with(&backend, &summed).unwrap();
         assert_eq!(split.len(), halves);
-        let k1 = Complex64::new(b.params().k_range + 1.0, 0.0);
+        let gain = Complex64::new(2.0 * std::f64::consts::PI * (b.params().k_range + 1.0), 0.0);
         let scaled: Vec<Ciphertext> = split
             .iter()
-            .map(|half| backend.multiply_scalar(half, k1).unwrap())
+            .map(|half| backend.multiply_scalar(half, gain).unwrap())
             .collect();
         let back = b.slot_to_coeff_with(&backend, &scaled).unwrap();
         f.encoder.decode_real(&f.decryptor.decrypt(&back).unwrap())
@@ -692,7 +794,7 @@ mod tests {
         let mut f = fixture();
         let n = f.ctx.slot_count();
         let values: Vec<f64> = (0..n).map(|i| ((i % 37) as f64 - 18.0) / 40.0).collect();
-        let decoded = round_trip_times_k1(&mut f, &values, 2);
+        let decoded = round_trip_with_stand_in(&mut f, &values, 2);
         for i in 0..64 {
             assert!(
                 (decoded[i] - values[i]).abs() < 2e-2,
@@ -705,14 +807,14 @@ mod tests {
 
     #[test]
     fn sparse_coeff_to_slot_then_slot_to_coeff_is_identity_without_eval_mod() {
-        // The sparse twin: one packed half through the `×(K+1)` stand-in, so a wrong packing or
-        // unpack shows here without the sine in the way. The message sits in the first s slots
+        // The sparse twin: one packed half through the `×2π(K+1)` stand-in, so a wrong packing
+        // or unpack shows here without EvalMod in the way. The message sits in the first s slots
         // and comes back replicated into every s-block.
         let s = 64;
         let mut f = fixture_with(sparse_params(s));
         let n = f.ctx.slot_count();
         let values: Vec<f64> = (0..s).map(|i| ((i % 37) as f64 - 18.0) / 40.0).collect();
-        let decoded = round_trip_times_k1(&mut f, &values, 1);
+        let decoded = round_trip_with_stand_in(&mut f, &values, 1);
         for (i, got) in decoded.iter().enumerate().take(n) {
             assert!(
                 (got - values[i % s]).abs() < 2e-2,
@@ -784,13 +886,15 @@ mod tests {
 
     #[test]
     fn eval_mod_runs_the_sine_once_per_sparse_bootstrap_and_twice_per_dense() {
+        // Per evaluation: the sparse shape's degree-63 series takes 16 multiplies and its
+        // three double-angle steps 3; the dense shape's degree-31 series 11, and four steps.
         let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
         let sparse = Bootstrapper::new(ctx.clone(), sparse_params(64)).unwrap();
         let dense = Bootstrapper::new(ctx.clone(), dense_params()).unwrap();
-        for (b, evaluations, multiply, rescale) in [(&sparse, 1, 49, 72), (&dense, 2, 54, 78)] {
-            let one = PlanBackend::new(ctx.clone(), "one sine");
+        for (b, evaluations, multiply, rescale) in [(&sparse, 1, 19, 37), (&dense, 2, 30, 50)] {
+            let one = PlanBackend::new(ctx.clone(), "one EvalMod");
             let input = PlanCiphertext::new(ctx.params().max_level, ctx.params().default_scale());
-            b.sine.evaluate_with(&one, &input).unwrap();
+            b.eval_mod.evaluate_with(&one, &input).unwrap();
             let one = one.into_trace().counts();
             let (_, eval_mod) = b
                 .predicted_trace()
@@ -806,6 +910,74 @@ mod tests {
         // The key set at s = 64, pinned: a change that adds a Galois key (each one costs
         // memory on every refreshing trainer) has to say so here.
         assert_eq!(sparse.required_rotations(), SPARSE_64_ROTATIONS);
+    }
+
+    #[test]
+    fn eval_mod_picks_the_pair_with_the_fewest_multiplies_within_the_error_bound() {
+        // (K, cap) of `boot_dense`, of `helr_refresh` (64 of 512 slots) and of the 256-slot
+        // refresh Table 8 prices at `fab_paper()`, with the double-angle count, the series
+        // degree and the multiplies of one evaluation each must pick.
+        let testing = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        let paper = CkksContext::new_arc(CkksParams::fab_paper()).unwrap();
+        let helr = sparse_params(64);
+        let table8 = BootstrapParams::sparse_for_scheme(&CkksParams::fab_paper(), 256);
+        assert_eq!((helr.k_range.round(), helr.eval_mod_degree), (40.0, 511));
+        assert_eq!(
+            (table8.k_range.round(), table8.eval_mod_degree),
+            (385.0, 511)
+        );
+        for (ctx, params, picked) in [
+            (&testing, dense_params(), (4, 31, 15)),
+            (&testing, helr, (3, 63, 19)),
+            (&paper, table8.clone(), (4, 255, 37)),
+        ] {
+            let eval_mod = EvalMod::choose(ctx, params.k_range, params.eval_mod_degree).unwrap();
+            let plan = PlanBackend::new(ctx.clone(), "EvalMod");
+            let input = PlanCiphertext::new(ctx.params().max_level, ctx.params().default_scale());
+            eval_mod.evaluate_with(&plan, &input).unwrap();
+            let multiplies = plan.into_trace().counts().multiply;
+            assert_eq!(
+                (eval_mod.doublings, eval_mod.cosine.degree(), multiplies),
+                picked,
+                "K = {}",
+                params.k_range
+            );
+        }
+        // The 256-slot range is out of reach of a degree-63 series: refused, not run.
+        let out_of_reach = BootstrapParams {
+            eval_mod_degree: 63,
+            ..table8
+        };
+        assert!(matches!(
+            Bootstrapper::new(testing, out_of_reach),
+            Err(CkksError::InvalidParameters { .. })
+        ));
+    }
+
+    /// RMS precision of `got` against `want`, in bits: `−log2` of the RMS error.
+    fn rms_bits(got: &[f64], want: &[f64]) -> f64 {
+        let squared: f64 = got.iter().zip(want).map(|(g, w)| (g - w).powi(2)).sum();
+        -(squared / want.len() as f64).sqrt().log2()
+    }
+
+    #[test]
+    fn dense_and_sparse_bootstraps_keep_twelve_bits_rms() {
+        // With exact scales inside the series, the double-angle steps have no relabelled
+        // scale error to amplify.
+        let n = CkksParams::bootstrap_testing().slot_count();
+        for (params, s) in [(dense_params(), n), (sparse_params(64), 64)] {
+            let mut f = fixture_with(params);
+            let scale = f.ctx.params().default_scale();
+            let values: Vec<f64> = (0..s).map(|i| 0.4 * ((i as f64) * 0.05).sin()).collect();
+            let pt = f.encoder.encode_real(&values, scale, 0).unwrap();
+            let ct = f.encryptor.encrypt(&pt, &mut f.rng).unwrap();
+            let refreshed = f.bootstrapper.bootstrap(&ct, &f.rlk, &f.keys).unwrap();
+            let decoded = f
+                .encoder
+                .decode_real(&f.decryptor.decrypt(&refreshed).unwrap());
+            let bits = rms_bits(&decoded[..s], &values);
+            assert!(bits >= 12.0, "{s} slots: {bits:.2} bits RMS");
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Chebyshev polynomial approximation and its homomorphic evaluation (baby-step/giant-step).
 //!
-//! Bootstrapping approximates the modular-reduction step by a scaled sine, evaluated as a
-//! Chebyshev series (Section 2.1.3 of the paper, following Bossuat et al. for non-sparse
-//! keys). The same machinery evaluates the sigmoid used by encrypted logistic regression.
+//! Bootstrapping approximates the modular-reduction step by a cosine on a range shrunk by
+//! `2^r`, evaluated as a Chebyshev series, followed by `r` double-angle steps (Section 2.1.3
+//! of the paper; Han–Ki, and Bossuat et al. for non-sparse keys).
 
 use fab_math::Complex64;
 
 use crate::backend::EvalBackend;
-use crate::evaluator::scales_match;
 use crate::{CkksError, Result};
 
 /// A Chebyshev series `Σ c_k T_k(t)` on a domain `[a, b]` (mapped affinely onto `[-1, 1]`).
@@ -105,7 +104,14 @@ impl ChebyshevSeries {
     /// — backend-generic: the single control flow behind both the real execution
     /// ([`crate::ExecBackend`]) and the analytic plan ([`crate::PlanBackend`]).
     ///
-    /// The multiplicative depth is `O(log degree)` plus a few levels of scale management.
+    /// The multiplicative depth is `O(log degree)`. Every addition inside the evaluation sees
+    /// operand scales that are bit-identical: where the operands sit at different levels the
+    /// higher one is matched to the other's scale exactly ([`EvalBackend::align_exact`], no
+    /// depth), and the leaf encodes each coefficient at the ratio of the sum's scale to its
+    /// term's. Relabelling a scale that differs within the addition tolerance (≈ 2^-20)
+    /// would add that relative error to the result, and EvalMod's double-angle steps
+    /// multiply it by up to 4 each: a dense bootstrap at `bootstrap_testing()` with four
+    /// steps kept 2.9 bits that way, and keeps 14 with exact scales.
     ///
     /// # Errors
     ///
@@ -190,7 +196,7 @@ impl ChebyshevSeries {
             let t_diff = basis[diff].as_ref().ok_or(CkksError::InvalidInput {
                 reason: format!("chebyshev basis T_{diff} missing"),
             })?;
-            let (x, y) = backend.align_for_addition(&doubled, t_diff)?;
+            let (x, y) = backend.align_exact(&doubled, t_diff)?;
             backend.sub(&x, &y)
         }
     }
@@ -235,20 +241,21 @@ impl ChebyshevSeries {
         let q_dropped = backend.mod_drop_to_level(&q_eval, level)?;
         let t_dropped = backend.mod_drop_to_level(t_g, level)?;
         let product = backend.multiply_rescale(&q_dropped, &t_dropped)?;
-        let (x, y) = backend.align_for_addition(&product, &r_eval)?;
+        let (x, y) = backend.align_exact(&product, &r_eval)?;
         backend.add(&x, &y)
     }
 
     /// Leaf evaluation `Σ_{j<m} c_j·T_j`: constant multiplications only.
     ///
-    /// The coefficients are per-limb scalars at the rescaling prime, so the whole sum is
-    /// transform-free: the first live term seeds the accumulator
-    /// ([`EvalBackend::multiply_const`]) and every further term is one in-place
-    /// multiply-accumulate pass over the basis ciphertext where it already sits
-    /// ([`EvalBackend::accumulate_const`]), coefficient-resident so the trailing rescale
-    /// needs no inverse. A term whose scaled coefficient rounds to zero (the even terms of an
-    /// odd function are ~1e-17, not `0.0`) contributes no bit and is skipped once the
-    /// accumulator exists; the seed always goes in, which fixes the leaf's level and scale.
+    /// The coefficients are per-limb scalars, so the whole sum is transform-free: the first
+    /// live term seeds the accumulator at the rescaling prime ([`EvalBackend::multiply_const`])
+    /// and every further term is one in-place multiply-accumulate pass over the basis
+    /// ciphertext where it already sits ([`EvalBackend::accumulate_const`]), its coefficient
+    /// encoded at `scale(sum) / scale(T_j)` so that no term's scale is relabelled onto the
+    /// sum's; coefficient-resident, so the trailing rescale needs no inverse. A term whose
+    /// scaled coefficient rounds to zero (the even terms of an odd function are ~1e-17, not
+    /// `0.0`) contributes no bit and is skipped once the accumulator exists; the seed always
+    /// goes in, which fixes the leaf's level and scale.
     fn evaluate_leaf<B: EvalBackend>(
         &self,
         backend: &B,
@@ -275,34 +282,27 @@ impl ChebyshevSeries {
                 operation: "chebyshev leaf evaluation",
             });
         }
-        let prime = backend.ctx().rescale_prime(level) as f64;
         let mut acc: Option<B::Ct> = None;
         for (j, &c) in coeffs.iter().enumerate().skip(1) {
-            if c.abs() == 0.0 || (acc.is_some() && (c * prime).round() == 0.0) {
+            if c.abs() == 0.0 {
                 continue;
             }
             let t = basis[j].as_ref().ok_or(CkksError::InvalidInput {
                 reason: format!("chebyshev basis T_{j} missing"),
             })?;
-            if let Some(sum) = acc.as_mut() {
-                if backend.level(sum) == level
-                    && scales_match(backend.scale(sum), backend.scale(t) * prime)
-                {
-                    backend.accumulate_const(sum, t, c, prime)?;
-                    continue;
+            match acc.as_mut() {
+                None => {
+                    let prime = backend.ctx().rescale_prime(level) as f64;
+                    let t = backend.mod_drop_to_level(t, level)?;
+                    acc = Some(backend.multiply_const(&t, Complex64::new(c, 0.0), prime)?);
+                }
+                Some(sum) => {
+                    let pt_scale = backend.scale(sum) / backend.scale(t);
+                    if (c * pt_scale).round() != 0.0 {
+                        backend.accumulate_const(sum, t, c, pt_scale)?;
+                    }
                 }
             }
-            // The seed, or a term whose scale drifted from the running sum's: scale
-            // management may spend a level, so it goes through the general route.
-            let t = backend.mod_drop_to_level(t, level)?;
-            let term = backend.multiply_const(&t, Complex64::new(c, 0.0), prime)?;
-            acc = Some(match acc {
-                None => term,
-                Some(prev) => {
-                    let (x, y) = backend.align_for_addition(&prev, &term)?;
-                    backend.add(&x, &y)?
-                }
-            });
         }
         let summed = acc.expect("at least one nonzero term");
         let rescaled = backend.rescale(&summed)?;

@@ -10,7 +10,8 @@
 //! The scheme follows the paper's description (Section 2): RNS limbs of `log q` bits,
 //! NTT-based polynomial arithmetic, hybrid (Han–Ki) key switching with `dnum` digits and an
 //! extension modulus `P`, and bootstrapping composed of ModRaise, CoeffToSlot, EvalMod
-//! (scaled-sine Chebyshev approximation) and SlotToCoeff.
+//! (a Chebyshev cosine on a range shrunk by `2^r`, then `r` double-angle steps, evaluated
+//! with exact scales) and SlotToCoeff.
 //!
 //! The homomorphic linear transforms follow a *plan → execute* flow: a [`BsgsPlan`] regroups
 //! a transform's diagonals into baby-step/giant-step rotation sets ([`linear_transform`]),
@@ -47,11 +48,12 @@
 //! **Real constants are per-limb scalars**, never plaintext polynomials:
 //! [`Evaluator::multiply_const`], [`Evaluator::accumulate_const`] and
 //! [`Evaluator::add_scalar`] work in whatever domain the ciphertext is in and perform no
-//! transform. The scale-management composites [`EvalBackend::multiply_scalar`] and
-//! [`EvalBackend::match_scale`] (written once on the backend seam, for executor and planner
-//! alike) and the Chebyshev leaf ([`ChebyshevSeries::evaluate_with`]: a seed product, then
-//! one in-place multiply-accumulate pass per live term, coefficient-resident up to its
-//! rescale) are built on them. Only a constant with a non-zero imaginary part is still
+//! transform. The scale-management composites [`EvalBackend::multiply_scalar`],
+//! [`EvalBackend::match_scale`] and [`EvalBackend::align_exact`] (written once on the backend
+//! seam, for executor and planner alike) and the Chebyshev leaf
+//! ([`ChebyshevSeries::evaluate_with`]: a seed product, then one in-place multiply-accumulate
+//! pass per live term at the exact scale ratio, coefficient-resident up to its rescale) are
+//! built on them. Only a constant with a non-zero imaginary part is still
 //! encoded ([`Encoder::encode_constant`]).
 //!
 //! The [`accounting`] module carries one closed-form cost per hot operation — its NTT

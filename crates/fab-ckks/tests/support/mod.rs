@@ -1,11 +1,16 @@
 //! Test-support oracle for the Chebyshev evaluation: the same baby-step/giant-step schedule
-//! as `ChebyshevSeries::evaluate_with`, but every constant goes the long way round —
-//! encoded as an `N`-coefficient plaintext and multiplied through `multiply_plain`, each leaf
-//! term materialised on its own and folded in with `add` after the backend's one
-//! `align_for_addition` (on a key-less `ExecBackend`), and no term skipped however small its
-//! coefficient. It shares no constant arithmetic with the production leaf (`multiply_const`,
-//! `accumulate_const`, the zero-skip), which is the point: production must reproduce it bit
-//! for bit.
+//! and the same exact-scale rules as `ChebyshevSeries::evaluate_with`, but every constant goes
+//! the long way round — encoded as an `N`-coefficient plaintext and multiplied through
+//! `multiply_plain`, each leaf term materialised on its own (its coefficient at the ratio of
+//! the sum's scale to its own) and folded in with `add`, and no term skipped however small its
+//! coefficient. Operands at different levels are matched from the definition: the higher one
+//! dropped to one level above the other, multiplied by `1` at `round(target·q / scale)`,
+//! rescaled and declared at the target; only operands at one level go through the backend's
+//! `align_for_addition` (on a key-less `ExecBackend`). It shares no constant arithmetic with
+//! the production leaf (`multiply_const`, `accumulate_const`, the zero-skip) or with
+//! `align_exact`, which is the point: production must reproduce it bit for bit.
+
+use std::cmp::Ordering;
 
 use fab_ckks::{
     ChebyshevSeries, Ciphertext, EvalBackend, Evaluator, ExecBackend, GaloisKeys,
@@ -47,13 +52,33 @@ impl Oracle<'_> {
         self.evaluator.add_plain(ct, &pt).unwrap()
     }
 
-    /// `x ∘ y` after bringing both to a common level and scale.
+    /// `high` at `low`'s level and scale: dropped to one level above it, times `1` at
+    /// `round(target·q / scale)`, rescaled, declared at the target (only dropped when the
+    /// scales are already equal).
+    fn matched(&self, high: &Ciphertext, low: &Ciphertext) -> Ciphertext {
+        let e = self.evaluator;
+        if high.scale() == low.scale() {
+            return e.mod_drop_to_level(high, low.level()).unwrap();
+        }
+        let high = e.mod_drop_to_level(high, low.level() + 1).unwrap();
+        let prime = e.context().rescale_prime(high.level()) as f64;
+        let one = self.times_plain(&high, 1.0, (low.scale() * prime / high.scale()).round());
+        let mut out = e.rescale(&one).unwrap();
+        out.scale = low.scale();
+        out
+    }
+
+    /// `x ∘ y` after bringing both to a common level and the same scale.
     fn aligned(&self, x: &Ciphertext, y: &Ciphertext, subtract: bool) -> Ciphertext {
         let e = self.evaluator;
         let no_keys = GaloisKeys::default();
-        let (x, y) = ExecBackend::new(e, &no_keys)
-            .align_for_addition(x, y)
-            .unwrap();
+        let (x, y) = match x.level().cmp(&y.level()) {
+            Ordering::Greater => (self.matched(x, y), y.clone()),
+            Ordering::Less => (x.clone(), self.matched(y, x)),
+            Ordering::Equal => ExecBackend::new(e, &no_keys)
+                .align_for_addition(x, y)
+                .unwrap(),
+        };
         if subtract {
             e.sub(&x, &y)
         } else {
@@ -92,7 +117,8 @@ impl Oracle<'_> {
             let t = e
                 .mod_drop_to_level(basis[j].as_ref().unwrap(), level)
                 .unwrap();
-            let term = self.times_plain(&t, coeffs[j], prime);
+            let pt_scale = acc.as_ref().map_or(prime, |sum| sum.scale() / t.scale());
+            let term = self.times_plain(&t, coeffs[j], pt_scale);
             acc = Some(match acc {
                 None => term,
                 Some(sum) => self.aligned(&sum, &term, false),

@@ -104,7 +104,7 @@ impl EncryptedLogisticRegression {
     /// every iteration", Section 5.5): the bootstrapper shares the trainer's trace sink, so
     /// [`Self::train_with_refresh`] records the serial part of the HELR iteration — sigmoid,
     /// update *and* bootstrap — end to end. `sparse_slots` must be a power of two at least
-    /// `features` (a larger window widens the sine range less). The whole window is masked
+    /// `features` (a larger window widens the EvalMod range less). The whole window is masked
     /// and refreshed: it holds `sparse_slots / features.next_power_of_two()` copies of the
     /// weights, which the refresh returns repeated across the slot vector, as an iteration
     /// reads them.
@@ -924,7 +924,7 @@ mod tests {
     fn refresh_failure_sweep_over_eighty_seeds() {
         // The `helr_refresh` benchmark's shape — 16 features in 64 sparse slots, 32 samples,
         // two iterations of batch 8 with one refresh between them, trainer and data on one
-        // seed — over seeds 0..80, printing the seeds whose refresh leaves the sine range and
+        // seed — over seeds 0..80, printing the seeds whose refresh leaves the EvalMod range and
         // returns weights above 8 in magnitude. Which seeds fail is fixed by the encryption
         // randomness, which the trainer draws after its Galois keys from the same stream.
         let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();

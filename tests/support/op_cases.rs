@@ -67,9 +67,9 @@ pub fn multiply_and_key_switch() -> Vec<Case> {
 /// A real constant is a per-limb scalar: `multiply_const`, `accumulate_const` and
 /// `add_scalar` perform no transform in either domain, so `multiply_scalar` and
 /// `match_scale` cost one constant product plus what their rescale costs (the `2·(ℓ+1)`
-/// inverses of the coefficient boundary on evaluation input, then both parts' rescale), and
-/// a leaf reaches its rescale with its seed and fourteen accumulate passes, and not a byte
-/// more.
+/// inverses of the coefficient boundary on evaluation input, then both parts' rescale),
+/// `align_exact` the same one level up, and a leaf reaches its rescale with its seed and
+/// fourteen accumulate passes, and not a byte more.
 pub fn constant_ops_and_leaf() -> Vec<Case> {
     let mut f = Fixture::new(606);
     let (degree, limbs, _, _) = f.shape();
@@ -84,20 +84,31 @@ pub fn constant_ops_and_leaf() -> Vec<Case> {
     let coeff = ev.mod_drop_to_level(&fresh, LEVEL).unwrap();
     let eval = ev.to_evaluation_form(&coeff).unwrap();
     let fresh_eval = ev.to_evaluation_form(&fresh).unwrap();
+    // One level above `coeff`, at a scale `align_exact` has to match.
+    let mut up = ev.mod_drop_to_level(&fresh, LEVEL + 1).unwrap();
+    up.scale = scale * 0.75;
+    let up_eval = ev.to_evaluation_form(&up).unwrap();
     let mut cases = Vec::new();
-    for (domain, ct, term, add_scalar, to_coefficient) in [
+    for (domain, ct, term, up, add_scalar, to_coefficient) in [
         // add_scalar: one word per limb in coefficient form (below the meter's row-pass
         // granularity), one unary pass over c0 in evaluation form.
-        ("coefficient", &coeff, &fresh, Tally::ZERO, Tally::ZERO),
+        ("coefficient", &coeff, &fresh, &up, Tally::ZERO, None),
         (
             "evaluation",
             &eval,
             &fresh_eval,
+            &up_eval,
             kernel::pointwise_unary(degree, limbs),
-            kernel::ntt_inverse(degree).times(2 * limbs as u64),
+            Some(kernel::ntt_inverse(degree)),
         ),
     ] {
-        let rescale = to_coefficient + kernel::rescale(degree, limbs).times(2);
+        // A rescale over `limbs` limbs: the coefficient boundary on evaluation input, then
+        // both parts.
+        let rescale_over = |limbs: usize| {
+            to_coefficient.map_or(Tally::ZERO, |inverse| inverse.times(2 * limbs as u64))
+                + kernel::rescale(degree, limbs).times(2)
+        };
+        let rescale = rescale_over(limbs);
         let c = Complex64::new(-0.37, 0.0);
         let mut run = |what: &str, charged: Tally, formula: Tally| {
             cases.push(case(format!("{what} ({domain})"), charged, formula));
@@ -121,6 +132,11 @@ pub fn constant_ops_and_leaf() -> Vec<Case> {
             "match_scale",
             metered(|| backend.match_scale(ct, scale * 0.75).unwrap()).1,
             multiply_const + rescale,
+        );
+        run(
+            "align_exact",
+            metered(|| backend.align_exact(up, ct).unwrap()).1,
+            accounting::multiply_const(degree, limbs + 1) + rescale_over(limbs + 1),
         );
 
         // The leaf: a seed and fourteen accumulations off terms held two levels higher, read
