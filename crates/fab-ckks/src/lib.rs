@@ -19,10 +19,11 @@
 //! ([`Evaluator::rotate_hoisted_batch`]), and the identical control flow runs on real
 //! ciphertexts or on `(level, scale)` shadows through the [`backend`] seam — so a recorded
 //! bootstrap, its planned trace and the `fab-core` accelerator workload carry the same
-//! rotation schedule op for op. Sparsely-packed ciphertexts bootstrap through a dedicated
-//! entry point ([`bootstrap::BootstrapParams::sparse_for_scheme`]) that projects onto the
-//! packing subring with SubSum, factors the tiled sub-FFT over the used slots, and evaluates
-//! EvalMod once on the real and imaginary halves packed into one slot vector.
+//! rotation schedule op for op. Sparsely-packed ciphertexts, whose slot vector repeats every
+//! `s` slots, bootstrap through a dedicated entry point
+//! ([`bootstrap::BootstrapParams::sparse_for_scheme`]) that projects onto the packing subring
+//! with SubSum, factors the tiled sub-FFT over the `s` slots, and evaluates EvalMod once on
+//! the real and imaginary halves packed into one slot vector.
 //!
 //! The hot key-switch datapath is **transform-minimal** (PR 4): the β digits are raised and
 //! forward-transformed as one batched digit-parallel stage, the KSKIP inner product sums the

@@ -35,8 +35,13 @@ pub struct CkksParams {
     pub fft_iter: usize,
     /// Standard deviation of the error distribution.
     pub error_std: f64,
-    /// Hamming weight of the secret key; `None` selects a uniform ternary (non-sparse) secret,
-    /// which is what the paper's bootstrapping targets (Bossuat et al. polynomial).
+    /// Hamming weight of the secret key; `None` selects a uniform ternary (non-sparse) secret.
+    /// A uniform secret widens ModRaise's integer `I` past what a bootstrap's EvalMod covers:
+    /// at `fab_paper()` its coefficients have a standard deviation of about 60
+    /// (`√((h+1)/12)` with `h` ≈ 43 770), and 37 268 of 65 536 exceeded the range `K` = 34
+    /// that [`crate::bootstrap::BootstrapParams::for_scheme`] assumes. A bootstrap at such
+    /// parameters is planned and priced, not run; `ROADMAP.md` direction 2 picks a secret it
+    /// can run with.
     pub secret_hamming_weight: Option<usize>,
     /// Claimed security level in bits (informational; derived from N and log PQ tables).
     pub security_bits: u32,

@@ -4,16 +4,16 @@
 //! of `fab-ckks` gives the operations
 //! [`crate::EncryptedLogisticRegression::train_with_refresh`] executes between two
 //! iterations, at the task's shape and the model's parameters: one sample-packed iteration
-//! from weights at `levels_after_bootstrap()`, the refresh's mask, and the planned trace of
-//! the sparse-slot bootstrapper ("a bootstrapping operation after every iteration",
-//! Section 5.5). This crate's tests pin a recorded iteration and refresh to the same plan op
-//! for op. The trace splits at the `LR_UPDATE` phase into
+//! from weights at `levels_after_bootstrap()`, the drop of the updated weights to level 0, and
+//! the planned trace of the sparse-slot bootstrapper ("a bootstrapping operation after every
+//! iteration", Section 5.5). This crate's tests pin a recorded iteration and refresh to the
+//! same plan op for op. The trace splits at the `LR_UPDATE` phase into
 //!
 //! * a **data-parallel part** — the forward product, aggregation, sigmoid and gradient of
 //!   each chunk of samples, which are independent, so FAB-2 spreads the chunks over its
 //!   FPGAs, and
-//! * a **serial part** — the sum over the batch, the weight update, the mask and the
-//!   bootstrap, which stay on one FPGA, plus
+//! * a **serial part** — the sum over the batch, the weight update and the bootstrap, which
+//!   stay on one FPGA, plus
 //! * ~12 ms of inter-FPGA communication per iteration for FAB-2 (Section 5.5).
 
 use std::sync::Mutex;
@@ -25,7 +25,7 @@ use fab_core::workload::OpTrace;
 use fab_core::{FabConfig, MultiFpgaSystem, OpCostModel, ParallelWorkload};
 use fab_trace::phase;
 
-use crate::encrypted::{mask_for_refresh, plan_iteration, refresh_params};
+use crate::encrypted::{exhaust_for_refresh, plan_iteration, refresh_params};
 
 /// Breakdown of one modelled HELR iteration.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +34,7 @@ pub struct HelrWorkloadBreakdown {
     pub chunks: usize,
     /// Time of the data-parallel part on a single FPGA, in seconds.
     pub parallel_s: f64,
-    /// Time of the serial part (batch sum, update, mask and bootstrapping), in seconds.
+    /// Time of the serial part (batch sum, update and bootstrapping), in seconds.
     pub serial_s: f64,
     /// Total time per iteration on a single FPGA (FAB-1), in seconds.
     pub fab1_s: f64,
@@ -52,8 +52,8 @@ pub struct HelrWorkloadBreakdown {
 ///
 /// # Panics
 ///
-/// Panics if `params` cannot carry an iteration and the mask from
-/// `params.levels_after_bootstrap()`, or cannot bootstrap `task.slots` sparse slots.
+/// Panics if `params` cannot carry an iteration from `params.levels_after_bootstrap()`, or
+/// cannot bootstrap `task.slots` sparse slots.
 pub fn helr_iteration_workload(params: &CkksParams, task: &HelrTask) -> (OpTrace, OpTrace) {
     type Memo = Vec<((CkksParams, HelrTask), (OpTrace, OpTrace))>;
     static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
@@ -69,8 +69,8 @@ pub fn helr_iteration_workload(params: &CkksParams, task: &HelrTask) -> (OpTrace
     let plan = PlanBackend::new(ctx.clone(), "helr iteration + refresh");
     let level = params.levels_after_bootstrap();
     plan_iteration(&plan, level, task.features, task.batch_size, 1.0)
-        .and_then(|updated| mask_for_refresh(&plan, &updated, task.slots))
-        .expect("the iteration and the mask plan within the level budget");
+        .and_then(|updated| exhaust_for_refresh(&plan, &updated))
+        .expect("the iteration plans within the level budget");
     let mut planned = plan.into_trace();
     let bootstrap = Bootstrapper::new(ctx, refresh_params(params, task.slots))
         .and_then(|bootstrapper| bootstrapper.predicted_trace())
@@ -158,24 +158,21 @@ mod tests {
         );
 
         // Serial: the sum over the batch (log2 C = 7 rotate-adds) and the update at the level
-        // the iteration leaves (5 below the bootstrap's output), the mask, then exactly the
-        // refresh's planned bootstrap.
+        // the iteration leaves (5 below the bootstrap's output), a refresh step that records
+        // no op (no plaintext product before ModRaise), then exactly the refresh's planned
+        // bootstrap.
         let level = params.levels_after_bootstrap() - 5;
         let mut update = [HeOp::Rotate { level }, HeOp::Add { level }].repeat(7);
         update.push(HeOp::Add { level });
         assert_eq!(serial.phase_ops(phase::LR_UPDATE).unwrap(), update);
-        let mask = serial.phase_ops(phase::LR_REFRESH).unwrap();
-        assert_eq!(
-            mask,
-            [HeOp::MultiplyPlain { level }, HeOp::Rescale { level }]
-        );
+        assert_eq!(serial.phase_ops(phase::LR_REFRESH).unwrap(), []);
         let ctx = CkksContext::new_arc(params.clone()).unwrap();
         let bootstrap = refresh_params(&params, HELR_TASK.slots);
         let predicted = Bootstrapper::new(ctx, bootstrap)
             .unwrap()
             .predicted_trace()
             .unwrap();
-        assert_eq!(serial.ops[update.len() + mask.len()..], predicted.ops);
+        assert_eq!(serial.ops[update.len()..], predicted.ops);
         assert_eq!(serial.phase_labels()[2..], predicted.phase_labels());
     }
 

@@ -57,8 +57,9 @@ pub mod phase {
     pub const LR_GRADIENT: &str = "lr_gradient";
     /// HELR: the end-of-iteration weight update.
     pub const LR_UPDATE: &str = "lr_update";
-    /// HELR: masking the weight ciphertext ahead of its end-of-iteration sparse bootstrap
-    /// (the bootstrap itself is phase-marked `MOD_RAISE` … `SLOT_TO_COEFF`).
+    /// HELR: aligning the weight ciphertext's scale and dropping it to level 0 ahead of its
+    /// end-of-iteration sparse bootstrap (the bootstrap itself is phase-marked `MOD_RAISE` …
+    /// `SLOT_TO_COEFF`).
     pub const LR_REFRESH: &str = "lr_refresh";
     /// Serving: time a request spends queued before the server picks it up.
     pub const SERVE_QUEUE: &str = "serve_queue";

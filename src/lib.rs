@@ -42,11 +42,11 @@
 //!   transform known by its structural offsets alone
 //!   ([`ckks::LinearTransform::from_offsets`]), so no diagonal is encoded.
 //!
-//! Sparsely-packed ciphertexts (messages in the first `s` slots, as `fab-lr` packs them) get
-//! a real sparse-slot entry point: `BootstrapParams::sparse_for_scheme` inserts a SubSum
-//! projection onto the packing subring, factors the tiled sub-FFT over `s` slots and packs the
-//! real and imaginary halves into one slot vector so EvalMod runs once; the encrypted
-//! trainer's end-of-iteration refresh
+//! Sparsely-packed ciphertexts (slot vectors that repeat every `s` slots, as `fab-lr`'s
+//! weights do) get a real sparse-slot entry point: `BootstrapParams::sparse_for_scheme`
+//! inserts a SubSum projection onto the packing subring, factors the tiled sub-FFT over `s`
+//! slots and packs the real and imaginary halves into one slot vector so EvalMod runs once;
+//! the encrypted trainer's end-of-iteration refresh
 //! ([`logistic_regression::EncryptedLogisticRegression::train_with_refresh`]) is recorded end
 //! to end instead of being hand-approximated.
 //!
