@@ -30,9 +30,10 @@
 //! * multiply: the tensor products never round-trip — `d2` enters the key switch dual-form
 //!   and `d0`/`d1` are absorbed as `P·d` into the KSKIP accumulators **before** the
 //!   accumulator inverse, so none of the three pays an inverse of its own;
-//! * hoisted rotation batch: the `β·raised` forward sweep is paid **once** for the whole
-//!   batch — each rotation permutes the transformed digits in evaluation domain instead of
-//!   re-transforming them;
+//! * key-switched automorphisms (`rotate`, `conjugate` and the hoisted batch, one loop):
+//!   the `β·raised` forward sweep is paid **once** per batch, and each element permutes the
+//!   transformed digits in evaluation domain — a single rotation or conjugation is a batch
+//!   of one ([`hoisted_rotation_batch`] at `rotations = 1`);
 //! * eval-resident BSGS stage: plaintext diagonals are NTT-cached in the plan (zero
 //!   plaintext forwards after warm-up), babies are promoted to evaluation form once each,
 //!   and the partial sums pay one inverse pair per giant **group** instead of per diagonal
@@ -167,20 +168,12 @@ pub fn accumulate_const(degree: usize, limbs: usize) -> Tally {
     kernel::scalar_multiply_add(degree, limbs).times(2)
 }
 
-/// One key-switched rotation (or conjugation): both parts' automorphism gathers, the key
-/// switch of the rotated `c1`, and the `c0 += k0` combine. The automorphisms and the add
-/// are transform-free, so the transforms are exactly one [`key_switch`]'s.
-pub fn rotation(degree: usize, limbs: usize, special: usize, alpha: usize) -> Tally {
-    kernel::automorphism(degree, limbs).times(2)
-        + key_switch(degree, limbs, special, alpha)
-        + kernel::pointwise_binary(degree, limbs)
-}
-
 /// A hoisted rotation batch with `rotations` key-switched steps: the digit raise (the
 /// `β·raised` forward sweep) paid **once**, then per rotation a permuted KSKIP sweep (the
 /// evaluation-domain gather rides the inner product), both accumulator inverse batches
 /// (`2·raised` inverses), both ModDowns, the `c0` automorphism and the `c0 += k0` combine.
-/// A batch of only free steps (`rotations == 0`) costs nothing.
+/// A single rotation or conjugation is `rotations = 1`; a batch of only free steps
+/// (`rotations == 0`) costs nothing.
 pub fn hoisted_rotation_batch(
     degree: usize,
     limbs: usize,
@@ -203,8 +196,8 @@ pub fn hoisted_rotation_batch(
 /// forwards per baby — paid once per baby instead of once per *diagonal*), two pointwise
 /// products per diagonal against the plan's NTT-cached plaintext rows, the eval-resident
 /// partial-sum adds (`diagonals - 1` ciphertext adds), **one** inverse pair per giant group
-/// (`2·limbs` per group instead of per diagonal), one full rotation per nonzero giant step,
-/// and the trailing rescale of both parts.
+/// (`2·limbs` per group instead of per diagonal), one single rotation (a batch of one) per
+/// nonzero giant step, and the trailing rescale of both parts.
 ///
 /// `warm` charges the one-time cache fill: `diagonals·limbs` plaintext forwards on the first
 /// application of a transform at a level. Every later application performs **zero plaintext
@@ -232,7 +225,8 @@ pub fn bsgs_stage_eval(
     let sums =
         kernel::pointwise_binary(degree, limbs).times(2 * diagonals.saturating_sub(1) as u64);
     let group_inverses = kernel::ntt_inverse(degree).times(2 * limbs as u64 * group_count);
-    let giants = rotation(degree, limbs, special, alpha).times(plan.giant_rotation_count() as u64);
+    let giants = hoisted_rotation_batch(degree, limbs, special, alpha, 1)
+        .times(plan.giant_rotation_count() as u64);
     let rescales = kernel::rescale(degree, limbs).times(2);
     babies + promote + cache_fill + products + sums + group_inverses + giants + rescales
 }
@@ -263,7 +257,11 @@ mod tests {
         assert_eq!(multiply_plain_eval(n, 7).transforms, transforms(7, 0));
         assert_eq!(multiply_const(n, 7).transforms, transforms(0, 0));
         assert_eq!(accumulate_const(n, 7).transforms, transforms(0, 0));
-        assert_eq!(rotation(n, 7, 3, 3).transforms, ks.transforms);
+        // A single rotation pays exactly one key switch's transforms.
+        assert_eq!(
+            hoisted_rotation_batch(n, 7, 3, 3, 1).transforms,
+            ks.transforms
+        );
         // A 4-rotation hoisted batch pays the forward sweep once.
         let batch = hoisted_rotation_batch(n, 7, 3, 3, 4);
         assert_eq!(batch.transforms, transforms(30, 80));

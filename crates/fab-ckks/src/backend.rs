@@ -191,7 +191,9 @@ pub trait EvalBackend {
         }
     }
 
-    /// Rotation with its own key-switch decomposition.
+    /// One rotation ([`HeOp::Rotate`]; a free, unrecorded clone at a multiple of the slot
+    /// count). The evaluator runs it as a hoisted batch of one, so it pays its own key-switch
+    /// decomposition.
     fn rotate(&self, a: &Self::Ct, steps: usize) -> Result<Self::Ct>;
 
     /// Rotates one ciphertext by every step in `steps`, sharing a single key-switch

@@ -118,15 +118,9 @@ impl BootstrapParams {
     /// Derives parameters for bootstrapping a sparsely-packed ciphertext over `slots` slots:
     /// [`Self::for_scheme`]'s range and degree cap. The message is `slots`-periodic (see
     /// [`Self::sparse_slots`]), so SubSum leaves the ModRaise integers' range as it is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is not a power of two or exceeds the slot count.
+    /// `slots` is checked where every window is, by [`Bootstrapper::new`]: anything but a
+    /// power of two from 2 to the slot count gives [`CkksError::InvalidParameters`].
     pub fn sparse_for_scheme(params: &crate::CkksParams, slots: usize) -> Self {
-        assert!(
-            slots.is_power_of_two() && slots <= params.slot_count(),
-            "sparse slot count must be a power of two within the slot vector"
-        );
         Self {
             sparse_slots: Some(slots),
             ..Self::for_scheme(params)
@@ -1095,11 +1089,18 @@ mod tests {
     #[test]
     fn bootstrapper_rejects_out_of_range_sparse_windows() {
         let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
-        for bad in [0usize, 1, 3, ctx.slot_count() * 2, ctx.slot_count() + 1] {
+        let slots = ctx.slot_count();
+        let literal = [0usize, 1, 3, slots * 2, slots + 1].map(|bad| {
             let params = BootstrapParams {
                 sparse_slots: Some(bad),
                 ..BootstrapParams::default()
             };
+            (bad, params)
+        });
+        // The scheme-derived constructor has no rule of its own: the same typed error, no panic.
+        let derived = [0usize, 1, 3, slots * 2]
+            .map(|bad| (bad, BootstrapParams::sparse_for_scheme(ctx.params(), bad)));
+        for (bad, params) in literal.into_iter().chain(derived) {
             assert!(
                 matches!(
                     Bootstrapper::new(ctx.clone(), params),

@@ -320,9 +320,9 @@ impl CkksContext {
     }
 
     /// The cached **evaluation-domain** permutation for the Galois automorphism
-    /// `x → x^element` (see [`EvalAutomorphismMap`]): hoisted rotation batches permute the
-    /// once-transformed raised digits with this map instead of re-running the forward NTT
-    /// per rotation.
+    /// `x → x^element` (see [`EvalAutomorphismMap`]): every key-switched rotation and
+    /// conjugation permutes the once-transformed raised digits with this map instead of
+    /// re-running the forward NTT per automorphism.
     ///
     /// # Errors
     ///

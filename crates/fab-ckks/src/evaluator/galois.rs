@@ -1,18 +1,26 @@
-//! Galois operations: rotation, conjugation and the hoisted rotation batch (an automorphism
-//! followed by a key switch back to the original secret), and the key-free monomial shift.
-
-use std::sync::Arc;
+//! Galois operations: rotation and conjugation, the key-switched automorphisms, all run by
+//! one hoisted loop (`rotate` and `conjugate` are one-element batches of it), and the
+//! key-free monomial shift.
 
 use fab_math::{galois_element_for_conjugation, galois_element_for_rotation};
 use fab_rns::{RnsBasis, RnsPolynomial};
 use fab_trace::HeOp;
 
 use super::Evaluator;
-use crate::{Ciphertext, CkksError, KeyProvider, KeyRef, Result, SwitchingKey};
+use crate::{Ciphertext, CkksError, KeyProvider, KeyRef, Result};
+
+/// One key-switched automorphism of a batch: a left rotation of the slots by a step below
+/// the slot count (0 is a free clone), or the complex conjugation.
+#[derive(Clone, Copy)]
+enum Galois {
+    Rotate(usize),
+    Conjugate,
+}
 
 impl Evaluator {
-    /// Rotates the slots left by `steps` positions (`out[i] = in[i + steps mod n]`). A
-    /// rotation by a multiple of the slot count is a free clone and asks for no key.
+    /// Rotates the slots left by `steps` positions (`out[i] = in[i + steps mod n]`): a
+    /// one-element [`Self::rotate_hoisted_batch`]. A rotation by a multiple of the slot count
+    /// is a free clone and asks for no key.
     ///
     /// # Errors
     ///
@@ -23,31 +31,7 @@ impl Evaluator {
         steps: usize,
         keys: &K,
     ) -> Result<Ciphertext> {
-        let steps = steps % self.ctx.slot_count();
-        if steps == 0 {
-            return Ok(a.clone());
-        }
-        let (element, key) = self.rotation_key(keys, steps)?;
-        let rotated = self.apply_galois(a, element, &key)?;
-        self.record(HeOp::Rotate { level: a.level });
-        Ok(rotated)
-    }
-
-    /// The Galois element of the rotation by `steps` and its key, asked for by name. The
-    /// seam spells a missing key by its element; only this caller knows the step, and adds it.
-    fn rotation_key<K: KeyProvider + ?Sized>(
-        &self,
-        keys: &K,
-        steps: usize,
-    ) -> Result<(u64, Arc<SwitchingKey>)> {
-        let element = galois_element_for_rotation(self.ctx.degree(), steps);
-        match keys.key(KeyRef::Galois(element)) {
-            Ok(key) => Ok((element, key)),
-            Err(CkksError::MissingKey { description }) => Err(CkksError::MissingKey {
-                description: format!("{description} (rotation by {steps})"),
-            }),
-            Err(other) => Err(other),
-        }
+        Ok(self.rotate_hoisted_batch(a, &[steps], keys)?.remove(0))
     }
 
     /// Rotates one ciphertext by every step in `steps` while performing the key-switch
@@ -61,7 +45,7 @@ impl Evaluator {
     ///
     /// The first step is recorded as a full [`HeOp::Rotate`], every further nonzero step as
     /// [`HeOp::RotateHoisted`], and steps that are multiples of the slot count are free
-    /// clones, exactly like the per-op path.
+    /// clones. Each output is bitwise the [`Self::rotate`] by its step.
     ///
     /// Soundness of sharing: digit slicing commutes with the automorphism (it acts
     /// limb-wise), applying the automorphism to a ModUp output yields a valid lift of the
@@ -81,55 +65,12 @@ impl Evaluator {
         keys: &K,
     ) -> Result<Vec<Ciphertext>> {
         let slots = self.ctx.slot_count();
-        if steps.iter().all(|s| s % slots == 0) {
-            return Ok(steps.iter().map(|_| a.clone()).collect());
-        }
-        let a = self.coefficient_input(a)?;
-        let a = a.as_ref();
-        let level = a.level;
-        let q_basis = self.ctx.basis_at_level(level)?;
-
-        let mut scratch = self.scratch();
-        let sc = &mut *scratch;
-
-        // Decomp + ModUp + forward NTT of c1, shared by every rotation in the batch.
-        let raised = self.raise_digits(sc, &a.c1, level)?;
-        let down = self.ctx.mod_down_plan(level)?;
-        let mut out = Vec::with_capacity(steps.len());
-        let mut first = true;
-        for &s in steps {
-            let st = s % slots;
-            if st == 0 {
-                out.push(a.clone());
-                continue;
-            }
-            let (element, key) = match self.rotation_key(keys, st) {
-                Ok(found) => found,
-                Err(e) => {
-                    raised.recycle_into(sc);
-                    return Err(e);
-                }
-            };
-            let eval_map = self.ctx.eval_automorphism_map(element)?;
-            let (k0, k1) = self.switch_raised(sc, &raised, &key, Some(&eval_map), None, &down)?;
-            let map = self.ctx.automorphism_map(element)?;
-            let mut c0 = a.c0.automorphism_with_map(&map, &q_basis)?;
-            c0.add_assign(&k0, &q_basis)?;
-            sc.recycle(k0);
-            let rotated = Ciphertext::from_parts(c0, k1, a.scale, level);
-            self.record(if first {
-                HeOp::Rotate { level }
-            } else {
-                HeOp::RotateHoisted { level }
-            });
-            first = false;
-            out.push(rotated);
-        }
-        raised.recycle_into(sc);
-        Ok(out)
+        let batch: Vec<Galois> = steps.iter().map(|&s| Galois::Rotate(s % slots)).collect();
+        self.galois_batch(a, &batch, keys)
     }
 
-    /// Complex-conjugates every slot.
+    /// Complex-conjugates every slot: a one-element batch of the hoisted loop, recorded as
+    /// [`HeOp::Conjugate`].
     ///
     /// # Errors
     ///
@@ -139,35 +80,72 @@ impl Evaluator {
         a: &Ciphertext,
         keys: &K,
     ) -> Result<Ciphertext> {
-        let element = galois_element_for_conjugation(self.ctx.degree());
-        let key = keys.key(KeyRef::Galois(element))?;
-        let conjugated = self.apply_galois(a, element, &key)?;
-        self.record(HeOp::Conjugate { level: a.level });
-        Ok(conjugated)
+        Ok(self.galois_batch(a, &[Galois::Conjugate], keys)?.remove(0))
     }
 
-    /// Applies the Galois automorphism `x → x^element` followed by the key switch back to the
-    /// original secret.
-    ///
-    /// # Errors
-    ///
-    /// Propagates automorphism and key-switch errors.
-    pub fn apply_galois(
+    /// The one key-switched automorphism loop: Decomp → ModUp → forward NTT of `c1` once,
+    /// then per element the evaluation-domain permutation inside the KSKIP gather, the key
+    /// switch's back half, and `σ(c0) + k0`. Each element asks for its key when its turn
+    /// comes, so a key cache holds one at a time.
+    fn galois_batch<K: KeyProvider + ?Sized>(
         &self,
         a: &Ciphertext,
-        element: u64,
-        key: &SwitchingKey,
-    ) -> Result<Ciphertext> {
+        batch: &[Galois],
+        keys: &K,
+    ) -> Result<Vec<Ciphertext>> {
+        if batch.iter().all(|g| matches!(g, Galois::Rotate(0))) {
+            return Ok(vec![a.clone(); batch.len()]);
+        }
         let a = self.coefficient_input(a)?;
         let a = a.as_ref();
-        let basis = self.ctx.basis_at_level(a.level)?;
-        let map = self.ctx.automorphism_map(element)?;
-        let mut c0 = a.c0.automorphism_with_map(&map, &basis)?;
-        let c1 = a.c1.automorphism_with_map(&map, &basis)?;
-        let (k0, k1) = self.key_switch(&c1, key, a.level)?;
-        c0.add_assign(&k0, &basis)?;
-        self.scratch().recycle(k0);
-        Ok(Ciphertext::from_parts(c0, k1, a.scale, a.level))
+        let level = a.level;
+        let q_basis = self.ctx.basis_at_level(level)?;
+
+        let mut scratch = self.scratch();
+        let sc = &mut *scratch;
+        let raised = self.raise_digits(sc, &a.c1, level)?;
+        let down = self.ctx.mod_down_plan(level)?;
+        let mut rotated = false;
+        let out = batch
+            .iter()
+            .map(|&g| {
+                let (element, key, op) = match g {
+                    Galois::Rotate(0) => return Ok(a.clone()),
+                    Galois::Rotate(s) => {
+                        let element = galois_element_for_rotation(self.ctx.degree(), s);
+                        // The seam spells a missing key by its element; the step is added here.
+                        let key = keys.key(KeyRef::Galois(element)).map_err(|e| match e {
+                            CkksError::MissingKey { description } => CkksError::MissingKey {
+                                description: format!("{description} (rotation by {s})"),
+                            },
+                            other => other,
+                        })?;
+                        let op = if std::mem::replace(&mut rotated, true) {
+                            HeOp::RotateHoisted { level }
+                        } else {
+                            HeOp::Rotate { level }
+                        };
+                        (element, key, op)
+                    }
+                    Galois::Conjugate => {
+                        let element = galois_element_for_conjugation(self.ctx.degree());
+                        let key = keys.key(KeyRef::Galois(element))?;
+                        (element, key, HeOp::Conjugate { level })
+                    }
+                };
+                let eval_map = self.ctx.eval_automorphism_map(element)?;
+                let (k0, k1) =
+                    self.switch_raised(sc, &raised, &key, Some(&eval_map), None, &down)?;
+                let map = self.ctx.automorphism_map(element)?;
+                let mut c0 = a.c0.automorphism_with_map(&map, &q_basis)?;
+                c0.add_assign(&k0, &q_basis)?;
+                sc.recycle(k0);
+                self.record(op);
+                Ok(Ciphertext::from_parts(c0, k1, a.scale, level))
+            })
+            .collect();
+        raised.recycle_into(sc);
+        out
     }
 
     /// Multiplies the underlying polynomial by the monomial `X^power` (a negacyclic shift).

@@ -11,9 +11,9 @@ use crate::{CkksError, Result, SwitchingKey};
 /// The once-raised digit data of the lazy key-switch pipeline: `d`'s own limbs plus every
 /// digit's conversion rows, all in lazy `[0, 4q)` evaluation form over `Q_level ∪ P`.
 ///
-/// Hoisted rotation batches compute this **once** and reuse it for every rotation (the
-/// per-rotation automorphism is an evaluation-domain permutation applied inside the KSKIP
-/// gather), which is what eliminates the per-rotation forward-NTT sweeps of the old path.
+/// The Galois loop computes this **once** per batch and reuses it for every rotation or
+/// conjugation in it (each automorphism is an evaluation-domain permutation applied inside
+/// the KSKIP gather), so a batch of `M` pays one forward-NTT sweep, not `M`.
 pub(super) struct RaisedDigits {
     /// The raised basis `Q_level ∪ P` (tables shared behind `Arc`s).
     basis: RnsBasis,

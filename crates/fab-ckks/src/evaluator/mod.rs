@@ -21,8 +21,8 @@
 //! One `impl Evaluator`, split along its seams: this file holds the type, domain management,
 //! ciphertext addition, rescale and mod-drop; `scratch` the arena; `key_switch` the digit
 //! raise and the one key-switch back half; `multiply` the one multiplication pipeline;
-//! `plain` plaintext and constant arithmetic; `galois` rotations, conjugation and the hoisted
-//! batch. The scale-management composites built on these (`multiply_scalar`, `match_scale`,
+//! `plain` plaintext and constant arithmetic; `galois` the one key-switched automorphism loop
+//! (rotation, conjugation, the hoisted batch) and the monomial shift. The scale-management composites built on these (`multiply_scalar`, `match_scale`,
 //! `align_for_addition`) are not here: they are written once, as provided methods of
 //! [`crate::EvalBackend`], so the executor and the planner share them.
 

@@ -1,4 +1,7 @@
-//! Test-support oracle for the Chebyshev evaluation: the same baby-step/giant-step schedule
+//! Test-support oracles: the Chebyshev evaluation the long way round ([`Oracle`]) and the
+//! coefficient-domain key-switched automorphism ([`galois_oracle`]).
+//!
+//! [`Oracle`] runs the same baby-step/giant-step schedule
 //! and the same exact-scale rules as `ChebyshevSeries::evaluate_with`, but every constant goes
 //! the long way round — encoded as an `N`-coefficient plaintext and multiplied through
 //! `multiply_plain`, each leaf term materialised on its own (its coefficient at the ratio of
@@ -10,11 +13,14 @@
 //! the production leaf (`multiply_const`, `accumulate_const`, the zero-skip) or with
 //! `align_exact`, which is the point: production must reproduce it bit for bit.
 
+// Each test crate that includes this module uses one of its two oracles.
+#![allow(dead_code)]
+
 use std::cmp::Ordering;
 
 use fab_ckks::{
     ChebyshevSeries, Ciphertext, EvalBackend, Evaluator, ExecBackend, GaloisKeys,
-    RelinearizationKey,
+    RelinearizationKey, SwitchingKey,
 };
 use fab_math::Complex64;
 
@@ -176,4 +182,25 @@ impl Oracle<'_> {
         }
         self.split(series.coefficients(), &basis, m)
     }
+}
+
+/// The textbook key-switched automorphism `x → x^element` of a coefficient-form `ct`: both
+/// parts automorphed in coefficient form, `σ(c1)` switched back to the secret by
+/// [`Evaluator::key_switch`] (held bit for bit to a schoolbook key switch in
+/// `key_switch_lazy.rs`), and `k0` added to `σ(c0)`. Beyond that key switch it shares nothing
+/// with the evaluator's Galois loop: no evaluation-domain permutation, and its ModUp lifts
+/// `σ(c1)` rather than permuting a lift of `c1`, so its output decrypts to the same slots with
+/// a different key-switch noise, never bit for bit.
+pub fn galois_oracle(
+    evaluator: &Evaluator,
+    ct: &Ciphertext,
+    element: u64,
+    key: &SwitchingKey,
+) -> Ciphertext {
+    let basis = evaluator.context().basis_at_level(ct.level()).unwrap();
+    let mut c0 = ct.c0().automorphism(element, &basis).unwrap();
+    let c1 = ct.c1().automorphism(element, &basis).unwrap();
+    let (k0, k1) = evaluator.key_switch(&c1, key, ct.level()).unwrap();
+    c0.add_assign(&k0, &basis).unwrap();
+    Ciphertext::from_parts(c0, k1, ct.scale(), ct.level())
 }

@@ -146,10 +146,10 @@ impl AutomorphismMap {
 /// permutation with no sign fix-ups** — `out[i] = in[source[i]]` where `source[i]` is the
 /// slot holding the exponent `(2·brv(i)+1)·t mod 2N`.
 ///
-/// This is what lets hoisted rotation batches share one ModUp *and* one forward-NTT sweep:
-/// the raised digits are transformed once, and every rotation in the batch only pays the
-/// permutation (applied on the fly inside the key-switch inner product) — the per-rotation
-/// forward transforms of the coefficient-domain path are audited-redundant and eliminated.
+/// This is what lets a batch of key-switched automorphisms share one ModUp *and* one
+/// forward-NTT sweep: the raised digits are transformed once, and every rotation or
+/// conjugation in the batch only pays the permutation (applied on the fly inside the
+/// key-switch inner product).
 #[derive(Debug, Clone)]
 pub struct EvalAutomorphismMap {
     degree: usize,

@@ -178,7 +178,9 @@ fn paper_scale_closed_forms_pin_the_readme_table() {
         (168, 88, 5395)
     );
     assert_eq!(
-        row(accounting::rotation(degree, limbs, special, alpha)),
-        (96, 64, 3608)
+        row(accounting::hoisted_rotation_batch(
+            degree, limbs, special, alpha, 1
+        )),
+        (96, 64, 3620)
     );
 }

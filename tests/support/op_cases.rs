@@ -166,10 +166,10 @@ pub fn constant_ops_and_leaf() -> Vec<Case> {
 }
 
 /// A hoisted batch of three key-switched rotations and a free step, a batch of free steps,
-/// and a single key-switched rotation.
+/// and a single rotation and a conjugation, each a batch of one.
 pub fn rotation_and_hoisted_batch() -> Vec<Case> {
     let mut f = Fixture::new(1212);
-    let keys = f.keygen.galois_keys(&[1, 2, 5], false, &mut f.rng).unwrap();
+    let keys = f.keygen.galois_keys(&[1, 2, 5], true, &mut f.rng).unwrap();
     let (degree, limbs, special, alpha) = f.shape();
     let ct = f.encrypt(32, LEVEL);
     let ev = &f.evaluator;
@@ -188,11 +188,17 @@ pub fn rotation_and_hoisted_batch() -> Vec<Case> {
             metered(|| ev.rotate_hoisted_batch(&ct, &[0], &keys).unwrap()).1,
             Tally::ZERO,
         ),
-        // One key switch, two automorphism gathers and the combine.
+        // The same loop with one element: one raise, one permuted key switch, one `c0`
+        // automorphism gather and the combine.
         case(
             "rotation",
             metered(|| ev.rotate(&ct, 1, &keys).unwrap()).1,
-            accounting::rotation(degree, limbs, special, alpha),
+            accounting::hoisted_rotation_batch(degree, limbs, special, alpha, 1),
+        ),
+        case(
+            "conjugation",
+            metered(|| ev.conjugate(&ct, &keys).unwrap()).1,
+            accounting::hoisted_rotation_batch(degree, limbs, special, alpha, 1),
         ),
     ]
 }
