@@ -7,9 +7,10 @@
 //! return to coefficient form. The linear transforms are factored
 //! into `ﬀtIter` groups exactly as the paper's design-space study (Figure 2) parameterises, and
 //! every stage carries a [`crate::BsgsPlan`]: the software pipeline executes the same
-//! baby-step/giant-step + hoisting rotation schedule the FAB FPGA runs, so the recorded
-//! execution, the planned trace ([`Bootstrapper::predicted_trace`]) and the `fab-core`
-//! accelerator workload agree on rotation counts op for op.
+//! baby-step/giant-step + hoisting rotation schedule the FAB FPGA runs. The recorded
+//! execution and the planned trace ([`Bootstrapper::predicted_trace`]) agree op for op, and the
+//! `fab-core` accelerator workload is that planned trace, taken from a plan-only bootstrapper
+//! ([`Bootstrapper::plan_only`]) that knows its stages by their offsets alone.
 //!
 //! Because the bootstrapper holds its stage transforms for its whole lifetime, the
 //! eval-resident BSGS execution warms each stage's **NTT-cached diagonal plaintexts** once
@@ -55,14 +56,17 @@
 //! into existing stages at construction, so the packing costs no level. A fully-packed
 //! bootstrap has no spare room and evaluates EvalMod on each half.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fab_math::{Complex64, SpecialFft};
 use fab_trace::{noop_sink, phase, HeOp, OpTrace, TraceSink};
 
 use crate::backend::{EvalBackend, ExecBackend, PlanBackend, PlanCiphertext};
-use crate::linear_transform::{coeff_to_slot_stages, slot_to_coeff_stages};
+use crate::linear_transform::{
+    coeff_to_slot_offset_sets, coeff_to_slot_stages, slot_to_coeff_offset_sets,
+    slot_to_coeff_stages,
+};
 use crate::{
     ChebyshevSeries, Ciphertext, CkksContext, CkksError, Evaluator, GaloisKeys, KeyProvider,
     KeyRef, LinearTransform, RelinearizationKey, Result,
@@ -228,8 +232,6 @@ pub struct Bootstrapper {
     params: BootstrapParams,
     cts_stages: Vec<LinearTransform>,
     stc_stages: Vec<LinearTransform>,
-    /// Rotation steps of the SubSum doubling ladder (empty for fully-packed bootstraps).
-    subsum_steps: Vec<usize>,
     eval_mod: EvalMod,
 }
 
@@ -261,7 +263,8 @@ impl Bootstrapper {
 
     /// Builds an *instrumented* bootstrapper: every homomorphic operation of every phase is
     /// reported to `sink` during [`Self::bootstrap`], phase-marked with the labels of
-    /// [`fab_trace::phase`].
+    /// [`fab_trace::phase`]. It is [`Self::plan_only`]'s bootstrapper, validated before any
+    /// diagonal is computed, with the diagonal values of its stages.
     ///
     /// # Errors
     ///
@@ -271,31 +274,17 @@ impl Bootstrapper {
         params: BootstrapParams,
         sink: Arc<dyn TraceSink>,
     ) -> Result<Self> {
-        let evaluator = Evaluator::with_sink(ctx.clone(), sink);
+        let mut bootstrapper = Self::plan_only(ctx.clone(), params)?;
+        let (fft_iter, k_range) = (bootstrapper.params.fft_iter, bootstrapper.params.k_range);
         let slots = ctx.slot_count();
-        // Validate the window before choosing a pipeline, so an out-of-range request errors
-        // instead of silently building the fully-packed bootstrap.
-        if let Some(s) = params.sparse_slots {
-            if !s.is_power_of_two() || s < 2 || s > slots {
-                return Err(CkksError::InvalidParameters {
-                    reason: format!("sparse slot count {s} must be a power of two in [2, {slots}]"),
-                });
-            }
-        }
-        let (mut cts_stages, mut stc_stages, subsum_steps) = match params.sparse_slots {
-            Some(s) if s < slots => {
-                let (cts, stc) = packed_sub_fft_stages(s, slots, params.fft_iter)?;
-                let steps: Vec<usize> =
-                    std::iter::successors(Some(s), |&step| (step * 2 < slots).then(|| step * 2))
-                        .collect();
-                (cts, stc, steps)
-            }
-            _ => {
+        let window = bootstrapper.params.sparse_slots.filter(|&s| s < slots);
+        let (mut cts_stages, mut stc_stages) = match window {
+            Some(s) => packed_sub_fft_stages(s, slots, fft_iter)?,
+            None => {
                 let fft = ctx.fft();
                 (
-                    coeff_to_slot_stages(fft, params.fft_iter),
-                    slot_to_coeff_stages(fft, params.fft_iter),
-                    Vec::new(),
+                    coeff_to_slot_stages(fft, fft_iter),
+                    slot_to_coeff_stages(fft, fft_iter),
                 )
             }
         };
@@ -313,8 +302,8 @@ impl Bootstrapper {
         // the plaintext encoding.
         let q0 = ctx.q_basis().modulus(0).value() as f64;
         let delta = ctx.params().default_scale();
-        let k1 = params.k_range + 1.0;
-        let subsum_gain = (slots / params.sparse_slots.unwrap_or(slots)) as f64;
+        let k1 = k_range + 1.0;
+        let subsum_gain = (slots / window.unwrap_or(slots)) as f64;
         let cts_factor = (delta / (q0 * k1 * subsum_gain)).powf(1.0 / cts_stages.len() as f64);
         for stage in cts_stages.iter_mut() {
             stage.scale_by(Complex64::new(cts_factor, 0.0));
@@ -325,29 +314,56 @@ impl Bootstrapper {
         for stage in stc_stages.iter_mut() {
             stage.scale_by(Complex64::new(stc_factor, 0.0));
         }
-        let eval_mod = EvalMod::choose(&ctx, params.k_range, params.eval_mod_degree)?;
-        let minimum_levels = cts_stages.len() + stc_stages.len() + 8;
-        if ctx.params().max_level < minimum_levels {
+        bootstrapper.cts_stages = cts_stages;
+        bootstrapper.stc_stages = stc_stages;
+        bootstrapper.evaluator = Evaluator::with_sink(ctx, sink);
+        Ok(bootstrapper)
+    }
+
+    /// Builds a *plan-only* bootstrapper: [`Self::new`]'s pipeline with every CoeffToSlot and
+    /// SlotToCoeff stage known by its diagonal offsets alone ([`LinearTransform::from_offsets`]),
+    /// so no diagonal is computed or encoded. Its [`Self::predicted_trace`],
+    /// [`Self::predicted_key_refs`] and [`Self::required_rotations`] are those of
+    /// [`Self::new`] on the same arguments; [`Self::bootstrap_with`] refuses it with
+    /// [`CkksError::InvalidInput`]. The `fab-core` accelerator model prices its plan.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::new`].
+    pub fn plan_only(ctx: Arc<CkksContext>, params: BootstrapParams) -> Result<Self> {
+        let slots = ctx.slot_count();
+        // Validate the window before choosing a pipeline, so an out-of-range request errors
+        // instead of silently building the fully-packed bootstrap.
+        let out_of_range = |&s: &usize| !s.is_power_of_two() || s < 2 || s > slots;
+        if let Some(s) = params.sparse_slots.filter(out_of_range) {
             return Err(CkksError::InvalidParameters {
-                reason: format!(
-                    "bootstrapping needs at least {minimum_levels} levels, parameters provide {}",
-                    ctx.params().max_level
-                ),
+                reason: format!("sparse slot count {s} must be a power of two in [2, {slots}]"),
             });
         }
-        let bootstrapper = Self {
-            ctx,
-            evaluator,
-            params,
-            cts_stages,
-            stc_stages,
-            subsum_steps,
-            eval_mod,
+        // A sparse bootstrap's stages are the sub-FFT's over s slots, tiled (which keeps the
+        // offsets), with the row scale on offset 0 and the unpack's {0, s} composed in.
+        let window = params.sparse_slots.filter(|&s| s < slots);
+        let span = window.unwrap_or(slots);
+        let mut stc_sets = slot_to_coeff_offset_sets(span, params.fft_iter);
+        if let (Some(s), Some(first)) = (window, stc_sets.first_mut()) {
+            let unpacked: BTreeSet<usize> = first.iter().flat_map(|&d| [d, d + s]).collect();
+            *first = unpacked.into_iter().collect();
+        }
+        let stages = |sets: Vec<Vec<usize>>| -> Vec<LinearTransform> {
+            let stage = |offsets: &Vec<usize>| LinearTransform::from_offsets(slots, offsets);
+            sets.iter().map(stage).collect()
         };
-        // The `+ 8` slack above is only a fast pre-check; a deep EvalMod consumes
-        // more levels than it assumes. Planning the pipeline on shadow ciphertexts costs
-        // milliseconds and validates the exact budget, so a bootstrapper that cannot run is
-        // rejected here instead of failing mid-bootstrap.
+        let bootstrapper = Self {
+            evaluator: Evaluator::new(ctx.clone()),
+            eval_mod: EvalMod::choose(&ctx, params.k_range, params.eval_mod_degree)?,
+            cts_stages: stages(coeff_to_slot_offset_sets(span, params.fft_iter)),
+            stc_stages: stages(stc_sets),
+            ctx,
+            params,
+        };
+        // Planning the pipeline on shadow ciphertexts costs milliseconds and validates the
+        // exact level budget, so a bootstrapper that cannot run is rejected here instead of
+        // failing mid-bootstrap.
         if let Err(e) = bootstrapper.predicted_trace() {
             return Err(CkksError::InvalidParameters {
                 reason: format!("parameter set cannot carry the bootstrap pipeline: {e}"),
@@ -370,7 +386,7 @@ impl Bootstrapper {
             .iter()
             .chain(self.stc_stages.iter())
             .flat_map(|s| s.required_rotations())
-            .chain(self.subsum_steps.iter().copied())
+            .chain(self.subsum_steps())
             .collect();
         steps.sort_unstable();
         steps.dedup();
@@ -398,9 +414,12 @@ impl Bootstrapper {
             .collect()
     }
 
-    /// The rotation steps of the SubSum ladder (empty for fully-packed bootstraps).
-    pub fn subsum_steps(&self) -> &[usize] {
-        &self.subsum_steps
+    /// The rotation steps of the SubSum doubling ladder, `s, 2s, …` below the slot count
+    /// (empty for fully-packed bootstraps).
+    pub fn subsum_steps(&self) -> Vec<usize> {
+        let slots = self.ctx.slot_count();
+        let first = self.params.sparse_slots.filter(|&s| s < slots);
+        std::iter::successors(first, |&step| (step * 2 < slots).then(|| step * 2)).collect()
     }
 
     /// ModRaise: reinterprets a (nearly) exhausted ciphertext modulo `q_0` as a ciphertext over
@@ -446,11 +465,12 @@ impl Bootstrapper {
     ///
     /// Propagates missing-key errors.
     fn sub_sum_with<B: EvalBackend>(&self, backend: &B, raised: &B::Ct) -> Result<B::Ct> {
-        if !self.subsum_steps.is_empty() {
+        let steps = self.subsum_steps();
+        if !steps.is_empty() {
             backend.begin_phase(phase::SUB_SUM);
         }
         let mut acc = raised.clone();
-        for &step in &self.subsum_steps {
+        for step in steps {
             let rotated = backend.rotate(&acc, step)?;
             acc = backend.add(&acc, &rotated)?;
         }
@@ -476,7 +496,7 @@ impl Bootstrapper {
         // sparse.
         let conjugated = backend.conjugate(&current)?;
         let real = backend.add(&current, &conjugated)?;
-        if !self.subsum_steps.is_empty() {
+        if !self.subsum_steps().is_empty() {
             // Sparse (the bootstrap has a SubSum ladder): Re(c ⊙ w) is the whole packed vector.
             return Ok(vec![real]);
         }
@@ -1078,6 +1098,36 @@ mod tests {
             .required_rotations()
             .iter()
             .all(|&r| r < f.ctx.slot_count()));
+    }
+
+    #[test]
+    fn plan_only_bootstrapper_plans_what_the_valued_one_runs() {
+        // Stages built from structural offsets plan the phases and ops, the key stream and the
+        // key set of the valued stages, dense and at two sparse windows (s = n/2 among them).
+        let mut f = fixture();
+        for params in [dense_params(), sparse_params(64), sparse_params(256)] {
+            let valued = Bootstrapper::new(f.ctx.clone(), params.clone()).unwrap();
+            let planned = Bootstrapper::plan_only(f.ctx.clone(), params).unwrap();
+            let want = valued.predicted_trace().unwrap();
+            assert_eq!(
+                planned.predicted_trace().unwrap().phase_slices(),
+                want.phase_slices()
+            );
+            let want = valued.predicted_key_refs().unwrap();
+            assert_eq!(planned.predicted_key_refs().unwrap(), want);
+            assert_eq!(planned.required_rotations(), valued.required_rotations());
+        }
+        // It has no diagonal value to run: a bootstrap is refused with a typed error.
+        let planned = Bootstrapper::plan_only(f.ctx.clone(), dense_params()).unwrap();
+        let scale = f.ctx.params().default_scale();
+        let pt = f.encoder.encode_real(&[0.25], scale, 0).unwrap();
+        let ct = f.encryptor.encrypt(&pt, &mut f.rng).unwrap();
+        let refused = planned.bootstrap(&ct, &f.rlk, &f.keys);
+        let reason = match &refused {
+            Err(CkksError::InvalidInput { reason }) => reason.as_str(),
+            other => panic!("expected InvalidInput, got {other:?}"),
+        };
+        assert!(reason.contains("offsets-only"), "{reason}");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! the baby steps execute as one hoisted batch sharing a single key-switch decomposition
 //! ([`Evaluator::rotate_hoisted_batch`]), and the identical control flow runs on real
 //! ciphertexts or on `(level, scale)` shadows through the [`backend`] seam — so a recorded
-//! bootstrap, its planned trace and the `fab-core` accelerator workload carry the same
-//! rotation schedule op for op. Sparsely-packed ciphertexts, whose slot vector repeats every
+//! bootstrap and its planned trace agree op for op, and the `fab-core` accelerator workload is
+//! the planned trace of a plan-only bootstrapper ([`Bootstrapper::plan_only`]). Sparsely-packed ciphertexts, whose slot vector repeats every
 //! `s` slots, bootstrap through a dedicated entry point
 //! ([`bootstrap::BootstrapParams::sparse_for_scheme`]) that projects onto the packing subring
 //! with SubSum, factors the tiled sub-FFT over the `s` slots, and evaluates EvalMod once on

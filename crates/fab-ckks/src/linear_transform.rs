@@ -53,7 +53,8 @@ pub struct BsgsGroup {
 ///
 /// The plan is pure structure (offsets only, no matrix data), so the same schedule drives the
 /// real execution in this crate *and*, through [`LinearTransform::from_offsets`], the stages
-/// of the `fab-core` accelerator workload — which keeps the two in op-for-op agreement.
+/// of a plan-only [`crate::Bootstrapper`], whose planned trace the `fab-core` accelerator
+/// model prices — which keeps the two in op-for-op agreement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BsgsPlan {
     slots: usize,
@@ -542,9 +543,10 @@ pub fn coeff_to_slot_stages(fft: &SpecialFft, groups: usize) -> Vec<LinearTransf
 
 /// The diagonal-offset sets of the grouped CoeffToSlot stages, computed *structurally* (no
 /// matrix data): each butterfly level contributes offsets `{0, ±lenh mod n}` and grouping
-/// composes the sets additively. `fab-core` plans the FPGA bootstrapping workload's stages
-/// from these sets (via [`LinearTransform::from_offsets`]) without materialising any
-/// diagonal, and the crate's tests pin them against the offsets of the composed stages.
+/// composes the sets additively. [`crate::Bootstrapper::plan_only`] builds its stages from
+/// these sets (via [`LinearTransform::from_offsets`]) without materialising any diagonal,
+/// [`crate::CkksParams::bootstrap_depth`] counts them, and the crate's tests pin them against
+/// the offsets of the composed stages.
 pub fn coeff_to_slot_offset_sets(slots: usize, groups: usize) -> Vec<Vec<usize>> {
     let mut stages = Vec::new();
     let mut len = slots;

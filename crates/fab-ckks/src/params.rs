@@ -1,6 +1,7 @@
 //! CKKS parameter sets, including the paper's FPGA parameter set (Table 2) and scaled-down
 //! sets used for fast software testing.
 
+use crate::linear_transform::coeff_to_slot_offset_sets;
 use crate::{CkksError, Result};
 
 /// Parameters of an RNS-CKKS instance.
@@ -223,9 +224,12 @@ impl CkksParams {
         }
     }
 
-    /// Total multiplicative depth of bootstrapping, `L_boot = 2·ﬀtIter + 9` (Section 2.1.4).
+    /// Total multiplicative depth of bootstrapping, `L_boot = 2·ﬀtIter + 9` (Section 2.1.4),
+    /// with `ﬀtIter` read as the number of CoeffToSlot stages the grouping of the `log2(slots)`
+    /// butterfly levels really makes ([`coeff_to_slot_offset_sets`]): 15 levels in 6 groups of
+    /// at most 3 make 5 stages, the same program as `ﬀtIter = 5`.
     pub fn bootstrap_depth(&self) -> usize {
-        2 * self.fft_iter + 9
+        2 * coeff_to_slot_offset_sets(self.slot_count(), self.fft_iter).len() + 9
     }
 
     /// Compute levels remaining after a bootstrapping operation.
@@ -415,6 +419,13 @@ mod tests {
         // Bootstrapping depth L_boot = 2*4 + 9 = 17 (Section 2.2).
         assert_eq!(p.bootstrap_depth(), 17);
         assert_eq!(p.levels_after_bootstrap(), 6);
+        // ﬀtIter = 6 groups the 15 butterfly levels into 5 stages, as ﬀtIter = 5 does.
+        let six = CkksParams {
+            fft_iter: 6,
+            ..p.clone()
+        };
+        assert_eq!(six.bootstrap_depth(), 19);
+        assert_eq!(six.levels_after_bootstrap(), 4);
         p.validate().unwrap();
     }
 

@@ -68,7 +68,7 @@ pub fn dnum_sweep(
 pub struct FftIterPoint {
     /// The linear-transform depth parameter.
     pub fft_iter: usize,
-    /// Total bootstrapping depth `2·ﬀtIter + 9`.
+    /// Total bootstrapping depth ([`CkksParams::bootstrap_depth`]).
     pub bootstrap_depth: usize,
     /// Levels remaining after bootstrapping.
     pub levels_after_bootstrap: usize,
@@ -90,8 +90,11 @@ pub fn fft_iter_sweep(
         .iter()
         .map(|&fft_iter| {
             let cost = bootstrap_cost(config, params, fft_iter);
-            let depth = 2 * fft_iter + 9;
-            let levels_after = params.max_level.saturating_sub(depth);
+            let at = CkksParams {
+                fft_iter,
+                ..params.clone()
+            };
+            let levels_after = at.levels_after_bootstrap();
             let amortized = amortized_mult_time_us(
                 config,
                 params,
@@ -101,7 +104,7 @@ pub fn fft_iter_sweep(
             );
             FftIterPoint {
                 fft_iter,
-                bootstrap_depth: depth,
+                bootstrap_depth: at.bootstrap_depth(),
                 levels_after_bootstrap: levels_after,
                 bootstrap_ms: cost.time_ms(config),
                 ntt_operations: cost.ntt_count,
@@ -157,6 +160,13 @@ mod tests {
             assert!(w[1].levels_after_bootstrap <= w[0].levels_after_bootstrap);
         }
         assert!(points[3].ntt_operations < points[0].ntt_operations / 2);
+        // ﬀtIter 6 groups the 15 butterfly levels into the same 5 stages as ﬀtIter 5: one
+        // program, one depth and one price.
+        assert_eq!(points[5].bootstrap_depth, 19);
+        assert_eq!(
+            (points[5].levels_after_bootstrap, points[5].bootstrap_ms),
+            (points[4].levels_after_bootstrap, points[4].bootstrap_ms)
+        );
         assert!(points
             .iter()
             .all(|p| p.ntt_operations <= points[0].ntt_operations));

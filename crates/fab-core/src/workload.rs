@@ -4,89 +4,35 @@
 //! The op vocabulary itself ([`HeOp`], [`OpTrace`], [`OpCounts`]) lives in the `fab-trace`
 //! crate so that the executing scheme (`fab-ckks`) can *record* traces with the same types the
 //! model costs; this module re-exports it and adds the paper's FPGA-scale bootstrapping
-//! workload. [`bootstrap_trace`] plans its CoeffToSlot and SlotToCoeff stages with the program
-//! the software runs: each is a transform known by its structural offsets
-//! ([`LinearTransform::from_offsets`]) run through [`LinearTransform::apply_with`] on a
-//! [`PlanBackend`], so no diagonal is encoded. EvalMod is the last hand-written part: a depth-9
-//! summary of the Bossuat et al. polynomial, which performs no rotation.
+//! workload. [`bootstrap_trace`] is the program's own plan: the predicted trace of a plan-only
+//! [`Bootstrapper`], whose stages are known by their structural offsets, so no diagonal is
+//! encoded, and whose EvalMod is the one the program picks and runs. There is no second
+//! description of the bootstrap to keep in step.
 
-use fab_ckks::linear_transform::{coeff_to_slot_offset_sets, slot_to_coeff_offset_sets};
-use fab_ckks::{
-    CkksContext, CkksError, CkksParams, EvalBackend, LinearTransform, PlanBackend, PlanCiphertext,
-};
-use fab_trace::phase;
+use fab_ckks::{BootstrapParams, Bootstrapper, CkksContext, CkksParams};
 
 pub use fab_trace::{HeOp, OpCounts, OpTrace};
 
 use crate::{FabConfig, OpCost, OpCostModel};
 
-/// Multiplicative depth of the modelled EvalMod (the paper's sine polynomial).
-const EVAL_MOD_DEPTH: usize = 9;
-/// Its ciphertext multiplications, `2^(depth/2) + depth`: roughly a BSGS evaluation's count.
-const EVAL_MOD_MULTIPLICATIONS: usize = 25;
-
 /// Builds the operation trace of one fully-packed bootstrapping at the given parameters and
-/// `ﬀtIter` (at least 1; Section 2.1.3: linear transform → polynomial evaluation → linear
-/// transform) as one [`PlanBackend`] run: the ModRaise NTT batch, the planned CoeffToSlot
-/// stages and the conjugation and two additions that split the halves (op for op the phase of
-/// `fab_ckks::Bootstrapper::predicted_trace`), the EvalMod summary on both halves, then the
-/// recombining addition and the planned SlotToCoeff stages.
+/// `ﬀtIter` (Section 2.1.3: linear transform → polynomial evaluation → linear transform): the
+/// [`Bootstrapper::predicted_trace`] of [`Bootstrapper::plan_only`] with the scheme's
+/// [`BootstrapParams::for_scheme`] and this `ﬀtIter`, op for op what the bootstrapper
+/// [`Bootstrapper::new`] builds from the same arguments executes.
 ///
 /// # Panics
 ///
-/// Panics if the parameter set has no valid context or too few levels for the bootstrap.
+/// Panics if the parameter set has no valid context or cannot carry the bootstrap.
 pub fn bootstrap_trace(params: &CkksParams, fft_iter: usize) -> OpTrace {
-    planned_bootstrap(params, fft_iter.max(1))
+    let bootstrap = BootstrapParams {
+        fft_iter,
+        ..BootstrapParams::for_scheme(params)
+    };
+    CkksContext::new_arc(params.clone())
+        .and_then(|ctx| Bootstrapper::plan_only(ctx, bootstrap))
+        .and_then(|bootstrapper| bootstrapper.predicted_trace())
         .unwrap_or_else(|e| panic!("cannot plan a bootstrap at these parameters: {e}"))
-}
-
-/// [`bootstrap_trace`]'s pipeline, with the planner's errors.
-fn planned_bootstrap(params: &CkksParams, fft_iter: usize) -> fab_ckks::Result<OpTrace> {
-    let slots = params.slot_count();
-    let plan = PlanBackend::new(
-        CkksContext::new_arc(params.clone())?,
-        format!("bootstrap(fftIter={fft_iter})"),
-    );
-    let stages = |ct: PlanCiphertext, offset_sets: Vec<Vec<usize>>| {
-        offset_sets.iter().try_fold(ct, |ct, offsets| {
-            LinearTransform::from_offsets(slots, offsets).apply_with(&plan, &ct)
-        })
-    };
-
-    // ModRaise: every limb of both ring elements is re-populated and transformed.
-    plan.begin_phase(phase::MOD_RAISE);
-    plan.push(HeOp::Ntt {
-        count: 2 * params.total_q_limbs(),
-    });
-    let raised = PlanCiphertext::new(params.max_level, params.default_scale());
-
-    plan.begin_phase(phase::COEFF_TO_SLOT);
-    let ct = stages(raised, coeff_to_slot_offset_sets(slots, fft_iter))?;
-    let conjugated = plan.conjugate(&ct)?;
-    plan.add(&ct, &conjugated)?;
-    plan.sub(&ct, &conjugated)?;
-
-    // EvalMod on both halves, each spending EVAL_MOD_DEPTH levels.
-    plan.begin_phase(phase::EVAL_MOD);
-    let exhausted = CkksError::LevelExhausted {
-        operation: "EvalMod",
-    };
-    let exit = ct.level.checked_sub(EVAL_MOD_DEPTH).ok_or(exhausted)?;
-    for _ in 0..2 {
-        for level in (exit + 1..=ct.level).rev() {
-            for _ in 0..EVAL_MOD_MULTIPLICATIONS.div_ceil(EVAL_MOD_DEPTH) {
-                plan.push(HeOp::Multiply { level });
-            }
-            plan.push(HeOp::Rescale { level });
-        }
-    }
-
-    // SlotToCoeff: the reduced halves recombine with one addition, then the mirrored stages.
-    plan.begin_phase(phase::SLOT_TO_COEFF);
-    let half = PlanCiphertext::new(exit, ct.scale);
-    let recombined = plan.add(&half, &half)?;
-    stages(recombined, slot_to_coeff_offset_sets(slots, fft_iter))?;
-    Ok(plan.into_trace())
 }
 
 /// The cost of one fully-packed bootstrapping at the given parameters/configuration.
@@ -98,6 +44,7 @@ pub fn bootstrap_cost(config: &FabConfig, params: &CkksParams, fft_iter: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fab_trace::phase;
 
     #[test]
     fn trace_builder_accumulates_ops() {
@@ -124,15 +71,18 @@ mod tests {
 
     #[test]
     fn bootstrap_fits_within_level_budget() {
-        // The planned bootstrap spends L_boot = 2·ﬀtIter + 9 levels (17 at ﬀtIter 4): its
-        // last stage rescales at the lowest level it touches, and leaves the paper's 6.
+        // The planned bootstrap's last op is a rescale at the lowest level it touches. At
+        // ﬀtIter 4 it runs 23 → 19 (CoeffToSlot) → 9 (EvalMod) → 5 (SlotToCoeff) → 4 and
+        // exits at level 4: two levels below the formula's L_boot = 2·ﬀtIter + 9 = 17. One is
+        // the extra rescale after the Chebyshev leaves, which makes EvalMod spend
+        // r + log2(d+1) + 1 = 10 levels instead of 9; the other is the closing `match_scale`.
         let params = CkksParams::fab_paper();
         let trace = bootstrap_trace(&params, 4);
         let lowest = trace.ops.iter().filter_map(HeOp::level).min();
         let exit = lowest.expect("a bootstrap spends levels") - 1;
-        assert_eq!(params.max_level - exit, 17);
-        assert_eq!(params.max_level - exit, params.bootstrap_depth());
-        assert_eq!(exit, params.levels_after_bootstrap());
+        assert_eq!(exit, 4);
+        assert_eq!(params.bootstrap_depth(), 17);
+        assert_eq!(params.max_level - exit, params.bootstrap_depth() + 2);
     }
 
     #[test]
@@ -207,10 +157,16 @@ mod tests {
             ]
         );
         let phases = trace.phase_counts();
-        // CoeffToSlot performs fft_iter rescales (one level per stage), EvalMod 2×9.
+        // CoeffToSlot performs fft_iter rescales (one level per stage). EvalMod runs one
+        // evaluation per half, at the same levels: the (3, 63) pick at K = 34, 19 ciphertext
+        // multiplies and 37 rescales each.
         assert_eq!(phases[1].1.rescale, params.fft_iter as u64);
-        assert_eq!(phases[2].1.rescale, 18);
-        assert_eq!(phases[3].1.rescale, params.fft_iter as u64);
+        let eval_mod = trace.phase_ops(phase::EVAL_MOD).expect("an EvalMod phase");
+        let (real, imag) = eval_mod.split_at(eval_mod.len() / 2);
+        assert_eq!(real, imag);
+        assert_eq!((phases[2].1.multiply, phases[2].1.rescale), (38, 74));
+        // SlotToCoeff: one rescale per stage, and one for the closing scale match.
+        assert_eq!(phases[3].1.rescale, params.fft_iter as u64 + 1);
         // Per-phase cost decomposition sums to the full trace cost.
         let model = OpCostModel::new(FabConfig::alveo_u280(), params.clone());
         let total = model.cost_trace(&trace);

@@ -851,12 +851,17 @@ mod tests {
         // Demanded == planned for the HELR pipeline: one iteration on fresh weights, then the
         // refresh, through a recording provider — the keys it was asked for are the planned
         // iteration's key stream followed by the bootstrapper's, element for element. The
-        // weights start where a refresh leaves them, so the ops it records are the trace the
-        // Table 8 model prices at this shape.
+        // weights start at `levels_after_bootstrap()`, as the Table 8 model starts them, so
+        // the ops it records are the trace the model prices at this shape. The scheme's ﬀtIter
+        // is the refresh's three stages, so that formula counts the stages that are built.
         use crate::recording_keys::RecordingKeys;
         let (features, batch, window) = (16, 2, 64);
         let data = synthetic_mnist_like(batch, features, 17);
-        let ctx = CkksContext::new_arc(CkksParams::bootstrap_testing()).unwrap();
+        let params = CkksParams {
+            fft_iter: 3,
+            ..CkksParams::bootstrap_testing()
+        };
+        let ctx = CkksContext::new_arc(params).unwrap();
         let sink = fab_trace::RecordingSink::shared("recorded iteration + refresh");
         let mut trainer = EncryptedLogisticRegression::with_bootstrapping(
             ctx.clone(),

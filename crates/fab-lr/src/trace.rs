@@ -47,8 +47,9 @@ pub struct HelrWorkloadBreakdown {
 /// bootstrapped in a `slots`-slot window) and `params`, split into its data-parallel part
 /// (the per-chunk phases before `LR_UPDATE`) and its serial part (from `LR_UPDATE` on).
 ///
-/// Planning builds the scheme context and the bootstrapper at `params` (seconds of one-time
-/// work), so the pair is memoised per `(params, task)` for the life of the process.
+/// The refresh is a plan-only bootstrapper's (`Bootstrapper::plan_only`), which encodes no
+/// diagonal. Planning still builds the scheme context at `params`, so the pair is memoised per
+/// `(params, task)` for the life of the process.
 ///
 /// # Panics
 ///
@@ -72,7 +73,7 @@ pub fn helr_iteration_workload(params: &CkksParams, task: &HelrTask) -> (OpTrace
         .and_then(|updated| exhaust_for_refresh(&plan, &updated))
         .expect("the iteration plans within the level budget");
     let mut planned = plan.into_trace();
-    let bootstrap = Bootstrapper::new(ctx, refresh_params(params, task.slots))
+    let bootstrap = Bootstrapper::plan_only(ctx, refresh_params(params, task.slots))
         .and_then(|bootstrapper| bootstrapper.predicted_trace())
         .expect("the parameters carry the sparse bootstrap");
     planned.extend(&bootstrap);

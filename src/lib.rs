@@ -37,10 +37,11 @@
 //! * the **real execution** ([`ckks::Bootstrapper::bootstrap`]) on ciphertexts,
 //! * the **planned trace** ([`ckks::Bootstrapper::predicted_trace`]) on `(level, scale)`
 //!   shadows, and
-//! * the **accelerator workload** ([`accelerator::workload::bootstrap_trace`]), which runs
-//!   each stage through the same [`ckks::LinearTransform::apply_with`] on a planner, as a
-//!   transform known by its structural offsets alone
-//!   ([`ckks::LinearTransform::from_offsets`]), so no diagonal is encoded.
+//! * the **accelerator workload** ([`accelerator::workload::bootstrap_trace`]), which is the
+//!   planned trace of a plan-only bootstrapper ([`ckks::Bootstrapper::plan_only`]): the same
+//!   pipeline, EvalMod included, with each stage a transform known by its structural offsets
+//!   alone ([`ckks::LinearTransform::from_offsets`]), so no diagonal is encoded. The model has
+//!   no bootstrap description of its own.
 //!
 //! Sparsely-packed ciphertexts (slot vectors that repeat every `s` slots, as `fab-lr`'s
 //! weights do) get a real sparse-slot entry point: `BootstrapParams::sparse_for_scheme`

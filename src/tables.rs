@@ -13,7 +13,7 @@ use fab_core::baselines::{
     LEVELED_FHE_CLIENT_ENCRYPT_S, TABLE5_FAB_REPORTED, TABLE5_GPU, TABLE6_FAB_REPORTED,
     TABLE6_HEAX,
 };
-use fab_core::workload::bootstrap_cost;
+use fab_core::workload::{bootstrap_trace, HeOp};
 use fab_core::{
     amortized_mult_time_us, dnum_sweep, fft_iter_sweep, FabConfig, OpCostModel, ResourceEstimator,
     WorkingSetReport,
@@ -380,7 +380,10 @@ fn table6() -> String {
 fn table7() -> String {
     let config = FabConfig::alveo_u280();
     let params = CkksParams::fab_paper();
-    let boot = bootstrap_cost(&config, &params, params.fft_iter);
+    let trace = bootstrap_trace(&params, params.fft_iter);
+    let boot = OpCostModel::new(config.clone(), params.clone()).cost_trace(&trace);
+    // The plan's last op is a rescale at the lowest level it touches.
+    let plan_exit = trace.ops.iter().filter_map(HeOp::level).min().unwrap_or(1) - 1;
     let amortized = amortized_mult_time_us(
         &config,
         &params,
@@ -396,9 +399,10 @@ fn table7() -> String {
     .unwrap();
     writeln!(
         out,
-        "modelled FAB: T_boot = {:.1} ms, levels after = {}, slots = 2^15, amortized = {:.3} us/slot",
+        "modelled FAB: T_boot = {:.1} ms, levels after = {} (plan exits at {}), slots = 2^15, amortized = {:.3} us/slot",
         boot.time_ms(&config),
         params.levels_after_bootstrap(),
+        plan_exit,
         amortized
     )
     .unwrap();

@@ -1,23 +1,14 @@
 //! Workspace-level equivalence of the three views of the FAB rotation schedule at the paper's
 //! `N = 2^16` parameter set: the *planned* trace of the real software pipeline
 //! (`Bootstrapper::predicted_trace`, which a recorded execution matches op for op — enforced
-//! by the fab-ckks crate tests), the *accelerator workload* (`fab_core::bootstrap_trace`,
-//! whose CoeffToSlot phase is the planned one op for op, and whose SlotToCoeff stages sit at
-//! the EvalMod summary's levels), and the per-diagonal baseline the BSGS schedule replaces.
+//! by the fab-ckks crate tests), the *accelerator workload* (`fab_core::bootstrap_trace`, a
+//! plan-only bootstrapper's predicted trace, which must equal the planned one op for op and
+//! level for level), and the per-diagonal baseline the BSGS schedule replaces.
 
 use fab::ckks::bootstrap::BootstrapParams;
 use fab::prelude::*;
 use fab::trace::phase;
 use fab_core::workload::bootstrap_trace;
-
-/// Per-phase `(rotate, rotate_hoisted, conjugate)` counts — the key-switch schedule.
-fn rotation_schedule(trace: &OpTrace) -> Vec<(String, (u64, u64, u64))> {
-    trace
-        .phase_counts()
-        .into_iter()
-        .map(|(label, c)| (label, (c.rotate, c.rotate_hoisted, c.conjugate)))
-        .collect()
-}
 
 /// Key-switched rotations of one trace phase.
 fn phase_keyswitches(trace: &OpTrace, label: &str) -> u64 {
@@ -26,14 +17,6 @@ fn phase_keyswitches(trace: &OpTrace, label: &str) -> u64 {
         counts.record(op);
     }
     counts.rotate + counts.rotate_hoisted
-}
-
-/// Asserts that the accelerator workload's CoeffToSlot phase is the planned pipeline's, op for
-/// op: the same stages at the same levels, then the same conjugation and two additions.
-fn assert_coeff_to_slot_is_the_planned_one(predicted: &OpTrace, analytic: &OpTrace) {
-    let planned = predicted.phase_ops(phase::COEFF_TO_SLOT);
-    assert!(planned.is_some_and(|ops| !ops.is_empty()));
-    assert_eq!(planned, analytic.phase_ops(phase::COEFF_TO_SLOT));
 }
 
 /// One rotation per nonzero diagonal — what the pipeline executed before the BSGS refactor.
@@ -66,12 +49,9 @@ fn planned_recorded_and_accelerator_rotation_schedules_agree_at_paper_scale() {
     let predicted = bootstrapper.predicted_trace().unwrap();
     let analytic = bootstrap_trace(&params, params.fft_iter);
 
-    // The equivalence no longer carves out the linear-transform phases: the planned software
-    // pipeline and the accelerator workload agree on the full per-phase rotation schedule
-    // (full rotations, hoisted rotations and conjugations), op for op.
+    // The accelerator workload is the planned software pipeline: every phase, op and level.
     assert_eq!(predicted.phase_labels(), analytic.phase_labels());
-    assert_eq!(rotation_schedule(&predicted), rotation_schedule(&analytic));
-    assert_coeff_to_slot_is_the_planned_one(&predicted, &analytic);
+    assert_eq!(predicted.ops, analytic.ops);
 
     // CoeffToSlot at fftIter = 4: the BSGS schedule beats one-rotation-per-diagonal by ~2.9×
     // (36 vs 105 key switches — each 31-diagonal stage needs only ⌈d/bs⌉ + bs rotations).
@@ -98,8 +78,8 @@ fn bsgs_coeff_to_slot_cuts_keyswitches_three_fold_at_paper_scale() {
     let bootstrapper = Bootstrapper::new(ctx, bp).unwrap();
     let predicted = bootstrapper.predicted_trace().unwrap();
     let analytic = bootstrap_trace(&params, 3);
-    assert_eq!(rotation_schedule(&predicted), rotation_schedule(&analytic));
-    assert_coeff_to_slot_is_the_planned_one(&predicted, &analytic);
+    assert_eq!(predicted.phase_labels(), analytic.phase_labels());
+    assert_eq!(predicted.ops, analytic.ops);
 
     let (cts_baseline, _) = per_diagonal_keyswitches(&bootstrapper);
     let cts_bsgs = phase_keyswitches(&predicted, phase::COEFF_TO_SLOT);
