@@ -182,10 +182,12 @@ impl EvalMod {
     ///
     /// # Errors
     ///
-    /// [`CkksError::InvalidParameters`] if no pair within the cap meets the bound, or none
-    /// can be planned from `ctx`'s top level.
+    /// [`CkksError::InvalidParameters`] if no pair within the cap meets the bound, or if
+    /// some do but none can be planned from `ctx`'s top level — each error names its cause.
     fn choose(ctx: &Arc<CkksContext>, k_range: f64, cap: usize) -> Result<Self> {
+        let top = ctx.params().max_level;
         let mut best: Option<(u64, Self)> = None;
+        let mut unplannable = None;
         for doublings in 0..=Self::MAX_DOUBLINGS {
             let passing = std::iter::successors(Some(1usize), |&d| Some(2 * d + 1))
                 .take_while(|&d| d <= cap)
@@ -195,8 +197,9 @@ impl EvalMod {
                 continue;
             };
             let plan = PlanBackend::new(ctx.clone(), "EvalMod candidate");
-            let input = PlanCiphertext::new(ctx.params().max_level, ctx.params().default_scale());
-            if candidate.evaluate_with(&plan, &input).is_err() {
+            let input = PlanCiphertext::new(top, ctx.params().default_scale());
+            if let Err(e) = candidate.evaluate_with(&plan, &input) {
+                unplannable = Some(e);
                 continue;
             }
             let multiplies = plan.into_trace().counts().multiply;
@@ -204,14 +207,21 @@ impl EvalMod {
                 best = Some((multiplies, candidate));
             }
         }
+        let reason = match unplannable {
+            Some(e) => format!(
+                "every EvalMod of degree at most {cap} with at most {} double-angle steps that \
+                 approximates the range K = {k_range} within 2^-32 needs more levels than the \
+                 top level {top} holds: {e}",
+                Self::MAX_DOUBLINGS
+            ),
+            None => format!(
+                "no EvalMod of degree at most {cap} with at most {} double-angle steps \
+                 approximates the range K = {k_range} within 2^-32",
+                Self::MAX_DOUBLINGS
+            ),
+        };
         best.map(|(_, eval_mod)| eval_mod)
-            .ok_or_else(|| CkksError::InvalidParameters {
-                reason: format!(
-                    "no EvalMod of degree at most {cap} with at most {} double-angle steps \
-                     approximates the range K = {k_range} within 2^-32",
-                    Self::MAX_DOUBLINGS
-                ),
-            })
+            .ok_or(CkksError::InvalidParameters { reason })
     }
 
     /// The series, then the double-angle steps.
@@ -1134,6 +1144,28 @@ mod tests {
     fn bootstrapper_rejects_parameter_sets_without_levels() {
         let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
         assert!(Bootstrapper::new(ctx, BootstrapParams::default()).is_err());
+    }
+
+    #[test]
+    fn eval_mod_without_levels_reports_the_level_not_the_approximation() {
+        // At testing() every candidate meets 2^-32 (the range and cap of bootstrap_testing(),
+        // where they are planned) and none can be planned from the top level.
+        let ctx = CkksContext::new_arc(CkksParams::testing()).unwrap();
+        let top = ctx.params().max_level;
+        let errors = [
+            Bootstrapper::new(ctx.clone(), BootstrapParams::default()).unwrap_err(),
+            Bootstrapper::plan_only(ctx, BootstrapParams::default()).unwrap_err(),
+        ];
+        for error in errors {
+            let CkksError::InvalidParameters { reason } = &error else {
+                panic!("expected InvalidParameters, got {error:?}");
+            };
+            assert!(
+                reason.contains(&format!("needs more levels than the top level {top} holds")),
+                "{reason}"
+            );
+            assert!(!reason.starts_with("no EvalMod"), "{reason}");
+        }
     }
 
     #[test]

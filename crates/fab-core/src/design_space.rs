@@ -6,7 +6,9 @@
 //!   per stage) but consumes more levels, so the amortized per-slot multiplication time has a
 //!   sweet spot (the paper picks `ﬀtIter = 4`).
 
-use fab_ckks::CkksParams;
+use std::sync::Arc;
+
+use fab_ckks::{CkksContext, CkksParams};
 
 use crate::metrics::amortized_mult_time_us;
 use crate::workload::bootstrap_cost;
@@ -80,16 +82,18 @@ pub struct FftIterPoint {
     pub amortized_mult_us: f64,
 }
 
-/// Sweeps `ﬀtIter` for a fixed parameter set and accelerator configuration (Figure 2).
+/// Sweeps `ﬀtIter` for a fixed parameter set (the context's, built once for the sweep) and
+/// accelerator configuration (Figure 2).
 pub fn fft_iter_sweep(
     config: &FabConfig,
-    params: &CkksParams,
+    ctx: &Arc<CkksContext>,
     fft_iters: &[usize],
 ) -> Vec<FftIterPoint> {
+    let params = ctx.params();
     fft_iters
         .iter()
         .map(|&fft_iter| {
-            let cost = bootstrap_cost(config, params, fft_iter);
+            let cost = bootstrap_cost(config, ctx, fft_iter);
             let at = CkksParams {
                 fft_iter,
                 ..params.clone()
@@ -149,8 +153,8 @@ mod tests {
     #[test]
     fn fft_iter_sweep_reproduces_figure_2_trend() {
         let config = FabConfig::alveo_u280();
-        let params = CkksParams::fab_paper();
-        let points = fft_iter_sweep(&config, &params, &[1, 2, 3, 4, 5, 6]);
+        let ctx = CkksContext::new_arc(CkksParams::fab_paper()).unwrap();
+        let points = fft_iter_sweep(&config, &ctx, &[1, 2, 3, 4, 5, 6]);
         assert_eq!(points.len(), 6);
         // Levels after bootstrapping shrink as fftIter grows, and the NTT count drops sharply
         // from fftIter = 1 to the paper's choice of 4 (the radix — and with it the rotation

@@ -81,8 +81,9 @@ mod tests {
     #[test]
     fn amortized_metric_matches_equation_2_structure() {
         let config = FabConfig::alveo_u280();
-        let params = CkksParams::fab_paper();
-        let boot = bootstrap_cost(&config, &params, params.fft_iter);
+        let ctx = fab_ckks::CkksContext::new_arc(CkksParams::fab_paper()).unwrap();
+        let params = ctx.params().clone();
+        let boot = bootstrap_cost(&config, &ctx, params.fft_iter);
         let slots = params.slot_count();
         let levels = params.levels_after_bootstrap();
         let amortized = amortized_mult_time_us(&config, &params, &boot, levels, slots);

@@ -9,42 +9,49 @@
 //! encoded, and whose EvalMod is the one the program picks and runs. There is no second
 //! description of the bootstrap to keep in step.
 
-use fab_ckks::{BootstrapParams, Bootstrapper, CkksContext, CkksParams};
+use std::sync::Arc;
+
+use fab_ckks::{BootstrapParams, Bootstrapper, CkksContext};
 
 pub use fab_trace::{HeOp, OpCounts, OpTrace};
 
 use crate::{FabConfig, OpCost, OpCostModel};
 
-/// Builds the operation trace of one fully-packed bootstrapping at the given parameters and
-/// `ﬀtIter` (Section 2.1.3: linear transform → polynomial evaluation → linear transform): the
-/// [`Bootstrapper::predicted_trace`] of [`Bootstrapper::plan_only`] with the scheme's
-/// [`BootstrapParams::for_scheme`] and this `ﬀtIter`, op for op what the bootstrapper
-/// [`Bootstrapper::new`] builds from the same arguments executes.
+/// Builds the operation trace of one fully-packed bootstrapping on the context's parameters
+/// at the given `ﬀtIter` (Section 2.1.3: linear transform → polynomial evaluation → linear
+/// transform): the [`Bootstrapper::predicted_trace`] of [`Bootstrapper::plan_only`] with the
+/// scheme's [`BootstrapParams::for_scheme`] and this `ﬀtIter`, op for op what the
+/// bootstrapper [`Bootstrapper::new`] builds from the same arguments executes. The caller
+/// builds the context once per parameter set; a sweep reuses it.
 ///
 /// # Panics
 ///
-/// Panics if the parameter set has no valid context or cannot carry the bootstrap.
-pub fn bootstrap_trace(params: &CkksParams, fft_iter: usize) -> OpTrace {
+/// Panics if the parameter set cannot carry the bootstrap.
+pub fn bootstrap_trace(ctx: &Arc<CkksContext>, fft_iter: usize) -> OpTrace {
     let bootstrap = BootstrapParams {
         fft_iter,
-        ..BootstrapParams::for_scheme(params)
+        ..BootstrapParams::for_scheme(ctx.params())
     };
-    CkksContext::new_arc(params.clone())
-        .and_then(|ctx| Bootstrapper::plan_only(ctx, bootstrap))
+    Bootstrapper::plan_only(ctx.clone(), bootstrap)
         .and_then(|bootstrapper| bootstrapper.predicted_trace())
         .unwrap_or_else(|e| panic!("cannot plan a bootstrap at these parameters: {e}"))
 }
 
-/// The cost of one fully-packed bootstrapping at the given parameters/configuration.
-pub fn bootstrap_cost(config: &FabConfig, params: &CkksParams, fft_iter: usize) -> OpCost {
-    let model = OpCostModel::new(config.clone(), params.clone());
-    model.cost_trace(&bootstrap_trace(params, fft_iter))
+/// The cost of one fully-packed bootstrapping on the context's parameters under `config`.
+pub fn bootstrap_cost(config: &FabConfig, ctx: &Arc<CkksContext>, fft_iter: usize) -> OpCost {
+    let model = OpCostModel::new(config.clone(), ctx.params().clone());
+    model.cost_trace(&bootstrap_trace(ctx, fft_iter))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fab_ckks::CkksParams;
     use fab_trace::phase;
+
+    fn paper() -> Arc<CkksContext> {
+        CkksContext::new_arc(CkksParams::fab_paper()).unwrap()
+    }
 
     #[test]
     fn trace_builder_accumulates_ops() {
@@ -76,8 +83,9 @@ mod tests {
         // exits at level 4: two levels below the formula's L_boot = 2·ﬀtIter + 9 = 17. One is
         // the extra rescale after the Chebyshev leaves, which makes EvalMod spend
         // r + log2(d+1) + 1 = 10 levels instead of 9; the other is the closing `match_scale`.
-        let params = CkksParams::fab_paper();
-        let trace = bootstrap_trace(&params, 4);
+        let ctx = paper();
+        let params = ctx.params();
+        let trace = bootstrap_trace(&ctx, 4);
         let lowest = trace.ops.iter().filter_map(HeOp::level).min();
         let exit = lowest.expect("a bootstrap spends levels") - 1;
         assert_eq!(exit, 4);
@@ -89,9 +97,9 @@ mod tests {
     fn larger_fft_iter_reduces_rotations_per_stage() {
         // The widest planned CoeffToSlot stage as (diagonals, key-switched rotations): a stage
         // multiplies one plaintext per diagonal and ends in its one rescale.
-        let params = CkksParams::fab_paper();
+        let ctx = paper();
         let widest = |fft_iter: usize| {
-            let trace = bootstrap_trace(&params, fft_iter);
+            let trace = bootstrap_trace(&ctx, fft_iter);
             let ops = trace
                 .phase_ops(phase::COEFF_TO_SLOT)
                 .expect("a CoeffToSlot phase");
@@ -120,8 +128,9 @@ mod tests {
         // The paper's amortized metric implies a fully-packed bootstrapping in the tens of
         // milliseconds on one U280 (T_boot ≈ 70–80 ms at 300 MHz).
         let config = FabConfig::alveo_u280();
-        let params = CkksParams::fab_paper();
-        let cost = bootstrap_cost(&config, &params, params.fft_iter);
+        let ctx = paper();
+        let params = ctx.params();
+        let cost = bootstrap_cost(&config, &ctx, params.fft_iter);
         let ms = cost.time_ms(&config);
         assert!(ms > 20.0 && ms < 400.0, "bootstrap time {ms} ms");
         assert!(cost.ntt_count > 1_000, "bootstrapping is NTT heavy");
@@ -131,10 +140,10 @@ mod tests {
     fn bootstrap_ntt_count_decreases_with_fft_iter() {
         // Figure 2: increasing ﬀtIter reduces the number of NTT operations per bootstrap.
         let config = FabConfig::alveo_u280();
-        let params = CkksParams::fab_paper();
+        let ctx = paper();
         let mut last = u64::MAX;
         for fft_iter in 1..=5 {
-            let cost = bootstrap_cost(&config, &params, fft_iter);
+            let cost = bootstrap_cost(&config, &ctx, fft_iter);
             assert!(
                 cost.ntt_count <= last,
                 "NTT count must not increase with fftIter"
@@ -145,8 +154,9 @@ mod tests {
 
     #[test]
     fn bootstrap_trace_carries_the_four_phases() {
-        let params = CkksParams::fab_paper();
-        let trace = bootstrap_trace(&params, params.fft_iter);
+        let ctx = paper();
+        let params = ctx.params();
+        let trace = bootstrap_trace(&ctx, params.fft_iter);
         assert_eq!(
             trace.phase_labels(),
             vec![

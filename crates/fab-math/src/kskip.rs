@@ -4,7 +4,7 @@
 //! Instead of one Barrett reduction per digit per coefficient, the kernel sums the raw
 //! 64×64→128-bit products of **all** digits into two `u128` sums per coefficient (one per key
 //! component) and reduces **once** per coefficient at the end — into the lazy `[0, 2q)` domain
-//! ([`fab_math::Modulus::reduce_u128_lazy`]), which the `[0, 2q)` inverse NTT consumes
+//! ([`crate::Modulus::reduce_u128_lazy`]), which the `[0, 2q)` inverse NTT consumes
 //! directly.
 //!
 //! ## Lazy-invariant and overflow-fold bound
@@ -12,7 +12,7 @@
 //! Operands may be *doubly-lazy* forward-NTT outputs `x < 4q` multiplied by canonical key
 //! residues `k < q`, so each term is below `(4q−1)(q−1) < 2^(2B+2)` for a `B`-bit limb. A
 //! `u128` sum therefore holds at least `⌊2^128 / 4q²⌋ ≥ 4` terms (the modulus is capped at 62
-//! bits) — [`fab_math::Modulus::u128_mac_capacity`]. When the digit count exceeds that
+//! bits) — [`crate::Modulus::u128_mac_capacity`]. When the digit count exceeds that
 //! capacity the sums are folded back to canonical residues (each counting as one term) and
 //! keep accumulating; since every coefficient sees the same fixed digit order and fold
 //! schedule, results are bitwise independent of the worker count.
@@ -20,12 +20,21 @@
 //! ## Loop order
 //!
 //! Coefficient-major: a key switch fans out one job per *raised limb*, and within a row
-//! [`accumulate_digits`] walks the coefficients in blocks of [`BLOCK`], running every digit
-//! over a block while its `2·BLOCK` sums stay in registers — two widening multiplies and two
-//! 128-bit adds per term, folds included, and no accumulator row in memory: each digit row
-//! is read once and the two `u64` output rows are written once.
+//! [`accumulate_digits`] walks the coefficients in blocks of eight, running every digit over a
+//! block while its sums stay in registers — each digit row is read once and the two `u64`
+//! output rows are written once; no accumulator row exists in memory. Two arms walk it:
+//!
+//! * the scalar loop (every CPU and limb, and every row a fold is due in): two widening
+//!   multiplies and two 128-bit adds per term, folds included;
+//! * the IFMA arm (a limb below `2^50` on a CPU with `avx512ifma`, no fold due): eight
+//!   coefficients per vector, each product's low and high 52-bit halves summed separately
+//!   (`vpmadd52luq` / `vpmadd52huq`, four per digit) — exact, since `x < 4q < 2^52` and at
+//!   most 4096 halves fit a lane — then `hi·2^52 + lo` is the very `u128` sum of the scalar
+//!   loop and takes the same scalar `reduce_u128_lazy`. The permuted gather of a hoisted
+//!   rotation fills a vector from eight source slots per digit. The scalar loop finishes the
+//!   `len mod 8` tail.
 
-use fab_math::Modulus;
+use crate::{simd, Modulus};
 
 /// One digit's row operands for [`accumulate_digits`].
 #[derive(Debug, Clone, Copy)]
@@ -47,11 +56,12 @@ const BLOCK: usize = 8;
 /// instead of materialising rotated digits. Each `x` is read **once** for both key components.
 ///
 /// The digits of a coefficient are summed under the overflow-fold schedule (`fold_every` =
-/// [`fab_math::Modulus::u128_mac_capacity`], or a smaller value in tests): before a term that
+/// [`crate::Modulus::u128_mac_capacity`], or a smaller value in tests): before a term that
 /// would be the `fold_every + 1`-th, both sums are reduced to canonical residues and count as
 /// one term. This *is* the loop the evaluator ships — tests drive the same function at forced
-/// tiny fold intervals, so the fold path cannot drift untested. Feed the outputs straight
-/// into the `[0, 2q)`-domain inverse NTT, whose final pass canonicalises them.
+/// tiny fold intervals, so the fold path cannot drift untested. A row in which a fold would be
+/// due never takes the IFMA arm. Feed the outputs straight into the `[0, 2q)`-domain inverse
+/// NTT, whose final pass canonicalises them.
 ///
 /// # Panics
 ///
@@ -81,12 +91,31 @@ pub fn accumulate_digits(
         perm.is_none_or(|p| p.len() == n),
         "permutation length mismatch"
     );
-    for (block, (out_b, out_a)) in out_b
+    let done = if digits.len() <= fold_every {
+        simd::kskip_row(modulus, digits, perm, out_b, out_a)
+    } else {
+        0
+    };
+    accumulate_scalar(modulus, fold_every, digits, perm, out_b, out_a, done);
+}
+
+/// The scalar loop of [`accumulate_digits`] over coefficients `from..` (`from` a multiple of
+/// the block): what every CPU and limb can run, and the oracle of the IFMA arm.
+fn accumulate_scalar(
+    modulus: &Modulus,
+    fold_every: usize,
+    digits: &[DigitRows<'_>],
+    perm: Option<&[usize]>,
+    out_b: &mut [u64],
+    out_a: &mut [u64],
+    from: usize,
+) {
+    for (block, (out_b, out_a)) in out_b[from..]
         .chunks_mut(BLOCK)
-        .zip(out_a.chunks_mut(BLOCK))
+        .zip(out_a[from..].chunks_mut(BLOCK))
         .enumerate()
     {
-        let at = block * BLOCK;
+        let at = from + block * BLOCK;
         let span = at..at + out_b.len();
         let mut sum_b = [0u128; BLOCK];
         let mut sum_a = [0u128; BLOCK];
@@ -134,7 +163,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn modulus() -> Modulus {
-        Modulus::new(fab_math::generate_ntt_prime(50, 1 << 4, 0).unwrap()).unwrap()
+        Modulus::new(crate::generate_ntt_prime(50, 1 << 4, 0).unwrap()).unwrap()
     }
 
     fn rows(n: usize, bound: u64, seed: u64) -> Vec<u64> {
@@ -274,6 +303,99 @@ mod tests {
         assert_eq!(lazy_pair(&m, &maximal, n, cap), eager_pair(&m, &maximal, n));
         // …and 3·capacity random digits through the real fold schedule.
         assert_eq!(lazy_pair(&m, &digits, n, cap), eager_pair(&m, &digits, n));
+    }
+
+    /// The IFMA arm of the KSKIP row against the scalar loop, plain and permuted, for 1 – 5
+    /// digits, on every width of the row gates (both sides of `2^50`) and lengths around the
+    /// eight-lane boundary: it must cover every whole vector of a limb below `2^50` when the
+    /// CPU has IFMA (nothing elsewhere), equal the loop there and leave the rest untouched;
+    /// the shipped function must equal the loop everywhere. Digit rows are doubly lazy.
+    #[test]
+    fn vector_kskip_rows_equal_scalar_rows() {
+        use crate::rows::tests::{moduli, report_ifma, row, LENGTHS};
+        let mut covered = 0usize;
+        for (t, m) in moduli().iter().enumerate() {
+            for len in LENGTHS {
+                // A gather that visits every slot: c ↦ 5c + 3 mod len is a bijection for
+                // len coprime to 5; other lengths reverse.
+                let perm: Vec<usize> = if len % 5 == 0 {
+                    (0..len).rev().collect()
+                } else {
+                    (0..len).map(|c| (5 * c + 3) % len).collect()
+                };
+                for beta in 1..=5usize {
+                    let seed = (100 * t + 10 * beta + len) as u64;
+                    let digits: Vec<_> = (0..beta as u64)
+                        .map(|j| {
+                            let s = seed + 1000 * j;
+                            (
+                                row(m, 4, len, s),
+                                row(m, 1, len, s + 1),
+                                row(m, 1, len, s + 2),
+                            )
+                        })
+                        .collect();
+                    let rows: Vec<_> = digits
+                        .iter()
+                        .map(|(x, key_b, key_a)| DigitRows { x, key_b, key_a })
+                        .collect();
+                    for perm in [None, Some(&perm[..])] {
+                        let fold = m.u128_mac_capacity();
+                        let initial = row(m, 1, len, seed ^ 0xA5A5);
+                        let run = |kernel: &dyn Fn(&mut [u64], &mut [u64]) -> usize| {
+                            let (mut b, mut a) = (initial.clone(), initial.clone());
+                            let done = kernel(&mut b, &mut a);
+                            (done, b, a)
+                        };
+                        let (_, scalar_b, scalar_a) = run(&|b, a| {
+                            accumulate_scalar(m, fold, &rows, perm, b, a, 0);
+                            len
+                        });
+                        let (done, vector_b, vector_a) =
+                            run(&|b, a| simd::kskip_row(m, &rows, perm, b, a));
+                        let expected = if simd::Arm::Ifma.runs(m.value()) {
+                            len - len % 8
+                        } else {
+                            0
+                        };
+                        let what = format!("{} bits, len {len}, β {beta}, {perm:?}", m.bits());
+                        assert_eq!(done, expected, "IFMA arm coverage, {what}");
+                        assert_eq!(
+                            vector_b[..done],
+                            scalar_b[..done],
+                            "b: IFMA ≠ scalar, {what}"
+                        );
+                        assert_eq!(
+                            vector_a[..done],
+                            scalar_a[..done],
+                            "a: IFMA ≠ scalar, {what}"
+                        );
+                        assert_eq!(
+                            vector_b[done..],
+                            initial[done..],
+                            "b: wrote past its prefix"
+                        );
+                        assert_eq!(
+                            vector_a[done..],
+                            initial[done..],
+                            "a: wrote past its prefix"
+                        );
+                        let (_, shipped_b, shipped_a) = run(&|b, a| {
+                            accumulate_digits(m, fold, &rows, perm, b, a);
+                            len
+                        });
+                        assert_eq!(
+                            (shipped_b, shipped_a),
+                            (scalar_b, scalar_a),
+                            "shipped, {what}"
+                        );
+                        covered += done;
+                    }
+                }
+            }
+        }
+        println!("kskip accumulate_digits: scalar arm ran (no DQ arm)");
+        report_ifma("kskip accumulate_digits", covered);
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!   definition, the inverse to the round trip on top of it (the `ntt` unit tests).
 //! * `q < 2^62` ([`MAX_MODULUS_BITS`]) guarantees `4q` fits in a `u64`, which is what makes
 //!   the whole scheme branch-free.
-//! * Every such loop has two arms: the scalar one, compiled on every target, and an eight-lane
-//!   AVX-512F+DQ one (`simd.rs`) taken when the CPU reports both features at run time — nothing
-//!   else selects it. The vector arm computes the *same* lazy representative lane for lane and
-//!   is pinned to the scalar arm bit for bit ([`row_kernel_arm`] names the arm in use).
+//! * Every such loop has a scalar arm, compiled on every target, and eight-lane vector arms
+//!   (`simd.rs`): AVX-512F+DQ when the CPU reports both features at run time, and AVX-512 IFMA
+//!   (the 52-bit multiplier) for limbs below `2^50` when it also reports `avx512ifma` — nothing
+//!   else selects them. A vector arm computes the *same* lazy representative lane for lane and
+//!   is pinned to the scalar arm bit for bit ([`row_kernel_arm`] names the arms in use).
 //!   `simd.rs` is the only module of the workspace allowed `unsafe` (this crate denies it
 //!   elsewhere, every other crate forbids it): bounds-asserting loads / stores, detection-gated calls.
 //!
@@ -49,6 +50,7 @@ mod automorph;
 mod complex;
 mod error;
 mod fft;
+pub mod kskip;
 mod modulus;
 mod multiword;
 mod ntt;
@@ -72,10 +74,14 @@ pub use ntt::NttTable;
 pub use prime::{generate_ntt_prime, generate_ntt_primes, is_prime};
 pub use reduction::{ShiftAddReducer, DEFAULT_SHIFTS};
 
-/// Which arm of the row kernels and NTT sweeps this CPU takes: `"avx512f+dq"` (the eight-lane
-/// vector arm) or `"scalar"`. Decided by run-time feature detection alone.
+/// Which arms of the row kernels and NTT sweeps this CPU takes: `"avx512ifma+dq"` (the 52-bit
+/// multiplier for limbs below `2^50`, the AVX-512F+DQ arm for wider ones), `"avx512f+dq"` (the
+/// eight-lane DQ arm for every limb) or `"scalar"`. Decided by run-time feature detection
+/// alone; the limb picks between the two vector arms.
 pub fn row_kernel_arm() -> &'static str {
-    if simd::detected() {
+    if simd::ifma_detected() {
+        "avx512ifma+dq"
+    } else if simd::detected() {
         "avx512f+dq"
     } else {
         "scalar"

@@ -17,7 +17,7 @@
 //! direct evaluation `X[i] = Σ_j x_j·ψ^{(2·brv(i)+1)·j}`, no butterflies — and the inverse to
 //! the round trip on top of it.
 
-use crate::simd::{self, Twiddles};
+use crate::simd::{self, Arm, Twiddles};
 use crate::{MathError, Modulus, Result};
 
 /// Precomputed NTT tables for one `(N, q)` pair.
@@ -165,7 +165,8 @@ impl NttTable {
     /// Panics if `values.len() != N`.
     pub fn forward_lazy(&self, values: &mut [u64]) {
         assert_eq!(values.len(), self.degree, "input length must equal N");
-        if !simd::ntt_forward_lazy(values, &self.forward_twiddles(), self.modulus.value()) {
+        let q = self.modulus.value();
+        if !simd::ntt_forward_lazy(Arm::select(q), values, &self.forward_twiddles(), q) {
             self.forward_lazy_scalar(values);
         }
     }
@@ -218,7 +219,8 @@ impl NttTable {
     pub fn inverse(&self, values: &mut [u64]) {
         assert_eq!(values.len(), self.degree, "input length must equal N");
         let (tw, last) = self.inverse_twiddles();
-        if !simd::ntt_inverse_lazy(values, &tw, last, self.modulus.value()) {
+        let q = self.modulus.value();
+        if !simd::ntt_inverse_lazy(Arm::select(q), values, &tw, last, q) {
             self.inverse_lazy_scalar(values);
         }
         self.modulus.reduce_2q_row(values);
@@ -399,7 +401,10 @@ mod tests {
                 t.forward_lazy_scalar(values);
                 true
             }
-            Arm::Vector => simd::ntt_forward_lazy(values, &t.forward_twiddles(), t.modulus.value()),
+            Arm::Vector => {
+                let q = t.modulus.value();
+                simd::ntt_forward_lazy(simd::Arm::select(q), values, &t.forward_twiddles(), q)
+            }
         };
         if ran {
             crate::rows::scalar::reduce_4q_row(&t.modulus, values);
@@ -416,7 +421,8 @@ mod tests {
             }
             Arm::Vector => {
                 let (tw, last) = t.inverse_twiddles();
-                simd::ntt_inverse_lazy(values, &tw, last, t.modulus.value())
+                let q = t.modulus.value();
+                simd::ntt_inverse_lazy(simd::Arm::select(q), values, &tw, last, q)
             }
         };
         if ran {
@@ -643,7 +649,12 @@ mod tests {
         let input = lazy_row(t.modulus(), 4, n, seed);
         let (mut by_scalar, mut by_vector) = (input.clone(), input.clone());
         t.forward_lazy_scalar(&mut by_scalar);
-        if !simd::ntt_forward_lazy(&mut by_vector, &t.forward_twiddles(), q) {
+        if !simd::ntt_forward_lazy(
+            simd::Arm::select(q),
+            &mut by_vector,
+            &t.forward_twiddles(),
+            q,
+        ) {
             assert_eq!(by_vector, input);
             return false;
         }
@@ -652,7 +663,13 @@ mod tests {
         let (mut by_scalar, mut by_vector) = (input.clone(), input);
         t.inverse_lazy_scalar(&mut by_scalar);
         let (tw, last) = t.inverse_twiddles();
-        assert!(simd::ntt_inverse_lazy(&mut by_vector, &tw, last, q));
+        assert!(simd::ntt_inverse_lazy(
+            simd::Arm::select(q),
+            &mut by_vector,
+            &tw,
+            last,
+            q
+        ));
         assert_eq!(by_vector, by_scalar, "inverse, N = 2^{log_n}, {bits} bits");
         true
     }
@@ -666,14 +683,80 @@ mod tests {
                 let ran = assert_vector_networks_equal_scalar(log_n, bits, 7 * log_n as u64);
                 assert_eq!(ran, simd::detected(), "N = 2^{log_n}");
                 if log_n == 16 {
-                    report(
-                        &format!("lazy networks, {bits} bits, N = 16 … 2^16"),
-                        1 << 16,
-                        ran,
-                    );
+                    let gate = format!("lazy networks, {bits} bits, N = 16 … 2^16");
+                    report(&gate, 1 << 16, ran);
+                    let q = table(log_n, bits).modulus().value();
+                    let ifma = if simd::Arm::select(q) == Some(simd::Arm::Ifma) {
+                        "IFMA arm ran (it is the arm selected for this limb)"
+                    } else if q >= simd::IFMA_LIMB_BOUND {
+                        "IFMA arm SKIPPED (a limb of 2^50 or more takes the DQ arm)"
+                    } else {
+                        "IFMA arm SKIPPED (no AVX-512 IFMA on this CPU)"
+                    };
+                    println!("{gate}: {ifma}");
                 }
             }
         }
+    }
+
+    /// The smallest NTT-friendly prime above `bound` for degree `n`.
+    fn ntt_prime_above(bound: u64, n: usize) -> u64 {
+        let step = 2 * n as u64;
+        (1..)
+            .map(|i| bound + i * step + 1 - bound % step)
+            .find(|&q| crate::is_prime(q))
+            .unwrap()
+    }
+
+    /// Each vector arm by name against the scalar networks, before canonicalisation, on limbs
+    /// on either side of the IFMA bound `2^50` and the widths of the gate above: an arm must run
+    /// exactly where the CPU and the limb allow it and then equal the scalar network.
+    #[test]
+    fn vector_networks_of_each_arm_equal_scalar_networks() {
+        let mut ifma_ran = false;
+        for log_n in 4usize..=16 {
+            let n = 1 << log_n;
+            let below = crate::generate_ntt_prime(50, n, 0).unwrap();
+            let moduli = [30u32, 45, 54, 62]
+                .map(|bits| crate::generate_ntt_prime(bits, n, 0).unwrap())
+                .into_iter()
+                .chain([below, ntt_prime_above(simd::IFMA_LIMB_BOUND, n)]);
+            for q in moduli {
+                let t = NttTable::new(n, Modulus::new(q).unwrap()).unwrap();
+                let forward_input = lazy_row(t.modulus(), 4, n, q ^ log_n as u64);
+                let inverse_input = lazy_row(t.modulus(), 2, n, q ^ 99);
+                let mut forward_scalar = forward_input.clone();
+                t.forward_lazy_scalar(&mut forward_scalar);
+                let mut inverse_scalar = inverse_input.clone();
+                t.inverse_lazy_scalar(&mut inverse_scalar);
+                for arm in [simd::Arm::Dq, simd::Arm::Ifma] {
+                    let bits = 64 - q.leading_zeros();
+                    let mut values = forward_input.clone();
+                    let ran =
+                        simd::ntt_forward_lazy(Some(arm), &mut values, &t.forward_twiddles(), q);
+                    assert_eq!(ran, arm.runs(q), "{arm:?} forward, N = {n}, {bits} bits");
+                    let expected = if ran { &forward_scalar } else { &forward_input };
+                    assert_eq!(&values, expected, "{arm:?} forward, N = {n}, {bits} bits");
+                    let mut values = inverse_input.clone();
+                    let (tw, last) = t.inverse_twiddles();
+                    let ran = simd::ntt_inverse_lazy(Some(arm), &mut values, &tw, last, q);
+                    assert_eq!(ran, arm.runs(q), "{arm:?} inverse, N = {n}, {bits} bits");
+                    let expected = if ran { &inverse_scalar } else { &inverse_input };
+                    assert_eq!(&values, expected, "{arm:?} inverse, N = {n}, {bits} bits");
+                    ifma_ran |= ran && arm == simd::Arm::Ifma;
+                }
+                assert_eq!(
+                    simd::Arm::Ifma.runs(q),
+                    q < simd::IFMA_LIMB_BOUND && simd::ifma_detected()
+                );
+            }
+        }
+        if ifma_ran {
+            println!("lazy networks by arm, N = 16 … 2^16: IFMA arm ran on the limbs below 2^50");
+        } else {
+            println!("lazy networks by arm, N = 16 … 2^16: IFMA arm SKIPPED (no AVX-512 IFMA)");
+        }
+        assert_eq!(ifma_ran, simd::ifma_detected());
     }
 
     #[test]
@@ -684,12 +767,19 @@ mod tests {
             let poly = random_poly(1 << log_n, q, 5);
             let mut values = poly.clone();
             assert!(!simd::ntt_forward_lazy(
+                simd::Arm::select(q),
                 &mut values,
                 &t.forward_twiddles(),
                 q
             ));
             let (tw, last) = t.inverse_twiddles();
-            assert!(!simd::ntt_inverse_lazy(&mut values, &tw, last, q));
+            assert!(!simd::ntt_inverse_lazy(
+                simd::Arm::select(q),
+                &mut values,
+                &tw,
+                last,
+                q
+            ));
             assert_eq!(values, poly);
             assert_matches_definition(&t, &poly, 5);
         }

@@ -1,21 +1,49 @@
-//! The vector arm of the row kernels — and the only `unsafe` in the workspace.
+//! The vector arms of the row kernels — and the only `unsafe` in the workspace.
 //!
 //! Every hot row of the stack is a stream of lazy Shoup products
-//! ([`crate::Modulus::mul_shoup_lazy`]: one 64×64 multiply-high, two multiply-lows), and on a
-//! scalar core those three multiplies share one port. This module holds the same product eight
-//! lanes wide on AVX-512F+DQ — the high half from four `vpmuludq` partial products, the two low
-//! halves by `vpmullq`, the *same wrapping arithmetic* lane for lane, so a vector kernel returns
-//! the very lazy representative its scalar twin returns, not merely a congruent one — and, built
-//! on it, the NTT stage sweeps and the row kernels of [`crate::rows`].
+//! ([`crate::Modulus::mul_shoup_lazy`]: `a·b − ⌊a·b_shoup/2^64⌋·q`, one 64×64 multiply-high and
+//! two multiply-lows), and on a scalar core those three multiplies share one port. This module
+//! holds the same product eight lanes wide, in two arms that compute the *same quotient* and so
+//! return the very lazy representative the scalar twin returns, not merely a congruent one:
+//!
+//! * **AVX-512F+DQ** ([`Arm::Dq`], any limb): the high half from four `vpmuludq` partial
+//!   products, the two low halves by `vpmullq`, the same wrapping arithmetic lane for lane.
+//! * **AVX-512 IFMA** ([`Arm::Ifma`], limbs below `2^50`): the 52-bit multiplier. With
+//!   `b_shoup = h·2^12 + l` (`h` its top 52 bits, `l` its low 12), three `vpmadd52*` give
+//!   `⌊a·l/2^12⌋`, then `a·h` split at bit 52 with that sum's carry folded in — which *is*
+//!   `⌊a·b_shoup/2^64⌋` — and two more give `a·b − q̂·q` modulo `2^52`, exact because the
+//!   result lies in `[0, 2q)`. The same Shoup constants, no second table.
+//!
+//! Built on them: the NTT stage sweeps and the row kernels of [`crate::rows`], and two kernels
+//! only the IFMA arm has — the KSKIP inner product ([`crate::kskip`]: exact lo / hi 52-bit sums
+//! per coefficient, then the scalar `reduce_u128_lazy`) and the pointwise products (a Barrett
+//! reduction whose output is canonical, so any correct one is bit-identical).
 //!
 //! ## Selection
 //!
-//! The functions of this module are the dispatch seam: each returns how much of the row the
+//! The functions of this module are the dispatch seam: each returns how much of the row a
 //! vector arm covered (a length, or `false` for "declined") and the caller runs its scalar loop
-//! over the rest. The arm is taken when `is_x86_feature_detected!` reports `avx512f` and
-//! `avx512dq` at run time; on every other CPU and target the answer is `0` / `false` and the
-//! scalar loops — compiled everywhere, the single oracle — do all the work. Nothing selects
-//! the arm but the CPU: no feature, no environment variable, no option.
+//! over the rest. [`Arm::select`] names the arm for a limb: IFMA when `is_x86_feature_detected!`
+//! reports `avx512ifma` (with `avx512f` and `avx512dq`) and `q < 2^50`, else DQ when the CPU
+//! has `avx512f` and `avx512dq`, else none — and on every other CPU and target the scalar
+//! loops, compiled everywhere and the single oracle, do all the work. Nothing selects an arm
+//! but the CPU and the modulus: no feature, no environment variable, no option. (Tests name
+//! an arm explicitly; an arm the CPU or the limb cannot run declines.)
+//!
+//! ## The operand-width invariant
+//!
+//! `vpmadd52*` reads 52 bits of each lane, so the IFMA arm multiplies only operands below
+//! `2^52`. For a limb below `2^50` every lazy operand of its own rows is below `4q < 2^52`
+//! (butterfly inputs, Shoup multiplicands, key residues, canonical pointwise operands). Where a
+//! row's contract admits any `u64`, the arm checks each vector and takes the DQ product for a
+//! vector with a wide lane (`mul_shoup_row`, `add_mul_shoup_row`), or leaves the rest of the
+//! row to the scalar loop (the KSKIP and pointwise kernels). A basis-conversion term is a
+//! residue of its *source* limb, not of the narrow target: ModDown's `P` rows or `q0` in the
+//! first digit are 55 – 60-bit words, so a term whose source limb is not narrow itself keeps
+//! the DQ product — the caller names the sources, and a term takes the 52-bit multiplier only
+//! if its words, below four times its source, fit it. The rescale's dropped limb likewise: its
+//! centred magnitude, up to `q_last/2`, must fit. Either product yields the same
+//! representative, so the choice is invisible in the output.
 //!
 //! ## Unsafe policy
 //!
@@ -34,9 +62,19 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+use crate::kskip::DigitRows;
+use crate::Modulus;
+
 /// Rows shorter than this never reach a vector NTT kernel: the in-register `t = 4, 2, 1`
 /// stages work on pairs of eight-lane vectors.
 const MIN_NTT_DEGREE: usize = 16;
+
+/// Limbs below this bound take the IFMA arm: every lazy operand `< 4q` then fits the 52-bit
+/// multiplier.
+pub(crate) const IFMA_LIMB_BOUND: u64 = 1 << 50;
+
+/// The most KSKIP digits whose 52-bit partial sums a `u64` lane holds exactly.
+const IFMA_MAX_DIGITS: usize = 1 << 12;
 
 /// The stage constants of one NTT direction: twiddles in bit-reversed order and their Shoup
 /// companions.
@@ -52,7 +90,31 @@ impl Twiddles<'_> {
     }
 }
 
-/// `true` when the vector arm runs on this CPU.
+/// A vector arm of the row kernels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Arm {
+    /// AVX-512F+DQ: the 64-bit Shoup product from 32-bit partial products, any limb.
+    Dq,
+    /// AVX-512 IFMA: the same product on the 52-bit multiplier, limbs below `2^50`.
+    Ifma,
+}
+
+impl Arm {
+    /// The arm this CPU takes for limb `q`, if any.
+    pub(crate) fn select(q: u64) -> Option<Self> {
+        [Self::Ifma, Self::Dq].into_iter().find(|arm| arm.runs(q))
+    }
+
+    /// Whether this arm runs limb `q` on this CPU.
+    pub(crate) fn runs(self, q: u64) -> bool {
+        match self {
+            Self::Dq => detected(),
+            Self::Ifma => q < IFMA_LIMB_BOUND && ifma_detected(),
+        }
+    }
+}
+
+/// `true` when the DQ arm runs on this CPU.
 pub(crate) fn detected() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -65,34 +127,64 @@ pub(crate) fn detected() -> bool {
     }
 }
 
-/// Expands to "run the AVX-512 kernel if the CPU has it, else report `$declined`".
-macro_rules! dispatch {
-    ($declined:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
-        #[cfg(target_arch = "x86_64")]
-        if detected() {
-            // SAFETY: `detected()` just confirmed avx512f and avx512dq on this CPU, which
-            // are exactly the target features the kernel is compiled with.
-            return unsafe { avx512::$kernel($($arg),*) };
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = ($(&$arg),*);
-        $declined
-    }};
+/// `true` when the IFMA arm runs on this CPU (for limbs below `2^50`).
+pub(crate) fn ifma_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        detected() && std::arch::is_x86_feature_detected!("avx512ifma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
-/// Vector arm of [`crate::NttTable::forward_lazy`]'s butterfly network. `false` = declined
-/// (no AVX-512, or a row too short), nothing touched.
-pub(crate) fn ntt_forward_lazy(values: &mut [u64], tw: &Twiddles<'_>, q: u64) -> bool {
+/// Expands to "run `avx512::<arm>::$kernel` if `$arm` names an arm that runs limb `$q` on this
+/// CPU, else report `$declined`". The `ifma` form has no DQ twin.
+macro_rules! dispatch {
+    (ifma $q:expr, $declined:expr, $kernel:ident $args:tt) => {
+        dispatch!(@arms [Ifma ifma] Some(Arm::Ifma), $q, $declined, $kernel $args)
+    };
+    (@arms [$($variant:ident $module:ident),+] $arm:expr, $q:expr, $declined:expr,
+        $kernel:ident $args:tt) => {{
+        let (arm, q): (Option<Arm>, u64) = ($arm, $q);
+        #[cfg(target_arch = "x86_64")]
+        match arm {
+            $(Some(Arm::$variant) if Arm::$variant.runs(q) => {
+                // SAFETY: `runs` just confirmed every target feature this arm's kernels are
+                // compiled with (avx512f and avx512dq, plus avx512ifma for the IFMA arm).
+                return unsafe { avx512::$module::$kernel $args };
+            })+
+            _ => {}
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (arm, q, $args);
+        $declined
+    }};
+    ($arm:expr, $q:expr, $declined:expr, $kernel:ident $args:tt) => {
+        dispatch!(@arms [Ifma ifma, Dq dq] $arm, $q, $declined, $kernel $args)
+    };
+}
+
+/// Vector arm of [`crate::NttTable::forward_lazy`]'s butterfly network (inputs `< 4q`).
+/// `false` = declined (no such arm here, or a row too short), nothing touched.
+pub(crate) fn ntt_forward_lazy(
+    arm: Option<Arm>,
+    values: &mut [u64],
+    tw: &Twiddles<'_>,
+    q: u64,
+) -> bool {
     if !tw.fits_vector_ntt(values.len()) {
         return false;
     }
-    dispatch!(false, ntt_forward_lazy(values, tw, q))
+    dispatch!(arm, q, false, ntt_forward_lazy(values, tw, q))
 }
 
 /// Vector arm of [`crate::NttTable::inverse`]'s butterfly network, the last stage fused with
 /// the `N⁻¹` scaling (`last = [N⁻¹, its Shoup constant, ψ⁻¹·N⁻¹, its Shoup constant]`);
 /// outputs stay in `[0, 2q)`. `false` = declined, nothing touched.
 pub(crate) fn ntt_inverse_lazy(
+    arm: Option<Arm>,
     values: &mut [u64],
     tw: &Twiddles<'_>,
     last: [u64; 4],
@@ -101,24 +193,32 @@ pub(crate) fn ntt_inverse_lazy(
     if !tw.fits_vector_ntt(values.len()) {
         return false;
     }
-    dispatch!(false, ntt_inverse_lazy(values, tw, last, q))
+    dispatch!(arm, q, false, ntt_inverse_lazy(values, tw, last, q))
 }
 
 /// Vector arm of `row[c] ← row[c] mod q` for `row[c] < bound·q`, `bound ∈ {2, 4}`. Returns the
 /// covered prefix length.
-pub(crate) fn reduce_row(row: &mut [u64], q: u64, from_4q: bool) -> usize {
-    dispatch!(0, reduce_row(row, q, from_4q))
+pub(crate) fn reduce_row(arm: Option<Arm>, row: &mut [u64], q: u64, from_4q: bool) -> usize {
+    dispatch!(arm, q, 0, reduce_row(row, q, from_4q))
 }
 
 /// Vector arm of `out[c] = src[c]·b mod q` (canonical). Returns the covered prefix length.
-pub(crate) fn mul_shoup_row(q: u64, src: &[u64], b: u64, b_shoup: u64, out: &mut [u64]) -> usize {
+pub(crate) fn mul_shoup_row(
+    arm: Option<Arm>,
+    q: u64,
+    src: &[u64],
+    b: u64,
+    b_shoup: u64,
+    out: &mut [u64],
+) -> usize {
     assert_eq!(src.len(), out.len());
-    dispatch!(0, mul_shoup_row(q, src, b, b_shoup, out))
+    dispatch!(arm, q, 0, mul_shoup_row(q, src, b, b_shoup, out))
 }
 
 /// Vector arm of `acc[c] = (acc[c] + src[c]·b) mod q` for `acc[c] < 2q` (canonical out).
 /// Returns the covered prefix length.
 pub(crate) fn add_mul_shoup_row(
+    arm: Option<Arm>,
     q: u64,
     acc: &mut [u64],
     src: &[u64],
@@ -126,20 +226,29 @@ pub(crate) fn add_mul_shoup_row(
     b_shoup: u64,
 ) -> usize {
     assert_eq!(src.len(), acc.len());
-    dispatch!(0, add_mul_shoup_row(q, acc, src, b, b_shoup))
+    dispatch!(arm, q, 0, add_mul_shoup_row(q, acc, src, b, b_shoup))
 }
 
 /// Vector arm of `out[c] = (x[c] − out[c])·b mod q` for canonical `x`, `out`. Returns the
 /// covered prefix length.
-pub(crate) fn sub_mul_shoup_row(q: u64, out: &mut [u64], x: &[u64], b: u64, b_shoup: u64) -> usize {
+pub(crate) fn sub_mul_shoup_row(
+    arm: Option<Arm>,
+    q: u64,
+    out: &mut [u64],
+    x: &[u64],
+    b: u64,
+    b_shoup: u64,
+) -> usize {
     assert_eq!(x.len(), out.len());
-    dispatch!(0, sub_mul_shoup_row(q, out, x, b, b_shoup))
+    dispatch!(arm, q, 0, sub_mul_shoup_row(q, out, x, b, b_shoup))
 }
 
 /// Vector arm of the rescale combine `out[c] = (x[c] − centre(last[c]))·b mod q`, `centre`
 /// taking the representative of `last[c] mod q_last` in `(−q_last/2, q_last/2]`. Returns the
 /// covered prefix length.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn rescale_row(
+    arm: Option<Arm>,
     q: u64,
     q_last: u64,
     x: &[u64],
@@ -149,26 +258,71 @@ pub(crate) fn rescale_row(
     out: &mut [u64],
 ) -> usize {
     assert!(x.len() == out.len() && last.len() == out.len());
-    dispatch!(0, rescale_row(q, q_last, x, last, b, b_shoup, out))
+    dispatch!(arm, q, 0, rescale_row(q, q_last, x, last, b, b_shoup, out))
 }
 
 /// Vector arm of the coefficient-major conversion accumulate: `out[c] = Σ_i rows[i][c]·w[i]`
-/// in the lazy `[0, 2p)` domain, `rows[i] = flat[i·n .. (i+1)·n]`, summed in source order.
-/// Returns the covered prefix length.
+/// in the lazy `[0, 2p)` domain, `rows[i] = flat[i·n .. (i+1)·n]` below `4·sources[i]`,
+/// summed in source order. Returns the covered prefix length.
 pub(crate) fn convert_accumulate_row(
+    arm: Option<Arm>,
     p: u64,
+    sources: &[Modulus],
     flat: &[u64],
     w: &[u64],
     w_shoup: &[u64],
     out: &mut [u64],
 ) -> usize {
-    assert!(!w.is_empty() && w.len() == w_shoup.len() && flat.len() == w.len() * out.len());
-    dispatch!(0, convert_accumulate_row(p, flat, w, w_shoup, out))
+    assert!(
+        !w.is_empty()
+            && w.len() == w_shoup.len()
+            && w.len() == sources.len()
+            && flat.len() == w.len() * out.len()
+    );
+    dispatch!(
+        arm,
+        p,
+        0,
+        convert_accumulate_row(p, sources, flat, w, w_shoup, out)
+    )
+}
+
+/// IFMA arm of the KSKIP row ([`crate::kskip::accumulate_digits`] without a fold): exact
+/// digit sums per coefficient, reduced into `[0, 2q)`. Returns the covered prefix length —
+/// `0` for a wide limb, a CPU without IFMA or more than 4096 digits; it ends early at the
+/// first eight coefficients with an operand of 52 bits or more.
+pub(crate) fn kskip_row(
+    modulus: &Modulus,
+    digits: &[DigitRows<'_>],
+    perm: Option<&[usize]>,
+    out_b: &mut [u64],
+    out_a: &mut [u64],
+) -> usize {
+    if digits.len() > IFMA_MAX_DIGITS {
+        return 0;
+    }
+    dispatch!(ifma modulus.value(), 0, kskip_row(modulus, digits, perm, out_b, out_a))
+}
+
+/// IFMA arm of `x[c] = x[c]·y[c] mod q` (canonical). Returns the covered prefix length — `0`
+/// for a wide limb or a CPU without IFMA; it ends early at the first eight coefficients with a
+/// non-canonical operand.
+pub(crate) fn pointwise_mul_row(q: u64, x: &mut [u64], y: &[u64]) -> usize {
+    assert_eq!(x.len(), y.len());
+    dispatch!(ifma q, 0, pointwise_mul_row(q, x, y))
+}
+
+/// IFMA arm of `acc[c] = (acc[c] + a[c]·b[c]) mod q` (canonical). Returns the covered prefix
+/// length, as [`pointwise_mul_row`].
+pub(crate) fn pointwise_add_mul_row(q: u64, acc: &mut [u64], a: &[u64], b: &[u64]) -> usize {
+    assert!(a.len() == acc.len() && b.len() == acc.len());
+    dispatch!(ifma q, 0, pointwise_add_mul_row(q, acc, a, b))
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::Twiddles;
+    use crate::Modulus;
     use std::arch::x86_64::*;
 
     const LANES: usize = 8;
@@ -176,19 +330,19 @@ mod avx512 {
     const HIGH_TO_LOW: i32 = 0b11_11_01_01;
     /// The even (low) dword of every qword.
     const LOW_DWORDS: __mmask16 = 0x5555;
+    /// The bits of a lane the 52-bit multiplier reads.
+    const LOW_52: u64 = (1 << 52) - 1;
+    /// Vectors whose conversion sums are carried together: each term's constants are built
+    /// once per group.
+    const GROUP: usize = 4;
 
-    /// The limb modulus in the two forms the kernels compare and subtract.
+    /// The limb modulus in the forms the kernels compare, subtract and multiply by.
     #[derive(Clone, Copy)]
-    struct Limb {
+    pub(super) struct Limb {
         q: __m512i,
         two_q: __m512i,
-    }
-
-    /// A fixed Shoup multiplicand `b` with `⌊b·2^64/q⌋`, one per lane.
-    #[derive(Clone, Copy)]
-    struct Fixed {
-        b: __m512i,
-        b_shoup: __m512i,
+        /// `2^52 − q`: `−q` modulo the 52-bit multiplier.
+        minus_q: __m512i,
     }
 
     #[inline]
@@ -203,15 +357,7 @@ mod avx512 {
         Limb {
             q: splat(q),
             two_q: splat(q << 1),
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn fixed(b: u64, b_shoup: u64) -> Fixed {
-        Fixed {
-            b: splat(b),
-            b_shoup: splat(b_shoup),
+            minus_q: splat((1 << 52) - (q & LOW_52)),
         }
     }
 
@@ -242,318 +388,602 @@ mod avx512 {
         _mm512_mask_sub_epi64(x, _mm512_cmpge_epu64_mask(x, m), x, m)
     }
 
-    /// High 64 bits of the 128-bit product, per lane, from four 32×32 partial products.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn mul_high(a: __m512i, b: __m512i) -> __m512i {
-        let a_hi = _mm512_shuffle_epi32::<HIGH_TO_LOW>(a);
-        let b_hi = _mm512_shuffle_epi32::<HIGH_TO_LOW>(b);
-        let lo_lo = _mm512_mul_epu32(a, b);
-        let hi_lo = _mm512_mul_epu32(a_hi, b);
-        let lo_hi = _mm512_mul_epu32(a, b_hi);
-        let hi_hi = _mm512_mul_epu32(a_hi, b_hi);
-        // t = hi_lo + (lo_lo >> 32) and u = lo_hi + (t mod 2^32) cannot overflow a lane.
-        let t = _mm512_add_epi64(
-            hi_lo,
-            _mm512_maskz_shuffle_epi32::<HIGH_TO_LOW>(LOW_DWORDS, lo_lo),
-        );
-        let u = _mm512_add_epi64(lo_hi, _mm512_maskz_mov_epi32(LOW_DWORDS, t));
-        _mm512_add_epi64(
-            _mm512_add_epi64(
-                hi_hi,
-                _mm512_maskz_shuffle_epi32::<HIGH_TO_LOW>(LOW_DWORDS, t),
-            ),
-            _mm512_maskz_shuffle_epi32::<HIGH_TO_LOW>(LOW_DWORDS, u),
-        )
-    }
-
-    /// Eight lanes of [`crate::Modulus::mul_shoup_lazy`]: `a·b − ⌊a·b_shoup/2^64⌋·q` in
-    /// wrapping arithmetic, in `[0, 2q)` for any `a`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn mul_shoup_lazy(a: __m512i, f: Fixed, q: __m512i) -> __m512i {
-        let q_hat = mul_high(a, f.b_shoup);
-        _mm512_sub_epi64(_mm512_mullo_epi64(a, f.b), _mm512_mullo_epi64(q_hat, q))
-    }
-
-    /// Harvey forward butterfly: `x, y < 4q` in, `x + v, x + 2q − v < 4q` out.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn forward_butterfly(x: __m512i, y: __m512i, s: Fixed, m: Limb) -> (__m512i, __m512i) {
-        let u = cond_sub(x, m.two_q);
-        let v = mul_shoup_lazy(y, s, m.q);
-        (
-            _mm512_add_epi64(u, v),
-            _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v),
-        )
-    }
-
-    /// Gentleman–Sande inverse butterfly over `[0, 2q)`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn inverse_butterfly(u: __m512i, v: __m512i, s: Fixed, m: Limb) -> (__m512i, __m512i) {
-        (
-            cond_sub(_mm512_add_epi64(u, v), m.two_q),
-            mul_shoup_lazy(_mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v), s, m.q),
-        )
-    }
-
-    /// One stage whose half-block `t ≥ 8` holds whole vectors: one broadcast twiddle per
-    /// block, `first` being the table index of block 0's.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn wide_stage<const FORWARD: bool>(
-        values: &mut [u64],
-        tw: &Twiddles<'_>,
-        first: usize,
-        t: usize,
-        m: Limb,
-    ) {
-        for (i, base) in (0..values.len()).step_by(2 * t).enumerate() {
-            let s = fixed(tw.w[first + i], tw.w_shoup[first + i]);
-            for at in (base..base + t).step_by(LANES) {
-                let (x, y) = (load(values, at), load(values, at + t));
-                let (x, y) = if FORWARD {
-                    forward_butterfly(x, y, s, m)
-                } else {
-                    inverse_butterfly(x, y, s, m)
-                };
-                store(values, at, x);
-                store(values, at + t, y);
-            }
-        }
-    }
-
-    /// One stage whose half-block `t ∈ {4, 2, 1}` is narrower than a vector: sixteen
-    /// consecutive values (`8/t` blocks) are de-interleaved in registers into their eight
-    /// upper and eight lower butterfly inputs, transformed, and re-interleaved. Their `8/t`
-    /// twiddles are consecutive in the table and spread over the lanes with one permute.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn narrow_stage<const FORWARD: bool>(
-        values: &mut [u64],
-        tw: &Twiddles<'_>,
-        first: usize,
-        t: usize,
-        m: Limb,
-    ) {
-        // Lane `l` of the upper inputs is element `split_x[l]` of the sixteen (0‥7 from the
-        // first vector, 8‥15 from the second); `join_*` undoes it.
-        let (split_x, split_y, join_a, join_b, spread) = match t {
-            4 => (
-                _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-                _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-                _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-                _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-                _mm512_setr_epi64(0, 0, 0, 0, 1, 1, 1, 1),
-            ),
-            2 => (
-                _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13),
-                _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15),
-                _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11),
-                _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15),
-                _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3),
-            ),
-            _ => (
-                _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
-                _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
-                _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
-                _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
-                _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7),
-            ),
-        };
-        let blocks = LANES / t;
-        for (j, at) in (0..values.len()).step_by(2 * LANES).enumerate() {
-            let (a, b) = (load(values, at), load(values, at + LANES));
-            let x = _mm512_permutex2var_epi64(a, split_x, b);
-            let y = _mm512_permutex2var_epi64(a, split_y, b);
-            // Eight table entries from this group's first twiddle on; the permute keeps the
-            // leading `8/t`. (The load stays inside the table: `first + blocks·j + 8 ≤ n`.)
-            let s = Fixed {
-                b: _mm512_permutexvar_epi64(spread, load(tw.w, first + blocks * j)),
-                b_shoup: _mm512_permutexvar_epi64(spread, load(tw.w_shoup, first + blocks * j)),
-            };
-            let (x, y) = if FORWARD {
-                forward_butterfly(x, y, s, m)
-            } else {
-                inverse_butterfly(x, y, s, m)
-            };
-            store(values, at, _mm512_permutex2var_epi64(x, join_a, y));
-            store(values, at + LANES, _mm512_permutex2var_epi64(x, join_b, y));
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn ntt_forward_lazy(values: &mut [u64], tw: &Twiddles<'_>, q: u64) -> bool {
-        let n = values.len();
-        let m = limb(q);
-        let mut t = n;
-        let mut blocks = 1usize;
-        while blocks < n {
-            t >>= 1;
-            if t >= LANES {
-                wide_stage::<true>(values, tw, blocks, t, m);
-            } else {
-                narrow_stage::<true>(values, tw, blocks, t, m);
-            }
-            blocks <<= 1;
-        }
-        true
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn ntt_inverse_lazy(
-        values: &mut [u64],
-        tw: &Twiddles<'_>,
-        last: [u64; 4],
-        q: u64,
-    ) -> bool {
-        let n = values.len();
-        let m = limb(q);
-        let mut t = 1usize;
-        let mut blocks = n >> 1;
-        while blocks > 1 {
-            if t >= LANES {
-                wide_stage::<false>(values, tw, blocks, t, m);
-            } else {
-                narrow_stage::<false>(values, tw, blocks, t, m);
-            }
-            t <<= 1;
-            blocks >>= 1;
-        }
-        // Last stage: one block spanning the row, `N⁻¹` fused into both output multipliers.
-        let scale = fixed(last[0], last[1]);
-        let twiddle = fixed(last[2], last[3]);
-        for at in (0..t).step_by(LANES) {
-            let (u, v) = (load(values, at), load(values, at + t));
-            let sum = cond_sub(_mm512_add_epi64(u, v), m.two_q);
-            let diff = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v);
-            store(values, at, mul_shoup_lazy(sum, scale, m.q));
-            store(values, at + t, mul_shoup_lazy(diff, twiddle, m.q));
-        }
-        true
-    }
-
     /// The covered prefix of an `n`-element row: whole vectors only.
     fn whole_vectors(n: usize) -> usize {
         n - n % LANES
     }
 
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn reduce_row(row: &mut [u64], q: u64, from_4q: bool) -> usize {
-        let m = limb(q);
-        let done = whole_vectors(row.len());
-        for at in (0..done).step_by(LANES) {
-            let mut v = load(row, at);
-            if from_4q {
-                v = cond_sub(v, m.two_q);
+    /// The kernels both arms share, written against the arm's `Fixed` multiplicand, its
+    /// `mul_shoup_lazy` and its operand test `fits`; `$features` are the arm's target features.
+    macro_rules! shoup_kernels {
+        ($features:literal) => {
+            /// Harvey forward butterfly: `x, y < 4q` in, `x + v, x + 2q − v < 4q` out.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn forward_butterfly(x: __m512i, y: __m512i, s: Fixed, m: Limb) -> (__m512i, __m512i) {
+                let u = cond_sub(x, m.two_q);
+                let v = mul_shoup_lazy(y, s, m);
+                (
+                    _mm512_add_epi64(u, v),
+                    _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v),
+                )
             }
-            store(row, at, cond_sub(v, m.q));
-        }
-        done
-    }
 
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn mul_shoup_row(
-        q: u64,
-        src: &[u64],
-        b: u64,
-        b_shoup: u64,
-        out: &mut [u64],
-    ) -> usize {
-        let (m, f) = (limb(q), fixed(b, b_shoup));
-        let done = whole_vectors(out.len());
-        for at in (0..done).step_by(LANES) {
-            let product = mul_shoup_lazy(load(src, at), f, m.q);
-            store(out, at, cond_sub(product, m.q));
-        }
-        done
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn add_mul_shoup_row(
-        q: u64,
-        acc: &mut [u64],
-        src: &[u64],
-        b: u64,
-        b_shoup: u64,
-    ) -> usize {
-        let (m, f) = (limb(q), fixed(b, b_shoup));
-        let done = whole_vectors(acc.len());
-        for at in (0..done).step_by(LANES) {
-            let product = mul_shoup_lazy(load(src, at), f, m.q);
-            let sum = _mm512_add_epi64(load(acc, at), product);
-            store(acc, at, cond_sub(cond_sub(sum, m.two_q), m.q));
-        }
-        done
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn sub_mul_shoup_row(
-        q: u64,
-        out: &mut [u64],
-        x: &[u64],
-        b: u64,
-        b_shoup: u64,
-    ) -> usize {
-        let (m, f) = (limb(q), fixed(b, b_shoup));
-        let done = whole_vectors(out.len());
-        for at in (0..done).step_by(LANES) {
-            // x + q − out ∈ (0, 2q) is congruent to the canonical difference, and the
-            // canonical product does not depend on which representative is multiplied.
-            let diff = _mm512_sub_epi64(_mm512_add_epi64(load(x, at), m.q), load(out, at));
-            store(out, at, cond_sub(mul_shoup_lazy(diff, f, m.q), m.q));
-        }
-        done
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn rescale_row(
-        q: u64,
-        q_last: u64,
-        x: &[u64],
-        last: &[u64],
-        b: u64,
-        b_shoup: u64,
-        out: &mut [u64],
-    ) -> usize {
-        let (m, f) = (limb(q), fixed(b, b_shoup));
-        let (q_last_v, half) = (splat(q_last), splat(q_last / 2));
-        let done = whole_vectors(out.len());
-        for at in (0..done).step_by(LANES) {
-            // centre(c) = c or −(q_last − c); either way (x − centre)·b = x·b ∓ |centre|·b,
-            // two lazy products below 2q whose sum or difference lies in [0, 4q).
-            let c = load(last, at);
-            let negative = _mm512_cmpgt_epu64_mask(c, half);
-            let magnitude = _mm512_mask_sub_epi64(c, negative, q_last_v, c);
-            let xb = mul_shoup_lazy(load(x, at), f, m.q);
-            let cb = mul_shoup_lazy(magnitude, f, m.q);
-            let minus = _mm512_sub_epi64(_mm512_add_epi64(xb, m.two_q), cb);
-            let r = _mm512_mask_add_epi64(minus, negative, xb, cb);
-            store(out, at, cond_sub(cond_sub(r, m.two_q), m.q));
-        }
-        done
-    }
-
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) fn convert_accumulate_row(
-        p: u64,
-        flat: &[u64],
-        w: &[u64],
-        w_shoup: &[u64],
-        out: &mut [u64],
-    ) -> usize {
-        let m = limb(p);
-        let n = out.len();
-        let done = whole_vectors(n);
-        for at in (0..done).step_by(LANES) {
-            let mut sum = mul_shoup_lazy(load(flat, at), fixed(w[0], w_shoup[0]), m.q);
-            for i in 1..w.len() {
-                let term = mul_shoup_lazy(load(flat, i * n + at), fixed(w[i], w_shoup[i]), m.q);
-                sum = cond_sub(_mm512_add_epi64(sum, term), m.two_q);
+            /// Gentleman–Sande inverse butterfly over `[0, 2q)`.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn inverse_butterfly(u: __m512i, v: __m512i, s: Fixed, m: Limb) -> (__m512i, __m512i) {
+                (
+                    cond_sub(_mm512_add_epi64(u, v), m.two_q),
+                    mul_shoup_lazy(_mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v), s, m),
+                )
             }
-            store(out, at, sum);
+
+            /// One stage whose half-block `t ≥ 8` holds whole vectors: one broadcast twiddle
+            /// per block, `first` being the table index of block 0's.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn wide_stage<const FORWARD: bool>(
+                values: &mut [u64],
+                tw: &Twiddles<'_>,
+                first: usize,
+                t: usize,
+                m: Limb,
+            ) {
+                for (i, base) in (0..values.len()).step_by(2 * t).enumerate() {
+                    let s = fixed(splat(tw.w[first + i]), splat(tw.w_shoup[first + i]));
+                    for at in (base..base + t).step_by(LANES) {
+                        let (x, y) = (load(values, at), load(values, at + t));
+                        let (x, y) = if FORWARD {
+                            forward_butterfly(x, y, s, m)
+                        } else {
+                            inverse_butterfly(x, y, s, m)
+                        };
+                        store(values, at, x);
+                        store(values, at + t, y);
+                    }
+                }
+            }
+
+            /// One stage whose half-block `t ∈ {4, 2, 1}` is narrower than a vector: sixteen
+            /// consecutive values (`8/t` blocks) are de-interleaved in registers into their
+            /// eight upper and eight lower butterfly inputs, transformed, and re-interleaved.
+            /// Their `8/t` twiddles are consecutive in the table and spread over the lanes
+            /// with one permute.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn narrow_stage<const FORWARD: bool>(
+                values: &mut [u64],
+                tw: &Twiddles<'_>,
+                first: usize,
+                t: usize,
+                m: Limb,
+            ) {
+                // Lane `l` of the upper inputs is element `split_x[l]` of the sixteen (0‥7
+                // from the first vector, 8‥15 from the second); `join_*` undoes it.
+                let (split_x, split_y, join_a, join_b, spread) = match t {
+                    4 => (
+                        _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+                        _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
+                        _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+                        _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
+                        _mm512_setr_epi64(0, 0, 0, 0, 1, 1, 1, 1),
+                    ),
+                    2 => (
+                        _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13),
+                        _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15),
+                        _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11),
+                        _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15),
+                        _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3),
+                    ),
+                    _ => (
+                        _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
+                        _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
+                        _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
+                        _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
+                        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7),
+                    ),
+                };
+                let blocks = LANES / t;
+                for (j, at) in (0..values.len()).step_by(2 * LANES).enumerate() {
+                    let (a, b) = (load(values, at), load(values, at + LANES));
+                    let x = _mm512_permutex2var_epi64(a, split_x, b);
+                    let y = _mm512_permutex2var_epi64(a, split_y, b);
+                    // Eight table entries from this group's first twiddle on; the permute
+                    // keeps the leading `8/t`. (The load stays inside the table:
+                    // `first + blocks·j + 8 ≤ n`.)
+                    let s = fixed(
+                        _mm512_permutexvar_epi64(spread, load(tw.w, first + blocks * j)),
+                        _mm512_permutexvar_epi64(spread, load(tw.w_shoup, first + blocks * j)),
+                    );
+                    let (x, y) = if FORWARD {
+                        forward_butterfly(x, y, s, m)
+                    } else {
+                        inverse_butterfly(x, y, s, m)
+                    };
+                    store(values, at, _mm512_permutex2var_epi64(x, join_a, y));
+                    store(values, at + LANES, _mm512_permutex2var_epi64(x, join_b, y));
+                }
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn ntt_forward_lazy(values: &mut [u64], tw: &Twiddles<'_>, q: u64) -> bool {
+                let n = values.len();
+                let m = limb(q);
+                let mut t = n;
+                let mut blocks = 1usize;
+                while blocks < n {
+                    t >>= 1;
+                    if t >= LANES {
+                        wide_stage::<true>(values, tw, blocks, t, m);
+                    } else {
+                        narrow_stage::<true>(values, tw, blocks, t, m);
+                    }
+                    blocks <<= 1;
+                }
+                true
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn ntt_inverse_lazy(
+                values: &mut [u64],
+                tw: &Twiddles<'_>,
+                last: [u64; 4],
+                q: u64,
+            ) -> bool {
+                let n = values.len();
+                let m = limb(q);
+                let mut t = 1usize;
+                let mut blocks = n >> 1;
+                while blocks > 1 {
+                    if t >= LANES {
+                        wide_stage::<false>(values, tw, blocks, t, m);
+                    } else {
+                        narrow_stage::<false>(values, tw, blocks, t, m);
+                    }
+                    t <<= 1;
+                    blocks >>= 1;
+                }
+                // Last stage: one block spanning the row, `N⁻¹` fused into both output
+                // multipliers.
+                let scale = fixed(splat(last[0]), splat(last[1]));
+                let twiddle = fixed(splat(last[2]), splat(last[3]));
+                for at in (0..t).step_by(LANES) {
+                    let (u, v) = (load(values, at), load(values, at + t));
+                    let sum = cond_sub(_mm512_add_epi64(u, v), m.two_q);
+                    let diff = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v);
+                    store(values, at, mul_shoup_lazy(sum, scale, m));
+                    store(values, at + t, mul_shoup_lazy(diff, twiddle, m));
+                }
+                true
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn reduce_row(row: &mut [u64], q: u64, from_4q: bool) -> usize {
+                let m = limb(q);
+                let done = whole_vectors(row.len());
+                for at in (0..done).step_by(LANES) {
+                    let mut v = load(row, at);
+                    if from_4q {
+                        v = cond_sub(v, m.two_q);
+                    }
+                    store(row, at, cond_sub(v, m.q));
+                }
+                done
+            }
+
+            /// `a·b` lazily for any `a`: this arm's product where every lane fits it, the
+            /// DQ product otherwise (`f` and `any` hold the same `b`).
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn mul_shoup_lazy_any(a: __m512i, f: Fixed, any: super::dq::Fixed, m: Limb) -> __m512i {
+                if fits(a) {
+                    mul_shoup_lazy(a, f, m)
+                } else {
+                    super::dq::mul_shoup_lazy(a, any, m)
+                }
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn mul_shoup_row(
+                q: u64,
+                src: &[u64],
+                b: u64,
+                b_shoup: u64,
+                out: &mut [u64],
+            ) -> usize {
+                let (m, f) = (limb(q), fixed(splat(b), splat(b_shoup)));
+                let any = super::dq::fixed(splat(b), splat(b_shoup));
+                let done = whole_vectors(out.len());
+                for at in (0..done).step_by(LANES) {
+                    let product = mul_shoup_lazy_any(load(src, at), f, any, m);
+                    store(out, at, cond_sub(product, m.q));
+                }
+                done
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn add_mul_shoup_row(
+                q: u64,
+                acc: &mut [u64],
+                src: &[u64],
+                b: u64,
+                b_shoup: u64,
+            ) -> usize {
+                let (m, f) = (limb(q), fixed(splat(b), splat(b_shoup)));
+                let any = super::dq::fixed(splat(b), splat(b_shoup));
+                let done = whole_vectors(acc.len());
+                for at in (0..done).step_by(LANES) {
+                    let product = mul_shoup_lazy_any(load(src, at), f, any, m);
+                    let sum = _mm512_add_epi64(load(acc, at), product);
+                    store(acc, at, cond_sub(cond_sub(sum, m.two_q), m.q));
+                }
+                done
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn sub_mul_shoup_row(
+                q: u64,
+                out: &mut [u64],
+                x: &[u64],
+                b: u64,
+                b_shoup: u64,
+            ) -> usize {
+                let (m, f) = (limb(q), fixed(splat(b), splat(b_shoup)));
+                let done = whole_vectors(out.len());
+                for at in (0..done).step_by(LANES) {
+                    // x + q − out ∈ (0, 2q) is congruent to the canonical difference, and the
+                    // canonical product does not depend on which representative is multiplied.
+                    let diff = _mm512_sub_epi64(_mm512_add_epi64(load(x, at), m.q), load(out, at));
+                    store(out, at, cond_sub(mul_shoup_lazy(diff, f, m), m.q));
+                }
+                done
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn rescale_row(
+                q: u64,
+                q_last: u64,
+                x: &[u64],
+                last: &[u64],
+                b: u64,
+                b_shoup: u64,
+                out: &mut [u64],
+            ) -> usize {
+                let (m, f) = (limb(q), fixed(splat(b), splat(b_shoup)));
+                let any = super::dq::fixed(splat(b), splat(b_shoup));
+                // Every centred magnitude is at most q_last/2.
+                let last_fits = q_last / 2 <= OPERAND_MAX;
+                let (q_last_v, half) = (splat(q_last), splat(q_last / 2));
+                let done = whole_vectors(out.len());
+                for at in (0..done).step_by(LANES) {
+                    // centre(c) = c or −(q_last − c); either way (x − centre)·b = x·b ∓
+                    // |centre|·b, two lazy products below 2q whose sum or difference lies in
+                    // [0, 4q).
+                    let c = load(last, at);
+                    let negative = _mm512_cmpgt_epu64_mask(c, half);
+                    let magnitude = _mm512_mask_sub_epi64(c, negative, q_last_v, c);
+                    let xb = mul_shoup_lazy(load(x, at), f, m);
+                    let cb = if last_fits {
+                        mul_shoup_lazy(magnitude, f, m)
+                    } else {
+                        super::dq::mul_shoup_lazy(magnitude, any, m)
+                    };
+                    let minus = _mm512_sub_epi64(_mm512_add_epi64(xb, m.two_q), cb);
+                    let r = _mm512_mask_add_epi64(minus, negative, xb, cb);
+                    store(out, at, cond_sub(cond_sub(r, m.two_q), m.q));
+                }
+                done
+            }
+
+            /// `G` vectors of the conversion accumulate from coefficient `at`: every term runs
+            /// over the group's `G` running sums (in registers) before the next term.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn convert_group<const G: usize>(
+                m: Limb,
+                sources: &[Modulus],
+                flat: &[u64],
+                w: &[u64],
+                w_shoup: &[u64],
+                out: &mut [u64],
+                at: usize,
+            ) {
+                let n = out.len();
+                let mut sums = [_mm512_setzero_si512(); G];
+                for (i, source) in sources.iter().enumerate() {
+                    let (b, b_shoup) = (splat(w[i]), splat(w_shoup[i]));
+                    let row = &flat[i * n..(i + 1) * n];
+                    // A zero start leaves the first term as is: it is below 2p. The row's
+                    // words are below 4·source.
+                    if source.value() <= OPERAND_MAX / 4 {
+                        let f = fixed(b, b_shoup);
+                        for (g, sum) in sums.iter_mut().enumerate() {
+                            let term = mul_shoup_lazy(load(row, at + g * LANES), f, m);
+                            *sum = cond_sub(_mm512_add_epi64(*sum, term), m.two_q);
+                        }
+                    } else {
+                        let f = super::dq::fixed(b, b_shoup);
+                        for (g, sum) in sums.iter_mut().enumerate() {
+                            let term = super::dq::mul_shoup_lazy(load(row, at + g * LANES), f, m);
+                            *sum = cond_sub(_mm512_add_epi64(*sum, term), m.two_q);
+                        }
+                    }
+                }
+                for (g, &sum) in sums.iter().enumerate() {
+                    store(out, at + g * LANES, sum);
+                }
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn convert_accumulate_row(
+                p: u64,
+                sources: &[Modulus],
+                flat: &[u64],
+                w: &[u64],
+                w_shoup: &[u64],
+                out: &mut [u64],
+            ) -> usize {
+                let m = limb(p);
+                let done = whole_vectors(out.len());
+                let grouped = done - done % (GROUP * LANES);
+                for at in (0..grouped).step_by(GROUP * LANES) {
+                    convert_group::<GROUP>(m, sources, flat, w, w_shoup, out, at);
+                }
+                for at in (grouped..done).step_by(LANES) {
+                    convert_group::<1>(m, sources, flat, w, w_shoup, out, at);
+                }
+                done
+            }
+        };
+    }
+
+    /// The AVX-512F+DQ arm: any limb, any operand.
+    pub(super) mod dq {
+        use super::*;
+
+        /// The largest operand this arm multiplies: all of them.
+        const OPERAND_MAX: u64 = u64::MAX;
+
+        /// A fixed Shoup multiplicand `b` with `⌊b·2^64/q⌋`, one per lane.
+        #[derive(Clone, Copy)]
+        pub(crate) struct Fixed {
+            b: __m512i,
+            b_shoup: __m512i,
         }
-        done
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub(crate) fn fixed(b: __m512i, b_shoup: __m512i) -> Fixed {
+            Fixed { b, b_shoup }
+        }
+
+        /// Every lane fits this arm.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn fits(_: __m512i) -> bool {
+            true
+        }
+
+        /// High 64 bits of the 128-bit product, per lane, from four 32×32 partial products.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn mul_high(a: __m512i, b: __m512i) -> __m512i {
+            let a_hi = _mm512_shuffle_epi32::<HIGH_TO_LOW>(a);
+            let b_hi = _mm512_shuffle_epi32::<HIGH_TO_LOW>(b);
+            let lo_lo = _mm512_mul_epu32(a, b);
+            let hi_lo = _mm512_mul_epu32(a_hi, b);
+            let lo_hi = _mm512_mul_epu32(a, b_hi);
+            let hi_hi = _mm512_mul_epu32(a_hi, b_hi);
+            // t = hi_lo + (lo_lo >> 32) and u = lo_hi + (t mod 2^32) cannot overflow a lane.
+            let t = _mm512_add_epi64(
+                hi_lo,
+                _mm512_maskz_shuffle_epi32::<HIGH_TO_LOW>(LOW_DWORDS, lo_lo),
+            );
+            let u = _mm512_add_epi64(lo_hi, _mm512_maskz_mov_epi32(LOW_DWORDS, t));
+            _mm512_add_epi64(
+                _mm512_add_epi64(
+                    hi_hi,
+                    _mm512_maskz_shuffle_epi32::<HIGH_TO_LOW>(LOW_DWORDS, t),
+                ),
+                _mm512_maskz_shuffle_epi32::<HIGH_TO_LOW>(LOW_DWORDS, u),
+            )
+        }
+
+        /// Eight lanes of [`crate::Modulus::mul_shoup_lazy`]: `a·b − ⌊a·b_shoup/2^64⌋·q` in
+        /// wrapping arithmetic, in `[0, 2q)` for any `a`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512dq")]
+        pub(crate) fn mul_shoup_lazy(a: __m512i, f: Fixed, m: Limb) -> __m512i {
+            let q_hat = mul_high(a, f.b_shoup);
+            _mm512_sub_epi64(_mm512_mullo_epi64(a, f.b), _mm512_mullo_epi64(q_hat, m.q))
+        }
+
+        shoup_kernels!("avx512f,avx512dq");
+    }
+
+    /// The AVX-512 IFMA arm: limbs below `2^50`, operands below `2^52`.
+    pub(super) mod ifma {
+        use super::*;
+        use crate::kskip::DigitRows;
+
+        /// The largest operand this arm multiplies.
+        const OPERAND_MAX: u64 = LOW_52;
+
+        /// A fixed Shoup multiplicand `b` with `⌊b·2^64/q⌋` split for the 52-bit multiplier:
+        /// its top 52 bits, and its low 12 at bits 40‥51 (the multiplier ignores the rest).
+        #[derive(Clone, Copy)]
+        pub(crate) struct Fixed {
+            b: __m512i,
+            shoup_high: __m512i,
+            shoup_low: __m512i,
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn fixed(b: __m512i, b_shoup: __m512i) -> Fixed {
+            Fixed {
+                b,
+                shoup_high: _mm512_srli_epi64::<12>(b_shoup),
+                shoup_low: _mm512_slli_epi64::<40>(b_shoup),
+            }
+        }
+
+        /// Whether every lane is below `2^52`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn fits(a: __m512i) -> bool {
+            _mm512_test_epi64_mask(a, splat(!LOW_52)) == 0
+        }
+
+        /// Eight lanes of [`crate::Modulus::mul_shoup_lazy`] for `a < 2^52`, `q < 2^50`. With
+        /// `b_shoup = h·2^12 + l`: `⌊a·b_shoup/2^64⌋ = ⌊(a·h + ⌊a·l/2^12⌋)/2^52⌋`, the inner sum
+        /// taken as `a·h`'s two 52-bit halves plus the carry out of the low one; then
+        /// `a·b − q̂·q`, which lies in `[0, 2q)`, is exact modulo `2^52`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn mul_shoup_lazy(a: __m512i, f: Fixed, m: Limb) -> __m512i {
+            let zero = _mm512_setzero_si512();
+            let low_part = _mm512_madd52hi_epu64(zero, a, f.shoup_low);
+            let low_sum = _mm512_madd52lo_epu64(low_part, a, f.shoup_high);
+            let q_hat = _mm512_madd52hi_epu64(_mm512_srli_epi64::<52>(low_sum), a, f.shoup_high);
+            let r = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(zero, a, f.b), q_hat, m.minus_q);
+            _mm512_and_si512(r, splat(LOW_52))
+        }
+
+        shoup_kernels!("avx512f,avx512dq,avx512ifma");
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+        pub(crate) fn kskip_row(
+            modulus: &Modulus,
+            digits: &[DigitRows<'_>],
+            perm: Option<&[usize]>,
+            out_b: &mut [u64],
+            out_a: &mut [u64],
+        ) -> usize {
+            let zero = _mm512_setzero_si512();
+            let mut gathered = [0u64; LANES];
+            let mut halves = [[0u64; LANES]; 4];
+            for at in (0..whole_vectors(out_b.len())).step_by(LANES) {
+                let [mut lo_b, mut hi_b, mut lo_a, mut hi_a] = [zero; 4];
+                let mut operands = zero;
+                for digit in digits {
+                    let x = match perm {
+                        None => load(digit.x, at),
+                        Some(perm) => {
+                            for (x, &source) in gathered.iter_mut().zip(&perm[at..at + LANES]) {
+                                *x = digit.x[source];
+                            }
+                            load(&gathered, 0)
+                        }
+                    };
+                    let (key_b, key_a) = (load(digit.key_b, at), load(digit.key_a, at));
+                    operands = _mm512_or_si512(operands, _mm512_or_si512(x, key_a));
+                    operands = _mm512_or_si512(operands, key_b);
+                    lo_b = _mm512_madd52lo_epu64(lo_b, x, key_b);
+                    hi_b = _mm512_madd52hi_epu64(hi_b, x, key_b);
+                    lo_a = _mm512_madd52lo_epu64(lo_a, x, key_a);
+                    hi_a = _mm512_madd52hi_epu64(hi_a, x, key_a);
+                }
+                if !fits(operands) {
+                    return at;
+                }
+                for (half, v) in halves.iter_mut().zip([lo_b, hi_b, lo_a, hi_a]) {
+                    store(half, 0, v);
+                }
+                let [lo_b, hi_b, lo_a, hi_a] = &halves;
+                for l in 0..LANES {
+                    let sum = |lo: u64, hi: u64| ((hi as u128) << 52) + lo as u128;
+                    out_b[at + l] = modulus.reduce_u128_lazy(sum(lo_b[l], hi_b[l]));
+                    out_a[at + l] = modulus.reduce_u128_lazy(sum(lo_a[l], hi_a[l]));
+                }
+            }
+            whole_vectors(out_b.len())
+        }
+
+        /// Barrett constants of a `k`-bit limb (`2^(k−1) < q < 2^50`) for products below
+        /// `2^(2k)`: the shifts that take such a product's top `k + 1` bits from its 52-bit
+        /// halves, and `⌊2^(2k)/q⌋·2^(51−k)`.
+        #[derive(Clone, Copy)]
+        struct Barrett {
+            high_shift: __m512i,
+            low_shift: __m512i,
+            mu: __m512i,
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn barrett(q: u64) -> Barrett {
+            let k = u64::from(64 - q.leading_zeros());
+            let mu = ((1u128 << (2 * k)) / u128::from(q)) as u64;
+            Barrett {
+                high_shift: splat(53 - k),
+                low_shift: splat(k - 1),
+                mu: splat(mu << (51 - k)),
+            }
+        }
+
+        /// `a·b mod q` (canonical) for canonical `a`, `b`: the quotient estimate
+        /// `⌊⌊ab/2^(k−1)⌋·⌊2^(2k)/q⌋/2^(k+1)⌋` undershoots by at most 2, so the remainder,
+        /// exact modulo `2^52`, is below `3q`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn mul_mod(a: __m512i, b: __m512i, m: Limb, r: Barrett) -> __m512i {
+            let zero = _mm512_setzero_si512();
+            let lo = _mm512_madd52lo_epu64(zero, a, b);
+            let hi = _mm512_madd52hi_epu64(zero, a, b);
+            let top = _mm512_or_si512(
+                _mm512_sllv_epi64(hi, r.high_shift),
+                _mm512_srlv_epi64(lo, r.low_shift),
+            );
+            let q_hat = _mm512_madd52hi_epu64(zero, top, r.mu);
+            let rem = _mm512_and_si512(_mm512_madd52lo_epu64(lo, q_hat, m.minus_q), splat(LOW_52));
+            cond_sub(cond_sub(rem, m.q), m.q)
+        }
+
+        /// Whether any lane of `a` is not below `q`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn non_canonical(a: __m512i, m: Limb) -> bool {
+            _mm512_cmpge_epu64_mask(a, m.q) != 0
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+        pub(crate) fn pointwise_mul_row(q: u64, x: &mut [u64], y: &[u64]) -> usize {
+            if q.is_power_of_two() {
+                return 0;
+            }
+            let (m, r) = (limb(q), barrett(q));
+            for at in (0..whole_vectors(x.len())).step_by(LANES) {
+                let (a, b) = (load(x, at), load(y, at));
+                if non_canonical(_mm512_max_epu64(a, b), m) {
+                    return at;
+                }
+                store(x, at, mul_mod(a, b, m, r));
+            }
+            whole_vectors(x.len())
+        }
+
+        #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+        pub(crate) fn pointwise_add_mul_row(
+            q: u64,
+            acc: &mut [u64],
+            a: &[u64],
+            b: &[u64],
+        ) -> usize {
+            if q.is_power_of_two() {
+                return 0;
+            }
+            let (m, r) = (limb(q), barrett(q));
+            for at in (0..whole_vectors(acc.len())).step_by(LANES) {
+                let (x, a, b) = (load(acc, at), load(a, at), load(b, at));
+                if non_canonical(_mm512_max_epu64(x, _mm512_max_epu64(a, b)), m) {
+                    return at;
+                }
+                let sum = _mm512_add_epi64(x, mul_mod(a, b, m, r));
+                store(acc, at, cond_sub(sum, m.q));
+            }
+            whole_vectors(acc.len())
+        }
     }
 }

@@ -218,6 +218,7 @@ impl BasisConverter {
         assert_eq!(hoisted_flat.len(), self.source_moduli.len() * degree);
         assert_eq!(out.len(), degree);
         self.target_moduli[target_index].convert_accumulate_row(
+            &self.source_moduli,
             hoisted_flat,
             &self.q_hat_mod_p[target_index],
             &self.q_hat_mod_p_shoup[target_index],

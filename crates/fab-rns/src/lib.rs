@@ -18,10 +18,11 @@
 //! * [`ops`] — the ModUp / ModDown / Rescale / Decomp kernels used by hybrid key switching,
 //!   with precomputed [`ops::ModUpPlan`] / [`ops::ModDownPlan`] objects and a reusable
 //!   [`ops::ConvertScratch`] so steady-state key switching allocates nothing,
-//! * [`kskip`] — the **u128 lazy key-switch inner product**: products of all β digits are
-//!   summed coefficient-major into per-coefficient `u128` sums that never leave registers
-//!   and reduced *once* per coefficient (into the lazy `[0, 2q)` domain the inverse NTT
-//!   consumes), with an overflow-safe periodic fold derived from the limb bit-width
+//! * [`kskip`] (the `fab-math` row kernel, re-exported here) — the **u128 lazy key-switch
+//!   inner product**: products of all β digits are summed coefficient-major into
+//!   per-coefficient `u128` sums that never leave registers and reduced *once* per
+//!   coefficient (into the lazy `[0, 2q)` domain the inverse NTT consumes), with an
+//!   overflow-safe periodic fold derived from the limb bit-width
 //!   ([`fab_math::Modulus::u128_mac_capacity`]),
 //! * [`metering`] — the thread-local meter of NTT transforms and bytes moved (one
 //!   [`metering::Tally`]), so tests can assert `recorded == closed-form formula` per
@@ -49,7 +50,6 @@
 mod basis;
 mod convert;
 mod error;
-pub mod kskip;
 pub mod metering;
 pub mod ops;
 mod poly;
@@ -57,6 +57,7 @@ mod poly;
 pub use basis::RnsBasis;
 pub use convert::{crt_recombine_u128, BasisConverter};
 pub use error::RnsError;
+pub use fab_math::kskip;
 pub use poly::{Domain, Representation, RnsPolynomial};
 
 /// Result alias used throughout the RNS crate.

@@ -495,10 +495,7 @@ impl RnsPolynomial {
         let degree = self.degree;
         metering::charge(kernel::pointwise_binary(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
-            let m = basis.modulus(i);
-            for (x, &y) in row.iter_mut().zip(other.limb(i)) {
-                *x = m.mul(*x, y);
-            }
+            basis.modulus(i).pointwise_mul_row(row, other.limb(i));
         });
         Ok(())
     }
@@ -524,10 +521,9 @@ impl RnsPolynomial {
         let degree = self.degree;
         metering::charge(kernel::fused_multiply_add(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
-            let m = basis.modulus(i);
-            for ((x, &ai), &bi) in row.iter_mut().zip(a.limb(i)).zip(b.limb(i)) {
-                *x = m.add(*x, m.reduce_u128(ai as u128 * bi as u128));
-            }
+            basis
+                .modulus(i)
+                .pointwise_add_mul_row(row, a.limb(i), b.limb(i));
         });
         Ok(())
     }

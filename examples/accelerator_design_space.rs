@@ -20,7 +20,8 @@ fn main() {
     }
 
     println!("\n== Figure 2: fftIter trade-off ==");
-    for p in fft_iter_sweep(&config, &params, &[1, 2, 3, 4, 5, 6]) {
+    let ctx = CkksContext::new_arc(params.clone()).expect("fab_paper() builds a context");
+    for p in fft_iter_sweep(&config, &ctx, &[1, 2, 3, 4, 5, 6]) {
         println!(
             "  fftIter {}: depth {}, {} levels left, T_boot {:.1} ms, {} NTTs, {:.3} us/slot",
             p.fft_iter,

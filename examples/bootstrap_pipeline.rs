@@ -70,7 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- the accelerator model at the paper's full parameter set ---------------------------
     let config = FabConfig::alveo_u280();
     let paper = CkksParams::fab_paper();
-    let cost = bootstrap_cost(&config, &paper, paper.fft_iter);
+    let cost = bootstrap_cost(
+        &config,
+        &CkksContext::new_arc(paper.clone())?,
+        paper.fft_iter,
+    );
     let amortized = fab_core::amortized_mult_time_us(
         &config,
         &paper,

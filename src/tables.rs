@@ -5,9 +5,10 @@
 //! the LR workload (`fab-lr`) and the published baseline constants.
 
 use std::fmt::Write as _;
+use std::sync::{Arc, OnceLock};
 
 use fab_ckks::linear_transform::coeff_to_slot_offset_sets;
-use fab_ckks::{BsgsPlan, CkksParams};
+use fab_ckks::{BsgsPlan, CkksContext, CkksParams};
 use fab_core::baselines::{
     table4_resources, table7_bootstrapping, table8_lr_training, FAB2_COMMUNICATION_S, HELR_TASK,
     LEVELED_FHE_CLIENT_ENCRYPT_S, TABLE5_FAB_REPORTED, TABLE5_GPU, TABLE6_FAB_REPORTED,
@@ -164,10 +165,19 @@ fn figure1() -> String {
     out
 }
 
+/// The `fab_paper()` context every bootstrap row plans on (Figure 2's six points and Table 7),
+/// built once per process.
+fn paper_context() -> &'static Arc<CkksContext> {
+    static PAPER: OnceLock<Arc<CkksContext>> = OnceLock::new();
+    PAPER.get_or_init(|| {
+        CkksContext::new_arc(CkksParams::fab_paper()).expect("fab_paper() builds a context")
+    })
+}
+
 fn figure2() -> String {
     let config = FabConfig::alveo_u280();
-    let p = CkksParams::fab_paper();
-    let points = fft_iter_sweep(&config, &p, &[1, 2, 3, 4, 5, 6]);
+    let p = paper_context().params();
+    let points = fft_iter_sweep(&config, paper_context(), &[1, 2, 3, 4, 5, 6]);
     let mut out = String::new();
     writeln!(
         out,
@@ -379,14 +389,14 @@ fn table6() -> String {
 
 fn table7() -> String {
     let config = FabConfig::alveo_u280();
-    let params = CkksParams::fab_paper();
-    let trace = bootstrap_trace(&params, params.fft_iter);
+    let params = paper_context().params();
+    let trace = bootstrap_trace(paper_context(), params.fft_iter);
     let boot = OpCostModel::new(config.clone(), params.clone()).cost_trace(&trace);
     // The plan's last op is a rescale at the lowest level it touches.
     let plan_exit = trace.ops.iter().filter_map(HeOp::level).min().unwrap_or(1) - 1;
     let amortized = amortized_mult_time_us(
         &config,
-        &params,
+        params,
         &boot,
         params.levels_after_bootstrap(),
         params.slot_count(),

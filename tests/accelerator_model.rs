@@ -45,7 +45,8 @@ fn fab_is_compute_bound_not_memory_bound() {
 fn table7_shape_fab_between_gpu_and_asic() {
     let config = FabConfig::alveo_u280();
     let params = CkksParams::fab_paper();
-    let boot = bootstrap_cost(&config, &params, params.fft_iter);
+    let ctx = CkksContext::new_arc(params.clone()).unwrap();
+    let boot = bootstrap_cost(&config, &ctx, params.fft_iter);
     let amortized = amortized_mult_time_us(
         &config,
         &params,
@@ -88,7 +89,8 @@ fn design_space_choices_match_the_paper() {
     assert_eq!(chosen.q_limbs, 24);
     assert_eq!(chosen.alpha, 8);
     // Figure 2: fftIter = 4 is within 25% of the best amortized time in the sweep.
-    let fft_points = fft_iter_sweep(&config, &params, &[1, 2, 3, 4, 5, 6]);
+    let ctx = CkksContext::new_arc(params.clone()).unwrap();
+    let fft_points = fft_iter_sweep(&config, &ctx, &[1, 2, 3, 4, 5, 6]);
     let best = fft_points
         .iter()
         .map(|p| p.amortized_mult_us)

@@ -47,7 +47,7 @@ fn planned_recorded_and_accelerator_rotation_schedules_agree_at_paper_scale() {
     let bootstrapper =
         Bootstrapper::new(ctx.clone(), BootstrapParams::for_scheme(&params)).unwrap();
     let predicted = bootstrapper.predicted_trace().unwrap();
-    let analytic = bootstrap_trace(&params, params.fft_iter);
+    let analytic = bootstrap_trace(&ctx, params.fft_iter);
 
     // The accelerator workload is the planned software pipeline: every phase, op and level.
     assert_eq!(predicted.phase_labels(), analytic.phase_labels());
@@ -75,9 +75,9 @@ fn bsgs_coeff_to_slot_cuts_keyswitches_three_fold_at_paper_scale() {
     let ctx = CkksContext::new_arc(params.clone()).unwrap();
     let mut bp = BootstrapParams::for_scheme(&params);
     bp.fft_iter = 3;
-    let bootstrapper = Bootstrapper::new(ctx, bp).unwrap();
+    let bootstrapper = Bootstrapper::new(ctx.clone(), bp).unwrap();
     let predicted = bootstrapper.predicted_trace().unwrap();
-    let analytic = bootstrap_trace(&params, 3);
+    let analytic = bootstrap_trace(&ctx, 3);
     assert_eq!(predicted.phase_labels(), analytic.phase_labels());
     assert_eq!(predicted.ops, analytic.ops);
 

@@ -88,7 +88,7 @@ fn recorded_bootstrap_feeds_the_accelerator_model() {
     // The fab-core analytic bootstrap workload prices each linear-transform stage from the
     // same BSGS plans the recorded pipeline executed, so all three views agree op-for-op on
     // rotation counts — the equivalence no longer carves out the linear-transform phases.
-    let analytic = fab_core::workload::bootstrap_trace(ctx.params(), 3);
+    let analytic = fab_core::workload::bootstrap_trace(&ctx, 3);
     assert_eq!(recorded.phase_labels(), analytic.phase_labels());
     for ((recorded_label, recorded_counts), (_, analytic_counts)) in recorded
         .phase_counts()
