@@ -82,11 +82,11 @@ mod tests {
     fn amortized_metric_matches_equation_2_structure() {
         let config = FabConfig::alveo_u280();
         let ctx = fab_ckks::CkksContext::new_arc(CkksParams::fab_paper()).unwrap();
-        let params = ctx.params().clone();
+        let params = ctx.params();
         let boot = bootstrap_cost(&config, &ctx, params.fft_iter);
         let slots = params.slot_count();
         let levels = params.levels_after_bootstrap();
-        let amortized = amortized_mult_time_us(&config, &params, &boot, levels, slots);
+        let amortized = amortized_mult_time_us(&config, params, &boot, levels, slots);
         // The paper reports 0.477 µs/slot for FAB; the analytical model should land within a
         // small factor of that (same order of magnitude, between the GPU and ASIC baselines).
         assert!(
@@ -94,8 +94,7 @@ mod tests {
             "amortized mult time {amortized} µs/slot"
         );
         // More levels after bootstrapping improve (reduce) the metric.
-        let fewer =
-            amortized_mult_time_us(&config, &params, &boot, levels.saturating_sub(2), slots);
+        let fewer = amortized_mult_time_us(&config, params, &boot, levels.saturating_sub(2), slots);
         assert!(fewer > amortized);
     }
 

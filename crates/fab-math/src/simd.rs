@@ -2,9 +2,10 @@
 //!
 //! Every hot row of the stack is a stream of lazy Shoup products
 //! ([`crate::Modulus::mul_shoup_lazy`]: `a·b − ⌊a·b_shoup/2^64⌋·q`, one 64×64 multiply-high and
-//! two multiply-lows), and on a scalar core those three multiplies share one port. This module
-//! holds the same product eight lanes wide, in two arms that compute the *same quotient* and so
-//! return the very lazy representative the scalar twin returns, not merely a congruent one:
+//! two multiply-lows), and on a scalar core those three multiplies share one port. There are
+//! three arms: the scalar loops (compiled on every target, the oracle), and two in this module
+//! that hold the same product eight lanes wide, compute the *same quotient* and so return the
+//! very lazy representative the scalar twin returns, not merely a congruent one:
 //!
 //! * **AVX-512F+DQ** ([`Arm::Dq`], any limb): the high half from four `vpmuludq` partial
 //!   products, the two low halves by `vpmullq`, the same wrapping arithmetic lane for lane.
