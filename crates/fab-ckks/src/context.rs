@@ -404,14 +404,14 @@ mod tests {
     fn uniform_limb_width_generation_keeps_limbs_distinct() {
         // When first_prime_bits == scale_bits (as in the paper set) all limbs come from one
         // stream; check with a small same-width configuration.
-        let params = CkksParams::builder()
-            .log_n(10)
-            .scale_bits(40)
-            .first_prime_bits(40)
-            .max_level(4)
-            .dnum(2)
-            .build()
-            .unwrap();
+        let params = CkksParams {
+            log_n: 10,
+            scale_bits: 40,
+            first_prime_bits: 40,
+            max_level: 4,
+            dnum: 2,
+            ..CkksParams::testing()
+        };
         let ctx = CkksContext::new(params).unwrap();
         let mut values = ctx.full_basis().values();
         values.sort_unstable();

@@ -632,13 +632,13 @@ mod tests {
         // that does not divide the limb count.
         for params in [
             CkksParams::testing(),
-            CkksParams::builder()
-                .log_n(5)
-                .max_level(4)
-                .dnum(3)
-                .secret_hamming_weight(Some(8))
-                .build()
-                .unwrap(),
+            CkksParams {
+                log_n: 5,
+                max_level: 4,
+                dnum: 3,
+                secret_hamming_weight: Some(8),
+                ..CkksParams::testing()
+            },
         ] {
             let ctx = CkksContext::new_arc(params.clone()).unwrap();
             let mut rng = ChaCha20Rng::seed_from_u64(7);

@@ -133,7 +133,7 @@ pub use keys::{
     PublicKey, RelinearizationKey, ResidentKeyProvider, SecretKey, SwitchingKey,
 };
 pub use linear_transform::{BsgsGroup, BsgsPlan, LinearTransform};
-pub use params::{CkksParams, CkksParamsBuilder};
+pub use params::CkksParams;
 
 /// Result alias used throughout the CKKS crate.
 pub type Result<T> = std::result::Result<T, CkksError>;

@@ -49,11 +49,6 @@ pub struct CkksParams {
 }
 
 impl CkksParams {
-    /// Starts a builder pre-populated with the testing defaults.
-    pub fn builder() -> CkksParamsBuilder {
-        CkksParamsBuilder::new()
-    }
-
     /// The paper's FPGA parameter set (Table 2): `log q = 54`, `N = 2^16`, `L = 23`,
     /// `dnum = 3`, `ﬀtIter = 4`, 128-bit security, `log PQ = 1728` (32 limbs of 54 bits).
     pub fn fab_paper() -> Self {
@@ -298,109 +293,10 @@ impl Default for CkksParams {
     }
 }
 
-/// Builder for [`CkksParams`] (C-BUILDER).
-///
-/// ```
-/// use fab_ckks::CkksParams;
-///
-/// # fn main() -> Result<(), fab_ckks::CkksError> {
-/// let params = CkksParams::builder()
-///     .log_n(13)
-///     .scale_bits(40)
-///     .max_level(8)
-///     .dnum(3)
-///     .build()?;
-/// assert_eq!(params.degree(), 1 << 13);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct CkksParamsBuilder {
-    params: CkksParams,
-}
-
-impl CkksParamsBuilder {
-    /// Creates a builder with testing defaults.
-    pub fn new() -> Self {
-        Self {
-            params: CkksParams::testing(),
-        }
-    }
-
-    /// Sets `log2 N`.
-    pub fn log_n(mut self, log_n: usize) -> Self {
-        self.params.log_n = log_n;
-        self
-    }
-
-    /// Sets the scaling-prime bit-width.
-    pub fn scale_bits(mut self, bits: u32) -> Self {
-        self.params.scale_bits = bits;
-        self
-    }
-
-    /// Sets the first-prime bit-width.
-    pub fn first_prime_bits(mut self, bits: u32) -> Self {
-        self.params.first_prime_bits = bits;
-        self
-    }
-
-    /// Sets the maximum level `L`.
-    pub fn max_level(mut self, level: usize) -> Self {
-        self.params.max_level = level;
-        self
-    }
-
-    /// Sets the number of key-switching digits `dnum`.
-    pub fn dnum(mut self, dnum: usize) -> Self {
-        self.params.dnum = dnum;
-        self
-    }
-
-    /// Sets the bootstrapping linear-transform depth `ﬀtIter`.
-    pub fn fft_iter(mut self, fft_iter: usize) -> Self {
-        self.params.fft_iter = fft_iter;
-        self
-    }
-
-    /// Sets the error standard deviation.
-    pub fn error_std(mut self, std: f64) -> Self {
-        self.params.error_std = std;
-        self
-    }
-
-    /// Sets a sparse secret hamming weight (or `None` for uniform ternary).
-    pub fn secret_hamming_weight(mut self, weight: Option<usize>) -> Self {
-        self.params.secret_hamming_weight = weight;
-        self
-    }
-
-    /// Sets the claimed security level (informational).
-    pub fn security_bits(mut self, bits: u32) -> Self {
-        self.params.security_bits = bits;
-        self
-    }
-
-    /// Validates and returns the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CkksError::InvalidParameters`] if validation fails.
-    pub fn build(self) -> Result<CkksParams> {
-        self.params.validate()?;
-        Ok(self.params)
-    }
-}
-
-impl Default for CkksParamsBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CkksContext;
 
     #[test]
     fn fab_paper_parameters_match_table_2() {
@@ -469,42 +365,55 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trip_and_validation() {
-        let p = CkksParams::builder()
-            .log_n(13)
-            .scale_bits(40)
-            .first_prime_bits(58)
-            .max_level(10)
-            .dnum(2)
-            .fft_iter(3)
-            .error_std(3.2)
-            .secret_hamming_weight(Some(128))
-            .security_bits(0)
-            .build()
-            .unwrap();
-        assert_eq!(p.alpha(), 6);
-        assert_eq!(p.total_raised_limbs(), 11 + 6);
-
-        assert!(CkksParams::builder().log_n(2).build().is_err());
-        assert!(CkksParams::builder().scale_bits(10).build().is_err());
-        assert!(CkksParams::builder().dnum(0).build().is_err());
-        assert!(CkksParams::builder().max_level(3).dnum(9).build().is_err());
-        assert!(CkksParams::builder().error_std(-1.0).build().is_err());
-        assert!(CkksParams::builder()
-            .secret_hamming_weight(Some(0))
-            .build()
-            .is_err());
+    fn each_bad_field_is_refused_by_validate_and_context() {
+        let t = CkksParams::testing;
+        for bad in [
+            CkksParams { log_n: 2, ..t() },
+            CkksParams {
+                scale_bits: 10,
+                ..t()
+            },
+            CkksParams { dnum: 0, ..t() },
+            CkksParams {
+                max_level: 3,
+                dnum: 9,
+                ..t()
+            },
+            CkksParams {
+                error_std: -1.0,
+                ..t()
+            },
+            CkksParams {
+                secret_hamming_weight: Some(0),
+                ..t()
+            },
+        ] {
+            assert!(
+                matches!(bad.validate(), Err(CkksError::InvalidParameters { .. })),
+                "{bad:?}"
+            );
+            assert!(
+                matches!(
+                    CkksContext::new(bad.clone()),
+                    Err(CkksError::InvalidParameters { .. })
+                ),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
     fn dnum_alpha_relationship() {
         // α = ⌈(L+1)/dnum⌉ per Table 1.
-        for (level, dnum, expected_alpha) in [(23, 3, 8), (23, 2, 12), (23, 4, 6), (9, 2, 5)] {
-            let p = CkksParams::builder()
-                .max_level(level)
-                .dnum(dnum)
-                .build()
-                .unwrap();
+        for (level, dnum, expected_alpha) in
+            [(23, 3, 8), (23, 2, 12), (23, 4, 6), (9, 2, 5), (10, 2, 6)]
+        {
+            let p = CkksParams {
+                max_level: level,
+                dnum,
+                ..CkksParams::testing()
+            };
+            p.validate().unwrap();
             assert_eq!(p.alpha(), expected_alpha);
         }
     }

@@ -59,15 +59,15 @@ fn fixture(params: CkksParams, seed: u64) -> Fixture {
 }
 
 fn small_params(log_n: usize, max_level: usize) -> CkksParams {
-    CkksParams::builder()
-        .log_n(log_n)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(max_level)
-        .dnum(2)
-        .secret_hamming_weight(Some((1usize << log_n).min(32)))
-        .build()
-        .expect("valid small parameters")
+    CkksParams {
+        log_n,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level,
+        dnum: 2,
+        secret_hamming_weight: Some((1usize << log_n).min(32)),
+        ..CkksParams::testing()
+    }
 }
 
 /// `(value, pt_scale)` by case: ordinary, negative, zero, the 62-bit boundary from both

@@ -30,15 +30,15 @@ struct Fixture {
 }
 
 fn fixture(log_n: usize, max_level: usize, dnum: usize, seed: u64) -> Fixture {
-    let params = CkksParams::builder()
-        .log_n(log_n)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(max_level)
-        .dnum(dnum)
-        .secret_hamming_weight(Some((1usize << log_n).min(32)))
-        .build()
-        .expect("valid small parameters");
+    let params = CkksParams {
+        log_n,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level,
+        dnum,
+        secret_hamming_weight: Some((1usize << log_n).min(32)),
+        ..CkksParams::testing()
+    };
     let ctx = CkksContext::new_arc(params).expect("context");
     let mut rng = ChaCha20Rng::seed_from_u64(seed);
     let sk = SecretKey::generate(&ctx, &mut rng);

@@ -15,15 +15,15 @@ use rand_chacha::ChaCha20Rng;
 use fab_ckks::{CkksContext, CkksError, CkksParams, KeyGenerator, SecretKey, SwitchingKey};
 
 fn make_blob() -> Vec<u8> {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(2)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters");
+    let params = CkksParams {
+        log_n: 5,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 2,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    };
     let ctx: Arc<CkksContext> = CkksContext::new_arc(params).expect("context");
     let mut rng = ChaCha20Rng::seed_from_u64(0xB10B);
     let sk = SecretKey::generate(&ctx, &mut rng);

@@ -32,15 +32,15 @@ fn setup(
     fab_ckks::RelinearizationKey,
     ChaCha20Rng,
 ) {
-    let params = CkksParams::builder()
-        .log_n(log_n)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(max_level)
-        .dnum(dnum)
-        .secret_hamming_weight(Some((1usize << log_n).min(32)))
-        .build()
-        .expect("valid small parameters");
+    let params = CkksParams {
+        log_n,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level,
+        dnum,
+        secret_hamming_weight: Some((1usize << log_n).min(32)),
+        ..CkksParams::testing()
+    };
     let ctx = CkksContext::new_arc(params).expect("context");
     let mut rng = ChaCha20Rng::seed_from_u64(seed);
     let sk = SecretKey::generate(&ctx, &mut rng);

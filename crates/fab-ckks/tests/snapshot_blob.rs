@@ -14,15 +14,15 @@ use fab_ckks::{
 };
 
 fn small_params() -> CkksParams {
-    CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(2)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters")
+    CkksParams {
+        log_n: 5,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 2,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    }
 }
 
 struct Fixture {
@@ -161,15 +161,15 @@ fn snapshots_are_rejected_under_a_different_parameter_set() {
     let blob = f.ciphertext.to_bytes(&f.ctx);
     // Same ring degree and limb structure, different scale bits: only the fingerprint can
     // tell the two contexts apart — and it must.
-    let other = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(39)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(2)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters");
+    let other = CkksParams {
+        log_n: 5,
+        scale_bits: 39,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 2,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    };
     let other_ctx = CkksContext::new_arc(other).expect("context");
     expect_corrupt_ct("wrong parameters".into(), &blob, &other_ctx);
 }

@@ -80,11 +80,14 @@ pub struct FabConfig {
     pub functional_units: usize,
     /// Kernel clock frequency in MHz (300 for FAB).
     pub frequency_mhz: f64,
-    /// Pipeline latency of a modular addition/subtraction in cycles (7 in FAB).
+    /// Pipeline latency of a modular addition/subtraction in cycles (7 in FAB; Section 4.1
+    /// adds 54-bit operands as two 27-bit DSP words).
     pub mod_add_latency: u64,
-    /// Pipeline latency of the integer multiplication stage in cycles (12 in FAB).
+    /// Pipeline latency of the integer multiplication stage in cycles (12 in FAB; Section 4.1
+    /// multiplies 54-bit operands as three 18-bit DSP words).
     pub int_mul_latency: u64,
-    /// Pipeline latency of the shift-add modular reduction in cycles (12 in FAB).
+    /// Pipeline latency of the shift-add modular reduction in cycles (12 in FAB; Section 4.1's
+    /// Algorithm 1 with a 6-bit shift window).
     pub mod_reduce_latency: u64,
     /// DSP slices consumed per functional unit (the 5120/256 = 20 of Table 3).
     pub dsp_per_functional_unit: usize,

@@ -1,8 +1,8 @@
 //! FPGA resource estimation (Table 3 of the paper).
 //!
-//! The estimator is parametric in the accelerator configuration: DSP usage follows directly
-//! from the functional-unit count and the multi-word arithmetic mapping, URAM/BRAM usage from
-//! the bank geometry of Figure 4, and LUT/FF usage from per-unit costs calibrated against the
+//! The estimator is parametric in the accelerator configuration: DSP usage is the
+//! functional-unit count times [`FabConfig::dsp_per_functional_unit`] (Table 3's 20), URAM/BRAM
+//! usage the bank geometry of Figure 4, and LUT/FF usage per-unit costs calibrated against the
 //! paper's reported totals (so that alternative configurations — more functional units, wider
 //! limbs — produce proportionate estimates).
 

@@ -136,15 +136,15 @@ mod tests {
     use rand_chacha::ChaCha20Rng;
 
     fn fixture() -> (Arc<CkksContext>, TrainingCheckpoint) {
-        let params = CkksParams::builder()
-            .log_n(5)
-            .scale_bits(40)
-            .first_prime_bits(50)
-            .max_level(2)
-            .dnum(1)
-            .secret_hamming_weight(Some(16))
-            .build()
-            .unwrap();
+        let params = CkksParams {
+            log_n: 5,
+            scale_bits: 40,
+            first_prime_bits: 50,
+            max_level: 2,
+            dnum: 1,
+            secret_hamming_weight: Some(16),
+            ..CkksParams::testing()
+        };
         let ctx = CkksContext::new_arc(params).unwrap();
         let mut rng = ChaCha20Rng::seed_from_u64(0x10AD);
         let sk = SecretKey::generate(&ctx, &mut rng);

@@ -695,16 +695,11 @@ mod tests {
 
     fn context() -> Arc<CkksContext> {
         // A few extra levels over the testing set so two encrypted iterations fit.
-        let params = CkksParams::builder()
-            .log_n(12)
-            .scale_bits(40)
-            .first_prime_bits(60)
-            .max_level(12)
-            .dnum(4)
-            .secret_hamming_weight(Some(64))
-            .security_bits(0)
-            .build()
-            .unwrap();
+        let params = CkksParams {
+            max_level: 12,
+            dnum: 4,
+            ..CkksParams::testing()
+        };
         CkksContext::new_arc(params).unwrap()
     }
 

@@ -21,15 +21,15 @@ use fab_store::{SimDisk, StorageBackend};
 const NAME: &str = "weights.ckpt";
 
 fn fixture() -> (Arc<CkksContext>, TrainingCheckpoint, TrainingCheckpoint) {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .unwrap();
+    let params = CkksParams {
+        log_n: 5,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 1,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    };
     let ctx = CkksContext::new_arc(params).unwrap();
     let mut rng = ChaCha20Rng::seed_from_u64(0xD15C);
     let sk = SecretKey::generate(&ctx, &mut rng);

@@ -215,15 +215,15 @@ fn a_training_run_killed_inside_a_checkpoint_write_resumes_from_the_previous_bou
 /// Cheap serialization-level fixture (no trainer, no bootstrap): a small context and an
 /// encrypted weight vector to wrap in checkpoints.
 fn small_checkpoint(iteration: usize) -> (Arc<CkksContext>, TrainingCheckpoint) {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("params");
+    let params = CkksParams {
+        log_n: 5,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 1,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    };
     let ctx = CkksContext::new_arc(params).expect("context");
     let mut rng = ChaCha20Rng::seed_from_u64(0xC4A5);
     let sk = SecretKey::generate(&ctx, &mut rng);
@@ -248,15 +248,15 @@ fn small_checkpoint(iteration: usize) -> (Arc<CkksContext>, TrainingCheckpoint) 
 fn a_checkpoint_from_different_parameters_is_rejected_by_fingerprint() {
     let (ctx_a, checkpoint) = small_checkpoint(3);
     let bytes = checkpoint.to_bytes(&ctx_a);
-    let other = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(39)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("params");
+    let other = CkksParams {
+        log_n: 5,
+        scale_bits: 39,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 1,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    };
     let ctx_b = CkksContext::new_arc(other).expect("context");
     let err = TrainingCheckpoint::from_bytes(&bytes, &ctx_b).expect_err("fingerprint mismatch");
     assert!(matches!(err, CkksError::CorruptSnapshot { .. }), "{err:?}");

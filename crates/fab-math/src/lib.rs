@@ -1,11 +1,14 @@
 //! # fab-math
 //!
 //! Arithmetic substrate for the FAB reproduction: word-sized modular arithmetic for
-//! NTT-friendly primes, the paper's hardware-friendly shift-add modular reduction
-//! (Algorithm 1), multi-word (DSP-style) arithmetic, NTT/iNTT over negacyclic rings,
-//! the complex "special" FFT used by CKKS encoding, and Galois/automorphism index maps.
+//! NTT-friendly primes, NTT/iNTT over negacyclic rings, the complex "special" FFT used by
+//! CKKS encoding, and Galois/automorphism index maps.
 //!
-//! All higher-level crates (`fab-rns`, `fab-ckks`, `fab-core`) build on these kernels.
+//! All higher-level crates (`fab-rns`, `fab-ckks`, `fab-core`) build on these kernels. They
+//! compute with `u64`/`u128` words and Shoup or Barrett reduction on the host; they do not
+//! emulate the paper's functional unit (Section 4.1: 54-bit operands split into 18- and
+//! 27-bit DSP words, the shift-add reduction of Algorithm 1). That unit is described once, by
+//! its latencies and DSP count in `fab-core`'s `FabConfig`.
 //!
 //! ## Lazy-reduction invariants
 //!
@@ -52,10 +55,8 @@ mod error;
 mod fft;
 pub mod kskip;
 mod modulus;
-mod multiword;
 mod ntt;
 mod prime;
-mod reduction;
 mod rows;
 #[allow(unsafe_code)]
 mod simd;
@@ -69,10 +70,8 @@ pub use complex::Complex64;
 pub use error::MathError;
 pub use fft::SpecialFft;
 pub use modulus::{Modulus, MAX_MODULUS_BITS};
-pub use multiword::{MultiWord54, WORD18_BITS, WORD27_BITS};
 pub use ntt::NttTable;
 pub use prime::{generate_ntt_prime, generate_ntt_primes, is_prime};
-pub use reduction::{ShiftAddReducer, DEFAULT_SHIFTS};
 
 /// Which arms of the row kernels and NTT sweeps this CPU takes: `"avx512ifma+dq"` (the 52-bit
 /// multiplier for limbs below `2^50`, the AVX-512F+DQ arm for wider ones), `"avx512f+dq"` (the

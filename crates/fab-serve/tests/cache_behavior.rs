@@ -10,15 +10,15 @@ use fab_ckks::{switching_key_serialized_bytes, CkksContext, CkksParams, KeyGener
 use fab_serve::{EvalKeyCache, KeyRef, TenantId, TenantKeyStore};
 
 fn store(seed: u64) -> (Arc<CkksContext>, TenantKeyStore, usize) {
-    let params = CkksParams::builder()
-        .log_n(4)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(8))
-        .build()
-        .expect("valid small parameters");
+    let params = CkksParams {
+        log_n: 4,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 1,
+        secret_hamming_weight: Some(8),
+        ..CkksParams::testing()
+    };
     let key_bytes = switching_key_serialized_bytes(&params);
     let ctx = CkksContext::new_arc(params).expect("context");
     let mut rng = ChaCha20Rng::seed_from_u64(seed);

@@ -30,15 +30,15 @@ pub struct Tenant {
 }
 
 pub fn make_ctx_with_scale(scale_bits: u32) -> Arc<CkksContext> {
-    let params = CkksParams::builder()
-        .log_n(5)
-        .scale_bits(scale_bits)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters");
+    let params = CkksParams {
+        log_n: 5,
+        scale_bits,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 1,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    };
     CkksContext::new_arc(params).expect("context")
 }
 

@@ -25,15 +25,15 @@ struct Tenant {
 }
 
 fn make_params() -> CkksParams {
-    CkksParams::builder()
-        .log_n(5)
-        .scale_bits(40)
-        .first_prime_bits(50)
-        .max_level(2)
-        .dnum(1)
-        .secret_hamming_weight(Some(16))
-        .build()
-        .expect("valid small parameters")
+    CkksParams {
+        log_n: 5,
+        scale_bits: 40,
+        first_prime_bits: 50,
+        max_level: 2,
+        dnum: 1,
+        secret_hamming_weight: Some(16),
+        ..CkksParams::testing()
+    }
 }
 
 fn make_tenant(ctx: &Arc<CkksContext>, seed: u64) -> Tenant {

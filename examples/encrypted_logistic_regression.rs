@@ -25,15 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- encrypted training at a reduced size -----------------------------------------------
-    let params = CkksParams::builder()
-        .log_n(12)
-        .scale_bits(40)
-        .first_prime_bits(60)
-        .max_level(12)
-        .dnum(4)
-        .secret_hamming_weight(Some(64))
-        .security_bits(0)
-        .build()?;
+    // The testing set (N = 2^12, 40-bit scale) with room for two iterations.
+    let params = CkksParams {
+        max_level: 12,
+        dnum: 4,
+        ..CkksParams::testing()
+    };
     let ctx = CkksContext::new_arc(params)?;
     let features = 16;
     let small = synthetic_mnist_like(64, features, 17);

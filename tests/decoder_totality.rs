@@ -47,15 +47,15 @@ struct Fixture {
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let params = CkksParams::builder()
-            .log_n(5)
-            .scale_bits(40)
-            .first_prime_bits(50)
-            .max_level(2)
-            .dnum(2)
-            .secret_hamming_weight(Some(16))
-            .build()
-            .expect("valid small parameters");
+        let params = CkksParams {
+            log_n: 5,
+            scale_bits: 40,
+            first_prime_bits: 50,
+            max_level: 2,
+            dnum: 2,
+            secret_hamming_weight: Some(16),
+            ..CkksParams::testing()
+        };
         let ctx = CkksContext::new_arc(params).expect("context");
         let mut rng = ChaCha20Rng::seed_from_u64(0x707A);
         let sk = SecretKey::generate(&ctx, &mut rng);
