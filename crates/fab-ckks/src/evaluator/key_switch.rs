@@ -143,8 +143,9 @@ impl Evaluator {
         }
         self.invert_accumulators(&mut acc0, &mut acc1, &raised.basis);
         let degree = acc0.degree();
-        let mut k0 = sc.lease_zero(degree, down.output_limbs(), Representation::Coefficient);
-        let mut k1 = sc.lease_zero(degree, down.output_limbs(), Representation::Coefficient);
+        // ModDown reshapes and writes every row of its outputs.
+        let mut k0 = sc.lease_unspecified(degree, down.output_limbs(), Representation::Coefficient);
+        let mut k1 = sc.lease_unspecified(degree, down.output_limbs(), Representation::Coefficient);
         down.apply_into(&acc0, &mut sc.convert, &mut k0)?;
         down.apply_into(&acc1, &mut sc.convert, &mut k1)?;
         sc.recycle(acc0);
@@ -255,14 +256,16 @@ impl Evaluator {
         // transform), the rest produced by lazy conversion — forward-transformed in the same
         // job. Coefficient operands pay β·(ℓ+1+k) forwards (the classic closed-form minimum);
         // evaluation operands pay β·(ℓ+1+k) − (ℓ+1), because the digits' own rows are reused.
-        let mut d_eval = sc.lease_zero(degree, limbs, Representation::Evaluation);
+        // Every row of `d_eval` and `converted` is written below: copied from a dual-form `d`
+        // or by its Lift / Convert job.
+        let mut d_eval = sc.lease_unspecified(degree, limbs, Representation::Evaluation);
         if dual {
             d_eval.copy_limbs_from(d, 0..limbs)?;
         }
         let mut converted: Vec<RnsPolynomial> = plans
             .iter()
             .map(|p| {
-                sc.lease_zero(
+                sc.lease_unspecified(
                     degree,
                     p.conversion_rows().len(),
                     Representation::Evaluation,
@@ -351,7 +354,7 @@ impl Evaluator {
 
     /// The u128 lazy KSKIP accumulation: `Σ_j ext_j · ksk_j` over all β digits in
     /// per-coefficient u128 sums that never leave registers (fold-guarded against overflow),
-    /// reduced once per coefficient into the lazy `[0, 2q)` domain. The returned pair is still
+    /// reduced once per coefficient into the canonical `[0, q)`. The returned pair is still
     /// in **evaluation** representation over `Q_level ∪ P`; the back half
     /// ([`Evaluator::switch_raised`]) either inverts it straight away or first absorbs
     /// evaluation-domain addends ([`Evaluator::absorb_p_times`] — the multiply seam) so the
@@ -375,8 +378,9 @@ impl Evaluator {
         let key_map = key_limb_map(limbs, self.ctx.q_basis().len(), self.ctx.p_basis().len());
         let perm = perm.map(fab_math::EvalAutomorphismMap::source);
 
-        let mut acc0 = sc.lease_zero(degree, raised_limbs, Representation::Evaluation);
-        let mut acc1 = sc.lease_zero(degree, raised_limbs, Representation::Evaluation);
+        // KSKIP writes every word of both accumulators.
+        let mut acc0 = sc.lease_unspecified(degree, raised_limbs, Representation::Evaluation);
+        let mut acc1 = sc.lease_unspecified(degree, raised_limbs, Representation::Evaluation);
         metering::charge(
             kernel::kskip_row(degree, raised.ranges.len(), perm.is_some())
                 .times(raised_limbs as u64),
@@ -410,7 +414,7 @@ impl Evaluator {
                 })
                 .collect();
             // All digits of a coefficient are summed in registers under the shared fold
-            // schedule; the single [0, 2q) reduction per coefficient feeds the inverse NTT.
+            // schedule; the single canonical reduction per coefficient feeds the inverse NTT.
             fab_rns::kskip::accumulate_digits(
                 modulus,
                 modulus.u128_mac_capacity(),
@@ -454,7 +458,7 @@ impl Evaluator {
     /// `d0`/`d1` stay evaluation-resident from the pointwise products to this seam, which is
     /// why neither pays an inverse of its own in `multiply`/`multiply_rescale`.
     ///
-    /// The accumulator rows arrive in the lazy `[0, 2q)` domain; absorbed rows are
+    /// The accumulator rows arrive canonical (any `[0, 2q)` row would do); absorbed rows are
     /// canonicalised on the way (`fab_math::Modulus::add_mul_shoup_row`), preserving the
     /// inverse NTT's `[0, 2q)` input invariant and the bitwise equality with the
     /// coefficient-domain path.

@@ -18,9 +18,10 @@ pub(super) struct Scratch {
 const SCRATCH_POOL_LIMIT: usize = 32;
 
 impl Scratch {
-    /// Takes the pooled buffer that fits `len` words best: the smallest whose capacity covers
-    /// it, else the largest (which then grows once). A last-in-first-out pop would let a
-    /// raised-basis buffer leave the arena as a ciphertext part and keep its capacity.
+    /// Takes the pooled buffer that fits `len` words best, as it was recycled: the smallest
+    /// whose capacity covers it, else the largest (which then grows once). A last-in-first-out
+    /// pop would let a raised-basis buffer leave the arena as a ciphertext part and keep its
+    /// capacity.
     fn take(&mut self, len: usize) -> Vec<u64> {
         let best = (0..self.pool.len()).min_by_key(|&i| {
             let capacity = self.pool[i].capacity();
@@ -30,21 +31,22 @@ impl Scratch {
                 (true, usize::MAX - capacity)
             }
         });
-        let mut buf = best.map(|i| self.pool.swap_remove(i)).unwrap_or_default();
-        buf.clear();
-        buf
+        best.map(|i| self.pool.swap_remove(i)).unwrap_or_default()
     }
 
-    /// Leases a zero-filled polynomial of the given shape from the pool.
-    pub(super) fn lease_zero(
+    /// Leases a polynomial of the given shape whose words are unspecified (whatever the pooled
+    /// buffer held), for a caller that writes every word before reading it: no zero pass.
+    pub(super) fn lease_unspecified(
         &mut self,
         degree: usize,
         limb_count: usize,
         representation: Representation,
     ) -> RnsPolynomial {
-        let mut buf = self.take(degree * limb_count);
-        buf.resize(degree * limb_count, 0);
-        RnsPolynomial::from_flat(degree, buf, representation)
+        // Any length is a whole number of degree-1 limbs; the reshape keeps the pooled words.
+        let buf = self.take(degree * limb_count);
+        let mut poly = RnsPolynomial::from_flat(1, buf, representation);
+        poly.reshape_unspecified(degree, limb_count, representation);
+        poly
     }
 
     /// Leases a polynomial holding a copy of `src`.
@@ -74,8 +76,19 @@ impl Scratch {
     /// Leases a polynomial of `like`'s degree and representation holding a copy of `words`.
     fn lease_words(&mut self, like: &RnsPolynomial, words: &[u64]) -> RnsPolynomial {
         let mut buf = self.take(words.len());
+        buf.clear();
         buf.extend_from_slice(words);
         RnsPolynomial::from_flat(like.degree(), buf, like.representation())
+    }
+
+    /// Fills every pooled word, up to each buffer's capacity, and every hoisted-product word
+    /// with `u64::MAX`: a lease that reads a word it did not write then shows in its output.
+    #[cfg(test)]
+    pub(super) fn poison(&mut self) {
+        for buf in self.pool.iter_mut().chain(&mut self.hoisted) {
+            buf.resize(buf.capacity(), 0);
+            buf.fill(u64::MAX);
+        }
     }
 
     /// Returns a leased polynomial's buffer to the pool.

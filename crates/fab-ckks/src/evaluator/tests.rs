@@ -523,3 +523,41 @@ fn worker_count_is_invisible_in_results() {
     }
     fab_par::set_threads(1);
 }
+
+/// The arena leases words it does not clear: with every pooled word poisoned to `u64::MAX`
+/// before each call, a key switch, a multiply-rescale (the dual-form seam) and a hoisted
+/// rotation batch are bit-identical to the same calls on a fresh evaluator, whose pool starts
+/// empty.
+#[test]
+fn poisoned_arena_words_are_invisible_in_results() {
+    let mut f = fixture();
+    let ct_a = encrypt(&mut f, &sample_values(32, 3.0), 3);
+    let ct_b = encrypt(&mut f, &sample_values(32, 4.0), 3);
+    type Call<'a> = Box<dyn Fn(&Evaluator) -> Vec<Ciphertext> + 'a>;
+    let calls: [(&str, Call); 3] = [
+        (
+            "key_switch",
+            Box::new(|e| {
+                let (k0, k1) = e.key_switch(ct_a.c1(), &f.rlk.key, 3).unwrap();
+                vec![Ciphertext::from_parts(k0, k1, 1.0, 3)]
+            }),
+        ),
+        (
+            "multiply_rescale",
+            Box::new(|e| vec![e.multiply_rescale(&ct_a, &ct_b, &f.rlk).unwrap()]),
+        ),
+        (
+            "rotate_hoisted_batch",
+            Box::new(|e| e.rotate_hoisted_batch(&ct_a, &[1, 2, 5], &f.gks).unwrap()),
+        ),
+    ];
+    let poisoned = Evaluator::new(f.ctx.clone());
+    for (name, call) in &calls {
+        let expected = call(&Evaluator::new(f.ctx.clone()));
+        // Twice: the first call fills the pool, the second leases its poisoned buffers.
+        for _ in 0..2 {
+            poisoned.scratch().poison();
+            assert_eq!(call(&poisoned), expected, "{name}: a poisoned word leaked");
+        }
+    }
+}

@@ -3,9 +3,10 @@
 //! The hybrid key switch accumulates `Σ_j ext_j · ksk_j` over the `β` decomposition digits.
 //! Instead of one Barrett reduction per digit per coefficient, the kernel sums the raw
 //! 64×64→128-bit products of **all** digits into two `u128` sums per coefficient (one per key
-//! component) and reduces **once** per coefficient at the end — into the lazy `[0, 2q)` domain
-//! ([`crate::Modulus::reduce_u128_lazy`]), which the `[0, 2q)` inverse NTT consumes
-//! directly.
+//! component) and reduces **once** per coefficient at the end, into the canonical `[0, q)`
+//! ([`crate::Modulus::reduce_u128`]). The inverse NTT takes it as is, and because its final
+//! pass canonicalises every row anyway, the representative the row hands over is invisible
+//! downstream.
 //!
 //! ## Lazy-invariant and overflow-fold bound
 //!
@@ -29,9 +30,10 @@
 //! * the IFMA arm (a limb below `2^50` on a CPU with `avx512ifma`, no fold due): eight
 //!   coefficients per vector, each product's low and high 52-bit halves summed separately
 //!   (`vpmadd52luq` / `vpmadd52huq`, four per digit) — exact, since `x < 4q < 2^52` and at
-//!   most 4096 halves fit a lane — then `hi·2^52 + lo` is the very `u128` sum of the scalar
-//!   loop and takes the same scalar `reduce_u128_lazy`. The permuted gather of a hoisted
-//!   rotation fills a vector from eight source slots per digit. The scalar loop finishes the
+//!   most 4096 halves fit a lane — then `hi·2^52 + lo`, the very `u128` sum of the scalar loop,
+//!   is reduced to `[0, q)` in the same registers, so both arms return the same word. A hoisted
+//!   rotation's permuted row gathers each digit's eight sources with one hardware gather,
+//!   after one compare has checked the eight `perm` entries. The scalar loop finishes the
 //!   `len mod 8` tail.
 
 use crate::{simd, Modulus};
@@ -50,8 +52,8 @@ pub struct DigitRows<'a> {
 /// Coefficients whose sums are carried across the digit loop together.
 const BLOCK: usize = 8;
 
-/// The full per-row KSKIP: `out_b[c] = Σ_j x_j[π(c)]·key_b_j[c]` and likewise `out_a`, as lazy
-/// `[0, 2q)` residues, where `π` is an optional evaluation-domain automorphism gather
+/// The full per-row KSKIP: `out_b[c] = Σ_j x_j[π(c)]·key_b_j[c]` and likewise `out_a`, as
+/// canonical `[0, q)` residues, where `π` is an optional evaluation-domain automorphism gather
 /// (`perm[c]` = source slot) applied on the fly — hoisted rotation batches permute here
 /// instead of materialising rotated digits. Each `x` is read **once** for both key components.
 ///
@@ -60,8 +62,8 @@ const BLOCK: usize = 8;
 /// would be the `fold_every + 1`-th, both sums are reduced to canonical residues and count as
 /// one term. This *is* the loop the evaluator ships — tests drive the same function at forced
 /// tiny fold intervals, so the fold path cannot drift untested. A row in which a fold would be
-/// due never takes the IFMA arm. Feed the outputs straight into the `[0, 2q)`-domain inverse
-/// NTT, whose final pass canonicalises them.
+/// due never takes the IFMA arm. Both arms end in a canonical reduction, so they agree word for
+/// word; the outputs feed the `[0, 2q)`-domain inverse NTT directly.
 ///
 /// # Panics
 ///
@@ -149,10 +151,10 @@ fn accumulate_scalar(
             terms += 1;
         }
         for (out, &sum) in out_b.iter_mut().zip(&sum_b) {
-            *out = modulus.reduce_u128_lazy(sum);
+            *out = modulus.reduce_u128(sum);
         }
         for (out, &sum) in out_a.iter_mut().zip(&sum_a) {
-            *out = modulus.reduce_u128_lazy(sum);
+            *out = modulus.reduce_u128(sum);
         }
     }
 }
@@ -190,8 +192,8 @@ mod tests {
     }
 
     /// The lazy pipeline at an explicit fold interval — drives the *shipped*
-    /// [`accumulate_digits`] loop (the very function the evaluator's KSKIP jobs call), then
-    /// canonicalises the lazy outputs for comparison.
+    /// [`accumulate_digits`] loop (the very function the evaluator's KSKIP jobs call) and
+    /// checks that its outputs are canonical.
     fn lazy_pair(
         m: &Modulus,
         digits: &[(Vec<u64>, Vec<u64>, Vec<u64>)],
@@ -209,14 +211,10 @@ mod tests {
             })
             .collect();
         accumulate_digits(m, fold_every, &rows, None, &mut b, &mut a);
-        for c in 0..n {
-            assert!(
-                b[c] < m.two_q() && a[c] < m.two_q(),
-                "output not lazy-bounded"
-            );
-            b[c] = m.reduce_2q(b[c]);
-            a[c] = m.reduce_2q(a[c]);
-        }
+        assert!(
+            b.iter().chain(&a).all(|&v| v < m.value()),
+            "output not canonical"
+        );
         (b, a)
     }
 
@@ -418,10 +416,89 @@ mod tests {
         let capacity = m.u128_mac_capacity();
         accumulate_digits(&m, capacity, &[digit], Some(&perm), &mut out_b, &mut out_a);
         for c in 0..n {
-            // One term, never folded: the output is the lazy reduction of that one product.
+            // One term, never folded: the output is the canonical reduction of that one product.
             let source = x[n - 1 - c] as u128;
-            assert_eq!(out_b[c], m.reduce_u128_lazy(source * kb[c] as u128));
-            assert_eq!(out_a[c], m.reduce_u128_lazy(source * ka[c] as u128));
+            assert_eq!(out_b[c], m.reduce_u128(source * kb[c] as u128));
+            assert_eq!(out_a[c], m.reduce_u128(source * ka[c] as u128));
+        }
+    }
+
+    /// A one-digit row of 16 coefficients whose permutation sends coefficient 3 to slot 16,
+    /// one past the row, inside the first whole vector.
+    fn out_of_range_gather() -> (Modulus, Vec<u64>, Vec<usize>) {
+        let m = modulus();
+        let row = rows(16, m.value(), 5);
+        let mut perm: Vec<usize> = (0..16).rev().collect();
+        perm[3] = 16;
+        (m, row, perm)
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn scalar_arm_panics_on_an_out_of_range_permutation_index() {
+        let (m, row, perm) = out_of_range_gather();
+        let digit = DigitRows {
+            x: &row,
+            key_b: &row,
+            key_a: &row,
+        };
+        let (mut b, mut a) = (vec![0; 16], vec![0; 16]);
+        println!("kskip out-of-range gather: scalar arm ran");
+        accumulate_scalar(&m, 4, &[digit], Some(&perm), &mut b, &mut a, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation index out of range")]
+    fn ifma_arm_panics_on_an_out_of_range_permutation_index() {
+        let (m, row, perm) = out_of_range_gather();
+        let digit = DigitRows {
+            x: &row,
+            key_b: &row,
+            key_a: &row,
+        };
+        let (mut b, mut a) = (vec![0; 16], vec![0; 16]);
+        if simd::Arm::Ifma.runs(m.value()) {
+            println!("kskip out-of-range gather: IFMA arm ran");
+            simd::kskip_row(&m, &[digit], Some(&perm), &mut b, &mut a);
+        } else {
+            println!("kskip out-of-range gather: IFMA arm SKIPPED (no AVX-512 IFMA on this CPU)");
+            panic!("permutation index out of range (IFMA arm SKIPPED)");
+        }
+    }
+
+    /// The most digits the IFMA arm takes, every product maximal, at the widest limb below
+    /// `2^50`: `4096` terms of `(4q − 1)(q − 1)`, whose high halves sum to just below `2^64`.
+    /// The IFMA arm must cover the row and equal the scalar loop.
+    #[test]
+    fn vector_kskip_row_of_4096_maximal_digits_equals_the_scalar_row() {
+        let m = Modulus::new(simd::IFMA_LIMB_BOUND - 57).unwrap();
+        let n = 16usize;
+        let x = vec![4 * m.value() - 1; n];
+        let key = vec![m.value() - 1; n];
+        let digits = vec![
+            DigitRows {
+                x: &x,
+                key_b: &key,
+                key_a: &key,
+            };
+            4096
+        ];
+        let fold = m.u128_mac_capacity();
+        assert!(fold >= digits.len());
+        let (mut scalar_b, mut scalar_a) = (vec![0; n], vec![0; n]);
+        accumulate_scalar(&m, fold, &digits, None, &mut scalar_b, &mut scalar_a, 0);
+        let expected = ((4 * m.value() - 1) as u128 * (m.value() - 1) as u128 * 4096
+            % m.value() as u128) as u64;
+        assert_eq!(scalar_b, vec![expected; n]);
+        let (mut vector_b, mut vector_a) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        let done = simd::kskip_row(&m, &digits, None, &mut vector_b, &mut vector_a);
+        if simd::Arm::Ifma.runs(m.value()) {
+            assert_eq!(done, n, "the IFMA arm must cover the 4096-digit row");
+            assert_eq!((vector_b, vector_a), (scalar_b, scalar_a));
+            println!("kskip 4096 maximal digits: IFMA arm ran and matched the scalar loop");
+        } else {
+            assert_eq!(done, 0);
+            println!("kskip 4096 maximal digits: IFMA arm SKIPPED (no AVX-512 IFMA on this CPU)");
         }
     }
 }

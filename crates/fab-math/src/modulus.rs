@@ -112,38 +112,6 @@ impl Modulus {
         r
     }
 
-    /// Reduces an arbitrary `u128` into the *lazy* domain `[0, 2q)` (Barrett quotient
-    /// estimate, at most one correction) — congruent to `a mod q` but not canonical.
-    ///
-    /// This is the single reduction at the end of a u128 key-switch inner product: the
-    /// accumulator is reduced once per coefficient (instead of once per digit) and the lazy
-    /// result feeds straight into the `[0, 2q)`-domain inverse NTT, whose own final pass
-    /// canonicalises it.
-    #[inline]
-    pub fn reduce_u128_lazy(&self, a: u128) -> u64 {
-        let q = self.value as u128;
-        let a_lo = a as u64 as u128;
-        let a_hi = (a >> 64) as u64 as u128;
-        let m_lo = self.barrett_lo as u128;
-        let m_hi = self.barrett_hi as u128;
-        let lo_lo = a_lo * m_lo;
-        let lo_hi = a_lo * m_hi;
-        let hi_lo = a_hi * m_lo;
-        let hi_hi = a_hi * m_hi;
-        let mid = (lo_lo >> 64) + (lo_hi & 0xFFFF_FFFF_FFFF_FFFF) + (hi_lo & 0xFFFF_FFFF_FFFF_FFFF);
-        let quotient = hi_hi + (lo_hi >> 64) + (hi_lo >> 64) + (mid >> 64);
-        // The Barrett estimate undershoots by at most 2, so r < 3q; one conditional
-        // subtraction of 2q leaves the lazy residue below 2q.
-        let r = a.wrapping_sub(quotient.wrapping_mul(q));
-        debug_assert!(r < 3 * q);
-        let r = r as u64;
-        if r >= self.twice_value {
-            r - self.value - self.value
-        } else {
-            r
-        }
-    }
-
     /// How many products `x · k` with `x < 4q` (a doubly-lazy NTT output) and `k < q` (a
     /// canonical key residue) can be summed into a `u128` accumulator before it may overflow.
     ///
@@ -511,14 +479,6 @@ mod tests {
         fn prop_reduce_u128_matches_modulo(a in any::<u128>()) {
             let q = modulus();
             prop_assert_eq!(q.reduce_u128(a) as u128, a % q.value() as u128);
-        }
-
-        #[test]
-        fn prop_reduce_u128_lazy_congruent_and_bounded(a in any::<u128>()) {
-            let q = modulus();
-            let lazy = q.reduce_u128_lazy(a);
-            prop_assert!(lazy < q.two_q());
-            prop_assert_eq!(q.reduce_2q(lazy) as u128, a % q.value() as u128);
         }
 
         #[test]

@@ -46,7 +46,9 @@ use crate::{MathError, Modulus, Result};
 pub struct NttTable {
     degree: usize,
     modulus: Modulus,
-    /// ψ^brv(i) for the forward transform (ψ a primitive 2N-th root of unity).
+    /// ψ^brv(i) for the forward transform (ψ a primitive 2N-th root of unity). Every Shoup
+    /// companion below is in the table's form ([`twiddle_shoup`]): 52-bit for a limb below
+    /// `2^50`.
     psi_rev: Vec<u64>,
     psi_rev_shoup: Vec<u64>,
     /// ψ^{-brv(i)} for the inverse transform.
@@ -100,16 +102,16 @@ impl NttTable {
         }
         let psi_rev_shoup = psi_rev
             .iter()
-            .map(|&w| modulus.shoup_precompute(w))
+            .map(|&w| twiddle_shoup(&modulus, w))
             .collect();
         let psi_inv_rev_shoup = psi_inv_rev
             .iter()
-            .map(|&w| modulus.shoup_precompute(w))
+            .map(|&w| twiddle_shoup(&modulus, w))
             .collect();
         let degree_inv = modulus.inv(degree as u64)?;
-        let degree_inv_shoup = modulus.shoup_precompute(degree_inv);
+        let degree_inv_shoup = twiddle_shoup(&modulus, degree_inv);
         let psi_inv_last_fused = modulus.mul(psi_inv_rev[1], degree_inv);
-        let psi_inv_last_fused_shoup = modulus.shoup_precompute(psi_inv_last_fused);
+        let psi_inv_last_fused_shoup = twiddle_shoup(&modulus, psi_inv_last_fused);
         Ok(Self {
             degree,
             modulus,
@@ -297,6 +299,20 @@ impl NttTable {
         }
         self.inverse(&mut fa);
         fa
+    }
+}
+
+/// The Shoup companion a table stores for twiddle `w`: [`Modulus::shoup_precompute`], with its
+/// low 12 bits cleared for a limb below `2^50` — `⌊w·2^52/q⌋·2^12`, the form whose quotient the
+/// 52-bit multiplier takes in one product (see [`crate::simd`]). Every butterfly operand of
+/// such a limb is below `4q < 2^52`, so the quotient undershoots by at most 1 and the lazy
+/// product stays below `2q` on every arm.
+fn twiddle_shoup(modulus: &Modulus, w: u64) -> u64 {
+    let shoup = modulus.shoup_precompute(w);
+    if modulus.value() < simd::IFMA_LIMB_BOUND {
+        shoup & !0xFFF
+    } else {
+        shoup
     }
 }
 
@@ -757,6 +773,91 @@ mod tests {
             println!("lazy networks by arm, N = 16 … 2^16: IFMA arm SKIPPED (no AVX-512 IFMA)");
         }
         assert_eq!(ifma_ran, simd::ifma_detected());
+    }
+
+    /// The 52-bit twiddle tables at the edge of their bound, on the scalar network and on each
+    /// vector arm by name: the widest NTT limb below `2^50` and a 30-bit one at `N = 2^10`,
+    /// forward inputs at `4q − 1` (all of them, then the domain's edges and random words) and
+    /// inverse inputs in `[q, 2q)` (its domain is `[0, 2q)`). Forward outputs stay below `4q`
+    /// and equal the definition; inverse outputs are canonical; and the product of two such
+    /// forwards, inverted, equals the schoolbook negacyclic product.
+    #[test]
+    fn vector_ntt_with_52_bit_twiddles_keeps_its_bounds_at_the_edge() {
+        let n = 1 << 10;
+        let mut ifma_ran = false;
+        for q in [
+            crate::generate_ntt_prime(50, n, 0).unwrap(),
+            crate::generate_ntt_prime(30, n, 0).unwrap(),
+        ] {
+            let t = NttTable::new(n, Modulus::new(q).unwrap()).unwrap();
+            let m = t.modulus();
+            assert!(
+                [&t.psi_rev_shoup, &t.psi_inv_rev_shoup]
+                    .iter()
+                    .all(|table| table.iter().all(|&s| s & 0xFFF == 0)),
+                "a limb below 2^50 stores 52-bit Shoup constants"
+            );
+            let forward = |arm: Option<simd::Arm>, values: &mut [u64]| match arm {
+                None => {
+                    t.forward_lazy_scalar(values);
+                    true
+                }
+                Some(arm) => simd::ntt_forward_lazy(Some(arm), values, &t.forward_twiddles(), q),
+            };
+            let inverse = |arm: Option<simd::Arm>, values: &mut [u64]| {
+                let ran = match arm {
+                    None => {
+                        t.inverse_lazy_scalar(values);
+                        true
+                    }
+                    Some(arm) => {
+                        let (tw, last) = t.inverse_twiddles();
+                        simd::ntt_inverse_lazy(Some(arm), values, &tw, last, q)
+                    }
+                };
+                crate::rows::scalar::reduce_2q_row(m, values);
+                ran
+            };
+            let edge = vec![4 * q - 1; n];
+            let mixed = lazy_row(m, 4, n, q);
+            let all: Vec<usize> = (0..n).collect();
+            for arm in [None, Some(simd::Arm::Dq), Some(simd::Arm::Ifma)] {
+                if arm.is_some_and(|arm| !arm.runs(q)) {
+                    continue;
+                }
+                ifma_ran |= arm == Some(simd::Arm::Ifma);
+                let mut transforms = Vec::new();
+                for input in [&edge, &mixed] {
+                    let mut values = input.clone();
+                    assert!(forward(arm, &mut values));
+                    assert!(values.iter().all(|&v| v < 4 * q), "{arm:?}: forward ≥ 4q");
+                    let canonical: Vec<u64> = input.iter().map(|&v| m.reduce(v)).collect();
+                    let reduced: Vec<u64> = values.iter().map(|&v| m.reduce_4q(v)).collect();
+                    assert_eq!(reduced, direct_forward(&t, &canonical, &all), "{arm:?}");
+                    transforms.push((canonical, reduced));
+                }
+                let ((a, fa), (b, fb)) = (&transforms[0], &transforms[1]);
+                // The pointwise product, handed over at its lazy representative in [q, 2q).
+                let mut product: Vec<u64> =
+                    fa.iter().zip(fb).map(|(&x, &y)| m.mul(x, y) + q).collect();
+                assert!(inverse(arm, &mut product));
+                assert!(
+                    product.iter().all(|&v| v < q),
+                    "{arm:?}: inverse not canonical"
+                );
+                assert_eq!(product, schoolbook_negacyclic(a, b, m), "{arm:?}");
+                let mut top = vec![2 * q - 1; n];
+                assert!(inverse(arm, &mut top));
+                assert!(top.iter().all(|&v| v < q), "{arm:?}: inverse not canonical");
+                assert_eq!(direct_forward(&t, &top, &all), vec![q - 1; n], "{arm:?}");
+            }
+        }
+        if ifma_ran {
+            println!("52-bit twiddles at the edge, N = 2^10: IFMA arm ran and met the bounds");
+        } else {
+            assert!(!simd::ifma_detected());
+            println!("52-bit twiddles at the edge, N = 2^10: IFMA arm SKIPPED (no AVX-512 IFMA)");
+        }
     }
 
     #[test]

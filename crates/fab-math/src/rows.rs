@@ -25,6 +25,26 @@ impl Modulus {
         scalar::reduce_4q_row(self, &mut row[done..]);
     }
 
+    /// `x[c] = (x[c] + y[c]) mod q` for canonical rows ([`Modulus::add`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row lengths differ.
+    pub fn add_row(&self, x: &mut [u64], y: &[u64]) {
+        let done = simd::add_row(self.arm(), self.value(), x, y);
+        scalar::add_row(self, &mut x[done..], &y[done..]);
+    }
+
+    /// `x[c] = (x[c] − y[c]) mod q` for canonical rows ([`Modulus::sub`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row lengths differ.
+    pub fn sub_row(&self, x: &mut [u64], y: &[u64]) {
+        let done = simd::sub_row(self.arm(), self.value(), x, y);
+        scalar::sub_row(self, &mut x[done..], &y[done..]);
+    }
+
     /// `out[c] = src[c]·b mod q` in `[0, q)`, `b_shoup` being [`Modulus::shoup_precompute`]
     /// of `b`; `src` may hold any `u64`.
     ///
@@ -153,6 +173,18 @@ pub(crate) mod scalar {
     pub(crate) fn reduce_4q_row(q: &Modulus, row: &mut [u64]) {
         for v in row {
             *v = q.reduce_4q(*v);
+        }
+    }
+
+    pub(crate) fn add_row(q: &Modulus, x: &mut [u64], y: &[u64]) {
+        for (x, &y) in x.iter_mut().zip(y) {
+            *x = q.add(*x, y);
+        }
+    }
+
+    pub(crate) fn sub_row(q: &Modulus, x: &mut [u64], y: &[u64]) {
+        for (x, &y) in x.iter_mut().zip(y) {
+            *x = q.sub(*x, y);
         }
     }
 
@@ -446,6 +478,34 @@ pub(crate) mod tests {
             Arm::Shipped => {
                 q.reduce_4q_row(r);
                 r.len()
+            }
+        });
+        gate("add_row", seed, 1, |arm, q, x, s| {
+            let y = row(q, 1, x.len(), s);
+            match arm {
+                Arm::Vector(arm) => simd::add_row(arm, q.value(), x, &y),
+                Arm::Scalar => {
+                    scalar::add_row(q, x, &y);
+                    x.len()
+                }
+                Arm::Shipped => {
+                    q.add_row(x, &y);
+                    x.len()
+                }
+            }
+        });
+        gate("sub_row", seed, 1, |arm, q, x, s| {
+            let y = row(q, 1, x.len(), s);
+            match arm {
+                Arm::Vector(arm) => simd::sub_row(arm, q.value(), x, &y),
+                Arm::Scalar => {
+                    scalar::sub_row(q, x, &y);
+                    x.len()
+                }
+                Arm::Shipped => {
+                    q.sub_row(x, &y);
+                    x.len()
+                }
             }
         });
         // Multiplied rows are drawn over the whole lazy domain [0, 4q): the Shoup product

@@ -15,10 +15,25 @@
 //!   `⌊a·b_shoup/2^64⌋` — and two more give `a·b − q̂·q` modulo `2^52`, exact because the
 //!   result lies in `[0, 2q)`. The same Shoup constants, no second table.
 //!
-//! Built on them: the NTT stage sweeps and the row kernels of [`crate::rows`], and two kernels
-//! only the IFMA arm has — the KSKIP inner product ([`crate::kskip`]: exact lo / hi 52-bit sums
-//! per coefficient, then the scalar `reduce_u128_lazy`) and the pointwise products (a Barrett
-//! reduction whose output is canonical, so any correct one is bit-identical).
+//! **52-bit twiddles.** The NTT tables of a limb below `2^50` store each Shoup companion with
+//! its low 12 bits cleared (`l = 0`), i.e. `⌊w·2^52/q⌋·2^12` — Intel HEXL's form. The IFMA
+//! butterfly's quotient is then one `vpmadd52huq` (`q̂ = ⌊a·h/2^52⌋`), the product three
+//! multiplies instead of five, and the scalar and DQ twins, reading the same tables, compute
+//! the same `q̂`. Every butterfly operand is below `4q < 2^52`, so `a·h/2^52` falls short of
+//! `a·w/q` by less than `a/2^52 < 1`: `q̂` undershoots the Shoup quotient by at most 1 and the
+//! product stays in `[0, 2q)` — forward outputs below `4q`, inverse outputs canonical after
+//! the final pass, as with full-width constants.
+//!
+//! Built on them: the NTT stage sweeps and the row kernels of [`crate::rows`] (the add / sub
+//! rows are the same compare-mask code on both arms), and two kernels only the IFMA arm has —
+//! the KSKIP inner product ([`crate::kskip`]) and the pointwise products (a Barrett reduction
+//! whose output is canonical, so any correct one is bit-identical). The KSKIP row never leaves
+//! the vector registers: per coefficient it sums each product's low and high 52-bit halves
+//! exactly, then reduces `hi·2^52 + lo` eight lanes at a time — split into three 52-bit parts,
+//! three Shoup products by `1`, `2^52` and `2^104 mod q` (52-bit constants, each below `2q`),
+//! then conditional subtractions of `4q`, `2q` and `q`. Its output is canonical, as the scalar
+//! twin's `reduce_u128`, so the two agree word for word. A hoisted rotation's permuted row
+//! gathers its eight sources with one `vpgatherqq` per digit.
 //!
 //! ## Selection
 //!
@@ -48,12 +63,21 @@
 //!
 //! ## Unsafe policy
 //!
-//! Two kinds of `unsafe` block exist, each with its `// SAFETY:` comment: the unaligned
-//! load / store pair (`avx512::load` / `avx512::store`, which assert `at + 8 <= len` before
-//! touching memory, so no kernel can read or write outside its slices whatever its index
-//! arithmetic does), and the calls from the safe dispatch functions into
-//! `#[target_feature]` kernels, each of which sits behind the detection result. The
-//! arithmetic intrinsics themselves are safe inside a `#[target_feature]` function.
+//! Three kinds of `unsafe` block exist, each with its `// SAFETY:` comment:
+//!
+//! * the unaligned loads and stores (`avx512::load` / `avx512::store`, and `indices` for a
+//!   row of `usize` permutation entries), which assert `at + 8 <= len` before touching
+//!   memory, so no kernel can read or write outside its slices whatever its index arithmetic
+//!   does;
+//! * the gather (`avx512::checked::gather`), which reads eight words of a row at eight
+//!   indices. Its indices come only as a `checked::Indices`, whose fields are private to that
+//!   module and whose one constructor, `indices`, compares all eight with one vector compare
+//!   against a bound and panics if any is not below it; `gather` asserts that the row holds at
+//!   least that bound, so every lane reads inside the row;
+//! * the calls from the safe dispatch functions into `#[target_feature]` kernels, each of
+//!   which sits behind the detection result.
+//!
+//! The arithmetic intrinsics themselves are safe inside a `#[target_feature]` function.
 //!
 //! Two findings from the first version, kept so they are not rediscovered: 512-bit shifts,
 //! `vpminuq` and the multiplies compete for one issue port on the cores this was tuned on, so
@@ -78,7 +102,8 @@ pub(crate) const IFMA_LIMB_BOUND: u64 = 1 << 50;
 const IFMA_MAX_DIGITS: usize = 1 << 12;
 
 /// The stage constants of one NTT direction: twiddles in bit-reversed order and their Shoup
-/// companions.
+/// companions — for a limb below `2^50` in the 52-bit form (low 12 bits clear) the IFMA arm's
+/// twiddle product requires, which [`crate::NttTable`] stores.
 pub(crate) struct Twiddles<'a> {
     pub(crate) w: &'a [u64],
     pub(crate) w_shoup: &'a [u64],
@@ -203,6 +228,20 @@ pub(crate) fn reduce_row(arm: Option<Arm>, row: &mut [u64], q: u64, from_4q: boo
     dispatch!(arm, q, 0, reduce_row(row, q, from_4q))
 }
 
+/// Vector arm of `x[c] = (x[c] + y[c]) mod q` for canonical rows. Returns the covered prefix
+/// length.
+pub(crate) fn add_row(arm: Option<Arm>, q: u64, x: &mut [u64], y: &[u64]) -> usize {
+    assert_eq!(x.len(), y.len());
+    dispatch!(arm, q, 0, add_row(q, x, y))
+}
+
+/// Vector arm of `x[c] = (x[c] − y[c]) mod q` for canonical rows. Returns the covered prefix
+/// length.
+pub(crate) fn sub_row(arm: Option<Arm>, q: u64, x: &mut [u64], y: &[u64]) -> usize {
+    assert_eq!(x.len(), y.len());
+    dispatch!(arm, q, 0, sub_row(q, x, y))
+}
+
 /// Vector arm of `out[c] = src[c]·b mod q` (canonical). Returns the covered prefix length.
 pub(crate) fn mul_shoup_row(
     arm: Option<Arm>,
@@ -289,9 +328,13 @@ pub(crate) fn convert_accumulate_row(
 }
 
 /// IFMA arm of the KSKIP row ([`crate::kskip::accumulate_digits`] without a fold): exact
-/// digit sums per coefficient, reduced into `[0, 2q)`. Returns the covered prefix length —
-/// `0` for a wide limb, a CPU without IFMA or more than 4096 digits; it ends early at the
-/// first eight coefficients with an operand of 52 bits or more.
+/// digit sums per coefficient, reduced into `[0, q)`. Returns the covered prefix length — `0`
+/// for a wide limb, a CPU without IFMA or more than 4096 digits; it ends early at the first
+/// eight coefficients with an operand of 52 bits or more.
+///
+/// # Panics
+///
+/// Panics if a `perm` index of a covered vector is not below `out_b.len()`.
 pub(crate) fn kskip_row(
     modulus: &Modulus,
     digits: &[DigitRows<'_>],
@@ -382,6 +425,57 @@ mod avx512 {
         unsafe { _mm512_storeu_si512(row.as_mut_ptr().add(at).cast(), v) }
     }
 
+    pub(super) use checked::{gather, indices};
+
+    /// The hardware gather, in a module of its own so that the fields of [`checked::Indices`]
+    /// are private to it: [`checked::indices`] is the only way to build one.
+    mod checked {
+        use super::{splat, LANES};
+        use std::arch::x86_64::*;
+
+        /// Eight permutation entries, each checked below `bound`.
+        #[derive(Clone, Copy)]
+        pub(in crate::simd) struct Indices {
+            v: __m512i,
+            bound: usize,
+        }
+
+        /// Loads the entries `perm[at .. at + 8]` and checks them below `bound` with one
+        /// compare.
+        ///
+        /// # Panics
+        ///
+        /// Panics if an entry is not below `bound`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub(in crate::simd) fn indices(perm: &[usize], at: usize, bound: usize) -> Indices {
+            const { assert!(size_of::<usize>() == size_of::<u64>()) };
+            assert!(at <= perm.len() && perm.len() - at >= LANES);
+            // SAFETY: the assertion keeps the eight `usize` entries `[at, at + 8)` inside
+            // `perm`, a `usize` is a `u64` lane on this target (asserted at compile time), and
+            // `loadu` has no alignment requirement.
+            let v = unsafe { _mm512_loadu_si512(perm.as_ptr().add(at).cast()) };
+            let outside = _mm512_cmpge_epu64_mask(v, splat(bound as u64));
+            assert!(
+                outside == 0,
+                "permutation index out of range (not below {bound})"
+            );
+            Indices { v, bound }
+        }
+
+        /// Gathers `row[i]` for the eight checked indices `i`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub(in crate::simd) fn gather(row: &[u64], at: Indices) -> __m512i {
+            assert!(row.len() >= at.bound);
+            // SAFETY: every lane of `at.v` is below `at.bound` (checked by `indices`, the only
+            // constructor), which the assertion keeps within `row.len()`, so each of the eight
+            // 8-byte reads at `row + 8·i` lies inside `row`; a gather has no alignment
+            // requirement beyond the element's, which a `u64` slice meets.
+            unsafe { _mm512_i64gather_epi64::<8>(at.v, row.as_ptr().cast()) }
+        }
+    }
+
     /// `x − m` where `x ≥ m`, else `x` (compare into a mask, masked subtract).
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -401,9 +495,14 @@ mod avx512 {
             /// Harvey forward butterfly: `x, y < 4q` in, `x + v, x + 2q − v < 4q` out.
             #[inline]
             #[target_feature(enable = $features)]
-            fn forward_butterfly(x: __m512i, y: __m512i, s: Fixed, m: Limb) -> (__m512i, __m512i) {
+            fn forward_butterfly(
+                x: __m512i,
+                y: __m512i,
+                s: Twiddle,
+                m: Limb,
+            ) -> (__m512i, __m512i) {
                 let u = cond_sub(x, m.two_q);
-                let v = mul_shoup_lazy(y, s, m);
+                let v = mul_twiddle(y, s, m);
                 (
                     _mm512_add_epi64(u, v),
                     _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v),
@@ -413,10 +512,15 @@ mod avx512 {
             /// Gentleman–Sande inverse butterfly over `[0, 2q)`.
             #[inline]
             #[target_feature(enable = $features)]
-            fn inverse_butterfly(u: __m512i, v: __m512i, s: Fixed, m: Limb) -> (__m512i, __m512i) {
+            fn inverse_butterfly(
+                u: __m512i,
+                v: __m512i,
+                s: Twiddle,
+                m: Limb,
+            ) -> (__m512i, __m512i) {
                 (
                     cond_sub(_mm512_add_epi64(u, v), m.two_q),
-                    mul_shoup_lazy(_mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v), s, m),
+                    mul_twiddle(_mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v), s, m),
                 )
             }
 
@@ -432,7 +536,7 @@ mod avx512 {
                 m: Limb,
             ) {
                 for (i, base) in (0..values.len()).step_by(2 * t).enumerate() {
-                    let s = fixed(splat(tw.w[first + i]), splat(tw.w_shoup[first + i]));
+                    let s = twiddle(splat(tw.w[first + i]), splat(tw.w_shoup[first + i]));
                     for at in (base..base + t).step_by(LANES) {
                         let (x, y) = (load(values, at), load(values, at + t));
                         let (x, y) = if FORWARD {
@@ -493,7 +597,7 @@ mod avx512 {
                     // Eight table entries from this group's first twiddle on; the permute
                     // keeps the leading `8/t`. (The load stays inside the table:
                     // `first + blocks·j + 8 ≤ n`.)
-                    let s = fixed(
+                    let s = twiddle(
                         _mm512_permutexvar_epi64(spread, load(tw.w, first + blocks * j)),
                         _mm512_permutexvar_epi64(spread, load(tw.w_shoup, first + blocks * j)),
                     );
@@ -547,14 +651,14 @@ mod avx512 {
                 }
                 // Last stage: one block spanning the row, `N⁻¹` fused into both output
                 // multipliers.
-                let scale = fixed(splat(last[0]), splat(last[1]));
-                let twiddle = fixed(splat(last[2]), splat(last[3]));
+                let scale = twiddle(splat(last[0]), splat(last[1]));
+                let fused = twiddle(splat(last[2]), splat(last[3]));
                 for at in (0..t).step_by(LANES) {
                     let (u, v) = (load(values, at), load(values, at + t));
                     let sum = cond_sub(_mm512_add_epi64(u, v), m.two_q);
                     let diff = _mm512_sub_epi64(_mm512_add_epi64(u, m.two_q), v);
-                    store(values, at, mul_shoup_lazy(sum, scale, m));
-                    store(values, at + t, mul_shoup_lazy(diff, twiddle, m));
+                    store(values, at, mul_twiddle(sum, scale, m));
+                    store(values, at + t, mul_twiddle(diff, fused, m));
                 }
                 true
             }
@@ -569,6 +673,33 @@ mod avx512 {
                         v = cond_sub(v, m.two_q);
                     }
                     store(row, at, cond_sub(v, m.q));
+                }
+                done
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn add_row(q: u64, x: &mut [u64], y: &[u64]) -> usize {
+                let m = limb(q);
+                let done = whole_vectors(x.len());
+                for at in (0..done).step_by(LANES) {
+                    store(
+                        x,
+                        at,
+                        cond_sub(_mm512_add_epi64(load(x, at), load(y, at)), m.q),
+                    );
+                }
+                done
+            }
+
+            #[target_feature(enable = $features)]
+            pub(crate) fn sub_row(q: u64, x: &mut [u64], y: &[u64]) -> usize {
+                let m = limb(q);
+                let done = whole_vectors(x.len());
+                for at in (0..done).step_by(LANES) {
+                    let (a, b) = (load(x, at), load(y, at));
+                    let diff = _mm512_sub_epi64(a, b);
+                    let borrow = _mm512_cmplt_epu64_mask(a, b);
+                    store(x, at, _mm512_mask_add_epi64(diff, borrow, diff, m.q));
                 }
                 done
             }
@@ -800,6 +931,9 @@ mod avx512 {
             _mm512_sub_epi64(_mm512_mullo_epi64(a, f.b), _mm512_mullo_epi64(q_hat, m.q))
         }
 
+        /// The NTT's twiddles take this arm's one product.
+        use self::{fixed as twiddle, mul_shoup_lazy as mul_twiddle, Fixed as Twiddle};
+
         shoup_kernels!("avx512f,avx512dq");
     }
 
@@ -852,7 +986,82 @@ mod avx512 {
             _mm512_and_si512(r, splat(LOW_52))
         }
 
+        /// A twiddle `w` with its 52-bit Shoup constant `⌊w·2^52/q⌋`: the NTT tables of a limb
+        /// below `2^50` store it shifted up 12 bits (the low bits of the 64-bit form cleared).
+        #[derive(Clone, Copy)]
+        struct Twiddle {
+            w: __m512i,
+            w_shoup: __m512i,
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn twiddle(w: __m512i, w_shoup: __m512i) -> Twiddle {
+            Twiddle {
+                w,
+                w_shoup: _mm512_srli_epi64::<12>(w_shoup),
+            }
+        }
+
+        /// Eight lanes of [`crate::Modulus::mul_shoup_lazy`] by a 52-bit-form twiddle, for
+        /// `a < 2^52`: `q̂ = ⌊a·w_shoup/2^52⌋` is one `vpmadd52huq`, and `a·w − q̂·q`, which lies
+        /// in `[0, 2q)`, is exact modulo `2^52`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn mul_twiddle(a: __m512i, t: Twiddle, m: Limb) -> __m512i {
+            let zero = _mm512_setzero_si512();
+            let q_hat = _mm512_madd52hi_epu64(zero, a, t.w_shoup);
+            let r = _mm512_madd52lo_epu64(_mm512_madd52lo_epu64(zero, a, t.w), q_hat, m.minus_q);
+            _mm512_and_si512(r, splat(LOW_52))
+        }
+
         shoup_kernels!("avx512f,avx512dq,avx512ifma");
+
+        /// The end reduction of the KSKIP row: `1`, `2^52` and `2^104` modulo the limb as
+        /// 52-bit-form multiplicands, and `4q`.
+        #[derive(Clone, Copy)]
+        struct Radix {
+            one: Twiddle,
+            two_52: Twiddle,
+            two_104: Twiddle,
+            four_q: __m512i,
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn radix(q: u64) -> Radix {
+            let constant = |c: u128| {
+                let c = (c % u128::from(q)) as u64;
+                Twiddle {
+                    w: splat(c),
+                    w_shoup: splat(((u128::from(c) << 52) / u128::from(q)) as u64),
+                }
+            };
+            Radix {
+                one: constant(1),
+                two_52: constant(1 << 52),
+                two_104: constant(1 << 104),
+                four_q: splat(q << 2),
+            }
+        }
+
+        /// `hi·2^52 + lo mod q` (canonical) for `hi + ⌊lo/2^52⌋ < 2^64`: the sum's three 52-bit
+        /// parts times `1`, `2^52` and `2^104 mod q`, each product below `2q`, then the
+        /// conditional subtractions of `4q`, `2q` and `q` that take `[0, 6q)` to `[0, q)`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn reduce_halves(lo: __m512i, hi: __m512i, m: Limb, r: Radix) -> __m512i {
+            let low_52 = splat(LOW_52);
+            let upper = _mm512_add_epi64(hi, _mm512_srli_epi64::<52>(lo));
+            let sum = _mm512_add_epi64(
+                _mm512_add_epi64(
+                    mul_twiddle(_mm512_and_si512(lo, low_52), r.one, m),
+                    mul_twiddle(_mm512_and_si512(upper, low_52), r.two_52, m),
+                ),
+                mul_twiddle(_mm512_srli_epi64::<52>(upper), r.two_104, m),
+            );
+            cond_sub(cond_sub(cond_sub(sum, r.four_q), m.two_q), m.q)
+        }
 
         #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
         pub(crate) fn kskip_row(
@@ -862,21 +1071,17 @@ mod avx512 {
             out_b: &mut [u64],
             out_a: &mut [u64],
         ) -> usize {
+            let n = out_b.len();
+            let (m, r) = (limb(modulus.value()), radix(modulus.value()));
             let zero = _mm512_setzero_si512();
-            let mut gathered = [0u64; LANES];
-            let mut halves = [[0u64; LANES]; 4];
-            for at in (0..whole_vectors(out_b.len())).step_by(LANES) {
+            for at in (0..whole_vectors(n)).step_by(LANES) {
+                let sources = perm.map(|perm| indices(perm, at, n));
                 let [mut lo_b, mut hi_b, mut lo_a, mut hi_a] = [zero; 4];
                 let mut operands = zero;
                 for digit in digits {
-                    let x = match perm {
+                    let x = match sources {
                         None => load(digit.x, at),
-                        Some(perm) => {
-                            for (x, &source) in gathered.iter_mut().zip(&perm[at..at + LANES]) {
-                                *x = digit.x[source];
-                            }
-                            load(&gathered, 0)
-                        }
+                        Some(sources) => gather(digit.x, sources),
                     };
                     let (key_b, key_a) = (load(digit.key_b, at), load(digit.key_a, at));
                     operands = _mm512_or_si512(operands, _mm512_or_si512(x, key_a));
@@ -889,17 +1094,10 @@ mod avx512 {
                 if !fits(operands) {
                     return at;
                 }
-                for (half, v) in halves.iter_mut().zip([lo_b, hi_b, lo_a, hi_a]) {
-                    store(half, 0, v);
-                }
-                let [lo_b, hi_b, lo_a, hi_a] = &halves;
-                for l in 0..LANES {
-                    let sum = |lo: u64, hi: u64| ((hi as u128) << 52) + lo as u128;
-                    out_b[at + l] = modulus.reduce_u128_lazy(sum(lo_b[l], hi_b[l]));
-                    out_a[at + l] = modulus.reduce_u128_lazy(sum(lo_a[l], hi_a[l]));
-                }
+                store(out_b, at, reduce_halves(lo_b, hi_b, m, r));
+                store(out_a, at, reduce_halves(lo_a, hi_a, m, r));
             }
-            whole_vectors(out_b.len())
+            whole_vectors(n)
         }
 
         /// Barrett constants of a `k`-bit limb (`2^(k−1) < q < 2^50`) for products below

@@ -21,7 +21,7 @@
 //! * [`kskip`] (the `fab-math` row kernel, re-exported here) — the **u128 lazy key-switch
 //!   inner product**: products of all β digits are summed coefficient-major into
 //!   per-coefficient `u128` sums that never leave registers and reduced *once* per
-//!   coefficient (into the lazy `[0, 2q)` domain the inverse NTT consumes), with an
+//!   coefficient (into the canonical `[0, q)`, which the inverse NTT consumes), with an
 //!   overflow-safe periodic fold derived from the limb bit-width
 //!   ([`fab_math::Modulus::u128_mac_capacity`]),
 //! * [`metering`] — the thread-local meter of NTT transforms and bytes moved (one

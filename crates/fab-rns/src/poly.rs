@@ -414,10 +414,7 @@ impl RnsPolynomial {
         let degree = self.degree;
         metering::charge(kernel::pointwise_binary(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
-            let m = basis.modulus(i);
-            for (x, &y) in row.iter_mut().zip(other.limb(i)) {
-                *x = m.add(*x, y);
-            }
+            basis.modulus(i).add_row(row, other.limb(i));
         });
         Ok(())
     }
@@ -443,10 +440,7 @@ impl RnsPolynomial {
         let degree = self.degree;
         metering::charge(kernel::pointwise_binary(degree, self.limb_count));
         fab_par::par_chunks_mut(&mut self.data, degree, |i, row| {
-            let m = basis.modulus(i);
-            for (x, &y) in row.iter_mut().zip(other.limb(i)) {
-                *x = m.sub(*x, y);
-            }
+            basis.modulus(i).sub_row(row, other.limb(i));
         });
         Ok(())
     }
